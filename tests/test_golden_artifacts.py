@@ -1,0 +1,150 @@
+"""Golden SHA-256 digests of every file the CLI writes for fixed fixtures.
+
+The digests pin the artifacts byte for byte, so a refactor of the assembly
+pipeline that changes any serial, ordering or provenance label fails here.
+To record them again after an intended format change, run this file as a
+script with the package on the path; it prints the table.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from commoncover import families
+from commoncover.cli import dump_graph, dump_object_graph, main, write_json
+from commoncover.object_graphs import rotation_pair
+
+GRAPHS = {
+    "c3": lambda: families.cycle(3),
+    "c4": lambda: families.cycle(4),
+    "rose2": lambda: families.rose(2),
+    "theta4": lambda: families.theta(4),
+}
+
+# case name -> (command, first input, second input, extra arguments)
+CASES = {
+    "star-dr-c3-c4": ("build", "c3", "c4", ["--backend", "star", "--strategy", "dr"]),
+    "star-aligned-c3-c4": ("build", "c3", "c4",
+                           ["--backend", "star", "--strategy", "aligned"]),
+    "ball-based-c3-c4": ("build", "c3", "c4", ["--backend", "ball", "-R", "1", "--based"]),
+    "glue-c3-c4": ("build", "c3", "c4", ["--backend", "glue", "-R", "1"]),
+    "glue-rose2-theta4": ("build", "rose2", "theta4", ["--backend", "glue", "-R", "1"]),
+    "regular-c3-c4": ("regular", "c3", "c4", []),
+    "objects-rotation3": ("build-objects", "x1", "x2", None),
+}
+
+
+def _write_object_inputs(workdir):
+    x1, x2, seeds = rotation_pair(3)
+    paths = {name: os.path.join(workdir, name + ".json") for name in ("x1", "x2", "seeds")}
+    write_json(paths["x1"], dump_object_graph(x1))
+    write_json(paths["x2"], dump_object_graph(x2))
+    write_json(paths["seeds"], {"seeds": [
+        {"from": s.src, "to": s.dst, "dart_map": s.dart_map,
+         "edge_maps": {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
+                       for d, m in s.edge_maps.items()},
+         "vertex_map": {"vmap": dict(s.vertex_map.vmap),
+                        "emap": dict(s.vertex_map.emap)}}
+        for s in seeds]})
+    return paths
+
+
+def artifact_digests(workdir, case) -> dict:
+    """Run one case in workdir and return {file name: SHA-256 hex digest}."""
+    command, first, second, extra = CASES[case]
+    if command == "build-objects":
+        paths = _write_object_inputs(workdir)
+        argv = [command, paths["x1"], paths["x2"], "--seeds", paths["seeds"]]
+    else:
+        inputs = []
+        for name in (first, second):
+            path = os.path.join(workdir, name + ".json")
+            write_json(path, dump_graph(GRAPHS[name]()))
+            inputs.append(path)
+        argv = [command, *inputs, *extra]
+    out = os.path.join(workdir, "out")
+    assert main(argv + ["-o", out]) == 0
+    digests = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+GOLDEN = {
+    "ball-based-c3-c4": {
+        "certificate.json":
+            "a52323ce2e45115ed6042622092e2273f35b5e6244635184cb5307f70d838371",
+        "cover.json":
+            "88f4761b8508e58b69a3de61bdf676e5fe9e8285a2df930fde1b5883f420eb23",
+        "mu1.json":
+            "6d098cb82bcea9039506c0601df26c1eea8acc0e1fb5a8ada8edb5ebf93d766c",
+        "mu2.json":
+            "dfc0f880adb019320bdd4dc7e64bfded9bc6ae478a1c4898ef3c71fe7913f825",
+    },
+    "glue-c3-c4": {
+        "cover.json":
+            "30b37f42d895d29ae03543a87b0867ccb73ab73d15a21f00709230377b51876c",
+        "mu1.json":
+            "f2584f8d97f9f8f204c3ced4d311cd905dd13b5900d2a12999f265bba1f5a7c3",
+        "mu2.json":
+            "8b493a0106a83b1a3e5d10a484113795b1243edbd1e13ea8ae70d76c57eafb09",
+    },
+    "glue-rose2-theta4": {
+        "cover.json":
+            "457ef391541fbf13a64965698210975a6f08f8500adb6b91de26caa6753ae03d",
+        "mu1.json":
+            "cdfe484b8576e43013d18c854e318e130cf68d796d75043bb4ae9733c66a7083",
+        "mu2.json":
+            "174209e352e773f2150fd1d84a0219ce5bc30dd86d1d76b7b39f168a93f0822e",
+    },
+    "objects-rotation3": {
+        "cover.json":
+            "e7552842e99473bd0a5b814b7ef35e32017344322d331e6b30d67c5dddef118a",
+        "mu1.json":
+            "944db88874074390eff847bfc8af39fd6daf7e3a0d8a0241434dd0cbfa72c670",
+        "mu2.json":
+            "4903040b3201d430242dd77a6ad56e51266c7e8bd05916cbe4573477809cf596",
+    },
+    "regular-c3-c4": {
+        "cover.json":
+            "99247d7dbc82ae91b8604715c358fd9e78164c01e70bb4e3ae4fd892784454f8",
+        "mu1.json":
+            "a5d499cb6d06f75502d72e5cc4f04ee8dd364566f9b7d4976a7e8a2f753fb363",
+        "mu2.json":
+            "2697e1f6c4b6a208f0dde26df6bfc6c5ae65647e8d7bbf53fdc3b53629bb3b5a",
+    },
+    "star-aligned-c3-c4": {
+        "cover.json":
+            "32db72d91403529a2c95aa6b2516fbae69051f6b8ec3fa7d43629d80e8530736",
+        "mu1.json":
+            "6d098cb82bcea9039506c0601df26c1eea8acc0e1fb5a8ada8edb5ebf93d766c",
+        "mu2.json":
+            "dfc0f880adb019320bdd4dc7e64bfded9bc6ae478a1c4898ef3c71fe7913f825",
+    },
+    "star-dr-c3-c4": {
+        "cover.json":
+            "13e6027564444b126a32bce8917b3a6e7bab546960e1c5ed7723dc819eaf1b3e",
+        "mu1.json":
+            "6a5f7e016080a2d5713f543539acf1ce60650cb12d4c140d9181f70013912ab6",
+        "mu2.json":
+            "f64d5543f0e172fb03e04a8e584de989924b35d2c85608f3eae4f6ef3a1c85a6",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_golden_digests(tmp_path, case):
+    assert artifact_digests(str(tmp_path), case) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    import pprint
+    import tempfile
+
+    table = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            table[case] = artifact_digests(tmp, case)
+    pprint.pprint(table, width=100)
