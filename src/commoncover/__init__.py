@@ -5,8 +5,7 @@ from .graphs import (Graph, GraphError, GraphMorphism, compose_morphisms,
                      disjoint_union, fiber_product, identity_morphism,
                      is_covering, validate_graph)
 from .refinement import common_cover_exists, degree_refinement, joint_refinement
-from .groupoids import (FiniteGroupoid, GroupoidAction, lcm_all,
-                        orbit_partition, saturate, stabilizer_size)
+from .groupoids import FiniteGroupoid, lcm_all, saturate
 from .universal_cover import Ball, TreeAlignment, UniversalCover, build_alignment
 from .star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL, StarArrow,
                           build_star_system, build_star_system_retrying)

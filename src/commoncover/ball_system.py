@@ -8,10 +8,10 @@ as plain maps and structural equality decides class equality.
 
 Atoms play the same role one dimension down: isomorphisms between the
 (R-1)-neighbourhoods of the canonical lifts of two darts, normalised the
-same way.  The atom set is defined as the orbit closure of the identity
-atoms under the arrow action, which makes the orbit/edge-set counting
-identity used by the cover assembly true by construction; bar closure and
-coverage remain genuine runtime checks.
+same way.  The atoms anchored at a dart are the orbit of its identity atom
+under the arrow action, computed by the shared one-step rule of
+``LocalSystem.atoms_by_anchor``; every discovered edge atom must lie in
+that set, and coverage, bar closure and the action laws are runtime checks.
 
 Every discovered arrow carries a witness word over the free generators of
 the two deck groups and alignment markers; evaluating the word from
@@ -21,7 +21,6 @@ restriction of a product of deck transformations and the alignment.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -152,7 +151,7 @@ class BallLocalSystem(LocalSystem):
     kind = "ball"
 
     def __init__(self, g1, g2, union, groupoid, joint, alignment,
-                 radius, explore_radius, atoms_by_anchor, discovered):
+                 radius, explore_radius, discovered):
         super().__init__(g1, g2, union, groupoid)
         self.joint = joint
         self.alignment = alignment
@@ -160,7 +159,6 @@ class BallLocalSystem(LocalSystem):
         self.cover2 = alignment.c2
         self.radius = radius
         self.explore_radius = explore_radius
-        self.atoms_by_anchor = atoms_by_anchor     # dart -> {serial: atom}
         self.discovered = discovered
         self._lift_cache = {}
 
@@ -224,44 +222,6 @@ class BallLocalSystem(LocalSystem):
     def atom_serial(self, atom):
         return atom.serial
 
-    def orbit_size(self, dart):
-        return len(self.atoms_by_anchor[dart])
-
-    def orbit_darts(self, dart):
-        return tuple(sorted(a.image for a in self.atoms_by_anchor[dart].values()))
-
-    def atom_known(self, atom) -> bool:
-        return atom.serial in self.atoms_by_anchor[atom.anchor]
-
-    def sample_atoms(self):
-        out = []
-        for dart in self.union.darts:
-            for s in sorted(self.atoms_by_anchor[dart]):
-                out.append(self.atoms_by_anchor[dart][s])
-        return out
-
-    def arrow_count(self, x, y) -> int:
-        return len(self.groupoid.hom(x, y))
-
-
-def _close_atoms(sys: BallLocalSystem):
-    """Orbit closure of the identity atoms under the arrow action."""
-    atoms_by_anchor = {}
-    queue = deque()
-    for dart in sys.union.darts:
-        atom = sys.identity_atom(dart)
-        atoms_by_anchor[dart] = {atom.serial: atom}
-        queue.append(atom)
-    while queue:
-        atom = queue.popleft()
-        for arrow in sys.groupoid.by_source.get(sys.eps(atom), ()):
-            new = sys.act(arrow, atom)
-            slot = atoms_by_anchor[new.anchor]
-            if new.serial not in slot:
-                slot[new.serial] = new
-                queue.append(new)
-    sys.atoms_by_anchor = atoms_by_anchor
-
 
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
                       explore_radius=None, joint: JointBlocks = None,
@@ -293,8 +253,7 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
 
     groupoid = saturate(discovered.vertex_arrows, union.vertices, identity_factory)
     sys = BallLocalSystem(g1, g2, union, groupoid, joint, alignment,
-                          radius, explore_radius, {}, discovered)
-    _close_atoms(sys)
+                          radius, explore_radius, discovered)
     for atom in discovered.edge_atoms:
         if atom.serial not in sys.atoms_by_anchor[atom.anchor]:
             raise AxiomError(

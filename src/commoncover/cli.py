@@ -58,42 +58,55 @@ def _expect(cond, where, message):
         raise SchemaError("%s: %s" % (where, message))
 
 
-def load_graph(path: str) -> Graph:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
         raise SchemaError("%s: %s" % (path, exc))
-    _expect(isinstance(data, dict), path, "top level must be an object")
-    _expect(isinstance(data.get("vertices"), list), path, "missing vertices list")
-    _expect(isinstance(data.get("darts"), list), path, "missing darts list")
-    vertices, vcol = [], {}
-    for i, entry in enumerate(data["vertices"]):
-        where = "%s: vertices[%d]" % (path, i)
-        _expect(isinstance(entry, dict) and isinstance(entry.get("id"), str),
-                where, "needs a string id")
-        vertices.append(entry["id"])
-        if entry.get("colour") is not None:
-            vcol[entry["id"]] = entry["colour"]
-    darts, origin, reverse, dcol = [], {}, {}, {}
-    for i, entry in enumerate(data["darts"]):
-        where = "%s: darts[%d]" % (path, i)
-        _expect(isinstance(entry, dict) and isinstance(entry.get("id"), str),
-                where, "needs a string id")
-        for key in ("reverse", "from"):
-            _expect(isinstance(entry.get(key), str), where, "needs %r" % key)
-        darts.append(entry["id"])
-        origin[entry["id"]] = entry["from"]
-        reverse[entry["id"]] = entry["reverse"]
-        if entry.get("colour") is not None:
-            dcol[entry["id"]] = entry["colour"]
+
+
+def load_graph(path: str) -> Graph:
+    return _graph_from_data(_read_json(path), path)
+
+
+def _graph_from_data(data, where) -> Graph:
+    """Parse a graph payload; every malformed input raises SchemaError.
+
+    The tables are built by comprehensions; only when that fails are the
+    entries scanned one by one to name the bad one.
+    """
+    _expect(isinstance(data, dict), where, "top level must be an object")
+    vs, ds = data.get("vertices"), data.get("darts")
+    _expect(isinstance(vs, list), where, "missing vertices list")
+    _expect(isinstance(ds, list), where, "missing darts list")
     try:
+        vertices = [e["id"] for e in vs]
+        vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
+        darts = [e["id"] for e in ds]
+        origin = {e["id"]: e["from"] for e in ds}
+        reverse = {e["id"]: e["reverse"] for e in ds}
+        dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
+        if not set(map(type, vertices)).union(map(type, darts)) <= {str}:
+            _raise_bad_entry(vs, ds, where)
         g = Graph(vertices, darts, origin, reverse, vcol, dcol)
+        report = validate_graph(g)
+    except (KeyError, TypeError, AttributeError):
+        _raise_bad_entry(vs, ds, where)
     except GraphError as exc:
-        raise SchemaError("%s: %s" % (path, exc))
-    report = validate_graph(g)
-    _expect(report.ok, path, "; ".join(report.violations[:3]) or "invalid graph")
+        raise SchemaError("%s: %s" % (where, exc))
+    _expect(report.ok, where, "; ".join(report.violations[:3]) or "invalid graph")
     return g
+
+
+def _raise_bad_entry(vs, ds, where):
+    for table, entries, keys in (("vertices", vs, ("id",)),
+                                 ("darts", ds, ("id", "reverse", "from"))):
+        for i, entry in enumerate(entries):
+            for key in keys:
+                _expect(isinstance(entry, dict) and isinstance(entry.get(key), str),
+                        "%s: %s[%d]" % (where, table, i), "needs a string %r" % key)
+    raise SchemaError("%s: malformed vertex or dart entries" % where)
 
 
 def dump_graph(g: Graph) -> dict:
@@ -118,11 +131,7 @@ def dump_morphism(m: GraphMorphism) -> dict:
 
 
 def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError("%s: %s" % (path, exc))
+    data = _read_json(path)
     _expect(isinstance(data, dict) and isinstance(data.get("vmap"), dict)
             and isinstance(data.get("dmap"), dict), path, "needs vmap and dmap")
     return GraphMorphism(source, target, data["vmap"], data["dmap"])
@@ -138,20 +147,23 @@ def _load_morphism_tables(entry, where):
 
 
 def load_object_graph(path: str) -> ObjectGraph:
-    g = load_graph(path)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
+    g = _graph_from_data(data, path)
     objects = {}
     _expect(isinstance(data.get("objects"), dict), path, "missing objects table")
     for name, spec in data["objects"].items():
         where = "%s: objects[%s]" % (path, name)
         _expect(isinstance(spec, dict), where, "must be an object")
-        vertices = [e["id"] for e in spec.get("vertices", [])]
-        vlabels = [(e["id"], e["label"]) for e in spec.get("vertices", [])
-                   if e.get("label") is not None]
-        edges = [(e["id"], e["from"], e["to"], e.get("label"))
-                 for e in spec.get("edges", [])]
-        objects[name] = make_object(vertices, edges, vlabels)
+        try:
+            vertices = [e["id"] for e in spec.get("vertices", [])]
+            vlabels = [(e["id"], e["label"]) for e in spec.get("vertices", [])
+                       if e.get("label") is not None]
+            edges = [(e["id"], e["from"], e["to"], e.get("label"))
+                     for e in spec.get("edges", [])]
+            objects[name] = make_object(vertices, edges, vlabels)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SchemaError("%s: vertices need an 'id', edges an 'id', 'from' "
+                              "and 'to' (%s: %s)" % (where, type(exc).__name__, exc))
     for key in ("vertex_objects", "edge_objects", "edge_morphisms"):
         _expect(isinstance(data.get(key), dict), path, "missing %s table" % key)
     vobj, eobj, emor = {}, {}, {}
@@ -202,11 +214,7 @@ def dump_object_graph(x: ObjectGraph) -> dict:
 
 
 def load_seeds(path: str) -> list:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError("%s: %s" % (path, exc))
+    data = _read_json(path)
     _expect(isinstance(data, dict) and isinstance(data.get("seeds"), list),
             path, "needs a seeds list")
     out = []
@@ -336,10 +344,9 @@ def cmd_verify(args) -> int:
         cover_path = os.path.join(cover_path, "cover.json")
     else:
         cover_dir = os.path.dirname(cover_path)
-    with open(cover_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    graph_data = payload.get("graph", payload)
-    cover = _graph_from_data(graph_data, cover_path)
+    payload = _read_json(cover_path)
+    _expect(isinstance(payload, dict), cover_path, "top level must be an object")
+    cover = _graph_from_data(payload.get("graph", payload), cover_path)
     g1, g2 = load_graph(args.first), load_graph(args.second)
     mu1 = load_morphism(os.path.join(cover_dir, "mu1.json"), cover, g1)
     mu2 = load_morphism(os.path.join(cover_dir, "mu2.json"), cover, g2)
@@ -350,22 +357,6 @@ def cmd_verify(args) -> int:
             return 1
     print("cover verifies onto both inputs")
     return 0
-
-
-def _graph_from_data(data, where) -> Graph:
-    _expect(isinstance(data, dict), where, "graph payload must be an object")
-    vertices = [e["id"] for e in data.get("vertices", [])]
-    vcol = {e["id"]: e["colour"] for e in data.get("vertices", [])
-            if e.get("colour") is not None}
-    darts = [e["id"] for e in data.get("darts", [])]
-    origin = {e["id"]: e["from"] for e in data.get("darts", [])}
-    reverse = {e["id"]: e["reverse"] for e in data.get("darts", [])}
-    dcol = {e["id"]: e["colour"] for e in data.get("darts", [])
-            if e.get("colour") is not None}
-    g = Graph(vertices, darts, origin, reverse, vcol, dcol)
-    report = validate_graph(g)
-    _expect(report.ok, where, "; ".join(report.violations[:3]) or "invalid graph")
-    return g
 
 
 def cmd_bounds(args) -> int:

@@ -10,6 +10,11 @@ involution, and two closure axioms:
   bar image of the atom set anchored at the dart;
 * AX3: the groupoid and action axioms themselves.
 
+Subclasses of ``LocalSystem`` supply only the atom representation
+(``identity_atom``, ``act``, ``bar`` and the anchor, image and serial
+accessors).  The atom sets are computed once, here: the atoms anchored at
+a dart e are {g.id_e : g in out(origin e)}, the orbit of the identity atom.
+
 Given such a system, the cover has one vertex per (cross arrow, copy
 index) and one dart per (cross atom, copy index).  The origin of a dart
 (a, k) must be some (arrow, j) whose action on the identity atom of a's
@@ -20,11 +25,13 @@ canonical sorted order so builds are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .graphs import (Graph, GraphError, GraphMorphism, is_covering, side_of,
-                     strip_side, validate_graph)
+from .graphs import (Graph, GraphError, GraphMorphism, is_covering,
+                     restrict_cover, side_of, strip_side, validate_graph)
 from .groupoids import FiniteGroupoid, lcm_all
 
 
@@ -52,8 +59,9 @@ class AxiomReport:
 class LocalSystem:
     """Base class for the star, ball and object-graph local systems.
 
-    Subclasses provide the atom representation; the generic cover assembly
-    and the axiom checks only use the interface below.
+    Subclasses supply only the atom representation: ``identity_atom``,
+    ``act``, ``bar``, ``atom_anchor``, ``atom_image`` and ``atom_serial``.
+    The atom sets, orbit sizes, axiom checks and cover assembly are shared.
     """
 
     kind = "abstract"
@@ -88,20 +96,34 @@ class LocalSystem:
     def atom_serial(self, atom):
         raise NotImplementedError
 
+    # -- the orbit engine ---------------------------------------------------
+
+    @cached_property
+    def atoms_by_anchor(self) -> dict:
+        """dart -> {atom serial: atom} for the atoms anchored at the dart.
+
+        These are the orbit of the identity atom id_e, reached in one step:
+        {g.id_e : g in out(origin e)}.  The step is exact because the
+        groupoid is closed: g.(k.id_e) = (gk).id_e and gk is again an arrow
+        out of origin(e).  By the orbit-stabilizer law the set has
+        out(origin e) / |{g : g.id_e = id_e}| elements.
+        """
+        out = {}
+        for e in self.union.darts:
+            ident = self.identity_atom(e)
+            slot = out[e] = {}
+            for g in self.groupoid.by_source.get(self.union.origin[e], ()):
+                atom = self.act(g, ident)
+                slot.setdefault(self.atom_serial(atom), atom)
+        return out
+
     def orbit_size(self, dart) -> int:
-        raise NotImplementedError
+        return len(self.atoms_by_anchor[dart])
 
-    def orbit_darts(self, dart):
-        """Image darts of all atoms anchored at the dart."""
-        raise NotImplementedError
-
-    def sample_atoms(self):
-        """Atoms used for runtime action-axiom checks."""
-        return [self.identity_atom(d) for d in self.union.darts]
-
-    def atom_known(self, atom) -> bool:
-        """Membership of an atom in the system's closed atom set."""
-        return self.atom_image(atom) in set(self.orbit_darts(self.atom_anchor(atom)))
+    def orbit_darts(self, dart) -> tuple:
+        """Image darts of the atoms anchored at the dart, sorted."""
+        return tuple(sorted({self.atom_image(a)
+                             for a in self.atoms_by_anchor[dart].values()}))
 
     # -- shared helpers -------------------------------------------------------
 
@@ -116,8 +138,33 @@ class LocalSystem:
                        if side_of(a.src) == 1 and side_of(a.dst) == 2),
                       key=lambda a: a.serial)
 
-    def check_axioms(self, action_cap: int = 200000) -> AxiomReport:
+    def check_axioms(self) -> AxiomReport:
+        """Check coverage (AX1), bar closure (AX2) and the action laws (AX3).
+
+        Coverage and bar closure run over every atom: each atom's bar is an
+        atom anchored at the reversed anchor, with the reversed image, and
+        its bar again is the atom itself.
+
+        The action laws are checked on identity atoms, and the check is
+        complete.  Fix a dart e at x, write F(g) = g.id_e for g in out(x)
+        and Stab for the arrows with F(g) = id_e.  The checks are:
+        (a) F(1) = id_e, eps F(g) = dst g and F(g) is anchored at e;
+        (b) for f in out(x) and t in Stab, ft is an arrow and F(ft) = F(f);
+        (c) every fibre of F has |Stab| arrows (the orbit-stabilizer law);
+        (d) for one arrow r with F(r) = a per atom a, and every h out of
+            dst r, hr is an arrow and F(hr) = h.a.
+        By (b) the coset r.Stab lies in the fibre of a, and by (c) and left
+        cancellation it is the whole fibre.  So any g with F(g) = a is rt
+        with t in Stab, and by (b) and (d)
+            (hg).id_e = F((hr)t) = F(hr) = h.a = h.(g.id_e).
+        For any atom a = k.id_e it follows, by associativity of map
+        composition, that
+            h.(g.a) = h.((gk).id_e) = (h(gk)).id_e = ((hg)k).id_e = (hg).a,
+        and likewise 1.a = a, eps(g.a) = dst g, and g.a = (gk).id_e keeps
+        the anchor e and lies in the one-step atom set of e.
+        """
         union = self.union
+        atoms = self.atoms_by_anchor
         cover_fail = None
         cross = self.cross_arrows()
         sources = {a.src for a in cross}
@@ -129,54 +176,63 @@ class LocalSystem:
                 cover_fail = v
         if cover_fail is None:
             for e in union.darts:
-                images = self.orbit_darts(e)
                 other = 2 if side_of(e) == 1 else 1
-                if not any(side_of(f) == other for f in images):
+                if not any(side_of(self.atom_image(a)) == other
+                           for a in atoms[e].values()):
                     cover_fail = e
                     break
         bar_fail = None
+        rev = union.reverse
         for e in union.darts:
-            expect = {union.reverse[f] for f in self.orbit_darts(e)}
-            if set(self.orbit_darts(union.reverse[e])) != expect:
-                bar_fail = e
-                break
-        if bar_fail is None:
-            # payload-aware closure: the bar of every atom must be an atom
-            for atom in self.sample_atoms():
-                if not self.atom_known(self.bar(atom)):
-                    bar_fail = self.atom_serial(atom)
+            for key, atom in atoms[e].items():
+                b = self.bar(atom)
+                if ((self.atom_anchor(b), self.atom_image(b))
+                        != (rev[e], rev[self.atom_image(atom)])
+                        or self.atom_serial(b) not in atoms[rev[e]]
+                        or self.atom_serial(self.bar(b)) != key):
+                    bar_fail = key
                     break
-        action_fail = self._check_action(action_cap)
+            if bar_fail is not None:
+                break
+        action_fail = self._check_action()
         report = AxiomReport(
             cover_fail is None, bar_fail is None, action_fail is None,
             detail=cover_fail or bar_fail or action_fail)
         self.axioms = report
         return report
 
-    def _check_action(self, cap: int) -> Optional[str]:
-        checked = 0
-        for atom in self.sample_atoms():
-            x = self.eps(atom)
-            ident = self.groupoid.identities.get(x)
-            if ident is None or self.atom_serial(self.act(ident, atom)) != self.atom_serial(atom):
+    def _check_action(self) -> Optional[str]:
+        """Checks (a) to (d) of ``check_axioms``; the first failure found."""
+        groupoid = self.groupoid
+        for e in self.union.darts:
+            ident = self.identity_atom(e)
+            id_key = self.atom_serial(ident)
+            x = self.union.origin[e]
+            unit = groupoid.identities.get(x)
+            if unit is None or self.atom_serial(self.act(unit, ident)) != id_key:
                 return "identity action fails over %r" % (x,)
-            bar_bar = self.bar(self.bar(atom))
-            if self.atom_serial(bar_bar) != self.atom_serial(atom):
-                return "bar involution fails at %r" % (self.atom_serial(atom),)
-            for g in self.groupoid.by_source.get(x, ()):
-                ga = self.act(g, atom)
+            out = groupoid.by_source.get(x, ())
+            image, rep = {}, {}
+            for g in out:
+                ga = self.act(g, ident)
                 if self.eps(ga) != g.dst:
                     return "action target mismatch at %r" % (g.serial,)
-                if self.atom_anchor(ga) != self.atom_anchor(atom):
+                if self.atom_anchor(ga) != e:
                     return "action moved an atom anchor at %r" % (g.serial,)
-                for h in self.groupoid.by_source.get(g.dst, ()):
-                    checked += 1
-                    if checked > cap:
-                        return None
-                    hg = h.compose(g)
-                    if hg is None:
-                        return "composition missing at %r" % (h.serial,)
-                    if self.atom_serial(self.act(hg, atom)) != self.atom_serial(self.act(h, ga)):
+                image[g.serial] = key = self.atom_serial(ga)
+                rep.setdefault(key, (g, ga))
+            stab = [g for g in out if image[g.serial] == id_key]
+            for f in out:
+                for t in stab:
+                    ft = f.compose(t)
+                    if ft is None or image.get(ft.serial) != image[f.serial]:
+                        return "stabilizer moves the image of %r" % (f.serial,)
+            if any(n != len(stab) for n in Counter(image.values()).values()):
+                return "orbit-stabilizer count fails at %r" % (e,)
+            for r, a in rep.values():
+                for h in groupoid.by_source.get(r.dst, ()):
+                    hr = h.compose(r)
+                    if hr is None or image.get(hr.serial) != self.atom_serial(self.act(h, a)):
                         return "action compatibility fails at %r" % (h.serial,)
         return None
 
@@ -319,32 +375,15 @@ def build_cover(sys: LocalSystem, component: str = "least",
         if (seed_serial, 1) not in vertex_ids:
             raise GraphError("seed arrow is not a cross arrow of the system")
         based_vertex = vertex_ids[(seed_serial, 1)]
-        chosen = next(c for c in comps if based_vertex in c)
-    elif component == "all":
-        chosen = None
-    elif component == "least":
-        chosen = min(comps, key=lambda c: (len(c), c))
-    else:
+    elif component not in ("least", "all"):
         raise GraphError("unknown component option: %r" % (component,))
 
     full_graph = None
-    if chosen is not None:
+    if based_vertex is not None or component == "least":
         full_graph = graph
-        keep = set(chosen)
-        sub = graph.restrict(chosen)
-        mu1 = GraphMorphism(sub, sys.g1,
-                            {v: mu1.vmap[v] for v in sub.vertices},
-                            {d: mu1.dmap[d] for d in sub.darts})
-        mu2 = GraphMorphism(sub, sys.g2,
-                            {v: mu2.vmap[v] for v in sub.vertices},
-                            {d: mu2.dmap[d] for d in sub.darts})
-        vertex_label = {v: vertex_label[v] for v in sub.vertices}
-        dart_label = {d: dart_label[d] for d in sub.darts}
-        graph = sub
-        for name, mu in (("mu1", mu1), ("mu2", mu2)):
-            rep = is_covering(mu)
-            if not rep.ok:
-                _internal("component %s lost the covering property" % name)
+        graph, mu1, mu2 = restrict_cover(mu1, mu2, comps, seed=based_vertex)
+        vertex_label = {v: vertex_label[v] for v in graph.vertices}
+        dart_label = {d: dart_label[d] for d in graph.darts}
 
     nv = len(graph.vertices)
     if nv % len(sys.g1.vertices) or nv % len(sys.g2.vertices):

@@ -21,12 +21,11 @@ back to covers of the original graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ball_system import build_ball_system_retrying
 from .cover_builder import LocalSystem
-from .graphs import (Graph, GraphMorphism, is_covering, strip_side,
-                     validate_graph)
+from .graphs import (Graph, GraphMorphism, is_covering, restrict_cover,
+                     strip_side, validate_graph)
 from .groupoids import lcm_all
 
 
@@ -103,7 +102,6 @@ def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
 
 @dataclass
 class WeightFn:
-    base: dict                     # arrow serial -> exact rational weight
     scale: int
     integral: dict                 # arrow serial -> positive integer
 
@@ -116,10 +114,7 @@ def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
     exactly: for each face, both side sums equal scale/orbit-size."""
     out = {x: sys.out_count(x) for x in sys.union.vertices}
     scale = lcm_all(out.values())
-    base, integral = {}, {}
-    for arrow in data.pairs:
-        base[arrow.serial] = Fraction(1, out[arrow.src])
-        integral[arrow.serial] = scale // out[arrow.src]
+    integral = {a.serial: scale // out[a.src] for a in data.pairs}
     for face in data.faces.values():
         anchor = sys.atom_anchor(face.atom)
         expected = scale // sys.orbit_size(anchor)
@@ -135,7 +130,7 @@ def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
         if len(face.left) * sys.orbit_size(anchor) != out[x]:
             raise RuntimeError("internal verification failure: coset count "
                                "at face %r" % (face.serial,))
-    return WeightFn(base, scale, integral)
+    return WeightFn(scale, integral)
 
 
 @dataclass
@@ -202,16 +197,17 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
         if not rep.ok:
             raise RuntimeError("internal verification failure: glued %s: %s at %r"
                                % (name, rep.reason, rep.witness))
-    comps = graph.components()
+    return _glued_cover(mu1, mu2, weights, component)
+
+
+def _glued_cover(mu1, mu2, weights, component, subdivided=False) -> GluedCover:
+    """Record the component sizes and keep the least component if asked."""
+    comps = mu1.source.components()
     sizes = tuple(len(c) for c in comps)
+    graph = mu1.source
     if component == "least":
-        chosen = min(comps, key=lambda c: (len(c), c))
-        graph = graph.restrict(chosen)
-        mu1 = GraphMorphism(graph, sys.g1, {v: vmap1[v] for v in graph.vertices},
-                            {d: dmap1[d] for d in graph.darts})
-        mu2 = GraphMorphism(graph, sys.g2, {v: vmap2[v] for v in graph.vertices},
-                            {d: dmap2[d] for d in graph.darts})
-    return GluedCover(graph, mu1, mu2, weights, sizes)
+        graph, mu1, mu2 = restrict_cover(mu1, mu2, comps)
+    return GluedCover(graph, mu1, mu2, weights, sizes, subdivided)
 
 
 # -- subdivision fallback -------------------------------------------------------
@@ -310,21 +306,8 @@ def build_glued_cover(g1: Graph, g2: Graph, radius: int = 1,
         data = enumerate_pairs(inner_sys)
         weights = gluing_weights(inner_sys, data)
         glued = assemble(inner_sys, data, weights, component="all")
-        graph, mu1, mu2 = contract_subdivided(glued.graph, glued.mu1, glued.mu2,
-                                              info1, info2, g1, g2)
-        sizes = tuple(len(c) for c in graph.components())
-        if component == "least":
-            comps = graph.components()
-            chosen = min(comps, key=lambda c: (len(c), c))
-            graph = graph.restrict(chosen)
-            mu1 = GraphMorphism(graph, g1, {v: mu1.vmap[v] for v in graph.vertices},
-                                {d: mu1.dmap[d] for d in graph.darts})
-            mu2 = GraphMorphism(graph, g2, {v: mu2.vmap[v] for v in graph.vertices},
-                                {d: mu2.dmap[d] for d in graph.darts})
-            for mu in (mu1, mu2):
-                if not is_covering(mu).ok:
-                    raise RuntimeError("internal verification failure: "
-                                       "contracted component")
-        return GluedCover(graph, mu1, mu2, weights, sizes, subdivided=True)
+        _, mu1, mu2 = contract_subdivided(glued.graph, glued.mu1, glued.mu2,
+                                          info1, info2, g1, g2)
+        return _glued_cover(mu1, mu2, weights, component, subdivided=True)
     weights = gluing_weights(sys, data)
     return assemble(sys, data, weights, component=component)

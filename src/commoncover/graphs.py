@@ -286,6 +286,34 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
     return CoveringReport(True)
 
 
+def restrict_cover(mu1: GraphMorphism, mu2: GraphMorphism, comps,
+                   seed: Optional[str] = None):
+    """Restrict a common cover to one component and re-verify both maps.
+
+    ``mu1`` and ``mu2`` share the cover graph as source and ``comps`` is its
+    ``components()``.  The component containing the ``seed`` vertex is
+    kept, or by default the least one: smallest, ties broken by the sorted
+    vertex ids.  Returns the subgraph and the two restricted coverings.
+    """
+    if seed is None:
+        chosen = min(comps, key=lambda c: (len(c), c))
+    else:
+        chosen = next(c for c in comps if seed in c)
+    sub = mu1.source.restrict(chosen)
+    out = []
+    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+        part = GraphMorphism(sub, mu.target,
+                             {v: mu.vmap[v] for v in sub.vertices},
+                             {d: mu.dmap[d] for d in sub.darts})
+        rep = is_covering(part)
+        if not rep.ok:
+            raise RuntimeError("internal verification failure: component %s "
+                               "lost the covering property: %s at %r"
+                               % (name, rep.reason, rep.witness))
+        out.append(part)
+    return sub, out[0], out[1]
+
+
 # -- constructions -----------------------------------------------------------
 
 

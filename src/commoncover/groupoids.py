@@ -1,10 +1,12 @@
-"""Finite groupoids, saturation from generating arrows, and actions.
+"""Finite groupoids and their saturation from generating arrows.
 
 Arrows are hashable objects exposing ``src``, ``dst``, ``serial`` (a
 sortable canonical key), ``compose(other)`` (self after other, or None when
 incompatible) and ``inverse()``.  Saturation closes a generating set under
 composition and inversion inside a finite ambient universe, recording for
-every produced arrow a witness word over the generators.
+every produced arrow a witness word over the generators.  Actions on edge
+atoms, their orbits and the orbit-stabilizer counts live in
+``cover_builder.LocalSystem``.
 """
 
 from __future__ import annotations
@@ -127,101 +129,6 @@ def saturate(atoms: Iterable, objects: Iterable, identity_factory: Callable,
                     add(ba, witness[a.serial] + witness[b.serial])
     ordered = tuple(sorted(arrows.values(), key=lambda a: a.serial))
     return FiniteGroupoid(tuple(objs), ordered, identities, witness)
-
-
-@dataclass
-class GroupoidAction:
-    """An action of a groupoid on a finite set of elements."""
-
-    groupoid: FiniteGroupoid
-    elements: tuple
-    eps: Callable                  # element -> object
-    act: Callable                  # (arrow, element) -> element
-
-    def verify(self, cap: Optional[int] = 200000) -> list:
-        bad = []
-        elems = set(self.elements)
-        for a in self.elements:
-            x = self.eps(a)
-            ident = self.groupoid.identities.get(x)
-            if ident is None:
-                bad.append("element %r sits over a missing object" % (a,))
-                continue
-            if self.act(ident, a) != a:
-                bad.append("identity axiom fails at %r" % (a,))
-        checked = 0
-        for a in self.elements:
-            for g in self.groupoid.by_source.get(self.eps(a), ()):
-                ga = self.act(g, a)
-                if ga not in elems:
-                    bad.append("action leaves the element set at %r" % (a,))
-                    return bad
-                if self.eps(ga) != g.dst:
-                    bad.append("target axiom fails at (%r, %r)" % (g.serial, a))
-                    return bad
-                for h in self.groupoid.by_source.get(g.dst, ()):
-                    checked += 1
-                    if cap is not None and checked > cap:
-                        return bad
-                    hg = h.compose(g)
-                    if hg is None or self.act(hg, a) != self.act(h, ga):
-                        bad.append("compatibility axiom fails at (%r, %r, %r)"
-                                   % (h.serial, g.serial, a))
-                        return bad
-        return bad
-
-
-def orbit_partition(action: GroupoidAction) -> list:
-    """Orbits of the action, each sorted, listed by least representative."""
-    bad = action.verify()
-    if bad:
-        raise ValueError("invalid groupoid action: " + bad[0])
-    remaining = set(action.elements)
-    orbits = []
-    for a0 in sorted(remaining):
-        if a0 not in remaining:
-            continue
-        orbit = {a0}
-        queue = deque([a0])
-        while queue:
-            a = queue.popleft()
-            for g in action.groupoid.by_source.get(action.eps(a), ()):
-                b = action.act(g, a)
-                if b not in orbit:
-                    orbit.add(b)
-                    queue.append(b)
-        remaining -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return sorted(orbits)
-
-
-def orbit_of(action: GroupoidAction, a0) -> tuple:
-    orbit = {a0}
-    queue = deque([a0])
-    while queue:
-        a = queue.popleft()
-        for g in action.groupoid.by_source.get(action.eps(a), ()):
-            b = action.act(g, a)
-            if b not in orbit:
-                orbit.add(b)
-                queue.append(b)
-    return tuple(sorted(orbit))
-
-
-def stabilizer_size(action: GroupoidAction, a) -> tuple:
-    """|Stab(a)|, checked exactly against the orbit-stabilizer product law.
-
-    Returns (stabilizer size, out-arrow count, orbit size); raises if the
-    product law fails, which would indicate a broken action.
-    """
-    x = action.eps(a)
-    out = action.groupoid.by_source.get(x, ())
-    stab = sum(1 for g in out if action.act(g, a) == a)
-    orbit = orbit_of(action, a)
-    if len(out) != stab * len(orbit):
-        raise ValueError("orbit-stabilizer violation at %r: %d != %d * %d"
-                         % (a, len(out), stab, len(orbit)))
-    return stab, len(out), len(orbit)
 
 
 def lcm_all(sizes: Iterable[int]) -> int:

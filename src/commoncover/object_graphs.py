@@ -266,22 +266,12 @@ class ObjectLocalSystem(LocalSystem):
         super().__init__(x1.graph, x2.graph, union, groupoid)
         self.x1 = x1
         self.x2 = x2
-        self.atoms_by_anchor = {}
-        self._fill_atoms()
 
     def _object_graph_of(self, prefixed):
         return self.x1 if side_of(prefixed) == 1 else self.x2
 
     def _edge_object(self, dart):
         return self._object_graph_of(dart).edge_objects[strip_side(dart)]
-
-    def _fill_atoms(self):
-        atoms = {d: {} for d in self.union.darts}
-        for arrow in self.groupoid.arrows:
-            for e, f in arrow.bij:
-                atom = ObjectAtom(e, f, arrow.edge_map(e))
-                atoms[e].setdefault(atom.serial, atom)
-        self.atoms_by_anchor = atoms
 
     def identity_atom(self, dart):
         return ObjectAtom(dart, dart, obj_identity(self._edge_object(dart)))
@@ -303,22 +293,6 @@ class ObjectLocalSystem(LocalSystem):
 
     def atom_serial(self, atom):
         return atom.serial
-
-    def orbit_size(self, dart):
-        return len(self.atoms_by_anchor[dart])
-
-    def orbit_darts(self, dart):
-        return tuple(sorted({a.image for a in self.atoms_by_anchor[dart].values()}))
-
-    def atom_known(self, atom) -> bool:
-        return atom.serial in self.atoms_by_anchor[atom.anchor]
-
-    def sample_atoms(self):
-        out = []
-        for dart in self.union.darts:
-            for s in sorted(self.atoms_by_anchor[dart]):
-                out.append(self.atoms_by_anchor[dart][s])
-        return out
 
     def isotropy(self, dart) -> list:
         """Invertible self-maps of the dart's edge object induced by star

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import families
 from .graphs import (Graph, GraphError, GraphMorphism, compose_morphisms,
-                     fiber_product, is_covering)
+                     fiber_product, is_covering, restrict_cover)
 
 
 def regularity(g: Graph) -> int:
@@ -310,16 +310,11 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Regu
         raise RuntimeError("internal verification failure: size bound violated")
     graph = fp.graph
     if component == "least":
-        comps = graph.components()
-        chosen = min(comps, key=lambda c: (len(c), c))
-        graph = graph.restrict(chosen)
-        mu1 = GraphMorphism(graph, g1, {v: mu1.vmap[v] for v in graph.vertices},
-                            {d: mu1.dmap[d] for d in graph.darts})
-        mu2 = GraphMorphism(graph, g2, {v: mu2.vmap[v] for v in graph.vertices},
-                            {d: mu2.dmap[d] for d in graph.darts})
-    for mu in (mu1, mu2):
-        if not is_covering(mu).ok:
-            raise RuntimeError("internal verification failure: regular cover")
+        graph, mu1, mu2 = restrict_cover(mu1, mu2, graph.components())
+    else:
+        for mu in (mu1, mu2):
+            if not is_covering(mu).ok:
+                raise RuntimeError("internal verification failure: regular cover")
     degrees = (len(graph.vertices) // len(g1.vertices),
                len(graph.vertices) // len(g2.vertices))
     return RegularCover(graph, mu1, mu2, degrees, bound, total)

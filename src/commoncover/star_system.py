@@ -78,7 +78,6 @@ class StarLocalSystem(LocalSystem):
         self.atom_arrows = tuple(atom_arrows)
         self.atom_centers = tuple(atom_centers)
         self._bij_cache = {}
-        self._orbit_cache = None
 
     def _bij(self, arrow) -> dict:
         d = self._bij_cache.get(arrow.serial)
@@ -106,34 +105,6 @@ class StarLocalSystem(LocalSystem):
 
     def atom_serial(self, atom):
         return atom
-
-    def _orbits(self) -> dict:
-        if self._orbit_cache is None:
-            parent = {d: d for d in self.union.darts}
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for arrow in self.groupoid.arrows:
-                for e, f in arrow.bij:
-                    ra, rb = find(e), find(f)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-            classes = {}
-            for d in self.union.darts:
-                classes.setdefault(find(d), []).append(d)
-            self._orbit_cache = {d: tuple(sorted(cls))
-                                 for cls in classes.values() for d in cls}
-        return self._orbit_cache
-
-    def orbit_size(self, dart):
-        return len(self._orbits()[dart])
-
-    def orbit_darts(self, dart):
-        return self._orbits()[dart]
 
 
 def _dart_type(union: Graph, block_of: dict, d: str):

@@ -36,6 +36,27 @@ def lollipop() -> Graph:
     )
 
 
+def bfs_atoms(sys, dart) -> set:
+    """Serials of the atoms reached from the identity atom at the dart by
+    breadth-first search under the arrow action.
+
+    This computes the orbit without the one-step rule of
+    ``LocalSystem.atoms_by_anchor`` and serves as its reference.
+    """
+    start = sys.identity_atom(dart)
+    seen = {sys.atom_serial(start)}
+    frontier = [start]
+    while frontier:
+        atom = frontier.pop()
+        for arrow in sys.groupoid.by_source.get(sys.eps(atom), ()):
+            nxt = sys.act(arrow, atom)
+            key = sys.atom_serial(nxt)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(nxt)
+    return seen
+
+
 def random_base_graph(rng: random.Random, max_vertices: int = 8,
                       max_degree: int = 4) -> Graph:
     """Connected multigraph with bounded degree (loops and parallels allowed)."""

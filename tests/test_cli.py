@@ -187,3 +187,48 @@ def test_build_objects_is_deterministic(tmp_path):
     assert left.keys() == right.keys()
     for name in left:
         assert left[name] == right[name]
+
+
+def _built_star_cover(tmp_path):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    out = str(tmp_path / "out")
+    assert main(["build", c3, c3, "--backend", "star", "-o", out]) == 0
+    return c3, out
+
+
+def test_verify_dart_without_origin_exits_two(tmp_path, capsys):
+    c3, out = _built_star_cover(tmp_path)
+    path = os.path.join(out, "cover.json")
+    with open(path) as fh:
+        payload = json.load(fh)
+    del payload["graph"]["darts"][0]["from"]
+    write_json(path, payload)
+    assert main(["verify", out, c3, c3]) == 2
+    assert "darts[0]: needs a string 'from'" in capsys.readouterr().err
+
+
+def test_verify_missing_cover_directory_exits_two(tmp_path):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    assert main(["verify", str(tmp_path / "absent"), c3, c3]) == 2
+
+
+def test_verify_unparsable_cover_exits_two(tmp_path):
+    c3, out = _built_star_cover(tmp_path)
+    with open(os.path.join(out, "cover.json"), "w") as fh:
+        fh.write('{"graph": ')
+    assert main(["verify", out, c3, c3]) == 2
+
+
+def test_build_objects_entry_without_id_exits_two(tmp_path, capsys):
+    x1, x2, seeds = rotation_pair(3)
+    p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
+    payload = dump_object_graph(x1)
+    name = sorted(payload["objects"])[0]
+    del payload["objects"][name]["vertices"][0]["id"]
+    write_json(p1, payload)
+    write_json(p2, dump_object_graph(x2))
+    seeds_path = str(tmp_path / "seeds.json")
+    write_json(seeds_path, {"seeds": []})
+    assert main(["build-objects", p1, p2, "--seeds", seeds_path,
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "objects[%s]" % name in capsys.readouterr().err

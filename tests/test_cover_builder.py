@@ -1,10 +1,13 @@
 import pytest
 
 from commoncover import families
-from commoncover.ball_system import build_ball_system_retrying, discover_atoms
+from commoncover.ball_system import (EdgeAtom, build_ball_system_retrying,
+                                     discover_atoms)
 from commoncover.cover_builder import (AxiomError, build_cover,
                                        extract_certificate)
 from commoncover.graphs import is_covering
+from commoncover.object_graphs import (ObjectAtom, close_star_maps, obj_compose,
+                                       rotation_map, rotation_pair)
 from commoncover.oracle import brute_common_cover, find_covering
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
@@ -168,3 +171,57 @@ def test_single_vertex_pair_builds_trivial_cover():
     assert len(built.graph.vertices) == 1
     assert built.graph.darts == ()
     assert built.degrees == (1, 1)
+
+
+# -- mutation tests: a broken action must fail check_axioms ------------------
+
+
+def _mutated(sys, corrupt):
+    """Replace the system's act so that it corrupts the atom produced by
+    one cross arrow, recompute the atom sets and rerun the axiom checks.
+
+    The tests require the action law itself to fail, not only bar closure.
+    """
+    victim = sys.cross_arrows()[0].serial
+    act = sys.act
+
+    def mutant(arrow, atom):
+        out = act(arrow, atom)
+        return corrupt(out) if arrow.serial == victim else out
+
+    sys.act = mutant
+    sys.__dict__.pop("atoms_by_anchor", None)
+    return sys.check_axioms()
+
+
+def _other_dart(sys, dart):
+    """Another dart with the same origin, so the target law still holds."""
+    return next(d for d in sys.union.star(sys.union.origin[dart]) if d != dart)
+
+
+def test_wrong_image_dart_fails_axioms():
+    g1, g2 = families.cycle(3), families.cycle(4)
+    star = build_star_system(g1, g2)
+    report = _mutated(star, lambda atom: (atom[0], _other_dart(star, atom[1])))
+    assert not report.ok and not report.action_ok
+    ball = build_ball_system_retrying(g1, g2, radius=1)
+    report = _mutated(ball, lambda atom: EdgeAtom(
+        atom.anchor, _other_dart(ball, atom.image), atom.mapping))
+    assert not report.ok and not report.action_ok
+
+
+def test_corrupted_atom_payload_fails_axioms():
+    ball = build_ball_system_retrying(families.cycle(3), families.cycle(4), radius=1)
+
+    def swap_two_images(atom):
+        (p, q), (r, s) = atom.mapping[:2]
+        return EdgeAtom(atom.anchor, atom.image,
+                        ((p, s), (r, q)) + atom.mapping[2:])
+
+    report = _mutated(ball, swap_two_images)
+    assert not report.ok and not report.action_ok
+    x1, x2, seeds = rotation_pair(3)
+    objects = close_star_maps(x1, x2, seeds)
+    report = _mutated(objects, lambda atom: ObjectAtom(
+        atom.anchor, atom.image, obj_compose(rotation_map(3), atom.morph)))
+    assert not report.ok and not report.action_ok

@@ -6,7 +6,7 @@ from commoncover.cover_builder import build_cover
 from commoncover.gluing import (OrientationError, WeightFn, assemble,
                                 build_glued_cover, enumerate_pairs,
                                 gluing_weights, orient_darts, subdivide_graph)
-from commoncover.graphs import is_covering
+from commoncover.graphs import is_covering, restrict_cover
 from commoncover.oracle import find_covering
 from commoncover.star_system import build_star_system
 
@@ -56,7 +56,7 @@ def test_weight_scaling_multiplies_sizes():
     sys = build_ball_system_retrying(families.cycle(3), families.cycle(4), 1)
     data = enumerate_pairs(sys)
     weights = gluing_weights(sys, data)
-    scaled = WeightFn(weights.base, weights.scale * 3,
+    scaled = WeightFn(weights.scale * 3,
                       {k: 3 * v for k, v in weights.integral.items()})
     base_out = assemble(sys, data, weights)
     scaled_out = assemble(sys, data, scaled)
@@ -78,15 +78,11 @@ def test_all_components_cover_both():
     data = enumerate_pairs(sys)
     weights = gluing_weights(sys, data)
     glued = assemble(sys, data, weights, component="all")
-    g = glued.graph
-    for comp in g.components():
-        sub = g.restrict(comp)
-        from commoncover.graphs import GraphMorphism
-        m1 = GraphMorphism(sub, sys.g1, {v: glued.mu1.vmap[v] for v in sub.vertices},
-                           {d: glued.mu1.dmap[d] for d in sub.darts})
-        m2 = GraphMorphism(sub, sys.g2, {v: glued.mu2.vmap[v] for v in sub.vertices},
-                           {d: glued.mu2.dmap[d] for d in sub.darts})
-        assert is_covering(m1).ok and is_covering(m2).ok
+    comps = glued.graph.components()
+    for comp in comps:
+        # restrict_cover raises unless both restrictions are coverings
+        sub, _, _ = restrict_cover(glued.mu1, glued.mu2, comps, seed=comp[0])
+        assert sub.vertices == comp
 
 
 def test_subdivision_roundtrip_on_k4_theta3():

@@ -3,9 +3,16 @@ import itertools
 import pytest
 
 from commoncover import families
-from commoncover.groupoids import (GroupoidAction, lcm_all, orbit_of,
-                                   orbit_partition, saturate, stabilizer_size)
-from commoncover.star_system import StarArrow
+from commoncover.ball_system import build_ball_system_retrying
+from commoncover.graphs import disjoint_union
+from commoncover.groupoids import lcm_all, saturate
+from commoncover.object_graphs import close_star_maps, rotation_pair
+from commoncover.refinement import joint_refinement
+from commoncover.star_system import (STRATEGY_ALIGNED, StarArrow,
+                                     StarLocalSystem, build_star_system,
+                                     build_star_system_retrying)
+
+from conftest import bfs_atoms
 
 
 def identity_factory_for(graph):
@@ -66,71 +73,86 @@ def test_saturate_two_bijections_matches_brute_force():
     assert flip.compose(flip) == factory("v00")
 
 
-def _full_star_groupoid(g):
-    arrows = []
-    for u in g.vertices:
-        for v in g.vertices:
-            if g.degree(u) != g.degree(v):
-                continue
-            for perm in itertools.permutations(g.star(v)):
-                arrows.append(StarArrow(u, v, tuple(zip(g.star(u), perm))))
-    return saturate(arrows, g.vertices, identity_factory_for(g))
+# -- orbits and stabilizers of the atom action (cover_builder.LocalSystem) ----
+
+
+@pytest.fixture(scope="module")
+def engine_systems():
+    """One local system of every kind that the orbit engine serves."""
+    c3, c4 = families.cycle(3), families.cycle(4)
+    x1, x2, seeds = rotation_pair(3)
+    return {
+        "star-dr": build_star_system(families.complete(4), families.theta(3)),
+        "star-aligned": build_star_system_retrying(c3, c4, STRATEGY_ALIGNED),
+        "ball-R1": build_ball_system_retrying(c3, c4, 1),
+        "ball-R2": build_ball_system_retrying(c3, c4, 2),
+        "objects": close_star_maps(x1, x2, seeds),
+    }
+
+
+def _identity_star_system(g):
+    """Star system on g and a copy of g whose groupoid has identities only."""
+    union = disjoint_union(g, g)
+    gpd = saturate([], union.vertices, identity_factory_for(union))
+    return StarLocalSystem(g, g, union, gpd, joint_refinement(g, g), "identities")
+
+
+def _stabilizer(sys, dart) -> tuple:
+    """(|Stab(id_e)|, out(origin e), orbit size) at a dart."""
+    ident = sys.atom_serial(sys.identity_atom(dart))
+    out = sys.groupoid.by_source.get(sys.union.origin[dart], ())
+    stab = sum(1 for g in out if sys.atom_serial(sys.act_identity(g, dart)) == ident)
+    return stab, len(out), sys.orbit_size(dart)
 
 
 def test_orbit_partition_identities_only():
-    g = families.cycle(3)
-    gpd = saturate([], g.vertices, identity_factory_for(g))
-    action = GroupoidAction(gpd, tuple(g.darts), lambda d: g.origin[d],
-                            lambda a, d: dict(a.bij)[d])
-    assert orbit_partition(action) == [(d,) for d in g.darts]
+    sys = _identity_star_system(families.cycle(3))
+    for e in sys.union.darts:
+        assert sys.orbit_darts(e) == (e,)
+        assert list(sys.atoms_by_anchor[e]) == [(e, e)]
 
 
 def test_orbit_partition_full_star_groupoid_on_c3():
-    g = families.cycle(3)
-    gpd = _full_star_groupoid(g)
-    action = GroupoidAction(gpd, tuple(g.darts), lambda d: g.origin[d],
-                            lambda a, d: dict(a.bij)[d])
-    orbits = orbit_partition(action)
-    assert len(orbits) == 1
-    assert len(orbits[0]) == 6
+    # dr_full on C3 and C3 is every star bijection within the one joint block
+    sys = build_star_system(families.cycle(3), families.cycle(3))
+    for e in sys.union.darts:
+        assert sys.orbit_darts(e) == sys.union.darts
+        assert sys.orbit_size(e) == 12
 
 
 def test_orbit_partition_empty_set():
-    g = families.cycle(3)
-    gpd = _full_star_groupoid(g)
-    action = GroupoidAction(gpd, (), lambda d: g.origin[d],
-                            lambda a, d: dict(a.bij)[d])
-    assert orbit_partition(action) == []
+    sys = build_star_system(families.path(1), families.path(1))
+    assert sys.atoms_by_anchor == {}
+    assert sys.axioms.ok
 
 
 def test_stabilizer_identities_only():
-    g = families.cycle(3)
-    gpd = saturate([], g.vertices, identity_factory_for(g))
-    action = GroupoidAction(gpd, tuple(g.darts), lambda d: g.origin[d],
-                            lambda a, d: dict(a.bij)[d])
-    stab, out, orbit = stabilizer_size(action, g.darts[0])
-    assert (stab, out, orbit) == (1, 1, 1)
+    sys = _identity_star_system(families.cycle(3))
+    for e in sys.union.darts:
+        assert _stabilizer(sys, e) == (1, 1, 1)
 
 
 def test_stabilizer_with_order_two_isotropy():
-    g = families.rose(1)
-    s = g.star("v00")
-    flip = StarArrow("v00", "v00", ((s[0], s[1]), (s[1], s[0])))
-    gpd = saturate([flip], ["v00"], identity_factory_for(g))
-    # act trivially on a fresh one-point set: the full isotropy stabilises it
-    action = GroupoidAction(gpd, ("pt",), lambda _: "v00", lambda a, x: x)
-    stab, out, orbit = stabilizer_size(action, "pt")
-    assert (stab, out, orbit) == (2, 2, 1)
+    # the star bijections fixing one dart of Theta3 swap the other two
+    sys = build_star_system(families.theta(3), families.theta(3))
+    for e in sys.union.darts:
+        assert _stabilizer(sys, e) == (2, 24, 12)
 
 
-def test_orbit_stabilizer_product_on_star_action():
-    g = families.complete(4)
-    gpd = _full_star_groupoid(g)
-    action = GroupoidAction(gpd, tuple(g.darts), lambda d: g.origin[d],
-                            lambda a, d: dict(a.bij)[d])
-    for dart in g.darts[:3]:
-        stab, out, orbit = stabilizer_size(action, dart)
-        assert out == stab * orbit
+def test_orbit_stabilizer_product_on_star_action(engine_systems):
+    """out(origin e) = |Stab(id_e)| * orbit size, on the star systems first
+    and then on the ball and object systems."""
+    for kind, sys in engine_systems.items():
+        for e in sys.union.darts:
+            stab, out, orbit = _stabilizer(sys, e)
+            assert out == stab * orbit, (kind, e)
+
+
+def test_orbit_of_matches_partition(engine_systems):
+    """The one-step atom sets equal the breadth-first orbit closure."""
+    for kind, sys in engine_systems.items():
+        for e in sys.union.darts:
+            assert set(sys.atoms_by_anchor[e]) == bfs_atoms(sys, e), (kind, e)
 
 
 def test_saturate_idempotent():
@@ -150,13 +172,3 @@ def test_lcm_all():
     assert lcm_all([]) == 1
     with pytest.raises(ValueError):
         lcm_all([0])
-
-
-def test_orbit_of_matches_partition():
-    g = families.cycle(4)
-    gpd = _full_star_groupoid(g)
-    action = GroupoidAction(gpd, tuple(g.darts), lambda d: g.origin[d],
-                            lambda a, d: dict(a.bij)[d])
-    orbits = orbit_partition(action)
-    for orbit in orbits:
-        assert orbit_of(action, orbit[0]) == orbit

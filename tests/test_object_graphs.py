@@ -11,6 +11,8 @@ from commoncover.object_graphs import (ObjectGraph, SeedSpec, SeedError,
 from commoncover.oracle import find_covering
 from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 
+from conftest import bfs_atoms
+
 
 def _singleton_object():
     return make_object(["o"])
@@ -154,18 +156,7 @@ def test_counting_identity_and_orbit_law():
                 assert counts[key] == n // sys.orbit_size(dart)
     # orbit law: acting on the identity atom reaches the whole anchored set
     for dart in sys.union.darts:
-        reached = set()
-        frontier = [sys.identity_atom(dart)]
-        seen = {frontier[0].serial}
-        while frontier:
-            atom = frontier.pop()
-            reached.add(atom.serial)
-            for arrow in sys.groupoid.by_source.get(sys.eps(atom), ()):
-                nxt = sys.act(arrow, atom)
-                if nxt.serial not in seen:
-                    seen.add(nxt.serial)
-                    frontier.append(nxt)
-        assert reached == set(sys.atoms_by_anchor[dart])
+        assert bfs_atoms(sys, dart) == set(sys.atoms_by_anchor[dart])
 
 
 def test_trivial_objects_match_star_backend_graph():
