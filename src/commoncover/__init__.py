@@ -1,9 +1,9 @@
 """Construct and certify common finite covers of graphs and of graphs of
 finite objects, with exact size bounds and independent verification."""
 
-from .graphs import (Graph, GraphError, GraphMorphism, compose_morphisms,
-                     disjoint_union, fiber_product, identity_morphism,
-                     is_covering, validate_graph)
+from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
+                     compose_morphisms, disjoint_union, fiber_product,
+                     identity_morphism, is_covering, validate_graph)
 from .refinement import common_cover_exists, degree_refinement, joint_refinement
 from .groupoids import FiniteGroupoid, lcm_all, saturate
 from .universal_cover import Ball, TreeAlignment, UniversalCover, build_alignment
@@ -12,9 +12,8 @@ from .star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL, StarArrow,
 from .ball_system import (BallArrow, EdgeAtom, build_ball_system,
                           build_ball_system_retrying, discover_atoms,
                           verify_witness)
-from .cover_builder import (AxiomError, BuiltCover, LocalSystem,
-                            RestrictionCertificate, build_cover,
-                            extract_certificate)
+from .cover_builder import (AxiomError, LocalSystem, RestrictionCertificate,
+                            build_cover, extract_certificate)
 from .object_graphs import (FiniteObject, ObjectGraph, ObjMorphism, SeedSpec,
                             build_object_cover, close_star_maps,
                             validate_object_graph, verify_object_covering)

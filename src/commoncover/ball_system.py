@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cover_builder import AxiomError, LocalSystem
+from .cover_builder import AxiomError, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union, side_of, strip_side
 from .groupoids import saturate
 from .refinement import JointBlocks, joint_refinement
@@ -268,19 +268,12 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
     return sys
 
 
-def build_ball_system_retrying(g1, g2, radius, explore_radius=None,
-                               doublings: int = 4) -> BallLocalSystem:
-    rho = explore_radius
-    if rho is None:
-        rho = radius + g1.diameter() + g2.diameter()
-    last = None
-    for _ in range(doublings + 1):
-        try:
-            return build_ball_system(g1, g2, radius, explore_radius=rho)
-        except AxiomError as exc:
-            last = exc
-            rho *= 2
-    raise last
+def build_ball_system_retrying(g1, g2, radius,
+                               explore_radius=None) -> BallLocalSystem:
+    if explore_radius is None:
+        explore_radius = radius + g1.diameter() + g2.diameter()
+    return retry_doubling(lambda rho: build_ball_system(
+        g1, g2, radius, explore_radius=rho), explore_radius)
 
 
 def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:

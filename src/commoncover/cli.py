@@ -22,11 +22,12 @@ from .ball_system import build_ball_system_retrying, discover_atoms
 from .bounds import bound_report
 from .cover_builder import AxiomError, build_cover, extract_certificate
 from .gluing import build_glued_cover
-from .graphs import Graph, GraphError, GraphMorphism, is_covering, validate_graph
-from .object_graphs import (ObjectGraph, SeedSpec, build_object_cover,
-                            close_star_maps, make_object, obj_morphism,
-                            validate_object_graph)
-from .oracle import BudgetExceeded, brute_common_cover
+from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
+                     is_covering, validate_graph)
+from .object_graphs import (ObjectCover, ObjectGraph, SeedSpec,
+                            build_object_cover, close_star_maps, make_object,
+                            obj_morphism, validate_object_graph)
+from .oracle import brute_common_cover
 from .refinement import common_cover_exists
 from .regular import regular_common_cover
 from .star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
@@ -130,10 +131,17 @@ def dump_morphism(m: GraphMorphism) -> dict:
     return {"vmap": dict(m.vmap), "dmap": dict(m.dmap)}
 
 
+def _is_id_table(table) -> bool:
+    """A JSON object mapping identifiers to identifiers (keys always are)."""
+    return (isinstance(table, dict)
+            and all(isinstance(v, str) for v in table.values()))
+
+
 def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
     data = _read_json(path)
-    _expect(isinstance(data, dict) and isinstance(data.get("vmap"), dict)
-            and isinstance(data.get("dmap"), dict), path, "needs vmap and dmap")
+    _expect(isinstance(data, dict) and _is_id_table(data.get("vmap"))
+            and _is_id_table(data.get("dmap")), path,
+            "needs vmap and dmap objects of string ids")
     return GraphMorphism(source, target, data["vmap"], data["dmap"])
 
 
@@ -141,8 +149,9 @@ def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
 
 
 def _load_morphism_tables(entry, where):
-    _expect(isinstance(entry, dict) and isinstance(entry.get("vmap"), dict)
-            and isinstance(entry.get("emap"), dict), where, "needs vmap and emap")
+    _expect(isinstance(entry, dict) and _is_id_table(entry.get("vmap"))
+            and _is_id_table(entry.get("emap")), where,
+            "needs vmap and emap objects of string ids")
     return obj_morphism(entry["vmap"], entry["emap"])
 
 
@@ -221,8 +230,12 @@ def load_seeds(path: str) -> list:
     for i, entry in enumerate(data["seeds"]):
         where = "%s: seeds[%d]" % (path, i)
         _expect(isinstance(entry, dict), where, "must be an object")
-        for key in ("from", "to", "dart_map", "edge_maps"):
-            _expect(key in entry, where, "needs %r" % key)
+        for key, kind in (("from", str), ("to", str), ("dart_map", dict),
+                          ("edge_maps", dict)):
+            _expect(isinstance(entry.get(key), kind), where, "needs %r as a JSON %s"
+                    % (key, "string" if kind is str else "object"))
+        _expect(_is_id_table(entry["dart_map"]), where,
+                "dart_map values must be string ids")
         edge_maps = {d: _load_morphism_tables(m, where)
                      for d, m in entry["edge_maps"].items()}
         vm = None
@@ -254,13 +267,17 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _write_cover(outdir, graph, mu1, mu2, extra) -> None:
+def _write_cover(outdir, cover, fields) -> None:
+    """Write cover.json (the cover graph plus ``fields``), mu1.json and
+    mu2.json for a ``Cover`` or an ``ObjectCover``."""
+    if isinstance(cover, ObjectCover):
+        graph, dump_mu = dump_object_graph(cover.cover), dump_object_morphism
+    else:
+        graph, dump_mu = {"graph": dump_graph(cover.graph)}, dump_morphism
     os.makedirs(outdir, exist_ok=True)
-    payload = {"graph": dump_graph(graph)}
-    payload.update(extra)
-    write_json(os.path.join(outdir, "cover.json"), payload)
-    write_json(os.path.join(outdir, "mu1.json"), dump_morphism(mu1))
-    write_json(os.path.join(outdir, "mu2.json"), dump_morphism(mu2))
+    write_json(os.path.join(outdir, "cover.json"), {**graph, **fields})
+    write_json(os.path.join(outdir, "mu1.json"), dump_mu(cover.mu1))
+    write_json(os.path.join(outdir, "mu2.json"), dump_mu(cover.mu2))
 
 
 def cmd_build(args) -> int:
@@ -269,32 +286,39 @@ def cmd_build(args) -> int:
     if not ok:
         print("no common cover", file=_sys.stderr)
         return 1
+    cert = None
+    fields = {"backend": args.backend}
     if args.backend == "star":
         strategy = STRATEGY_DR_FULL if args.strategy == "dr" else STRATEGY_ALIGNED
         system = build_star_system_retrying(g1, g2, strategy, args.explore)
-        built = build_cover(system, component=args.component)
-        _write_cover(args.out, built.graph, built.mu1, built.mu2, {
-            "backend": "star", "strategy": args.strategy,
-            "degrees": list(built.degrees), "n_multiple": built.n_multiple,
-            "component_sizes": list(built.component_sizes),
-            "provenance": {"vertices": built.vertex_label,
-                           "darts": built.dart_label}})
+        cover = build_cover(system, component=args.component)
+        fields["strategy"] = args.strategy
     elif args.backend == "ball":
         system = build_ball_system_retrying(g1, g2, args.radius, args.explore)
         based_arrow = None
         if args.based:
             based_arrow = discover_atoms(g1, g2, system.alignment,
                                          args.radius, 0).vertex_arrows[0]
-        built = build_cover(system, component=args.component,
+        cover = build_cover(system, component=args.component,
                             based_at=based_arrow)
-        cert = extract_certificate(built, system, args.certificate_radius,
+        cert = extract_certificate(cover, system, args.certificate_radius,
                                    check_fixed_ball=args.based)
-        _write_cover(args.out, built.graph, built.mu1, built.mu2, {
-            "backend": "ball", "radius": args.radius,
-            "degrees": list(built.degrees), "n_multiple": built.n_multiple,
-            "component_sizes": list(built.component_sizes),
-            "provenance": {"vertices": built.vertex_label,
-                           "darts": built.dart_label}})
+        fields["radius"] = args.radius
+    else:
+        cover = build_glued_cover(g1, g2, args.radius, args.explore,
+                                  component=args.component)
+        weights = cover.extra["weights"]
+        fields.update(radius=args.radius, subdivided=cover.extra["subdivided"],
+                      weights={"scale": weights.scale,
+                               "integral": {str(k): v for k, v
+                                            in weights.integral.items()}})
+    if args.backend != "glue":
+        fields.update(degrees=list(cover.degrees), n_multiple=cover.n_multiple,
+                      provenance={"vertices": cover.vertex_label,
+                                  "darts": cover.dart_label})
+    fields["component_sizes"] = list(cover.component_sizes)
+    _write_cover(args.out, cover, fields)
+    if cert is not None:
         write_json(os.path.join(args.out, "certificate.json"), {
             "radius": cert.radius, "test_radius": cert.test_radius,
             "mismatches": cert.mismatches,
@@ -306,16 +330,6 @@ def cmd_build(args) -> int:
         if not cert.ok:
             print("certificate has mismatches", file=_sys.stderr)
             return 3
-    else:
-        glued = build_glued_cover(g1, g2, args.radius, args.explore,
-                                  component=args.component)
-        _write_cover(args.out, glued.graph, glued.mu1, glued.mu2, {
-            "backend": "glue", "radius": args.radius,
-            "component_sizes": list(glued.component_sizes),
-            "subdivided": glued.subdivided,
-            "weights": {"scale": glued.weights.scale,
-                        "integral": {str(k): v for k, v
-                                     in glued.weights.integral.items()}}})
     print("wrote %s" % args.out)
     return 0
 
@@ -326,13 +340,8 @@ def cmd_build_objects(args) -> int:
     seeds = load_seeds(args.seeds)
     system = close_star_maps(x1, x2, seeds)
     result = build_object_cover(system, component=args.component)
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "cover.json"), {
-        **dump_object_graph(result.cover),
-        "degrees": list(result.built.degrees),
-        "n_multiple": result.built.n_multiple})
-    write_json(os.path.join(args.out, "mu1.json"), dump_object_morphism(result.mu1))
-    write_json(os.path.join(args.out, "mu2.json"), dump_object_morphism(result.mu2))
+    _write_cover(args.out, result, {"degrees": list(result.built.degrees),
+                                    "n_multiple": result.built.n_multiple})
     print("wrote %s" % args.out)
     return 0
 
@@ -384,10 +393,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_regular(args) -> int:
     g1, g2 = load_graph(args.first), load_graph(args.second)
-    result = regular_common_cover(g1, g2, component=args.component)
-    _write_cover(args.out, result.graph, result.mu1, result.mu2, {
-        "backend": "regular", "degrees": list(result.degrees),
-        "bound": result.bound, "total_vertices": result.total_vertices})
+    cover = regular_common_cover(g1, g2, component=args.component)
+    _write_cover(args.out, cover, {
+        "backend": "regular", "degrees": list(cover.degrees),
+        "bound": cover.extra["bound"], "total_vertices": cover.total_vertices})
     print("wrote %s" % args.out)
     return 0
 

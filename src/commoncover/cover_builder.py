@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .graphs import (Graph, GraphError, GraphMorphism, is_covering,
-                     restrict_cover, side_of, strip_side, validate_graph)
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, finish_cover,
+                     side_of, strip_side)
 from .groupoids import FiniteGroupoid, lcm_all
 
 
@@ -42,6 +42,22 @@ class AxiomError(RuntimeError):
         super().__init__(message)
         self.radius = radius
         self.witness = witness
+
+
+# exploration radius doublings the retrying system builders allow
+RETRY_DOUBLINGS = 4
+
+
+def retry_doubling(build, radius: int):
+    """``build(radius)``, retried with the radius doubled after each
+    ``AxiomError``, at most ``RETRY_DOUBLINGS`` times; the last error
+    propagates."""
+    for _ in range(RETRY_DOUBLINGS):
+        try:
+            return build(radius)
+        except AxiomError:
+            radius *= 2
+    return build(radius)
 
 
 @dataclass
@@ -240,27 +256,12 @@ class LocalSystem:
 # -- the cover ----------------------------------------------------------------
 
 
-@dataclass
-class BuiltCover:
-    graph: Graph
-    mu1: GraphMorphism
-    mu2: GraphMorphism
-    vertex_label: dict               # vertex id -> (arrow serial, j)
-    dart_label: dict                 # dart id -> (atom serial, k)
-    degrees: tuple
-    n_multiple: int
-    kind: str
-    component_sizes: tuple
-    based_vertex: Optional[str] = None
-    full_graph: Optional[Graph] = None
-
-
 def _internal(msg):
     raise RuntimeError("internal verification failure: " + msg)
 
 
 def build_cover(sys: LocalSystem, component: str = "least",
-                based_at=None) -> BuiltCover:
+                based_at=None) -> Cover:
     """Assemble, verify and return a finite common cover of sys.g1 and sys.g2.
 
     ``component`` is "least" (default) or "all"; ``based_at`` selects the
@@ -350,10 +351,6 @@ def build_cover(sys: LocalSystem, component: str = "least",
 
     graph = Graph(vertex_ids.values(), dart_ids.values(), origin, reverse,
                   vertex_colour, dart_colour)
-    check = validate_graph(graph)
-    if not check.ok:
-        _internal("assembled graph invalid: " + check.violations[0])
-
     mu1 = GraphMorphism(
         graph, sys.g1,
         {vid: strip_side(arrow_of[lab[0]].src) for vid, lab in vertex_label.items()},
@@ -362,35 +359,14 @@ def build_cover(sys: LocalSystem, component: str = "least",
         graph, sys.g2,
         {vid: strip_side(arrow_of[lab[0]].dst) for vid, lab in vertex_label.items()},
         {did: strip_side(sys.atom_image(atoms[lab[0]])) for did, lab in dart_label.items()})
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        rep = is_covering(mu)
-        if not rep.ok:
-            _internal("%s is not a covering: %s at %r" % (name, rep.reason, rep.witness))
-
-    comps = graph.components()
-    component_sizes = tuple(len(c) for c in comps)
     based_vertex = None
     if based_at is not None:
         seed_serial = based_at if not hasattr(based_at, "serial") else based_at.serial
         if (seed_serial, 1) not in vertex_ids:
             raise GraphError("seed arrow is not a cross arrow of the system")
         based_vertex = vertex_ids[(seed_serial, 1)]
-    elif component not in ("least", "all"):
-        raise GraphError("unknown component option: %r" % (component,))
-
-    full_graph = None
-    if based_vertex is not None or component == "least":
-        full_graph = graph
-        graph, mu1, mu2 = restrict_cover(mu1, mu2, comps, seed=based_vertex)
-        vertex_label = {v: vertex_label[v] for v in graph.vertices}
-        dart_label = {d: dart_label[d] for d in graph.darts}
-
-    nv = len(graph.vertices)
-    if nv % len(sys.g1.vertices) or nv % len(sys.g2.vertices):
-        _internal("cover size is not a multiple of a base size")
-    degrees = (nv // len(sys.g1.vertices), nv // len(sys.g2.vertices))
-    return BuiltCover(graph, mu1, mu2, vertex_label, dart_label, degrees,
-                      n_mult, sys.kind, component_sizes, based_vertex, full_graph)
+    return finish_cover(mu1, mu2, component, based_vertex, n_mult,
+                        vertex_label, dart_label)
 
 
 # -- certificates for the ball backend ---------------------------------------
@@ -424,7 +400,7 @@ class RestrictionCertificate:
         return self.mismatches == 0
 
 
-def extract_certificate(built: BuiltCover, sys, test_radius: int,
+def extract_certificate(built: Cover, sys, test_radius: int,
                         check_fixed_ball: bool = False) -> RestrictionCertificate:
     """Certify the ball restrictions of the tree automorphism induced by a
     connected built cover.

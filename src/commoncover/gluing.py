@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from .ball_system import build_ball_system_retrying
 from .cover_builder import LocalSystem
-from .graphs import (Graph, GraphMorphism, is_covering, restrict_cover,
-                     strip_side, validate_graph)
+from .graphs import Cover, Graph, GraphMorphism, finish_cover, strip_side
 from .groupoids import lcm_all
 
 
@@ -133,18 +132,8 @@ def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
     return WeightFn(scale, integral)
 
 
-@dataclass
-class GluedCover:
-    graph: Graph
-    mu1: GraphMorphism
-    mu2: GraphMorphism
-    weights: WeightFn
-    component_sizes: tuple
-    subdivided: bool = False
-
-
 def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
-             component: str = "all") -> GluedCover:
+             component: str = "all") -> Cover:
     """Glue weighted polyhedron copies along matched face slots."""
     union = sys.union
     instance_ids = {}
@@ -187,27 +176,9 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
                 if colour is not None:
                     dcol[d] = colour
     graph = Graph(instance_ids.values(), darts, origin, reverse, vcol, dcol)
-    check = validate_graph(graph)
-    if not check.ok:
-        raise RuntimeError("internal verification failure: " + check.violations[0])
-    mu1 = GraphMorphism(graph, sys.g1, vmap1, dmap1)
-    mu2 = GraphMorphism(graph, sys.g2, vmap2, dmap2)
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        rep = is_covering(mu)
-        if not rep.ok:
-            raise RuntimeError("internal verification failure: glued %s: %s at %r"
-                               % (name, rep.reason, rep.witness))
-    return _glued_cover(mu1, mu2, weights, component)
-
-
-def _glued_cover(mu1, mu2, weights, component, subdivided=False) -> GluedCover:
-    """Record the component sizes and keep the least component if asked."""
-    comps = mu1.source.components()
-    sizes = tuple(len(c) for c in comps)
-    graph = mu1.source
-    if component == "least":
-        graph, mu1, mu2 = restrict_cover(mu1, mu2, comps)
-    return GluedCover(graph, mu1, mu2, weights, sizes, subdivided)
+    return finish_cover(GraphMorphism(graph, sys.g1, vmap1, dmap1),
+                        GraphMorphism(graph, sys.g2, vmap2, dmap2), component,
+                        weights=weights, subdivided=False)
 
 
 # -- subdivision fallback -------------------------------------------------------
@@ -247,11 +218,12 @@ def subdivide_graph(g: Graph) -> SubdivisionInfo:
                            {d + ".o": d for d in g.darts})
 
 
-def contract_subdivided(cover: Graph, mu1: GraphMorphism, mu2: GraphMorphism,
-                        info1: SubdivisionInfo, info2: SubdivisionInfo,
-                        g1: Graph, g2: Graph):
+def contract_subdivided(glued: Cover, info1: SubdivisionInfo,
+                        info2: SubdivisionInfo, g1: Graph, g2: Graph,
+                        component: str = "least") -> Cover:
     """Contract the midpoint fibres of a cover of two subdivided graphs,
     producing coverings of the original graphs."""
+    cover, mu1, mu2 = glued.graph, glued.mu1, glued.mu2
     keep_vertices = []
     mid_vertices = []
     for v in cover.vertices:
@@ -269,29 +241,25 @@ def contract_subdivided(cover: Graph, mu1: GraphMorphism, mu2: GraphMorphism,
             raise RuntimeError("internal verification failure: midpoint degree")
         a, b = cover.reverse[ds[0]], cover.reverse[ds[1]]
         new_reverse[a], new_reverse[b] = b, a
+    keep_set, kept_set = set(keep_vertices), set(kept_darts)
     graph = Graph(keep_vertices, kept_darts,
                   {d: cover.origin[d] for d in kept_darts},
                   new_reverse,
-                  {v: c for v, c in cover.vertex_colour.items()
-                   if v in set(keep_vertices)},
-                  {d: c for d, c in cover.dart_colour.items() if d in set(kept_darts)})
+                  {v: c for v, c in cover.vertex_colour.items() if v in keep_set},
+                  {d: c for d, c in cover.dart_colour.items() if d in kept_set})
     out1 = GraphMorphism(graph, g1,
                          {v: mu1.vmap[v] for v in keep_vertices},
                          {d: info1.original_dart[mu1.dmap[d]] for d in kept_darts})
     out2 = GraphMorphism(graph, g2,
                          {v: mu2.vmap[v] for v in keep_vertices},
                          {d: info2.original_dart[mu2.dmap[d]] for d in kept_darts})
-    for mu in (out1, out2):
-        rep = is_covering(mu)
-        if not rep.ok:
-            raise RuntimeError("internal verification failure: contracted cover: "
-                               "%s at %r" % (rep.reason, rep.witness))
-    return graph, out1, out2
+    return finish_cover(out1, out2, component, weights=glued.extra["weights"],
+                        subdivided=True)
 
 
 def build_glued_cover(g1: Graph, g2: Graph, radius: int = 1,
                       explore_radius=None, component: str = "least",
-                      sys=None) -> GluedCover:
+                      sys=None) -> Cover:
     """Full pipeline: ball system, orientation, weights, assembly; falls
     back to subdividing both inputs once when orientation is impossible."""
     if sys is None:
@@ -304,10 +272,7 @@ def build_glued_cover(g1: Graph, g2: Graph, radius: int = 1,
         inner_sys = build_ball_system_retrying(info1.graph, info2.graph, radius,
                                                explore_radius)
         data = enumerate_pairs(inner_sys)
-        weights = gluing_weights(inner_sys, data)
-        glued = assemble(inner_sys, data, weights, component="all")
-        _, mu1, mu2 = contract_subdivided(glued.graph, glued.mu1, glued.mu2,
-                                          info1, info2, g1, g2)
-        return _glued_cover(mu1, mu2, weights, component, subdivided=True)
+        glued = assemble(inner_sys, data, gluing_weights(inner_sys, data))
+        return contract_subdivided(glued, info1, info2, g1, g2, component)
     weights = gluing_weights(sys, data)
     return assemble(sys, data, weights, component=component)

@@ -1,4 +1,4 @@
-"""Half-edge (dart) multigraphs, morphisms, stars and covering checks.
+"""Half-edge (dart) multigraphs, morphisms, covering checks and covers.
 
 A graph is a finite set of vertices together with a finite set of darts
 (half-edges).  Every dart knows its origin vertex and its reversal partner;
@@ -26,6 +26,10 @@ from typing import Iterable, Optional
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs, morphisms or arguments."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A search or construction outgrew its configured budget (exit 2)."""
 
 
 def _sorted_unique(items: Iterable[str], what: str) -> tuple:
@@ -133,8 +137,8 @@ class Graph:
         involution, so the vertex set must be component-closed.
         """
         vs = set(vertices)
-        ds = [d for d in self.darts
-              if self.origin[d] in vs and self.head(d) in vs]
+        ds = {d for d in self.darts
+              if self.origin[d] in vs and self.head(d) in vs}
         for d in self.darts:
             if self.origin[d] in vs and self.head(d) not in vs:
                 raise GraphError("restriction is not component-closed at %r" % d)
@@ -212,12 +216,14 @@ class GraphMorphism:
 
     def violations(self) -> list:
         bad = []
+        target_vertices = set(self.target.vertices)
+        target_darts = set(self.target.darts)
         for v in self.source.vertices:
-            if self.vmap.get(v) not in set(self.target.vertices):
+            if self.vmap.get(v) not in target_vertices:
                 bad.append("vertex %r has no valid image" % (v,))
         for d in self.source.darts:
             e = self.dmap.get(d)
-            if e not in set(self.target.darts):
+            if e not in target_darts:
                 bad.append("dart %r has no valid image" % (d,))
                 continue
             if self.vmap.get(self.source.origin[d]) != self.target.origin[e]:
@@ -286,32 +292,85 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
     return CoveringReport(True)
 
 
-def restrict_cover(mu1: GraphMorphism, mu2: GraphMorphism, comps,
-                   seed: Optional[str] = None):
-    """Restrict a common cover to one component and re-verify both maps.
+@dataclass
+class Cover:
+    """A finite graph with two coverings onto the inputs: every backend's
+    result.  The groupoid backends add ``n_multiple``, the provenance labels
+    (id -> (arrow or atom serial, copy)) and the ``based_vertex`` of a
+    pinned cut; ``extra`` holds one backend's facts (gluing ``weights`` and
+    ``subdivided``, the regular ``bound``)."""
 
-    ``mu1`` and ``mu2`` share the cover graph as source and ``comps`` is its
-    ``components()``.  The component containing the ``seed`` vertex is
-    kept, or by default the least one: smallest, ties broken by the sorted
-    vertex ids.  Returns the subgraph and the two restricted coverings.
-    """
-    if seed is None:
-        chosen = min(comps, key=lambda c: (len(c), c))
-    else:
-        chosen = next(c for c in comps if seed in c)
-    sub = mu1.source.restrict(chosen)
-    out = []
+    graph: Graph
+    mu1: GraphMorphism
+    mu2: GraphMorphism
+    component_sizes: tuple
+    n_multiple: Optional[int] = None
+    vertex_label: Optional[dict] = None
+    dart_label: Optional[dict] = None
+    based_vertex: Optional[str] = None
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def degrees(self) -> tuple:
+        n = len(self.graph.vertices)
+        return (n // len(self.mu1.target.vertices),
+                n // len(self.mu2.target.vertices))
+
+    @property
+    def total_vertices(self) -> int:
+        return sum(self.component_sizes)
+
+
+def _verify_cover(mu1: GraphMorphism, mu2: GraphMorphism, what: str) -> None:
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        part = GraphMorphism(sub, mu.target,
-                             {v: mu.vmap[v] for v in sub.vertices},
-                             {d: mu.dmap[d] for d in sub.darts})
-        rep = is_covering(part)
+        rep = is_covering(mu)
         if not rep.ok:
-            raise RuntimeError("internal verification failure: component %s "
-                               "lost the covering property: %s at %r"
-                               % (name, rep.reason, rep.witness))
-        out.append(part)
-    return sub, out[0], out[1]
+            raise RuntimeError("internal verification failure: %s%s is not a "
+                               "covering: %s at %r"
+                               % (what, name, rep.reason, rep.witness))
+        if len(mu.source.vertices) % len(mu.target.vertices):
+            raise RuntimeError("internal verification failure: %s%s: cover size "
+                               "is not a multiple of a base size" % (what, name))
+
+
+def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
+                 component: str = "least", seed: Optional[str] = None,
+                 n_multiple: Optional[int] = None,
+                 vertex_label: Optional[dict] = None,
+                 dart_label: Optional[dict] = None, **extra) -> Cover:
+    """The one exit of every backend: verify, cut to a component, record.
+
+    ``mu1`` and ``mu2`` share the assembled cover graph as source.  The
+    graph is validated, both maps are verified as coverings and the
+    component sizes are recorded.  With a ``seed`` vertex the cover is cut
+    to the seed's component, otherwise, unless ``component`` is "all", to
+    the least one (smallest, ties broken by the sorted vertex ids).  A cut
+    is verified again and the provenance labels are restricted with it.
+    """
+    if component not in ("least", "all"):
+        raise GraphError("unknown component option: %r" % (component,))
+    check = validate_graph(mu1.source)
+    if not check.ok:
+        raise RuntimeError("internal verification failure: assembled graph "
+                           "invalid: " + check.violations[0])
+    _verify_cover(mu1, mu2, "")
+    comps = mu1.source.components()
+    if seed is not None or component == "least":
+        if seed is None:
+            chosen = min(comps, key=lambda c: (len(c), c))
+        else:
+            chosen = next(c for c in comps if seed in c)
+        sub = mu1.source.restrict(chosen)
+        mu1, mu2 = [GraphMorphism(sub, mu.target,
+                                  {v: mu.vmap[v] for v in sub.vertices},
+                                  {d: mu.dmap[d] for d in sub.darts})
+                    for mu in (mu1, mu2)]
+        _verify_cover(mu1, mu2, "component ")
+        if vertex_label is not None:
+            vertex_label = {v: vertex_label[v] for v in sub.vertices}
+            dart_label = {d: dart_label[d] for d in sub.darts}
+    return Cover(mu1.source, mu1, mu2, tuple(len(c) for c in comps), n_multiple,
+                 vertex_label, dart_label, seed, extra)
 
 
 # -- constructions -----------------------------------------------------------

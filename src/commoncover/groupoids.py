@@ -17,10 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 
-class ClosureBudgetError(RuntimeError):
-    """Saturation exceeded the configured arrow cap."""
-
-
 @dataclass
 class FiniteGroupoid:
     objects: tuple
@@ -86,8 +82,8 @@ class FiniteGroupoid:
         return bad
 
 
-def saturate(atoms: Iterable, objects: Iterable, identity_factory: Callable,
-             cap: Optional[int] = None) -> FiniteGroupoid:
+def saturate(atoms: Iterable, objects: Iterable,
+             identity_factory: Callable) -> FiniteGroupoid:
     """Smallest groupoid containing the atoms, with generation witnesses.
 
     Witness letters are ("g", i) for the i-th atom and ("g~", i) for its
@@ -104,8 +100,6 @@ def saturate(atoms: Iterable, objects: Iterable, identity_factory: Callable,
             arrows[arrow.serial] = arrow
             witness[arrow.serial] = word
             queue.append(arrow)
-            if cap is not None and len(arrows) > cap:
-                raise ClosureBudgetError("groupoid closure exceeded %d arrows" % cap)
 
     identities = {}
     for x in objs:

@@ -24,8 +24,8 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .cover_builder import AxiomError, BuiltCover, LocalSystem, build_cover
-from .graphs import (Graph, GraphError, GraphMorphism, disjoint_union,
+from .cover_builder import AxiomError, LocalSystem, build_cover
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, disjoint_union,
                      is_covering, side_of, strip_side, validate_graph)
 from .groupoids import saturate
 
@@ -449,7 +449,7 @@ class ObjectCover:
     cover: ObjectGraph
     mu1: ObjectGraphMorphism
     mu2: ObjectGraphMorphism
-    built: BuiltCover
+    built: Cover
 
 
 def build_object_cover(sys: ObjectLocalSystem, component: str = "least",

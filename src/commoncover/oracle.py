@@ -9,11 +9,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .graphs import Graph, GraphMorphism, is_covering
-
-
-class BudgetExceeded(RuntimeError):
-    pass
+from .graphs import BudgetExceeded, Graph, GraphMorphism, is_covering
 
 
 def permutation_cover(g: Graph, degree: int, voltages: dict):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import families
-from .graphs import (Graph, GraphError, GraphMorphism, compose_morphisms,
-                     fiber_product, is_covering, restrict_cover)
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, compose_morphisms,
+                     fiber_product, finish_cover, is_covering)
 
 
 def regularity(g: Graph) -> int:
@@ -281,17 +281,7 @@ def factorize_regular(g: Graph) -> Factorization:
     return Factorization("odd", factors, cov, double, proj)
 
 
-@dataclass
-class RegularCover:
-    graph: Graph
-    mu1: GraphMorphism
-    mu2: GraphMorphism
-    degrees: tuple
-    bound: int
-    total_vertices: int
-
-
-def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> RegularCover:
+def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cover:
     k1, k2 = regularity(g1), regularity(g2)
     if k1 != k2:
         raise GraphError("degree mismatch: %d vs %d" % (k1, k2))
@@ -305,16 +295,6 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Regu
         mu1 = compose_morphisms(f1.double_proj, fp.proj1)
         mu2 = compose_morphisms(f2.double_proj, fp.proj2)
         bound = 2 * len(g1.vertices) * len(g2.vertices)
-    total = len(fp.graph.vertices)
-    if total > bound:
+    if len(fp.graph.vertices) > bound:
         raise RuntimeError("internal verification failure: size bound violated")
-    graph = fp.graph
-    if component == "least":
-        graph, mu1, mu2 = restrict_cover(mu1, mu2, graph.components())
-    else:
-        for mu in (mu1, mu2):
-            if not is_covering(mu).ok:
-                raise RuntimeError("internal verification failure: regular cover")
-    degrees = (len(graph.vertices) // len(g1.vertices),
-               len(graph.vertices) // len(g2.vertices))
-    return RegularCover(graph, mu1, mu2, degrees, bound, total)
+    return finish_cover(mu1, mu2, component, bound=bound)

@@ -19,10 +19,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cover_builder import AxiomError, LocalSystem
+from .cover_builder import AxiomError, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union
 from .groupoids import FiniteGroupoid, saturate
-from .refinement import JointBlocks, joint_refinement
+from .refinement import JointBlocks, _dart_type, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
 STRATEGY_DR_FULL = "dr_full"
@@ -107,15 +107,10 @@ class StarLocalSystem(LocalSystem):
         return atom
 
 
-def _dart_type(union: Graph, block_of: dict, d: str):
-    return (union.dart_colour.get(d), union.dart_colour.get(union.reverse[d]),
-            block_of[union.head(d)])
-
-
 def _grouped_star(union, block_of, v):
     groups = {}
     for d in union.star(v):
-        groups.setdefault(_dart_type(union, block_of, d), []).append(d)
+        groups.setdefault(_dart_type(union, d, block_of), []).append(d)
     return groups
 
 
@@ -217,18 +212,11 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
 
 
 def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,
-                               explore_radius=None, doublings: int = 4):
+                               explore_radius=None):
     """Aligned-strategy builder with doubling retries on axiom failure."""
     if strategy == STRATEGY_DR_FULL:
         return build_star_system(g1, g2, strategy)
-    radius = explore_radius
-    if radius is None:
-        radius = 1 + g1.diameter() + g2.diameter()
-    last = None
-    for _ in range(doublings + 1):
-        try:
-            return build_star_system(g1, g2, strategy, explore_radius=radius)
-        except AxiomError as exc:
-            last = exc
-            radius *= 2
-    raise last
+    if explore_radius is None:
+        explore_radius = 1 + g1.diameter() + g2.diameter()
+    return retry_doubling(lambda rho: build_star_system(
+        g1, g2, strategy, explore_radius=rho), explore_radius)

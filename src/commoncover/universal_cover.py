@@ -24,13 +24,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .graphs import Graph, GraphError
+from .graphs import BudgetExceeded, Graph, GraphError
 from .refinement import JointBlocks
 
 Path = Tuple[str, ...]
 
 
-class AlignmentBudgetError(RuntimeError):
+class AlignmentBudgetError(BudgetExceeded):
     """Alignment extension exceeded its radius cap."""
 
 

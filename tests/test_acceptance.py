@@ -18,7 +18,7 @@ from commoncover.cli import dump_graph, main, write_json
 from commoncover.cover_builder import build_cover, extract_certificate
 from commoncover.gluing import (assemble, build_glued_cover, enumerate_pairs,
                                 gluing_weights)
-from commoncover.graphs import is_covering, restrict_cover
+from commoncover.graphs import finish_cover, is_covering
 from commoncover.object_graphs import (SeedSpec, build_object_cover,
                                        close_star_maps, obj_identity,
                                        rotation_pair, verify_object_covering)
@@ -224,7 +224,7 @@ def test_criterion_6_gluing_backend(ball_systems):
     for (name, radius), sys in sorted(ball_systems.items()):
         if name == "k4-th3":
             glued = build_glued_cover(sys.g1, sys.g2, radius)
-            assert glued.subdivided
+            assert glued.extra["subdivided"]
             assert is_covering(glued.mu1).ok and is_covering(glued.mu2).ok
             reports.append((name, radius, glued.component_sizes))
             continue
@@ -239,8 +239,8 @@ def test_criterion_6_gluing_backend(ball_systems):
         glued = assemble(sys, data, weights, component="all")
         comps = glued.graph.components()
         for comp in comps:
-            # restrict_cover raises unless both restrictions are coverings
-            restrict_cover(glued.mu1, glued.mu2, comps, seed=comp[0])
+            # finish_cover raises unless both restrictions are coverings
+            finish_cover(glued.mu1, glued.mu2, seed=comp[0])
         reports.append((name, radius, tuple(len(c) for c in comps)))
     print("PASS criterion 6: gluing equations balanced and assembled covers "
           "verified; components %s" % (reports,))

@@ -232,3 +232,45 @@ def test_build_objects_entry_without_id_exits_two(tmp_path, capsys):
     assert main(["build-objects", p1, p2, "--seeds", seeds_path,
                  "-o", str(tmp_path / "out")]) == 2
     assert "objects[%s]" % name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", [
+    ["--backend", "ball"],
+    ["--backend", "star", "--strategy", "aligned"],
+])
+def test_alignment_budget_exits_two(tmp_path, capsys, backend):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
+    assert main(["build", c3, c4, *backend, "--explore", "600",
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "budget exceeded: alignment radius cap" in capsys.readouterr().err
+
+
+def test_verify_non_string_vmap_value_exits_two(tmp_path, capsys):
+    c3, out = _built_star_cover(tmp_path)
+    path = os.path.join(out, "mu1.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    data["vmap"][sorted(data["vmap"])[0]] = [1]
+    write_json(path, data)
+    assert main(["verify", out, c3, c3]) == 2
+    assert "mu1.json: needs vmap and dmap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("dart_map", 5), ("edge_maps", [1]),
+                                        ("from", [1])])
+def test_build_objects_malformed_seed_tables_exit_two(tmp_path, capsys, key, value):
+    x1, x2, seeds = rotation_pair(3)
+    p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
+    write_json(p1, dump_object_graph(x1))
+    write_json(p2, dump_object_graph(x2))
+    entries = [{"from": s.src, "to": s.dst, "dart_map": s.dart_map,
+                "edge_maps": {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
+                              for d, m in s.edge_maps.items()}}
+               for s in seeds]
+    entries[0][key] = value
+    seeds_path = str(tmp_path / "seeds.json")
+    write_json(seeds_path, {"seeds": entries})
+    assert main(["build-objects", p1, p2, "--seeds", seeds_path,
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "seeds[0]: needs %r" % key in capsys.readouterr().err

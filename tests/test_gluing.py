@@ -6,7 +6,7 @@ from commoncover.cover_builder import build_cover
 from commoncover.gluing import (OrientationError, WeightFn, assemble,
                                 build_glued_cover, enumerate_pairs,
                                 gluing_weights, orient_darts, subdivide_graph)
-from commoncover.graphs import is_covering, restrict_cover
+from commoncover.graphs import finish_cover, is_covering
 from commoncover.oracle import find_covering
 from commoncover.star_system import build_star_system
 
@@ -80,15 +80,15 @@ def test_all_components_cover_both():
     glued = assemble(sys, data, weights, component="all")
     comps = glued.graph.components()
     for comp in comps:
-        # restrict_cover raises unless both restrictions are coverings
-        sub, _, _ = restrict_cover(glued.mu1, glued.mu2, comps, seed=comp[0])
-        assert sub.vertices == comp
+        # finish_cover raises unless both restrictions are coverings
+        cut = finish_cover(glued.mu1, glued.mu2, seed=comp[0])
+        assert cut.graph.vertices == comp
 
 
 def test_subdivision_roundtrip_on_k4_theta3():
     g1, g2 = families.complete(4), families.theta(3)
     glued = build_glued_cover(g1, g2, 1)
-    assert glued.subdivided
+    assert glued.extra["subdivided"]
     assert is_covering(glued.mu1).ok and is_covering(glued.mu2).ok
     assert len(glued.graph.vertices) % len(g1.vertices) == 0
     assert len(glued.graph.vertices) % len(g2.vertices) == 0

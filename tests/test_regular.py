@@ -74,7 +74,7 @@ def test_regular_common_cover_cycles():
 def test_regular_common_cover_k4_k33():
     out = regular_common_cover(families.complete(4),
                                families.complete_bipartite(3, 3))
-    assert out.bound == 48
+    assert out.extra["bound"] == 48
     assert out.total_vertices <= 48
     assert len(out.graph.vertices) <= 48
     assert is_covering(out.mu1).ok and is_covering(out.mu2).ok
