@@ -21,12 +21,11 @@ restriction of a product of deck transformations and the alignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .cover_builder import AxiomError, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union, side_of, strip_side
-from .groupoids import saturate
+from .groupoids import Value, saturate
 from .refinement import JointBlocks, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
@@ -38,29 +37,34 @@ def _invert_letter(letter):
     return (kind, tuple((i, -e) for i, e in reversed(payload)))
 
 
-@dataclass(frozen=True)
-class BallArrow:
-    """Root-to-root isomorphism between two canonical balls."""
+class BallArrow(Value):
+    """Root-to-root isomorphism between two canonical balls.
 
-    src: str
-    dst: str
-    mapping: tuple                                  # sorted (path, path) pairs
-    witness: tuple = field(default=(), compare=False)
+    The deck-word witness is carried along but is not part of identity."""
 
-    @cached_property
-    def serial(self):
-        return ("ball", self.src, self.dst, self.mapping)
+    __slots__ = ("src", "dst", "mapping", "witness", "serial", "_map")
+    _compare = ("src", "dst", "mapping")
 
-    @cached_property
+    def __init__(self, src: str, dst: str, mapping: tuple, witness: tuple = ()):
+        self.src = src
+        self.dst = dst
+        self.mapping = mapping                      # sorted (path, path) pairs
+        self.witness = witness
+        self.serial = ("ball", src, dst, mapping)
+        self._map = None
+
+    @property
     def as_dict(self) -> dict:
-        return dict(self.mapping)
+        if self._map is None:
+            self._map = dict(self.mapping)
+        return self._map
 
     def compose(self, other: "BallArrow"):
         # mapping pairs stay sorted by source path under composition
         if other.dst != self.src:
             return None
         m = self.as_dict
-        out = tuple((p, m[q]) for p, q in other.mapping)
+        out = tuple([(p, m[q]) for p, q in other.mapping])
         return BallArrow(other.src, self.dst, out, other.witness + self.witness)
 
     def inverse(self) -> "BallArrow":
@@ -69,17 +73,17 @@ class BallArrow:
                          tuple(_invert_letter(l) for l in reversed(self.witness)))
 
 
-@dataclass(frozen=True)
-class EdgeAtom:
+class EdgeAtom(Value):
     """Centered isomorphism between the canonical neighbourhoods of two darts."""
 
-    anchor: str
-    image: str
-    mapping: tuple
+    __slots__ = ("anchor", "image", "mapping", "serial")
+    _compare = ("anchor", "image", "mapping")
 
-    @cached_property
-    def serial(self):
-        return ("atom", self.anchor, self.image, self.mapping)
+    def __init__(self, anchor: str, image: str, mapping: tuple):
+        self.anchor = anchor
+        self.image = image
+        self.mapping = mapping
+        self.serial = ("atom", anchor, image, mapping)
 
 
 def edge_neighbourhood(cover: UniversalCover, root, dart, radius: int):

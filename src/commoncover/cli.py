@@ -178,11 +178,13 @@ def load_object_graph(path: str) -> ObjectGraph:
     vobj, eobj, emor = {}, {}, {}
     for v in g.vertices:
         name = data["vertex_objects"].get(v)
-        _expect(name in objects, path, "vertex %r has no object" % v)
+        _expect(isinstance(name, str) and name in objects, path,
+                "vertex %r has no object" % v)
         vobj[v] = objects[name]
     for d in g.darts:
         name = data["edge_objects"].get(d)
-        _expect(name in objects, path, "dart %r has no object" % d)
+        _expect(isinstance(name, str) and name in objects, path,
+                "dart %r has no object" % d)
         _expect(data["edge_objects"].get(g.reverse[d]) == name, path,
                 "dart %r and its reverse name different objects" % d)
         eobj[d] = objects[name]

@@ -2,11 +2,19 @@
 
 Arrows are hashable objects exposing ``src``, ``dst``, ``serial`` (a
 sortable canonical key), ``compose(other)`` (self after other, or None when
-incompatible) and ``inverse()``.  Saturation closes a generating set under
-composition and inversion inside a finite ambient universe, recording for
-every produced arrow a witness word over the generators.  Actions on edge
-atoms, their orbits and the orbit-stabilizer counts live in
+incompatible) and ``inverse()``.  Saturation closes a generating set S under
+composition and inversion inside a finite ambient universe by breadth-first
+search over the Cayley graph: each arrow found is left-composed with the
+letters of S and S^-1 that start at its target, and nothing else.  Every
+word over those letters is reached this way, so the result is exactly the
+closure, and each arrow's witness word is a shortest one (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
+Actions on edge atoms, their orbits and the orbit-stabilizer counts live in
 ``cover_builder.LocalSystem``.
+
+``Value`` is the base of the arrow and atom classes: plain ``__slots__``
+records whose equality and hashing cover a fixed field tuple, as a frozen
+dataclass's would, without ``cached_property`` and its lock.
 """
 
 from __future__ import annotations
@@ -14,7 +22,31 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
+
+
+class Value:
+    """Slotted record compared and hashed on the fields named in
+    ``_compare``, in order; other slots (caches, stored witnesses) take
+    no part in identity."""
+
+    __slots__ = ()
+    _compare = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compare])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._compare))
 
 
 @dataclass
@@ -39,19 +71,23 @@ class FiniteGroupoid:
     def hom(self, x, y) -> list:
         return self.by_pair.get((x, y), [])
 
-    def verify(self, cap: Optional[int] = 200000) -> list:
-        """Check the groupoid axioms; with a cap, associativity is sampled.
+    def verify(self) -> list:
+        """Check the groupoid axioms, completely.
 
-        Returns a list of violation strings (empty when the axioms hold).
+        Identities, inverses and the identity law are checked per arrow.
+        Every composable pair is composed once, which checks closure and
+        fills a table of composites; associativity c(ab) = (ca)b is then
+        checked on every composable triple by table lookups.  Returns a
+        list of violation strings (empty when the axioms hold).
         """
         bad = []
-        serials = set(self.by_serial)
+        index = {a.serial: i for i, a in enumerate(self.arrows)}
         for x in self.objects:
             if x not in self.identities:
                 bad.append("missing identity at %r" % (x,))
         for a in self.arrows:
             inv = a.inverse()
-            if inv.serial not in serials:
+            if inv.serial not in index:
                 bad.append("inverse missing for %r" % (a.serial,))
                 continue
             left = inv.compose(a)
@@ -60,24 +96,27 @@ class FiniteGroupoid:
             ii = self.identities[a.dst].compose(a)
             if ii is None or ii.serial != a.serial:
                 bad.append("identity law fails for %r" % (a.serial,))
-        # closure and associativity on composable pairs/triples
-        checked = 0
-        for b in self.arrows:
+        table = {}                   # (i, j) -> index of arrow i after arrow j
+        for j, b in enumerate(self.arrows):
             for a in self.by_source.get(b.dst, ()):
                 ab = a.compose(b)
-                if ab is None or ab.serial not in serials:
+                k = index.get(ab.serial) if ab is not None else None
+                if k is None:
                     bad.append("not closed under composition at (%r, %r)"
                                % (a.serial, b.serial))
-                    continue
-                for c in self.by_source.get(a.dst, ()):
-                    checked += 1
-                    if cap is not None and checked > cap:
-                        return bad
-                    left = c.compose(ab)
-                    bc = c.compose(a)
-                    right = bc.compose(b) if bc is not None else None
-                    if left is None or right is None or left.serial != right.serial:
-                        bad.append("associativity fails on a triple at %r" % (c.serial,))
+                else:
+                    table[index[a.serial], j] = k
+        if bad:
+            return bad
+        out = [[index[a.serial] for a in self.by_source.get(b.dst, ())]
+               for b in self.arrows]
+        for j in range(len(self.arrows)):
+            for i in out[j]:
+                ij = table[i, j]
+                for c in out[i]:
+                    if table[c, ij] != table[table[c, i], j]:
+                        bad.append("associativity fails on a triple at %r"
+                                   % (self.arrows[c].serial,))
                         return bad
         return bad
 
@@ -86,14 +125,25 @@ def saturate(atoms: Iterable, objects: Iterable,
              identity_factory: Callable) -> FiniteGroupoid:
     """Smallest groupoid containing the atoms, with generation witnesses.
 
-    Witness letters are ("g", i) for the i-th atom and ("g~", i) for its
-    inverse; words compose left-to-right in application order.
+    Breadth-first search over the Cayley graph from the identities: each
+    dequeued arrow b is left-composed only with the generators and their
+    inverses whose source is dst b, and s.b gets the witness of b followed
+    by the letter of s.  Witness letters are ("g", i) for the i-th atom and
+    ("g~", i) for its inverse; words compose left-to-right in application
+    order, and every witness is a shortest word for its arrow.
     """
     atoms = list(atoms)
+    objs = sorted(set(objects))
+    identities = {x: identity_factory(x) for x in objs}
+    gens = []                        # (letter, arrow) for S and S^-1
+    for i, a in enumerate(atoms):
+        gens += [(("g", i), a), (("g~", i), a.inverse())]
+    letters = {}                     # source object -> [(letter, arrow)]
+    for letter, s in gens:
+        letters.setdefault(s.src, []).append((letter, s))
     arrows = {}
     witness = {}
     queue = deque()
-    objs = sorted(set(objects))
 
     def add(arrow, word):
         if arrow.serial not in arrows:
@@ -101,26 +151,15 @@ def saturate(atoms: Iterable, objects: Iterable,
             witness[arrow.serial] = word
             queue.append(arrow)
 
-    identities = {}
     for x in objs:
-        e = identity_factory(x)
-        identities[x] = e
-        add(e, ())
-    for i, a in enumerate(atoms):
-        add(a, (("g", i),))
-        add(a.inverse(), (("g~", i),))
+        add(identities[x], ())
+    for letter, s in gens:
+        add(s, (letter,))
     while queue:
         b = queue.popleft()
-        # compose with every arrow already present, on both sides
-        for a in list(arrows.values()):
-            if a.src == b.dst:
-                ab = a.compose(b)
-                if ab is not None:
-                    add(ab, witness[b.serial] + witness[a.serial])
-            if b.src == a.dst:
-                ba = b.compose(a)
-                if ba is not None:
-                    add(ba, witness[a.serial] + witness[b.serial])
+        word = witness[b.serial]
+        for letter, s in letters.get(b.dst, ()):
+            add(s.compose(b), word + (letter,))
     ordered = tuple(sorted(arrows.values(), key=lambda a: a.serial))
     return FiniteGroupoid(tuple(objs), ordered, identities, witness)
 

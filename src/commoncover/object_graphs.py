@@ -19,7 +19,7 @@ pulled back from the first graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Optional
@@ -27,7 +27,7 @@ from typing import Optional
 from .cover_builder import AxiomError, LocalSystem, build_cover
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, disjoint_union,
                      is_covering, side_of, strip_side, validate_graph)
-from .groupoids import saturate
+from .groupoids import Value, saturate
 
 
 # -- finite labelled multigraph objects and their maps -----------------------
@@ -198,8 +198,7 @@ class SeedError(ValueError):
         self.square = square
 
 
-@dataclass(frozen=True)
-class StarMapArrow:
+class StarMapArrow(Value):
     """Star bijection decorated with invertible edge-object maps.
 
     The vertex map is a stored witness of compatibility and is excluded
@@ -207,32 +206,41 @@ class StarMapArrow:
     their stored vertex maps differ.
     """
 
-    src: str
-    dst: str
-    bij: tuple                                     # prefixed dart pairs
-    edge_maps: tuple                               # (prefixed dart, ObjMorphism)
-    vertex_map: ObjMorphism = field(compare=False, default=None)
+    __slots__ = ("src", "dst", "bij", "edge_maps", "vertex_map", "serial",
+                 "_map", "_emap_dict")
+    _compare = ("src", "dst", "bij", "edge_maps")
 
-    @cached_property
-    def serial(self):
-        flat = tuple((d, m.serial) for d, m in self.edge_maps)
-        return ("smap", self.src, self.dst, self.bij, flat)
+    def __init__(self, src: str, dst: str, bij: tuple, edge_maps: tuple,
+                 vertex_map: ObjMorphism = None):
+        self.src = src
+        self.dst = dst
+        self.bij = bij                                 # prefixed dart pairs
+        self.edge_maps = edge_maps                     # (prefixed dart, ObjMorphism)
+        self.vertex_map = vertex_map
+        self.serial = ("smap", src, dst, bij,
+                       tuple((d, m.serial) for d, m in edge_maps))
+        self._map = None
+        self._emap_dict = None
 
-    @cached_property
-    def _emap_dict(self) -> dict:
-        return dict(self.edge_maps)
+    @property
+    def as_dict(self) -> dict:
+        if self._map is None:
+            self._map = dict(self.bij)
+        return self._map
 
     def edge_map(self, dart) -> ObjMorphism:
+        if self._emap_dict is None:
+            self._emap_dict = dict(self.edge_maps)
         return self._emap_dict[dart]
 
     def compose(self, other: "StarMapArrow"):
         # dart pairs stay sorted by source dart under composition
         if other.dst != self.src:
             return None
-        bij = dict(self.bij)
+        bij, inner = self.as_dict, other.as_dict
         pairs = tuple((e, bij[f]) for e, f in other.bij)
         emaps = tuple(sorted(
-            ((e, obj_compose(self.edge_map(dict(other.bij)[e]), m))
+            ((e, obj_compose(self.edge_map(inner[e]), m))
              for e, m in other.edge_maps), key=lambda t: t[0]))
         vm = None
         if self.vertex_map is not None and other.vertex_map is not None:
@@ -241,22 +249,22 @@ class StarMapArrow:
 
     def inverse(self) -> "StarMapArrow":
         bij = tuple(sorted((f, e) for e, f in self.bij))
-        fwd = dict(self.bij)
+        fwd = self.as_dict
         emaps = tuple(sorted(((fwd[e], obj_invert(m)) for e, m in self.edge_maps),
                              key=lambda t: t[0]))
         vm = obj_invert(self.vertex_map) if self.vertex_map is not None else None
         return StarMapArrow(self.dst, self.src, bij, emaps, vm)
 
 
-@dataclass(frozen=True)
-class ObjectAtom:
-    anchor: str
-    image: str
-    morph: ObjMorphism
+class ObjectAtom(Value):
+    __slots__ = ("anchor", "image", "morph", "serial")
+    _compare = ("anchor", "image", "morph")
 
-    @cached_property
-    def serial(self):
-        return ("oatom", self.anchor, self.image, self.morph.serial)
+    def __init__(self, anchor: str, image: str, morph: ObjMorphism):
+        self.anchor = anchor
+        self.image = image
+        self.morph = morph
+        self.serial = ("oatom", anchor, image, morph.serial)
 
 
 class ObjectLocalSystem(LocalSystem):
@@ -277,8 +285,7 @@ class ObjectLocalSystem(LocalSystem):
         return ObjectAtom(dart, dart, obj_identity(self._edge_object(dart)))
 
     def act(self, arrow, atom):
-        bij = dict(arrow.bij)
-        return ObjectAtom(atom.anchor, bij[atom.image],
+        return ObjectAtom(atom.anchor, arrow.as_dict[atom.image],
                           obj_compose(arrow.edge_map(atom.image), atom.morph))
 
     def bar(self, atom):

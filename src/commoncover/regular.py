@@ -70,23 +70,40 @@ def euler_circuit(g: Graph, darts) -> list:
 
 def max_bipartite_matching(adjacency: dict) -> dict:
     """Kuhn's augmenting-path matching; keys are left nodes, values lists of
-    (edge id, right node).  Returns {left: edge id} for the matching."""
+    (edge id, right node).  Returns {left: edge id} for the matching.
+
+    The depth-first search for an augmenting path keeps its own stack and
+    visits nodes in the order of the recursive formulation."""
     match_right = {}
     match_left = {}
 
-    def augment(u, seen):
-        for eid, w in adjacency[u]:
-            if w in seen:
-                continue
-            seen.add(w)
-            if w not in match_right or augment(match_right[w][0], seen):
-                match_right[w] = (u, eid)
-                match_left[u] = eid
-                return True
+    def augment(root) -> bool:
+        seen = set()
+        stack = [iter(adjacency[root])]
+        path = []                       # (left, edge id, right) along the stack
+        u = root
+        while stack:
+            for eid, w in stack[-1]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                path.append((u, eid, w))
+                if w not in match_right:
+                    for left, e, right in reversed(path):
+                        match_right[right] = (left, e)
+                        match_left[left] = e
+                    return True
+                u = match_right[w][0]
+                stack.append(iter(adjacency[u]))
+                break
+            else:
+                stack.pop()
+                if path:
+                    u = path.pop()[0]
         return False
 
     for u in sorted(adjacency):
-        augment(u, set())
+        augment(u)
     return match_left
 
 

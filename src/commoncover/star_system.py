@@ -16,12 +16,10 @@ Two construction strategies sit behind one interface:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
 from .cover_builder import AxiomError, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union
-from .groupoids import FiniteGroupoid, saturate
+from .groupoids import FiniteGroupoid, Value, saturate
 from .refinement import JointBlocks, _dart_type, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
@@ -29,21 +27,24 @@ STRATEGY_DR_FULL = "dr_full"
 STRATEGY_ALIGNED = "aligned"
 
 
-@dataclass(frozen=True)
-class StarArrow:
+class StarArrow(Value):
     """A bijection between two stars, as sorted (dart, image) pairs."""
 
-    src: str
-    dst: str
-    bij: tuple
+    __slots__ = ("src", "dst", "bij", "serial", "_map")
+    _compare = ("src", "dst", "bij")
 
-    @cached_property
-    def serial(self):
-        return ("star", self.src, self.dst, self.bij)
+    def __init__(self, src: str, dst: str, bij: tuple):
+        self.src = src
+        self.dst = dst
+        self.bij = bij
+        self.serial = ("star", src, dst, bij)
+        self._map = None
 
-    @cached_property
+    @property
     def as_dict(self) -> dict:
-        return dict(self.bij)
+        if self._map is None:
+            self._map = dict(self.bij)
+        return self._map
 
     def compose(self, other: "StarArrow"):
         # bij pairs are kept sorted by source dart, and composition does not
@@ -52,7 +53,7 @@ class StarArrow:
             return None
         m = self.as_dict
         return StarArrow(other.src, self.dst,
-                         tuple((e, m[f]) for e, f in other.bij))
+                         tuple([(e, m[f]) for e, f in other.bij]))
 
     def inverse(self) -> "StarArrow":
         return StarArrow(self.dst, self.src,
@@ -77,21 +78,13 @@ class StarLocalSystem(LocalSystem):
         self.explore_radius = explore_radius
         self.atom_arrows = tuple(atom_arrows)
         self.atom_centers = tuple(atom_centers)
-        self._bij_cache = {}
-
-    def _bij(self, arrow) -> dict:
-        d = self._bij_cache.get(arrow.serial)
-        if d is None:
-            d = dict(arrow.bij)
-            self._bij_cache[arrow.serial] = d
-        return d
 
     # atoms are (anchor dart, image dart) pairs over prefixed identifiers
     def identity_atom(self, dart):
         return (dart, dart)
 
     def act(self, arrow, atom):
-        return (atom[0], self._bij(arrow)[atom[1]])
+        return (atom[0], arrow.as_dict[atom[1]])
 
     def bar(self, atom):
         rev = self.union.reverse

@@ -129,12 +129,20 @@ class UniversalCover:
 
     def canonical_lift(self, v: str) -> Path:
         """Spanning-tree path from the basepoint to a lift of v."""
-        if v not in self._lift_cache:
+        cache = self._lift_cache
+        if v not in cache:
             if v not in self.graph._star:
                 raise GraphError("vertex not in graph: %r" % (v,))
-            d = self.parent_dart[v]
-            self._lift_cache[v] = self.canonical_lift(self.graph.origin[d]) + (d,)
-        return self._lift_cache[v]
+            chain = []                  # (vertex, parent dart) up to a cached lift
+            u = v
+            while u not in cache:
+                d = self.parent_dart[u]
+                chain.append((u, d))
+                u = self.graph.origin[d]
+            path = cache[u]
+            for u, d in reversed(chain):
+                path = cache[u] = path + (d,)
+        return cache[v]
 
     # -- deck transformations ------------------------------------------------
 

@@ -57,6 +57,50 @@ def bfs_atoms(sys, dart) -> set:
     return seen
 
 
+def all_pairs_closure(atoms, objects, identity_factory) -> list:
+    """Sorted serials of the groupoid generated by the atoms, closed by
+    composing each new arrow with every arrow already found, on both sides.
+
+    This is the quadratic closure that ``groupoids.saturate`` replaced and
+    serves as its reference.
+    """
+    arrows = {}
+    queue = []
+
+    def add(arrow):
+        if arrow.serial not in arrows:
+            arrows[arrow.serial] = arrow
+            queue.append(arrow)
+
+    for x in sorted(set(objects)):
+        add(identity_factory(x))
+    for a in atoms:
+        add(a)
+        add(a.inverse())
+    while queue:
+        b = queue.pop()
+        for a in list(arrows.values()):
+            if a.src == b.dst:
+                add(a.compose(b))
+            if b.src == a.dst:
+                add(b.compose(a))
+    return sorted(arrows)
+
+
+def random_cubic_graph(rng: random.Random, n: int) -> Graph:
+    """Simple connected 3-regular graph on n vertices (n even) from the
+    pairing model, redrawn until simple and connected."""
+    while True:
+        points = [i // 3 for i in range(3 * n)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[k:k + 2])) for k in range(0, 3 * n, 2)}
+        if len(edges) < 3 * n // 2 or any(u == w for u, w in edges):
+            continue
+        g = families._from_edges(n, sorted(edges))
+        if g.is_connected():
+            return g
+
+
 def random_base_graph(rng: random.Random, max_vertices: int = 8,
                       max_degree: int = 4) -> Graph:
     """Connected multigraph with bounded degree (loops and parallels allowed)."""

@@ -274,3 +274,18 @@ def test_build_objects_malformed_seed_tables_exit_two(tmp_path, capsys, key, val
     assert main(["build-objects", p1, p2, "--seeds", seeds_path,
                  "-o", str(tmp_path / "out")]) == 2
     assert "seeds[0]: needs %r" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["vertex_objects", "edge_objects"])
+def test_build_objects_non_string_object_name_exits_two(tmp_path, capsys, table):
+    x1, x2, seeds = rotation_pair(3)
+    p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
+    payload = dump_object_graph(x1)
+    payload[table][sorted(payload[table])[0]] = [1]
+    write_json(p1, payload)
+    write_json(p2, dump_object_graph(x2))
+    seeds_path = str(tmp_path / "seeds.json")
+    write_json(seeds_path, {"seeds": []})
+    assert main(["build-objects", p1, p2, "--seeds", seeds_path,
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "has no object" in capsys.readouterr().err

@@ -1,18 +1,18 @@
-import itertools
-
 import pytest
 
 from commoncover import families
-from commoncover.ball_system import build_ball_system_retrying
+from commoncover.ball_system import (BallArrow, build_ball_system_retrying,
+                                     verify_witness)
 from commoncover.graphs import disjoint_union
 from commoncover.groupoids import lcm_all, saturate
-from commoncover.object_graphs import close_star_maps, rotation_pair
+from commoncover.object_graphs import (StarMapArrow, _check_star_map,
+                                       close_star_maps, rotation_pair)
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, StarArrow,
                                      StarLocalSystem, build_star_system,
                                      build_star_system_retrying)
 
-from conftest import bfs_atoms
+from conftest import all_pairs_closure, bfs_atoms
 
 
 def identity_factory_for(graph):
@@ -38,25 +38,6 @@ def test_saturate_single_bijection_four_arrows():
     assert not gpd.verify()
 
 
-def _brute_closure(atoms, identities):
-    """Independent closure loop for cross-checking saturate."""
-    arrows = set(identities)
-    frontier = set(atoms)
-    for a in atoms:
-        frontier.add(a.inverse())
-    arrows |= frontier
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.product(list(arrows), repeat=2):
-            if a.src == b.dst:
-                c = a.compose(b)
-                if c not in arrows:
-                    arrows.add(c)
-                    changed = True
-    return arrows
-
-
 def test_saturate_two_bijections_matches_brute_force():
     g = families.theta(2)
     s0, s1 = g.star("v00"), g.star("v01")
@@ -64,8 +45,8 @@ def test_saturate_two_bijections_matches_brute_force():
     crossed = StarArrow("v00", "v01", tuple(zip(s0, reversed(s1))))
     factory = identity_factory_for(g)
     gpd = saturate([straight, crossed], ["v00", "v01"], factory)
-    brute = _brute_closure([straight, crossed], [factory("v00"), factory("v01")])
-    assert set(gpd.arrows) == brute
+    brute = all_pairs_closure([straight, crossed], ["v00", "v01"], factory)
+    assert [a.serial for a in gpd.arrows] == brute
     assert len(gpd.arrows) <= 8
     # the crossed-with-straight composite has order 2 at v00
     flip = crossed.inverse().compose(straight)
@@ -153,6 +134,115 @@ def test_orbit_of_matches_partition(engine_systems):
     for kind, sys in engine_systems.items():
         for e in sys.union.darts:
             assert set(sys.atoms_by_anchor[e]) == bfs_atoms(sys, e), (kind, e)
+
+
+# -- generator-only saturation against the all-pairs closure -------------------
+
+
+def _doubled_triangle():
+    return families._from_edges(3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)])
+
+
+@pytest.fixture(scope="module")
+def generated(engine_systems):
+    """(generators, objects, identity factory, system) per system: the
+    inputs that saturate received when the system was built.  The dr
+    system is not saturated at build time; its full arrow set is resaturated
+    here as a generating set."""
+    k4, th3 = families.complete(4), families.theta(3)
+    star = {"star-aligned": engine_systems["star-aligned"],
+            "star-aligned-k4-theta3": build_star_system_retrying(k4, th3, STRATEGY_ALIGNED),
+            "star-aligned-rose2-tri2": build_star_system_retrying(
+                families.rose(2), _doubled_triangle(), STRATEGY_ALIGNED)}
+    out = {kind: (sys.atom_arrows, sys) for kind, sys in star.items()}
+    dr = engine_systems["star-dr"]
+    out["star-dr"] = (dr.groupoid.arrows, dr)
+    for kind in ("ball-R1", "ball-R2"):
+        sys = engine_systems[kind]
+        out[kind] = (sys.discovered.vertex_arrows, sys)
+    x1, x2, seeds = rotation_pair(3)
+    out["objects"] = ([_check_star_map(x1, x2, s) for s in seeds],
+                      engine_systems["objects"])
+    return {kind: (list(gens), sys.union.vertices, sys.groupoid.identities.get, sys)
+            for kind, (gens, sys) in out.items()}
+
+
+def test_saturate_matches_all_pairs_closure(generated):
+    for kind, (gens, objects, factory, sys) in generated.items():
+        serials = [a.serial for a in saturate(gens, objects, factory).arrows]
+        assert serials == all_pairs_closure(gens, objects, factory), kind
+        assert serials == [a.serial for a in sys.groupoid.arrows], kind
+
+
+def test_witness_words_evaluate_to_their_arrows(generated):
+    for kind, (gens, objects, factory, sys) in generated.items():
+        gpd = saturate(gens, objects, factory)
+        letters = {}
+        for i, g in enumerate(gens):
+            letters["g", i] = g
+            letters["g~", i] = g.inverse()
+        lengths = set()
+        for a in gpd.arrows:
+            current = gpd.identities[a.src]
+            for letter in gpd.witness[a.serial]:
+                current = letters[letter].compose(current)
+            assert current.serial == a.serial, (kind, a.serial)
+            lengths.add(len(gpd.witness[a.serial]))
+        # breadth-first words: every length up to the longest occurs
+        assert lengths == set(range(max(lengths) + 1)), kind
+
+
+def test_ball_arrows_pass_their_witness(engine_systems):
+    for kind in ("ball-R1", "ball-R2"):
+        sys = engine_systems[kind]
+        assert all(verify_witness(a, sys) for a in sys.groupoid.arrows), kind
+
+
+def test_identity_ignores_stored_witnesses(engine_systems):
+    ball = engine_systems["ball-R1"]
+    a = next(a for a in ball.groupoid.arrows if a.witness)
+    bare = BallArrow(a.src, a.dst, a.mapping)
+    assert bare == a and hash(bare) == hash(a) and len({a, bare}) == 1
+    assert hash(a) == hash((a.src, a.dst, a.mapping))
+    assert BallArrow(a.dst, a.src, a.mapping, a.witness) != a
+    objects = engine_systems["objects"]
+    s = next(s for s in objects.groupoid.arrows if s.vertex_map is not None)
+    plain = StarMapArrow(s.src, s.dst, s.bij, s.edge_maps)
+    assert plain == s and hash(plain) == hash(s) and len({s, plain}) == 1
+    assert hash(s) == hash((s.src, s.dst, s.bij, s.edge_maps))
+    star = StarArrow(s.src, s.dst, s.bij)
+    assert star != s and hash(star) == hash((s.src, s.dst, s.bij))
+
+
+# -- FiniteGroupoid.verify is complete -------------------------------------------
+
+
+def test_verify_completes_on_k4_theta3(generated):
+    gpd = generated["star-aligned-k4-theta3"][3].groupoid
+    assert len(gpd.arrows) == 216
+    assert {gpd.out_count(x) for x in gpd.objects} == {36}
+    # 216 * 36 * 36 = 279,936 associativity triples, all checked
+    assert gpd.verify() == []
+
+
+def test_verify_reports_one_wrong_composition(generated, monkeypatch):
+    gpd = generated["star-aligned-k4-theta3"][3].groupoid
+    identities = {e.serial for e in gpd.identities.values()}
+    b = gpd.arrows[-1]
+    a = next(a for a in reversed(gpd.by_source[b.dst])
+             if a.serial not in identities and a.compose(b).serial not in identities)
+    right = a.compose(b).serial
+    wrong = next(x for x in gpd.hom(b.src, a.dst) if x.serial != right)
+    compose = StarArrow.compose
+
+    def corrupted(self, other):
+        if self.serial == a.serial and other.serial == b.serial:
+            return wrong
+        return compose(self, other)
+
+    monkeypatch.setattr(StarArrow, "compose", corrupted)
+    bad = gpd.verify()
+    assert len(bad) == 1 and bad[0].startswith("associativity fails")
 
 
 def test_saturate_idempotent():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from commoncover import families
@@ -6,6 +8,8 @@ from commoncover.oracle import find_covering
 from commoncover.regular import (bipartite_double, factorize_regular,
                                  one_factorization, regular_common_cover,
                                  two_colouring, two_factorization)
+
+from conftest import random_cubic_graph
 
 
 def _check_two_factor(g, factor):
@@ -107,3 +111,13 @@ def test_bipartite_double_of_bipartite_graph_disconnects():
     double, proj = bipartite_double(g)
     assert is_covering(proj).ok
     assert len(double.components()) == 2
+
+
+def test_factorize_large_cubic_graph_without_recursion():
+    # the matching search once recursed once per augmenting step and hit
+    # the recursion limit on graphs of this size
+    g = random_cubic_graph(random.Random(1), 2000)
+    result = factorize_regular(g)
+    assert result.kind == "odd"
+    assert len(result.factors) == 3
+    assert is_covering(result.covering).ok

@@ -63,6 +63,16 @@ def test_canonical_lift_follows_breadth_first_tree():
         assert cov.project(lift) == v
 
 
+def test_canonical_lift_of_long_cycle_without_recursion():
+    # lifting in sorted order walks up ever longer uncached tree paths
+    g = families.cycle(5000)
+    cov = UniversalCover(g, "v00")
+    for v in sorted(g.vertices):
+        lift = cov.canonical_lift(v)
+        assert cov.project(lift) == v
+    assert max(len(cov.canonical_lift(v)) for v in g.vertices) == 2500
+
+
 def test_deck_transport_identity_and_cancellation():
     cov = UniversalCover(families.rose(1))
     z = cov.canonical_lift("v00")
