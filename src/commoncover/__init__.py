@@ -2,7 +2,7 @@
 finite objects, with exact size bounds and independent verification."""
 
 from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
-                     compose_morphisms, disjoint_union, fiber_product,
+                     VerificationError, compose_morphisms, disjoint_union, fiber_product,
                      identity_morphism, is_covering, validate_graph)
 from .refinement import common_cover_exists, degree_refinement, joint_refinement
 from .groupoids import FiniteGroupoid, lcm_all, saturate

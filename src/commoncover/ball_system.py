@@ -217,15 +217,6 @@ class BallLocalSystem(LocalSystem):
         rev = self.union.reverse
         return EdgeAtom(rev[atom.anchor], rev[atom.image], mapping)
 
-    def atom_anchor(self, atom):
-        return atom.anchor
-
-    def atom_image(self, atom):
-        return atom.image
-
-    def atom_serial(self, atom):
-        return atom.serial
-
 
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
                       explore_radius=None, joint: JointBlocks = None,

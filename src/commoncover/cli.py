@@ -8,7 +8,7 @@ written with sorted keys and no timestamps, so identical inputs and flags
 produce byte-identical artifacts.
 
 Exit codes: 0 success or a true answer, 1 a false or negative answer,
-2 input or schema errors, 3 internal verification failures.
+2 input errors, budgets and axiom failures, 3 verification failures.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .bounds import bound_report
 from .cover_builder import AxiomError, build_cover, extract_certificate
 from .gluing import build_glued_cover
 from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
-                     is_covering, validate_graph)
+                     VerificationError, is_covering, validate_graph)
 from .object_graphs import (ObjectCover, ObjectGraph, SeedSpec,
                             build_object_cover, close_star_maps, make_object,
                             obj_morphism, validate_object_graph)
@@ -34,8 +34,8 @@ from .star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                           build_star_system, build_star_system_retrying)
 
 
-class SchemaError(ValueError):
-    pass
+class SchemaError(GraphError):
+    """Malformed input data or parameters (exit 2)."""
 
 
 def _jsonable(x):
@@ -89,7 +89,8 @@ def _graph_from_data(data, where) -> Graph:
         reverse = {e["id"]: e["reverse"] for e in ds}
         dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
         if not set(map(type, vertices)).union(map(type, darts)) <= {str}:
-            _raise_bad_entry(vs, ds, where)
+            # to the handler below: a SchemaError here would be re-wrapped
+            raise TypeError
         g = Graph(vertices, darts, origin, reverse, vcol, dcol)
         report = validate_graph(g)
     except (KeyError, TypeError, AttributeError):
@@ -330,8 +331,7 @@ def cmd_build(args) -> int:
                          "matches_label": e.matches_label,
                          "witness_ok": e.witness_ok} for e in cert.entries]})
         if not cert.ok:
-            print("certificate has mismatches", file=_sys.stderr)
-            return 3
+            raise VerificationError("certificate has mismatches")
     print("wrote %s" % args.out)
     return 0
 
@@ -434,8 +434,7 @@ def cmd_oracle(args) -> int:
     g1, g2 = load_graph(args.first), load_graph(args.second)
     result = brute_common_cover(g1, g2, args.max)
     if result.budget_exceeded:
-        print("budget exceeded", file=_sys.stderr)
-        return 2
+        raise BudgetExceeded("oracle search at degree %d" % result.searched_up_to)
     if result.found:
         print("common cover with %d vertices (degree %d over the first input)"
               % (len(result.cover.vertices), result.degree))
@@ -524,7 +523,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, GraphError) as exc:
+    except GraphError as exc:
         print("input error: %s" % exc, file=_sys.stderr)
         return 2
     except BudgetExceeded as exc:
@@ -533,7 +532,7 @@ def main(argv=None) -> int:
     except AxiomError as exc:
         print("axiom failure: %s" % exc, file=_sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except VerificationError as exc:
         print("verification failure: %s" % exc, file=_sys.stderr)
         return 3
 

@@ -10,10 +10,10 @@ involution, and two closure axioms:
   bar image of the atom set anchored at the dart;
 * AX3: the groupoid and action axioms themselves.
 
-Subclasses of ``LocalSystem`` supply only the atom representation
-(``identity_atom``, ``act``, ``bar`` and the anchor, image and serial
-accessors).  The atom sets are computed once, here: the atoms anchored at
-a dart e are {g.id_e : g in out(origin e)}, the orbit of the identity atom.
+Subclasses of ``LocalSystem`` supply ``identity_atom``, ``act`` and ``bar``
+(and the accessors, where atoms lack ``anchor``, ``image`` and ``serial``).
+The atom sets are computed once, here: the atoms anchored at a dart e are
+{g.id_e : g in out(origin e)}, the orbit of the identity atom.
 
 Given such a system, the cover has one vertex per (cross arrow, copy
 index) and one dart per (cross atom, copy index).  The origin of a dart
@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .graphs import (Cover, Graph, GraphError, GraphMorphism, finish_cover,
-                     side_of, strip_side)
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
+                     finish_cover, side_of, strip_side)
 from .groupoids import FiniteGroupoid, lcm_all
 
 
-class AxiomError(RuntimeError):
-    """A local system failed its closure axioms (retry with a larger radius)."""
+class AxiomError(Exception):
+    """A local system failed its closure axioms: retry larger (exit 2)."""
 
     def __init__(self, message, radius=None, witness=None):
         super().__init__(message)
@@ -75,8 +75,8 @@ class AxiomReport:
 class LocalSystem:
     """Base class for the star, ball and object-graph local systems.
 
-    Subclasses supply only the atom representation: ``identity_atom``,
-    ``act``, ``bar``, ``atom_anchor``, ``atom_image`` and ``atom_serial``.
+    Subclasses supply ``identity_atom``, ``act`` and ``bar``; the accessors
+    read an atom's ``anchor``, ``image`` and ``serial`` unless overridden.
     The atom sets, orbit sizes, axiom checks and cover assembly are shared.
     """
 
@@ -89,7 +89,7 @@ class LocalSystem:
         self.groupoid = groupoid
         self.axioms: Optional[AxiomReport] = None
 
-    # -- atom interface (implemented by subclasses) -------------------------
+    # -- atom interface (subclasses implement the first three) --------------
 
     def identity_atom(self, dart):
         raise NotImplementedError
@@ -104,13 +104,13 @@ class LocalSystem:
         raise NotImplementedError
 
     def atom_anchor(self, atom) -> str:
-        raise NotImplementedError
+        return atom.anchor
 
     def atom_image(self, atom) -> str:
-        raise NotImplementedError
+        return atom.image
 
     def atom_serial(self, atom):
-        raise NotImplementedError
+        return atom.serial
 
     # -- the orbit engine ---------------------------------------------------
 
@@ -256,10 +256,6 @@ class LocalSystem:
 # -- the cover ----------------------------------------------------------------
 
 
-def _internal(msg):
-    raise RuntimeError("internal verification failure: " + msg)
-
-
 def build_cover(sys: LocalSystem, component: str = "least",
                 based_at=None) -> Cover:
     """Assemble, verify and return a finite common cover of sys.g1 and sys.g2.
@@ -281,7 +277,8 @@ def build_cover(sys: LocalSystem, component: str = "least",
     orbit = {e: sys.orbit_size(e) for e in union.darts}
     for e, size in orbit.items():
         if out[union.origin[e]] % size != 0 or n_mult % size != 0:
-            _internal("orbit size does not divide the arrow count at %r" % (e,))
+            raise VerificationError("orbit size does not divide the arrow "
+                                    "count at %r" % (e,))
 
     cross = sys.cross_arrows()
     vertex_ids = {}
@@ -327,8 +324,8 @@ def build_cover(sys: LocalSystem, component: str = "least",
         expected = n_mult // orbit[anchor]
         members = groups[key]
         if len(members) != expected:
-            _internal("matching count at atom %r: %d != %d"
-                      % (key, len(members), expected))
+            raise VerificationError("matching count at atom %r: %d != %d"
+                                    % (key, len(members), expected))
         for k in range(1, expected + 1):
             did = "d%06d" % len(dart_ids)
             dart_ids[(key, k)] = did
@@ -344,7 +341,7 @@ def build_cover(sys: LocalSystem, component: str = "least",
         atom = atoms[key]
         bar_key = sys.atom_serial(sys.bar(atom))
         if bar_key not in groups:
-            _internal("bar atom not realised for %r" % (key,))
+            raise VerificationError("bar atom not realised for %r" % (key,))
         expected = n_mult // orbit[sys.atom_anchor(atom)]
         for k in range(1, expected + 1):
             reverse[dart_ids[(key, k)]] = dart_ids[(bar_key, k)]
@@ -468,8 +465,8 @@ def extract_certificate(built: Cover, sys, test_radius: int,
         serial = found.serial
         arrow = sys.groupoid.by_serial.get(serial)
         if arrow is None:
-            raise AxiomError("ball restriction escaped the discovered groupoid at %r"
-                             % (z,), witness=serial)
+            raise VerificationError("ball restriction escaped the discovered "
+                                    "groupoid at %r (%r)" % (z, serial))
         matches = built.vertex_label[nu1[z]][0] == serial
         entries.append(CertificateEntry(z, serial, matches,
                                         verify_witness(arrow, sys)))

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 from .ball_system import build_ball_system_retrying
 from .cover_builder import LocalSystem
-from .graphs import Cover, Graph, GraphMorphism, finish_cover, strip_side
+from .graphs import (Cover, Graph, GraphMorphism, VerificationError,
+                     finish_cover, strip_side)
 from .groupoids import lcm_all
 
 
-class OrientationError(RuntimeError):
-    """No consistent dart orientation exists: subdivide the inputs."""
+class OrientationError(VerificationError):
+    """No consistent dart orientation: subdivide the inputs (exit 3 if still none)."""
 
 
 def orient_darts(sys: LocalSystem) -> dict:
@@ -95,7 +96,7 @@ def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
         face.left.sort(key=lambda a: a.serial)
         face.right.sort(key=lambda a: a.serial)
         if not face.left or not face.right:
-            raise RuntimeError("internal verification failure: one-sided face")
+            raise VerificationError("one-sided face")
     return PairsAndFaces(pairs, faces, orientation)
 
 
@@ -120,15 +121,13 @@ def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
         left_sum = sum(integral[a.serial] for a in face.left)
         right_sum = sum(integral[a.serial] for a in face.right)
         if left_sum != expected or right_sum != expected:
-            raise RuntimeError(
-                "internal verification failure: gluing equation imbalance "
-                "at face %r (%d vs %d vs %d)" % (face.serial, left_sum,
-                                                 right_sum, expected))
+            raise VerificationError(
+                "gluing equation imbalance at face %r (%d vs %d vs %d)"
+                % (face.serial, left_sum, right_sum, expected))
         # per-face coset correspondence: side count * weight = face count
         x = sys.union.origin[anchor]
         if len(face.left) * sys.orbit_size(anchor) != out[x]:
-            raise RuntimeError("internal verification failure: coset count "
-                               "at face %r" % (face.serial,))
+            raise VerificationError("coset count at face %r" % (face.serial,))
     return WeightFn(scale, integral)
 
 
@@ -159,7 +158,7 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
         right_slots = [(a, c) for a in face.right
                        for c in range(1, weights.weight(a) + 1)]
         if len(left_slots) != len(right_slots):
-            raise RuntimeError("internal verification failure: slot imbalance")
+            raise VerificationError("slot imbalance")
         for k, ((la, lc), (ra, rc)) in enumerate(zip(left_slots, right_slots)):
             dl = "d%06dL" % len(darts)
             dr = "d%06dR" % len(darts)
@@ -230,15 +229,14 @@ def contract_subdivided(glued: Cover, info1: SubdivisionInfo,
         over_mid1 = mu1.vmap[v] in info1.midpoints
         over_mid2 = mu2.vmap[v] in info2.midpoints
         if over_mid1 != over_mid2:
-            raise RuntimeError("internal verification failure: midpoint fibres "
-                               "disagree at %r" % (v,))
+            raise VerificationError("midpoint fibres disagree at %r" % (v,))
         (mid_vertices if over_mid1 else keep_vertices).append(v)
     kept_darts = [d for d in cover.darts if mu1.dmap[d] in info1.original_dart]
     new_reverse = {}
     for w in mid_vertices:
         ds = cover.star(w)
         if len(ds) != 2:
-            raise RuntimeError("internal verification failure: midpoint degree")
+            raise VerificationError("midpoint degree")
         a, b = cover.reverse[ds[0]], cover.reverse[ds[1]]
         new_reverse[a], new_reverse[b] = b, a
     keep_set, kept_set = set(keep_vertices), set(kept_darts)

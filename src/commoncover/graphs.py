@@ -25,11 +25,15 @@ from typing import Iterable, Optional
 
 
 class GraphError(ValueError):
-    """Raised for structurally invalid graphs, morphisms or arguments."""
+    """Raised for structurally invalid graphs, morphisms or arguments (exit 2)."""
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(Exception):
     """A search or construction outgrew its configured budget (exit 2)."""
+
+
+class VerificationError(RuntimeError):
+    """An artifact failed the program's own check (exit 3)."""
 
 
 def _sorted_unique(items: Iterable[str], what: str) -> tuple:
@@ -323,14 +327,16 @@ class Cover:
 
 def _verify_cover(mu1: GraphMorphism, mu2: GraphMorphism, what: str) -> None:
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        rep = is_covering(mu)
+        try:
+            rep = is_covering(mu)
+        except GraphError as exc:
+            raise VerificationError("%s%s: %s" % (what, name, exc)) from exc
         if not rep.ok:
-            raise RuntimeError("internal verification failure: %s%s is not a "
-                               "covering: %s at %r"
-                               % (what, name, rep.reason, rep.witness))
+            raise VerificationError("%s%s is not a covering: %s at %r"
+                                    % (what, name, rep.reason, rep.witness))
         if len(mu.source.vertices) % len(mu.target.vertices):
-            raise RuntimeError("internal verification failure: %s%s: cover size "
-                               "is not a multiple of a base size" % (what, name))
+            raise VerificationError("%s%s: cover size is not a multiple of a "
+                                    "base size" % (what, name))
 
 
 def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
@@ -351,8 +357,7 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
         raise GraphError("unknown component option: %r" % (component,))
     check = validate_graph(mu1.source)
     if not check.ok:
-        raise RuntimeError("internal verification failure: assembled graph "
-                           "invalid: " + check.violations[0])
+        raise VerificationError("assembled graph invalid: " + check.violations[0])
     _verify_cover(mu1, mu2, "")
     comps = mu1.source.components()
     if seed is not None or component == "least":

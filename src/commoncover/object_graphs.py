@@ -25,8 +25,8 @@ from math import lcm
 from typing import Optional
 
 from .cover_builder import AxiomError, LocalSystem, build_cover
-from .graphs import (Cover, Graph, GraphError, GraphMorphism, disjoint_union,
-                     is_covering, side_of, strip_side, validate_graph)
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
+                     disjoint_union, is_covering, side_of, strip_side, validate_graph)
 from .groupoids import Value, saturate
 
 
@@ -190,8 +190,8 @@ def validate_object_graph(x: ObjectGraph):
 # -- star maps -----------------------------------------------------------------
 
 
-class SeedError(ValueError):
-    """A seed star map admits no compatible vertex object map."""
+class SeedError(GraphError):
+    """A seed star map is not a valid, decorated star isomorphism."""
 
     def __init__(self, message, square=None):
         super().__init__(message)
@@ -291,15 +291,6 @@ class ObjectLocalSystem(LocalSystem):
     def bar(self, atom):
         rev = self.union.reverse
         return ObjectAtom(rev[atom.anchor], rev[atom.image], atom.morph)
-
-    def atom_anchor(self, atom):
-        return atom.anchor
-
-    def atom_image(self, atom):
-        return atom.image
-
-    def atom_serial(self, atom):
-        return atom.serial
 
     def isotropy(self, dart) -> list:
         """Invertible self-maps of the dart's edge object induced by star
@@ -489,14 +480,13 @@ def build_object_cover(sys: ObjectLocalSystem, component: str = "least",
     cover = ObjectGraph(built.graph, vertex_objects, edge_objects, edge_morphs)
     report = validate_object_graph(cover)
     if not report.ok:
-        raise RuntimeError("internal verification failure: " + report.violations[0])
+        raise VerificationError("object cover invalid: " + report.violations[0])
     mu1 = ObjectGraphMorphism(cover, x1, built.mu1, vmorph1, emorph1)
     mu2 = ObjectGraphMorphism(cover, x2, built.mu2, vmorph2, emorph2)
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         ok, failure = verify_object_covering(mu)
         if not ok:
-            raise RuntimeError("internal verification failure: %s: %s"
-                               % (name, failure))
+            raise VerificationError("%s: %s" % (name, failure))
     return ObjectCover(cover, mu1, mu2, built)
 
 

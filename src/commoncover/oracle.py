@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .graphs import BudgetExceeded, Graph, GraphMorphism, is_covering
+from .graphs import BudgetExceeded, Graph, GraphMorphism, VerificationError, is_covering
 
 
 def permutation_cover(g: Graph, degree: int, voltages: dict):
@@ -53,10 +53,11 @@ def _non_tree_reps(g: Graph):
 
 
 def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[GraphMorphism]:
-    """Backtracking search for a covering morphism h -> target."""
+    """Backtracking search for a covering morphism h -> target: depth first
+    over an explicit stack, one budget unit per node, undone on backtracking."""
     if not h.vertices:
         return None
-    counter = [budget]
+    counter = budget
     v0 = h.vertices[0]
 
     def compatible(v, w):
@@ -66,54 +67,61 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
         cw = target.vertex_colour.get(w)
         return cv is None or cw is None or cv == cw
 
-    def extend(vmap, dmap):
-        counter[0] -= 1
-        if counter[0] < 0:
-            raise BudgetExceeded("oracle search budget exceeded")
-        pending = None
-        for d in h.darts:
-            if d not in dmap and h.origin[d] in vmap:
-                pending = d
-                break
-        if pending is None:
-            if len(vmap) < len(h.vertices):
-                return None            # disconnected remainder (h not connected)
-            return GraphMorphism(h, target, vmap, dmap)
+    def images(pending, vmap, dmap):
+        # lazily, so each image is tested against the maps as they stand
         v = h.origin[pending]
+        w = h.head(pending)
         used = {dmap[x] for x in h.star(v) if x in dmap}
+        hc = h.dart_colour.get(pending)
         for e in target.star(vmap[v]):
             if e in used:
                 continue
-            hc = h.dart_colour.get(pending)
             tc = target.dart_colour.get(e)
             if hc is not None and tc is not None and hc != tc:
                 continue
-            w = h.head(pending)
             tw = target.head(e)
             if w in vmap:
                 if vmap[w] != tw:
                     continue
             elif not compatible(w, tw):
                 continue
-            new_vmap = dict(vmap)
-            new_vmap[w] = tw
-            new_dmap = dict(dmap)
-            new_dmap[pending] = e
-            new_dmap[h.reverse[pending]] = target.reverse[e]
-            out = extend(new_vmap, new_dmap)
-            if out is not None:
-                return out
-        return None
+            yield e
 
     for w0 in target.vertices:
         if not compatible(v0, w0):
             continue
-        out = extend({v0: w0}, {})
-        if out is not None:
-            rep = is_covering(out)
-            if not rep.ok:
-                raise RuntimeError("oracle produced a non-covering morphism")
-            return out
+        vmap, dmap, stack = {v0: w0}, {}, []
+        while True:
+            counter -= 1
+            if counter < 0:
+                raise BudgetExceeded("oracle search budget exceeded")
+            pending = next((d for d in h.darts
+                            if d not in dmap and h.origin[d] in vmap), None)
+            if pending is not None:
+                stack.append((pending, images(pending, vmap, dmap),
+                              h.head(pending) not in vmap))
+            elif len(vmap) == len(h.vertices):
+                out = GraphMorphism(h, target, vmap, dmap)
+                if not is_covering(out).ok:
+                    raise VerificationError("oracle produced a non-covering morphism")
+                return out
+            # undo the top frame's last image (none on a new frame) and
+            # apply its next untried one, popping exhausted frames
+            while stack:
+                pending, untried, fresh = stack[-1]
+                dmap.pop(pending, None)
+                dmap.pop(h.reverse[pending], None)
+                if fresh:
+                    vmap.pop(h.head(pending), None)
+                e = next(untried, None)
+                if e is not None:
+                    vmap[h.head(pending)] = target.head(e)
+                    dmap[pending] = e
+                    dmap[h.reverse[pending]] = target.reverse[e]
+                    break
+                stack.pop()
+            else:
+                break
     return None
 
 
@@ -150,7 +158,7 @@ def brute_common_cover(g1: Graph, g2: Graph, max_degree: int,
                 continue
             rep1 = is_covering(proj)
             if not rep1.ok:
-                raise RuntimeError("voltage construction broke the covering property")
+                raise VerificationError("voltage cover is not a covering")
             try:
                 onto2 = find_covering(cover, g2, budget=max(1000, counter))
             except BudgetExceeded:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import families
-from .graphs import (Cover, Graph, GraphError, GraphMorphism, compose_morphisms,
-                     fiber_product, finish_cover, is_covering)
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
+                     compose_morphisms, fiber_product, finish_cover, is_covering)
 
 
 def regularity(g: Graph) -> int:
@@ -287,14 +287,14 @@ def factorize_regular(g: Graph) -> Factorization:
         factors = two_factorization(g)
         cov = rose_covering(g, factors)
         if not is_covering(cov).ok:
-            raise RuntimeError("internal verification failure: rose covering")
+            raise VerificationError("rose map is not a covering")
         return Factorization("even", factors, cov)
     double, proj = bipartite_double(g)
     factors = one_factorization(double)
     colour = two_colouring(double)
     cov = path_covering(double, factors, colour)
     if not is_covering(cov).ok:
-        raise RuntimeError("internal verification failure: path covering")
+        raise VerificationError("path map is not a covering")
     return Factorization("odd", factors, cov, double, proj)
 
 
@@ -313,5 +313,5 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cove
         mu2 = compose_morphisms(f2.double_proj, fp.proj2)
         bound = 2 * len(g1.vertices) * len(g2.vertices)
     if len(fp.graph.vertices) > bound:
-        raise RuntimeError("internal verification failure: size bound violated")
+        raise VerificationError("size bound violated")
     return finish_cover(mu1, mu2, component, bound=bound)

@@ -16,15 +16,17 @@ Two construction strategies sit behind one interface:
 from __future__ import annotations
 
 import itertools
+from math import factorial, prod
 
 from .cover_builder import AxiomError, LocalSystem, retry_doubling
-from .graphs import Graph, GraphError, disjoint_union
+from .graphs import BudgetExceeded, Graph, GraphError, disjoint_union
 from .groupoids import FiniteGroupoid, Value, saturate
 from .refinement import JointBlocks, _dart_type, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
 STRATEGY_DR_FULL = "dr_full"
 STRATEGY_ALIGNED = "aligned"
+DR_FULL_ARROW_BUDGET = 200000
 
 
 class StarArrow(Value):
@@ -108,10 +110,18 @@ def _grouped_star(union, block_of, v):
 
 
 def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
+    """Every type-preserving star bijection within a block; their number,
+    sum over blocks B of |B|^2 prod_t k_t!, is checked before allocating."""
     block_of = joint.partition.block_of
+    grouped = {v: _grouped_star(union, block_of, v) for v in union.vertices}
+    count = sum(len(block) ** 2 * prod(factorial(len(ds))
+                                        for ds in grouped[block[0]].values())
+                for block in joint.partition.blocks)
+    if count > DR_FULL_ARROW_BUDGET:
+        raise BudgetExceeded("dr_full needs %d arrows (budget %d)"
+                             % (count, DR_FULL_ARROW_BUDGET))
     arrows = []
     for block in joint.partition.blocks:
-        grouped = {v: _grouped_star(union, block_of, v) for v in block}
         for u in block:
             gu = grouped[u]
             types = sorted(gu)

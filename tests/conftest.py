@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commoncover import families
-from commoncover.graphs import Graph
+from commoncover.graphs import BudgetExceeded, Graph, GraphMorphism
 
 
 @pytest.fixture
@@ -85,6 +85,70 @@ def all_pairs_closure(atoms, objects, identity_factory) -> list:
             if b.src == a.dst:
                 add(b.compose(a))
     return sorted(arrows)
+
+
+def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
+    """The recursive backtracking search that ``oracle.find_covering``
+    replaced: one recursion level per search node, both maps copied at
+    every level.  It serves as the reference for the visit order, the
+    budget accounting and the first morphism found."""
+    if not h.vertices:
+        return None
+    counter = [budget]
+    v0 = h.vertices[0]
+
+    def compatible(v, w):
+        if h.degree(v) != target.degree(w):
+            return False
+        cv = h.vertex_colour.get(v)
+        cw = target.vertex_colour.get(w)
+        return cv is None or cw is None or cv == cw
+
+    def extend(vmap, dmap):
+        counter[0] -= 1
+        if counter[0] < 0:
+            raise BudgetExceeded("oracle search budget exceeded")
+        pending = None
+        for d in h.darts:
+            if d not in dmap and h.origin[d] in vmap:
+                pending = d
+                break
+        if pending is None:
+            if len(vmap) < len(h.vertices):
+                return None
+            return GraphMorphism(h, target, vmap, dmap)
+        v = h.origin[pending]
+        used = {dmap[x] for x in h.star(v) if x in dmap}
+        for e in target.star(vmap[v]):
+            if e in used:
+                continue
+            hc = h.dart_colour.get(pending)
+            tc = target.dart_colour.get(e)
+            if hc is not None and tc is not None and hc != tc:
+                continue
+            w = h.head(pending)
+            tw = target.head(e)
+            if w in vmap:
+                if vmap[w] != tw:
+                    continue
+            elif not compatible(w, tw):
+                continue
+            new_vmap = dict(vmap)
+            new_vmap[w] = tw
+            new_dmap = dict(dmap)
+            new_dmap[pending] = e
+            new_dmap[h.reverse[pending]] = target.reverse[e]
+            out = extend(new_vmap, new_dmap)
+            if out is not None:
+                return out
+        return None
+
+    for w0 in target.vertices:
+        if compatible(v0, w0):
+            out = extend({v0: w0}, {})
+            if out is not None:
+                return out
+    return None
 
 
 def random_cubic_graph(rng: random.Random, n: int) -> Graph:

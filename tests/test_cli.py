@@ -6,6 +6,7 @@ import pytest
 from commoncover import families
 from commoncover.cli import (dump_graph, dump_object_graph, load_graph,
                              load_object_graph, main, write_json)
+from commoncover.graphs import VerificationError
 from commoncover.object_graphs import rotation_pair
 
 
@@ -289,3 +290,72 @@ def test_build_objects_non_string_object_name_exits_two(tmp_path, capsys, table)
     assert main(["build-objects", p1, p2, "--seeds", seeds_path,
                  "-o", str(tmp_path / "out")]) == 2
     assert "has no object" in capsys.readouterr().err
+
+
+def _seed_entries(seeds):
+    return [{"from": s.src, "to": s.dst, "dart_map": dict(s.dart_map),
+             "edge_maps": {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
+                           for d, m in s.edge_maps.items()},
+             "vertex_map": {"vmap": dict(s.vertex_map.vmap),
+                            "emap": dict(s.vertex_map.emap)}}
+            for s in seeds]
+
+
+def _drop_source_dart(dart_map):
+    del dart_map["e00.b"]
+
+
+def _swap_images(dart_map):
+    dart_map["e00.a"], dart_map["e00.b"] = dart_map["e00.b"], dart_map["e00.a"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_source_dart, "seed dart map must cover the source star exactly"),
+    (_swap_images, "decoration square fails"),
+])
+def test_build_objects_invalid_seed_exits_two(tmp_path, capsys, corrupt, message):
+    x1, x2, seeds = rotation_pair(3)
+    p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
+    write_json(p1, dump_object_graph(x1))
+    write_json(p2, dump_object_graph(x2))
+    entries = _seed_entries(seeds)
+    corrupt(entries[0]["dart_map"])
+    seeds_path = str(tmp_path / "seeds.json")
+    write_json(seeds_path, {"seeds": entries})
+    assert main(["build-objects", p1, p2, "--seeds", seeds_path,
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "input error: " + message in capsys.readouterr().err
+
+
+def test_only_verification_errors_exit_three(tmp_path, capsys, monkeypatch):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    argv = ["regular", c3, c3, "-o", str(tmp_path / "out")]
+
+    def fails(error):
+        def regular_common_cover(*args, **kwargs):
+            raise error
+        return regular_common_cover
+
+    monkeypatch.setattr("commoncover.cli.regular_common_cover",
+                        fails(VerificationError("size bound violated")))
+    assert main(argv) == 3
+    assert "verification failure: size bound violated" in capsys.readouterr().err
+    monkeypatch.setattr("commoncover.cli.regular_common_cover",
+                        fails(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(argv)
+
+
+def test_oracle_long_cycle_without_recursion(tmp_path, capsys):
+    c1200 = _write_graph(tmp_path, "c1200.json", families.cycle(1200))
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    assert main(["oracle", c1200, c3, "--max", "1"]) == 0
+    assert "1200 vertices (degree 1" in capsys.readouterr().out
+
+
+def test_dr_full_budget_exits_two(tmp_path, capsys):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c2500 = _write_graph(tmp_path, "c2500.json", families.cycle(2500))
+    assert main(["build", c3, c2500, "--backend", "star", "--strategy", "dr",
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "budget exceeded: dr_full needs 12530018 arrows" in capsys.readouterr().err

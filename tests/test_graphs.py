@@ -2,8 +2,9 @@ import pytest
 
 from commoncover import families
 from commoncover.graphs import (Graph, GraphError, GraphMorphism,
-                                compose_morphisms, fiber_product,
-                                identity_morphism, is_covering, validate_graph)
+                                VerificationError, compose_morphisms,
+                                fiber_product, finish_cover, identity_morphism,
+                                is_covering, validate_graph)
 from commoncover.oracle import find_covering
 
 
@@ -87,6 +88,25 @@ def test_not_a_graph_morphism_raises():
                         {d: "e00.a" for d in p3.darts})
     with pytest.raises(GraphError, match="not a graph morphism"):
         is_covering(bad)
+
+
+def test_finish_cover_rejects_a_morphism_that_is_not_a_covering():
+    p2, c3 = families.path(2), families.cycle(3)
+    # a valid morphism onto one edge of C3: the third vertex is not covered
+    m = GraphMorphism(p2, c3, {"v00": "v00", "v01": "v01"},
+                      {"e00.a": "e00.a", "e00.b": "e00.b"})
+    assert m.is_valid()
+    with pytest.raises(VerificationError, match="mu1 is not a covering"):
+        finish_cover(m, m)
+
+
+def test_finish_cover_rejects_a_map_that_is_not_a_morphism():
+    c3 = families.cycle(3)
+    good = identity_morphism(c3)
+    bad = GraphMorphism(c3, c3, dict(good.vmap),
+                        {**good.dmap, "e00.a": "e01.a"})
+    with pytest.raises(VerificationError, match="mu2: not a graph morphism"):
+        finish_cover(good, bad)
 
 
 def _cycle_cover_of_rose(n: int) -> GraphMorphism:

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from commoncover import families
-from commoncover.graphs import is_covering
+from commoncover import families, oracle
+from commoncover.graphs import BudgetExceeded, is_covering
 from commoncover.oracle import (brute_common_cover, brute_landau,
                                 find_covering, permutation_cover)
+from conftest import lollipop, random_base_graph, recursive_find_covering
 
 
 def test_c3_c4_minimum_is_twelve():
@@ -70,3 +71,78 @@ def test_brute_landau_values():
     assert brute_landau(10) == 30
     with pytest.raises(ValueError):
         brute_landau(31)
+
+
+def _nodes_visited(search, h, target):
+    """The least budget the search completes within: its node count."""
+    lo, hi = 0, 200000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            search(h, target, budget=mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    return lo
+
+
+def _search_pairs():
+    """(h, target, whether h is known to cover target) for the direct
+    searches of the tier-1 tests, random connected permutation covers of
+    random base graphs, and random unrelated pairs."""
+    full3 = families.with_vertex_colour(
+        families.cycle(3), {"v00": "red", "v01": "blue", "v02": "blue"})
+    bad12 = families.with_vertex_colour(
+        families.cycle(12),
+        {("v%02d" % i): ("red" if i < 2 else "blue") for i in range(12)})
+    pairs = [(families.cycle(12), families.cycle(3), True),
+             (families.cycle(12), full3, True), (bad12, full3, False),
+             (families.cycle(3), families.complete(4), False),
+             (lollipop(), families.rose(1), False)]
+    rng = random.Random(11)
+    for _ in range(50):
+        target = random_base_graph(rng, max_vertices=5)
+        degree = rng.randint(1, 3)
+        voltages = {rep: tuple(rng.sample(range(degree), degree))
+                    for rep in target.edge_reps()}
+        cover = permutation_cover(target, degree, voltages)[0]
+        pairs.append((cover, target, cover.is_connected() or None))
+        pairs.append((random_base_graph(rng, max_vertices=6), target, None))
+    return pairs
+
+
+def test_find_covering_matches_recursive_search():
+    for h, target, covers in _search_pairs():
+        new = find_covering(h, target)
+        old = recursive_find_covering(h, target)
+        assert (new is None) == (old is None)
+        if covers is not None:
+            assert (new is not None) == covers
+        if new is not None:
+            assert (new.vmap, new.dmap) == (old.vmap, old.dmap)
+        assert (_nodes_visited(find_covering, h, target)
+                == _nodes_visited(recursive_find_covering, h, target))
+
+
+@pytest.mark.parametrize("g1, g2, max_degree", [
+    (families.cycle(3), families.cycle(4), 6),
+    (families.theta(3), families.theta(3), 3),
+    (families.cycle(3), families.complete(4), 4),
+    (families.rose(1), families.theta(2), 6),
+    (lollipop(), lollipop(), 6),
+])
+def test_brute_common_cover_matches_recursive_search(monkeypatch, g1, g2,
+                                                     max_degree):
+    new = brute_common_cover(g1, g2, max_degree)
+    monkeypatch.setattr(oracle, "find_covering", recursive_find_covering)
+    old = brute_common_cover(g1, g2, max_degree)
+    assert (new.found, new.degree, new.searched_up_to, new.budget_exceeded) \
+        == (old.found, old.degree, old.searched_up_to, old.budget_exceeded)
+    if new.found:
+        assert (new.to_second.vmap, new.to_second.dmap) \
+            == (old.to_second.vmap, old.to_second.dmap)
+
+
+def test_find_covering_long_cycle_without_recursion():
+    out = find_covering(families.cycle(1200), families.cycle(3))
+    assert out is not None and is_covering(out).ok

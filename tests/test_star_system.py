@@ -1,8 +1,8 @@
 import pytest
 
-from commoncover import families
+from commoncover import families, star_system
 from commoncover.cover_builder import AxiomError
-from commoncover.graphs import GraphError
+from commoncover.graphs import BudgetExceeded, GraphError
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED,
                                      build_star_system,
@@ -19,6 +19,29 @@ def test_dr_full_c3_c4_arrow_counts():
         for y in sys.union.vertices:
             assert len(sys.groupoid.hom(x, y)) == 2
     assert len(sys.groupoid.arrows) == 7 * 7 * 2
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (families.cycle(3), families.cycle(4)),
+    (families.complete(4), families.theta(3)),
+    (families.rose(2), families.complete(5)),
+])
+def test_dr_full_arrow_count_is_exact(monkeypatch, g1, g2):
+    # the preflight count equals the number of arrows built: a budget one
+    # below it refuses the build, a budget equal to it admits it
+    arrows = len(build_star_system(g1, g2).groupoid.arrows)
+    monkeypatch.setattr(star_system, "DR_FULL_ARROW_BUDGET", arrows - 1)
+    with pytest.raises(BudgetExceeded, match="needs %d arrows" % arrows):
+        build_star_system(g1, g2)
+    monkeypatch.setattr(star_system, "DR_FULL_ARROW_BUDGET", arrows)
+    assert len(build_star_system(g1, g2).groupoid.arrows) == arrows
+
+
+def test_dr_full_refuses_an_oversized_system_before_allocating():
+    # one joint block of 2503 vertices with stars of two like darts:
+    # 2503^2 * 2! arrows
+    with pytest.raises(BudgetExceeded, match="needs 12530018 arrows"):
+        build_star_system(families.cycle(3), families.cycle(2500))
 
 
 def test_dr_full_orbits_are_bar_closed():
