@@ -178,6 +178,14 @@ class LocalSystem:
             h.(g.a) = h.((gk).id_e) = (h(gk)).id_e = ((hg)k).id_e = (hg).a,
         and likewise 1.a = a, eps(g.a) = dst g, and g.a = (gk).id_e keeps
         the anchor e and lies in the one-step atom set of e.
+
+        Cost: the darts are walked by origin, and while the origin x stays
+        fixed each pair (h, r) with r out of x is composed at most once and
+        its composite compared by arrow number.  That is at most the sum
+        over r in out(x) of |out(dst r)| compositions per x, so no more than
+        the groupoid's composable pairs in total.  ``act`` is called once
+        for the identity and once per arrow out of x at each dart e, and
+        once per (representative, arrow out of its target).
         """
         union = self.union
         atoms = self.atoms_by_anchor
@@ -218,38 +226,58 @@ class LocalSystem:
         return report
 
     def _check_action(self) -> Optional[str]:
-        """Checks (a) to (d) of ``check_axioms``; the first failure found."""
+        """Checks (a) to (d) of ``check_axioms``; the first failure found.
+
+        Arrows are compared by number, their position in
+        ``groupoid.arrows``.  While the origin x stays fixed, ``row(j)``
+        memoizes the numbers of h.arrows[j] for h out of dst arrows[j], in
+        ``by_source`` order, with -1 where the composite is not an arrow.
+        An arrow t in Stab has dst t = eps(id_e) = x by (a), since atom
+        serials include the image dart, so row(t) runs over out(x).
+        """
         groupoid = self.groupoid
-        for e in self.union.darts:
-            ident = self.identity_atom(e)
-            id_key = self.atom_serial(ident)
-            x = self.union.origin[e]
+        arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
+        act, serial = self.act, self.atom_serial
+        for x in self.union.vertices:
             unit = groupoid.identities.get(x)
-            if unit is None or self.atom_serial(self.act(unit, ident)) != id_key:
-                return "identity action fails over %r" % (x,)
-            out = groupoid.by_source.get(x, ())
-            image, rep = {}, {}
-            for g in out:
-                ga = self.act(g, ident)
-                if self.eps(ga) != g.dst:
-                    return "action target mismatch at %r" % (g.serial,)
-                if self.atom_anchor(ga) != e:
-                    return "action moved an atom anchor at %r" % (g.serial,)
-                image[g.serial] = key = self.atom_serial(ga)
-                rep.setdefault(key, (g, ga))
-            stab = [g for g in out if image[g.serial] == id_key]
-            for f in out:
-                for t in stab:
-                    ft = f.compose(t)
-                    if ft is None or image.get(ft.serial) != image[f.serial]:
-                        return "stabilizer moves the image of %r" % (f.serial,)
-            if any(n != len(stab) for n in Counter(image.values()).values()):
-                return "orbit-stabilizer count fails at %r" % (e,)
-            for r, a in rep.values():
-                for h in groupoid.by_source.get(r.dst, ()):
-                    hr = h.compose(r)
-                    if hr is None or image.get(hr.serial) != self.atom_serial(self.act(h, a)):
-                        return "action compatibility fails at %r" % (h.serial,)
+            out = by_source.get(x, ())
+            out_numbers = [number[g.serial] for g in out]
+            rows = {}
+
+            def row(j):
+                found = rows.get(j)
+                if found is None:
+                    b = arrows[j]
+                    found = rows[j] = [
+                        -1 if hb is None else number.get(hb.serial, -1)
+                        for hb in [h.compose(b) for h in by_source.get(b.dst, ())]]
+                return found
+
+            for e in self.union.star(x):
+                ident = self.identity_atom(e)
+                id_key = serial(ident)
+                if unit is None or serial(act(unit, ident)) != id_key:
+                    return "identity action fails over %r" % (x,)
+                image, rep = {}, {}
+                for g, n in zip(out, out_numbers):
+                    ga = act(g, ident)
+                    if self.eps(ga) != g.dst:
+                        return "action target mismatch at %r" % (g.serial,)
+                    if self.atom_anchor(ga) != e:
+                        return "action moved an atom anchor at %r" % (g.serial,)
+                    image[n] = key = serial(ga)
+                    rep.setdefault(key, (n, ga))
+                stab_rows = [row(n) for n in out_numbers if image[n] == id_key]
+                for i, (f, n) in enumerate(zip(out, out_numbers)):
+                    for ft in stab_rows:
+                        if image.get(ft[i]) != image[n]:
+                            return "stabilizer moves the image of %r" % (f.serial,)
+                if any(c != len(stab_rows) for c in Counter(image.values()).values()):
+                    return "orbit-stabilizer count fails at %r" % (e,)
+                for r, a in rep.values():
+                    for h, hr in zip(by_source.get(arrows[r].dst, ()), row(r)):
+                        if image.get(hr) != serial(act(h, a)):
+                            return "action compatibility fails at %r" % (h.serial,)
         return None
 
 

@@ -60,10 +60,12 @@ class FiniteGroupoid:
         self.by_source = {}
         self.by_pair = {}
         self.by_serial = {}
-        for a in self.arrows:
+        self.number = {}             # serial -> position in ``arrows``
+        for i, a in enumerate(self.arrows):
             self.by_source.setdefault(a.src, []).append(a)
             self.by_pair.setdefault((a.src, a.dst), []).append(a)
             self.by_serial[a.serial] = a
+            self.number[a.serial] = i
 
     def out_count(self, obj) -> int:
         return len(self.by_source.get(obj, ()))
@@ -81,13 +83,13 @@ class FiniteGroupoid:
         list of violation strings (empty when the axioms hold).
         """
         bad = []
-        index = {a.serial: i for i, a in enumerate(self.arrows)}
+        number = self.number
         for x in self.objects:
             if x not in self.identities:
                 bad.append("missing identity at %r" % (x,))
         for a in self.arrows:
             inv = a.inverse()
-            if inv.serial not in index:
+            if inv.serial not in number:
                 bad.append("inverse missing for %r" % (a.serial,))
                 continue
             left = inv.compose(a)
@@ -100,15 +102,15 @@ class FiniteGroupoid:
         for j, b in enumerate(self.arrows):
             for a in self.by_source.get(b.dst, ()):
                 ab = a.compose(b)
-                k = index.get(ab.serial) if ab is not None else None
+                k = number.get(ab.serial) if ab is not None else None
                 if k is None:
                     bad.append("not closed under composition at (%r, %r)"
                                % (a.serial, b.serial))
                 else:
-                    table[index[a.serial], j] = k
+                    table[number[a.serial], j] = k
         if bad:
             return bad
-        out = [[index[a.serial] for a in self.by_source.get(b.dst, ())]
+        out = [[number[a.serial] for a in self.by_source.get(b.dst, ())]
                for b in self.arrows]
         for j in range(len(self.arrows)):
             for i in out[j]:

@@ -4,6 +4,7 @@ cross-validation is meaningful; only the graph model is shared."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from math import lcm
@@ -54,11 +55,16 @@ def _non_tree_reps(g: Graph):
 
 def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[GraphMorphism]:
     """Backtracking search for a covering morphism h -> target: depth first
-    over an explicit stack, one budget unit per node, undone on backtracking."""
+    over an explicit stack, one budget unit per node, undone on backtracking.
+
+    Each node maps the first unmapped dart of ``h.darts`` whose origin is
+    mapped, taken from a heap of dart positions rather than a scan of
+    ``h.darts``, so a search that never backtracks costs O(n log n)."""
     if not h.vertices:
         return None
     counter = budget
     v0 = h.vertices[0]
+    position = {d: i for i, d in enumerate(h.darts)}
 
     def compatible(v, w):
         if h.degree(v) != target.degree(w):
@@ -68,10 +74,12 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
         return cv is None or cw is None or cv == cw
 
     def images(pending, vmap, dmap):
-        # lazily, so each image is tested against the maps as they stand
+        # lazily, so each image is tested against the maps as they stand;
+        # e must be unused in the star of v, and its reverse in that of w
         v = h.origin[pending]
         w = h.head(pending)
         used = {dmap[x] for x in h.star(v) if x in dmap}
+        used_at_w = {dmap[x] for x in h.star(w) if x in dmap} if w in vmap else ()
         hc = h.dart_colour.get(pending)
         for e in target.star(vmap[v]):
             if e in used:
@@ -81,22 +89,37 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
                 continue
             tw = target.head(e)
             if w in vmap:
-                if vmap[w] != tw:
+                if vmap[w] != tw or target.reverse[e] in used_at_w:
                     continue
             elif not compatible(w, tw):
                 continue
             yield e
 
+    def pending_dart(frontier, vmap, dmap):
+        # the first unmapped dart of h.darts whose origin is mapped: the
+        # frontier heap holds every such dart's index, plus stale entries
+        # that are dropped here
+        while frontier:
+            d = h.darts[frontier[0]]
+            if d not in dmap and h.origin[d] in vmap:
+                return d
+            heapq.heappop(frontier)
+        return None
+
+    def push_star(frontier, v):
+        for d in h.star(v):
+            heapq.heappush(frontier, position[d])
+
     for w0 in target.vertices:
         if not compatible(v0, w0):
             continue
-        vmap, dmap, stack = {v0: w0}, {}, []
+        vmap, dmap, stack, frontier = {v0: w0}, {}, [], []
+        push_star(frontier, v0)
         while True:
             counter -= 1
             if counter < 0:
                 raise BudgetExceeded("oracle search budget exceeded")
-            pending = next((d for d in h.darts
-                            if d not in dmap and h.origin[d] in vmap), None)
+            pending = pending_dart(frontier, vmap, dmap)
             if pending is not None:
                 stack.append((pending, images(pending, vmap, dmap),
                               h.head(pending) not in vmap))
@@ -109,8 +132,10 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
             # apply its next untried one, popping exhausted frames
             while stack:
                 pending, untried, fresh = stack[-1]
-                dmap.pop(pending, None)
-                dmap.pop(h.reverse[pending], None)
+                if pending in dmap:
+                    for d in (pending, h.reverse[pending]):
+                        del dmap[d]
+                        heapq.heappush(frontier, position[d])
                 if fresh:
                     vmap.pop(h.head(pending), None)
                 e = next(untried, None)
@@ -118,6 +143,8 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
                     vmap[h.head(pending)] = target.head(e)
                     dmap[pending] = e
                     dmap[h.reverse[pending]] = target.reverse[e]
+                    if fresh:
+                        push_star(frontier, h.head(pending))
                     break
                 stack.pop()
             else:

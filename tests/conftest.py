@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -87,11 +88,99 @@ def all_pairs_closure(atoms, objects, identity_factory) -> list:
     return sorted(arrows)
 
 
+def reference_check_action(self):
+    """``LocalSystem._check_action`` as it was before arrows were numbered:
+    one dart at a time, every pair composed afresh and arrows compared by
+    serial.  It serves as the reference for the action-law verdict, and
+    takes the local system as ``self``."""
+    groupoid = self.groupoid
+    for e in self.union.darts:
+        ident = self.identity_atom(e)
+        id_key = self.atom_serial(ident)
+        x = self.union.origin[e]
+        unit = groupoid.identities.get(x)
+        if unit is None or self.atom_serial(self.act(unit, ident)) != id_key:
+            return "identity action fails over %r" % (x,)
+        out = groupoid.by_source.get(x, ())
+        image, rep = {}, {}
+        for g in out:
+            ga = self.act(g, ident)
+            if self.eps(ga) != g.dst:
+                return "action target mismatch at %r" % (g.serial,)
+            if self.atom_anchor(ga) != e:
+                return "action moved an atom anchor at %r" % (g.serial,)
+            image[g.serial] = key = self.atom_serial(ga)
+            rep.setdefault(key, (g, ga))
+        stab = [g for g in out if image[g.serial] == id_key]
+        for f in out:
+            for t in stab:
+                ft = f.compose(t)
+                if ft is None or image.get(ft.serial) != image[f.serial]:
+                    return "stabilizer moves the image of %r" % (f.serial,)
+        if any(n != len(stab) for n in Counter(image.values()).values()):
+            return "orbit-stabilizer count fails at %r" % (e,)
+        for r, a in rep.values():
+            for h in groupoid.by_source.get(r.dst, ()):
+                hr = h.compose(r)
+                if hr is None or image.get(hr.serial) != self.atom_serial(self.act(h, a)):
+                    return "action compatibility fails at %r" % (h.serial,)
+    return None
+
+
+def corrupt_act(sys, corrupt):
+    """Replace the system's act so that it corrupts the atom produced by
+    one cross arrow, and drop the cached atom sets."""
+    victim = sys.cross_arrows()[0].serial
+    act = sys.act
+
+    def mutant(arrow, atom):
+        out = act(arrow, atom)
+        return corrupt(out) if arrow.serial == victim else out
+
+    sys.act = mutant
+    sys.__dict__.pop("atoms_by_anchor", None)
+
+
+def corrupt_compose(sys, monkeypatch):
+    """Make compose return a wrong arrow for one pair (h, r) that check (d)
+    of ``check_axioms`` tests.  r is the first arrow out of an object x, so
+    it represents its atom at every dart of x; the wrong arrow has the
+    composite's source and target but moves some identity atom at x
+    elsewhere.  Returns False, patching nothing, when no such pair exists."""
+    def moved(arrow, x):
+        return {sys.atom_serial(sys.act_identity(arrow, e)) for e in sys.union.star(x)}
+
+    def pairs():
+        for x in sys.union.vertices:
+            r = sys.groupoid.by_source[x][0]
+            for h in sys.groupoid.by_source[r.dst]:
+                right = moved(h.compose(r), x)
+                for w in sys.groupoid.hom(x, h.dst):
+                    if moved(w, x) != right:
+                        yield h, r, w
+
+    h, r, wrong = next(pairs(), (None, None, None))
+    if h is None:
+        return False
+    compose = type(h).compose
+
+    def corrupted(self, other):
+        if self.serial == h.serial and other.serial == r.serial:
+            return wrong
+        return compose(self, other)
+
+    monkeypatch.setattr(type(h), "compose", corrupted)
+    return True
+
+
 def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
     """The recursive backtracking search that ``oracle.find_covering``
     replaced: one recursion level per search node, both maps copied at
-    every level.  It serves as the reference for the visit order, the
-    budget accounting and the first morphism found."""
+    every level, the pending dart found by a scan of ``h.darts``.  It
+    serves as the reference for the visit order, the budget accounting and
+    the first morphism found.  An image dart must be unused in the star of
+    the pending dart's origin, and its reverse unused in the star of the
+    head."""
     if not h.vertices:
         return None
     counter = [budget]
@@ -129,7 +218,8 @@ def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
             w = h.head(pending)
             tw = target.head(e)
             if w in vmap:
-                if vmap[w] != tw:
+                if vmap[w] != tw or target.reverse[e] in {
+                        dmap[x] for x in h.star(w) if x in dmap}:
                     continue
             elif not compatible(w, tw):
                 continue
@@ -194,6 +284,12 @@ def random_base_graph(rng: random.Random, max_vertices: int = 8,
         edges.append((u, w))
         degree[u] += 1
         degree[w] += 1
+    return edge_list_graph(vertices, edges)
+
+
+def edge_list_graph(vertices, edges) -> Graph:
+    """Graph with one edge per (u, w) pair, its darts named as
+    ``random_base_graph`` names them: "eKK.a" from u and "eKK.b" from w."""
     darts, origin, reverse = [], {}, {}
     for k, (u, w) in enumerate(edges):
         a, b = "e%02d.a" % k, "e%02d.b" % k

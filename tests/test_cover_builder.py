@@ -13,6 +13,8 @@ from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
                                      build_star_system_retrying)
 
+from conftest import corrupt_act, corrupt_compose
+
 
 def test_star_backend_c3_c4_least_component_matches_oracle():
     sys = build_star_system(families.cycle(3), families.cycle(4))
@@ -177,20 +179,12 @@ def test_single_vertex_pair_builds_trivial_cover():
 
 
 def _mutated(sys, corrupt):
-    """Replace the system's act so that it corrupts the atom produced by
-    one cross arrow, recompute the atom sets and rerun the axiom checks.
+    """Corrupt the atom one cross arrow produces (``conftest.corrupt_act``)
+    and rerun the axiom checks.
 
     The tests require the action law itself to fail, not only bar closure.
     """
-    victim = sys.cross_arrows()[0].serial
-    act = sys.act
-
-    def mutant(arrow, atom):
-        out = act(arrow, atom)
-        return corrupt(out) if arrow.serial == victim else out
-
-    sys.act = mutant
-    sys.__dict__.pop("atoms_by_anchor", None)
+    corrupt_act(sys, corrupt)
     return sys.check_axioms()
 
 
@@ -225,3 +219,54 @@ def test_corrupted_atom_payload_fails_axioms():
     report = _mutated(objects, lambda atom: ObjectAtom(
         atom.anchor, atom.image, obj_compose(rotation_map(3), atom.morph)))
     assert not report.ok and not report.action_ok
+
+
+# -- the action-law check composes each pair it needs once per origin ---------
+
+
+def _recheck_counting(sys, monkeypatch):
+    """Rerun check_axioms with the arrow class's compose counted."""
+    calls = [0]
+    cls = type(sys.groupoid.arrows[0])
+    compose = cls.compose
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(cls, "compose", counted)
+    sys.axioms = None
+    report = sys.check_axioms()
+    monkeypatch.undo()
+    return report, calls[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_star_system_retrying(families.theta(3), families.complete(4),
+                                       STRATEGY_ALIGNED),
+    lambda: build_star_system(families.theta(3), families.complete_bipartite(3, 3)),
+    lambda: build_ball_system_retrying(families.complete(4), families.theta(3), 1),
+], ids=["star-aligned-theta3-k4", "star-dr-theta3-k33", "ball-R1-k4-theta3"])
+def test_action_check_composes_at_most_the_composable_pairs(build, monkeypatch):
+    sys = build()
+    gpd = sys.groupoid
+    report, calls = _recheck_counting(sys, monkeypatch)
+    assert report.ok
+    # the composable pairs: sum over b of |out(dst b)|
+    assert calls <= sum(gpd.out_count(b.dst) for b in gpd.arrows)
+
+
+def test_wrong_composite_fails_the_action_check(monkeypatch):
+    # the ball system on C3 and C4 has one arrow per hom set, so no wrong
+    # arrow with the same source and target exists there
+    x1, x2, seeds = rotation_pair(3)
+    k4, th3 = families.complete(4), families.theta(3)
+    for sys in (build_star_system(families.cycle(3), families.cycle(4)),
+                build_ball_system_retrying(k4, th3, 1),
+                close_star_maps(x1, x2, seeds)):
+        assert sys.axioms.ok
+        assert corrupt_compose(sys, monkeypatch)
+        sys.axioms = None
+        report = sys.check_axioms()
+        monkeypatch.undo()
+        assert not report.action_ok, sys.kind

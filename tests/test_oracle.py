@@ -6,7 +6,8 @@ from commoncover import families, oracle
 from commoncover.graphs import BudgetExceeded, is_covering
 from commoncover.oracle import (brute_common_cover, brute_landau,
                                 find_covering, permutation_cover)
-from conftest import lollipop, random_base_graph, recursive_find_covering
+from conftest import (edge_list_graph, lollipop, random_base_graph,
+                      recursive_find_covering)
 
 
 def test_c3_c4_minimum_is_twelve():
@@ -146,3 +147,41 @@ def test_brute_common_cover_matches_recursive_search(monkeypatch, g1, g2,
 def test_find_covering_long_cycle_without_recursion():
     out = find_covering(families.cycle(1200), families.cycle(3))
     assert out is not None and is_covering(out).ok
+
+
+def _vertices(n):
+    return ["v%02d" % i for i in range(n)]
+
+
+# (h, target) pairs of the 3,000 drawn from random.Random(1) as
+# random_base_graph(rng, 4) then random_base_graph(rng, 8) on which the
+# search once mapped two darts of a star to one image dart, through the
+# reverse of the pending dart, and raised VerificationError
+REVERSE_CLASH_PAIRS = [
+    (edge_list_graph(_vertices(3), [("v01", "v00"), ("v02", "v00"),
+                                    ("v02", "v01"), ("v02", "v00")]),
+     edge_list_graph(_vertices(4), [("v01", "v00"), ("v02", "v01"),
+                                    ("v03", "v00"), ("v03", "v03")])),
+    (edge_list_graph(_vertices(5), [("v01", "v00"), ("v02", "v00"),
+                                    ("v03", "v00"), ("v04", "v01"),
+                                    ("v02", "v02"), ("v03", "v00"),
+                                    ("v02", "v01"), ("v04", "v03"),
+                                    ("v04", "v04")]),
+     edge_list_graph(_vertices(3), [("v01", "v00"), ("v02", "v01"),
+                                    ("v00", "v01"), ("v00", "v00")])),
+    (edge_list_graph(_vertices(3), [("v01", "v00"), ("v02", "v00"),
+                                    ("v01", "v02"), ("v01", "v00")]),
+     edge_list_graph(_vertices(4), [("v01", "v00"), ("v02", "v00"),
+                                    ("v03", "v01"), ("v03", "v03")])),
+]
+
+
+@pytest.mark.parametrize("h, target", REVERSE_CLASH_PAIRS)
+def test_search_checks_the_reverse_image_at_the_head(h, target):
+    # no covering exists: a covering of connected graphs multiplies the
+    # vertex count, and here the target's count does not divide h's
+    assert len(h.vertices) % len(target.vertices) != 0
+    assert find_covering(h, target) is None
+    assert recursive_find_covering(h, target) is None
+    assert not brute_common_cover(h, target, 1).found
+
