@@ -38,19 +38,45 @@ class SchemaError(GraphError):
     """Malformed input data or parameters (exit 2)."""
 
 
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _scalar(x) -> str:
+    return _quote(x) if isinstance(x, str) else json.dumps(x)
+
+
+def _write(write, x, nl: str, head: str = "") -> None:
+    """Write ``head`` and x as ``json.dump(x, sort_keys=True, indent=2)``
+    does at indentation ``nl``: in one piece if x holds only plain scalars,
+    else one piece per entry.  ``json.dumps({k: 0})`` names a non-str key."""
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in sorted(x.items())}
-    return x
+        brackets, values = "{}", x.values()
+        entries = [((_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                    + ": ", v) for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        brackets, values, entries = "[]", x, [("", v) for v in x]
+    else:
+        return write(head + _scalar(x))
+    inner = nl + "  "
+    if not entries:
+        write(head + brackets)
+    elif set(map(type, values)) <= _SCALARS:
+        write(head + brackets[0] + inner + ("," + inner).join(
+            [p + _scalar(v) for p, v in entries]) + nl + brackets[1])
+    else:
+        lead = head + brackets[0] + inner
+        for prefix, v in entries:
+            _write(write, v, inner, lead + prefix)
+            lead = "," + inner
+        write(nl + brackets[1])
 
 
 def write_json(path: str, payload) -> None:
+    """The bytes of ``json.dump(payload, fh, sort_keys=True, indent=2)``
+    and a newline, written in pieces, without the pure-Python encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        _write(fh.write, payload, "\n")
         fh.write("\n")
 
 

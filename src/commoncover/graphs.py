@@ -220,27 +220,31 @@ class GraphMorphism:
 
     def violations(self) -> list:
         bad = []
-        target_vertices = set(self.target.vertices)
-        target_darts = set(self.target.darts)
-        for v in self.source.vertices:
-            if self.vmap.get(v) not in target_vertices:
+        src, tgt, vmap, dmap = self.source, self.target, self.vmap, self.dmap
+        target_vertices, target_darts = set(tgt.vertices), set(tgt.darts)
+        for v in src.vertices:
+            if vmap.get(v) not in target_vertices:
                 bad.append("vertex %r has no valid image" % (v,))
-        for d in self.source.darts:
-            e = self.dmap.get(d)
+        s_origin, s_reverse, t_origin, t_reverse = (src.origin, src.reverse,
+                                                    tgt.origin, tgt.reverse)
+        # colours are compared only where both graphs carry them
+        s_colour, t_colour = src.dart_colour, tgt.dart_colour
+        for d in src.darts:
+            e = dmap.get(d)
             if e not in target_darts:
                 bad.append("dart %r has no valid image" % (d,))
                 continue
-            if self.vmap.get(self.source.origin[d]) != self.target.origin[e]:
+            if vmap.get(s_origin[d]) != t_origin[e]:
                 bad.append("origin not preserved at dart %r" % (d,))
-            if self.dmap.get(self.source.reverse[d]) != self.target.reverse[e]:
+            if dmap.get(s_reverse[d]) != t_reverse[e]:
                 bad.append("reversal not preserved at dart %r" % (d,))
-            sc = self.source.dart_colour.get(d)
-            tc = self.target.dart_colour.get(e)
-            if sc is not None and tc is not None and sc != tc:
-                bad.append("dart colour not preserved at %r" % (d,))
-        for v in self.source.vertices:
-            sc = self.source.vertex_colour.get(v)
-            tc = self.target.vertex_colour.get(self.vmap.get(v))
+            if s_colour and t_colour:
+                sc, tc = s_colour.get(d), t_colour.get(e)
+                if sc is not None and tc is not None and sc != tc:
+                    bad.append("dart colour not preserved at %r" % (d,))
+        s_colour, t_colour = src.vertex_colour, tgt.vertex_colour
+        for v in (src.vertices if s_colour and t_colour else ()):
+            sc, tc = s_colour.get(v), t_colour.get(vmap.get(v))
             if sc is not None and tc is not None and sc != tc:
                 bad.append("vertex colour not preserved at %r" % (v,))
         return bad
@@ -288,10 +292,12 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
     for d in m.target.darts:
         if d not in covered_d:
             return CoveringReport(False, "dart not covered", d)
-    for v in m.source.vertices:
-        image = [m.dmap[d] for d in m.source.star(v)]
-        target_star = m.target.star(m.vmap[v])
-        if len(set(image)) != len(image) or sorted(image) != list(target_star):
+    vmap, dmap, target_star = m.vmap, m.dmap, m.target._star
+    for v, star in m.source._star.items():
+        # violations() put the image of every dart of the star into the star
+        # of vmap[v], so the star map is a bijection exactly when the images
+        # are distinct and as many as the darts of that star
+        if not len({dmap[d] for d in star}) == len(star) == len(target_star[vmap[v]]):
             return CoveringReport(False, "star map not bijective", v)
     return CoveringReport(True)
 
@@ -348,8 +354,8 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
 
     ``mu1`` and ``mu2`` share the assembled cover graph as source.  The
     graph is validated, both maps are verified as coverings and the
-    component sizes are recorded.  With a ``seed`` vertex the cover is cut
-    to the seed's component, otherwise, unless ``component`` is "all", to
+    component sizes are recorded.  A cover of several components is cut to
+    the ``seed`` vertex's component or, unless ``component`` is "all", to
     the least one (smallest, ties broken by the sorted vertex ids).  A cut
     is verified again and the provenance labels are restricted with it.
     """
@@ -365,15 +371,16 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
             chosen = min(comps, key=lambda c: (len(c), c))
         else:
             chosen = next(c for c in comps if seed in c)
-        sub = mu1.source.restrict(chosen)
-        mu1, mu2 = [GraphMorphism(sub, mu.target,
-                                  {v: mu.vmap[v] for v in sub.vertices},
-                                  {d: mu.dmap[d] for d in sub.darts})
-                    for mu in (mu1, mu2)]
-        _verify_cover(mu1, mu2, "component ")
-        if vertex_label is not None:
-            vertex_label = {v: vertex_label[v] for v in sub.vertices}
-            dart_label = {d: dart_label[d] for d in sub.darts}
+        if len(comps) > 1:
+            sub = mu1.source.restrict(chosen)
+            mu1, mu2 = [GraphMorphism(sub, mu.target,
+                                      {v: mu.vmap[v] for v in sub.vertices},
+                                      {d: mu.dmap[d] for d in sub.darts})
+                        for mu in (mu1, mu2)]
+            _verify_cover(mu1, mu2, "component ")
+            if vertex_label is not None:
+                vertex_label = {v: vertex_label[v] for v in sub.vertices}
+                dart_label = {d: dart_label[d] for d in sub.darts}
     return Cover(mu1.source, mu1, mu2, tuple(len(c) for c in comps), n_multiple,
                  vertex_label, dart_label, seed, extra)
 
@@ -406,28 +413,27 @@ def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
         if not is_covering(m).ok:
             raise GraphError("fiber product requires coverings")
     g1, g2 = m1.source, m2.source
-    vpairs = [(u, v) for u in g1.vertices for v in g2.vertices
-              if m1.vmap[u] == m2.vmap[v]]
-    dpairs = [(d, e) for d in g1.darts for e in g2.darts
-              if m1.dmap[d] == m2.dmap[e]]
-    vid = {p: pair_id(*p) for p in vpairs}
-    did = {p: pair_id(*p) for p in dpairs}
-    origin = {did[(d, e)]: vid[(g1.origin[d], g2.origin[e])] for d, e in dpairs}
-    reverse = {did[(d, e)]: did[(g1.reverse[d], g2.reverse[e])] for d, e in dpairs}
-    vcol = {vid[(u, v)]: g1.vertex_colour[u] for u, v in vpairs
+    over_v, over_d = {}, {}
+    for v in g2.vertices:
+        over_v.setdefault(m2.vmap[v], []).append(v)
+    for e in g2.darts:
+        over_d.setdefault(m2.dmap[e], []).append(e)
+    vpairs = [(u, v) for u in g1.vertices for v in over_v.get(m1.vmap[u], ())]
+    dpairs = [(d, e) for d in g1.darts for e in over_d.get(m1.dmap[d], ())]
+    vertex_pairs = {pair_id(*p): p for p in vpairs}
+    dart_pairs = {pair_id(*p): p for p in dpairs}
+    origin = {i: pair_id(g1.origin[d], g2.origin[e]) for i, (d, e) in dart_pairs.items()}
+    reverse = {i: pair_id(g1.reverse[d], g2.reverse[e])
+               for i, (d, e) in dart_pairs.items()}
+    vcol = {i: g1.vertex_colour[u] for i, (u, _) in vertex_pairs.items()
             if u in g1.vertex_colour}
-    dcol = {did[(d, e)]: g1.dart_colour[d] for d, e in dpairs
+    dcol = {i: g1.dart_colour[d] for i, (d, _) in dart_pairs.items()
             if d in g1.dart_colour}
-    graph = Graph(vid.values(), did.values(), origin, reverse, vcol, dcol)
-    proj1 = GraphMorphism(graph, g1,
-                          {vid[p]: p[0] for p in vpairs},
-                          {did[p]: p[0] for p in dpairs})
-    proj2 = GraphMorphism(graph, g2,
-                          {vid[p]: p[1] for p in vpairs},
-                          {did[p]: p[1] for p in dpairs})
-    return FiberProduct(graph, proj1, proj2,
-                        {vid[p]: p for p in vpairs},
-                        {did[p]: p for p in dpairs})
+    graph = Graph(vertex_pairs, dart_pairs, origin, reverse, vcol, dcol)
+    proj1, proj2 = [GraphMorphism(graph, g, {i: p[k] for i, p in vertex_pairs.items()},
+                                  {i: p[k] for i, p in dart_pairs.items()})
+                    for k, g in enumerate((g1, g2))]
+    return FiberProduct(graph, proj1, proj2, vertex_pairs, dart_pairs)
 
 
 def disjoint_union(g1: Graph, g2: Graph, prefix1: str = "1:", prefix2: str = "2:") -> Graph:

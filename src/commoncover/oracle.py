@@ -81,11 +81,14 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
         used = {dmap[x] for x in h.star(v) if x in dmap}
         used_at_w = {dmap[x] for x in h.star(w) if x in dmap} if w in vmap else ()
         hc = h.dart_colour.get(pending)
+        hrc = h.dart_colour.get(h.reverse[pending])
         for e in target.star(vmap[v]):
             if e in used:
                 continue
             tc = target.dart_colour.get(e)
-            if hc is not None and tc is not None and hc != tc:
+            trc = target.dart_colour.get(target.reverse[e])
+            if (hc is not None and tc is not None and hc != tc
+                    or hrc is not None and trc is not None and hrc != trc):
                 continue
             tw = target.head(e)
             if w in vmap:

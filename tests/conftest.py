@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from commoncover import families
-from commoncover.graphs import BudgetExceeded, Graph, GraphMorphism
+from commoncover.graphs import BudgetExceeded, Graph, GraphError, GraphMorphism
 
 
 @pytest.fixture
@@ -173,6 +173,60 @@ def corrupt_compose(sys, monkeypatch):
     return True
 
 
+def reference_violations(m: GraphMorphism) -> list:
+    """``GraphMorphism.violations`` as it was before its tables were bound
+    to locals and its colour checks skipped for uncoloured graphs; the
+    reference for the list of violations and its order."""
+    bad = []
+    target_vertices = set(m.target.vertices)
+    target_darts = set(m.target.darts)
+    for v in m.source.vertices:
+        if m.vmap.get(v) not in target_vertices:
+            bad.append("vertex %r has no valid image" % (v,))
+    for d in m.source.darts:
+        e = m.dmap.get(d)
+        if e not in target_darts:
+            bad.append("dart %r has no valid image" % (d,))
+            continue
+        if m.vmap.get(m.source.origin[d]) != m.target.origin[e]:
+            bad.append("origin not preserved at dart %r" % (d,))
+        if m.dmap.get(m.source.reverse[d]) != m.target.reverse[e]:
+            bad.append("reversal not preserved at dart %r" % (d,))
+        sc = m.source.dart_colour.get(d)
+        tc = m.target.dart_colour.get(e)
+        if sc is not None and tc is not None and sc != tc:
+            bad.append("dart colour not preserved at %r" % (d,))
+    for v in m.source.vertices:
+        sc = m.source.vertex_colour.get(v)
+        tc = m.target.vertex_colour.get(m.vmap.get(v))
+        if sc is not None and tc is not None and sc != tc:
+            bad.append("vertex colour not preserved at %r" % (v,))
+    return bad
+
+
+def reference_is_covering(m: GraphMorphism):
+    """``graphs.is_covering`` as it was before its star test counted images:
+    (reason, witness) of the first failure, None for a covering, and
+    GraphError when ``reference_violations`` finds any."""
+    bad = reference_violations(m)
+    if bad:
+        raise GraphError("not a graph morphism: " + "; ".join(bad[:3]))
+    covered_v = set(m.vmap.values())
+    for v in m.target.vertices:
+        if v not in covered_v:
+            return "vertex not covered", v
+    covered_d = set(m.dmap.values())
+    for d in m.target.darts:
+        if d not in covered_d:
+            return "dart not covered", d
+    for v in m.source.vertices:
+        image = [m.dmap[d] for d in m.source.star(v)]
+        target_star = m.target.star(m.vmap[v])
+        if len(set(image)) != len(image) or sorted(image) != list(target_star):
+            return "star map not bijective", v
+    return None
+
+
 def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
     """The recursive backtracking search that ``oracle.find_covering``
     replaced: one recursion level per search node, both maps copied at
@@ -180,7 +234,8 @@ def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
     serves as the reference for the visit order, the budget accounting and
     the first morphism found.  An image dart must be unused in the star of
     the pending dart's origin, and its reverse unused in the star of the
-    head."""
+    head; the colours of both darts and both reverses must agree where
+    both are set."""
     if not h.vertices:
         return None
     counter = [budget]
@@ -213,6 +268,10 @@ def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
                 continue
             hc = h.dart_colour.get(pending)
             tc = target.dart_colour.get(e)
+            if hc is not None and tc is not None and hc != tc:
+                continue
+            hc = h.dart_colour.get(h.reverse[pending])
+            tc = target.dart_colour.get(target.reverse[e])
             if hc is not None and tc is not None and hc != tc:
                 continue
             w = h.head(pending)

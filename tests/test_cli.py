@@ -1,7 +1,10 @@
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commoncover import families
 from commoncover.cli import (dump_graph, dump_object_graph, load_graph,
@@ -359,3 +362,39 @@ def test_dr_full_budget_exits_two(tmp_path, capsys):
     assert main(["build", c3, c2500, "--backend", "star", "--strategy", "dr",
                  "-o", str(tmp_path / "out")]) == 2
     assert "budget exceeded: dr_full needs 12530018 arrows" in capsys.readouterr().err
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\\\"\n\r\t\b\f", "\x00\x1f\x7f", "é ü", "  ", "𝄞 ☃"])
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=30)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("json") / "out.json")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(payload=_PAYLOADS)
+def test_write_json_writes_the_bytes_of_json_dump(json_path, payload):
+    write_json(json_path, payload)
+    ref = io.StringIO()
+    json.dump(payload, ref, sort_keys=True, indent=2)
+    ref.write("\n")
+    with open(json_path, "rb") as fh:
+        assert fh.read() == ref.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {(1, 2): "pair"},
+                                     {"a": [1, {"b": b"bytes"}]}])
+def test_write_json_rejects_values_json_cannot_hold(tmp_path, payload):
+    with pytest.raises(TypeError):
+        write_json(str(tmp_path / "out.json"), payload)
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)

@@ -11,6 +11,9 @@ seeds with ``derandomize=True``, so every run checks the same pairs.
   ``conftest.reference_check_action``, also on systems with a corrupted
   action or a corrupted composition;
 * ``oracle.find_covering`` returns a covering or None, and never raises;
+* ``regular`` builds on random cubic pairs pass ``cli verify`` from disk,
+  stay within ``bounds.bound_report("regular", ...)`` and are
+  byte-identical when run twice;
 * no command exits 3 on a pair that ``common_cover_exists`` rejects.
 """
 
@@ -26,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from commoncover import cli
+from commoncover.bounds import bound_report
 from commoncover.graphs import is_covering
 from commoncover.oracle import find_covering, permutation_cover
 from commoncover.refinement import common_cover_exists
@@ -33,7 +37,7 @@ from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
 from conftest import (corrupt_act, corrupt_compose, random_base_graph,
-                      reference_check_action)
+                      random_cubic_graph, reference_check_action)
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -93,6 +97,26 @@ def test_star_builds_verify_from_disk(seed):
             with open(os.path.join(out, "cover.json"), encoding="utf-8") as fh:
                 size = len(json.load(fh)["graph"]["vertices"])
             assert size % len(g1.vertices) == 0 and size % len(g2.vertices) == 0
+
+
+@_settings(45)
+@given(SEEDS)
+def test_regular_builds_verify_from_disk_and_repeat(seed):
+    rng = random.Random(seed)
+    g1, g2 = (random_cubic_graph(rng, 2 * rng.randint(2, 10)) for _ in range(2))
+    with _on_disk(g1, g2) as (tmp, p1, p2):
+        runs = []
+        for out in (os.path.join(tmp, "a"), os.path.join(tmp, "b")):
+            assert _run("regular", p1, p2, "-o", out) == 0
+            runs.append({})
+            for name in ("cover.json", "mu1.json", "mu2.json"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    runs[-1][name] = fh.read()
+        assert runs[0] == runs[1]
+        assert _run("verify", out, p1, p2) == 0
+        total = json.loads(runs[0]["cover.json"])["total_vertices"]
+        assert bound_report("regular", actual=total, v1=len(g1.vertices),
+                            v2=len(g2.vertices), odd=True).satisfied
 
 
 def _wrong_image_dart(sys):

@@ -18,6 +18,8 @@ from commoncover.object_graphs import rotation_pair
 GRAPHS = {
     "c3": lambda: families.cycle(3),
     "c4": lambda: families.cycle(4),
+    "k4": lambda: families.complete(4),
+    "k33": lambda: families.complete_bipartite(3, 3),
     "rose2": lambda: families.rose(2),
     "theta4": lambda: families.theta(4),
 }
@@ -31,6 +33,8 @@ CASES = {
     "glue-c3-c4": ("build", "c3", "c4", ["--backend", "glue", "-R", "1"]),
     "glue-rose2-theta4": ("build", "rose2", "theta4", ["--backend", "glue", "-R", "1"]),
     "regular-c3-c4": ("regular", "c3", "c4", []),
+    # odd degree: bipartite doubles, two components of 24, cut to one
+    "regular-k4-k33": ("regular", "k4", "k33", []),
     "objects-rotation3": ("build-objects", "x1", "x2", None),
 }
 
@@ -114,6 +118,14 @@ GOLDEN = {
             "a5d499cb6d06f75502d72e5cc4f04ee8dd364566f9b7d4976a7e8a2f753fb363",
         "mu2.json":
             "2697e1f6c4b6a208f0dde26df6bfc6c5ae65647e8d7bbf53fdc3b53629bb3b5a",
+    },
+    "regular-k4-k33": {
+        "cover.json":
+            "7546ef258211b4fc37bf001bbb9a19e392087df4cdfce5954465b08087edcac8",
+        "mu1.json":
+            "62fa33227d12a401d851d10297764b617161e14febd89d7c27f54279afc4bc96",
+        "mu2.json":
+            "2630108f385964b4bebc50ff69f56724346529931949362610b6454b452af899",
     },
     "star-aligned-c3-c4": {
         "cover.json":

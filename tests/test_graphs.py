@@ -7,6 +7,8 @@ from commoncover.graphs import (Graph, GraphError, GraphMorphism,
                                 is_covering, validate_graph)
 from commoncover.oracle import find_covering
 
+from conftest import reference_is_covering, reference_violations
+
 
 def test_validate_well_formed_fixtures():
     for g in (families.cycle(3), families.complete(4), families.rose(2),
@@ -178,3 +180,111 @@ def test_diameter_and_components():
     assert len(two.components()) == 2
     with pytest.raises(GraphError):
         two.diameter()
+
+
+def _coloured(g: Graph, vertex_colour, dart_colour) -> Graph:
+    return Graph(g.vertices, g.darts, g.origin, g.reverse, vertex_colour, dart_colour)
+
+
+def _morphism_fixtures():
+    """The morphisms of this file, coverings or not, plus coloured and
+    uncoloured sources and targets."""
+    p2, p3, r1 = families.path(2), families.path(3), families.rose(1)
+    c3, theta2, theta3 = families.cycle(3), families.theta(2), families.theta(3)
+    collapse = GraphMorphism(p3, r1, {v: "v00" for v in p3.vertices},
+                             {"e00.a": "e00.a", "e00.b": "e00.b",
+                              "e01.a": "e00.b", "e01.b": "e00.a"})
+    not_cover = GraphMorphism(p3, r1, {v: "v00" for v in p3.vertices},
+                              {"e00.a": "e00.a", "e00.b": "e00.b",
+                               "e01.a": "e00.a", "e01.b": "e00.b"})
+    wrap = _wrap_cycle(12, 3)
+    paint12 = _coloured(wrap.source, {v: "red" for v in wrap.source.vertices},
+                        {d: d[-1] for d in wrap.source.darts})
+    paint3 = _coloured(c3, {"v00": "red", "v01": "red", "v02": "blue"},
+                       {d: "a" for d in c3.darts})
+    fp = fiber_product(_cycle_cover_of_rose(3), _cycle_cover_of_rose(4))
+    return [
+        wrap, identity_morphism(families.complete(4)), collapse, not_cover,
+        GraphMorphism(p3, r1, {v: "v00" for v in p3.vertices},
+                      {d: "e00.a" for d in p3.darts}),
+        GraphMorphism(p2, c3, {"v00": "v00", "v01": "v01"},
+                      {"e00.a": "e00.a", "e00.b": "e00.b"}),
+        GraphMorphism(c3, c3, {v: v for v in c3.vertices},
+                      {**{d: d for d in c3.darts}, "e00.a": "e01.a"}),
+        GraphMorphism(c3, c3, {"v00": "v09"}, {"e00.a": "nope"}),
+        GraphMorphism(theta2, theta3, {v: v for v in theta2.vertices},
+                      {d: d for d in theta2.darts}),
+        _cycle_cover_of_rose(5), fp.proj1, fp.proj2,
+        # coloured onto uncoloured, uncoloured onto coloured, both coloured
+        GraphMorphism(paint12, c3, wrap.vmap, wrap.dmap),
+        GraphMorphism(wrap.source, paint3, wrap.vmap, wrap.dmap),
+        GraphMorphism(paint12, paint3, wrap.vmap, wrap.dmap),
+    ]
+
+
+def test_covering_checks_agree_with_the_reference():
+    for m in _morphism_fixtures():
+        assert m.violations() == reference_violations(m)
+        if m.violations():
+            with pytest.raises(GraphError) as got:
+                is_covering(m)
+            with pytest.raises(GraphError) as want:
+                reference_is_covering(m)
+            assert str(got.value) == str(want.value)
+            continue
+        report = is_covering(m)
+        expected = reference_is_covering(m)
+        assert report.ok == (expected is None)
+        if expected is not None:
+            assert (report.reason, report.witness) == expected
+
+
+def test_covering_check_fixtures_reach_every_verdict():
+    reasons = set()
+    for m in _morphism_fixtures():
+        if m.violations():
+            reasons.add("not a morphism")
+        else:
+            reasons.add(is_covering(m).reason)
+    assert reasons == {None, "not a morphism", "vertex not covered",
+                       "dart not covered", "star map not bijective"}
+
+
+def _labelled(fp):
+    labels = ({v: (p, 0) for v, p in fp.vertex_pairs.items()},
+              {d: (p, 1) for d, p in fp.dart_pairs.items()})
+    return dict(vertex_label=labels[0], dart_label=labels[1])
+
+
+def test_finish_cover_keeps_a_one_component_cover_as_it_is():
+    fp = fiber_product(_cycle_cover_of_rose(3), _cycle_cover_of_rose(4))
+    g = fp.graph
+    assert len(g.components()) == 1
+    labels = _labelled(fp)
+    for kwargs in ({}, {"seed": g.vertices[5]}, {"component": "all"}):
+        cover = finish_cover(fp.proj1, fp.proj2, **kwargs, **labels)
+        assert cover.graph == g.restrict(g.vertices) == g
+        assert cover.mu1 is fp.proj1 and cover.mu2 is fp.proj2
+        assert (cover.vertex_label, cover.dart_label) == (labels["vertex_label"],
+                                                          labels["dart_label"])
+        assert cover.component_sizes == (12,)
+    with pytest.raises(StopIteration):
+        finish_cover(fp.proj1, fp.proj2, seed="not a vertex")
+
+
+def test_finish_cover_cuts_a_cover_of_several_components():
+    m = _cycle_cover_of_rose(3)
+    fp = fiber_product(m, m)
+    comps = fp.graph.components()
+    labels = _labelled(fp)
+    for seed, chosen in ((None, comps[0]), (comps[1][0], comps[1])):
+        cover = finish_cover(fp.proj1, fp.proj2, seed=seed, **labels)
+        assert cover.graph == fp.graph.restrict(chosen)
+        assert cover.mu1.vmap == {v: fp.proj1.vmap[v] for v in chosen}
+        assert set(cover.mu2.dmap) == set(cover.graph.darts)
+        assert set(cover.vertex_label) == set(chosen)
+        assert set(cover.dart_label) == set(cover.graph.darts)
+        assert cover.component_sizes == (3, 3, 3)
+        assert is_covering(cover.mu1).ok and is_covering(cover.mu2).ok
+    with pytest.raises(StopIteration):
+        finish_cover(fp.proj1, fp.proj2, seed="not a vertex")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commoncover import families, oracle
-from commoncover.graphs import BudgetExceeded, is_covering
+from commoncover.graphs import BudgetExceeded, Graph, is_covering
 from commoncover.oracle import (brute_common_cover, brute_landau,
                                 find_covering, permutation_cover)
 from conftest import (edge_list_graph, lollipop, random_base_graph,
@@ -185,3 +185,15 @@ def test_search_checks_the_reverse_image_at_the_head(h, target):
     assert recursive_find_covering(h, target) is None
     assert not brute_common_cover(h, target, 1).found
 
+
+def test_search_checks_the_colour_of_the_reverse_dart():
+    # every dart of h is "a", but each edge of the target has an "a" dart
+    # and a "b" reverse, so no map preserves dart colours; the search once
+    # checked only the pending dart's colour and raised GraphError
+    c6, c3 = families.cycle(6), families.cycle(3)
+    h = Graph(c6.vertices, c6.darts, c6.origin, c6.reverse, None,
+              {d: "a" for d in c6.darts})
+    target = Graph(c3.vertices, c3.darts, c3.origin, c3.reverse, None,
+                   {d: "a" if d in c3.edge_reps() else "b" for d in c3.darts})
+    assert find_covering(h, target) is None
+    assert recursive_find_covering(h, target) is None
