@@ -114,38 +114,30 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
     alignment.ensure_radius(explore_radius + radius)
     vertex_arrows = {}
     edge_atoms = {}
-    frontier = [()]
-    layer = 0
-    while frontier and layer <= explore_radius:
-        nxt = []
-        for z in sorted(frontier):
-            x = c1.project(z)
-            z2 = alignment.apply(z)
-            y = c2.project(z2)
-            zx = c1.canonical_lift(x)
-            zy = c2.canonical_lift(y)
-            w1 = c1.deck_loop(zx, z)
-            w2 = c2.deck_loop(z2, zy)
-            mapping = {}
-            for p in c1.ball(zx, radius).vertices:
-                a = c1.transport(w1, p)
-                mapping[p] = c2.transport(w2, alignment.apply(a))
-            arrow = BallArrow(
-                "1:" + x, "2:" + y, tuple(sorted(mapping.items())),
-                witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
-                         ("p2", c2.loop_to_word(w2))))
-            vertex_arrows.setdefault(arrow.serial, arrow)
-            # the edge atoms at this vertex are restrictions of the same map
-            for d, w in c1.star_darts(z):
-                f = c2.dart_between(z2, alignment.apply(w))
-                nb = edge_neighbourhood(c1, zx, d, radius)
-                atom = EdgeAtom("1:" + d, "2:" + f,
-                                tuple(sorted((p, mapping[p]) for p in nb)))
-                edge_atoms.setdefault(atom.serial, atom)
-                if len(w) == len(z) + 1:
-                    nxt.append(w)
-        frontier = nxt
-        layer += 1
+    for z in c1.layers(explore_radius):
+        x = c1.project(z)
+        z2 = alignment.apply(z)
+        y = c2.project(z2)
+        zx = c1.canonical_lift(x)
+        zy = c2.canonical_lift(y)
+        w1 = c1.deck_loop(zx, z)
+        w2 = c2.deck_loop(z2, zy)
+        mapping = {}
+        for p in c1.ball(zx, radius).vertices:
+            a = c1.transport(w1, p)
+            mapping[p] = c2.transport(w2, alignment.apply(a))
+        arrow = BallArrow(
+            "1:" + x, "2:" + y, tuple(sorted(mapping.items())),
+            witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
+                     ("p2", c2.loop_to_word(w2))))
+        vertex_arrows.setdefault(arrow.serial, arrow)
+        # the edge atoms at this vertex are restrictions of the same map
+        for d, w in c1.star_darts(z):
+            f = c2.dart_between(z2, alignment.apply(w))
+            nb = edge_neighbourhood(c1, zx, d, radius)
+            atom = EdgeAtom("1:" + d, "2:" + f,
+                            tuple(sorted((p, mapping[p]) for p in nb)))
+            edge_atoms.setdefault(atom.serial, atom)
     return DiscoveredAtoms([vertex_arrows[s] for s in sorted(vertex_arrows)],
                            [edge_atoms[s] for s in sorted(edge_atoms)],
                            radius, explore_radius)

@@ -462,24 +462,20 @@ def extract_certificate(built: Cover, sys, test_radius: int,
 
     nu1 = {(): g0}
     psi = {(): z0_image}
-    frontier = [()]
-    for _ in range(test_radius + radius):
-        nxt = []
-        for z in frontier:
-            for d, w in c1.star_darts(z):
-                if w in nu1:
-                    continue
-                cover_dart = lift_dart[(nu1[z], d)]
-                nu1[w] = graph.head(cover_dart)
-                psi[w] = c2.step(psi[z], mu2.dmap[cover_dart])
-                nxt.append(w)
-        frontier = nxt
+    layers = c1.layers(test_radius + radius)
+    # a tree vertex is its path: w extends its parent w[:-1] by the dart w[-1]
+    for w in layers[1:]:
+        z = w[:-1]
+        cover_dart = lift_dart[(nu1[z], w[-1])]
+        nu1[w] = graph.head(cover_dart)
+        psi[w] = c2.step(psi[z], mu2.dmap[cover_dart])
 
     from .ball_system import BallArrow, verify_witness
 
     entries = []
-    centers = sorted((z for z in nu1 if len(z) <= test_radius), key=lambda z: (len(z), z))
-    for z in centers:
+    for z in layers:
+        if len(z) > test_radius:
+            break
         x = c1.project(z)
         y = c2.project(psi[z])
         zx = c1.canonical_lift(x)

@@ -20,6 +20,7 @@ back to covers of the original graphs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .ball_system import build_ball_system_retrying
@@ -47,9 +48,9 @@ def orient_darts(sys: LocalSystem) -> dict:
         if d0 in sign:
             continue
         sign[d0] = 1
-        queue = [d0]
+        queue = deque([d0])
         while queue:
-            d = queue.pop(0)
+            d = queue.popleft()
             rd = union.reverse[d]
             for f, s in [(x, sign[d]) for x in same[d]] + [(rd, -sign[d])]:
                 if f not in sign:

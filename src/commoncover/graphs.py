@@ -109,30 +109,38 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def neighbours(self, v: str) -> tuple:
-        return tuple(sorted({self.head(d) for d in self.star(v)}))
+    def bfs(self, root: str, darts=None) -> dict:
+        """Breadth-first spanning tree from ``root``: vertex -> the dart from
+        its parent (None at the root), in visiting order.  Stars are walked
+        in sorted order; given ``darts``, only the darts in it are followed."""
+        self.star(root)
+        star, origin, reverse = self._star, self.origin, self.reverse
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            for d in star[queue.popleft()]:
+                if darts is None or d in darts:
+                    w = origin[reverse[d]]
+                    if w not in parent:
+                        parent[w] = d
+                        queue.append(w)
+        return parent
 
     def components(self) -> list:
         """Vertex sets of connected components, each sorted, smallest first."""
         seen = set()
         comps = []
-        for v0 in self.vertices:
-            if v0 in seen:
-                continue
-            comp = {v0}
-            queue = deque([v0])
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbours(v):
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return sorted(comps)
+        for v in self.vertices:
+            if v not in seen:
+                comp = self.bfs(v)
+                seen.update(comp)
+                comps.append(tuple(sorted(comp)))
+        # each component starts at its least vertex, so comps is sorted
+        return comps
 
     def is_connected(self) -> bool:
-        return len(self.vertices) <= 1 or len(self.components()) == 1
+        return (len(self.vertices) <= 1
+                or len(self.bfs(self.vertices[0])) == len(self.vertices))
 
     def restrict(self, vertices) -> "Graph":
         """Induced subgraph on a union of components.
@@ -155,14 +163,9 @@ class Graph:
         )
 
     def distances_from(self, v0: str) -> dict:
-        dist = {v0: 0}
-        queue = deque([v0])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbours(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        dist = {}
+        for v, d in self.bfs(v0).items():
+            dist[v] = 0 if d is None else dist[self.origin[d]] + 1
         return dist
 
     def diameter(self) -> int:

@@ -37,19 +37,11 @@ def permutation_cover(g: Graph, degree: int, voltages: dict):
 
 
 def _non_tree_reps(g: Graph):
-    root = g.vertices[0]
-    seen = {root}
     tree = set()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for d in g.star(v):
-            w = g.head(d)
-            if w not in seen:
-                seen.add(w)
-                tree.add(d)
-                tree.add(g.reverse[d])
-                queue.append(w)
+    for d in g.bfs(g.vertices[0]).values():
+        if d is not None:
+            tree.add(d)
+            tree.add(g.reverse[d])
     return [d for d in g.edge_reps() if d not in tree]
 
 

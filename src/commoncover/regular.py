@@ -117,19 +117,9 @@ def _split_two_factor(g: Graph, darts) -> set:
     for v in verts:
         if v in seen_v:
             continue
-        comp_darts = set()
-        stack = [v]
-        comp_vs = set()
-        while stack:
-            u = stack.pop()
-            if u in comp_vs:
-                continue
-            comp_vs.add(u)
-            for d in g.star(u):
-                if d in remaining:
-                    comp_darts.add(d)
-                    stack.append(g.head(d))
-        seen_v |= comp_vs
+        comp_vs = g.bfs(v, remaining)
+        comp_darts = {d for u in comp_vs for d in g.star(u) if d in remaining}
+        seen_v.update(comp_vs)
         oriented.extend(euler_circuit(g, comp_darts))
     adjacency = {}
     for d in oriented:
@@ -163,21 +153,15 @@ def two_factorization(g: Graph) -> list:
 
 
 def two_colouring(g: Graph) -> Optional[dict]:
+    """Breadth-first parity colouring of every component, or None when
+    some dart joins two vertices of one colour."""
     colour = {}
     for v0 in g.vertices:
-        if v0 in colour:
-            continue
-        colour[v0] = 0
-        queue = [v0]
-        while queue:
-            v = queue.pop(0)
-            for d in g.star(v):
-                w = g.head(d)
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
+        if v0 not in colour:
+            for v, d in g.bfs(v0).items():
+                colour[v] = 0 if d is None else 1 - colour[g.origin[d]]
+    if any(colour[g.origin[d]] == colour[g.head(d)] for d in g.darts):
+        return None
     return colour
 
 

@@ -72,14 +72,12 @@ class StarLocalSystem(LocalSystem):
     kind = "star"
 
     def __init__(self, g1, g2, union, groupoid, joint: JointBlocks,
-                 strategy: str, explore_radius=None,
-                 atom_arrows=(), atom_centers=()):
+                 strategy: str, explore_radius=None, atom_arrows=()):
         super().__init__(g1, g2, union, groupoid)
         self.joint = joint
         self.strategy = strategy
         self.explore_radius = explore_radius
         self.atom_arrows = tuple(atom_arrows)
-        self.atom_centers = tuple(atom_centers)
 
     # atoms are (anchor dart, image dart) pairs over prefixed identifiers
     def identity_atom(self, dart):
@@ -152,26 +150,13 @@ def induced_star_map(alignment: TreeAlignment, z) -> StarArrow:
     return StarArrow("1:" + x, "2:" + y, tuple(sorted(pairs)))
 
 
-def _aligned_atoms(alignment: TreeAlignment, explore_radius: int):
+def _aligned_atoms(alignment: TreeAlignment, explore_radius: int) -> list:
     alignment.ensure_radius(explore_radius + 1)
     seen = {}
-    centers = []
-    frontier = [()]
-    layer = 0
-    while frontier and layer <= explore_radius:
-        nxt = []
-        for z in sorted(frontier):
-            arrow = induced_star_map(alignment, z)
-            if arrow.serial not in seen:
-                seen[arrow.serial] = arrow
-                centers.append(z)
-            for _, w in alignment.c1.star_darts(z):
-                if len(w) == len(z) + 1:
-                    nxt.append(w)
-        frontier = nxt
-        layer += 1
-    order = sorted(seen)
-    return [seen[s] for s in order], centers
+    for z in alignment.c1.layers(explore_radius):
+        arrow = induced_star_map(alignment, z)
+        seen.setdefault(arrow.serial, arrow)
+    return [seen[s] for s in sorted(seen)]
 
 
 def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
@@ -201,10 +186,10 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
         explore_radius = 1 + g1.diameter() + g2.diameter()
     if alignment is None:
         alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
-    atoms, centers = _aligned_atoms(alignment, explore_radius)
+    atoms = _aligned_atoms(alignment, explore_radius)
     groupoid = saturate(atoms, union.vertices, _identity_arrow(union))
     sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
-                          explore_radius, atoms, centers)
+                          explore_radius, atoms)
     sys.alignment = alignment
     report = sys.check_axioms()
     if not report.ok:

@@ -63,25 +63,14 @@ class UniversalCover:
 
     def _build_spanning_tree(self):
         g = self.graph
-        parent_dart = {}                # vertex -> dart from its tree parent
-        seen = {self.basepoint}
-        order = [self.basepoint]
-        queue = deque([self.basepoint])
-        while queue:
-            v = queue.popleft()
-            for d in g.star(v):
-                w = g.head(d)
-                if w not in seen:
-                    seen.add(w)
-                    parent_dart[w] = d
-                    order.append(w)
-                    queue.append(w)
+        # vertex -> dart from its tree parent
+        parent_dart = g.bfs(self.basepoint)
+        del parent_dart[self.basepoint]
         self.parent_dart = parent_dart
         tree_darts = set()
         for d in parent_dart.values():
             tree_darts.add(d)
             tree_darts.add(g.reverse[d])
-        self.tree_darts = tree_darts
         # one free generator per geometric edge outside the tree
         self.generators = tuple(d for d in g.edge_reps() if d not in tree_darts)
         self._gen_index = {d: i for i, d in enumerate(self.generators)}
@@ -200,7 +189,6 @@ class UniversalCover:
             raise GraphError("radius must be non-negative")
         self.check_path(root)
         dist = {root: 0}
-        order = [root]
         queue = deque([root])
         while queue:
             z = queue.popleft()
@@ -209,14 +197,19 @@ class UniversalCover:
             for _, w in self.star_darts(z):
                 if w not in dist:
                     dist[w] = dist[z] + 1
-                    order.append(w)
                     queue.append(w)
         return Ball(self, root, radius, tuple(sorted(dist)), dist)
+
+    def layers(self, radius: int) -> list:
+        """Tree vertices within ``radius`` of the basepoint, layer by layer,
+        each layer in sorted order: a parent always comes before its
+        children."""
+        return sorted(self.ball((), radius).vertices, key=lambda z: (len(z), z))
 
 
 @dataclass
 class Ball:
-    """A radius-R ball in a universal cover, with projection labels."""
+    """A radius-R ball in a universal cover, with tree distances from its root."""
 
     cover: UniversalCover
     root: Path
@@ -232,13 +225,6 @@ class Ball:
                 if w in self.dist and self.dist[w] == self.dist[z] + 1:
                     out.append((z, w, d))
         return out
-
-    def projection(self, z: Path) -> str:
-        return self.cover.project(z)
-
-
-def ball(cover: UniversalCover, root: Path, radius: int) -> Ball:
-    return cover.ball(root, radius)
 
 
 def map_is_ball_isomorphism(bsrc: Ball, btgt: Ball, mapping: dict) -> bool:

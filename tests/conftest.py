@@ -1,10 +1,11 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from commoncover import families
 from commoncover.graphs import BudgetExceeded, Graph, GraphError, GraphMorphism
+from commoncover.regular import euler_circuit, max_bipartite_matching
 
 
 @pytest.fixture
@@ -356,3 +357,158 @@ def edge_list_graph(vertices, edges) -> Graph:
         origin[a], origin[b] = u, w
         reverse[a], reverse[b] = b, a
     return Graph(vertices, darts, origin, reverse)
+
+
+# -- the breadth-first walks as they were before ``Graph.bfs`` and
+# ``UniversalCover.layers``; each serves as the reference for the walk that
+# replaced it
+
+
+def reference_components(g: Graph) -> list:
+    """``Graph.components``, visiting a sorted set of neighbours per vertex."""
+    def neighbours(v):
+        return tuple(sorted({g.head(d) for d in g.star(v)}))
+
+    seen = set()
+    comps = []
+    for v0 in g.vertices:
+        if v0 in seen:
+            continue
+        comp = {v0}
+        queue = deque([v0])
+        while queue:
+            v = queue.popleft()
+            for w in neighbours(v):
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
+
+
+def reference_distances_from(g: Graph, v0: str) -> dict:
+    """``Graph.distances_from``, over sorted neighbour sets."""
+    dist = {v0: 0}
+    queue = deque([v0])
+    while queue:
+        v = queue.popleft()
+        for w in sorted({g.head(d) for d in g.star(v)}):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_two_colouring(g: Graph):
+    """``regular.two_colouring``: a list-as-queue walk per component that
+    stops at the first dart joining two vertices of one colour."""
+    colour = {}
+    for v0 in g.vertices:
+        if v0 in colour:
+            continue
+        colour[v0] = 0
+        queue = [v0]
+        while queue:
+            v = queue.pop(0)
+            for d in g.star(v):
+                w = g.head(d)
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    return colour
+
+
+def reference_non_tree_reps(g: Graph) -> list:
+    """``oracle._non_tree_reps``: edge representatives outside a
+    list-as-queue spanning tree from the first vertex."""
+    root = g.vertices[0]
+    seen = {root}
+    tree = set()
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for d in g.star(v):
+            w = g.head(d)
+            if w not in seen:
+                seen.add(w)
+                tree.add(d)
+                tree.add(g.reverse[d])
+                queue.append(w)
+    return [d for d in g.edge_reps() if d not in tree]
+
+
+def reference_spanning_tree(g: Graph, basepoint: str):
+    """``UniversalCover._build_spanning_tree``: (parent_dart, generators)."""
+    parent_dart = {}
+    seen = {basepoint}
+    queue = deque([basepoint])
+    while queue:
+        v = queue.popleft()
+        for d in g.star(v):
+            w = g.head(d)
+            if w not in seen:
+                seen.add(w)
+                parent_dart[w] = d
+                queue.append(w)
+    tree_darts = set(parent_dart.values())
+    tree_darts |= {g.reverse[d] for d in tree_darts}
+    return parent_dart, tuple(d for d in g.edge_reps() if d not in tree_darts)
+
+
+def reference_frontier_walk(cover, radius: int) -> list:
+    """The frontier loop of ``star_system._aligned_atoms`` and
+    ``ball_system.discover_atoms``: tree vertices in visiting order."""
+    order = []
+    frontier = [()]
+    layer = 0
+    while frontier and layer <= radius:
+        nxt = []
+        for z in sorted(frontier):
+            order.append(z)
+            for _, w in cover.star_darts(z):
+                if len(w) == len(z) + 1:
+                    nxt.append(w)
+        frontier = nxt
+        layer += 1
+    return order
+
+
+def reference_split_two_factor(g: Graph, darts) -> set:
+    """``regular._split_two_factor``, finding each component by a
+    depth-first stack."""
+    remaining = set(darts)
+    oriented = []
+    seen_v = set()
+    for v in sorted({g.origin[d] for d in remaining}):
+        if v in seen_v:
+            continue
+        comp_darts = set()
+        stack = [v]
+        comp_vs = set()
+        while stack:
+            u = stack.pop()
+            if u in comp_vs:
+                continue
+            comp_vs.add(u)
+            for d in g.star(u):
+                if d in remaining:
+                    comp_darts.add(d)
+                    stack.append(g.head(d))
+        seen_v |= comp_vs
+        oriented.extend(euler_circuit(g, comp_darts))
+    adjacency = {}
+    for d in oriented:
+        adjacency.setdefault(g.origin[d], []).append((d, g.head(d)))
+    for v in adjacency:
+        adjacency[v].sort()
+    matched = max_bipartite_matching(adjacency)
+    if len(matched) != len(adjacency):
+        raise GraphError("no perfect matching in the circuit orientation")
+    factor = set()
+    for d in matched.values():
+        factor.add(d)
+        factor.add(g.reverse[d])
+    return factor

@@ -14,6 +14,12 @@ seeds with ``derandomize=True``, so every run checks the same pairs.
 * ``regular`` builds on random cubic pairs pass ``cli verify`` from disk,
   stay within ``bounds.bound_report("regular", ...)`` and are
   byte-identical when run twice;
+* ball R=1 builds, with and without ``--based`` (both write a
+  certificate), and glue R=1 builds pass ``cli verify`` from disk, have a
+  vertex count that is a multiple of both inputs' counts and are
+  byte-identical when run twice; ball covers stay within
+  ``bounds.bound_report("ball", ...)``.  Pairs whose diameters sum to more
+  than 5 are left out to keep the test near 3 s;
 * no command exits 3 on a pair that ``common_cover_exists`` rejects.
 """
 
@@ -21,11 +27,12 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import random
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from commoncover import cli
@@ -117,6 +124,38 @@ def test_regular_builds_verify_from_disk_and_repeat(seed):
         total = json.loads(runs[0]["cover.json"])["total_vertices"]
         assert bound_report("regular", actual=total, v1=len(g1.vertices),
                             v2=len(g2.vertices), odd=True).satisfied
+
+
+def _artifacts(out):
+    return {path.name: path.read_bytes() for path in sorted(pathlib.Path(out).iterdir())}
+
+
+@_settings(25)
+@given(SEEDS)
+def test_ball_and_glue_builds_verify_from_disk_and_repeat(seed):
+    g1, g2, _ = related_pair(seed)
+    # the default exploration radius is 1 + diam1 + diam2; a pair at 9
+    # passes too, but costs about 1.7 s a build
+    assume(g1.diameter() + g2.diameter() <= 5)
+    d = max(max(g.degree(v) for v in g.vertices) for g in (g1, g2))
+    with _on_disk(g1, g2) as (tmp, p1, p2):
+        for k, flags in enumerate((["--backend", "ball"],
+                                   ["--backend", "ball", "--based"],
+                                   ["--backend", "glue"])):
+            runs = []
+            for out in (os.path.join(tmp, "%da" % k), os.path.join(tmp, "%db" % k)):
+                assert _run("build", p1, p2, *flags, "-R", "1", "-o", out) == 0, flags
+                runs.append(_artifacts(out))
+            assert runs[0] == runs[1], flags
+            assert ("certificate.json" in runs[0]) == (flags[1] == "ball")
+            assert _run("verify", out, p1, p2) == 0, flags
+            cover = json.loads(runs[0]["cover.json"])
+            size = len(cover["graph"]["vertices"])
+            assert size % len(g1.vertices) == 0 and size % len(g2.vertices) == 0
+            if flags[1] == "ball":
+                total = sum(cover["component_sizes"])
+                assert bound_report("ball", actual=total, d=d, radius=1,
+                                    v=len(g1.vertices) + len(g2.vertices)).satisfied
 
 
 def _wrong_image_dart(sys):
