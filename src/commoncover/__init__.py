@@ -9,7 +9,7 @@ from .groupoids import FiniteGroupoid, lcm_all, saturate
 from .universal_cover import Ball, TreeAlignment, UniversalCover, build_alignment
 from .star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL, StarArrow,
                           build_star_system, build_star_system_retrying)
-from .ball_system import (BallArrow, EdgeAtom, build_ball_system,
+from .ball_system import (BallArrow, build_ball_system,
                           build_ball_system_retrying, discover_atoms,
                           verify_witness)
 from .cover_builder import (AxiomError, LocalSystem, RestrictionCertificate,

@@ -8,10 +8,13 @@ as plain maps and structural equality decides class equality.
 
 Atoms play the same role one dimension down: isomorphisms between the
 (R-1)-neighbourhoods of the canonical lifts of two darts, normalised the
-same way.  The atoms anchored at a dart are the orbit of its identity atom
-under the arrow action, computed by the shared one-step rule of
-``LocalSystem.atoms_by_anchor``; every discovered edge atom must lie in
-that set, and coverage, bar closure and the action laws are runtime checks.
+same way.  Each is the restriction of an arrow to the neighbourhood of its
+anchor dart, held as positions in the numbered canonical balls
+(``cover_builder.PermLocalSystem``).  The atoms anchored at a dart are the
+orbit of its identity atom under the arrow action, computed by the shared
+one-step rule of ``LocalSystem.atoms_by_anchor``; every discovered edge
+atom must lie in that set, and coverage, bar closure and the action laws
+are runtime checks.
 
 Every discovered arrow carries a witness word over the free generators of
 the two deck groups and alignment markers; evaluating the word from
@@ -23,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover_builder import AxiomError, LocalSystem, retry_doubling
+from .cover_builder import AxiomError, Numbering, PermLocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union, side_of, strip_side
-from .groupoids import Value, saturate
+from .groupoids import PermArrow, saturate
 from .refinement import JointBlocks, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
@@ -37,53 +40,20 @@ def _invert_letter(letter):
     return (kind, tuple((i, -e) for i, e in reversed(payload)))
 
 
-class BallArrow(Value):
-    """Root-to-root isomorphism between two canonical balls.
+class BallArrow(PermArrow):
+    """Root-to-root isomorphism between two canonical balls: ``perm`` over
+    the sorted vertex paths of the canonical balls of ``src`` and ``dst``;
+    its serial is ("ball", src, dst, mapping) with ``mapping`` the sorted
+    (path, path) pairs.  The deck-word witness is carried along but is not
+    part of identity."""
 
-    The deck-word witness is carried along but is not part of identity."""
+    __slots__ = ()
+    tag = "ball"
+    mapping = PermArrow.pairs
 
-    __slots__ = ("src", "dst", "mapping", "witness", "serial", "_map")
-    _compare = ("src", "dst", "mapping")
-
-    def __init__(self, src: str, dst: str, mapping: tuple, witness: tuple = ()):
-        self.src = src
-        self.dst = dst
-        self.mapping = mapping                      # sorted (path, path) pairs
-        self.witness = witness
-        self.serial = ("ball", src, dst, mapping)
-        self._map = None
-
-    @property
-    def as_dict(self) -> dict:
-        if self._map is None:
-            self._map = dict(self.mapping)
-        return self._map
-
-    def compose(self, other: "BallArrow"):
-        # mapping pairs stay sorted by source path under composition
-        if other.dst != self.src:
-            return None
-        m = self.as_dict
-        out = tuple([(p, m[q]) for p, q in other.mapping])
-        return BallArrow(other.src, self.dst, out, other.witness + self.witness)
-
-    def inverse(self) -> "BallArrow":
-        return BallArrow(self.dst, self.src,
-                         tuple(sorted((q, p) for p, q in self.mapping)),
-                         tuple(_invert_letter(l) for l in reversed(self.witness)))
-
-
-class EdgeAtom(Value):
-    """Centered isomorphism between the canonical neighbourhoods of two darts."""
-
-    __slots__ = ("anchor", "image", "mapping", "serial")
-    _compare = ("anchor", "image", "mapping")
-
-    def __init__(self, anchor: str, image: str, mapping: tuple):
-        self.anchor = anchor
-        self.image = image
-        self.mapping = mapping
-        self.serial = ("atom", anchor, image, mapping)
+    @staticmethod
+    def invert_word(word: tuple) -> tuple:
+        return tuple(_invert_letter(l) for l in reversed(word))
 
 
 def edge_neighbourhood(cover: UniversalCover, root, dart, radius: int):
@@ -94,12 +64,43 @@ def edge_neighbourhood(cover: UniversalCover, root, dart, radius: int):
     return tuple(sorted(vs))
 
 
+def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
+                   radius: int) -> Numbering:
+    """Canonical balls as domains, numbered once per base vertex of the
+    union.  An atom at a dart e restricts an arrow to the edge
+    neighbourhood of the canonical lift of e, and bar transports it by the
+    deck transformation that takes the head of that lift to the canonical
+    lift of head(e)."""
+    cover = {1: c1, 2: c2}
+    lift = {}
+    for x in union.vertices:
+        c = cover[side_of(x)]
+        lift[x] = c.canonical_lift(strip_side(x))
+    domains = {x: cover[side_of(x)].ball(lift[x], radius).vertices
+               for x in union.vertices}
+
+    def neighbourhood(e):
+        return edge_neighbourhood(cover[side_of(e)], lift[union.origin[e]],
+                                  strip_side(e), radius)
+
+    def head(e):
+        return cover[side_of(e)].step(lift[union.origin[e]], strip_side(e))
+
+    def across(e, nb):
+        c = cover[side_of(e)]
+        loop = c.deck_loop(head(e), lift[union.head(e)])
+        return [c.transport(loop, p) for p in nb]
+
+    return Numbering(union, domains, neighbourhood, head, across)
+
+
 @dataclass
 class DiscoveredAtoms:
     vertex_arrows: list
-    edge_atoms: list
+    edge_atoms: list               # atoms (anchor, target, positions), by key
     radius: int
     explore_radius: int
+    numbering: Numbering = None
 
 
 def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
@@ -112,43 +113,39 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
         raise GraphError("ball radius must be at least 1")
     c1, c2 = alignment.c1, alignment.c2
     alignment.ensure_radius(explore_radius + radius)
+    union = disjoint_union(g1, g2)
+    numbering = ball_numbering(union, c1, c2, radius)
+    domains, positions, dom = numbering.domains, numbering.positions, numbering.dom
     vertex_arrows = {}
-    edge_atoms = {}
+    edge_atoms = set()
     for z in c1.layers(explore_radius):
         x = c1.project(z)
         z2 = alignment.apply(z)
         y = c2.project(z2)
-        zx = c1.canonical_lift(x)
-        zy = c2.canonical_lift(y)
-        w1 = c1.deck_loop(zx, z)
-        w2 = c2.deck_loop(z2, zy)
-        mapping = {}
-        for p in c1.ball(zx, radius).vertices:
-            a = c1.transport(w1, p)
-            mapping[p] = c2.transport(w2, alignment.apply(a))
+        src, dst = "1:" + x, "2:" + y
+        w1 = c1.deck_loop(c1.canonical_lift(x), z)
+        w2 = c2.deck_loop(z2, c2.canonical_lift(y))
+        at = positions[dst]
+        perm = tuple([at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
+                      for p in domains[src]])
         arrow = BallArrow(
-            "1:" + x, "2:" + y, tuple(sorted(mapping.items())),
+            src, dst, perm, domains[src], domains[dst],
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
                      ("p2", c2.loop_to_word(w2))))
-        vertex_arrows.setdefault(arrow.serial, arrow)
+        vertex_arrows.setdefault(arrow.key, arrow)
         # the edge atoms at this vertex are restrictions of the same map
-        for d, w in c1.star_darts(z):
-            f = c2.dart_between(z2, alignment.apply(w))
-            nb = edge_neighbourhood(c1, zx, d, radius)
-            atom = EdgeAtom("1:" + d, "2:" + f,
-                            tuple(sorted((p, mapping[p]) for p in nb)))
-            edge_atoms.setdefault(atom.serial, atom)
-    return DiscoveredAtoms([vertex_arrows[s] for s in sorted(vertex_arrows)],
-                           [edge_atoms[s] for s in sorted(edge_atoms)],
-                           radius, explore_radius)
+        for e in union.star(src):
+            edge_atoms.add((e, dst, tuple([perm[i] for i in dom[e]])))
+    return DiscoveredAtoms([vertex_arrows[k] for k in sorted(vertex_arrows)],
+                           sorted(edge_atoms), radius, explore_radius, numbering)
 
 
-class BallLocalSystem(LocalSystem):
+class BallLocalSystem(PermLocalSystem):
     kind = "ball"
 
     def __init__(self, g1, g2, union, groupoid, joint, alignment,
-                 radius, explore_radius, discovered):
-        super().__init__(g1, g2, union, groupoid)
+                 radius, explore_radius, discovered, numbering: Numbering):
+        super().__init__(g1, g2, union, groupoid, numbering)
         self.joint = joint
         self.alignment = alignment
         self.cover1 = alignment.c1
@@ -156,58 +153,15 @@ class BallLocalSystem(LocalSystem):
         self.radius = radius
         self.explore_radius = explore_radius
         self.discovered = discovered
-        self._lift_cache = {}
 
-    def _cover_of(self, prefixed):
-        return self.cover1 if side_of(prefixed) == 1 else self.cover2
-
-    def _dart_lift(self, prefixed):
-        """Canonical lift of a dart: (root path, head path) in its cover."""
-        out = self._lift_cache.get(prefixed)
-        if out is None:
-            cover = self._cover_of(prefixed)
-            raw = strip_side(prefixed)
-            root = cover.canonical_lift(cover.graph.origin[raw])
-            out = (root, cover.step(root, raw))
-            self._lift_cache[prefixed] = out
-        return out
-
-    def identity_atom(self, dart):
-        cover = self._cover_of(dart)
-        raw = strip_side(dart)
-        root = cover.canonical_lift(cover.graph.origin[raw])
-        nb = edge_neighbourhood(cover, root, raw, self.radius)
-        return EdgeAtom(dart, dart, tuple((p, p) for p in nb))
-
-    def act(self, arrow, atom):
-        root, head = self._dart_lift(atom.image)
-        m = arrow.as_dict
-        new_mapping = tuple((p, m[q]) for p, q in atom.mapping)
-        target_cover = self._cover_of(arrow.dst)
-        new_dart = target_cover.dart_between(m[root], m[head])
-        return EdgeAtom(atom.anchor, "%d:%s" % (side_of(arrow.dst), new_dart),
-                        new_mapping)
-
-    def bar(self, atom):
-        csrc = self._cover_of(atom.anchor)
-        ctgt = self._cover_of(atom.image)
-        e = strip_side(atom.anchor)
-        f = strip_side(atom.image)
-        e_rev = csrc.graph.reverse[e]
-        f_rev = ctgt.graph.reverse[f]
-        zx = csrc.canonical_lift(csrc.graph.origin[e])
-        zy = ctgt.canonical_lift(ctgt.graph.origin[f])
-        w1 = csrc.deck_loop(csrc.canonical_lift(csrc.graph.origin[e_rev]),
-                            csrc.step(zx, e))
-        w2 = ctgt.deck_loop(ctgt.step(zy, f),
-                            ctgt.canonical_lift(ctgt.graph.origin[f_rev]))
-        m = dict(atom.mapping)
-        root = csrc.canonical_lift(csrc.graph.origin[e_rev])
-        nb = edge_neighbourhood(csrc, root, e_rev, self.radius)
-        mapping = tuple(sorted(
-            (p, ctgt.transport(w2, m[csrc.transport(w1, p)])) for p in nb))
-        rev = self.union.reverse
-        return EdgeAtom(rev[atom.anchor], rev[atom.image], mapping)
+    def atom_serial(self, atom):
+        """("atom", anchor dart, image dart, sorted (path, path) pairs)."""
+        e, y, r = atom
+        domains = self.numbering.domains
+        source, target = domains[self.union.origin[e]], domains[y]
+        return ("atom", e, self.atom_image(atom),
+                tuple([(source[i], target[j])
+                       for i, j in zip(self.numbering.dom[e], r)]))
 
 
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
@@ -231,22 +185,25 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
     if discovered is None:
         discovered = discover_atoms(g1, g2, alignment, radius, explore_radius)
     union = disjoint_union(g1, g2)
+    numbering = discovered.numbering
+    if numbering is None:
+        numbering = ball_numbering(union, alignment.c1, alignment.c2, radius)
+    domains = numbering.domains
 
     def identity_factory(x):
-        cover = alignment.c1 if side_of(x) == 1 else alignment.c2
-        root = cover.canonical_lift(strip_side(x))
-        vs = cover.ball(root, radius).vertices
-        return BallArrow(x, x, tuple((p, p) for p in vs))
+        return BallArrow(x, x, tuple(range(len(domains[x]))), domains[x], domains[x])
 
     groupoid = saturate(discovered.vertex_arrows, union.vertices, identity_factory)
     sys = BallLocalSystem(g1, g2, union, groupoid, joint, alignment,
-                          radius, explore_radius, discovered)
-    for atom in discovered.edge_atoms:
-        if atom.serial not in sys.atoms_by_anchor[atom.anchor]:
-            raise AxiomError(
-                "closure axioms unmet at radius %d (edge atom %r unreachable)"
-                % (explore_radius, atom.anchor),
-                radius=explore_radius, witness=atom.serial)
+                          radius, explore_radius, discovered, numbering)
+    unreachable = [a for a in discovered.edge_atoms
+                   if a not in sys.atoms_by_anchor[a[0]]]
+    if unreachable:
+        serial = min(map(sys.atom_serial, unreachable))
+        raise AxiomError(
+            "closure axioms unmet at radius %d (edge atom %r unreachable)"
+            % (explore_radius, serial[1]),
+            radius=explore_radius, witness=serial)
     report = sys.check_axioms()
     if not report.ok:
         raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
@@ -271,9 +228,7 @@ def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:
     identity on the canonical source ball.
     """
     side = side_of(arrow.src)
-    cover = sys.cover1 if side == 1 else sys.cover2
-    root = cover.canonical_lift(strip_side(arrow.src))
-    current = {p: p for p in cover.ball(root, sys.radius).vertices}
+    current = {p: p for p in sys.numbering.domains[arrow.src]}
     for kind, payload in arrow.witness:
         if kind == "th":
             if payload == 1:
@@ -316,8 +271,8 @@ def saturation_horizon(g1: Graph, g2: Graph, radius: int,
     prev = None
     for rho in range(explore_max + 1):
         found = discover_atoms(g1, g2, alignment, radius, rho)
-        serials = {a.serial for a in found.vertex_arrows}
-        if prev is not None and serials == prev:
+        keys = {a.key for a in found.vertex_arrows}
+        if prev is not None and keys == prev:
             return rho - 1
-        prev = serials
+        prev = keys
     return explore_max

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 
 def _primes_upto(n: int) -> list:
     sieve = bytearray([1]) * (n + 1)
@@ -54,9 +52,14 @@ _INFLATE = Fraction(10 ** 40 + 1, 10 ** 40)
 
 
 def upper_exp_sqrt(n: int, coefficient: Fraction) -> Fraction:
-    """Certified upper bound for exp(coefficient * sqrt(n * ln n))."""
+    """Certified upper bound for exp(coefficient * sqrt(n * ln n)).
+
+    ``mpmath`` is imported here, on first use, so that importing the
+    package does not load it; only the size bounds need it."""
     if n <= 1:
         return Fraction(1) * _INFLATE
+    import mpmath
+
     with mpmath.workdps(60):
         val = mpmath.exp(mpmath.mpf(coefficient.numerator) /
                          coefficient.denominator *

@@ -15,6 +15,12 @@ Subclasses of ``LocalSystem`` supply ``identity_atom``, ``act`` and ``bar``
 The atom sets are computed once, here: the atoms anchored at a dart e are
 {g.id_e : g in out(origin e)}, the orbit of the identity atom.
 
+``PermLocalSystem`` is the kernel the star and ball systems share: an atom
+is an arrow restricted to the numbered neighbourhood of a dart.  Atom
+serials, the tuples the artifacts record, are rendered only for artifacts
+and failure messages; the checks and the assembly key atoms on
+``atom_key``.
+
 Given such a system, the cover has one vertex per (cross arrow, copy
 index) and one dart per (cross atom, copy index).  The origin of a dart
 (a, k) must be some (arrow, j) whose action on the identity atom of a's
@@ -28,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
@@ -112,11 +119,16 @@ class LocalSystem:
     def atom_serial(self, atom):
         return atom.serial
 
+    def atom_key(self, atom):
+        """Identity of an atom in the checks and the assembly: its serial
+        unless a subclass has a cheaper one."""
+        return self.atom_serial(atom)
+
     # -- the orbit engine ---------------------------------------------------
 
     @cached_property
     def atoms_by_anchor(self) -> dict:
-        """dart -> {atom serial: atom} for the atoms anchored at the dart.
+        """dart -> {atom key: atom} for the atoms anchored at the dart.
 
         These are the orbit of the identity atom id_e, reached in one step:
         {g.id_e : g in out(origin e)}.  The step is exact because the
@@ -125,12 +137,13 @@ class LocalSystem:
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
         out = {}
+        act, key = self.act, self.atom_key
         for e in self.union.darts:
             ident = self.identity_atom(e)
             slot = out[e] = {}
             for g in self.groupoid.by_source.get(self.union.origin[e], ()):
-                atom = self.act(g, ident)
-                slot.setdefault(self.atom_serial(atom), atom)
+                atom = act(g, ident)
+                slot.setdefault(key(atom), atom)
         return out
 
     def orbit_size(self, dart) -> int:
@@ -152,7 +165,7 @@ class LocalSystem:
     def cross_arrows(self) -> list:
         return sorted((a for a in self.groupoid.arrows
                        if side_of(a.src) == 1 and side_of(a.dst) == 2),
-                      key=lambda a: a.serial)
+                      key=lambda a: a.key)
 
     def check_axioms(self) -> AxiomReport:
         """Check coverage (AX1), bar closure (AX2) and the action laws (AX3).
@@ -207,14 +220,15 @@ class LocalSystem:
                     break
         bar_fail = None
         rev = union.reverse
+        bar, akey = self.bar, self.atom_key
         for e in union.darts:
             for key, atom in atoms[e].items():
-                b = self.bar(atom)
+                b = bar(atom)
                 if ((self.atom_anchor(b), self.atom_image(b))
                         != (rev[e], rev[self.atom_image(atom)])
-                        or self.atom_serial(b) not in atoms[rev[e]]
-                        or self.atom_serial(self.bar(b)) != key):
-                    bar_fail = key
+                        or akey(b) not in atoms[rev[e]]
+                        or akey(bar(b)) != key):
+                    bar_fail = self.atom_serial(atom)
                     break
             if bar_fail is not None:
                 break
@@ -233,15 +247,15 @@ class LocalSystem:
         memoizes the numbers of h.arrows[j] for h out of dst arrows[j], in
         ``by_source`` order, with -1 where the composite is not an arrow.
         An arrow t in Stab has dst t = eps(id_e) = x by (a), since atom
-        serials include the image dart, so row(t) runs over out(x).
+        keys determine the image dart, so row(t) runs over out(x).
         """
         groupoid = self.groupoid
         arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
-        act, serial = self.act, self.atom_serial
+        act, key = self.act, self.atom_key
         for x in self.union.vertices:
             unit = groupoid.identities.get(x)
             out = by_source.get(x, ())
-            out_numbers = [number[g.serial] for g in out]
+            out_numbers = [number[g.key] for g in out]
             rows = {}
 
             def row(j):
@@ -249,14 +263,14 @@ class LocalSystem:
                 if found is None:
                     b = arrows[j]
                     found = rows[j] = [
-                        -1 if hb is None else number.get(hb.serial, -1)
+                        -1 if hb is None else number.get(hb.key, -1)
                         for hb in [h.compose(b) for h in by_source.get(b.dst, ())]]
                 return found
 
             for e in self.union.star(x):
                 ident = self.identity_atom(e)
-                id_key = serial(ident)
-                if unit is None or serial(act(unit, ident)) != id_key:
+                id_key = key(ident)
+                if unit is None or key(act(unit, ident)) != id_key:
                     return "identity action fails over %r" % (x,)
                 image, rep = {}, {}
                 for g, n in zip(out, out_numbers):
@@ -265,8 +279,8 @@ class LocalSystem:
                         return "action target mismatch at %r" % (g.serial,)
                     if self.atom_anchor(ga) != e:
                         return "action moved an atom anchor at %r" % (g.serial,)
-                    image[n] = key = serial(ga)
-                    rep.setdefault(key, (n, ga))
+                    image[n] = k = key(ga)
+                    rep.setdefault(k, (n, ga))
                 stab_rows = [row(n) for n in out_numbers if image[n] == id_key]
                 for i, (f, n) in enumerate(zip(out, out_numbers)):
                     for ft in stab_rows:
@@ -276,9 +290,96 @@ class LocalSystem:
                     return "orbit-stabilizer count fails at %r" % (e,)
                 for r, a in rep.values():
                     for h, hr in zip(by_source.get(arrows[r].dst, ()), row(r)):
-                        if image.get(hr) != serial(act(h, a)):
+                        if image.get(hr) != key(act(h, a)):
                             return "action compatibility fails at %r" % (h.serial,)
         return None
+
+
+class Numbering:
+    """Index tables of a permutation local system, built once per dart.
+
+    ``domains[x]`` is the sorted domain an arrow out of object x permutes,
+    numbered by ``positions[x]``.  The system supplies, per dart e, the
+    sorted elements of its ``neighbourhood``, the element at its ``head``,
+    and the transports ``across(e, nb)`` of that neighbourhood, in order,
+    into the domain of head(e) by the deck transformation that takes e
+    onto its reverse.  The tables are:
+
+    * ``dom[e]``: the positions of the neighbourhood in the domain;
+    * ``head_slot[e]``: the index in ``dom[e]`` of the head element;
+    * ``dart_at[x][i]``: the dart whose head element is at position i;
+    * ``move[f]``: each position of the neighbourhood of f to the position
+      of its transport, and -1 elsewhere;
+    * ``bar_slots[e]``: for each index of ``dom[reverse e]``, the index of
+      ``dom[e]`` that transports to it.
+    """
+
+    def __init__(self, union: Graph, domains: dict, neighbourhood, head, across):
+        self.domains = domains
+        self.positions = at = {x: {p: i for i, p in enumerate(dom)}
+                               for x, dom in domains.items()}
+        self.dom, self.head_slot, self.move = {}, {}, {}
+        self.dart_at = {x: [None] * len(dom) for x, dom in domains.items()}
+        nbhd, images = {}, {}
+        for e in union.darts:
+            x, px = union.origin[e], at[union.origin[e]]
+            nbhd[e] = nb = tuple(neighbourhood(e))
+            h = head(e)
+            self.dom[e] = tuple([px[p] for p in nb])
+            self.head_slot[e] = nb.index(h)
+            self.dart_at[x][px[h]] = e
+            images[e] = moved = tuple(across(e, nb))
+            py = at[union.head(e)]
+            move = self.move[e] = [-1] * len(domains[x])
+            for p, q in zip(nb, moved):
+                move[px[p]] = py[q]
+        self.bar_slots = {}
+        for e in union.darts:
+            slot_of = {q: j for j, q in enumerate(images[e])}
+            self.bar_slots[e] = tuple([slot_of[p] for p in nbhd[union.reverse[e]]])
+
+
+class PermLocalSystem(LocalSystem):
+    """The star and ball systems: ``PermArrow`` arrows over the domains of
+    a ``Numbering``, and atoms (anchor dart, target object, positions).
+
+    The identity atom at e is (e, origin e, dom[e]); an arrow h acts by
+    (e, y, r) -> (e, dst h, h.perm restricted to r); the image dart is read
+    from ``dart_at``; and bar moves the positions across the reversed dart.
+    Subclasses render ``atom_serial``.
+    """
+
+    def __init__(self, g1, g2, union, groupoid, numbering: Numbering):
+        super().__init__(g1, g2, union, groupoid)
+        self.numbering = numbering
+        self._identity = {e: (e, union.origin[e], r) for e, r in numbering.dom.items()}
+        self._dart_at, self._head_slot = numbering.dart_at, numbering.head_slot
+        self._rev = union.reverse
+        self._head_vertex = {e: union.head(e) for e in union.darts}
+
+    def identity_atom(self, dart):
+        return self._identity[dart]
+
+    def act(self, arrow, atom):
+        # an itemgetter of two or more positions returns their tuple
+        r, p = atom[2], arrow.perm
+        return (atom[0], arrow.dst, itemgetter(*r)(p) if len(r) > 1 else (p[r[0]],))
+
+    def bar(self, atom):
+        e, y, r = atom
+        f = self._dart_at[y][r[self._head_slot[e]]]
+        move = self.numbering.move[f]
+        return (self._rev[e], self._head_vertex[f],
+                tuple([move[r[j]] for j in self.numbering.bar_slots[e]]))
+
+    def atom_anchor(self, atom):
+        return atom[0]
+
+    def atom_image(self, atom):
+        return self._dart_at[atom[1]][atom[2][self._head_slot[atom[0]]]]
+
+    def atom_key(self, atom):
+        return atom
 
 
 # -- the cover ----------------------------------------------------------------
@@ -289,7 +390,9 @@ def build_cover(sys: LocalSystem, component: str = "least",
     """Assemble, verify and return a finite common cover of sys.g1 and sys.g2.
 
     ``component`` is "least" (default) or "all"; ``based_at`` selects the
-    component containing copy 1 of the given seed arrow instead.
+    component containing copy 1 of the given seed arrow instead.  Cover
+    vertices are numbered in arrow-key order, cover darts in atom-serial
+    order, and the provenance labels carry the serials.
     """
     if sys.axioms is None:
         sys.check_axioms()
@@ -312,84 +415,80 @@ def build_cover(sys: LocalSystem, component: str = "least",
     vertex_ids = {}
     vertex_label = {}
     vertex_colour = {}
+    vmap1, vmap2 = {}, {}
     pull_colour_1 = bool(sys.g1.vertex_colour) or bool(sys.g1.dart_colour)
     for a in cross:
         reps = n_mult // out[a.src]
+        serial, x, y = a.serial, strip_side(a.src), strip_side(a.dst)
+        colour = (sys.g1.vertex_colour.get(x) if pull_colour_1 else
+                  sys.g2.vertex_colour.get(y))
         for j in range(1, reps + 1):
             vid = "v%06d" % len(vertex_ids)
-            vertex_ids[(a.serial, j)] = vid
-            vertex_label[vid] = (a.serial, j)
-            colour = (sys.g1.vertex_colour.get(strip_side(a.src))
-                      if pull_colour_1 else
-                      sys.g2.vertex_colour.get(strip_side(a.dst)))
+            vertex_ids[(a.key, j)] = vid
+            vertex_label[vid] = (serial, j)
+            vmap1[vid], vmap2[vid] = x, y
             if colour is not None:
                 vertex_colour[vid] = colour
 
     # group cover vertices by the atom their action produces at each star dart
     groups = {}
     atoms = {}
-    arrow_of = {a.serial: a for a in cross}
     for a in cross:
         reps = n_mult // out[a.src]
         for e in union.star(a.src):
             atom = sys.act_identity(a, e)
-            key = sys.atom_serial(atom)
+            key = sys.atom_key(atom)
             atoms.setdefault(key, atom)
             slot = groups.setdefault(key, [])
             for j in range(1, reps + 1):
-                slot.append(vertex_ids[(a.serial, j)])
+                slot.append(vertex_ids[(a.key, j)])
 
     # every cross atom must be realised: the groupoid is closed, so any atom
     # anchored on side 1 with image on side 2 arises from some cross arrow
+    serial_of = {key: sys.atom_serial(atom) for key, atom in atoms.items()}
+    order = sorted(groups, key=serial_of.__getitem__)
     dart_ids = {}
     dart_label = {}
     origin = {}
     dart_colour = {}
-    order = sorted(groups)
+    dmap1, dmap2 = {}, {}
     for key in order:
         atom = atoms[key]
-        anchor = sys.atom_anchor(atom)
+        anchor, image = sys.atom_anchor(atom), sys.atom_image(atom)
         expected = n_mult // orbit[anchor]
         members = groups[key]
         if len(members) != expected:
             raise VerificationError("matching count at atom %r: %d != %d"
-                                    % (key, len(members), expected))
+                                    % (serial_of[key], len(members), expected))
+        colour = (sys.g1.dart_colour.get(strip_side(anchor)) if pull_colour_1 else
+                  sys.g2.dart_colour.get(strip_side(image)))
         for k in range(1, expected + 1):
             did = "d%06d" % len(dart_ids)
             dart_ids[(key, k)] = did
-            dart_label[did] = (key, k)
+            dart_label[did] = (serial_of[key], k)
             origin[did] = members[k - 1]
-            colour = (sys.g1.dart_colour.get(strip_side(anchor))
-                      if pull_colour_1 else
-                      sys.g2.dart_colour.get(strip_side(sys.atom_image(atom))))
+            dmap1[did], dmap2[did] = strip_side(anchor), strip_side(image)
             if colour is not None:
                 dart_colour[did] = colour
     reverse = {}
     for key in order:
         atom = atoms[key]
-        bar_key = sys.atom_serial(sys.bar(atom))
+        bar_key = sys.atom_key(sys.bar(atom))
         if bar_key not in groups:
-            raise VerificationError("bar atom not realised for %r" % (key,))
+            raise VerificationError("bar atom not realised for %r" % (serial_of[key],))
         expected = n_mult // orbit[sys.atom_anchor(atom)]
         for k in range(1, expected + 1):
             reverse[dart_ids[(key, k)]] = dart_ids[(bar_key, k)]
 
     graph = Graph(vertex_ids.values(), dart_ids.values(), origin, reverse,
                   vertex_colour, dart_colour)
-    mu1 = GraphMorphism(
-        graph, sys.g1,
-        {vid: strip_side(arrow_of[lab[0]].src) for vid, lab in vertex_label.items()},
-        {did: strip_side(sys.atom_anchor(atoms[lab[0]])) for did, lab in dart_label.items()})
-    mu2 = GraphMorphism(
-        graph, sys.g2,
-        {vid: strip_side(arrow_of[lab[0]].dst) for vid, lab in vertex_label.items()},
-        {did: strip_side(sys.atom_image(atoms[lab[0]])) for did, lab in dart_label.items()})
+    mu1 = GraphMorphism(graph, sys.g1, vmap1, dmap1)
+    mu2 = GraphMorphism(graph, sys.g2, vmap2, dmap2)
     based_vertex = None
     if based_at is not None:
-        seed_serial = based_at if not hasattr(based_at, "serial") else based_at.serial
-        if (seed_serial, 1) not in vertex_ids:
+        if (based_at.key, 1) not in vertex_ids:
             raise GraphError("seed arrow is not a cross arrow of the system")
-        based_vertex = vertex_ids[(seed_serial, 1)]
+        based_vertex = vertex_ids[(based_at.key, 1)]
     return finish_cover(mu1, mu2, component, based_vertex, n_mult,
                         vertex_label, dart_label)
 
@@ -470,27 +569,28 @@ def extract_certificate(built: Cover, sys, test_radius: int,
         nu1[w] = graph.head(cover_dart)
         psi[w] = c2.step(psi[z], mu2.dmap[cover_dart])
 
-    from .ball_system import BallArrow, verify_witness
+    from .ball_system import verify_witness
 
+    domains, positions = sys.numbering.domains, sys.numbering.positions
     entries = []
     for z in layers:
         if len(z) > test_radius:
             break
         x = c1.project(z)
         y = c2.project(psi[z])
+        src, dst = "1:" + x, "2:" + y
         zx = c1.canonical_lift(x)
         zy = c2.canonical_lift(y)
         w1 = c1.deck_loop(zx, z)
         w2 = c2.deck_loop(psi[z], zy)
-        mapping = tuple(sorted(
-            (p, c2.transport(w2, psi[c1.transport(w1, p)]))
-            for p in c1.ball(zx, radius).vertices))
-        found = BallArrow("1:" + x, "2:" + y, mapping)
-        serial = found.serial
-        arrow = sys.groupoid.by_serial.get(serial)
+        images = [c2.transport(w2, psi[c1.transport(w1, p)]) for p in domains[src]]
+        at = positions[dst]
+        arrow = sys.groupoid.by_key((src, dst, tuple([at.get(q, -1) for q in images])))
         if arrow is None:
-            raise VerificationError("ball restriction escaped the discovered "
-                                    "groupoid at %r (%r)" % (z, serial))
+            raise VerificationError(
+                "ball restriction escaped the discovered groupoid at %r (%r)"
+                % (z, ("ball", src, dst, tuple(zip(domains[src], images)))))
+        serial = arrow.serial
         matches = built.vertex_label[nu1[z]][0] == serial
         entries.append(CertificateEntry(z, serial, matches,
                                         verify_witness(arrow, sys)))

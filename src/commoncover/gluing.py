@@ -77,27 +77,28 @@ class PairsAndFaces:
 
 
 def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
+    """Cross arrows and the face classes of their atoms, keyed by the atom
+    serial of the face representative."""
     orientation = orient_darts(sys)
     union = sys.union
     pairs = sys.cross_arrows()
-    faces = {}
+    sides = {}                     # atom key -> (representative, left, right)
     for arrow in pairs:
         for e in union.star(arrow.src):
             atom = sys.act_identity(arrow, e)
             if orientation[e] == 1:
-                key = sys.atom_serial(atom)
-                face = faces.setdefault(key, FaceClass(atom, key, [], []))
-                face.left.append(arrow)
+                side = 1
             else:
-                rep = sys.bar(atom)
-                key = sys.atom_serial(rep)
-                face = faces.setdefault(key, FaceClass(rep, key, [], []))
-                face.right.append(arrow)
-    for face in faces.values():
-        face.left.sort(key=lambda a: a.serial)
-        face.right.sort(key=lambda a: a.serial)
-        if not face.left or not face.right:
+                atom, side = sys.bar(atom), 2
+            sides.setdefault(sys.atom_key(atom), (atom, [], []))[side].append(arrow)
+    faces = {}
+    for atom, left, right in sides.values():
+        left.sort(key=lambda a: a.key)
+        right.sort(key=lambda a: a.key)
+        if not left or not right:
             raise VerificationError("one-sided face")
+        serial = sys.atom_serial(atom)
+        faces[serial] = FaceClass(atom, serial, left, right)
     return PairsAndFaces(pairs, faces, orientation)
 
 
@@ -137,18 +138,15 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
     """Glue weighted polyhedron copies along matched face slots."""
     union = sys.union
     instance_ids = {}
-    for arrow in data.pairs:
-        for c in range(1, weights.weight(arrow) + 1):
-            instance_ids[(arrow.serial, c)] = "p%06d" % len(instance_ids)
     vmap1, vmap2, vcol = {}, {}, {}
-    arrow_by_serial = {a.serial: a for a in data.pairs}
-    for (serial, c), pid in instance_ids.items():
-        arrow = arrow_by_serial[serial]
-        vmap1[pid] = strip_side(arrow.src)
-        vmap2[pid] = strip_side(arrow.dst)
-        colour = sys.g1.vertex_colour.get(vmap1[pid])
-        if colour is not None:
-            vcol[pid] = colour
+    for arrow in data.pairs:
+        x, y = strip_side(arrow.src), strip_side(arrow.dst)
+        colour = sys.g1.vertex_colour.get(x)
+        for c in range(1, weights.weight(arrow) + 1):
+            pid = instance_ids[(arrow.key, c)] = "p%06d" % len(instance_ids)
+            vmap1[pid], vmap2[pid] = x, y
+            if colour is not None:
+                vcol[pid] = colour
     darts, origin, reverse, dmap1, dmap2, dcol = [], {}, {}, {}, {}, {}
     for key in sorted(data.faces):
         face = data.faces[key]
@@ -164,8 +162,8 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
             dl = "d%06dL" % len(darts)
             dr = "d%06dR" % len(darts)
             darts += [dl, dr]
-            origin[dl] = instance_ids[(la.serial, lc)]
-            origin[dr] = instance_ids[(ra.serial, rc)]
+            origin[dl] = instance_ids[(la.key, lc)]
+            origin[dr] = instance_ids[(ra.key, rc)]
             reverse[dl], reverse[dr] = dr, dl
             dmap1[dl] = strip_side(anchor)
             dmap1[dr] = strip_side(union.reverse[anchor])

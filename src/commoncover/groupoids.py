@@ -1,16 +1,22 @@
 """Finite groupoids and their saturation from generating arrows.
 
-Arrows are hashable objects exposing ``src``, ``dst``, ``serial`` (a
-sortable canonical key), ``compose(other)`` (self after other, or None when
-incompatible) and ``inverse()``.  Saturation closes a generating set S under
-composition and inversion inside a finite ambient universe by breadth-first
-search over the Cayley graph: each arrow found is left-composed with the
-letters of S and S^-1 that start at its target, and nothing else.  Every
-word over those letters is reached this way, so the result is exactly the
-closure, and each arrow's witness word is a shortest one (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
-Actions on edge atoms, their orbits and the orbit-stabilizer counts live in
-``cover_builder.LocalSystem``.
+Arrows are hashable objects exposing ``src``, ``dst``, ``key`` (their
+identity, sortable), ``serial`` (the canonical tuple written to artifacts
+and failure messages, sorting as ``key`` does), ``compose(other)`` (self
+after other, or None when incompatible) and ``inverse()``.  Saturation
+closes a generating set S under composition and inversion inside a finite
+ambient universe by breadth-first search over the Cayley graph: each arrow
+found is left-composed with the letters of S and S^-1 that start at its
+target, and nothing else.  Every word over those letters is reached this
+way, so the result is exactly the closure, and each arrow's witness word is
+a shortest one (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, section 4.1).  Actions on edge atoms, their orbits and the
+orbit-stabilizer counts live in ``cover_builder.LocalSystem``.
+
+``PermArrow`` is the arrow of the star and ball systems: a permutation
+between two numbered domains (the darts of a star, the vertices of a
+canonical ball), so that composition is tuple indexing (Holt, Eick and
+O'Brien, chapters 3 and 4: points as ints, permutations as arrays).
 
 ``Value`` is the base of the arrow and atom classes: plain ``__slots__``
 records whose equality and hashing cover a fixed field tuple, as a frozen
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable
 
 
@@ -49,23 +56,88 @@ class Value:
             "%s=%r" % (f, getattr(self, f)) for f in self._compare))
 
 
+class PermArrow(Value):
+    """A bijection from the domain of ``src`` onto the domain of ``dst``.
+
+    ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
+    those objects; ``perm[i]`` is the codomain position of the image of
+    ``domain[i]``.  Identity is ``key = (src, dst, perm)``: for equal ends,
+    comparing perms compares the images in sorted codomain order, so keys
+    sort as the rendered ``serial`` tuples do.  ``witness`` is a word carried
+    along by composition and inversion; it takes no part in identity.
+    Subclasses name the ``tag`` of their serial.
+    """
+
+    __slots__ = ("src", "dst", "perm", "domain", "codomain", "witness",
+                 "key", "_serial")
+    _compare = ("src", "dst", "perm")
+
+    def __init__(self, src, dst, perm: tuple, domain: tuple, codomain: tuple,
+                 witness: tuple = ()):
+        self.src = src
+        self.dst = dst
+        self.perm = perm
+        self.domain = domain
+        self.codomain = codomain
+        self.witness = witness
+        self.key = (src, dst, perm)
+        self._serial = None
+
+    @property
+    def pairs(self) -> tuple:
+        """(element, image) pairs in domain order."""
+        return tuple(zip(self.domain, map(self.codomain.__getitem__, self.perm)))
+
+    @property
+    def serial(self) -> tuple:
+        if self._serial is None:
+            self._serial = (self.tag, self.src, self.dst, self.pairs)
+        return self._serial
+
+    def compose(self, other: "PermArrow"):
+        if other.dst != self.src:
+            return None
+        # perm[i] = self.perm[other.perm[i]]; itemgetter does it in one C
+        # call, and returns a tuple when given two or more positions
+        q = other.perm
+        perm = (itemgetter(*q)(self.perm) if len(q) > 1
+                else tuple(map(self.perm.__getitem__, q)))
+        return self.__class__(other.src, self.dst, perm, other.domain,
+                              self.codomain, other.witness + self.witness)
+
+    def inverse(self) -> "PermArrow":
+        inv = [0] * len(self.perm)
+        for i, j in enumerate(self.perm):
+            inv[j] = i
+        return self.__class__(self.dst, self.src, tuple(inv), self.codomain,
+                              self.domain, self.invert_word(self.witness))
+
+    @staticmethod
+    def invert_word(word: tuple) -> tuple:
+        """The witness of the inverse; star arrows carry empty words."""
+        return word
+
+
 @dataclass
 class FiniteGroupoid:
     objects: tuple
-    arrows: tuple                    # sorted by serial
+    arrows: tuple                    # sorted by key
     identities: dict                 # object -> identity arrow
-    witness: dict = field(default_factory=dict)   # serial -> word over generators
+    witness: dict = field(default_factory=dict)   # key -> word over generators
 
     def __post_init__(self):
         self.by_source = {}
         self.by_pair = {}
-        self.by_serial = {}
-        self.number = {}             # serial -> position in ``arrows``
+        self.number = {}             # key -> position in ``arrows``
         for i, a in enumerate(self.arrows):
             self.by_source.setdefault(a.src, []).append(a)
             self.by_pair.setdefault((a.src, a.dst), []).append(a)
-            self.by_serial[a.serial] = a
-            self.number[a.serial] = i
+            self.number[a.key] = i
+
+    def by_key(self, key):
+        """The arrow with this key, or None."""
+        i = self.number.get(key)
+        return None if i is None else self.arrows[i]
 
     def out_count(self, obj) -> int:
         return len(self.by_source.get(obj, ()))
@@ -89,28 +161,28 @@ class FiniteGroupoid:
                 bad.append("missing identity at %r" % (x,))
         for a in self.arrows:
             inv = a.inverse()
-            if inv.serial not in number:
+            if inv.key not in number:
                 bad.append("inverse missing for %r" % (a.serial,))
                 continue
             left = inv.compose(a)
-            if left is None or left.serial != self.identities[a.src].serial:
+            if left is None or left.key != self.identities[a.src].key:
                 bad.append("inverse law fails for %r" % (a.serial,))
             ii = self.identities[a.dst].compose(a)
-            if ii is None or ii.serial != a.serial:
+            if ii is None or ii.key != a.key:
                 bad.append("identity law fails for %r" % (a.serial,))
         table = {}                   # (i, j) -> index of arrow i after arrow j
         for j, b in enumerate(self.arrows):
             for a in self.by_source.get(b.dst, ()):
                 ab = a.compose(b)
-                k = number.get(ab.serial) if ab is not None else None
+                k = number.get(ab.key) if ab is not None else None
                 if k is None:
                     bad.append("not closed under composition at (%r, %r)"
                                % (a.serial, b.serial))
                 else:
-                    table[number[a.serial], j] = k
+                    table[number[a.key], j] = k
         if bad:
             return bad
-        out = [[number[a.serial] for a in self.by_source.get(b.dst, ())]
+        out = [[number[a.key] for a in self.by_source.get(b.dst, ())]
                for b in self.arrows]
         for j in range(len(self.arrows)):
             for i in out[j]:
@@ -148,9 +220,9 @@ def saturate(atoms: Iterable, objects: Iterable,
     queue = deque()
 
     def add(arrow, word):
-        if arrow.serial not in arrows:
-            arrows[arrow.serial] = arrow
-            witness[arrow.serial] = word
+        if arrow.key not in arrows:
+            arrows[arrow.key] = arrow
+            witness[arrow.key] = word
             queue.append(arrow)
 
     for x in objs:
@@ -159,10 +231,10 @@ def saturate(atoms: Iterable, objects: Iterable,
         add(s, (letter,))
     while queue:
         b = queue.popleft()
-        word = witness[b.serial]
+        word = witness[b.key]
         for letter, s in letters.get(b.dst, ()):
             add(s.compose(b), word + (letter,))
-    ordered = tuple(sorted(arrows.values(), key=lambda a: a.serial))
+    ordered = tuple(arrows[k] for k in sorted(arrows))
     return FiniteGroupoid(tuple(objs), ordered, identities, witness)
 
 

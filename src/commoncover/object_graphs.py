@@ -207,7 +207,7 @@ class StarMapArrow(Value):
     """
 
     __slots__ = ("src", "dst", "bij", "edge_maps", "vertex_map", "serial",
-                 "_map", "_emap_dict")
+                 "key", "_map", "_emap_dict")
     _compare = ("src", "dst", "bij", "edge_maps")
 
     def __init__(self, src: str, dst: str, bij: tuple, edge_maps: tuple,
@@ -219,6 +219,7 @@ class StarMapArrow(Value):
         self.vertex_map = vertex_map
         self.serial = ("smap", src, dst, bij,
                        tuple((d, m.serial) for d, m in edge_maps))
+        self.key = self.serial
         self._map = None
         self._emap_dict = None
 
@@ -459,11 +460,9 @@ def build_object_cover(sys: ObjectLocalSystem, component: str = "least",
     atom_by_serial = {}
     for slot in sys.atoms_by_anchor.values():
         atom_by_serial.update(slot)
-    arrow_by_serial = sys.groupoid.by_serial
-
     vertex_objects, vmorph1, vmorph2 = {}, {}, {}
     for vid, (arrow_serial, _) in built.vertex_label.items():
-        arrow = arrow_by_serial[arrow_serial]
+        arrow = sys.groupoid.by_key(arrow_serial)     # the key is the serial
         obj = x1.vertex_objects[strip_side(arrow.src)]
         vertex_objects[vid] = obj
         vmorph1[vid] = obj_identity(obj)

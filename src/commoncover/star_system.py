@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from math import factorial, prod
 
-from .cover_builder import AxiomError, LocalSystem, retry_doubling
+from .cover_builder import AxiomError, Numbering, PermLocalSystem, retry_doubling
 from .graphs import BudgetExceeded, Graph, GraphError, disjoint_union
-from .groupoids import FiniteGroupoid, Value, saturate
+from .groupoids import FiniteGroupoid, PermArrow, saturate
 from .refinement import JointBlocks, _dart_type, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
@@ -29,75 +29,52 @@ STRATEGY_ALIGNED = "aligned"
 DR_FULL_ARROW_BUDGET = 200000
 
 
-class StarArrow(Value):
-    """A bijection between two stars, as sorted (dart, image) pairs."""
+class StarArrow(PermArrow):
+    """A bijection between two stars: ``perm`` over the sorted darts of
+    ``union.star(src)`` and ``union.star(dst)``; its serial is
+    ("star", src, dst, bij) with ``bij`` the sorted (dart, image) pairs."""
 
-    __slots__ = ("src", "dst", "bij", "serial", "_map")
-    _compare = ("src", "dst", "bij")
+    __slots__ = ()
+    tag = "star"
+    bij = PermArrow.pairs
 
-    def __init__(self, src: str, dst: str, bij: tuple):
-        self.src = src
-        self.dst = dst
-        self.bij = bij
-        self.serial = ("star", src, dst, bij)
-        self._map = None
 
-    @property
-    def as_dict(self) -> dict:
-        if self._map is None:
-            self._map = dict(self.bij)
-        return self._map
-
-    def compose(self, other: "StarArrow"):
-        # bij pairs are kept sorted by source dart, and composition does not
-        # touch the source darts, so no re-sort is needed
-        if other.dst != self.src:
-            return None
-        m = self.as_dict
-        return StarArrow(other.src, self.dst,
-                         tuple([(e, m[f]) for e, f in other.bij]))
-
-    def inverse(self) -> "StarArrow":
-        return StarArrow(self.dst, self.src,
-                         tuple(sorted((f, e) for e, f in self.bij)))
+def star_arrow(graph: Graph, src, dst, image: dict) -> StarArrow:
+    """The star bijection of ``graph`` sending each dart d at src to image[d]."""
+    domain, codomain = graph.star(src), graph.star(dst)
+    at = {f: i for i, f in enumerate(codomain)}
+    return StarArrow(src, dst, tuple([at[image[d]] for d in domain]), domain, codomain)
 
 
 def _identity_arrow(union: Graph):
     def factory(x):
-        return StarArrow(x, x, tuple((d, d) for d in union.star(x)))
+        star = union.star(x)
+        return StarArrow(x, x, tuple(range(len(star))), star, star)
     return factory
 
 
-class StarLocalSystem(LocalSystem):
+def star_numbering(union: Graph) -> Numbering:
+    """Stars as domains: an atom at e restricts an arrow to e alone, and bar
+    moves each dart to its reverse."""
+    rev = union.reverse
+    return Numbering(union, {x: union.star(x) for x in union.vertices},
+                     lambda e: (e,), lambda e: e, lambda e, nb: (rev[e],))
+
+
+class StarLocalSystem(PermLocalSystem):
     kind = "star"
 
     def __init__(self, g1, g2, union, groupoid, joint: JointBlocks,
                  strategy: str, explore_radius=None, atom_arrows=()):
-        super().__init__(g1, g2, union, groupoid)
+        super().__init__(g1, g2, union, groupoid, star_numbering(union))
         self.joint = joint
         self.strategy = strategy
         self.explore_radius = explore_radius
         self.atom_arrows = tuple(atom_arrows)
 
-    # atoms are (anchor dart, image dart) pairs over prefixed identifiers
-    def identity_atom(self, dart):
-        return (dart, dart)
-
-    def act(self, arrow, atom):
-        return (atom[0], arrow.as_dict[atom[1]])
-
-    def bar(self, atom):
-        rev = self.union.reverse
-        return (rev[atom[0]], rev[atom[1]])
-
-    def atom_anchor(self, atom):
-        return atom[0]
-
-    def atom_image(self, atom):
-        return atom[1]
-
     def atom_serial(self, atom):
-        return atom
+        """(anchor dart, image dart)."""
+        return (atom[0], self.atom_image(atom))
 
 
 def _grouped_star(union, block_of, v):
@@ -123,40 +100,43 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
         for u in block:
             gu = grouped[u]
             types = sorted(gu)
+            domain = union.star(u)
+            slots = [i for t in types for i in (domain.index(d) for d in gu[t])]
             for v in block:
                 gv = grouped[v]
                 if sorted(gv) != types or any(len(gu[t]) != len(gv[t]) for t in types):
                     raise AxiomError("joint partition is not equitable at %r" % (v,))
-                pools = [itertools.permutations(gv[t]) for t in types]
+                codomain = union.star(v)
+                pools = [itertools.permutations([codomain.index(f) for f in gv[t]])
+                         for t in types]
                 for combo in itertools.product(*pools):
-                    pairs = []
-                    for t, perm in zip(types, combo):
-                        pairs.extend(zip(gu[t], perm))
-                    arrows.append(StarArrow(u, v, tuple(sorted(pairs))))
+                    perm = [0] * len(domain)
+                    for i, j in zip(slots, itertools.chain.from_iterable(combo)):
+                        perm[i] = j
+                    arrows.append(StarArrow(u, v, tuple(perm), domain, codomain))
     return arrows
 
 
-def induced_star_map(alignment: TreeAlignment, z) -> StarArrow:
+def induced_star_map(alignment: TreeAlignment, z, union: Graph) -> StarArrow:
     """Star bijection induced at a tree vertex: lift to the first cover's
-    tree, push through the alignment, project to the second graph."""
+    tree, push through the alignment, project to the second graph.  Its
+    domains are the stars of ``union``, the disjoint union of the two
+    graphs."""
     c1, c2 = alignment.c1, alignment.c2
-    x = c1.project(z)
     z2 = alignment.apply(z)
-    y = c2.project(z2)
-    pairs = []
-    for d, w in c1.star_darts(z):
-        f = c2.dart_between(z2, alignment.apply(w))
-        pairs.append(("1:" + d, "2:" + f))
-    return StarArrow("1:" + x, "2:" + y, tuple(sorted(pairs)))
+    image = {"1:" + d: "2:" + c2.dart_between(z2, alignment.apply(w))
+             for d, w in c1.star_darts(z)}
+    return star_arrow(union, "1:" + c1.project(z), "2:" + c2.project(z2), image)
 
 
-def _aligned_atoms(alignment: TreeAlignment, explore_radius: int) -> list:
+def _aligned_atoms(alignment: TreeAlignment, explore_radius: int,
+                   union: Graph) -> list:
     alignment.ensure_radius(explore_radius + 1)
     seen = {}
     for z in alignment.c1.layers(explore_radius):
-        arrow = induced_star_map(alignment, z)
-        seen.setdefault(arrow.serial, arrow)
-    return [seen[s] for s in sorted(seen)]
+        arrow = induced_star_map(alignment, z, union)
+        seen.setdefault(arrow.key, arrow)
+    return [seen[k] for k in sorted(seen)]
 
 
 def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
@@ -172,7 +152,7 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
         arrows = _dr_full_arrows(union, joint)
         identities = {x: _identity_arrow(union)(x) for x in union.vertices}
         groupoid = FiniteGroupoid(tuple(union.vertices),
-                                  tuple(sorted(set(arrows), key=lambda a: a.serial)),
+                                  tuple(sorted(set(arrows), key=lambda a: a.key)),
                                   identities)
         sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy)
         report = sys.check_axioms()
@@ -186,7 +166,7 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
         explore_radius = 1 + g1.diameter() + g2.diameter()
     if alignment is None:
         alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
-    atoms = _aligned_atoms(alignment, explore_radius)
+    atoms = _aligned_atoms(alignment, explore_radius, union)
     groupoid = saturate(atoms, union.vertices, _identity_arrow(union))
     sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
                           explore_radius, atoms)

@@ -39,20 +39,20 @@ def lollipop() -> Graph:
 
 
 def bfs_atoms(sys, dart) -> set:
-    """Serials of the atoms reached from the identity atom at the dart by
-    breadth-first search under the arrow action.
+    """Keys (``atom_key``) of the atoms reached from the identity atom at
+    the dart by breadth-first search under the arrow action.
 
     This computes the orbit without the one-step rule of
     ``LocalSystem.atoms_by_anchor`` and serves as its reference.
     """
     start = sys.identity_atom(dart)
-    seen = {sys.atom_serial(start)}
+    seen = {sys.atom_key(start)}
     frontier = [start]
     while frontier:
         atom = frontier.pop()
         for arrow in sys.groupoid.by_source.get(sys.eps(atom), ()):
             nxt = sys.act(arrow, atom)
-            key = sys.atom_serial(nxt)
+            key = sys.atom_key(nxt)
             if key not in seen:
                 seen.add(key)
                 frontier.append(nxt)
@@ -512,3 +512,177 @@ def reference_split_two_factor(g: Graph, darts) -> set:
         factor.add(d)
         factor.add(g.reverse[d])
     return factor
+
+
+# -- the star and ball kernels as they were before arrows became permutations
+# of numbered domains: arrows and atoms as sorted pair tuples, acting through
+# dicts and tree paths.  Each serves as the reference for the serials that
+# the integer kernel renders.
+
+
+def _invert_letter(letter):
+    kind, payload = letter
+    if kind == "th":
+        return ("th", -payload)
+    return (kind, tuple((i, -e) for i, e in reversed(payload)))
+
+
+class ReferenceStarArrow:
+    """A bijection between two stars, as sorted (dart, image) pairs."""
+
+    def __init__(self, src, dst, bij):
+        self.src = src
+        self.dst = dst
+        self.bij = bij
+        self.serial = ("star", src, dst, bij)
+
+    def compose(self, other):
+        if other.dst != self.src:
+            return None
+        m = dict(self.bij)
+        return ReferenceStarArrow(other.src, self.dst,
+                                  tuple([(e, m[f]) for e, f in other.bij]))
+
+    def inverse(self):
+        return ReferenceStarArrow(self.dst, self.src,
+                                  tuple(sorted((f, e) for e, f in self.bij)))
+
+
+class ReferenceBallArrow:
+    """Root-to-root isomorphism between two canonical balls, as sorted
+    (path, path) pairs, with its deck-word witness."""
+
+    def __init__(self, src, dst, mapping, witness=()):
+        self.src = src
+        self.dst = dst
+        self.mapping = mapping
+        self.witness = witness
+        self.serial = ("ball", src, dst, mapping)
+
+    def compose(self, other):
+        if other.dst != self.src:
+            return None
+        m = dict(self.mapping)
+        out = tuple([(p, m[q]) for p, q in other.mapping])
+        return ReferenceBallArrow(other.src, self.dst, out, other.witness + self.witness)
+
+    def inverse(self):
+        return ReferenceBallArrow(self.dst, self.src,
+                                  tuple(sorted((q, p) for p, q in self.mapping)),
+                                  tuple(_invert_letter(l) for l in reversed(self.witness)))
+
+
+class ReferenceEdgeAtom:
+    """Centered isomorphism between the canonical neighbourhoods of two darts."""
+
+    def __init__(self, anchor, image, mapping):
+        self.anchor = anchor
+        self.image = image
+        self.mapping = mapping
+        self.serial = ("atom", anchor, image, mapping)
+
+
+class ReferenceStarKernel:
+    """Star atoms as (anchor dart, image dart) pairs of a star system."""
+
+    def __init__(self, sys):
+        self.union = sys.union
+
+    def arrow(self, a):
+        return ReferenceStarArrow(a.src, a.dst, a.bij)
+
+    def atom(self, serial):
+        return serial
+
+    def identity(self, x):
+        return ReferenceStarArrow(x, x, tuple((d, d) for d in self.union.star(x)))
+
+    def identity_atom(self, dart):
+        return (dart, dart)
+
+    def serial(self, atom):
+        return atom
+
+    def act(self, arrow, atom):
+        return (atom[0], dict(arrow.bij)[atom[1]])
+
+    def bar(self, atom):
+        rev = self.union.reverse
+        return (rev[atom[0]], rev[atom[1]])
+
+
+class ReferenceBallKernel:
+    """Ball atoms as ``ReferenceEdgeAtom`` records of a ball system, acting
+    through the tree paths of its two universal covers."""
+
+    def __init__(self, sys):
+        self.union = sys.union
+        self.cover1, self.cover2 = sys.cover1, sys.cover2
+        self.radius = sys.radius
+
+    def _cover_of(self, prefixed):
+        return self.cover1 if prefixed.startswith("1:") else self.cover2
+
+    def _neighbourhood(self, cover, root, dart):
+        head = cover.step(root, dart)
+        vs = set(cover.ball(root, self.radius - 1).vertices)
+        vs |= set(cover.ball(head, self.radius - 1).vertices)
+        return tuple(sorted(vs))
+
+    def arrow(self, a):
+        return ReferenceBallArrow(a.src, a.dst, a.mapping, a.witness)
+
+    def atom(self, serial):
+        return ReferenceEdgeAtom(*serial[1:])
+
+    def identity(self, x):
+        cover = self._cover_of(x)
+        vs = cover.ball(cover.canonical_lift(x[2:]), self.radius).vertices
+        return ReferenceBallArrow(x, x, tuple((p, p) for p in vs))
+
+    def identity_atom(self, dart):
+        cover = self._cover_of(dart)
+        raw = dart[2:]
+        root = cover.canonical_lift(cover.graph.origin[raw])
+        nb = self._neighbourhood(cover, root, raw)
+        return ReferenceEdgeAtom(dart, dart, tuple((p, p) for p in nb))
+
+    def serial(self, atom):
+        return atom.serial
+
+    def act(self, arrow, atom):
+        cover = self._cover_of(atom.image)
+        raw = atom.image[2:]
+        root = cover.canonical_lift(cover.graph.origin[raw])
+        head = cover.step(root, raw)
+        m = dict(arrow.mapping)
+        new_mapping = tuple((p, m[q]) for p, q in atom.mapping)
+        target = self._cover_of(arrow.dst)
+        new_dart = target.dart_between(m[root], m[head])
+        return ReferenceEdgeAtom(atom.anchor, arrow.dst[:2] + new_dart, new_mapping)
+
+    def bar(self, atom):
+        csrc = self._cover_of(atom.anchor)
+        ctgt = self._cover_of(atom.image)
+        e, f = atom.anchor[2:], atom.image[2:]
+        e_rev = csrc.graph.reverse[e]
+        f_rev = ctgt.graph.reverse[f]
+        zx = csrc.canonical_lift(csrc.graph.origin[e])
+        zy = ctgt.canonical_lift(ctgt.graph.origin[f])
+        w1 = csrc.deck_loop(csrc.canonical_lift(csrc.graph.origin[e_rev]),
+                            csrc.step(zx, e))
+        w2 = ctgt.deck_loop(ctgt.step(zy, f),
+                            ctgt.canonical_lift(ctgt.graph.origin[f_rev]))
+        m = dict(atom.mapping)
+        root = csrc.canonical_lift(csrc.graph.origin[e_rev])
+        nb = self._neighbourhood(csrc, root, e_rev)
+        mapping = tuple(sorted(
+            (p, ctgt.transport(w2, m[csrc.transport(w1, p)])) for p in nb))
+        rev = self.union.reverse
+        return ReferenceEdgeAtom(rev[atom.anchor], rev[atom.image], mapping)
+
+
+def reference_kernel(sys):
+    """The pair-tuple reference for the arrows and atoms of a star or ball
+    system."""
+    return (ReferenceStarKernel if sys.kind == "star" else ReferenceBallKernel)(sys)

@@ -78,7 +78,7 @@ def test_radius_one_matches_aligned_star_orbits():
         ball_sys = build_ball_system_retrying(g1, g2, radius=1)
         star_sys = build_star_system_retrying(g1, g2, STRATEGY_ALIGNED)
         for e in ball_sys.union.darts:
-            ball_pairs = {(a.anchor, a.image)
+            ball_pairs = {(ball_sys.atom_anchor(a), ball_sys.atom_image(a))
                           for a in ball_sys.atoms_by_anchor[e].values()}
             star_pairs = {(e, f) for f in star_sys.orbit_darts(e)}
             assert ball_pairs == star_pairs
@@ -113,27 +113,27 @@ def test_canonical_representatives_deduplicate():
 def test_bar_is_an_involutive_automorphism():
     g1, g2 = families.cycle(3), families.cycle(4)
     sys = build_ball_system_retrying(g1, g2, radius=2)
-    atoms = [sys.atoms_by_anchor[e][s] for e in sys.union.darts
-             for s in sorted(sys.atoms_by_anchor[e])]
-    by_key = {(a.anchor, a.image, a.mapping): a for a in atoms}
+    atoms = [sys.atoms_by_anchor[e][k] for e in sys.union.darts
+             for k in sorted(sys.atoms_by_anchor[e])]
+    serial, mapping = sys.atom_serial, (lambda a: sys.atom_serial(a)[3])
     for atom in atoms:
         twice = sys.bar(sys.bar(atom))
-        assert twice.serial == atom.serial
+        assert serial(twice) == serial(atom)
         b = sys.bar(atom)
-        assert b.anchor == sys.union.reverse[atom.anchor]
-        assert b.image == sys.union.reverse[atom.image]
-    # composition is preserved: bar(b . a) == bar(b) . bar(a)
+        assert sys.atom_anchor(b) == sys.union.reverse[sys.atom_anchor(atom)]
+        assert sys.atom_image(b) == sys.union.reverse[sys.atom_image(atom)]
+    # composition is preserved: bar(b . a) == bar(b) . bar(a); an atom is
+    # (anchor, target, positions), so b . a reads b's position at each of a's
     for a in atoms[:40]:
         for b in atoms[:40]:
-            if b.anchor != a.image:
+            if sys.atom_anchor(b) != sys.atom_image(a):
                 continue
-            comp_map = dict(b.mapping)
-            composed = type(a)(a.anchor, b.image,
-                               tuple(sorted((p, comp_map[q]) for p, q in a.mapping)))
+            slot = {i: j for j, i in enumerate(sys.numbering.dom[b[0]])}
+            composed = (a[0], b[1], tuple(b[2][slot[i]] for i in a[2]))
             bar_a, bar_b = sys.bar(a), sys.bar(b)
-            bar_map = dict(bar_b.mapping)
-            lhs = sys.bar(composed).mapping
-            rhs = tuple(sorted((p, bar_map[q]) for p, q in bar_a.mapping))
+            bar_map = dict(mapping(bar_b))
+            lhs = mapping(sys.bar(composed))
+            rhs = tuple(sorted((p, bar_map[q]) for p, q in mapping(bar_a)))
             assert lhs == rhs
 
 
@@ -149,12 +149,12 @@ def test_corrupted_representative_fails_witness():
     sys = build_ball_system_retrying(g1, g2, radius=1)
     arrow = next(a for a in sys.groupoid.arrows
                  if a.src.startswith("1:") and a.dst.startswith("2:"))
-    mapping = dict(arrow.mapping)
-    leaves = [p for p in mapping if len(p) == 1]
+    perm = list(arrow.perm)
+    leaves = [i for i, p in enumerate(arrow.domain) if len(p) == 1]
     a, b = leaves[0], leaves[1]
-    mapping[a], mapping[b] = mapping[b], mapping[a]
-    corrupted = BallArrow(arrow.src, arrow.dst, tuple(sorted(mapping.items())),
-                          arrow.witness)
+    perm[a], perm[b] = perm[b], perm[a]
+    corrupted = BallArrow(arrow.src, arrow.dst, tuple(perm), arrow.domain,
+                          arrow.codomain, arrow.witness)
     assert not verify_witness(corrupted, sys)
 
 
@@ -186,10 +186,10 @@ def test_acted_identity_atoms_match_arrow_star_bijection():
         root = cov.canonical_lift(arrow.src[2:])
         for e in sys.union.star(arrow.src):
             atom = sys.act_identity(arrow, e)
-            assert atom.anchor == e
+            assert sys.atom_anchor(atom) == e
             head = cov.step(root, e[2:])
             image = sys.cover2.dart_between(mapping[root], mapping[head])
-            assert atom.image == "2:" + image
+            assert sys.atom_image(atom) == "2:" + image
 
 
 def test_coloured_ball_system_builds_and_certifies():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,3 +100,15 @@ def test_satisfied_is_exact_comparison():
     assert report.satisfied is False
     report = bound_report("regular", v1=2, v2=2, odd=False, actual=4)
     assert report.satisfied is True
+
+
+def test_importing_the_cli_does_not_load_mpmath():
+    # only upper_exp_sqrt needs mpmath, and it imports it on first use
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, commoncover.cli; "
+            "print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+    assert upper_exp_sqrt(10, Fraction(2)) > 1

@@ -1,8 +1,7 @@
 import pytest
 
 from commoncover import families
-from commoncover.ball_system import (EdgeAtom, build_ball_system_retrying,
-                                     discover_atoms)
+from commoncover.ball_system import build_ball_system_retrying, discover_atoms
 from commoncover.cover_builder import (AxiomError, build_cover,
                                        extract_certificate)
 from commoncover.graphs import is_covering
@@ -193,26 +192,38 @@ def _other_dart(sys, dart):
     return next(d for d in sys.union.star(sys.union.origin[dart]) if d != dart)
 
 
+def _other_image(sys, atom):
+    """The atom (anchor, target, positions) with the image of the anchor's
+    head moved to the head of another dart at the image's origin, so that
+    its image dart is that other dart."""
+    e, y, r = atom
+    i = sys.numbering.head_slot[e]
+    moved = sys.numbering.dart_at[y].index(_other_dart(sys, sys.atom_image(atom)))
+    return (e, y, r[:i] + (moved,) + r[i + 1:])
+
+
 def test_wrong_image_dart_fails_axioms():
     g1, g2 = families.cycle(3), families.cycle(4)
     star = build_star_system(g1, g2)
-    report = _mutated(star, lambda atom: (atom[0], _other_dart(star, atom[1])))
+    report = _mutated(star, lambda atom: _other_image(star, atom))
     assert not report.ok and not report.action_ok
     ball = build_ball_system_retrying(g1, g2, radius=1)
-    report = _mutated(ball, lambda atom: EdgeAtom(
-        atom.anchor, _other_dart(ball, atom.image), atom.mapping))
+    report = _mutated(ball, lambda atom: _other_image(ball, atom))
     assert not report.ok and not report.action_ok
 
 
 def test_corrupted_atom_payload_fails_axioms():
     ball = build_ball_system_retrying(families.cycle(3), families.cycle(4), radius=1)
 
-    def swap_two_images(atom):
-        (p, q), (r, s) = atom.mapping[:2]
-        return EdgeAtom(atom.anchor, atom.image,
-                        ((p, s), (r, q)) + atom.mapping[2:])
+    def move_one_image(atom):
+        # the first position that is not the image of the anchor's head
+        # moves to a vertex outside the atom's image; the image dart stays
+        e, y, r = atom
+        j = next(j for j in range(len(r)) if j != ball.numbering.head_slot[e])
+        free = next(i for i in range(len(ball.numbering.domains[y])) if i not in r)
+        return (e, y, r[:j] + (free,) + r[j + 1:])
 
-    report = _mutated(ball, swap_two_images)
+    report = _mutated(ball, move_one_image)
     assert not report.ok and not report.action_ok
     x1, x2, seeds = rotation_pair(3)
     objects = close_star_maps(x1, x2, seeds)

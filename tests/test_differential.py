@@ -6,7 +6,9 @@ unrelated random graphs (so one usually does not).  Hypothesis draws the
 seeds with ``derandomize=True``, so every run checks the same pairs.
 
 * star dr and star aligned builds pass ``cli verify`` from disk, and each
-  cover's vertex count is a multiple of both inputs' counts;
+  cover's vertex count is a multiple of both inputs' counts; they are
+  byte-identical when run twice, and their vertex counts summed over all
+  components stay within ``bounds.bound_report("general", ...)``;
 * ``check_axioms`` gives the action-law verdict of
   ``conftest.reference_check_action``, also on systems with a corrupted
   action or a corrupted composition;
@@ -17,7 +19,7 @@ seeds with ``derandomize=True``, so every run checks the same pairs.
 * ball R=1 builds, with and without ``--based`` (both write a
   certificate), and glue R=1 builds pass ``cli verify`` from disk, have a
   vertex count that is a multiple of both inputs' counts and are
-  byte-identical when run twice; ball covers stay within
+  byte-identical when run twice; ball and glue covers stay within
   ``bounds.bound_report("ball", ...)``.  Pairs whose diameters sum to more
   than 5 are left out to keep the test near 3 s;
 * no command exits 3 on a pair that ``common_cover_exists`` rejects.
@@ -106,6 +108,22 @@ def test_star_builds_verify_from_disk(seed):
             assert size % len(g1.vertices) == 0 and size % len(g2.vertices) == 0
 
 
+@_settings(20)
+@given(SEEDS)
+def test_star_builds_repeat_within_the_general_bound(seed):
+    g1, g2, _ = related_pair(seed)
+    with _on_disk(g1, g2) as (tmp, p1, p2):
+        for strategy in ("dr", "aligned"):
+            runs = []
+            for out in (os.path.join(tmp, strategy + "a"), os.path.join(tmp, strategy + "b")):
+                assert _run("build", p1, p2, "--strategy", strategy, "-o", out) == 0
+                runs.append(_artifacts(out))
+            assert runs[0] == runs[1], strategy
+            total = sum(json.loads(runs[0]["cover.json"])["component_sizes"])
+            assert bound_report("general", actual=total, edges=g1.n_edges(),
+                                v_prime=len(g2.vertices)).satisfied, strategy
+
+
 @_settings(45)
 @given(SEEDS)
 def test_regular_builds_verify_from_disk_and_repeat(seed):
@@ -152,17 +170,18 @@ def test_ball_and_glue_builds_verify_from_disk_and_repeat(seed):
             cover = json.loads(runs[0]["cover.json"])
             size = len(cover["graph"]["vertices"])
             assert size % len(g1.vertices) == 0 and size % len(g2.vertices) == 0
-            if flags[1] == "ball":
+            if flags[1] in ("ball", "glue"):
                 total = sum(cover["component_sizes"])
                 assert bound_report("ball", actual=total, d=d, radius=1,
                                     v=len(g1.vertices) + len(g2.vertices)).satisfied
 
 
 def _wrong_image_dart(sys):
-    """Send the corrupted atom to another dart with the image's origin."""
+    """Send the corrupted atom (anchor, target, (position,)) to another
+    dart with the image's origin."""
     def corrupt(atom):
-        star = sys.union.star(sys.union.origin[atom[1]])
-        return (atom[0], next((d for d in star if d != atom[1]), atom[1]))
+        e, y, (i,) = atom
+        return (e, y, (next((j for j in range(len(sys.union.star(y))) if j != i), i),))
     return corrupt
 
 

@@ -21,6 +21,7 @@ GRAPHS = {
     "k4": lambda: families.complete(4),
     "k33": lambda: families.complete_bipartite(3, 3),
     "rose2": lambda: families.rose(2),
+    "theta3": lambda: families.theta(3),
     "theta4": lambda: families.theta(4),
 }
 
@@ -30,6 +31,11 @@ CASES = {
     "star-aligned-c3-c4": ("build", "c3", "c4",
                            ["--backend", "star", "--strategy", "aligned"]),
     "ball-based-c3-c4": ("build", "c3", "c4", ["--backend", "ball", "-R", "1", "--based"]),
+    # degree 3: several arrows share a hom set, so the serial order of the
+    # arrows and atoms decides the artifacts
+    "star-aligned-theta3-k4": ("build", "theta3", "k4",
+                               ["--backend", "star", "--strategy", "aligned"]),
+    "ball-k4-theta3": ("build", "k4", "theta3", ["--backend", "ball", "-R", "1"]),
     "glue-c3-c4": ("build", "c3", "c4", ["--backend", "glue", "-R", "1"]),
     "glue-rose2-theta4": ("build", "rose2", "theta4", ["--backend", "glue", "-R", "1"]),
     "regular-c3-c4": ("regular", "c3", "c4", []),
@@ -77,6 +83,16 @@ def artifact_digests(workdir, case) -> dict:
 
 
 GOLDEN = {
+    "ball-k4-theta3": {
+        "certificate.json":
+            "89cc6ba34bb98acf13ab447fbf9af0361c2acb10f11cabc380de7d1255cb29fc",
+        "cover.json":
+            "4e536a2d3881741ba830ec52a2daae2bbeab67ec7e31a3dfccc885cfa070ceb8",
+        "mu1.json":
+            "0c960716dd781adacf58f805bb8619e91103d18c67e1ca187a24959d537ce12a",
+        "mu2.json":
+            "d9c38cc34d5e841aba1e9c9c65cbdf031bc375acc10d160d9d1854fa21273c8e",
+    },
     "ball-based-c3-c4": {
         "certificate.json":
             "a52323ce2e45115ed6042622092e2273f35b5e6244635184cb5307f70d838371",
@@ -134,6 +150,14 @@ GOLDEN = {
             "6d098cb82bcea9039506c0601df26c1eea8acc0e1fb5a8ada8edb5ebf93d766c",
         "mu2.json":
             "dfc0f880adb019320bdd4dc7e64bfded9bc6ae478a1c4898ef3c71fe7913f825",
+    },
+    "star-aligned-theta3-k4": {
+        "cover.json":
+            "0426662f93426e3cd94b36ea7516c6af393e66428b865cf9bbdca45cfa63064d",
+        "mu1.json":
+            "25ce17c952fba8f57561ca186f216589faadce264489b5d9bc945bfff57c9aa2",
+        "mu2.json":
+            "b8d88b91997d2cfe454739a65c44e0957d496928f5ac657706b55b07ed7062f1",
     },
     "star-dr-c3-c4": {
         "cover.json":
