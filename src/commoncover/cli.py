@@ -14,6 +14,7 @@ Exit codes: 0 success or a true answer, 1 a false or negative answer,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -469,7 +470,10 @@ def cmd_oracle(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="commoncover",
         description="Construct and certify common finite covers of graphs.")
@@ -545,8 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphError as exc:

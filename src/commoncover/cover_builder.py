@@ -12,11 +12,14 @@ involution, and two closure axioms:
 
 Subclasses of ``LocalSystem`` supply ``identity_atom``, ``act`` and ``bar``
 (and the accessors, where atoms lack ``anchor``, ``image`` and ``serial``).
+The checks, the orbit engine and the assembly act on a whole row of arrows
+at once through ``act_row``, which by default calls ``act`` per arrow.
 The atom sets are computed once, here: the atoms anchored at a dart e are
 {g.id_e : g in out(origin e)}, the orbit of the identity atom.
 
 ``PermLocalSystem`` is the kernel the star and ball systems share: an atom
-is an arrow restricted to the numbered neighbourhood of a dart.  Atom
+is an arrow restricted to the numbered neighbourhood of a dart, a row of
+atoms is one C call per arrow, and ``act`` is the row of one arrow.  Atom
 serials, the tuples the artifacts record, are rendered only for artifacts
 and failure messages; the checks and the assembly key atoms on
 ``atom_key``.
@@ -34,12 +37,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      finish_cover, side_of, strip_side)
-from .groupoids import FiniteGroupoid, lcm_all
+from .groupoids import FiniteGroupoid, gather, lcm_all
 
 
 class AxiomError(Exception):
@@ -82,8 +84,9 @@ class AxiomReport:
 class LocalSystem:
     """Base class for the star, ball and object-graph local systems.
 
-    Subclasses supply ``identity_atom``, ``act`` and ``bar``; the accessors
-    read an atom's ``anchor``, ``image`` and ``serial`` unless overridden.
+    Subclasses supply ``identity_atom``, ``act`` (or ``act_row``) and
+    ``bar``; the accessors read an atom's ``anchor``, ``image`` and
+    ``serial`` unless overridden.
     The atom sets, orbit sizes, axiom checks and cover assembly are shared.
     """
 
@@ -103,6 +106,11 @@ class LocalSystem:
 
     def act(self, arrow, atom):
         raise NotImplementedError
+
+    def act_row(self, arrows, atom) -> list:
+        """The atoms h.atom for every h in arrows, in order."""
+        act = self.act
+        return [act(h, atom) for h in arrows]
 
     def act_identity(self, arrow, dart):
         return self.act(arrow, self.identity_atom(dart))
@@ -124,6 +132,10 @@ class LocalSystem:
         unless a subclass has a cheaper one."""
         return self.atom_serial(atom)
 
+    def atom_keys(self, atoms) -> list:
+        """``atom_key`` of every atom of a row, in order."""
+        return list(map(self.atom_key, atoms))
+
     # -- the orbit engine ---------------------------------------------------
 
     @cached_property
@@ -137,13 +149,13 @@ class LocalSystem:
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
         out = {}
-        act, key = self.act, self.atom_key
+        by_source = self.groupoid.by_source
         for e in self.union.darts:
-            ident = self.identity_atom(e)
             slot = out[e] = {}
-            for g in self.groupoid.by_source.get(self.union.origin[e], ()):
-                atom = act(g, ident)
-                slot.setdefault(key(atom), atom)
+            row = self.act_row(by_source.get(self.union.origin[e], ()),
+                               self.identity_atom(e))
+            for key, atom in zip(self.atom_keys(row), row):
+                slot.setdefault(key, atom)
         return out
 
     def orbit_size(self, dart) -> int:
@@ -193,12 +205,13 @@ class LocalSystem:
         the anchor e and lies in the one-step atom set of e.
 
         Cost: the darts are walked by origin, and while the origin x stays
-        fixed each pair (h, r) with r out of x is composed at most once and
-        its composite compared by arrow number.  That is at most the sum
-        over r in out(x) of |out(dst r)| compositions per x, so no more than
-        the groupoid's composable pairs in total.  ``act`` is called once
-        for the identity and once per arrow out of x at each dart e, and
-        once per (representative, arrow out of its target).
+        fixed each arrow r out of x has at most one row of composite keys,
+        h.r for every h out of dst r, compared by arrow number; no composite
+        arrow is built.  That is at most the sum over r in out(x) of
+        |out(dst r)| composed pairs per x, so no more than the groupoid's
+        composable pairs in total.  Each dart e takes one ``act`` for the
+        identity and one ``act_row`` over out(x), and each representative
+        one ``act_row`` over the arrows out of its target.
         """
         union = self.union
         atoms = self.atoms_by_anchor
@@ -245,13 +258,18 @@ class LocalSystem:
         Arrows are compared by number, their position in
         ``groupoid.arrows``.  While the origin x stays fixed, ``row(j)``
         memoizes the numbers of h.arrows[j] for h out of dst arrows[j], in
-        ``by_source`` order, with -1 where the composite is not an arrow.
-        An arrow t in Stab has dst t = eps(id_e) = x by (a), since atom
-        keys determine the image dart, so row(t) runs over out(x).
+        ``by_source`` order, with -1 where the composite is not an arrow:
+        one ``composite_keys`` row, looked up by key.  An arrow t in Stab
+        has dst t = eps(id_e) = x by (a), since atom keys determine the
+        image dart, so row(t) runs over out(x).  Each check compares whole
+        rows, and walks a row to its first failing element only on a
+        mismatch, so the failure reported is the one the element-wise
+        order meets first.
         """
         groupoid = self.groupoid
         arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
-        act, key = self.act, self.atom_key
+        act_row, key, keys_of = self.act_row, self.atom_key, self.atom_keys
+        eps, anchor = self.eps, self.atom_anchor
         for x in self.union.vertices:
             unit = groupoid.identities.get(x)
             out = by_source.get(x, ())
@@ -262,37 +280,50 @@ class LocalSystem:
                 found = rows.get(j)
                 if found is None:
                     b = arrows[j]
-                    found = rows[j] = [
-                        -1 if hb is None else number.get(hb.key, -1)
-                        for hb in [h.compose(b) for h in by_source.get(b.dst, ())]]
+                    found = rows[j] = [number.get(k, -1) for k in
+                                       b.composite_keys(by_source.get(b.dst, ()))]
                 return found
 
             for e in self.union.star(x):
                 ident = self.identity_atom(e)
                 id_key = key(ident)
-                if unit is None or key(act(unit, ident)) != id_key:
+                if unit is None or key(self.act(unit, ident)) != id_key:
                     return "identity action fails over %r" % (x,)
-                image, rep = {}, {}
-                for g, n in zip(out, out_numbers):
-                    ga = act(g, ident)
-                    if self.eps(ga) != g.dst:
-                        return "action target mismatch at %r" % (g.serial,)
-                    if self.atom_anchor(ga) != e:
-                        return "action moved an atom anchor at %r" % (g.serial,)
-                    image[n] = k = key(ga)
+                moved = act_row(out, ident)
+                got = list(zip(map(eps, moved), map(anchor, moved)))
+                want = [(g.dst, e) for g in out]
+                if got != want:
+                    i = _first_difference(got, want)
+                    if got[i][0] != want[i][0]:
+                        return "action target mismatch at %r" % (out[i].serial,)
+                    return "action moved an atom anchor at %r" % (out[i].serial,)
+                keys = keys_of(moved)
+                image = dict(zip(out_numbers, keys))
+                rep = {}
+                for k, n, ga in zip(keys, out_numbers, moved):
                     rep.setdefault(k, (n, ga))
-                stab_rows = [row(n) for n in out_numbers if image[n] == id_key]
-                for i, (f, n) in enumerate(zip(out, out_numbers)):
-                    for ft in stab_rows:
-                        if image.get(ft[i]) != image[n]:
-                            return "stabilizer moves the image of %r" % (f.serial,)
-                if any(c != len(stab_rows) for c in Counter(image.values()).values()):
+                stab_images = [list(map(image.get, row(n)))
+                               for n, k in zip(out_numbers, keys) if k == id_key]
+                bad = [_first_difference(ft, keys) for ft in stab_images if ft != keys]
+                if bad:
+                    return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
+                if any(c != len(stab_images) for c in Counter(keys).values()):
                     return "orbit-stabilizer count fails at %r" % (e,)
                 for r, a in rep.values():
-                    for h, hr in zip(by_source.get(arrows[r].dst, ()), row(r)):
-                        if image.get(hr) != key(act(h, a)):
-                            return "action compatibility fails at %r" % (h.serial,)
+                    hs = by_source.get(arrows[r].dst, ())
+                    expected = keys_of(act_row(hs, a))
+                    got = list(map(image.get, row(r)))
+                    if got != expected:
+                        return "action compatibility fails at %r" % (
+                            hs[_first_difference(got, expected)].serial,)
         return None
+
+
+def _first_difference(got: list, want: list) -> int:
+    """The first index where two unequal rows differ: where their elements
+    differ, or else the length of the shorter row."""
+    return next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                min(len(got), len(want)))
 
 
 class Numbering:
@@ -360,10 +391,13 @@ class PermLocalSystem(LocalSystem):
     def identity_atom(self, dart):
         return self._identity[dart]
 
+    def act_row(self, arrows, atom) -> list:
+        e, _, r = atom
+        get = gather(r)
+        return [(e, h.dst, get(h.perm)) for h in arrows]
+
     def act(self, arrow, atom):
-        # an itemgetter of two or more positions returns their tuple
-        r, p = atom[2], arrow.perm
-        return (atom[0], arrow.dst, itemgetter(*r)(p) if len(r) > 1 else (p[r[0]],))
+        return self.act_row((arrow,), atom)[0]
 
     def bar(self, atom):
         e, y, r = atom
@@ -380,6 +414,9 @@ class PermLocalSystem(LocalSystem):
 
     def atom_key(self, atom):
         return atom
+
+    def atom_keys(self, atoms):
+        return atoms
 
 
 # -- the cover ----------------------------------------------------------------
@@ -430,18 +467,22 @@ def build_cover(sys: LocalSystem, component: str = "least",
             if colour is not None:
                 vertex_colour[vid] = colour
 
-    # group cover vertices by the atom their action produces at each star dart
+    # group cover vertices by the atom their action produces at each star
+    # dart: one row per dart over the cross arrows out of its origin
     groups = {}
     atoms = {}
+    runs = {}
     for a in cross:
-        reps = n_mult // out[a.src]
-        for e in union.star(a.src):
-            atom = sys.act_identity(a, e)
-            key = sys.atom_key(atom)
-            atoms.setdefault(key, atom)
-            slot = groups.setdefault(key, [])
-            for j in range(1, reps + 1):
-                slot.append(vertex_ids[(a.key, j)])
+        runs.setdefault(a.src, []).append(a)
+    for x, run in runs.items():
+        reps = n_mult // out[x]
+        for e in union.star(x):
+            row = sys.act_row(run, sys.identity_atom(e))
+            for a, key, atom in zip(run, sys.atom_keys(row), row):
+                atoms.setdefault(key, atom)
+                slot = groups.setdefault(key, [])
+                for j in range(1, reps + 1):
+                    slot.append(vertex_ids[(a.key, j)])
 
     # every cross atom must be realised: the groupoid is closed, so any atom
     # anchored on side 1 with image on side 2 arises from some cross arrow

@@ -1,22 +1,24 @@
 """Finite groupoids and their saturation from generating arrows.
 
-Arrows are hashable objects exposing ``src``, ``dst``, ``key`` (their
+Arrows are ``Arrow`` records exposing ``src``, ``dst``, ``key`` (their
 identity, sortable), ``serial`` (the canonical tuple written to artifacts
 and failure messages, sorting as ``key`` does), ``compose(other)`` (self
-after other, or None when incompatible) and ``inverse()``.  Saturation
-closes a generating set S under composition and inversion inside a finite
-ambient universe by breadth-first search over the Cayley graph: each arrow
-found is left-composed with the letters of S and S^-1 that start at its
-target, and nothing else.  Every word over those letters is reached this
-way, so the result is exactly the closure, and each arrow's witness word is
-a shortest one (Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, 2005, section 4.1).  Actions on edge atoms, their orbits and the
+after other, or None when incompatible), ``composite_keys(lefts)`` (the
+keys of h after self for a whole row of arrows h) and ``inverse()``.
+Saturation closes a generating set S under composition and inversion inside
+a finite ambient universe by breadth-first search over the Cayley graph:
+each arrow found is left-composed with the letters of S and S^-1 that start
+at its target, and nothing else.  Every word over those letters is reached
+this way, so the result is exactly the closure, and each arrow's witness
+word is a shortest one (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005, section 4.1).  Actions on edge atoms, their orbits and the
 orbit-stabilizer counts live in ``cover_builder.LocalSystem``.
 
 ``PermArrow`` is the arrow of the star and ball systems: a permutation
 between two numbered domains (the darts of a star, the vertices of a
-canonical ball), so that composition is tuple indexing (Holt, Eick and
-O'Brien, chapters 3 and 4: points as ints, permutations as arrays).
+canonical ball), so that composition is tuple indexing, and a whole row of
+composites is one C call per arrow of the row (Holt, Eick and O'Brien,
+chapters 3 and 4: points as ints, permutations as arrays).
 
 ``Value`` is the base of the arrow and atom classes: plain ``__slots__``
 records whose equality and hashing cover a fixed field tuple, as a frozen
@@ -56,7 +58,29 @@ class Value:
             "%s=%r" % (f, getattr(self, f)) for f in self._compare))
 
 
-class PermArrow(Value):
+def gather(positions: tuple):
+    """The function p -> tuple(p[i] for i in positions), one C call on
+    each tuple p.  An itemgetter returns a tuple only for two or more
+    positions; for one or none it takes a slice."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
+class Arrow(Value):
+    """Base of the arrow classes.  The default ``composite_keys`` makes one
+    ``compose`` call per arrow of the row; ``PermArrow`` computes the row
+    and derives ``compose`` from it."""
+
+    __slots__ = ()
+
+    def composite_keys(self, lefts) -> list:
+        """The keys of h.compose(self) for every h in lefts, None where
+        h.src != self.dst."""
+        return [None if c is None else c.key for c in [h.compose(self) for h in lefts]]
+
+
+class PermArrow(Arrow):
     """A bijection from the domain of ``src`` onto the domain of ``dst``.
 
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
@@ -94,15 +118,16 @@ class PermArrow(Value):
             self._serial = (self.tag, self.src, self.dst, self.pairs)
         return self._serial
 
+    def composite_keys(self, lefts) -> list:
+        # the perm of h after self is h.perm[self.perm[i]] for every i
+        get, src, dst = gather(self.perm), self.src, self.dst
+        return [(src, h.dst, get(h.perm)) if h.src == dst else None for h in lefts]
+
     def compose(self, other: "PermArrow"):
-        if other.dst != self.src:
+        key = other.composite_keys((self,))[0]
+        if key is None:
             return None
-        # perm[i] = self.perm[other.perm[i]]; itemgetter does it in one C
-        # call, and returns a tuple when given two or more positions
-        q = other.perm
-        perm = (itemgetter(*q)(self.perm) if len(q) > 1
-                else tuple(map(self.perm.__getitem__, q)))
-        return self.__class__(other.src, self.dst, perm, other.domain,
+        return self.__class__(other.src, self.dst, key[2], other.domain,
                               self.codomain, other.witness + self.witness)
 
     def inverse(self) -> "PermArrow":
@@ -202,9 +227,11 @@ def saturate(atoms: Iterable, objects: Iterable,
     Breadth-first search over the Cayley graph from the identities: each
     dequeued arrow b is left-composed only with the generators and their
     inverses whose source is dst b, and s.b gets the witness of b followed
-    by the letter of s.  Witness letters are ("g", i) for the i-th atom and
-    ("g~", i) for its inverse; words compose left-to-right in application
-    order, and every witness is a shortest word for its arrow.
+    by the letter of s.  The keys of those products are computed as one
+    row, and only an arrow whose key is new is built.  Witness letters are
+    ("g", i) for the i-th atom and ("g~", i) for its inverse; words compose
+    left-to-right in application order, and every witness is a shortest
+    word for its arrow.
     """
     atoms = list(atoms)
     objs = sorted(set(objects))
@@ -212,9 +239,11 @@ def saturate(atoms: Iterable, objects: Iterable,
     gens = []                        # (letter, arrow) for S and S^-1
     for i, a in enumerate(atoms):
         gens += [(("g", i), a), (("g~", i), a.inverse())]
-    letters = {}                     # source object -> [(letter, arrow)]
+    letters = {}                     # source object -> ([letter], [arrow])
     for letter, s in gens:
-        letters.setdefault(s.src, []).append((letter, s))
+        names, row = letters.setdefault(s.src, ([], []))
+        names.append(letter)
+        row.append(s)
     arrows = {}
     witness = {}
     queue = deque()
@@ -231,9 +260,11 @@ def saturate(atoms: Iterable, objects: Iterable,
         add(s, (letter,))
     while queue:
         b = queue.popleft()
+        names, row = letters.get(b.dst, ((), ()))
         word = witness[b.key]
-        for letter, s in letters.get(b.dst, ()):
-            add(s.compose(b), word + (letter,))
+        for letter, s, key in zip(names, row, b.composite_keys(row)):
+            if key not in arrows:
+                add(s.compose(b), word + (letter,))
     ordered = tuple(arrows[k] for k in sorted(arrows))
     return FiniteGroupoid(tuple(objs), ordered, identities, witness)
 

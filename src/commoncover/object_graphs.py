@@ -27,7 +27,7 @@ from typing import Optional
 from .cover_builder import AxiomError, LocalSystem, build_cover
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      disjoint_union, is_covering, side_of, strip_side, validate_graph)
-from .groupoids import Value, saturate
+from .groupoids import Arrow, Value, saturate
 
 
 # -- finite labelled multigraph objects and their maps -----------------------
@@ -198,7 +198,7 @@ class SeedError(GraphError):
         self.square = square
 
 
-class StarMapArrow(Value):
+class StarMapArrow(Arrow):
     """Star bijection decorated with invertible edge-object maps.
 
     The vertex map is a stored witness of compatibility and is excluded

@@ -4,7 +4,9 @@ from collections import Counter, deque
 import pytest
 
 from commoncover import families
+from commoncover.cover_builder import LocalSystem
 from commoncover.graphs import BudgetExceeded, Graph, GraphError, GraphMorphism
+from commoncover.groupoids import Arrow
 from commoncover.regular import euler_circuit, max_bipartite_matching
 
 
@@ -128,26 +130,48 @@ def reference_check_action(self):
     return None
 
 
+def _defines_row(cls, base, name) -> bool:
+    """Whether the class overrides the row kernel ``name`` of ``base``, so
+    that its per-call method is the row's one-element case; otherwise the
+    row is the default of ``base``, which loops over the per-call method."""
+    return getattr(cls, name) is not getattr(base, name)
+
+
 def corrupt_act(sys, corrupt):
-    """Replace the system's act so that it corrupts the atom produced by
-    one cross arrow, and drop the cached atom sets."""
+    """Replace the system's action so that it corrupts the atom produced by
+    one cross arrow, and drop the cached atom sets.  The replaced method is
+    the one definition of the action: ``act_row`` where the system defines
+    it (``act`` is then its one-element case), ``act`` otherwise (the
+    default ``act_row`` then loops over it)."""
     victim = sys.cross_arrows()[0].serial
-    act = sys.act
+    if _defines_row(type(sys), LocalSystem, "act_row"):
+        act_row = sys.act_row
 
-    def mutant(arrow, atom):
-        out = act(arrow, atom)
-        return corrupt(out) if arrow.serial == victim else out
+        def mutant(arrows, atom):
+            return [corrupt(out) if h.serial == victim else out
+                    for h, out in zip(arrows, act_row(arrows, atom))]
 
-    sys.act = mutant
+        sys.act_row = mutant
+    else:
+        act = sys.act
+
+        def mutant(arrow, atom):
+            out = act(arrow, atom)
+            return corrupt(out) if arrow.serial == victim else out
+
+        sys.act = mutant
     sys.__dict__.pop("atoms_by_anchor", None)
 
 
 def corrupt_compose(sys, monkeypatch):
-    """Make compose return a wrong arrow for one pair (h, r) that check (d)
-    of ``check_axioms`` tests.  r is the first arrow out of an object x, so
-    it represents its atom at every dart of x; the wrong arrow has the
+    """Make composition give a wrong arrow for one pair (h, r) that check
+    (d) of ``check_axioms`` tests.  r is the first arrow out of an object x,
+    so it represents its atom at every dart of x; the wrong arrow has the
     composite's source and target but moves some identity atom at x
-    elsewhere.  Returns False, patching nothing, when no such pair exists."""
+    elsewhere.  The patched method is the one definition of composition:
+    the row kernel ``composite_keys`` (whose entry for h becomes the wrong
+    key) where the arrow class defines it, ``compose`` otherwise.  Returns
+    False, patching nothing, when no such pair exists."""
     def moved(arrow, x):
         return {sys.atom_serial(sys.act_identity(arrow, e)) for e in sys.union.star(x)}
 
@@ -163,14 +187,27 @@ def corrupt_compose(sys, monkeypatch):
     h, r, wrong = next(pairs(), (None, None, None))
     if h is None:
         return False
-    compose = type(h).compose
+    cls = type(h)
+    if _defines_row(cls, Arrow, "composite_keys"):
+        composite_keys = cls.composite_keys
 
-    def corrupted(self, other):
-        if self.serial == h.serial and other.serial == r.serial:
-            return wrong
-        return compose(self, other)
+        def corrupted_row(self, lefts):
+            out = composite_keys(self, lefts)
+            if self.serial == r.serial:
+                out = [wrong.key if left.serial == h.serial else k
+                       for left, k in zip(lefts, out)]
+            return out
 
-    monkeypatch.setattr(type(h), "compose", corrupted)
+        monkeypatch.setattr(cls, "composite_keys", corrupted_row)
+    else:
+        compose = cls.compose
+
+        def corrupted(self, other):
+            if self.serial == h.serial and other.serial == r.serial:
+                return wrong
+            return compose(self, other)
+
+        monkeypatch.setattr(cls, "compose", corrupted)
     return True
 
 

@@ -1,14 +1,16 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commoncover import families
-from commoncover.cli import (dump_graph, dump_object_graph, load_graph,
-                             load_object_graph, main, write_json)
+from commoncover.cli import (build_parser, dump_graph, dump_object_graph,
+                             load_graph, load_object_graph, main, write_json)
 from commoncover.graphs import VerificationError
 from commoncover.object_graphs import rotation_pair
 
@@ -169,6 +171,22 @@ def test_build_is_deterministic(tmp_path, argv_tail):
     assert left.keys() == right.keys()
     for name in left:
         assert left[name] == right[name], name
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # main reuses one parser per process; a default build after a ball
+    # build must still get every default, as in a fresh process
+    assert build_parser() is build_parser()
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
+    ball, star, fresh = (str(tmp_path / name) for name in ("ball", "star", "fresh"))
+    assert main(["build", c3, c4, "--backend", "ball", "-R", "1", "-o", ball]) == 0
+    assert main(["build", c3, c4, "-o", star]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    subprocess.run([sys.executable, "-m", "commoncover.cli", "build", c3, c4,
+                    "-o", fresh], env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert _dir_bytes(star) == _dir_bytes(fresh)
+    assert _dir_bytes(star) != _dir_bytes(ball)
 
 
 def test_build_objects_is_deterministic(tmp_path):
