@@ -10,7 +10,7 @@ Atoms play the same role one dimension down: isomorphisms between the
 (R-1)-neighbourhoods of the canonical lifts of two darts, normalised the
 same way.  Each is the restriction of an arrow to the neighbourhood of its
 anchor dart, held as positions in the numbered canonical balls
-(``cover_builder.PermLocalSystem``).  The atoms anchored at a dart are the
+(``cover_builder.LocalSystem``).  The atoms anchored at a dart are the
 orbit of its identity atom under the arrow action, computed by the shared
 one-step rule of ``LocalSystem.atoms_by_anchor``; every discovered edge
 atom must lie in that set, and coverage, bar closure and the action laws
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover_builder import AxiomError, Numbering, PermLocalSystem, retry_doubling
+from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union, side_of, strip_side
 from .groupoids import PermArrow, saturate
 from .refinement import JointBlocks, joint_refinement
@@ -140,7 +140,7 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
                            sorted(edge_atoms), radius, explore_radius, numbering)
 
 
-class BallLocalSystem(PermLocalSystem):
+class BallLocalSystem(LocalSystem):
     kind = "ball"
 
     def __init__(self, g1, g2, union, groupoid, joint, alignment,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .graphs import BudgetExceeded
+
 
 def _primes_upto(n: int) -> list:
     sieve = bytearray([1]) * (n + 1)
@@ -103,6 +105,38 @@ def object_group_divisor(d: int, isotropy_lcm: int) -> int:
     return math.factorial(d) * isotropy_lcm ** d
 
 
+# Python's default limit on the decimal digits of an int converted to a string
+PRINTABLE_DIGITS = 4300
+
+# parameters that count something that exists at least once
+_POSITIVE = ("v_prime", "radius", "v", "isotropy_lcm", "v1", "v2")
+
+
+def _log10_bound(kind: str, p: dict) -> float:
+    """log10 of a bound, estimated in floating point before the exact bound
+    is computed; inf where the estimate alone is out of range."""
+    def log10_exp_sqrt(n):           # log10 exp(2 sqrt(n ln n))
+        if n <= 1:
+            return 0.0
+        return math.inf if n > 1e300 else 2 * math.sqrt(n * math.log(n)) / math.log(10)
+
+    if kind == "general":
+        return math.log10(2 * p["v_prime"]) + log10_exp_sqrt(p["edges"])
+    if kind == "regular":
+        return math.log10(2 * p["v1"] * p["v2"])
+    d, v = p["d"], p["v"]
+    if d > 1e15:
+        return math.inf
+    rest = 2 * math.log10(v) + log10_exp_sqrt(v)
+    log10_factorial = math.lgamma(d + 1) / math.log(10)
+    if kind == "objects":
+        return 2 * log10_factorial + 2 * d * math.log10(p["isotropy_lcm"]) + rest
+    r = p["radius"]
+    if d >= 2 and (r > 60 or r * math.log10(d) > 15):
+        return math.inf
+    return 2 * d ** r * log10_factorial + rest
+
+
 @dataclass
 class BoundReport:
     kind: str
@@ -130,6 +164,11 @@ def bound_report(kind: str, actual: Optional[int] = None, **params) -> BoundRepo
       ball     -- d (max degree), radius, v (total vertex count of both)
       objects  -- d, isotropy_lcm, v
       regular  -- v1, v2, odd (bool)
+
+    Counts must not be negative, and those that count something that
+    exists (vertices, the radius, the isotropy lcm) must be positive.  A
+    bound of ``PRINTABLE_DIGITS`` digits or more raises ``BudgetExceeded``
+    before it is computed.
     """
     need = {"general": ("edges", "v_prime"),
             "ball": ("d", "radius", "v"),
@@ -140,6 +179,14 @@ def bound_report(kind: str, actual: Optional[int] = None, **params) -> BoundRepo
     missing = [p for p in need[kind] if p not in params]
     if missing:
         raise ValueError("missing parameters: %s" % ", ".join(missing))
+    for key, value in [*params.items(), ("actual", actual)]:
+        if key in _POSITIVE and value < 1:
+            raise ValueError("%s must be positive" % key)
+        if key != "odd" and value is not None and value < 0:
+            raise ValueError("%s must not be negative" % key)
+    if _log10_bound(kind, params) >= PRINTABLE_DIGITS - 1:
+        raise BudgetExceeded("the %s bound has %d digits or more, too many to print"
+                             % (kind, PRINTABLE_DIGITS))
     if kind == "general":
         e, vp = params["edges"], params["v_prime"]
         bound = 2 * vp * upper_exp_sqrt(e, Fraction(2))

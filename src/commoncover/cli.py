@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys as _sys
 
@@ -73,10 +74,20 @@ def _write(write, x, nl: str, head: str = "") -> None:
         write(nl + brackets[1])
 
 
+def _open_output(path: str):
+    """Open an output file for writing, creating its directory.  An output
+    path that cannot be written is an input error."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def write_json(path: str, payload) -> None:
     """The bytes of ``json.dump(payload, fh, sort_keys=True, indent=2)``
     and a newline, written in pieces, without the pure-Python encoder."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         _write(fh.write, payload, "\n")
         fh.write("\n")
 
@@ -108,6 +119,7 @@ def _graph_from_data(data, where) -> Graph:
     vs, ds = data.get("vertices"), data.get("darts")
     _expect(isinstance(vs, list), where, "missing vertices list")
     _expect(isinstance(ds, list), where, "missing darts list")
+    _expect(vs, where, "vertices: a graph needs at least one vertex")
     try:
         vertices = [e["id"] for e in vs]
         vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
@@ -115,7 +127,8 @@ def _graph_from_data(data, where) -> Graph:
         origin = {e["id"]: e["from"] for e in ds}
         reverse = {e["id"]: e["reverse"] for e in ds}
         dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
-        if not set(map(type, vertices)).union(map(type, darts)) <= {str}:
+        if not set(map(type, vertices)).union(
+                map(type, darts), map(type, vcol.values()), map(type, dcol.values())) <= {str}:
             # to the handler below: a SchemaError here would be re-wrapped
             raise TypeError
         g = Graph(vertices, darts, origin, reverse, vcol, dcol)
@@ -132,9 +145,12 @@ def _raise_bad_entry(vs, ds, where):
     for table, entries, keys in (("vertices", vs, ("id",)),
                                  ("darts", ds, ("id", "reverse", "from"))):
         for i, entry in enumerate(entries):
+            at = "%s: %s[%d]" % (where, table, i)
             for key in keys:
                 _expect(isinstance(entry, dict) and isinstance(entry.get(key), str),
-                        "%s: %s[%d]" % (where, table, i), "needs a string %r" % key)
+                        at, "needs a string %r" % key)
+            _expect(isinstance(entry.get("colour", ""), (str, type(None))),
+                    at, "'colour' must be a string")
     raise SchemaError("%s: malformed vertex or dart entries" % where)
 
 
@@ -191,16 +207,18 @@ def load_object_graph(path: str) -> ObjectGraph:
     for name, spec in data["objects"].items():
         where = "%s: objects[%s]" % (path, name)
         _expect(isinstance(spec, dict), where, "must be an object")
-        try:
-            vertices = [e["id"] for e in spec.get("vertices", [])]
-            vlabels = [(e["id"], e["label"]) for e in spec.get("vertices", [])
-                       if e.get("label") is not None]
-            edges = [(e["id"], e["from"], e["to"], e.get("label"))
-                     for e in spec.get("edges", [])]
-            objects[name] = make_object(vertices, edges, vlabels)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise SchemaError("%s: vertices need an 'id', edges an 'id', 'from' "
-                              "and 'to' (%s: %s)" % (where, type(exc).__name__, exc))
+        vs, es = spec.get("vertices", []), spec.get("edges", [])
+        for table, entries, keys in (("vertices", vs, ("id",)),
+                                     ("edges", es, ("id", "from", "to"))):
+            _expect(isinstance(entries, list), where, "%s must be a list" % table)
+            for i, e in enumerate(entries):
+                _expect(isinstance(e, dict) and all(isinstance(e.get(k), str) for k in keys)
+                        and isinstance(e.get("label", ""), (str, type(None))),
+                        "%s.%s[%d]" % (where, table, i), "needs string %s; a "
+                        "'label' must be a string" % ", ".join(map(repr, keys)))
+        objects[name] = make_object(
+            [e["id"] for e in vs], [(e["id"], e["from"], e["to"], e.get("label")) for e in es],
+            [(e["id"], e["label"]) for e in vs if e.get("label") is not None])
     for key in ("vertex_objects", "edge_objects", "edge_morphisms"):
         _expect(isinstance(data.get(key), dict), path, "missing %s table" % key)
     vobj, eobj, emor = {}, {}, {}
@@ -304,7 +322,6 @@ def _write_cover(outdir, cover, fields) -> None:
         graph, dump_mu = dump_object_graph(cover.cover), dump_object_morphism
     else:
         graph, dump_mu = {"graph": dump_graph(cover.graph)}, dump_morphism
-    os.makedirs(outdir, exist_ok=True)
     write_json(os.path.join(outdir, "cover.json"), {**graph, **fields})
     write_json(os.path.join(outdir, "mu1.json"), dump_mu(cover.mu1))
     write_json(os.path.join(outdir, "mu2.json"), dump_mu(cover.mu2))
@@ -411,8 +428,8 @@ def cmd_bounds(args) -> int:
         report = bound_report(args.kind, actual=args.actual, **params)
     except ValueError as exc:
         raise SchemaError(str(exc))
-    if report.bound.denominator == 1:
-        print(report.bound.numerator)
+    if report.bound.denominator == 1 or report.bound > _sys.float_info.max:
+        print(math.ceil(report.bound))
     else:
         print("%.6g" % report.bound_float)
     if report.actual is not None:
@@ -450,7 +467,7 @@ def cmd_export_dot(args) -> int:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)

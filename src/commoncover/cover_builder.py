@@ -10,19 +10,16 @@ involution, and two closure axioms:
   bar image of the atom set anchored at the dart;
 * AX3: the groupoid and action axioms themselves.
 
-Subclasses of ``LocalSystem`` supply ``identity_atom``, ``act`` and ``bar``
-(and the accessors, where atoms lack ``anchor``, ``image`` and ``serial``).
-The checks, the orbit engine and the assembly act on a whole row of arrows
-at once through ``act_row``, which by default calls ``act`` per arrow.
-The atom sets are computed once, here: the atoms anchored at a dart e are
-{g.id_e : g in out(origin e)}, the orbit of the identity atom.
-
-``PermLocalSystem`` is the kernel the star and ball systems share: an atom
-is an arrow restricted to the numbered neighbourhood of a dart, a row of
-atoms is one C call per arrow, and ``act`` is the row of one arrow.  Atom
-serials, the tuples the artifacts record, are rendered only for artifacts
-and failure messages; the checks and the assembly key atoms on
-``atom_key``.
+``LocalSystem`` is the one kernel of the star, ball and object systems:
+its arrows are ``PermArrow`` permutations of the domains of a
+``Numbering``, and an atom is an arrow restricted to the numbered
+neighbourhood of a dart, held as (anchor dart, target object, positions).
+An atom is its own key.  The checks, the orbit engine and the assembly act
+on a whole row of arrows at once through ``act_row``, one C call per arrow;
+``act`` is the row of one arrow.  The atom sets are computed once, here:
+the atoms anchored at a dart e are {g.id_e : g in out(origin e)}, the orbit
+of the identity atom.  Subclasses render ``atom_serial``, the tuple the
+artifacts record; it is computed only for artifacts and failure messages.
 
 Given such a system, the cover has one vertex per (cross arrow, copy
 index) and one dart per (cross atom, copy index).  The origin of a dart
@@ -82,65 +79,71 @@ class AxiomReport:
 
 
 class LocalSystem:
-    """Base class for the star, ball and object-graph local systems.
+    """Base class for the star, ball and object-graph local systems:
+    ``PermArrow`` arrows over the domains of a ``Numbering``, and atoms
+    (anchor dart, target object, positions).
 
-    Subclasses supply ``identity_atom``, ``act`` (or ``act_row``) and
-    ``bar``; the accessors read an atom's ``anchor``, ``image`` and
-    ``serial`` unless overridden.
-    The atom sets, orbit sizes, axiom checks and cover assembly are shared.
+    The identity atom at e is (e, origin e, dom[e]); an arrow h acts by
+    (e, y, r) -> (e, dst h, h.perm restricted to r); the image dart is read
+    from ``dart_at``; and bar moves the positions across the reversed dart.
+    Subclasses render ``atom_serial``.  The atom sets, orbit sizes, axiom
+    checks and cover assembly are shared.
     """
 
     kind = "abstract"
 
-    def __init__(self, g1: Graph, g2: Graph, union: Graph, groupoid: FiniteGroupoid):
+    def __init__(self, g1: Graph, g2: Graph, union: Graph, groupoid: FiniteGroupoid,
+                 numbering: Numbering):
         self.g1 = g1
         self.g2 = g2
         self.union = union
         self.groupoid = groupoid
+        self.numbering = numbering
         self.axioms: Optional[AxiomReport] = None
+        self._identity = {e: (e, union.origin[e], r) for e, r in numbering.dom.items()}
+        self._dart_at, self._head_slot = numbering.dart_at, numbering.head_slot
+        self._rev = union.reverse
+        self._head_vertex = {e: union.head(e) for e in union.darts}
 
-    # -- atom interface (subclasses implement the first three) --------------
+    # -- atoms ----------------------------------------------------------------
 
     def identity_atom(self, dart):
-        raise NotImplementedError
-
-    def act(self, arrow, atom):
-        raise NotImplementedError
+        return self._identity[dart]
 
     def act_row(self, arrows, atom) -> list:
         """The atoms h.atom for every h in arrows, in order."""
-        act = self.act
-        return [act(h, atom) for h in arrows]
+        e, _, r = atom
+        get = gather(r)
+        return [(e, h.dst, get(h.perm)) for h in arrows]
+
+    def act(self, arrow, atom):
+        return self.act_row((arrow,), atom)[0]
 
     def act_identity(self, arrow, dart):
         return self.act(arrow, self.identity_atom(dart))
 
     def bar(self, atom):
-        raise NotImplementedError
+        e, y, r = atom
+        f = self._dart_at[y][r[self._head_slot[e]]]
+        move = self.numbering.move[f]
+        return (self._rev[e], self._head_vertex[f],
+                tuple([move[r[j]] for j in self.numbering.bar_slots[e]]))
 
     def atom_anchor(self, atom) -> str:
-        return atom.anchor
+        return atom[0]
 
     def atom_image(self, atom) -> str:
-        return atom.image
+        return self._dart_at[atom[1]][atom[2][self._head_slot[atom[0]]]]
 
-    def atom_serial(self, atom):
-        return atom.serial
-
-    def atom_key(self, atom):
-        """Identity of an atom in the checks and the assembly: its serial
-        unless a subclass has a cheaper one."""
-        return self.atom_serial(atom)
-
-    def atom_keys(self, atoms) -> list:
-        """``atom_key`` of every atom of a row, in order."""
-        return list(map(self.atom_key, atoms))
+    def atom_serial(self, atom) -> tuple:
+        raise NotImplementedError
 
     # -- the orbit engine ---------------------------------------------------
 
     @cached_property
     def atoms_by_anchor(self) -> dict:
-        """dart -> {atom key: atom} for the atoms anchored at the dart.
+        """dart -> the atoms anchored at the dart, as the keys of a dict in
+        the order first reached.
 
         These are the orbit of the identity atom id_e, reached in one step:
         {g.id_e : g in out(origin e)}.  The step is exact because the
@@ -148,23 +151,17 @@ class LocalSystem:
         out of origin(e).  By the orbit-stabilizer law the set has
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
-        out = {}
         by_source = self.groupoid.by_source
-        for e in self.union.darts:
-            slot = out[e] = {}
-            row = self.act_row(by_source.get(self.union.origin[e], ()),
-                               self.identity_atom(e))
-            for key, atom in zip(self.atom_keys(row), row):
-                slot.setdefault(key, atom)
-        return out
+        return {e: dict.fromkeys(self.act_row(by_source.get(self.union.origin[e], ()),
+                                              self.identity_atom(e)))
+                for e in self.union.darts}
 
     def orbit_size(self, dart) -> int:
         return len(self.atoms_by_anchor[dart])
 
     def orbit_darts(self, dart) -> tuple:
         """Image darts of the atoms anchored at the dart, sorted."""
-        return tuple(sorted({self.atom_image(a)
-                             for a in self.atoms_by_anchor[dart].values()}))
+        return tuple(sorted(set(map(self.atom_image, self.atoms_by_anchor[dart]))))
 
     # -- shared helpers -------------------------------------------------------
 
@@ -227,20 +224,18 @@ class LocalSystem:
         if cover_fail is None:
             for e in union.darts:
                 other = 2 if side_of(e) == 1 else 1
-                if not any(side_of(self.atom_image(a)) == other
-                           for a in atoms[e].values()):
+                if not any(side_of(self.atom_image(a)) == other for a in atoms[e]):
                     cover_fail = e
                     break
         bar_fail = None
         rev = union.reverse
-        bar, akey = self.bar, self.atom_key
+        bar = self.bar
         for e in union.darts:
-            for key, atom in atoms[e].items():
+            for atom in atoms[e]:
                 b = bar(atom)
                 if ((self.atom_anchor(b), self.atom_image(b))
                         != (rev[e], rev[self.atom_image(atom)])
-                        or akey(b) not in atoms[rev[e]]
-                        or akey(bar(b)) != key):
+                        or b not in atoms[rev[e]] or bar(b) != atom):
                     bar_fail = self.atom_serial(atom)
                     break
             if bar_fail is not None:
@@ -260,15 +255,15 @@ class LocalSystem:
         memoizes the numbers of h.arrows[j] for h out of dst arrows[j], in
         ``by_source`` order, with -1 where the composite is not an arrow:
         one ``composite_keys`` row, looked up by key.  An arrow t in Stab
-        has dst t = eps(id_e) = x by (a), since atom keys determine the
-        image dart, so row(t) runs over out(x).  Each check compares whole
+        has dst t = eps(id_e) = x by (a), since atoms determine their image
+        dart, so row(t) runs over out(x).  Each check compares whole
         rows, and walks a row to its first failing element only on a
         mismatch, so the failure reported is the one the element-wise
         order meets first.
         """
         groupoid = self.groupoid
         arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
-        act_row, key, keys_of = self.act_row, self.atom_key, self.atom_keys
+        act_row = self.act_row
         eps, anchor = self.eps, self.atom_anchor
         for x in self.union.vertices:
             unit = groupoid.identities.get(x)
@@ -286,8 +281,7 @@ class LocalSystem:
 
             for e in self.union.star(x):
                 ident = self.identity_atom(e)
-                id_key = key(ident)
-                if unit is None or key(self.act(unit, ident)) != id_key:
+                if unit is None or self.act(unit, ident) != ident:
                     return "identity action fails over %r" % (x,)
                 moved = act_row(out, ident)
                 got = list(zip(map(eps, moved), map(anchor, moved)))
@@ -297,21 +291,20 @@ class LocalSystem:
                     if got[i][0] != want[i][0]:
                         return "action target mismatch at %r" % (out[i].serial,)
                     return "action moved an atom anchor at %r" % (out[i].serial,)
-                keys = keys_of(moved)
-                image = dict(zip(out_numbers, keys))
+                image = dict(zip(out_numbers, moved))
                 rep = {}
-                for k, n, ga in zip(keys, out_numbers, moved):
-                    rep.setdefault(k, (n, ga))
+                for n, ga in zip(out_numbers, moved):
+                    rep.setdefault(ga, n)
                 stab_images = [list(map(image.get, row(n)))
-                               for n, k in zip(out_numbers, keys) if k == id_key]
-                bad = [_first_difference(ft, keys) for ft in stab_images if ft != keys]
+                               for n, ga in zip(out_numbers, moved) if ga == ident]
+                bad = [_first_difference(ft, moved) for ft in stab_images if ft != moved]
                 if bad:
                     return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
-                if any(c != len(stab_images) for c in Counter(keys).values()):
+                if any(c != len(stab_images) for c in Counter(moved).values()):
                     return "orbit-stabilizer count fails at %r" % (e,)
-                for r, a in rep.values():
+                for a, r in rep.items():
                     hs = by_source.get(arrows[r].dst, ())
-                    expected = keys_of(act_row(hs, a))
+                    expected = act_row(hs, a)
                     got = list(map(image.get, row(r)))
                     if got != expected:
                         return "action compatibility fails at %r" % (
@@ -370,55 +363,6 @@ class Numbering:
             self.bar_slots[e] = tuple([slot_of[p] for p in nbhd[union.reverse[e]]])
 
 
-class PermLocalSystem(LocalSystem):
-    """The star and ball systems: ``PermArrow`` arrows over the domains of
-    a ``Numbering``, and atoms (anchor dart, target object, positions).
-
-    The identity atom at e is (e, origin e, dom[e]); an arrow h acts by
-    (e, y, r) -> (e, dst h, h.perm restricted to r); the image dart is read
-    from ``dart_at``; and bar moves the positions across the reversed dart.
-    Subclasses render ``atom_serial``.
-    """
-
-    def __init__(self, g1, g2, union, groupoid, numbering: Numbering):
-        super().__init__(g1, g2, union, groupoid)
-        self.numbering = numbering
-        self._identity = {e: (e, union.origin[e], r) for e, r in numbering.dom.items()}
-        self._dart_at, self._head_slot = numbering.dart_at, numbering.head_slot
-        self._rev = union.reverse
-        self._head_vertex = {e: union.head(e) for e in union.darts}
-
-    def identity_atom(self, dart):
-        return self._identity[dart]
-
-    def act_row(self, arrows, atom) -> list:
-        e, _, r = atom
-        get = gather(r)
-        return [(e, h.dst, get(h.perm)) for h in arrows]
-
-    def act(self, arrow, atom):
-        return self.act_row((arrow,), atom)[0]
-
-    def bar(self, atom):
-        e, y, r = atom
-        f = self._dart_at[y][r[self._head_slot[e]]]
-        move = self.numbering.move[f]
-        return (self._rev[e], self._head_vertex[f],
-                tuple([move[r[j]] for j in self.numbering.bar_slots[e]]))
-
-    def atom_anchor(self, atom):
-        return atom[0]
-
-    def atom_image(self, atom):
-        return self._dart_at[atom[1]][atom[2][self._head_slot[atom[0]]]]
-
-    def atom_key(self, atom):
-        return atom
-
-    def atom_keys(self, atoms):
-        return atoms
-
-
 # -- the cover ----------------------------------------------------------------
 
 
@@ -470,7 +414,6 @@ def build_cover(sys: LocalSystem, component: str = "least",
     # group cover vertices by the atom their action produces at each star
     # dart: one row per dart over the cross arrows out of its origin
     groups = {}
-    atoms = {}
     runs = {}
     for a in cross:
         runs.setdefault(a.src, []).append(a)
@@ -478,48 +421,45 @@ def build_cover(sys: LocalSystem, component: str = "least",
         reps = n_mult // out[x]
         for e in union.star(x):
             row = sys.act_row(run, sys.identity_atom(e))
-            for a, key, atom in zip(run, sys.atom_keys(row), row):
-                atoms.setdefault(key, atom)
-                slot = groups.setdefault(key, [])
+            for a, atom in zip(run, row):
+                slot = groups.setdefault(atom, [])
                 for j in range(1, reps + 1):
                     slot.append(vertex_ids[(a.key, j)])
 
     # every cross atom must be realised: the groupoid is closed, so any atom
     # anchored on side 1 with image on side 2 arises from some cross arrow
-    serial_of = {key: sys.atom_serial(atom) for key, atom in atoms.items()}
+    serial_of = {atom: sys.atom_serial(atom) for atom in groups}
     order = sorted(groups, key=serial_of.__getitem__)
     dart_ids = {}
     dart_label = {}
     origin = {}
     dart_colour = {}
     dmap1, dmap2 = {}, {}
-    for key in order:
-        atom = atoms[key]
+    for atom in order:
         anchor, image = sys.atom_anchor(atom), sys.atom_image(atom)
         expected = n_mult // orbit[anchor]
-        members = groups[key]
+        members = groups[atom]
         if len(members) != expected:
             raise VerificationError("matching count at atom %r: %d != %d"
-                                    % (serial_of[key], len(members), expected))
+                                    % (serial_of[atom], len(members), expected))
         colour = (sys.g1.dart_colour.get(strip_side(anchor)) if pull_colour_1 else
                   sys.g2.dart_colour.get(strip_side(image)))
         for k in range(1, expected + 1):
             did = "d%06d" % len(dart_ids)
-            dart_ids[(key, k)] = did
-            dart_label[did] = (serial_of[key], k)
+            dart_ids[(atom, k)] = did
+            dart_label[did] = (serial_of[atom], k)
             origin[did] = members[k - 1]
             dmap1[did], dmap2[did] = strip_side(anchor), strip_side(image)
             if colour is not None:
                 dart_colour[did] = colour
     reverse = {}
-    for key in order:
-        atom = atoms[key]
-        bar_key = sys.atom_key(sys.bar(atom))
-        if bar_key not in groups:
-            raise VerificationError("bar atom not realised for %r" % (serial_of[key],))
+    for atom in order:
+        bar = sys.bar(atom)
+        if bar not in groups:
+            raise VerificationError("bar atom not realised for %r" % (serial_of[atom],))
         expected = n_mult // orbit[sys.atom_anchor(atom)]
         for k in range(1, expected + 1):
-            reverse[dart_ids[(key, k)]] = dart_ids[(bar_key, k)]
+            reverse[dart_ids[(atom, k)]] = dart_ids[(bar, k)]
 
     graph = Graph(vertex_ids.values(), dart_ids.values(), origin, reverse,
                   vertex_colour, dart_colour)

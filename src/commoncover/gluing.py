@@ -82,17 +82,17 @@ def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
     orientation = orient_darts(sys)
     union = sys.union
     pairs = sys.cross_arrows()
-    sides = {}                     # atom key -> (representative, left, right)
+    sides = {}                     # atom -> (left, right)
     for arrow in pairs:
         for e in union.star(arrow.src):
             atom = sys.act_identity(arrow, e)
             if orientation[e] == 1:
-                side = 1
+                side = 0
             else:
-                atom, side = sys.bar(atom), 2
-            sides.setdefault(sys.atom_key(atom), (atom, [], []))[side].append(arrow)
+                atom, side = sys.bar(atom), 1
+            sides.setdefault(atom, ([], []))[side].append(arrow)
     faces = {}
-    for atom, left, right in sides.values():
+    for atom, (left, right) in sides.items():
         left.sort(key=lambda a: a.key)
         right.sort(key=lambda a: a.key)
         if not left or not right:

@@ -1,6 +1,6 @@
 """Finite groupoids and their saturation from generating arrows.
 
-Arrows are ``Arrow`` records exposing ``src``, ``dst``, ``key`` (their
+Arrows are ``PermArrow`` records exposing ``src``, ``dst``, ``key`` (their
 identity, sortable), ``serial`` (the canonical tuple written to artifacts
 and failure messages, sorting as ``key`` does), ``compose(other)`` (self
 after other, or None when incompatible), ``composite_keys(lefts)`` (the
@@ -14,15 +14,11 @@ word is a shortest one (Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory*, 2005, section 4.1).  Actions on edge atoms, their orbits and the
 orbit-stabilizer counts live in ``cover_builder.LocalSystem``.
 
-``PermArrow`` is the arrow of the star and ball systems: a permutation
-between two numbered domains (the darts of a star, the vertices of a
-canonical ball), so that composition is tuple indexing, and a whole row of
-composites is one C call per arrow of the row (Holt, Eick and O'Brien,
-chapters 3 and 4: points as ints, permutations as arrays).
-
-``Value`` is the base of the arrow and atom classes: plain ``__slots__``
-records whose equality and hashing cover a fixed field tuple, as a frozen
-dataclass's would, without ``cached_property`` and its lock.
+``PermArrow`` is the one arrow class: a permutation between two numbered
+domains (the darts of a star, the vertices of a canonical ball, the points
+of a decorated star), so that composition is tuple indexing, and a whole
+row of composites is one C call per arrow of the row (Holt, Eick and
+O'Brien, chapters 3 and 4: points as ints, permutations as arrays).
 """
 
 from __future__ import annotations
@@ -34,30 +30,6 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 
-class Value:
-    """Slotted record compared and hashed on the fields named in
-    ``_compare``, in order; other slots (caches, stored witnesses) take
-    no part in identity."""
-
-    __slots__ = ()
-    _compare = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._compare])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._compare))
-
-
 def gather(positions: tuple):
     """The function p -> tuple(p[i] for i in positions), one C call on
     each tuple p.  An itemgetter returns a tuple only for two or more
@@ -67,20 +39,7 @@ def gather(positions: tuple):
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-class Arrow(Value):
-    """Base of the arrow classes.  The default ``composite_keys`` makes one
-    ``compose`` call per arrow of the row; ``PermArrow`` computes the row
-    and derives ``compose`` from it."""
-
-    __slots__ = ()
-
-    def composite_keys(self, lefts) -> list:
-        """The keys of h.compose(self) for every h in lefts, None where
-        h.src != self.dst."""
-        return [None if c is None else c.key for c in [h.compose(self) for h in lefts]]
-
-
-class PermArrow(Arrow):
+class PermArrow:
     """A bijection from the domain of ``src`` onto the domain of ``dst``.
 
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
@@ -89,12 +48,12 @@ class PermArrow(Arrow):
     comparing perms compares the images in sorted codomain order, so keys
     sort as the rendered ``serial`` tuples do.  ``witness`` is a word carried
     along by composition and inversion; it takes no part in identity.
-    Subclasses name the ``tag`` of their serial.
+    Subclasses name the ``tag`` of their serial.  Arrows are slotted
+    records, compared and hashed on ``key`` within one class.
     """
 
     __slots__ = ("src", "dst", "perm", "domain", "codomain", "witness",
                  "key", "_serial")
-    _compare = ("src", "dst", "perm")
 
     def __init__(self, src, dst, perm: tuple, domain: tuple, codomain: tuple,
                  witness: tuple = ()):
@@ -106,6 +65,17 @@ class PermArrow(Arrow):
         self.witness = witness
         self.key = (src, dst, perm)
         self._serial = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return "%s%r" % (type(self).__name__, self.key)
 
     @property
     def pairs(self) -> tuple:

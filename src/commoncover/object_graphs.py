@@ -9,11 +9,12 @@ the constructions require.
 
 A star map from u to v consists of a bijection of stars plus a bijective
 object map per dart, such that some single vertex object map makes every
-decoration square commute; that vertex map is carried along but is not
-part of a star map's identity.  Star maps compose dart-wise, the closure
-of a seed set is a finite groupoid, and the induced local system feeds the
-generic cover assembly, after which the cover is decorated with objects
-pulled back from the first graph.
+decoration square commute; that vertex map rides along as the arrow's
+witness word and is not part of a star map's identity.  Star maps are
+permutations of numbered decorated stars, arrows of the one kernel the star
+and ball systems use; the closure of a seed set is a finite groupoid, and
+the induced local system feeds the generic cover assembly, after which the
+cover is decorated with objects pulled back from the first graph.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .cover_builder import AxiomError, LocalSystem, build_cover
+from .cover_builder import AxiomError, LocalSystem, Numbering, build_cover
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      disjoint_union, is_covering, side_of, strip_side, validate_graph)
-from .groupoids import Arrow, Value, saturate
+from .groupoids import PermArrow, saturate
 
 
 # -- finite labelled multigraph objects and their maps -----------------------
@@ -198,106 +199,103 @@ class SeedError(GraphError):
         self.square = square
 
 
-class StarMapArrow(Arrow):
-    """Star bijection decorated with invertible edge-object maps.
+class StarMapArrow(PermArrow):
+    """A star map: a permutation of the numbered decorated stars of
+    ``object_numbering``, so one arrow moves the darts and, per dart, the
+    vertices and edges of its edge object.
 
-    The vertex map is a stored witness of compatibility and is excluded
-    from identity: two star maps with the same dart data are equal even if
-    their stored vertex maps differ.
+    Its serial is ("smap", src, dst, bij, edge maps): ``bij`` the sorted
+    (dart, image) pairs, and per source dart, in order, its edge map's
+    (vmap, emap) serial.  The vertex map that makes the decoration squares
+    commute takes no part in identity: it rides as the witness word, the
+    seed vertex maps in application order (``vertex_map`` evaluates it).
     """
 
-    __slots__ = ("src", "dst", "bij", "edge_maps", "vertex_map", "serial",
-                 "key", "_map", "_emap_dict")
-    _compare = ("src", "dst", "bij", "edge_maps")
-
-    def __init__(self, src: str, dst: str, bij: tuple, edge_maps: tuple,
-                 vertex_map: ObjMorphism = None):
-        self.src = src
-        self.dst = dst
-        self.bij = bij                                 # prefixed dart pairs
-        self.edge_maps = edge_maps                     # (prefixed dart, ObjMorphism)
-        self.vertex_map = vertex_map
-        self.serial = ("smap", src, dst, bij,
-                       tuple((d, m.serial) for d, m in edge_maps))
-        self.key = self.serial
-        self._map = None
-        self._emap_dict = None
+    __slots__ = ()
+    tag = "smap"
 
     @property
-    def as_dict(self) -> dict:
-        if self._map is None:
-            self._map = dict(self.bij)
-        return self._map
+    def serial(self) -> tuple:
+        if self._serial is None:
+            bij, maps = [], {}
+            for p, q in self.pairs:          # darts first, then their blocks
+                if p[0] == 0:
+                    bij.append((p[1], q[1]))
+                    maps[p[1]] = ([], [])
+                else:
+                    maps[p[1]][p[2]].append((p[3], q[3]))
+            self._serial = (self.tag, self.src, self.dst, tuple(bij),
+                            tuple((d, (tuple(vm), tuple(em)))
+                                  for d, (vm, em) in maps.items()))
+        return self._serial
 
-    def edge_map(self, dart) -> ObjMorphism:
-        if self._emap_dict is None:
-            self._emap_dict = dict(self.edge_maps)
-        return self._emap_dict[dart]
-
-    def compose(self, other: "StarMapArrow"):
-        # dart pairs stay sorted by source dart under composition
-        if other.dst != self.src:
-            return None
-        bij, inner = self.as_dict, other.as_dict
-        pairs = tuple((e, bij[f]) for e, f in other.bij)
-        emaps = tuple(sorted(
-            ((e, obj_compose(self.edge_map(inner[e]), m))
-             for e, m in other.edge_maps), key=lambda t: t[0]))
-        vm = None
-        if self.vertex_map is not None and other.vertex_map is not None:
-            vm = obj_compose(self.vertex_map, other.vertex_map)
-        return StarMapArrow(other.src, self.dst, pairs, emaps, vm)
-
-    def inverse(self) -> "StarMapArrow":
-        bij = tuple(sorted((f, e) for e, f in self.bij))
-        fwd = self.as_dict
-        emaps = tuple(sorted(((fwd[e], obj_invert(m)) for e, m in self.edge_maps),
-                             key=lambda t: t[0]))
-        vm = obj_invert(self.vertex_map) if self.vertex_map is not None else None
-        return StarMapArrow(self.dst, self.src, bij, emaps, vm)
+    @staticmethod
+    def invert_word(word: tuple) -> tuple:
+        return tuple(obj_invert(m) for m in reversed(word))
 
 
-class ObjectAtom(Value):
-    __slots__ = ("anchor", "image", "morph", "serial")
-    _compare = ("anchor", "image", "morph")
+def object_numbering(union: Graph, edge_object) -> Numbering:
+    """Decorated stars as domains.  The block of a dart d is the point
+    (0, d), then the vertices (1, d, 0, v) and the edges (1, d, 1, e) of
+    its edge object ``edge_object(d)``; the domain of a vertex is the sorted
+    union of the blocks of its star.  Perms then sort as the serials do:
+    dart images first, then each dart's vertex and edge images.  An atom
+    at d restricts an arrow to the block of d, and bar moves the block onto
+    that of reverse d, which shares its edge object."""
+    def block(d):
+        obj = edge_object(d)
+        return ((0, d), *[(1, d, 0, v) for v in obj.vertices],
+                *[(1, d, 1, e[0]) for e in obj.edges])
 
-    def __init__(self, anchor: str, image: str, morph: ObjMorphism):
-        self.anchor = anchor
-        self.image = image
-        self.morph = morph
-        self.serial = ("oatom", anchor, image, morph.serial)
+    rev = union.reverse
+    domains = {x: tuple(sorted(p for d in union.star(x) for p in block(d)))
+               for x in union.vertices}
+    return Numbering(union, domains, block, lambda d: (0, d),
+                     lambda d, nb: [(p[0], rev[d], *p[2:]) for p in nb])
 
 
 class ObjectLocalSystem(LocalSystem):
+    """Star maps over ``object_numbering``; an atom at a dart carries the
+    edge-object map of its arrow at that dart (``atom_morph``)."""
+
     kind = "object"
 
-    def __init__(self, x1: ObjectGraph, x2: ObjectGraph, union, groupoid):
-        super().__init__(x1.graph, x2.graph, union, groupoid)
+    def __init__(self, x1: ObjectGraph, x2: ObjectGraph, union, groupoid,
+                 numbering: Numbering):
+        super().__init__(x1.graph, x2.graph, union, groupoid, numbering)
         self.x1 = x1
         self.x2 = x2
 
-    def _object_graph_of(self, prefixed):
-        return self.x1 if side_of(prefixed) == 1 else self.x2
+    def atom_morph(self, atom) -> ObjMorphism:
+        """The map from the anchor's edge object onto the image's."""
+        e, y, r = atom
+        domains = self.numbering.domains
+        source, target = domains[self.union.origin[e]], domains[y]
+        vmap, emap = {}, {}
+        for i, j in zip(self.numbering.dom[e], r):
+            p, q = source[i], target[j]
+            if p[0] == 1:
+                (emap if p[2] else vmap)[p[3]] = q[3]
+        return obj_morphism(vmap, emap)
 
-    def _edge_object(self, dart):
-        return self._object_graph_of(dart).edge_objects[strip_side(dart)]
+    def atom_serial(self, atom):
+        """("oatom", anchor dart, image dart, edge-object map serial)."""
+        return ("oatom", atom[0], self.atom_image(atom), self.atom_morph(atom).serial)
 
-    def identity_atom(self, dart):
-        return ObjectAtom(dart, dart, obj_identity(self._edge_object(dart)))
-
-    def act(self, arrow, atom):
-        return ObjectAtom(atom.anchor, arrow.as_dict[atom.image],
-                          obj_compose(arrow.edge_map(atom.image), atom.morph))
-
-    def bar(self, atom):
-        rev = self.union.reverse
-        return ObjectAtom(rev[atom.anchor], rev[atom.image], atom.morph)
+    def vertex_map(self, arrow: StarMapArrow) -> ObjMorphism:
+        """The vertex-object map of an arrow: its witness word evaluated
+        from the identity of its source object."""
+        xg = self.x1 if side_of(arrow.src) == 1 else self.x2
+        m = obj_identity(xg.vertex_objects[strip_side(arrow.src)])
+        for letter in arrow.witness:
+            m = obj_compose(letter, m)
+        return m
 
     def isotropy(self, dart) -> list:
         """Invertible self-maps of the dart's edge object induced by star
         maps fixing the dart."""
-        return sorted((a.morph for a in self.atoms_by_anchor[dart].values()
-                       if a.image == dart), key=lambda m: m.serial)
+        return sorted((self.atom_morph(a) for a in self.atoms_by_anchor[dart]
+                       if self.atom_image(a) == dart), key=lambda m: m.serial)
 
     def isotropy_lcm(self) -> int:
         out = 1
@@ -318,7 +316,8 @@ class SeedSpec:
     vertex_map: Optional[ObjMorphism] = None
 
 
-def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec) -> StarMapArrow:
+def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
+                    numbering: Numbering) -> StarMapArrow:
     g1, g2 = x1.graph, x2.graph
     star_u = g1.star(seed.src)
     if sorted(seed.dart_map) != list(star_u):
@@ -360,12 +359,19 @@ def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec) -> StarMap
         if vm is None:
             raise SeedError("no compatible vertex map for the seed at %r (square %r)"
                             % (seed.src, last), square=last)
-    return StarMapArrow(
-        "1:" + seed.src, "2:" + seed.dst,
-        tuple(sorted(("1:" + e, "2:" + f) for e, f in seed.dart_map.items())),
-        tuple(sorted((("1:" + e, m) for e, m in seed.edge_maps.items()),
-                     key=lambda t: t[0])),
-        vm)
+
+    def image(p):                        # p = (0, d) or (1, d, kind, id)
+        e = strip_side(p[1])
+        f = "2:" + seed.dart_map[e]
+        if p[0] == 0:
+            return (0, f)
+        m = seed.edge_maps[e]
+        return (1, f, p[2], (m.edict if p[2] else m.vdict)[p[3]])
+
+    src, dst = "1:" + seed.src, "2:" + seed.dst
+    at = numbering.positions[dst]
+    return StarMapArrow(src, dst, tuple([at[image(p)] for p in numbering.domains[src]]),
+                        numbering.domains[src], numbering.domains[dst], (vm,))
 
 
 def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
@@ -376,23 +382,21 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
         report = validate_object_graph(x)
         if not report.ok:
             raise GraphError("invalid object graph: " + report.violations[0])
-    arrows = [_check_star_map(x1, x2, s) if isinstance(s, SeedSpec) else s
-              for s in seeds]
     union = disjoint_union(x1.graph, x2.graph)
 
-    def identity_factory(v):
-        xg = x1 if side_of(v) == 1 else x2
-        raw = strip_side(v)
-        prefix = v[:2]
-        star = xg.graph.star(raw)
-        return StarMapArrow(
-            v, v,
-            tuple((prefix + d, prefix + d) for d in star),
-            tuple((prefix + d, obj_identity(xg.edge_objects[d])) for d in star),
-            obj_identity(xg.vertex_objects[raw]))
+    def edge_object(d):
+        return (x1 if side_of(d) == 1 else x2).edge_objects[strip_side(d)]
+
+    numbering = object_numbering(union, edge_object)
+    arrows = [_check_star_map(x1, x2, s, numbering) if isinstance(s, SeedSpec) else s
+              for s in seeds]
+    domains = numbering.domains
+
+    def identity_factory(x):
+        return StarMapArrow(x, x, tuple(range(len(domains[x]))), domains[x], domains[x])
 
     groupoid = saturate(arrows, union.vertices, identity_factory)
-    sys = ObjectLocalSystem(x1, x2, union, groupoid)
+    sys = ObjectLocalSystem(x1, x2, union, groupoid, numbering)
     for dart in union.darts:
         if len(sys.isotropy(dart)) > isotropy_cap:
             raise AxiomError("isotropy group exceeds the configured cap at %r"
@@ -457,25 +461,21 @@ def build_object_cover(sys: ObjectLocalSystem, component: str = "least",
     back from the first object graph."""
     built = build_cover(sys, component=component, based_at=based_at)
     x1, x2 = sys.x1, sys.x2
-    atom_by_serial = {}
-    for slot in sys.atoms_by_anchor.values():
-        atom_by_serial.update(slot)
+    vertex_map = {a.serial: sys.vertex_map(a) for a in sys.cross_arrows()}
     vertex_objects, vmorph1, vmorph2 = {}, {}, {}
     for vid, (arrow_serial, _) in built.vertex_label.items():
-        arrow = sys.groupoid.by_key(arrow_serial)     # the key is the serial
-        obj = x1.vertex_objects[strip_side(arrow.src)]
+        obj = x1.vertex_objects[built.mu1.vmap[vid]]
         vertex_objects[vid] = obj
         vmorph1[vid] = obj_identity(obj)
-        vmorph2[vid] = arrow.vertex_map
+        vmorph2[vid] = vertex_map[arrow_serial]
     edge_objects, edge_morphs, emorph1, emorph2 = {}, {}, {}, {}
     for did, (atom_serial, _) in built.dart_label.items():
-        atom = atom_by_serial[atom_serial]
-        raw = strip_side(atom.anchor)
+        raw = built.mu1.dmap[did]
         obj = x1.edge_objects[raw]
         edge_objects[did] = obj
         edge_morphs[did] = x1.edge_morphisms[raw]
         emorph1[did] = obj_identity(obj)
-        emorph2[did] = atom.morph
+        emorph2[did] = ObjMorphism(*atom_serial[3])       # the atom's edge map
     cover = ObjectGraph(built.graph, vertex_objects, edge_objects, edge_morphs)
     report = validate_object_graph(cover)
     if not report.ok:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .graphs import BudgetExceeded, Graph, GraphMorphism, VerificationError, is_covering
+from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism, VerificationError,
+                     is_covering)
 
 
 def permutation_cover(g: Graph, degree: int, voltages: dict):
@@ -167,6 +168,9 @@ def brute_common_cover(g1: Graph, g2: Graph, max_degree: int,
     and tests each for a covering onto g2.  Cover sizes grow with m, so the
     first hit has the least vertex count.
     """
+    for g in (g1, g2):
+        if not g.is_connected():
+            raise GraphError("connected graph required")
     reps = _non_tree_reps(g1)
     counter = budget
     for m in range(1, max_degree + 1):

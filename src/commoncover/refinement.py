@@ -27,9 +27,17 @@ class Partition:
         return len(self.blocks)
 
 
+def _colour_key(colour):
+    """Sort key of an optional colour: uncoloured first, then by colour."""
+    return (colour is not None, colour)
+
+
 def _dart_type(g: Graph, d: str, block_of: dict):
-    return (g.dart_colour.get(d), g.dart_colour.get(g.reverse[d]),
-            block_of[g.head(d)])
+    """(colour, reverse colour, head block) of a dart, with the colours as
+    ``_colour_key``s so that a star with coloured and uncoloured darts
+    sorts."""
+    return (_colour_key(g.dart_colour.get(d)),
+            _colour_key(g.dart_colour.get(g.reverse[d])), block_of[g.head(d)])
 
 
 def _refine_once(g: Graph, block_of: dict) -> dict:
@@ -85,8 +93,7 @@ def degree_refinement(g: Graph) -> Partition:
     """Coarsest equitable partition of a connected graph, refining colours."""
     if not g.is_connected():
         raise GraphError("connected graph required")
-    order = sorted({g.vertex_colour.get(v) for v in g.vertices},
-                   key=lambda c: (c is not None, c))
+    order = sorted({g.vertex_colour.get(v) for v in g.vertices}, key=_colour_key)
     initial = {v: order.index(g.vertex_colour.get(v)) for v in g.vertices}
     return refine_partition(g, initial)
 
@@ -110,7 +117,7 @@ def joint_refinement(g1: Graph, g2: Graph) -> JointBlocks:
             raise GraphError("connected graph required")
     union = disjoint_union(g1, g2)
     colours = sorted({union.vertex_colour.get(v) for v in union.vertices},
-                     key=lambda c: (c is not None, c))
+                     key=_colour_key)
     part = refine_partition(
         union, {v: colours.index(union.vertex_colour.get(v)) for v in union.vertices})
     corr = []

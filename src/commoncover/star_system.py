@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from math import factorial, prod
 
-from .cover_builder import AxiomError, Numbering, PermLocalSystem, retry_doubling
+from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
 from .graphs import BudgetExceeded, Graph, GraphError, disjoint_union
 from .groupoids import FiniteGroupoid, PermArrow, saturate
 from .refinement import JointBlocks, _dart_type, joint_refinement
@@ -61,7 +61,7 @@ def star_numbering(union: Graph) -> Numbering:
                      lambda e: (e,), lambda e: e, lambda e, nb: (rev[e],))
 
 
-class StarLocalSystem(PermLocalSystem):
+class StarLocalSystem(LocalSystem):
     kind = "star"
 
     def __init__(self, g1, g2, union, groupoid, joint: JointBlocks,

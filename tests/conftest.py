@@ -4,9 +4,8 @@ from collections import Counter, deque
 import pytest
 
 from commoncover import families
-from commoncover.cover_builder import LocalSystem
 from commoncover.graphs import BudgetExceeded, Graph, GraphError, GraphMorphism
-from commoncover.groupoids import Arrow
+from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
 from commoncover.regular import euler_circuit, max_bipartite_matching
 
 
@@ -41,22 +40,21 @@ def lollipop() -> Graph:
 
 
 def bfs_atoms(sys, dart) -> set:
-    """Keys (``atom_key``) of the atoms reached from the identity atom at
-    the dart by breadth-first search under the arrow action.
+    """The atoms reached from the identity atom at the dart by
+    breadth-first search under the arrow action.
 
     This computes the orbit without the one-step rule of
     ``LocalSystem.atoms_by_anchor`` and serves as its reference.
     """
     start = sys.identity_atom(dart)
-    seen = {sys.atom_key(start)}
+    seen = {start}
     frontier = [start]
     while frontier:
         atom = frontier.pop()
         for arrow in sys.groupoid.by_source.get(sys.eps(atom), ()):
             nxt = sys.act(arrow, atom)
-            key = sys.atom_key(nxt)
-            if key not in seen:
-                seen.add(key)
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
     return seen
 
@@ -130,36 +128,19 @@ def reference_check_action(self):
     return None
 
 
-def _defines_row(cls, base, name) -> bool:
-    """Whether the class overrides the row kernel ``name`` of ``base``, so
-    that its per-call method is the row's one-element case; otherwise the
-    row is the default of ``base``, which loops over the per-call method."""
-    return getattr(cls, name) is not getattr(base, name)
-
-
 def corrupt_act(sys, corrupt):
     """Replace the system's action so that it corrupts the atom produced by
     one cross arrow, and drop the cached atom sets.  The replaced method is
-    the one definition of the action: ``act_row`` where the system defines
-    it (``act`` is then its one-element case), ``act`` otherwise (the
-    default ``act_row`` then loops over it)."""
+    ``act_row``, the one definition of the action: ``act`` is its
+    one-element case."""
     victim = sys.cross_arrows()[0].serial
-    if _defines_row(type(sys), LocalSystem, "act_row"):
-        act_row = sys.act_row
+    act_row = sys.act_row
 
-        def mutant(arrows, atom):
-            return [corrupt(out) if h.serial == victim else out
-                    for h, out in zip(arrows, act_row(arrows, atom))]
+    def mutant(arrows, atom):
+        return [corrupt(out) if h.serial == victim else out
+                for h, out in zip(arrows, act_row(arrows, atom))]
 
-        sys.act_row = mutant
-    else:
-        act = sys.act
-
-        def mutant(arrow, atom):
-            out = act(arrow, atom)
-            return corrupt(out) if arrow.serial == victim else out
-
-        sys.act = mutant
+    sys.act_row = mutant
     sys.__dict__.pop("atoms_by_anchor", None)
 
 
@@ -168,10 +149,9 @@ def corrupt_compose(sys, monkeypatch):
     (d) of ``check_axioms`` tests.  r is the first arrow out of an object x,
     so it represents its atom at every dart of x; the wrong arrow has the
     composite's source and target but moves some identity atom at x
-    elsewhere.  The patched method is the one definition of composition:
-    the row kernel ``composite_keys`` (whose entry for h becomes the wrong
-    key) where the arrow class defines it, ``compose`` otherwise.  Returns
-    False, patching nothing, when no such pair exists."""
+    elsewhere.  The patched method is the row kernel ``composite_keys``,
+    the one definition of composition, whose entry for h becomes the wrong
+    key.  Returns False, patching nothing, when no such pair exists."""
     def moved(arrow, x):
         return {sys.atom_serial(sys.act_identity(arrow, e)) for e in sys.union.star(x)}
 
@@ -188,26 +168,16 @@ def corrupt_compose(sys, monkeypatch):
     if h is None:
         return False
     cls = type(h)
-    if _defines_row(cls, Arrow, "composite_keys"):
-        composite_keys = cls.composite_keys
+    composite_keys = cls.composite_keys
 
-        def corrupted_row(self, lefts):
-            out = composite_keys(self, lefts)
-            if self.serial == r.serial:
-                out = [wrong.key if left.serial == h.serial else k
-                       for left, k in zip(lefts, out)]
-            return out
+    def corrupted_row(self, lefts):
+        out = composite_keys(self, lefts)
+        if self.serial == r.serial:
+            out = [wrong.key if left.serial == h.serial else k
+                   for left, k in zip(lefts, out)]
+        return out
 
-        monkeypatch.setattr(cls, "composite_keys", corrupted_row)
-    else:
-        compose = cls.compose
-
-        def corrupted(self, other):
-            if self.serial == h.serial and other.serial == r.serial:
-                return wrong
-            return compose(self, other)
-
-        monkeypatch.setattr(cls, "compose", corrupted)
+    monkeypatch.setattr(cls, "composite_keys", corrupted_row)
     return True
 
 
@@ -719,7 +689,106 @@ class ReferenceBallKernel:
         return ReferenceEdgeAtom(rev[atom.anchor], rev[atom.image], mapping)
 
 
+# -- the object kernel as it was before star maps became permutations of
+# numbered decorated stars: dart pairs and per-dart edge-object maps, with
+# the vertex map carried along, and atoms as (anchor, image, edge map)
+# records.  It serves as the reference for the object system's serials and
+# for the vertex maps its witness words evaluate to.
+
+
+class ReferenceStarMapArrow:
+    """Star bijection decorated with invertible edge-object maps; the
+    vertex map is carried along but is not part of the serial."""
+
+    def __init__(self, src, dst, bij, edge_maps, vertex_map=None):
+        self.src = src
+        self.dst = dst
+        self.bij = bij                                 # prefixed dart pairs
+        self.edge_maps = edge_maps                     # (prefixed dart, ObjMorphism)
+        self.vertex_map = vertex_map
+        self.serial = ("smap", src, dst, bij,
+                       tuple((d, m.serial) for d, m in edge_maps))
+
+    def compose(self, other):
+        # dart pairs stay sorted by source dart under composition
+        if other.dst != self.src:
+            return None
+        bij, inner, emap = dict(self.bij), dict(other.bij), dict(self.edge_maps)
+        pairs = tuple((e, bij[f]) for e, f in other.bij)
+        emaps = tuple(sorted(((e, obj_compose(emap[inner[e]], m))
+                              for e, m in other.edge_maps), key=lambda t: t[0]))
+        vm = None
+        if self.vertex_map is not None and other.vertex_map is not None:
+            vm = obj_compose(self.vertex_map, other.vertex_map)
+        return ReferenceStarMapArrow(other.src, self.dst, pairs, emaps, vm)
+
+    def inverse(self):
+        bij = tuple(sorted((f, e) for e, f in self.bij))
+        fwd = dict(self.bij)
+        emaps = tuple(sorted(((fwd[e], obj_invert(m)) for e, m in self.edge_maps),
+                             key=lambda t: t[0]))
+        vm = obj_invert(self.vertex_map) if self.vertex_map is not None else None
+        return ReferenceStarMapArrow(self.dst, self.src, bij, emaps, vm)
+
+
+class ReferenceObjectAtom:
+    def __init__(self, anchor, image, morph):
+        self.anchor = anchor
+        self.image = image
+        self.morph = morph
+        self.serial = ("oatom", anchor, image, morph.serial)
+
+
+class ReferenceObjectKernel:
+    """Object atoms as ``ReferenceObjectAtom`` records of an object system.
+    An arrow's reference carries the vertex map its witness word evaluates
+    to."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.union = sys.union
+
+    def _object_graph(self, prefixed):
+        return self.sys.x1 if prefixed.startswith("1:") else self.sys.x2
+
+    def _edge_object(self, dart):
+        return self._object_graph(dart).edge_objects[dart[2:]]
+
+    def arrow(self, a):
+        _, src, dst, bij, maps = a.serial
+        return ReferenceStarMapArrow(src, dst, bij,
+                                     tuple((d, ObjMorphism(*m)) for d, m in maps),
+                                     self.sys.vertex_map(a))
+
+    def atom(self, serial):
+        _, anchor, image, morph = serial
+        return ReferenceObjectAtom(anchor, image, ObjMorphism(*morph))
+
+    def identity(self, x):
+        xg, star = self._object_graph(x), self.union.star(x)
+        return ReferenceStarMapArrow(
+            x, x, tuple((d, d) for d in star),
+            tuple((d, obj_identity(self._edge_object(d))) for d in star),
+            obj_identity(xg.vertex_objects[x[2:]]))
+
+    def identity_atom(self, dart):
+        return ReferenceObjectAtom(dart, dart, obj_identity(self._edge_object(dart)))
+
+    def serial(self, atom):
+        return atom.serial
+
+    def act(self, arrow, atom):
+        return ReferenceObjectAtom(atom.anchor, dict(arrow.bij)[atom.image],
+                                   obj_compose(dict(arrow.edge_maps)[atom.image],
+                                               atom.morph))
+
+    def bar(self, atom):
+        rev = self.union.reverse
+        return ReferenceObjectAtom(rev[atom.anchor], rev[atom.image], atom.morph)
+
+
 def reference_kernel(sys):
-    """The pair-tuple reference for the arrows and atoms of a star or ball
-    system."""
-    return (ReferenceStarKernel if sys.kind == "star" else ReferenceBallKernel)(sys)
+    """The pair-tuple reference for the arrows and atoms of a star, ball or
+    object system."""
+    return {"star": ReferenceStarKernel, "ball": ReferenceBallKernel,
+            "object": ReferenceObjectKernel}[sys.kind](sys)

@@ -416,3 +416,103 @@ def test_write_json_rejects_values_json_cannot_hold(tmp_path, payload):
         write_json(str(tmp_path / "out.json"), payload)
     with pytest.raises(TypeError):
         json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _write_red_cycle(tmp_path, name, n, red_edges):
+    """The n-cycle with both darts of the named edges coloured red and the
+    other darts uncoloured."""
+    payload = dump_graph(families.cycle(n))
+    for entry in payload["darts"]:
+        if entry["id"].split(".")[0] in red_edges:
+            entry["colour"] = "red"
+    path = str(tmp_path / name)
+    write_json(path, payload)
+    return path
+
+
+def test_partly_dart_coloured_graphs(tmp_path):
+    c3 = _write_red_cycle(tmp_path, "c3.json", 3, {"e00"})
+    c6 = _write_red_cycle(tmp_path, "c6.json", 6, {"e00", "e03"})
+    assert main(["check", c3, c6]) == 0
+    for i, backend in enumerate((["--backend", "star", "--strategy", "dr"],
+                                 ["--backend", "star", "--strategy", "aligned"],
+                                 ["--backend", "ball"], ["--backend", "glue"])):
+        out = str(tmp_path / ("out%d" % i))
+        assert main(["build", c3, c6, *backend, "-o", out]) == 0
+        assert main(["verify", out, c3, c6]) == 0
+    assert main(["oracle", c3, c6, "--max", "2"]) == 0
+
+
+def _graph_with_vertex_colour_list(payload):
+    payload["vertices"][1]["colour"] = [1]
+    return "vertices[1]: 'colour' must be a string"
+
+
+def _graph_without_vertices(payload):
+    payload["vertices"], payload["darts"] = [], []
+    return "vertices: a graph needs at least one vertex"
+
+
+@pytest.mark.parametrize("corrupt", [_graph_with_vertex_colour_list,
+                                     _graph_without_vertices])
+@pytest.mark.parametrize("argv", [["check"], ["build", "-o", "out"],
+                                  ["build", "--backend", "glue", "-o", "out"]])
+def test_malformed_graph_files_exit_two(tmp_path, capsys, corrupt, argv):
+    payload = dump_graph(families.cycle(3))
+    message = corrupt(payload)
+    path = str(tmp_path / "bad.json")
+    write_json(path, payload)
+    argv = [argv[0], path, path, *[str(tmp_path / a) if a == "out" else a
+                                   for a in argv[1:]]]
+    assert main(argv) == 2
+    assert "%s: %s" % (path, message) in capsys.readouterr().err
+
+
+def test_build_objects_non_string_edge_endpoint_exits_two(tmp_path, capsys):
+    x1, x2, _ = rotation_pair(3)
+    p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
+    payload = dump_object_graph(x1)
+    name = sorted(payload["objects"])[0]
+    payload["objects"][name]["edges"][0]["from"] = [1]
+    write_json(p1, payload)
+    write_json(p2, dump_object_graph(x2))
+    seeds_path = str(tmp_path / "seeds.json")
+    write_json(seeds_path, {"seeds": []})
+    assert main(["build-objects", p1, p2, "--seeds", seeds_path,
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "%s: objects[%s].edges[0]: needs string" % (p1, name) in capsys.readouterr().err
+
+
+def test_oracle_disconnected_input_exits_two(tmp_path, capsys):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    two = _write_graph(tmp_path, "two.json", families._from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    for argv in (["oracle", c3, two], ["oracle", two, c3]):
+        assert main(argv) == 2
+        assert "input error: connected graph required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "ball", "--d", "6", "--radius", "4", "--v", "3"],
+     "budget exceeded: the ball bound has 4300 digits or more"),
+    (["--kind", "regular", "--v1", "-3", "--v2", "2"], "v1 must be positive"),
+    (["--kind", "general", "--edges", "-1", "--v-prime", "2"],
+     "edges must not be negative"),
+    (["--kind", "objects", "--d", "2", "--iso-lcm", "0", "--v", "2"],
+     "isotropy_lcm must be positive"),
+])
+def test_bounds_out_of_range_exit_two(capsys, argv, message):
+    assert main(["bounds", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_exit_two(tmp_path, capsys):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv, path in ((["build", c3, c3, "-o", str(afile)], afile / "cover.json"),
+                       (["regular", c3, c3, "-o", str(afile / "sub")],
+                        afile / "sub" / "cover.json"),
+                       (["export-dot", c3, "-o", str(tmp_path)], tmp_path)):
+        assert main(argv) == 2
+        assert "input error: cannot write %s" % path in capsys.readouterr().err

@@ -5,8 +5,7 @@ from commoncover.ball_system import build_ball_system_retrying, discover_atoms
 from commoncover.cover_builder import (AxiomError, build_cover,
                                        extract_certificate)
 from commoncover.graphs import is_covering
-from commoncover.object_graphs import (ObjectAtom, close_star_maps, obj_compose,
-                                       rotation_map, rotation_pair)
+from commoncover.object_graphs import close_star_maps, rotation_pair
 from commoncover.oracle import brute_common_cover, find_covering
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
@@ -227,8 +226,15 @@ def test_corrupted_atom_payload_fails_axioms():
     assert not report.ok and not report.action_ok
     x1, x2, seeds = rotation_pair(3)
     objects = close_star_maps(x1, x2, seeds)
-    report = _mutated(objects, lambda atom: ObjectAtom(
-        atom.anchor, atom.image, obj_compose(rotation_map(3), atom.morph)))
+
+    def rotate_vertices(atom):
+        # the block of a dart is its own point, then the three vertices of
+        # its edge object, then the edges: the vertex images rotate by one
+        # place, and the image dart stays
+        e, y, r = atom
+        return (e, y, r[:1] + r[2:4] + r[1:2] + r[4:])
+
+    report = _mutated(objects, rotate_vertices)
     assert not report.ok and not report.action_ok
 
 

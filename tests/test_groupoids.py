@@ -90,7 +90,7 @@ def test_orbit_partition_identities_only():
     sys = _identity_star_system(families.cycle(3))
     for e in sys.union.darts:
         assert sys.orbit_darts(e) == (e,)
-        assert [sys.atom_serial(a) for a in sys.atoms_by_anchor[e].values()] == [(e, e)]
+        assert [sys.atom_serial(a) for a in sys.atoms_by_anchor[e]] == [(e, e)]
 
 
 def test_orbit_partition_full_star_groupoid_on_c3():
@@ -161,8 +161,9 @@ def generated(engine_systems):
         sys = engine_systems[kind]
         out[kind] = (sys.discovered.vertex_arrows, sys)
     x1, x2, seeds = rotation_pair(3)
-    out["objects"] = ([_check_star_map(x1, x2, s) for s in seeds],
-                      engine_systems["objects"])
+    objects = engine_systems["objects"]
+    out["objects"] = ([_check_star_map(x1, x2, s, objects.numbering) for s in seeds],
+                      objects)
     return {kind: (list(gens), sys.union.vertices, sys.groupoid.identities.get, sys)
             for kind, (gens, sys) in out.items()}
 
@@ -206,12 +207,12 @@ def test_identity_ignores_stored_witnesses(engine_systems):
     assert hash(a) == hash((a.src, a.dst, a.perm))
     assert BallArrow(a.dst, a.src, a.perm, a.codomain, a.domain, a.witness) != a
     objects = engine_systems["objects"]
-    s = next(s for s in objects.groupoid.arrows if s.vertex_map is not None)
-    plain = StarMapArrow(s.src, s.dst, s.bij, s.edge_maps)
+    s = next(s for s in objects.groupoid.arrows if s.witness)
+    plain = StarMapArrow(s.src, s.dst, s.perm, s.domain, s.codomain)
     assert plain == s and hash(plain) == hash(s) and len({s, plain}) == 1
-    assert hash(s) == hash((s.src, s.dst, s.bij, s.edge_maps))
-    star = star_arrow(objects.union, s.src, s.dst, dict(s.bij))
-    assert star.bij == s.bij
+    assert hash(s) == hash((s.src, s.dst, s.perm))
+    assert objects.vertex_map(plain) != objects.vertex_map(s)
+    star = StarArrow(s.src, s.dst, s.perm, s.domain, s.codomain)
     assert star != s and hash(star) == hash((s.src, s.dst, star.perm))
 
 

@@ -17,15 +17,23 @@ The row kernels are checked on every row: ``composite_keys`` of each
 arrow over all arrows gives the keys of the reference composites, with
 None exactly where the pair is not composable, and ``act_row`` of each
 identity atom and each atom over the arrows out of its target gives the
-reference's atoms, in order.  On the object system of ``rotation_pair(3)``,
-whose arrows and atoms keep their per-call ``compose`` and ``act``, the
-default rows must equal those calls.
+reference's atoms, in order.
+
+The object systems of ``rotation_pair(2)``, ``(3)`` and ``(6)``, one of
+identity seeds and one whose seed vertex maps do not commute are checked
+the same way against the reference object kernel, whose star maps carry
+their vertex maps: the vertex map each arrow's witness word evaluates to
+must be the one the reference composes along the word, and must agree
+with the reference on every composite and inverse.
 """
 
 from hypothesis import given
 
+from commoncover import families
 from commoncover.ball_system import build_ball_system_retrying
-from commoncover.object_graphs import close_star_maps, rotation_pair
+from commoncover.object_graphs import (ObjectGraph, SeedSpec, _check_star_map,
+                                       close_star_maps, make_object, obj_identity,
+                                       obj_morphism, rotation_pair)
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
@@ -41,10 +49,12 @@ def _generators(sys):
     return sys.groupoid.arrows
 
 
-def check_against_reference(sys):
+def check_against_reference(sys, generators=None):
+    if generators is None:
+        generators = _generators(sys)
     ref = reference_kernel(sys)
     gpd = sys.groupoid
-    closure = all_pairs_closure([ref.arrow(a) for a in _generators(sys)],
+    closure = all_pairs_closure([ref.arrow(a) for a in generators],
                                 sys.union.vertices, ref.identity)
     assert [a.serial for a in gpd.arrows] == closure
     refs = {a.key: ref.arrow(a) for a in gpd.arrows}
@@ -64,9 +74,9 @@ def check_against_reference(sys):
         out = gpd.by_source[sys.union.origin[e]]
         moved = [ref.serial(ref.act(refs[g.key], ident)) for g in out]
         assert list(map(serial, sys.act_row(out, sys.identity_atom(e)))) == moved
-        assert ([serial(a) for a in sys.atoms_by_anchor[e].values()]
+        assert ([serial(a) for a in sys.atoms_by_anchor[e]]
                 == list(dict.fromkeys(moved)))
-        for atom in sys.atoms_by_anchor[e].values():
+        for atom in sys.atoms_by_anchor[e]:
             ref_atom = ref.atom(serial(atom))
             assert serial(sys.bar(atom)) == ref.serial(ref.bar(ref_atom))
             hs = gpd.by_source[sys.eps(atom)]
@@ -86,16 +96,60 @@ def test_kernel_agrees_with_the_pair_tuple_reference(seed):
         check_against_reference(sys)
 
 
-def test_object_rows_are_the_per_call_methods():
-    x1, x2, seeds = rotation_pair(3)
-    sys = close_star_maps(x1, x2, seeds)
+def check_vertex_maps(sys, generators):
+    """The vertex maps that the witness words of an object system evaluate
+    to, against the reference star maps composed along the same words."""
+    ref = reference_kernel(sys)
     gpd = sys.groupoid
+    letters = {}
+    for i, g in enumerate(generators):
+        letters["g", i] = ref.arrow(g)
+        letters["g~", i] = ref.arrow(g).inverse()
+    refs = {}
+    for a in gpd.arrows:
+        current = ref.identity(a.src)
+        for letter in gpd.witness[a.key]:
+            current = letters[letter].compose(current)
+        assert current.serial == a.serial
+        assert current.vertex_map == sys.vertex_map(a)
+        refs[a.key] = current
     for b in gpd.arrows:
-        composites = [a.compose(b) for a in gpd.arrows]
-        assert b.composite_keys(gpd.arrows) == [
-            None if c is None else c.key for c in composites]
-        assert [c is None for c in composites] == [a.src != b.dst for a in gpd.arrows]
-    for e in sys.union.darts:
-        for atom in [sys.identity_atom(e), *sys.atoms_by_anchor[e].values()]:
-            hs = gpd.by_source[sys.eps(atom)]
-            assert sys.act_row(hs, atom) == [sys.act(h, atom) for h in hs]
+        assert refs[b.key].inverse().vertex_map == sys.vertex_map(b.inverse())
+        for a in gpd.by_source[b.dst]:
+            assert (refs[a.key].compose(refs[b.key]).vertex_map
+                    == sys.vertex_map(a.compose(b)))
+
+
+def _identity_seed_system():
+    obj = make_object(["o"])
+    g = families.cycle(3)
+    x = ObjectGraph(g, {v: obj for v in g.vertices}, {d: obj for d in g.darts},
+                    {d: obj_identity(obj) for d in g.darts})
+    return x, x, [SeedSpec(v, v, {d: d for d in g.star(v)},
+                           {d: obj_identity(obj) for d in g.star(v)})
+                  for v in g.vertices]
+
+
+def _non_commuting_system():
+    """rose(1) over a three-point vertex object and empty edge objects,
+    with seed vertex maps that do not commute, so that a witness word
+    evaluated in the wrong order gives another vertex map (the rotation
+    maps of ``rotation_pair`` commute)."""
+    g = families.rose(1)
+    points, empty = make_object(["p0", "p1", "p2"]), make_object([])
+    x = ObjectGraph(g, {"v00": points}, {d: empty for d in g.darts},
+                    {d: obj_identity(empty) for d in g.darts})
+    maps = {d: obj_identity(empty) for d in g.darts}
+    swap = obj_morphism({"p0": "p1", "p1": "p0", "p2": "p2"}, {})
+    turn = obj_morphism({"p0": "p1", "p1": "p2", "p2": "p0"}, {})
+    return x, x, [SeedSpec("v00", "v00", {"e00.a": "e00.a", "e00.b": "e00.b"}, maps, swap),
+                  SeedSpec("v00", "v00", {"e00.a": "e00.b", "e00.b": "e00.a"}, maps, turn)]
+
+
+def test_object_kernel_agrees_with_the_reference():
+    for x1, x2, seeds in (rotation_pair(2), rotation_pair(3), rotation_pair(6),
+                          _identity_seed_system(), _non_commuting_system()):
+        sys = close_star_maps(x1, x2, seeds)
+        generators = [_check_star_map(x1, x2, s, sys.numbering) for s in seeds]
+        check_against_reference(sys, generators)
+        check_vertex_maps(sys, generators)

@@ -64,9 +64,9 @@ def test_identity_seeds_give_identity_groupoid():
     sys = close_star_maps(x, x, seeds)
     # every atom is an identity-decorated pair
     for dart in sys.union.darts:
-        for atom in sys.atoms_by_anchor[dart].values():
-            assert atom.morph == obj_identity(_singleton_object())
-            assert atom.anchor[2:] == atom.image[2:]
+        for atom in sys.atoms_by_anchor[dart]:
+            assert sys.atom_morph(atom) == obj_identity(_singleton_object())
+            assert sys.atom_anchor(atom)[2:] == sys.atom_image(atom)[2:]
     res = build_object_cover(sys)
     assert res.built.degrees == (1, 1)
 
@@ -151,9 +151,10 @@ def test_counting_identity_and_orbit_law():
             key = sys.atom_serial(sys.act_identity(a, e))
             counts[key] = counts.get(key, 0) + n // out[a.src]
     for dart in sys.union.darts:
-        for key, atom in sys.atoms_by_anchor[dart].items():
-            if atom.anchor.startswith("1:") and atom.image.startswith("2:"):
-                assert counts[key] == n // sys.orbit_size(dart)
+        for atom in sys.atoms_by_anchor[dart]:
+            if (sys.atom_anchor(atom).startswith("1:")
+                    and sys.atom_image(atom).startswith("2:")):
+                assert counts[sys.atom_serial(atom)] == n // sys.orbit_size(dart)
     # orbit law: acting on the identity atom reaches the whole anchored set
     for dart in sys.union.darts:
         assert bfs_atoms(sys, dart) == set(sys.atoms_by_anchor[dart])
