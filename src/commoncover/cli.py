@@ -19,6 +19,9 @@ import json
 import math
 import os
 import sys as _sys
+from collections import deque
+from itertools import chain
+from operator import itemgetter
 
 from .ball_system import build_ball_system_retrying, discover_atoms
 from .bounds import bound_report
@@ -44,29 +47,60 @@ _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _scalar(x) -> str:
-    return _quote(x) if isinstance(x, str) else json.dumps(x)
+@functools.cache
+def _encoder(inner: str):
+    """CPython's C encoder with sorted keys, for the entries of a container
+    written at indentation ``inner``; it yields the text in a few chunks."""
+    return json.encoder.c_make_encoder(None, json.JSONEncoder().default, _quote,
+                                       None, ": ", "," + inner, True, False, True)
+
+
+def _record_keys(rows):
+    """The sorted keys of ``rows`` if it is a list of records: non-empty
+    dicts with one set of str keys and only str values; else None."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    keys = rows[0].keys()
+    if (set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, rows)))
+            or set(map(type, chain.from_iterable(map(dict.values, rows)))) != {str}):
+        return None
+    return sorted(keys)
 
 
 def _write(write, x, nl: str, head: str = "") -> None:
     """Write ``head`` and x as ``json.dump(x, sort_keys=True, indent=2)``
-    does at indentation ``nl``: in one piece if x holds only plain scalars,
-    else one piece per entry.  ``json.dumps({k: 0})`` names a non-str key."""
+    does at indentation ``nl``.  A container of plain scalars is one call of
+    the C encoder, a list of records one ``%`` template filled a record per
+    piece; any other container is written one piece per entry.
+    ``json.dumps({k: 0})`` names a non-str key."""
     if isinstance(x, dict):
         brackets, values = "{}", x.values()
-        entries = [((_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
-                    + ": ", v) for k, v in sorted(x.items())]
     elif isinstance(x, (list, tuple)):
-        brackets, values, entries = "[]", x, [("", v) for v in x]
+        brackets, values = "[]", x
     else:
-        return write(head + _scalar(x))
+        return write(head + _encoder(nl)(x, 0)[0])
     inner = nl + "  "
-    if not entries:
+    if not x:
         write(head + brackets)
     elif set(map(type, values)) <= _SCALARS:
-        write(head + brackets[0] + inner + ("," + inner).join(
-            [p + _scalar(v) for p, v in entries]) + nl + brackets[1])
+        chunks = _encoder(inner)(x, 0)
+        chunks[0] = head + brackets[0] + inner + chunks[0][1:]
+        chunks[-1] = chunks[-1][:-1] + nl + brackets[1]
+        for chunk in chunks:
+            write(chunk)
+    elif brackets == "[]" and (keys := _record_keys(x)):
+        record = "{%s%s}" % (",".join(inner + "  " + _quote(k).replace("%", "%%") + ": %s"
+                                      for k in keys), inner)
+        rows = zip(*[map(_quote, map(itemgetter(k), x)) for k in keys])
+        write(head + "[" + inner + record % next(rows))
+        deque(map(write, map(("," + inner + record).__mod__, rows)), maxlen=0)
+        write(nl + "]")
     else:
+        if brackets == "{}":
+            entries = [((_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                        + ": ", v) for k, v in sorted(x.items())]
+        else:
+            entries = [("", v) for v in x]
         lead = head + brackets[0] + inner
         for prefix, v in entries:
             _write(write, v, inner, lead + prefix)
@@ -86,7 +120,7 @@ def _open_output(path: str):
 
 def write_json(path: str, payload) -> None:
     """The bytes of ``json.dump(payload, fh, sort_keys=True, indent=2)``
-    and a newline, written in pieces, without the pure-Python encoder."""
+    and a newline, streamed in pieces, without the pure-Python encoder."""
     with _open_output(path) as fh:
         _write(fh.write, payload, "\n")
         fh.write("\n")
@@ -447,23 +481,28 @@ def cmd_regular(args) -> int:
     return 0
 
 
+def _dot_id(s: str) -> str:
+    """A quoted DOT ID: backslashes and double quotes escaped."""
+    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def cmd_export_dot(args) -> int:
     g = load_graph(args.file)
     lines = ["graph G {"]
     for v in g.vertices:
         attrs = ""
         if v in g.vertex_colour:
-            attrs = ' [colour="%s"]' % g.vertex_colour[v]
-        lines.append('  "%s"%s;' % (v, attrs))
+            attrs = " [color=%s]" % _dot_id(g.vertex_colour[v])
+        lines.append("  %s%s;" % (_dot_id(v), attrs))
     for d in g.edge_reps():
         rd = g.reverse[d]
         attrs = []
         if d in g.dart_colour:
-            attrs.append('taillabel="%s"' % g.dart_colour[d])
+            attrs.append("taillabel=%s" % _dot_id(g.dart_colour[d]))
         if rd in g.dart_colour:
-            attrs.append('headlabel="%s"' % g.dart_colour[rd])
+            attrs.append("headlabel=%s" % _dot_id(g.dart_colour[rd]))
         suffix = " [%s]" % ", ".join(attrs) if attrs else ""
-        lines.append('  "%s" -- "%s"%s;' % (g.origin[d], g.head(d), suffix))
+        lines.append("  %s -- %s%s;" % (_dot_id(g.origin[d]), _dot_id(g.head(d)), suffix))
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -415,6 +415,12 @@ def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
     for m in (m1, m2):
         if not is_covering(m).ok:
             raise GraphError("fiber product requires coverings")
+    return _pullback(m1, m2)
+
+
+def _pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
+    """The fiber product of two maps onto one graph that the caller has
+    already verified as coverings."""
     g1, g2 = m1.source, m2.source
     over_v, over_d = {}, {}
     for v in g2.vertices:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import families
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     compose_morphisms, fiber_product, finish_cover, is_covering)
+                     _pullback, compose_morphisms, finish_cover, is_covering)
 
 
 def regularity(g: Graph) -> int:
@@ -288,7 +288,8 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cove
         raise GraphError("degree mismatch: %d vs %d" % (k1, k2))
     f1 = factorize_regular(g1)
     f2 = factorize_regular(g2)
-    fp = fiber_product(f1.covering, f2.covering)
+    # factorize_regular has verified both coverings
+    fp = _pullback(f1.covering, f2.covering)
     if f1.kind == "even":
         mu1, mu2 = fp.proj1, fp.proj2
         bound = len(g1.vertices) * len(g2.vertices)

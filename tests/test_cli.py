@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commoncover import families
-from commoncover.cli import (build_parser, dump_graph, dump_object_graph,
+from commoncover.cli import (_write, build_parser, dump_graph, dump_object_graph,
                              load_graph, load_object_graph, main, write_json)
 from commoncover.graphs import VerificationError
 from commoncover.object_graphs import rotation_pair
@@ -113,6 +114,31 @@ def test_export_dot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("graph G {")
     assert out.count(" -- ") == 3
+
+
+_DOT_ID = r'"(?:[^"\\]|\\.)*"'
+_DOT_LINE = re.compile(r"  ({0})(?: -- ({0}))?(?: \[\w+={0}(?:, \w+={0})*\])?;".format(_DOT_ID))
+
+
+def _dot_unquote(token):
+    return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+
+def test_export_dot_escapes_ids_and_attributes(tmp_path, capsys):
+    path = str(tmp_path / "quotes.json")
+    write_json(path, {"vertices": [{"id": 'a"b', "colour": 'r"ed'}, {"id": "c\\"}],
+                      "darts": [{"id": "d0", "reverse": "d1", "from": 'a"b',
+                                 "colour": 'x\\"'},
+                                {"id": "d1", "reverse": "d0", "from": "c\\"}]})
+    assert main(["export-dot", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graph G {" and lines[-1] == "}"
+    matches = [_DOT_LINE.fullmatch(line) for line in lines[1:-1]]
+    assert all(matches), lines
+    assert [_dot_unquote(m[1]) for m in matches] == ['a"b', "c\\", 'a"b']
+    assert _dot_unquote(matches[2][2]) == "c\\"
+    assert 'color="r\\"ed"' in lines[1] and "colour" not in "".join(lines)
+    assert 'taillabel="x\\\\\\""' in lines[3]
 
 
 def test_schema_errors_exit_two(tmp_path):
@@ -385,8 +411,35 @@ def test_dr_full_budget_exits_two(tmp_path, capsys):
 _TEXT = st.text(max_size=6) | st.sampled_from(
     ['"', "\\", "\\\"\n\r\t\b\f", "\x00\x1f\x7f", "é ü", "  ", "𝄞 ☃"])
 _LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+
+
+def _near_miss(rows, kind):
+    """``rows``, a list of records, changed so that it is no longer one."""
+    first = rows[0]
+    if kind == "missing key":
+        del first[min(first)]
+    elif kind == "extra key":
+        first["extra%"] = "x"
+    elif kind in ("int value", "bool value", "None value"):
+        first[min(first)] = {"int value": 7, "bool value": True, "None value": None}[kind]
+    elif kind == "int keys":
+        rows[:] = [dict(enumerate(r.values())) for r in rows]
+    elif kind == "empty dicts":
+        rows[:] = [{} for _ in rows]
+    return rows
+
+
+# lists of dicts sharing one key set of str keys, with str values; some are
+# changed to just miss that shape
+_RECORDS = st.lists(_TEXT | st.sampled_from(["%s", "%", "id"]), min_size=1, max_size=3,
+                    unique=True).flatmap(
+    lambda keys: st.builds(
+        _near_miss,
+        st.lists(st.fixed_dictionaries({k: _TEXT for k in keys}), min_size=1, max_size=4),
+        st.sampled_from([None, None, None, "missing key", "extra key", "int value",
+                         "bool value", "None value", "int keys", "empty dicts"])))
 _PAYLOADS = st.recursive(
-    _LEAVES,
+    _LEAVES | _RECORDS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(_TEXT, inner, max_size=4)
                    | st.dictionaries(st.integers(), inner, max_size=3)),
@@ -410,12 +463,24 @@ def test_write_json_writes_the_bytes_of_json_dump(json_path, payload):
 
 
 @pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {(1, 2): "pair"},
-                                     {"a": [1, {"b": b"bytes"}]}])
+                                     {"a": [1, {"b": b"bytes"}]},
+                                     [{"a": "x"}, {"a": {1}}]])
 def test_write_json_rejects_values_json_cannot_hold(tmp_path, payload):
     with pytest.raises(TypeError):
         write_json(str(tmp_path / "out.json"), payload)
     with pytest.raises(TypeError):
         json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_write_streams_a_record_list():
+    darts = [{"id": "d%04d" % i, "reverse": "d%04d" % (i ^ 1), "from": "v%03d" % (i // 3)}
+             for i in range(1000)]
+    payload = {"graph": {"darts": darts, "vertices": ["v%03d" % i for i in range(333)]}}
+    pieces = []
+    _write(pieces.append, payload, "\n")
+    text = "".join(pieces)
+    assert text == json.dumps(payload, sort_keys=True, indent=2)
+    assert max(map(len, pieces)) <= len(text) / 10
 
 
 def _write_red_cycle(tmp_path, name, n, red_edges):

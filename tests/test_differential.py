@@ -22,7 +22,10 @@ seeds with ``derandomize=True``, so every run checks the same pairs.
   byte-identical when run twice; ball and glue covers stay within
   ``bounds.bound_report("ball", ...)``.  Pairs whose diameters sum to more
   than 5 are left out to keep the test near 3 s;
-* no command exits 3 on a pair that ``common_cover_exists`` rejects.
+* no command exits 3 on a pair that ``common_cover_exists`` rejects;
+* on pairs where ``oracle.brute_common_cover`` finds the least connected
+  common cover within its budget, the least component that star dr, star
+  aligned, ball R=1 and glue R=1 write has at least that many vertices.
 """
 
 import contextlib
@@ -34,13 +37,13 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from commoncover import cli
 from commoncover.bounds import bound_report
 from commoncover.graphs import is_covering
-from commoncover.oracle import find_covering, permutation_cover
+from commoncover.oracle import brute_common_cover, find_covering, permutation_cover
 from commoncover.refinement import common_cover_exists
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
@@ -230,3 +233,23 @@ def test_rejected_pairs_never_exit_three(seed):
                      ["regular", p1, p2, "-o", out],
                      ["oracle", p1, p2, "--max", "2"]):
             assert _run(*argv) in (1, 2), argv
+
+
+@_settings(8)
+@given(SEEDS)
+# the least common cover of these pairs is larger than both inputs
+@example(165)
+@example(288)
+def test_least_components_are_no_smaller_than_the_oracle_cover(seed):
+    g1, g2, _ = related_pair(seed)
+    assume(g1.diameter() + g2.diameter() <= 5)
+    least = brute_common_cover(g1, g2, 2, budget=20000)
+    assume(least.found)
+    with _on_disk(g1, g2) as (tmp, p1, p2):
+        for k, flags in enumerate((["--strategy", "dr"], ["--strategy", "aligned"],
+                                   ["--backend", "ball"], ["--backend", "glue"])):
+            out = os.path.join(tmp, str(k))
+            assert _run("build", p1, p2, *flags, "-o", out) == 0, flags
+            with open(os.path.join(out, "cover.json"), encoding="utf-8") as fh:
+                size = len(json.load(fh)["graph"]["vertices"])
+            assert size >= len(least.cover.vertices), flags
