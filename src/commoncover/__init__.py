@@ -3,7 +3,7 @@ finite objects, with exact size bounds and independent verification."""
 
 from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
                      VerificationError, compose_morphisms, disjoint_union, fiber_product,
-                     identity_morphism, is_covering, validate_graph)
+                     identity_morphism, is_covering, pullback, validate_graph)
 from .refinement import common_cover_exists, degree_refinement, joint_refinement
 from .groupoids import FiniteGroupoid, lcm_all, saturate
 from .universal_cover import Ball, TreeAlignment, UniversalCover, build_alignment

@@ -49,8 +49,12 @@ _SCALARS = {str, int, float, bool, type(None)}
 
 @functools.cache
 def _encoder(inner: str):
-    """CPython's C encoder with sorted keys, for the entries of a container
-    written at indentation ``inner``; it yields the text in a few chunks."""
+    """An encoder with sorted keys for the entries of a container written at
+    indentation ``inner``, called as ``enc(x, 0)``; it returns the text in a
+    few chunks (a list, or a tuple on CPython 3.12 and later).  CPython's C
+    encoder where ``_json`` has one, else the pure-Python ``iterencode``."""
+    if json.encoder.c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).iterencode
     return json.encoder.c_make_encoder(None, json.JSONEncoder().default, _quote,
                                        None, ": ", "," + inner, True, False, True)
 
@@ -78,12 +82,12 @@ def _write(write, x, nl: str, head: str = "") -> None:
     elif isinstance(x, (list, tuple)):
         brackets, values = "[]", x
     else:
-        return write(head + _encoder(nl)(x, 0)[0])
+        return write(head + "".join(_encoder(nl)(x, 0)))
     inner = nl + "  "
     if not x:
         write(head + brackets)
     elif set(map(type, values)) <= _SCALARS:
-        chunks = _encoder(inner)(x, 0)
+        chunks = list(_encoder(inner)(x, 0))
         chunks[0] = head + brackets[0] + inner + chunks[0][1:]
         chunks[-1] = chunks[-1][:-1] + nl + brackets[1]
         for chunk in chunks:

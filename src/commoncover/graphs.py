@@ -408,19 +408,23 @@ def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
     """Pullback of two coverings onto the same finite graph.
 
     Vertices are pairs with equal images, darts likewise; both projections
-    are again coverings.
+    are again coverings.  Both maps are checked first; ``pullback`` is the
+    pairing alone.
     """
     if m1.target != m2.target:
         raise GraphError("fiber product requires coverings onto the same graph")
     for m in (m1, m2):
         if not is_covering(m).ok:
             raise GraphError("fiber product requires coverings")
-    return _pullback(m1, m2)
+    return pullback(m1, m2)
 
 
-def _pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
-    """The fiber product of two maps onto one graph that the caller has
-    already verified as coverings."""
+def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
+    """``fiber_product`` without its input checks, for callers that have
+    already verified both maps as coverings onto one graph (the regular
+    path, whose factor coverings ``factorize_regular`` verifies).  Of other
+    morphisms onto one graph it is still the pullback, but its projections
+    need not be coverings."""
     g1, g2 = m1.source, m2.source
     over_v, over_d = {}, {}
     for v in g2.vertices:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import families
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     _pullback, compose_morphisms, finish_cover, is_covering)
+                     compose_morphisms, finish_cover, is_covering, pullback)
 
 
 def regularity(g: Graph) -> int:
@@ -289,7 +289,7 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cove
     f1 = factorize_regular(g1)
     f2 = factorize_regular(g2)
     # factorize_regular has verified both coverings
-    fp = _pullback(f1.covering, f2.covering)
+    fp = pullback(f1.covering, f2.covering)
     if f1.kind == "even":
         mu1, mu2 = fp.proj1, fp.proj2
         bound = len(g1.vertices) * len(g2.vertices)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commoncover import families
-from commoncover.cli import (_write, build_parser, dump_graph, dump_object_graph,
-                             load_graph, load_object_graph, main, write_json)
+from commoncover.cli import (_encoder, _write, build_parser, dump_graph,
+                             dump_object_graph, load_graph, load_object_graph, main,
+                             write_json)
 from commoncover.graphs import VerificationError
 from commoncover.object_graphs import rotation_pair
 
@@ -470,6 +471,33 @@ def test_write_json_rejects_values_json_cannot_hold(tmp_path, payload):
         write_json(str(tmp_path / "out.json"), payload)
     with pytest.raises(TypeError):
         json.dumps(payload, sort_keys=True, indent=2)
+
+
+_C_MAKE_ENCODER = json.encoder.c_make_encoder
+
+
+def _tuple_encoder(*args):
+    """The C encoder as CPython 3.12 and later build it: a call returns the
+    whole text as a one-element tuple."""
+    encode = _C_MAKE_ENCODER(*args)
+    return lambda x, level: ("".join(encode(x, level)),)
+
+
+@pytest.mark.parametrize("make_encoder", [_tuple_encoder, None],
+                         ids=["tuple result", "no C encoder"])
+def test_write_does_not_depend_on_the_c_encoder(monkeypatch, make_encoder):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
+    _encoder.cache_clear()
+    try:
+        for payload in [1.5, "é\n", None, [], [1, "a", None, float("nan")],
+                        {"b": 1, "a": True}, {3: None, 1: "x"}, {"x": [{"a": "1"}, {"a": "2"}]},
+                        [{"a": "x", "b": "%s"}, {"a": "y", "b": "z"}],
+                        {"k": [[1, 2], {"c": []}, [{"d": 0.25}]]}]:
+            pieces = []
+            _write(pieces.append, payload, "\n")
+            assert "".join(pieces) == json.dumps(payload, sort_keys=True, indent=2)
+    finally:
+        _encoder.cache_clear()
 
 
 def test_write_streams_a_record_list():
