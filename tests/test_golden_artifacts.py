@@ -8,6 +8,7 @@ script with the package on the path; it prints the table.
 
 import hashlib
 import os
+import random
 
 import pytest
 
@@ -15,9 +16,14 @@ from commoncover import families
 from commoncover.cli import dump_graph, dump_object_graph, main, write_json
 from commoncover.object_graphs import rotation_pair
 
+from conftest import random_cubic_graph
+
 GRAPHS = {
     "c3": lambda: families.cycle(3),
     "c4": lambda: families.cycle(4),
+    "c6": lambda: families.cycle(6),
+    "cubic30": lambda: random_cubic_graph(random.Random(1), 30),
+    "cubic40": lambda: random_cubic_graph(random.Random(1), 40),
     "k4": lambda: families.complete(4),
     "k33": lambda: families.complete_bipartite(3, 3),
     "rose2": lambda: families.rose(2),
@@ -41,6 +47,10 @@ CASES = {
     "regular-c3-c4": ("regular", "c3", "c4", []),
     # odd degree: bipartite doubles, two components of 24, cut to one
     "regular-k4-k33": ("regular", "k4", "k33", []),
+    "regular-all-k4-k33": ("regular", "k4", "k33", ["--component", "all"]),
+    # even degree: the pullback over the rose has two components of 12
+    "regular-c4-c6": ("regular", "c4", "c6", []),
+    "regular-cubic40-cubic30": ("regular", "cubic40", "cubic30", []),
     "objects-rotation3": ("build-objects", "x1", "x2", None),
 }
 
@@ -127,6 +137,14 @@ GOLDEN = {
         "mu2.json":
             "4903040b3201d430242dd77a6ad56e51266c7e8bd05916cbe4573477809cf596",
     },
+    "regular-all-k4-k33": {
+        "cover.json":
+            "c87b86f7b9586d20afc57bdc2ffd8a0cac9c19401ef479dd6567ef239db725aa",
+        "mu1.json":
+            "34be94c5d3e28be46ae8da7396a43b65d3b7805a5b5927f675bcd86debdc8780",
+        "mu2.json":
+            "4e5e52e68089f791819b90031219d6e1ac7a0bd674ec6aff636172f7b6777b87",
+    },
     "regular-c3-c4": {
         "cover.json":
             "99247d7dbc82ae91b8604715c358fd9e78164c01e70bb4e3ae4fd892784454f8",
@@ -134,6 +152,22 @@ GOLDEN = {
             "a5d499cb6d06f75502d72e5cc4f04ee8dd364566f9b7d4976a7e8a2f753fb363",
         "mu2.json":
             "2697e1f6c4b6a208f0dde26df6bfc6c5ae65647e8d7bbf53fdc3b53629bb3b5a",
+    },
+    "regular-c4-c6": {
+        "cover.json":
+            "1f0351bf8a75a664b2a528b74b969ee79c6db9f37c6d6bc35e4d9204cac04acc",
+        "mu1.json":
+            "126cea0d9a8c0838417f1a4da4fd96d5ad111bd9c1c58ea1d1f5840749b31b05",
+        "mu2.json":
+            "310c61acc73cc2b45d7cf0aa4b82c49682a6cc1c47fe087e46f9f35319ebf77f",
+    },
+    "regular-cubic40-cubic30": {
+        "cover.json":
+            "1fecc45c467913f324e9d8831b5beb705850571e0549ae874659730a34840104",
+        "mu1.json":
+            "20f48a9e264d17a5b1dbc79132f765c9fbf2b50dd921e74ade77ee67e0eb43d2",
+        "mu2.json":
+            "7c38fde4cfaeecae37f7f835692e6a9fad2872c2e5789aadb0bdc146c3f11a26",
     },
     "regular-k4-k33": {
         "cover.json":
