@@ -20,7 +20,7 @@ import math
 import os
 import sys as _sys
 from collections import deque
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from .ball_system import build_ball_system_retrying, discover_atoms
@@ -45,6 +45,7 @@ class SchemaError(GraphError):
 
 _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {str, int, float, bool, type(None)}
+_BATCH_ROWS = 64
 
 
 @functools.cache
@@ -71,12 +72,57 @@ def _record_keys(rows):
     return sorted(keys)
 
 
+class _Table:
+    """Columns of quoted JSON strings, one row per entry, that ``_write``
+    writes as a list of records with the sorted str ``keys``, or, with
+    ``keys`` None, as an object whose sorted keys and values are the two
+    columns.  The columns are read once."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        self.keys, self.columns = keys, list(columns)
+
+
+def _records(columns: dict) -> _Table:
+    """The records of ``columns`` (str key -> quoted values)."""
+    keys = sorted(columns)
+    return _Table(keys, map(columns.__getitem__, keys))
+
+
+def _write_rows(write, table: _Table, nl: str, head: str) -> None:
+    """Write ``head`` and a ``_Table``: the rows' separators and quoted
+    values interleaved and joined a batch of rows per piece."""
+    inner = nl + "  "
+    if table.keys is None:
+        brackets, seps = "{}", ["," + inner, ": "]
+    else:
+        brackets = "[]"
+        seps = ["," + inner + "  " + _quote(k) + ": " for k in table.keys]
+        seps[0] = "," + inner + "{" + seps[0][1:]
+    parts = list(chain.from_iterable(zip(map(repeat, seps), table.columns)))
+    if table.keys is not None:
+        parts.append(repeat(inner + "}"))
+    # every row starts with "," + inner; the first row drops the comma
+    pieces = chain.from_iterable(zip(*parts))
+    batch = _BATCH_ROWS * len(parts)
+    chunk = "".join(islice(pieces, batch))
+    if not chunk:
+        return write(head + brackets)
+    write(head + brackets[0] + chunk[1:])
+    while chunk := "".join(islice(pieces, batch)):
+        write(chunk)
+    write(nl + brackets[1])
+
+
 def _write(write, x, nl: str, head: str = "") -> None:
     """Write ``head`` and x as ``json.dump(x, sort_keys=True, indent=2)``
     does at indentation ``nl``.  A container of plain scalars is one call of
-    the C encoder, a list of records one ``%`` template filled a record per
+    the C encoder, a list of records or a ``_Table`` a batch of rows per
     piece; any other container is written one piece per entry.
     ``json.dumps({k: 0})`` names a non-str key."""
+    if isinstance(x, _Table):
+        return _write_rows(write, x, nl, head)
     if isinstance(x, dict):
         brackets, values = "{}", x.values()
     elif isinstance(x, (list, tuple)):
@@ -93,12 +139,8 @@ def _write(write, x, nl: str, head: str = "") -> None:
         for chunk in chunks:
             write(chunk)
     elif brackets == "[]" and (keys := _record_keys(x)):
-        record = "{%s%s}" % (",".join(inner + "  " + _quote(k).replace("%", "%%") + ": %s"
-                                      for k in keys), inner)
-        rows = zip(*[map(_quote, map(itemgetter(k), x)) for k in keys])
-        write(head + "[" + inner + record % next(rows))
-        deque(map(write, map(("," + inner + record).__mod__, rows)), maxlen=0)
-        write(nl + "]")
+        _write_rows(write, _Table(keys, [map(_quote, map(itemgetter(k), x)) for k in keys]),
+                    nl, head)
     else:
         if brackets == "{}":
             entries = [((_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
@@ -117,7 +159,7 @@ def _open_output(path: str):
     path that cannot be written is an input error."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        return open(path, "w", encoding="utf-8")
+        return open(path, "w", encoding="utf-8", buffering=1 << 20)
     except OSError as exc:
         raise SchemaError("cannot write %s: %s" % (path, exc.strerror))
 
@@ -159,17 +201,16 @@ def _graph_from_data(data, where) -> Graph:
     _expect(isinstance(ds, list), where, "missing darts list")
     _expect(vs, where, "vertices: a graph needs at least one vertex")
     try:
-        vertices = [e["id"] for e in vs]
-        vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
-        darts = [e["id"] for e in ds]
-        origin = {e["id"]: e["from"] for e in ds}
-        reverse = {e["id"]: e["reverse"] for e in ds}
-        dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
+        vertices = list(map(itemgetter("id"), vs))
+        darts = list(map(itemgetter("id"), ds))
+        vcol, dcol = _colours(vertices, vs), _colours(darts, ds)
         if not set(map(type, vertices)).union(
                 map(type, darts), map(type, vcol.values()), map(type, dcol.values())) <= {str}:
             # to the handler below: a SchemaError here would be re-wrapped
             raise TypeError
-        g = Graph(vertices, darts, origin, reverse, vcol, dcol)
+        # Graph makes the origin and reverse tables from the pairs
+        g = Graph(vertices, darts, zip(darts, map(itemgetter("from"), ds)),
+                  zip(darts, map(itemgetter("reverse"), ds)), vcol, dcol)
         report = validate_graph(g)
     except (KeyError, TypeError, AttributeError):
         _raise_bad_entry(vs, ds, where)
@@ -177,6 +218,14 @@ def _graph_from_data(data, where) -> Graph:
         raise SchemaError("%s: %s" % (where, exc))
     _expect(report.ok, where, "; ".join(report.violations[:3]) or "invalid graph")
     return g
+
+
+def _colours(ids: list, entries: list) -> dict:
+    """id -> "colour" of the entries that have one."""
+    colours = list(map(dict.get, entries, repeat("colour")))
+    if set(colours) == {None}:
+        return {}
+    return {k: c for k, c in zip(ids, colours) if c is not None}
 
 
 def _raise_bad_entry(vs, ds, where):
@@ -209,14 +258,51 @@ def dump_graph(g: Graph) -> dict:
             "darts": [dart(d) for d in g.darts]}
 
 
+def _colour_column(ids, colours):
+    """The quoted colour of each id; [] when no id has a colour, None when
+    only some do or a colour is not a str."""
+    if not colours:
+        return []
+    values = list(map(colours.get, ids))
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_quote, values))
+    return [] if kinds <= {type(None)} else None
+
+
+def _graph_tables(g: Graph, quoted_v: list, quoted_d: list) -> dict:
+    """``dump_graph(g)`` for the writer, read from g's index tables and its
+    quoted ids: no record dicts.  Partly coloured vertices or darts take
+    ``dump_graph``'s records, whose keys differ between entries."""
+    vcol = _colour_column(g.vertices, g.vertex_colour)
+    dcol = _colour_column(g.darts, g.dart_colour)
+    if vcol is None or dcol is None:
+        return dump_graph(g)
+    vertices = {"id": quoted_v}
+    darts = {"id": quoted_d, "from": map(quoted_v.__getitem__, g.org),
+             "reverse": map(quoted_d.__getitem__, g.rev)}
+    for columns, colour in ((vertices, vcol), (darts, dcol)):
+        if colour:
+            columns["colour"] = colour
+    return {"vertices": _records(vertices), "darts": _records(darts)}
+
+
+def _morphism_tables(m: GraphMorphism, quoted_v: list, quoted_d: list) -> dict:
+    """``dump_morphism(m)`` for the writer, read from m's index tables and
+    the quoted ids of its source."""
+    images_v = list(map(_quote, m.target.vertices))
+    images_d = list(map(_quote, m.target.darts))
+    return {"vmap": _Table(None, (quoted_v, map(images_v.__getitem__, m.vm))),
+            "dmap": _Table(None, (quoted_d, map(images_d.__getitem__, m.dm)))}
+
+
 def dump_morphism(m: GraphMorphism) -> dict:
     return {"vmap": dict(m.vmap), "dmap": dict(m.dmap)}
 
 
 def _is_id_table(table) -> bool:
     """A JSON object mapping identifiers to identifiers (keys always are)."""
-    return (isinstance(table, dict)
-            and all(isinstance(v, str) for v in table.values()))
+    return isinstance(table, dict) and set(map(type, table.values())) <= {str}
 
 
 def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
@@ -355,14 +441,19 @@ def cmd_check(args) -> int:
 
 def _write_cover(outdir, cover, fields) -> None:
     """Write cover.json (the cover graph plus ``fields``), mu1.json and
-    mu2.json for a ``Cover`` or an ``ObjectCover``."""
+    mu2.json for a ``Cover`` or an ``ObjectCover``.  A ``Cover`` is written
+    from its index tables, each cover id quoted once for the three files."""
     if isinstance(cover, ObjectCover):
-        graph, dump_mu = dump_object_graph(cover.cover), dump_object_morphism
+        graph = dump_object_graph(cover.cover)
+        maps = [dump_object_morphism(mu) for mu in (cover.mu1, cover.mu2)]
     else:
-        graph, dump_mu = {"graph": dump_graph(cover.graph)}, dump_morphism
+        g = cover.graph
+        quoted_v, quoted_d = list(map(_quote, g.vertices)), list(map(_quote, g.darts))
+        graph = {"graph": _graph_tables(g, quoted_v, quoted_d)}
+        maps = [_morphism_tables(mu, quoted_v, quoted_d) for mu in (cover.mu1, cover.mu2)]
     write_json(os.path.join(outdir, "cover.json"), {**graph, **fields})
-    write_json(os.path.join(outdir, "mu1.json"), dump_mu(cover.mu1))
-    write_json(os.path.join(outdir, "mu2.json"), dump_mu(cover.mu2))
+    for name, payload in zip(("mu1.json", "mu2.json"), maps):
+        write_json(os.path.join(outdir, name), payload)
 
 
 def cmd_build(args) -> int:
@@ -440,6 +531,7 @@ def cmd_verify(args) -> int:
     payload = _read_json(cover_path)
     _expect(isinstance(payload, dict), cover_path, "top level must be an object")
     cover = _graph_from_data(payload.get("graph", payload), cover_path)
+    del payload             # the largest structure of a verify, not needed further
     g1, g2 = load_graph(args.first), load_graph(args.second)
     mu1 = load_morphism(os.path.join(cover_dir, "mu1.json"), cover, g1)
     mu2 = load_morphism(os.path.join(cover_dir, "mu2.json"), cover, g2)

@@ -19,9 +19,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from operator import add, eq, gt, mul, ne, sub
+from typing import Optional
 
 
 class GraphError(ValueError):
@@ -36,15 +38,60 @@ class VerificationError(RuntimeError):
     """An artifact failed the program's own check (exit 3)."""
 
 
-def _sorted_unique(items: Iterable[str], what: str) -> tuple:
-    out = tuple(sorted(items))
-    if len(set(out)) != len(out):
-        raise GraphError("duplicate %s identifiers" % what)
-    return out
+def _where(flags) -> list:
+    """The indices of the true flags, in order."""
+    return list(compress(count(), flags))
+
+
+def _equal_to(values: list, x) -> list:
+    """The indices of the entries equal to ``x``."""
+    return _where(map(eq, values, repeat(x))) if x in values else []
+
+
+def _differ(a: list, b: list) -> list:
+    """The indices where two lists of one length differ."""
+    return [] if a == b else _where(map(ne, a, b))
+
+
+def _clashes(s_colour: dict, ids, t_colour: dict, images) -> set:
+    """The indices of the ``ids`` whose colour and whose image's colour are
+    both set and differ; none unless both graphs carry colours."""
+    if not (s_colour and t_colour):
+        return set()
+    sc, tc = list(map(s_colour.get, ids)), list(map(t_colour.get, images))
+    return {i for i in _differ(sc, tc) if sc[i] is not None and tc[i] is not None}
+
+
+def _inverse(perm: list) -> list:
+    """The inverse of a permutation of ``range(len(perm))``."""
+    inv = [0] * len(perm)
+    deque(map(inv.__setitem__, perm, count()), maxlen=0)
+    return inv
+
+
+def _buckets(images: list, n: int):
+    """The indices grouped by image in ``range(n)``: (order, first), with the
+    indices of image b at ``order[first[b]:first[b + 1]]`` in increasing
+    order.  Indices whose image is -1 come first and are in no group."""
+    counts = Counter(images)
+    return (sorted(range(len(images)), key=images.__getitem__),
+            list(accumulate(map(counts.get, range(n), repeat(0)), initial=counts[-1])))
+
+
+def _sizes(first: list) -> list:
+    return list(map(sub, islice(first, 1, None), first))
 
 
 class Graph:
     """A finite multigraph in the dart model.
+
+    The identifiers are the view that artifacts and most callers read.  The
+    same graph is held as index tables: vertex and dart i are the i-th
+    identifiers in sorted order, ``org[i]`` and ``rev[i]`` are the indices
+    of the origin and the reversal of dart i (-1 where that is missing or
+    not a vertex or dart), and the star of vertex v holds the darts
+    ``_order[_first[v]:_first[v + 1]]``.  The whole-table checks below run
+    on the index tables, with no Python step per dart.
 
     The constructor is permissive: it accepts structurally broken data
     (non-involutive reversal, missing origins) so that ``validate_graph``
@@ -52,23 +99,65 @@ class Graph:
     validation assume a valid graph.
     """
 
-    __slots__ = ("vertices", "darts", "origin", "reverse",
-                 "vertex_colour", "dart_colour", "_star")
+    __slots__ = ("vertices", "darts", "origin", "reverse", "vertex_colour",
+                 "dart_colour", "org", "rev", "_order", "_first", "_star", "_index")
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
-        self.vertices = _sorted_unique(vertices, "vertex")
-        self.darts = _sorted_unique(darts, "dart")
+        self.vertices = tuple(sorted(vertices))
+        vindex = dict(zip(self.vertices, count()))
+        if len(vindex) != len(self.vertices):
+            raise GraphError("duplicate vertex identifiers")
+        self.darts = tuple(sorted(darts))
+        dindex = dict(zip(self.darts, count()))
+        if len(dindex) != len(self.darts):
+            raise GraphError("duplicate dart identifiers")
         self.origin = dict(origin)
         self.reverse = dict(reverse)
+        self.org = list(map(vindex.get, map(self.origin.get, self.darts), repeat(-1)))
+        self.rev = list(map(dindex.get, map(self.reverse.get, self.darts), repeat(-1)))
         self.vertex_colour = dict(vertex_colour or {})
         self.dart_colour = dict(dart_colour or {})
-        star = {v: [] for v in self.vertices}
-        for d in self.darts:
-            v = self.origin.get(d)
-            if v in star:
-                star[v].append(d)
-        self._star = {v: tuple(sorted(ds)) for v, ds in star.items()}
+        self._index = None
+
+    @classmethod
+    def from_tables(cls, vertices, darts, org, rev,
+                    vertex_colour=None, dart_colour=None) -> "Graph":
+        """The graph on sorted, distinct ``vertices`` and ``darts`` whose
+        dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``;
+        the tables must hold valid indices.  ``origin`` and ``reverse`` are
+        built on first use."""
+        g = cls.__new__(cls)
+        g.vertices, g.darts, g.org, g.rev = tuple(vertices), tuple(darts), org, rev
+        g.vertex_colour = dict(vertex_colour or {})
+        g.dart_colour = dict(dart_colour or {})
+        g._index = None
+        return g
+
+    def __getattr__(self, name):
+        # called only for a slot not yet set: a table or view built on first use
+        if name in ("_order", "_first"):
+            # a stable sort keeps each star in sorted dart order
+            self._order, self._first = _buckets(self.org, len(self.vertices))
+        elif name == "_star":
+            first = self._first
+            names = tuple(map(self.darts.__getitem__, self._order))
+            self._star = dict(zip(self.vertices, map(names.__getitem__, map(
+                slice, first, islice(first, 1, None)))))
+        elif name == "origin":
+            self.origin = dict(zip(self.darts, map(self.vertices.__getitem__, self.org)))
+        elif name == "reverse":
+            self.reverse = dict(zip(self.darts, map(self.darts.__getitem__, self.rev)))
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
+
+    def index(self) -> tuple:
+        """(vertex id -> index, dart id -> index), built on first use."""
+        if self._index is None:
+            self._index = (dict(zip(self.vertices, count())),
+                           dict(zip(self.darts, count())))
+        return self._index
 
     # -- basic queries ----------------------------------------------------
 
@@ -80,6 +169,11 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.star(v))
+
+    def degrees(self) -> list:
+        """The degree of each vertex, by index."""
+        counts = Counter(self.org)
+        return list(map(counts.get, range(len(self.vertices)), repeat(0)))
 
     def head(self, d: str) -> str:
         """Terminal vertex of a dart: origin of its reversal."""
@@ -127,14 +221,22 @@ class Graph:
         return parent
 
     def components(self) -> list:
-        """Vertex sets of connected components, each sorted, smallest first."""
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v not in seen:
-                comp = self.bfs(v)
-                seen.update(comp)
-                comps.append(tuple(sorted(comp)))
+        """Vertex sets of connected components, each sorted, smallest first.
+
+        Each component grows a whole breadth-first layer per step, as a set
+        of vertex indices."""
+        org, first = self.org, self._first
+        heads = list(map(org.__getitem__, map(self.rev.__getitem__, self._order)))
+        neighbours = list(map(heads.__getitem__, map(slice, first, islice(first, 1, None))))
+        n, done, comps, root = len(self.vertices), set(), [], 0
+        while (root := next(filterfalse(done.__contains__, range(root, n)), None)) is not None:
+            comp, layer = {root}, (root,)
+            while layer:
+                layer = set(chain.from_iterable(map(neighbours.__getitem__, layer)))
+                layer -= comp
+                comp |= layer
+            done |= comp
+            comps.append(tuple(map(self.vertices.__getitem__, sorted(comp))))
         # each component starts at its least vertex, so comps is sorted
         return comps
 
@@ -148,19 +250,30 @@ class Graph:
         Darts with exactly one endpoint inside would break the reversal
         involution, so the vertex set must be component-closed.
         """
-        vs = set(vertices)
-        ds = {d for d in self.darts
-              if self.origin[d] in vs and self.head(d) in vs}
-        for d in self.darts:
-            if self.origin[d] in vs and self.head(d) not in vs:
-                raise GraphError("restriction is not component-closed at %r" % d)
-        return Graph(
-            sorted(vs), ds,
-            {d: self.origin[d] for d in ds},
-            {d: self.reverse[d] for d in ds},
-            {v: c for v, c in self.vertex_colour.items() if v in vs},
-            {d: c for d, c in self.dart_colour.items() if d in ds},
-        )
+        vertices = tuple(vertices)
+        picked = list(map(self.index()[0].get, vertices, repeat(-1)))
+        if -1 in picked:
+            raise GraphError("vertex not in graph: %r" % (vertices[picked.index(-1)],))
+        kept = [False] * len(self.vertices)
+        deque(map(kept.__setitem__, picked, repeat(True)), maxlen=0)
+        org, rev = self.org, self.rev
+        inside = list(map(kept.__getitem__, org))
+        head_inside = list(map(inside.__getitem__, rev))
+        if inside != head_inside:
+            d = next(compress(self.darts, map(gt, inside, head_inside)))
+            raise GraphError("restriction is not component-closed at %r" % d)
+        kv, kd = _where(kept), _where(inside)
+        vnew, dnew = [-1] * len(kept), [-1] * len(inside)
+        deque(map(vnew.__setitem__, kv, count()), maxlen=0)
+        deque(map(dnew.__setitem__, kd, count()), maxlen=0)
+        vs = list(map(self.vertices.__getitem__, kv))
+        ds = list(map(self.darts.__getitem__, kd))
+        vcol, dcol = self.vertex_colour, self.dart_colour
+        return Graph.from_tables(
+            vs, ds, list(map(vnew.__getitem__, map(org.__getitem__, kd))),
+            list(map(dnew.__getitem__, map(rev.__getitem__, kd))),
+            {v: vcol[v] for v in vs if v in vcol} if vcol else None,
+            {d: dcol[d] for d in ds if d in dcol} if dcol else None)
 
     def distances_from(self, v0: str) -> dict:
         dist = {}
@@ -184,26 +297,33 @@ class ValidationReport:
 
 
 def validate_graph(g: Graph) -> ValidationReport:
-    """Check the dart-model invariants; violations are data, not failures."""
+    """Check the dart-model invariants; violations are data, not failures.
+
+    The failing darts are found by whole-table passes and their messages
+    rendered in dart order."""
+    org, rev = g.org, g.rev
+    index = list(range(len(rev)))
+    failing = set(_equal_to(org, -1))
+    failing.update(_equal_to(rev, -1))
+    failing.update(_where(map(eq, rev, index)))
+    # rev[-1] stands in where a reversal is missing; that dart fails above
+    failing.update(_differ(list(map(rev.__getitem__, rev)), index))
     bad = []
-    vs, ds = set(g.vertices), set(g.darts)
-    for d in g.darts:
+    for i in sorted(failing):
+        d, r = g.darts[i], rev[i]
         v = g.origin.get(d)
         if v is None:
             bad.append("missing origin for dart %r" % d)
-        elif v not in vs:
+        elif org[i] < 0:
             bad.append("origin of dart %r is not a vertex: %r" % (d, v))
-        r = g.reverse.get(d)
-        if r is None:
+        if g.reverse.get(d) is None:
             bad.append("missing reversal for dart %r" % d)
-            continue
-        if r not in ds:
-            bad.append("reversal of dart %r is not a dart: %r" % (d, r))
-            continue
-        if r == d:
+        elif r < 0:
+            bad.append("reversal of dart %r is not a dart: %r" % (d, g.reverse[d]))
+        elif r == i:
             bad.append("fixed point of reversal: %r" % d)
-        elif g.reverse.get(r) != d:
-            bad.append("reversal not involutive on pair (%r, %r)" % (d, r))
+        elif rev[r] != i:
+            bad.append("reversal not involutive on pair (%r, %r)" % (d, g.darts[r]))
     return ValidationReport(not bad, bad)
 
 
@@ -211,45 +331,75 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 
 class GraphMorphism:
-    """A map of graphs given by vertex and dart tables."""
+    """A map of graphs given by vertex and dart tables: ``vmap`` and ``dmap``
+    by identifier, ``vm`` and ``dm`` by index (-1 where an image is missing
+    or not in the target)."""
 
-    __slots__ = ("source", "target", "vmap", "dmap")
+    __slots__ = ("source", "target", "vmap", "dmap", "vm", "dm")
 
     def __init__(self, source: Graph, target: Graph, vmap: dict, dmap: dict):
         self.source = source
         self.target = target
         self.vmap = dict(vmap)
         self.dmap = dict(dmap)
+        vindex, dindex = target.index()
+        self.vm = list(map(vindex.get, map(self.vmap.get, source.vertices), repeat(-1)))
+        self.dm = list(map(dindex.get, map(self.dmap.get, source.darts), repeat(-1)))
+
+    @classmethod
+    def from_tables(cls, source: Graph, target: Graph, vm: list, dm: list) -> "GraphMorphism":
+        """The morphism with valid index tables ``vm`` and ``dm``; ``vmap``
+        and ``dmap`` are built on first use."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.vm, m.dm = source, target, vm, dm
+        return m
+
+    def __getattr__(self, name):
+        # called only for a slot not yet set: a view built on first use
+        if name == "vmap":
+            self.vmap = dict(zip(self.source.vertices,
+                                 map(self.target.vertices.__getitem__, self.vm)))
+        elif name == "dmap":
+            self.dmap = dict(zip(self.source.darts, map(self.target.darts.__getitem__, self.dm)))
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
     def violations(self) -> list:
-        bad = []
-        src, tgt, vmap, dmap = self.source, self.target, self.vmap, self.dmap
-        target_vertices, target_darts = set(tgt.vertices), set(tgt.darts)
-        for v in src.vertices:
-            if vmap.get(v) not in target_vertices:
-                bad.append("vertex %r has no valid image" % (v,))
-        s_origin, s_reverse, t_origin, t_reverse = (src.origin, src.reverse,
-                                                    tgt.origin, tgt.reverse)
-        # colours are compared only where both graphs carry them
-        s_colour, t_colour = src.dart_colour, tgt.dart_colour
-        for d in src.darts:
-            e = dmap.get(d)
-            if e not in target_darts:
+        """Every failure to be a graph morphism, in the order: vertex images,
+        then per dart its image, origin, reversal and colour, then vertex
+        colours.  Colours are compared only where both graphs carry them."""
+        src, tgt, vm, dm = self.source, self.target, self.vm, self.dm
+        missing_v = _equal_to(vm, -1)
+        bad = ["vertex %r has no valid image" % (src.vertices[i],) for i in missing_v]
+        missing = set(_equal_to(dm, -1))
+        failing, clash = set(missing), set()
+        # dm[i] = -1 reads the last entry of a target table: such a dart is
+        # reported as having no image and checked no further
+        if len(missing) < len(dm):
+            failing.update(_differ(list(map(vm.__getitem__, src.org)),
+                                   list(map(tgt.org.__getitem__, dm))))
+            failing.update(_differ(list(map(dm.__getitem__, src.rev)),
+                                   list(map(tgt.rev.__getitem__, dm))))
+            clash = _clashes(src.dart_colour, src.darts, tgt.dart_colour,
+                             map(tgt.darts.__getitem__, dm))
+            failing |= clash
+        for i in sorted(failing):
+            d, e = src.darts[i], dm[i]
+            if i in missing:
                 bad.append("dart %r has no valid image" % (d,))
                 continue
-            if vmap.get(s_origin[d]) != t_origin[e]:
+            if vm[src.org[i]] != tgt.org[e]:
                 bad.append("origin not preserved at dart %r" % (d,))
-            if dmap.get(s_reverse[d]) != t_reverse[e]:
+            if dm[src.rev[i]] != tgt.rev[e]:
                 bad.append("reversal not preserved at dart %r" % (d,))
-            if s_colour and t_colour:
-                sc, tc = s_colour.get(d), t_colour.get(e)
-                if sc is not None and tc is not None and sc != tc:
-                    bad.append("dart colour not preserved at %r" % (d,))
-        s_colour, t_colour = src.vertex_colour, tgt.vertex_colour
-        for v in (src.vertices if s_colour and t_colour else ()):
-            sc, tc = s_colour.get(v), t_colour.get(vmap.get(v))
-            if sc is not None and tc is not None and sc != tc:
-                bad.append("vertex colour not preserved at %r" % (v,))
+            if i in clash:
+                bad.append("dart colour not preserved at %r" % (d,))
+        if len(missing_v) < len(vm):
+            clash = _clashes(src.vertex_colour, src.vertices, tgt.vertex_colour,
+                             map(tgt.vertices.__getitem__, vm))
+            bad += ["vertex colour not preserved at %r" % (src.vertices[i],)
+                    for i in sorted(clash.difference(missing_v))]
         return bad
 
     def is_valid(self) -> bool:
@@ -260,16 +410,19 @@ class GraphMorphism:
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism(g, g, {v: v for v in g.vertices}, {d: d for d in g.darts})
+    return GraphMorphism.from_tables(g, g, list(range(len(g.vertices))),
+                                     list(range(len(g.darts))))
 
 
 def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
-    """outer after inner."""
-    return GraphMorphism(
-        inner.source, outer.target,
-        {v: outer.vmap[w] for v, w in inner.vmap.items()},
-        {d: outer.dmap[e] for d, e in inner.dmap.items()},
-    )
+    """outer after inner: two maps with every image valid, inner into the
+    source of outer."""
+    if ((inner.target.vertices, inner.target.darts) != (outer.source.vertices, outer.source.darts)
+            or -1 in inner.vm or -1 in inner.dm or -1 in outer.vm or -1 in outer.dm):
+        raise GraphError("cannot compose: inner must map into the source of outer")
+    return GraphMorphism.from_tables(inner.source, outer.target,
+                                     list(map(outer.vm.__getitem__, inner.vm)),
+                                     list(map(outer.dm.__getitem__, inner.dm)))
 
 
 @dataclass
@@ -287,21 +440,23 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
     bad = m.violations()
     if bad:
         raise GraphError("not a graph morphism: " + "; ".join(bad[:3]))
-    covered_v = set(m.vmap.values())
-    for v in m.target.vertices:
-        if v not in covered_v:
-            return CoveringReport(False, "vertex not covered", v)
-    covered_d = set(m.dmap.values())
-    for d in m.target.darts:
-        if d not in covered_d:
-            return CoveringReport(False, "dart not covered", d)
-    vmap, dmap, target_star = m.vmap, m.dmap, m.target._star
-    for v, star in m.source._star.items():
-        # violations() put the image of every dart of the star into the star
-        # of vmap[v], so the star map is a bijection exactly when the images
-        # are distinct and as many as the darts of that star
-        if not len({dmap[d] for d in star}) == len(star) == len(target_star[vmap[v]]):
-            return CoveringReport(False, "star map not bijective", v)
+    src, tgt, vm, dm = m.source, m.target, m.vm, m.dm
+    for reason, ids, images in (("vertex not covered", tgt.vertices, vm),
+                                ("dart not covered", tgt.darts, dm)):
+        covered = set(images)
+        if len(covered) < len(ids):
+            return CoveringReport(False, reason, ids[next(
+                filterfalse(covered.__contains__, count()))])
+    # violations() put the image of every dart of a star into the star of
+    # the image vertex, so the star map is a bijection exactly when the
+    # images are distinct and as many as the darts of the target star
+    t_degree = tgt.degrees()
+    if (list(map(t_degree.__getitem__, vm)) != src.degrees()
+            or len(set(map(add, map(mul, src.org, repeat(len(tgt.darts))), dm))) < len(dm)):
+        s_first = src._first
+        for v, (a, b) in enumerate(zip(s_first, islice(s_first, 1, None))):
+            if not len(set(map(dm.__getitem__, src._order[a:b]))) == b - a == t_degree[vm[v]]:
+                return CoveringReport(False, "star map not bijective", src.vertices[v])
     return CoveringReport(True)
 
 
@@ -376,9 +531,12 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
             chosen = next(c for c in comps if seed in c)
         if len(comps) > 1:
             sub = mu1.source.restrict(chosen)
-            mu1, mu2 = [GraphMorphism(sub, mu.target,
-                                      {v: mu.vmap[v] for v in sub.vertices},
-                                      {d: mu.dmap[d] for d in sub.darts})
+            vindex, dindex = mu1.source.index()
+            kv = list(map(vindex.__getitem__, sub.vertices))
+            kd = list(map(dindex.__getitem__, sub.darts))
+            mu1, mu2 = [GraphMorphism.from_tables(sub, mu.target,
+                                                  list(map(mu.vm.__getitem__, kv)),
+                                                  list(map(mu.dm.__getitem__, kd)))
                         for mu in (mu1, mu2)]
             _verify_cover(mu1, mu2, "component ")
             if vertex_label is not None:
@@ -391,17 +549,22 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
 # -- constructions -----------------------------------------------------------
 
 
-def pair_id(a: str, b: str) -> str:
-    return "(%s|%s)" % (a, b)
-
-
 @dataclass
 class FiberProduct:
     graph: Graph
     proj1: GraphMorphism
     proj2: GraphMorphism
-    vertex_pairs: dict
-    dart_pairs: dict
+
+    @property
+    def vertex_pairs(self) -> dict:
+        """Cover vertex -> (vertex of the first source, of the second)."""
+        return dict(zip(self.graph.vertices, zip(self.proj1.vmap.values(),
+                                                 self.proj2.vmap.values())))
+
+    @property
+    def dart_pairs(self) -> dict:
+        return dict(zip(self.graph.darts, zip(self.proj1.dmap.values(),
+                                              self.proj2.dmap.values())))
 
 
 def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
@@ -419,34 +582,70 @@ def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
     return pullback(m1, m2)
 
 
+def _pairs(images1: list, images2: list, n: int) -> tuple:
+    """The pairs (i, j) with ``images1[i] == images2[j]`` in ``range(n)``,
+    grouped by image and in (i, j) order within a group: (left, right, at1,
+    at2), the pair at position p being (left[p], right[p]) and the pair
+    (i, j) at position ``at1[i] + at2[j]``."""
+    order1, first1 = _buckets(images1, n)
+    order2, first2 = _buckets(images2, n)
+    size1, size2 = _sizes(first1), _sizes(first2)
+    start = [0, *accumulate(map(mul, size1, size2))]
+    left, right = [], []
+    for b in range(n):
+        ones, twos = order1[first1[b]:first1[b + 1]], order2[first2[b]:first2[b + 1]]
+        left += chain.from_iterable(map(repeat, ones, repeat(len(twos))))
+        right += twos * len(ones)
+    # the rank of i within its group, times the size of the other group
+    rank1 = map(sub, _inverse(order1), map(first1.__getitem__, images1))
+    at1 = list(map(add, map(start.__getitem__, images1),
+                   map(mul, rank1, map(size2.__getitem__, images1))))
+    at2 = list(map(sub, _inverse(order2), map(first2.__getitem__, images2)))
+    return left, right, at1, at2
+
+
+def _pair_ids(names1: tuple, names2: tuple, left: list, right: list) -> tuple:
+    """The ids ``(a|b)`` of the pairs, sorted, and the sort permutation."""
+    heads = ["(" + a + "|" for a in names1]
+    tails = [b + ")" for b in names2]
+    ids = list(map(add, map(heads.__getitem__, left), map(tails.__getitem__, right)))
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = list(map(ids.__getitem__, order))
+    if any(map(eq, ids, islice(ids, 1, None))):
+        raise GraphError("pair identifiers collide: %r" % next(
+            compress(ids, map(eq, ids, islice(ids, 1, None)))))
+    return ids, order
+
+
 def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
     """``fiber_product`` without its input checks, for callers that have
     already verified both maps as coverings onto one graph (the regular
     path, whose factor coverings ``factorize_regular`` verifies).  Of other
     morphisms onto one graph it is still the pullback, but its projections
-    need not be coverings."""
-    g1, g2 = m1.source, m2.source
-    over_v, over_d = {}, {}
-    for v in g2.vertices:
-        over_v.setdefault(m2.vmap[v], []).append(v)
-    for e in g2.darts:
-        over_d.setdefault(m2.dmap[e], []).append(e)
-    vpairs = [(u, v) for u in g1.vertices for v in over_v.get(m1.vmap[u], ())]
-    dpairs = [(d, e) for d in g1.darts for e in over_d.get(m1.dmap[d], ())]
-    vertex_pairs = {pair_id(*p): p for p in vpairs}
-    dart_pairs = {pair_id(*p): p for p in dpairs}
-    origin = {i: pair_id(g1.origin[d], g2.origin[e]) for i, (d, e) in dart_pairs.items()}
-    reverse = {i: pair_id(g1.reverse[d], g2.reverse[e])
-               for i, (d, e) in dart_pairs.items()}
-    vcol = {i: g1.vertex_colour[u] for i, (u, _) in vertex_pairs.items()
-            if u in g1.vertex_colour}
-    dcol = {i: g1.dart_colour[d] for i, (d, _) in dart_pairs.items()
-            if d in g1.dart_colour}
-    graph = Graph(vertex_pairs, dart_pairs, origin, reverse, vcol, dcol)
-    proj1, proj2 = [GraphMorphism(graph, g, {i: p[k] for i, p in vertex_pairs.items()},
-                                  {i: p[k] for i, p in dart_pairs.items()})
-                    for k, g in enumerate((g1, g2))]
-    return FiberProduct(graph, proj1, proj2, vertex_pairs, dart_pairs)
+    need not be coverings.
+
+    Pairs are index arithmetic within image buckets; each pair id is
+    rendered once, and the cover takes g1's colours."""
+    g1, g2, base = m1.source, m2.source, m1.target
+    vleft, vright, vat1, vat2 = _pairs(m1.vm, m2.vm, len(base.vertices))
+    dleft, dright, dat1, dat2 = _pairs(m1.dm, m2.dm, len(base.darts))
+    vertices, vorder = _pair_ids(g1.vertices, g2.vertices, vleft, vright)
+    darts, dorder = _pair_ids(g1.darts, g2.darts, dleft, dright)
+    # cover vertex k is the pair (vm1[k], vm2[k]), cover dart k (dm1[k], dm2[k])
+    vm1, vm2 = list(map(vleft.__getitem__, vorder)), list(map(vright.__getitem__, vorder))
+    dm1, dm2 = list(map(dleft.__getitem__, dorder)), list(map(dright.__getitem__, dorder))
+    vpos, dpos = _inverse(vorder), _inverse(dorder)
+    org = list(map(vpos.__getitem__, map(add, map(vat1.__getitem__, map(g1.org.__getitem__, dm1)),
+                                         map(vat2.__getitem__, map(g2.org.__getitem__, dm2)))))
+    rev = list(map(dpos.__getitem__, map(add, map(dat1.__getitem__, map(g1.rev.__getitem__, dm1)),
+                                         map(dat2.__getitem__, map(g2.rev.__getitem__, dm2)))))
+    vcol, dcol = [{i: c for i, c in zip(ids, map(colour.get, map(names.__getitem__, firsts)))
+                   if c is not None} if colour else None
+                  for ids, colour, names, firsts in ((vertices, g1.vertex_colour, g1.vertices, vm1),
+                                                     (darts, g1.dart_colour, g1.darts, dm1))]
+    graph = Graph.from_tables(vertices, darts, org, rev, vcol, dcol)
+    return FiberProduct(graph, GraphMorphism.from_tables(graph, g1, vm1, dm1),
+                        GraphMorphism.from_tables(graph, g2, vm2, dm2))
 
 
 def disjoint_union(g1: Graph, g2: Graph, prefix1: str = "1:", prefix2: str = "2:") -> Graph:

@@ -283,6 +283,16 @@ def factorize_regular(g: Graph) -> Factorization:
 
 
 def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cover:
+    """A common cover of two connected graphs of one degree, the pullback
+    of their factorizations.  The factorizations ignore colours and the
+    cover takes g1's, so two inputs that both carry vertex colours, or
+    both dart colours, are refused when more than one colour occurs
+    between them."""
+    for kind, c1, c2 in (("vertex", g1.vertex_colour, g2.vertex_colour),
+                         ("dart", g1.dart_colour, g2.dart_colour)):
+        if c1 and c2 and len({*c1.values(), *c2.values()}) > 1:
+            raise GraphError("the regular path ignores colours: both inputs carry %s "
+                             "colours, more than one between them; use build" % kind)
     k1, k2 = regularity(g1), regularity(g2)
     if k1 != k2:
         raise GraphError("degree mismatch: %d vs %d" % (k1, k2))

@@ -178,10 +178,6 @@ class UniversalCover:
                     word.append((self._gen_index[rd], -1))
         return tuple(word)
 
-    def deck_transport(self, word, path: Path) -> Path:
-        self.check_path(path)
-        return self.transport(self.word_to_loop(word), path)
-
     # -- balls ----------------------------------------------------------------
 
     def ball(self, root: Path, radius: int) -> "Ball":
@@ -216,33 +212,6 @@ class Ball:
     radius: int
     vertices: tuple
     dist: dict = field(repr=False)
-
-    def tree_darts(self):
-        """Pairs (child, parent-side vertex) labelled by their base dart."""
-        out = []
-        for z in self.vertices:
-            for d, w in self.cover.star_darts(z):
-                if w in self.dist and self.dist[w] == self.dist[z] + 1:
-                    out.append((z, w, d))
-        return out
-
-
-def map_is_ball_isomorphism(bsrc: Ball, btgt: Ball, mapping: dict) -> bool:
-    """Root-preserving label-compatible tree isomorphism check."""
-    if set(mapping) != set(bsrc.vertices):
-        return False
-    if sorted(mapping.values()) != sorted(btgt.vertices):
-        return False
-    if mapping[bsrc.root] != btgt.root:
-        return False
-    csrc, ctgt = bsrc.cover, btgt.cover
-    for z, w, _ in bsrc.tree_darts():
-        a, b = mapping[z], mapping[w]
-        try:
-            ctgt.dart_between(a, b)
-        except GraphError:
-            return False
-    return True
 
 
 class TreeAlignment:
@@ -312,9 +281,6 @@ class TreeAlignment:
         if z not in self.bwd:
             self.ensure_radius(len(z))
         return self.bwd[z]
-
-    def map_vertices(self, vertices) -> dict:
-        return {z: self.apply(z) for z in vertices}
 
 
 def build_alignment(c1: UniversalCover, c2: UniversalCover, joint: JointBlocks,

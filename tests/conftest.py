@@ -4,7 +4,8 @@ from collections import Counter, deque
 import pytest
 
 from commoncover import families
-from commoncover.graphs import BudgetExceeded, Graph, GraphError, GraphMorphism
+from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
+                                ValidationReport)
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
 from commoncover.regular import euler_circuit, max_bipartite_matching
 
@@ -179,6 +180,63 @@ def corrupt_compose(sys, monkeypatch):
 
     monkeypatch.setattr(cls, "composite_keys", corrupted_row)
     return True
+
+
+def deck_transport(cover, word, path):
+    """Apply to a tree vertex of ``cover`` the deck transformation of a word
+    over (generator index, exponent) pairs."""
+    cover.check_path(path)
+    return cover.transport(cover.word_to_loop(word), path)
+
+
+def map_vertices(alignment, vertices) -> dict:
+    """The alignment's image of each tree vertex."""
+    return {z: alignment.apply(z) for z in vertices}
+
+
+def map_is_ball_isomorphism(bsrc, btgt, mapping: dict) -> bool:
+    """Root-preserving label-compatible tree isomorphism check of two balls
+    of universal covers."""
+    if set(mapping) != set(bsrc.vertices):
+        return False
+    if sorted(mapping.values()) != sorted(btgt.vertices):
+        return False
+    if mapping[bsrc.root] != btgt.root:
+        return False
+    for z in bsrc.vertices:
+        for _, w in bsrc.cover.star_darts(z):
+            if w in bsrc.dist and bsrc.dist[w] == bsrc.dist[z] + 1:
+                try:
+                    btgt.cover.dart_between(mapping[z], mapping[w])
+                except GraphError:
+                    return False
+    return True
+
+
+def reference_validate_graph(g: Graph) -> ValidationReport:
+    """``graphs.validate_graph`` as a loop over the darts, as it was before
+    its whole-table passes; the reference for its verdict and the list of
+    violations in order."""
+    bad = []
+    vs, ds = set(g.vertices), set(g.darts)
+    for d in g.darts:
+        v = g.origin.get(d)
+        if v is None:
+            bad.append("missing origin for dart %r" % d)
+        elif v not in vs:
+            bad.append("origin of dart %r is not a vertex: %r" % (d, v))
+        r = g.reverse.get(d)
+        if r is None:
+            bad.append("missing reversal for dart %r" % d)
+            continue
+        if r not in ds:
+            bad.append("reversal of dart %r is not a dart: %r" % (d, r))
+            continue
+        if r == d:
+            bad.append("fixed point of reversal: %r" % d)
+        elif g.reverse.get(r) != d:
+            bad.append("reversal not involutive on pair (%r, %r)" % (d, r))
+    return ValidationReport(not bad, bad)
 
 
 def reference_violations(m: GraphMorphism) -> list:

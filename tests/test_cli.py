@@ -94,6 +94,29 @@ def test_regular_command(tmp_path):
     assert main(["verify", out, k4, k33]) == 0
 
 
+def test_regular_refuses_two_coloured_inputs(tmp_path, capsys):
+    # the factorizations ignore colours and the cover takes the first
+    # input's, so two coloured inputs ended in a verification failure
+    k4, k33 = families.complete(4), families.complete_bipartite(3, 3)
+    k4_mixed = _write_graph(tmp_path, "k4rb.json", families.with_vertex_colour(
+        k4, {"v00": "red", "v01": "red", "v02": "blue", "v03": "blue"}))
+    k4_red = _write_graph(tmp_path, "k4r.json", families.with_vertex_colour(
+        k4, {v: "red" for v in k4.vertices}))
+    k33_mixed = _write_graph(tmp_path, "k33rb.json", families.with_vertex_colour(
+        k33, {v: "red" if v < "v03" else "blue" for v in k33.vertices}))
+    out = str(tmp_path / "out")
+    for first, second in ((k4_mixed, k4_mixed), (k4_red, k33_mixed)):
+        assert main(["regular", first, second, "-o", out]) == 2
+        assert ("input error: the regular path ignores colours: both inputs carry "
+                "vertex colours" in capsys.readouterr().err)
+    assert main(["build", k4_mixed, k4_mixed, "--backend", "star", "-o", out]) == 0
+    assert main(["check", k4_red, k33_mixed]) == 1
+    # one coloured side: the cover is built and verifies
+    k33_plain = _write_graph(tmp_path, "k33.json", k33)
+    assert main(["regular", k4_mixed, k33_plain, "-o", out]) == 0
+    assert main(["verify", out, k4_mixed, k33_plain]) == 0
+
+
 def test_bounds_command(capsys):
     assert main(["bounds", "--kind", "regular", "--v1", "4", "--v2", "6",
                  "--odd"]) == 0

@@ -7,7 +7,8 @@ from commoncover.graphs import (Graph, GraphError, GraphMorphism,
                                 is_covering, validate_graph)
 from commoncover.oracle import find_covering
 
-from conftest import reference_is_covering, reference_violations
+from conftest import (reference_is_covering, reference_validate_graph,
+                      reference_violations)
 
 
 def test_validate_well_formed_fixtures():
@@ -30,6 +31,34 @@ def test_validate_non_involutive_reversal():
     report = validate_graph(g)
     assert not report.ok
     assert any("not involutive" in v for v in report.violations)
+
+
+def _broken_graphs():
+    """Graphs that break each dart-model invariant, one at a time and
+    several at once on several darts."""
+    return [
+        Graph(["v"], ["a", "b"], {"a": "v"}, {"a": "b", "b": "a"}),
+        Graph(["v"], ["a", "b"], {"a": "v", "b": "w"}, {"a": "b", "b": "a"}),
+        Graph(["v"], ["a", "b"], {"a": "v", "b": "v"}, {"a": "b"}),
+        Graph(["v"], ["a", "b"], {"a": "v", "b": "v"}, {"a": "b", "b": "x"}),
+        Graph(["v"], ["e"], {"e": "v"}, {"e": "e"}),
+        Graph(["v"], ["a", "b", "c"], {"a": "v", "b": "v", "c": "v"},
+              {"a": "b", "b": "c", "c": "a"}),
+        Graph(["u", "v"], ["a", "b", "c", "d", "e", "f", "g"],
+              {"a": "u", "b": "w", "c": 5, "e": "v", "f": "v", "g": "u"},
+              {"a": "a", "b": "c", "c": "d", "d": "b", "e": "zz", "g": "f"}),
+    ]
+
+
+def test_validate_graph_agrees_with_the_reference():
+    for g in _broken_graphs() + [families.cycle(3), families.rose(2),
+                                 families.complete_bipartite(3, 3)]:
+        report, expected = validate_graph(g), reference_validate_graph(g)
+        assert (report.ok, report.violations) == (expected.ok, expected.violations)
+    kinds = {message.split(" ")[0] + " " + message.split(" ")[1]
+             for g in _broken_graphs() for message in validate_graph(g).violations}
+    assert kinds == {"missing origin", "origin of", "missing reversal", "reversal of",
+                     "fixed point", "reversal not"}
 
 
 def test_star_sizes():
@@ -203,8 +232,17 @@ def _morphism_fixtures():
     paint3 = _coloured(c3, {"v00": "red", "v01": "red", "v02": "blue"},
                        {d: "a" for d in c3.darts})
     fp = fiber_product(_cycle_cover_of_rose(3), _cycle_cover_of_rose(4))
+    # fails every check, on several darts: a vertex and darts without an
+    # image, origins, reversals and dart and vertex colours not preserved
+    c4 = families.cycle(4)
+    red4 = _coloured(c4, {v: "red" for v in c4.vertices}, {d: "a" for d in c4.darts})
+    mixed3 = _coloured(c3, {"v00": "red", "v01": "blue", "v02": "red"},
+                       {**{d: "a" for d in c3.darts}, "e01.b": "b"})
+    broken = GraphMorphism(red4, mixed3, {"v00": "v00", "v01": "v01", "v02": "v02", "v03": "v09"},
+                           {"e00.a": "e00.a", "e00.b": "nope", "e01.a": "e00.a",
+                            "e01.b": "e01.b", "e02.a": "e02.a", "e02.b": "e01.b"})
     return [
-        wrap, identity_morphism(families.complete(4)), collapse, not_cover,
+        wrap, identity_morphism(families.complete(4)), collapse, not_cover, broken,
         GraphMorphism(p3, r1, {v: "v00" for v in p3.vertices},
                       {d: "e00.a" for d in p3.darts}),
         GraphMorphism(p2, c3, {"v00": "v00", "v01": "v01"},

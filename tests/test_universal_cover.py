@@ -6,8 +6,9 @@ from commoncover import families
 from commoncover.graphs import GraphError
 from commoncover.refinement import joint_refinement
 from commoncover.universal_cover import (AlignmentBudgetError, UniversalCover,
-                                         build_alignment,
-                                         map_is_ball_isomorphism, reduce_path)
+                                         build_alignment, reduce_path)
+
+from conftest import deck_transport, map_is_ball_isomorphism, map_vertices
 
 
 def test_ball_of_cycle_is_line_segment():
@@ -76,17 +77,17 @@ def test_canonical_lift_of_long_cycle_without_recursion():
 def test_deck_transport_identity_and_cancellation():
     cov = UniversalCover(families.rose(1))
     z = cov.canonical_lift("v00")
-    assert cov.deck_transport((), z) == z
+    assert deck_transport(cov, (), z) == z
     assert len(cov.generators) == 1
-    moved = cov.deck_transport(((0, 1),), ())
+    moved = deck_transport(cov, ((0, 1),), ())
     assert len(moved) == 1
-    assert cov.deck_transport(((0, 1), (0, -1)), ()) == ()
+    assert deck_transport(cov, ((0, 1), (0, -1)), ()) == ()
 
 
 def test_deck_transport_generator_out_of_range():
     cov = UniversalCover(families.rose(1))
     with pytest.raises(GraphError, match="out of range"):
-        cov.deck_transport(((5, 1),), ())
+        deck_transport(cov, ((5, 1),), ())
 
 
 def _random_reduced_word(cov, rng, length):
@@ -109,7 +110,7 @@ def test_deck_action_is_free():
             if not cov.word_to_loop(word):
                 continue        # the word reduced to the identity
             for z in cov.ball((), 2).vertices:
-                assert cov.deck_transport(word, z) != z
+                assert deck_transport(cov, word, z) != z
 
 
 def test_loop_word_roundtrip():
@@ -171,7 +172,7 @@ def test_alignment_is_ball_isomorphism():
     theta = build_alignment(c1, c2, joint, radius=2)
     b1 = c1.ball((), 2)
     b2 = c2.ball((), 2)
-    mapping = theta.map_vertices(b1.vertices)
+    mapping = map_vertices(theta, b1.vertices)
     assert map_is_ball_isomorphism(b1, b2, mapping)
 
 
