@@ -38,6 +38,11 @@ class VerificationError(RuntimeError):
     """An artifact failed the program's own check (exit 3)."""
 
 
+def _positions(ids) -> dict:
+    """id -> its index."""
+    return dict(zip(ids, count()))
+
+
 def _where(flags) -> list:
     """The indices of the true flags, in order."""
     return list(compress(count(), flags))
@@ -100,16 +105,16 @@ class Graph:
     """
 
     __slots__ = ("vertices", "darts", "origin", "reverse", "vertex_colour",
-                 "dart_colour", "org", "rev", "_order", "_first", "_star", "_index")
+                 "dart_colour", "org", "rev", "_order", "_first", "_star")
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
         self.vertices = tuple(sorted(vertices))
-        vindex = dict(zip(self.vertices, count()))
+        vindex = _positions(self.vertices)
         if len(vindex) != len(self.vertices):
             raise GraphError("duplicate vertex identifiers")
         self.darts = tuple(sorted(darts))
-        dindex = dict(zip(self.darts, count()))
+        dindex = _positions(self.darts)
         if len(dindex) != len(self.darts):
             raise GraphError("duplicate dart identifiers")
         self.origin = dict(origin)
@@ -118,7 +123,6 @@ class Graph:
         self.rev = list(map(dindex.get, map(self.reverse.get, self.darts), repeat(-1)))
         self.vertex_colour = dict(vertex_colour or {})
         self.dart_colour = dict(dart_colour or {})
-        self._index = None
 
     @classmethod
     def from_tables(cls, vertices, darts, org, rev,
@@ -131,7 +135,6 @@ class Graph:
         g.vertices, g.darts, g.org, g.rev = tuple(vertices), tuple(darts), org, rev
         g.vertex_colour = dict(vertex_colour or {})
         g.dart_colour = dict(dart_colour or {})
-        g._index = None
         return g
 
     def __getattr__(self, name):
@@ -151,13 +154,6 @@ class Graph:
         else:
             raise AttributeError(name)
         return object.__getattribute__(self, name)
-
-    def index(self) -> tuple:
-        """(vertex id -> index, dart id -> index), built on first use."""
-        if self._index is None:
-            self._index = (dict(zip(self.vertices, count())),
-                           dict(zip(self.darts, count())))
-        return self._index
 
     # -- basic queries ----------------------------------------------------
 
@@ -251,7 +247,7 @@ class Graph:
         involution, so the vertex set must be component-closed.
         """
         vertices = tuple(vertices)
-        picked = list(map(self.index()[0].get, vertices, repeat(-1)))
+        picked = list(map(_positions(self.vertices).get, vertices, repeat(-1)))
         if -1 in picked:
             raise GraphError("vertex not in graph: %r" % (vertices[picked.index(-1)],))
         kept = [False] * len(self.vertices)
@@ -342,7 +338,7 @@ class GraphMorphism:
         self.target = target
         self.vmap = dict(vmap)
         self.dmap = dict(dmap)
-        vindex, dindex = target.index()
+        vindex, dindex = _positions(target.vertices), _positions(target.darts)
         self.vm = list(map(vindex.get, map(self.vmap.get, source.vertices), repeat(-1)))
         self.dm = list(map(dindex.get, map(self.dmap.get, source.darts), repeat(-1)))
 
@@ -531,9 +527,8 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
             chosen = next(c for c in comps if seed in c)
         if len(comps) > 1:
             sub = mu1.source.restrict(chosen)
-            vindex, dindex = mu1.source.index()
-            kv = list(map(vindex.__getitem__, sub.vertices))
-            kd = list(map(dindex.__getitem__, sub.darts))
+            kv = list(map(_positions(mu1.source.vertices).__getitem__, sub.vertices))
+            kd = list(map(_positions(mu1.source.darts).__getitem__, sub.darts))
             mu1, mu2 = [GraphMorphism.from_tables(sub, mu.target,
                                                   list(map(mu.vm.__getitem__, kv)),
                                                   list(map(mu.dm.__getitem__, kd)))
