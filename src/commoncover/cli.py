@@ -222,10 +222,10 @@ def _graph_from_data(data, where) -> Graph:
 
 def _colours(ids: list, entries: list) -> dict:
     """id -> "colour" of the entries that have one."""
-    colours = list(map(dict.get, entries, repeat("colour")))
-    if set(colours) == {None}:
+    if not any(map(dict.__contains__, entries, repeat("colour"))):
         return {}
-    return {k: c for k, c in zip(ids, colours) if c is not None}
+    return {k: c for k, c in zip(ids, map(dict.get, entries, repeat("colour")))
+            if c is not None}
 
 
 def _raise_bad_entry(vs, ds, where):

@@ -19,7 +19,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, gt, mul, ne, sub
@@ -78,9 +79,9 @@ def _buckets(images: list, n: int):
     """The indices grouped by image in ``range(n)``: (order, first), with the
     indices of image b at ``order[first[b]:first[b + 1]]`` in increasing
     order.  Indices whose image is -1 come first and are in no group."""
-    counts = Counter(images)
-    return (sorted(range(len(images)), key=images.__getitem__),
-            list(accumulate(map(counts.get, range(n), repeat(0)), initial=counts[-1])))
+    order = sorted(range(len(images)), key=images.__getitem__)
+    return order, list(map(bisect_left, repeat(list(map(images.__getitem__, order))),
+                           range(n + 1)))
 
 
 def _sizes(first: list) -> list:
@@ -94,9 +95,10 @@ class Graph:
     same graph is held as index tables: vertex and dart i are the i-th
     identifiers in sorted order, ``org[i]`` and ``rev[i]`` are the indices
     of the origin and the reversal of dart i (-1 where that is missing or
-    not a vertex or dart), and the star of vertex v holds the darts
-    ``_order[_first[v]:_first[v + 1]]``.  The whole-table checks below run
-    on the index tables, with no Python step per dart.
+    not a vertex or dart), and, once ``_star_tables`` has built them, the
+    star of vertex v holds the darts ``_order[_first[v]:_first[v + 1]]``.
+    The whole-table checks below run on the index tables, with no Python
+    step per dart.
 
     The constructor is permissive: it accepts structurally broken data
     (non-involutive reversal, missing origins) so that ``validate_graph``
@@ -105,7 +107,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "darts", "origin", "reverse", "vertex_colour",
-                 "dart_colour", "org", "rev", "_order", "_first", "_star")
+                 "dart_colour", "org", "rev", "_index", "_order", "_first", "_star")
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
@@ -123,53 +125,52 @@ class Graph:
         self.rev = list(map(dindex.get, map(self.reverse.get, self.darts), repeat(-1)))
         self.vertex_colour = dict(vertex_colour or {})
         self.dart_colour = dict(dart_colour or {})
+        self._index = vindex, dindex
+        self._order = self._first = self._star = None
 
     @classmethod
     def from_tables(cls, vertices, darts, org, rev,
                     vertex_colour=None, dart_colour=None) -> "Graph":
         """The graph on sorted, distinct ``vertices`` and ``darts`` whose
         dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``;
-        the tables must hold valid indices.  ``origin`` and ``reverse`` are
-        built on first use."""
+        the tables must hold valid indices."""
         g = cls.__new__(cls)
         g.vertices, g.darts, g.org, g.rev = tuple(vertices), tuple(darts), org, rev
+        g.origin = dict(zip(g.darts, map(g.vertices.__getitem__, org)))
+        g.reverse = dict(zip(g.darts, map(g.darts.__getitem__, rev)))
         g.vertex_colour = dict(vertex_colour or {})
         g.dart_colour = dict(dart_colour or {})
+        g._index = g._order = g._first = g._star = None
         return g
 
-    def __getattr__(self, name):
-        # called only for a slot not yet set: a table or view built on first use
-        if name in ("_order", "_first"):
-            # a stable sort keeps each star in sorted dart order
+    def index(self) -> tuple:
+        """(vertex id -> index, dart id -> index), built on first use."""
+        if self._index is None:
+            self._index = _positions(self.vertices), _positions(self.darts)
+        return self._index
+
+    def _star_tables(self) -> tuple:
+        """(_order, _first), built on first use: a stable sort of the darts
+        by origin keeps each star in sorted dart order."""
+        if self._first is None:
             self._order, self._first = _buckets(self.org, len(self.vertices))
-        elif name == "_star":
-            first = self._first
-            names = tuple(map(self.darts.__getitem__, self._order))
-            self._star = dict(zip(self.vertices, map(names.__getitem__, map(
-                slice, first, islice(first, 1, None)))))
-        elif name == "origin":
-            self.origin = dict(zip(self.darts, map(self.vertices.__getitem__, self.org)))
-        elif name == "reverse":
-            self.reverse = dict(zip(self.darts, map(self.darts.__getitem__, self.rev)))
-        else:
-            raise AttributeError(name)
-        return object.__getattribute__(self, name)
+        return self._order, self._first
 
     # -- basic queries ----------------------------------------------------
 
     def star(self, v: str) -> tuple:
         """Sorted darts with origin ``v``."""
+        if self._star is None:
+            order, first = self._star_tables()
+            names = tuple(map(self.darts.__getitem__, order))
+            self._star = dict(zip(self.vertices, map(names.__getitem__, map(
+                slice, first, islice(first, 1, None)))))
         if v not in self._star:
             raise GraphError("vertex not in graph: %r" % (v,))
         return self._star[v]
 
     def degree(self, v: str) -> int:
         return len(self.star(v))
-
-    def degrees(self) -> list:
-        """The degree of each vertex, by index."""
-        counts = Counter(self.org)
-        return list(map(counts.get, range(len(self.vertices)), repeat(0)))
 
     def head(self, d: str) -> str:
         """Terminal vertex of a dart: origin of its reversal."""
@@ -221,8 +222,8 @@ class Graph:
 
         Each component grows a whole breadth-first layer per step, as a set
         of vertex indices."""
-        org, first = self.org, self._first
-        heads = list(map(org.__getitem__, map(self.rev.__getitem__, self._order)))
+        org, (order, first) = self.org, self._star_tables()
+        heads = list(map(org.__getitem__, map(self.rev.__getitem__, order)))
         neighbours = list(map(heads.__getitem__, map(slice, first, islice(first, 1, None))))
         n, done, comps, root = len(self.vertices), set(), [], 0
         while (root := next(filterfalse(done.__contains__, range(root, n)), None)) is not None:
@@ -247,7 +248,7 @@ class Graph:
         involution, so the vertex set must be component-closed.
         """
         vertices = tuple(vertices)
-        picked = list(map(_positions(self.vertices).get, vertices, repeat(-1)))
+        picked = list(map(self.index()[0].get, vertices, repeat(-1)))
         if -1 in picked:
             raise GraphError("vertex not in graph: %r" % (vertices[picked.index(-1)],))
         kept = [False] * len(self.vertices)
@@ -331,35 +332,37 @@ class GraphMorphism:
     by identifier, ``vm`` and ``dm`` by index (-1 where an image is missing
     or not in the target)."""
 
-    __slots__ = ("source", "target", "vmap", "dmap", "vm", "dm")
+    __slots__ = ("source", "target", "vm", "dm", "_vmap", "_dmap")
 
     def __init__(self, source: Graph, target: Graph, vmap: dict, dmap: dict):
         self.source = source
         self.target = target
-        self.vmap = dict(vmap)
-        self.dmap = dict(dmap)
-        vindex, dindex = _positions(target.vertices), _positions(target.darts)
-        self.vm = list(map(vindex.get, map(self.vmap.get, source.vertices), repeat(-1)))
-        self.dm = list(map(dindex.get, map(self.dmap.get, source.darts), repeat(-1)))
+        self._vmap = dict(vmap)
+        self._dmap = dict(dmap)
+        vindex, dindex = target.index()
+        self.vm = list(map(vindex.get, map(self._vmap.get, source.vertices), repeat(-1)))
+        self.dm = list(map(dindex.get, map(self._dmap.get, source.darts), repeat(-1)))
 
     @classmethod
     def from_tables(cls, source: Graph, target: Graph, vm: list, dm: list) -> "GraphMorphism":
         """The morphism with valid index tables ``vm`` and ``dm``; ``vmap``
         and ``dmap`` are built on first use."""
         m = cls.__new__(cls)
-        m.source, m.target, m.vm, m.dm = source, target, vm, dm
+        m.source, m.target, m.vm, m.dm, m._vmap, m._dmap = source, target, vm, dm, None, None
         return m
 
-    def __getattr__(self, name):
-        # called only for a slot not yet set: a view built on first use
-        if name == "vmap":
-            self.vmap = dict(zip(self.source.vertices,
-                                 map(self.target.vertices.__getitem__, self.vm)))
-        elif name == "dmap":
-            self.dmap = dict(zip(self.source.darts, map(self.target.darts.__getitem__, self.dm)))
-        else:
-            raise AttributeError(name)
-        return object.__getattribute__(self, name)
+    @property
+    def vmap(self) -> dict:
+        if self._vmap is None:
+            self._vmap = dict(zip(self.source.vertices,
+                                  map(self.target.vertices.__getitem__, self.vm)))
+        return self._vmap
+
+    @property
+    def dmap(self) -> dict:
+        if self._dmap is None:
+            self._dmap = dict(zip(self.source.darts, map(self.target.darts.__getitem__, self.dm)))
+        return self._dmap
 
     def violations(self) -> list:
         """Every failure to be a graph morphism, in the order: vertex images,
@@ -443,15 +446,17 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
         if len(covered) < len(ids):
             return CoveringReport(False, reason, ids[next(
                 filterfalse(covered.__contains__, count()))])
-    # violations() put the image of every dart of a star into the star of
-    # the image vertex, so the star map is a bijection exactly when the
-    # images are distinct and as many as the darts of the target star
-    t_degree = tgt.degrees()
-    if (list(map(t_degree.__getitem__, vm)) != src.degrees()
+    # violations() put the images of the darts of each star into the star
+    # of the image vertex.  So every star map is a bijection exactly when
+    # no two darts of one star share an image and the target stars of the
+    # source vertices hold as many darts as the source: maps into them,
+    # each injective, fill them all only when the sizes add up.
+    t_degree = _sizes(tgt._star_tables()[1])
+    if (sum(map(t_degree.__getitem__, vm)) != len(dm)
             or len(set(map(add, map(mul, src.org, repeat(len(tgt.darts))), dm))) < len(dm)):
-        s_first = src._first
-        for v, (a, b) in enumerate(zip(s_first, islice(s_first, 1, None))):
-            if not len(set(map(dm.__getitem__, src._order[a:b]))) == b - a == t_degree[vm[v]]:
+        order, first = src._star_tables()
+        for v, (a, b) in enumerate(zip(first, islice(first, 1, None))):
+            if not len(set(map(dm.__getitem__, order[a:b]))) == b - a == t_degree[vm[v]]:
                 return CoveringReport(False, "star map not bijective", src.vertices[v])
     return CoveringReport(True)
 
@@ -527,8 +532,9 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
             chosen = next(c for c in comps if seed in c)
         if len(comps) > 1:
             sub = mu1.source.restrict(chosen)
-            kv = list(map(_positions(mu1.source.vertices).__getitem__, sub.vertices))
-            kd = list(map(_positions(mu1.source.darts).__getitem__, sub.darts))
+            vindex, dindex = mu1.source.index()
+            kv = list(map(vindex.__getitem__, sub.vertices))
+            kd = list(map(dindex.__getitem__, sub.darts))
             mu1, mu2 = [GraphMorphism.from_tables(sub, mu.target,
                                                   list(map(mu.vm.__getitem__, kv)),
                                                   list(map(mu.dm.__getitem__, kd)))

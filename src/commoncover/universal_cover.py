@@ -120,8 +120,7 @@ class UniversalCover:
         """Spanning-tree path from the basepoint to a lift of v."""
         cache = self._lift_cache
         if v not in cache:
-            if v not in self.graph._star:
-                raise GraphError("vertex not in graph: %r" % (v,))
+            self.graph.star(v)          # GraphError for a vertex not in the graph
             chain = []                  # (vertex, parent dart) up to a cached lift
             u = v
             while u not in cache:
