@@ -369,23 +369,22 @@ class GraphMorphism:
         then per dart its image, origin, reversal and colour, then vertex
         colours.  Colours are compared only where both graphs carry them."""
         src, tgt, vm, dm = self.source, self.target, self.vm, self.dm
-        missing_v = _equal_to(vm, -1)
+        missing_v, missing = _equal_to(vm, -1), _equal_to(dm, -1)
         bad = ["vertex %r has no valid image" % (src.vertices[i],) for i in missing_v]
-        missing = set(_equal_to(dm, -1))
-        failing, clash = set(missing), set()
+        failing, clash = missing, set()
         # dm[i] = -1 reads the last entry of a target table: such a dart is
         # reported as having no image and checked no further
         if len(missing) < len(dm):
-            failing.update(_differ(list(map(vm.__getitem__, src.org)),
-                                   list(map(tgt.org.__getitem__, dm))))
-            failing.update(_differ(list(map(dm.__getitem__, src.rev)),
-                                   list(map(tgt.rev.__getitem__, dm))))
             clash = _clashes(src.dart_colour, src.darts, tgt.dart_colour,
                              map(tgt.darts.__getitem__, dm))
-            failing |= clash
-        for i in sorted(failing):
+            failing = [*missing, *clash,
+                       *_differ(list(map(vm.__getitem__, src.org)),
+                                list(map(tgt.org.__getitem__, dm))),
+                       *_differ(list(map(dm.__getitem__, src.rev)),
+                                list(map(tgt.rev.__getitem__, dm)))]
+        for i in sorted(set(failing)):
             d, e = src.darts[i], dm[i]
-            if i in missing:
+            if e < 0:
                 bad.append("dart %r has no valid image" % (d,))
                 continue
             if vm[src.org[i]] != tgt.org[e]:
@@ -558,14 +557,14 @@ class FiberProduct:
 
     @property
     def vertex_pairs(self) -> dict:
-        """Cover vertex -> (vertex of the first source, of the second)."""
-        return dict(zip(self.graph.vertices, zip(self.proj1.vmap.values(),
-                                                 self.proj2.vmap.values())))
+        """Cover vertex -> (its vertex in the first source, in the second)."""
+        return dict(zip(self.graph.vertices, zip(*[map(p.target.vertices.__getitem__, p.vm)
+                                                   for p in (self.proj1, self.proj2)])))
 
     @property
     def dart_pairs(self) -> dict:
-        return dict(zip(self.graph.darts, zip(self.proj1.dmap.values(),
-                                              self.proj2.dmap.values())))
+        return dict(zip(self.graph.darts, zip(*[map(p.target.darts.__getitem__, p.dm)
+                                                for p in (self.proj1, self.proj2)])))
 
 
 def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
