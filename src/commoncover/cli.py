@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys as _sys
-from collections import deque
 from itertools import chain, islice, repeat
 from operator import itemgetter
 

@@ -85,6 +85,7 @@ def _buckets(images: list, n: int):
 
 
 def _sizes(first: list) -> list:
+    """The group sizes of the offsets ``first`` of ``_buckets``."""
     return list(map(sub, islice(first, 1, None), first))
 
 
