@@ -20,7 +20,6 @@ import math
 import os
 import sys as _sys
 from itertools import chain, islice, repeat
-from operator import itemgetter
 
 from .ball_system import build_ball_system_retrying, discover_atoms
 from .bounds import bound_report
@@ -57,18 +56,6 @@ def _encoder(inner: str):
         return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).iterencode
     return json.encoder.c_make_encoder(None, json.JSONEncoder().default, _quote,
                                        None, ": ", "," + inner, True, False, True)
-
-
-def _record_keys(rows):
-    """The sorted keys of ``rows`` if it is a list of records: non-empty
-    dicts with one set of str keys and only str values; else None."""
-    if set(map(type, rows)) != {dict}:
-        return None
-    keys = rows[0].keys()
-    if (set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, rows)))
-            or set(map(type, chain.from_iterable(map(dict.values, rows)))) != {str}):
-        return None
-    return sorted(keys)
 
 
 class _Table:
@@ -117,8 +104,8 @@ def _write_rows(write, table: _Table, nl: str, head: str) -> None:
 def _write(write, x, nl: str, head: str = "") -> None:
     """Write ``head`` and x as ``json.dump(x, sort_keys=True, indent=2)``
     does at indentation ``nl``.  A container of plain scalars is one call of
-    the C encoder, a list of records or a ``_Table`` a batch of rows per
-    piece; any other container is written one piece per entry.
+    the C encoder, a ``_Table`` a batch of rows per piece; any other
+    container is written one piece per entry.
     ``json.dumps({k: 0})`` names a non-str key."""
     if isinstance(x, _Table):
         return _write_rows(write, x, nl, head)
@@ -137,9 +124,6 @@ def _write(write, x, nl: str, head: str = "") -> None:
         chunks[-1] = chunks[-1][:-1] + nl + brackets[1]
         for chunk in chunks:
             write(chunk)
-    elif brackets == "[]" and (keys := _record_keys(x)):
-        _write_rows(write, _Table(keys, [map(_quote, map(itemgetter(k), x)) for k in keys]),
-                    nl, head)
     else:
         if brackets == "{}":
             entries = [((_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
@@ -200,16 +184,17 @@ def _graph_from_data(data, where) -> Graph:
     _expect(isinstance(ds, list), where, "missing darts list")
     _expect(vs, where, "vertices: a graph needs at least one vertex")
     try:
-        vertices = list(map(itemgetter("id"), vs))
-        darts = list(map(itemgetter("id"), ds))
-        vcol, dcol = _colours(vertices, vs), _colours(darts, ds)
+        vertices = [e["id"] for e in vs]
+        vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
+        darts = [e["id"] for e in ds]
+        origin = {e["id"]: e["from"] for e in ds}
+        reverse = {e["id"]: e["reverse"] for e in ds}
+        dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
         if not set(map(type, vertices)).union(
                 map(type, darts), map(type, vcol.values()), map(type, dcol.values())) <= {str}:
             # to the handler below: a SchemaError here would be re-wrapped
             raise TypeError
-        # Graph makes the origin and reverse tables from the pairs
-        g = Graph(vertices, darts, zip(darts, map(itemgetter("from"), ds)),
-                  zip(darts, map(itemgetter("reverse"), ds)), vcol, dcol)
+        g = Graph(vertices, darts, origin, reverse, vcol, dcol)
         report = validate_graph(g)
     except (KeyError, TypeError, AttributeError):
         _raise_bad_entry(vs, ds, where)
@@ -217,14 +202,6 @@ def _graph_from_data(data, where) -> Graph:
         raise SchemaError("%s: %s" % (where, exc))
     _expect(report.ok, where, "; ".join(report.violations[:3]) or "invalid graph")
     return g
-
-
-def _colours(ids: list, entries: list) -> dict:
-    """id -> "colour" of the entries that have one."""
-    if not any(map(dict.__contains__, entries, repeat("colour"))):
-        return {}
-    return {k: c for k, c in zip(ids, map(dict.get, entries, repeat("colour")))
-            if c is not None}
 
 
 def _raise_bad_entry(vs, ds, where):
@@ -375,6 +352,11 @@ def dump_object(obj) -> dict:
 
 
 def dump_object_graph(x: ObjectGraph) -> dict:
+    return {**dump_graph(x.graph), **_object_tables(x)}
+
+
+def _object_tables(x: ObjectGraph) -> dict:
+    """The object tables of ``dump_object_graph(x)``, without the graph."""
     names = {}
     table = {}
     def name_of(obj):
@@ -384,13 +366,12 @@ def dump_object_graph(x: ObjectGraph) -> dict:
             table[names[key]] = dump_object(obj)
         return names[key]
 
-    out = dump_graph(x.graph)
-    out["vertex_objects"] = {v: name_of(o) for v, o in sorted(x.vertex_objects.items())}
-    out["edge_objects"] = {d: name_of(o) for d, o in sorted(x.edge_objects.items())}
-    out["edge_morphisms"] = {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
-                             for d, m in sorted(x.edge_morphisms.items())}
-    out["objects"] = table
-    return out
+    # the objects are named in the order the tables below meet them
+    return {"vertex_objects": {v: name_of(o) for v, o in sorted(x.vertex_objects.items())},
+            "edge_objects": {d: name_of(o) for d, o in sorted(x.edge_objects.items())},
+            "edge_morphisms": {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
+                               for d, m in sorted(x.edge_morphisms.items())},
+            "objects": table}
 
 
 def load_seeds(path: str) -> list:
@@ -440,15 +421,18 @@ def cmd_check(args) -> int:
 
 def _write_cover(outdir, cover, fields) -> None:
     """Write cover.json (the cover graph plus ``fields``), mu1.json and
-    mu2.json for a ``Cover`` or an ``ObjectCover``.  A ``Cover`` is written
-    from its index tables, each cover id quoted once for the three files."""
-    if isinstance(cover, ObjectCover):
-        graph = dump_object_graph(cover.cover)
+    mu2.json for a ``Cover`` or an ``ObjectCover``.  The cover graph, and a
+    ``Cover``'s maps, are written from the index tables, each cover id
+    quoted once."""
+    objects = isinstance(cover, ObjectCover)
+    g = cover.cover.graph if objects else cover.graph
+    quoted_v, quoted_d = list(map(_quote, g.vertices)), list(map(_quote, g.darts))
+    tables = _graph_tables(g, quoted_v, quoted_d)
+    if objects:
+        graph = {**tables, **_object_tables(cover.cover)}
         maps = [dump_object_morphism(mu) for mu in (cover.mu1, cover.mu2)]
     else:
-        g = cover.graph
-        quoted_v, quoted_d = list(map(_quote, g.vertices)), list(map(_quote, g.darts))
-        graph = {"graph": _graph_tables(g, quoted_v, quoted_d)}
+        graph = {"graph": tables}
         maps = [_morphism_tables(mu, quoted_v, quoted_d) for mu in (cover.mu1, cover.mu2)]
     write_json(os.path.join(outdir, "cover.json"), {**graph, **fields})
     for name, payload in zip(("mu1.json", "mu2.json"), maps):

@@ -89,6 +89,11 @@ def _sizes(first: list) -> list:
     return list(map(sub, islice(first, 1, None), first))
 
 
+def _degrees(org: list, n: int) -> list:
+    """The number of entries of ``org`` equal to each of ``range(n)``."""
+    return _sizes(list(map(bisect_left, repeat(sorted(org)), range(n + 1))))
+
+
 class Graph:
     """A finite multigraph in the dart model.
 
@@ -112,20 +117,20 @@ class Graph:
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
-        self.vertices = tuple(sorted(vertices))
-        vindex = _positions(self.vertices)
-        if len(vindex) != len(self.vertices):
+        self.vertices = vertices = tuple(sorted(vertices))
+        vindex = _positions(vertices)
+        if len(vindex) != len(vertices):
             raise GraphError("duplicate vertex identifiers")
-        self.darts = tuple(sorted(darts))
-        dindex = _positions(self.darts)
-        if len(dindex) != len(self.darts):
+        self.darts = darts = tuple(sorted(darts))
+        dindex = _positions(darts)
+        if len(dindex) != len(darts):
             raise GraphError("duplicate dart identifiers")
-        self.origin = dict(origin)
-        self.reverse = dict(reverse)
-        self.org = list(map(vindex.get, map(self.origin.get, self.darts), repeat(-1)))
-        self.rev = list(map(dindex.get, map(self.reverse.get, self.darts), repeat(-1)))
-        self.vertex_colour = dict(vertex_colour or {})
-        self.dart_colour = dict(dart_colour or {})
+        self.origin = origin = dict(origin)
+        self.reverse = reverse = dict(reverse)
+        self.org = list(map(vindex.get, map(origin.get, darts), repeat(-1)))
+        self.rev = list(map(dindex.get, map(reverse.get, darts), repeat(-1)))
+        self.vertex_colour = dict(vertex_colour) if vertex_colour else {}
+        self.dart_colour = dict(dart_colour) if dart_colour else {}
         self._index = vindex, dindex
         self._order = self._first = self._star = None
 
@@ -338,11 +343,11 @@ class GraphMorphism:
     def __init__(self, source: Graph, target: Graph, vmap: dict, dmap: dict):
         self.source = source
         self.target = target
-        self._vmap = dict(vmap)
-        self._dmap = dict(dmap)
+        self._vmap = vmap = dict(vmap)
+        self._dmap = dmap = dict(dmap)
         vindex, dindex = target.index()
-        self.vm = list(map(vindex.get, map(self._vmap.get, source.vertices), repeat(-1)))
-        self.dm = list(map(dindex.get, map(self._dmap.get, source.darts), repeat(-1)))
+        self.vm = list(map(vindex.get, map(vmap.get, source.vertices), repeat(-1)))
+        self.dm = list(map(dindex.get, map(dmap.get, source.darts), repeat(-1)))
 
     @classmethod
     def from_tables(cls, source: Graph, target: Graph, vm: list, dm: list) -> "GraphMorphism":
@@ -451,7 +456,7 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
     # no two darts of one star share an image and the target stars of the
     # source vertices hold as many darts as the source: maps into them,
     # each injective, fill them all only when the sizes add up.
-    t_degree = _sizes(tgt._star_tables()[1])
+    t_degree = _degrees(tgt.org, len(tgt.vertices))
     if (sum(map(t_degree.__getitem__, vm)) != len(dm)
             or len(set(map(add, map(mul, src.org, repeat(len(tgt.darts))), dm))) < len(dm)):
         order, first = src._star_tables()
@@ -555,17 +560,6 @@ class FiberProduct:
     graph: Graph
     proj1: GraphMorphism
     proj2: GraphMorphism
-
-    @property
-    def vertex_pairs(self) -> dict:
-        """Cover vertex -> (its vertex in the first source, in the second)."""
-        return dict(zip(self.graph.vertices, zip(*[map(p.target.vertices.__getitem__, p.vm)
-                                                   for p in (self.proj1, self.proj2)])))
-
-    @property
-    def dart_pairs(self) -> dict:
-        return dict(zip(self.graph.darts, zip(*[map(p.target.darts.__getitem__, p.dm)
-                                                for p in (self.proj1, self.proj2)])))
 
 
 def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:

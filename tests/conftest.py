@@ -194,6 +194,14 @@ def map_vertices(alignment, vertices) -> dict:
     return {z: alignment.apply(z) for z in vertices}
 
 
+def fiber_pairs(fp) -> tuple:
+    """(cover vertex -> (its image under proj1, under proj2), the same per
+    cover dart) of a fiber product."""
+    p1, p2 = fp.proj1, fp.proj2
+    return ({v: (p1.vmap[v], p2.vmap[v]) for v in fp.graph.vertices},
+            {d: (p1.dmap[d], p2.dmap[d]) for d in fp.graph.darts})
+
+
 def map_is_ball_isomorphism(bsrc, btgt, mapping: dict) -> bool:
     """Root-preserving label-compatible tree isomorphism check of two balls
     of universal covers."""

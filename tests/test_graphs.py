@@ -7,7 +7,7 @@ from commoncover.graphs import (Graph, GraphError, GraphMorphism,
                                 is_covering, validate_graph)
 from commoncover.oracle import find_covering
 
-from conftest import (reference_is_covering, reference_validate_graph,
+from conftest import (fiber_pairs, reference_is_covering, reference_validate_graph,
                       reference_violations)
 
 
@@ -163,7 +163,7 @@ def test_fiber_product_c3_c4_is_c12():
 def test_fiber_product_identity_diagonal():
     q = families.complete(4)
     fp = fiber_product(identity_morphism(q), identity_morphism(q))
-    diag = [v for v, pair in fp.vertex_pairs.items() if pair[0] == pair[1]]
+    diag = [v for v, pair in fiber_pairs(fp)[0].items() if pair[0] == pair[1]]
     comps = fp.graph.components()
     assert sorted(len(c) for c in comps)[0] == len(q.vertices)
     assert any(set(diag) == set(c) for c in comps)
@@ -289,8 +289,9 @@ def test_covering_check_fixtures_reach_every_verdict():
 
 
 def _labelled(fp):
-    labels = ({v: (p, 0) for v, p in fp.vertex_pairs.items()},
-              {d: (p, 1) for d, p in fp.dart_pairs.items()})
+    vertex_pairs, dart_pairs = fiber_pairs(fp)
+    labels = ({v: (p, 0) for v, p in vertex_pairs.items()},
+              {d: (p, 1) for d, p in dart_pairs.items()})
     return dict(vertex_label=labels[0], dart_label=labels[1])
 
 
