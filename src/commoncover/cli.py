@@ -139,10 +139,13 @@ def _write(write, x, nl: str, head: str = "") -> None:
 
 def _open_output(path: str):
     """Open an output file for writing, creating its directory.  An output
-    path that cannot be written is an input error."""
+    path that cannot be written is an input error.  The 64 KB buffer takes
+    many pieces per system call and stays below glibc's 128 KB mmap
+    threshold: a larger one, once freed, raises that threshold, and later
+    buffers then stay resident on the heap."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        return open(path, "w", encoding="utf-8", buffering=1 << 20)
+        return open(path, "w", encoding="utf-8", buffering=1 << 16)
     except OSError as exc:
         raise SchemaError("cannot write %s: %s" % (path, exc.strerror))
 
