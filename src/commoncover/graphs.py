@@ -117,20 +117,20 @@ class Graph:
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
-        self.vertices = vertices = tuple(sorted(vertices))
-        vindex = _positions(vertices)
-        if len(vindex) != len(vertices):
+        self.vertices = tuple(sorted(vertices))
+        vindex = _positions(self.vertices)
+        if len(vindex) != len(self.vertices):
             raise GraphError("duplicate vertex identifiers")
-        self.darts = darts = tuple(sorted(darts))
-        dindex = _positions(darts)
-        if len(dindex) != len(darts):
+        self.darts = tuple(sorted(darts))
+        dindex = _positions(self.darts)
+        if len(dindex) != len(self.darts):
             raise GraphError("duplicate dart identifiers")
-        self.origin = origin = dict(origin)
-        self.reverse = reverse = dict(reverse)
-        self.org = list(map(vindex.get, map(origin.get, darts), repeat(-1)))
-        self.rev = list(map(dindex.get, map(reverse.get, darts), repeat(-1)))
-        self.vertex_colour = dict(vertex_colour) if vertex_colour else {}
-        self.dart_colour = dict(dart_colour) if dart_colour else {}
+        self.origin = dict(origin)
+        self.reverse = dict(reverse)
+        self.org = list(map(vindex.get, map(self.origin.get, self.darts), repeat(-1)))
+        self.rev = list(map(dindex.get, map(self.reverse.get, self.darts), repeat(-1)))
+        self.vertex_colour = dict(vertex_colour or {})
+        self.dart_colour = dict(dart_colour or {})
         self._index = vindex, dindex
         self._order = self._first = self._star = None
 
@@ -343,11 +343,11 @@ class GraphMorphism:
     def __init__(self, source: Graph, target: Graph, vmap: dict, dmap: dict):
         self.source = source
         self.target = target
-        self._vmap = vmap = dict(vmap)
-        self._dmap = dmap = dict(dmap)
+        self._vmap = dict(vmap)
+        self._dmap = dict(dmap)
         vindex, dindex = target.index()
-        self.vm = list(map(vindex.get, map(vmap.get, source.vertices), repeat(-1)))
-        self.dm = list(map(dindex.get, map(dmap.get, source.darts), repeat(-1)))
+        self.vm = list(map(vindex.get, map(self._vmap.get, source.vertices), repeat(-1)))
+        self.dm = list(map(dindex.get, map(self._dmap.get, source.darts), repeat(-1)))
 
     @classmethod
     def from_tables(cls, source: Graph, target: Graph, vm: list, dm: list) -> "GraphMorphism":
