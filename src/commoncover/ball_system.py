@@ -72,7 +72,7 @@ def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
     deck transformation that takes the head of that lift to the canonical
     lift of head(e)."""
     cover = {1: c1, 2: c2}
-    lift = {}
+    lift, origin = {}, union.origin
     for x in union.vertices:
         c = cover[side_of(x)]
         lift[x] = c.canonical_lift(strip_side(x))
@@ -80,11 +80,11 @@ def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
                for x in union.vertices}
 
     def neighbourhood(e):
-        return edge_neighbourhood(cover[side_of(e)], lift[union.origin[e]],
+        return edge_neighbourhood(cover[side_of(e)], lift[origin[e]],
                                   strip_side(e), radius)
 
     def head(e):
-        return cover[side_of(e)].step(lift[union.origin[e]], strip_side(e))
+        return cover[side_of(e)].step(lift[origin[e]], strip_side(e))
 
     def across(e, nb):
         c = cover[side_of(e)]
@@ -158,7 +158,7 @@ class BallLocalSystem(LocalSystem):
         """("atom", anchor dart, image dart, sorted (path, path) pairs)."""
         e, y, r = atom
         domains = self.numbering.domains
-        source, target = domains[self.union.origin[e]], domains[y]
+        source, target = domains[self._origin[e]], domains[y]
         return ("atom", e, self.atom_image(atom),
                 tuple([(source[i], target[j])
                        for i, j in zip(self.numbering.dom[e], r)]))

@@ -19,7 +19,8 @@ import json
 import math
 import os
 import sys as _sys
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
+from operator import itemgetter, lt
 
 from .ball_system import build_ball_system_retrying, discover_atoms
 from .bounds import bound_report
@@ -175,10 +176,40 @@ def load_graph(path: str) -> Graph:
     return _graph_from_data(_read_json(path), path)
 
 
+_ID, _FROM, _REVERSE = itemgetter("id"), itemgetter("from"), itemgetter("reverse")
+
+
+def _graph_from_columns(vs, ds):
+    """The graph of uncoloured records with distinct str ids whose endpoints
+    are all ids, read straight into the index tables; None for any other
+    input.  The dart columns are permuted only when the records are not in
+    id order."""
+    vertices, darts = list(map(_ID, vs)), list(map(_ID, ds))
+    froms, reverses = list(map(_FROM, ds)), list(map(_REVERSE, ds))
+    if not (set(map(type, vertices)).union(map(type, darts)) <= {str}
+            and set(map(dict.get, chain(vs, ds), repeat("colour"))) <= {None}):
+        return None
+    if not all(map(lt, darts, islice(darts, 1, None))):
+        order = sorted(range(len(darts)), key=darts.__getitem__)
+        darts, froms, reverses = [list(map(column.__getitem__, order))
+                                  for column in (darts, froms, reverses)]
+    vertices.sort()
+    vindex, dindex = dict(zip(vertices, count())), dict(zip(darts, count()))
+    if len(vindex) < len(vertices) or len(dindex) < len(darts):
+        return None
+    org = list(map(vindex.get, froms, repeat(-1)))
+    rev = list(map(dindex.get, reverses, repeat(-1)))
+    if -1 in org or -1 in rev:
+        return None
+    return Graph.from_tables(vertices, darts, org, rev)
+
+
 def _graph_from_data(data, where) -> Graph:
     """Parse a graph payload; every malformed input raises SchemaError.
 
-    The tables are built by comprehensions; only when that fails are the
+    Plain input is read by ``_graph_from_columns``.  Colours, duplicate ids
+    and missing or unknown endpoints take the ``Graph`` constructor, whose
+    tables are built by comprehensions; only when that fails are the
     entries scanned one by one to name the bad one.
     """
     _expect(isinstance(data, dict), where, "top level must be an object")
@@ -187,17 +218,19 @@ def _graph_from_data(data, where) -> Graph:
     _expect(isinstance(ds, list), where, "missing darts list")
     _expect(vs, where, "vertices: a graph needs at least one vertex")
     try:
-        vertices = [e["id"] for e in vs]
-        vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
-        darts = [e["id"] for e in ds]
-        origin = {e["id"]: e["from"] for e in ds}
-        reverse = {e["id"]: e["reverse"] for e in ds}
-        dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
-        if not set(map(type, vertices)).union(
-                map(type, darts), map(type, vcol.values()), map(type, dcol.values())) <= {str}:
-            # to the handler below: a SchemaError here would be re-wrapped
-            raise TypeError
-        g = Graph(vertices, darts, origin, reverse, vcol, dcol)
+        g = _graph_from_columns(vs, ds)
+        if g is None:
+            vertices = [e["id"] for e in vs]
+            vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
+            darts = [e["id"] for e in ds]
+            origin = {e["id"]: e["from"] for e in ds}
+            reverse = {e["id"]: e["reverse"] for e in ds}
+            dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
+            if not set(map(type, vertices)).union(
+                    map(type, darts), map(type, vcol.values()), map(type, dcol.values())) <= {str}:
+                # to the handler below: a SchemaError here would be re-wrapped
+                raise TypeError
+            g = Graph(vertices, darts, origin, reverse, vcol, dcol)
         report = validate_graph(g)
     except (KeyError, TypeError, AttributeError):
         _raise_bad_entry(vs, ds, where)
@@ -285,11 +318,29 @@ def _is_id_table(table) -> bool:
 
 
 def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
+    """The map of a morphism file, as index tables built through the target
+    index in source-id order; the decoded tables are not kept.  A key that
+    is not a source id is an input error.  Where an image is missing or not
+    a target id, the ``GraphMorphism`` constructor keeps the tables, so
+    that its violations name the bad entries."""
     data = _read_json(path)
     _expect(isinstance(data, dict) and _is_id_table(data.get("vmap"))
             and _is_id_table(data.get("dmap")), path,
             "needs vmap and dmap objects of string ids")
-    return GraphMorphism(source, target, data["vmap"], data["dmap"])
+    vmap, dmap = data["vmap"], data["dmap"]
+    vindex, dindex = target.index()
+    vm = list(map(vindex.get, map(vmap.get, source.vertices), repeat(-1)))
+    dm = list(map(dindex.get, map(dmap.get, source.darts), repeat(-1)))
+    for name, table, ids, images in (("vmap", vmap, source.vertices, vm),
+                                     ("dmap", dmap, source.darts, dm)):
+        # where every image is valid, every id is a key
+        keyed = len(ids) if -1 not in images else sum(map(table.__contains__, ids))
+        if keyed < len(table):
+            raise SchemaError("%s: %s key %r is not an id of the cover graph"
+                              % (path, name, min(table.keys() - set(ids))))
+    if -1 in vm or -1 in dm:
+        return GraphMorphism(source, target, vmap, dmap)
+    return GraphMorphism.from_tables(source, target, vm, dm)
 
 
 # -- object graphs on disk -------------------------------------------------------

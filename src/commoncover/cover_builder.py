@@ -100,10 +100,11 @@ class LocalSystem:
         self.groupoid = groupoid
         self.numbering = numbering
         self.axioms: Optional[AxiomReport] = None
-        self._identity = {e: (e, union.origin[e], r) for e, r in numbering.dom.items()}
+        origin, rev = union.origin, union.reverse
+        self._origin, self._rev = origin, rev
+        self._identity = {e: (e, origin[e], r) for e, r in numbering.dom.items()}
         self._dart_at, self._head_slot = numbering.dart_at, numbering.head_slot
-        self._rev = union.reverse
-        self._head_vertex = {e: union.head(e) for e in union.darts}
+        self._head_vertex = {e: origin[rev[e]] for e in union.darts}
 
     # -- atoms ----------------------------------------------------------------
 
@@ -151,8 +152,8 @@ class LocalSystem:
         out of origin(e).  By the orbit-stabilizer law the set has
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
-        by_source = self.groupoid.by_source
-        return {e: dict.fromkeys(self.act_row(by_source.get(self.union.origin[e], ()),
+        by_source, origin = self.groupoid.by_source, self._origin
+        return {e: dict.fromkeys(self.act_row(by_source.get(origin[e], ()),
                                               self.identity_atom(e)))
                 for e in self.union.darts}
 
@@ -166,7 +167,7 @@ class LocalSystem:
     # -- shared helpers -------------------------------------------------------
 
     def eps(self, atom) -> str:
-        return self.union.origin[self.atom_image(atom)]
+        return self._origin[self.atom_image(atom)]
 
     def out_count(self, obj) -> int:
         return self.groupoid.out_count(obj)
@@ -345,22 +346,24 @@ class Numbering:
         self.dom, self.head_slot, self.move = {}, {}, {}
         self.dart_at = {x: [None] * len(dom) for x, dom in domains.items()}
         nbhd, images = {}, {}
+        origin, reverse = union.origin, union.reverse
         for e in union.darts:
-            x, px = union.origin[e], at[union.origin[e]]
+            x = origin[e]
+            px = at[x]
             nbhd[e] = nb = tuple(neighbourhood(e))
             h = head(e)
             self.dom[e] = tuple([px[p] for p in nb])
             self.head_slot[e] = nb.index(h)
             self.dart_at[x][px[h]] = e
             images[e] = moved = tuple(across(e, nb))
-            py = at[union.head(e)]
+            py = at[origin[reverse[e]]]
             move = self.move[e] = [-1] * len(domains[x])
             for p, q in zip(nb, moved):
                 move[px[p]] = py[q]
         self.bar_slots = {}
         for e in union.darts:
             slot_of = {q: j for j, q in enumerate(images[e])}
-            self.bar_slots[e] = tuple([slot_of[p] for p in nbhd[union.reverse[e]]])
+            self.bar_slots[e] = tuple([slot_of[p] for p in nbhd[reverse[e]]])
 
 
 # -- the cover ----------------------------------------------------------------
@@ -387,8 +390,9 @@ def build_cover(sys: LocalSystem, component: str = "least",
             x for x, c in out.items() if c == 0))
     n_mult = lcm_all(out.values())
     orbit = {e: sys.orbit_size(e) for e in union.darts}
+    origin = union.origin
     for e, size in orbit.items():
-        if out[union.origin[e]] % size != 0 or n_mult % size != 0:
+        if out[origin[e]] % size != 0 or n_mult % size != 0:
             raise VerificationError("orbit size does not divide the arrow "
                                     "count at %r" % (e,))
 

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, eq, gt, mul, ne, sub
+from operator import add, eq, gt, le, mul, ne, sub
 from typing import Optional
 
 
@@ -97,14 +97,16 @@ def _degrees(org: list, n: int) -> list:
 class Graph:
     """A finite multigraph in the dart model.
 
-    The identifiers are the view that artifacts and most callers read.  The
-    same graph is held as index tables: vertex and dart i are the i-th
+    The graph is held as index tables: vertex and dart i are the i-th
     identifiers in sorted order, ``org[i]`` and ``rev[i]`` are the indices
     of the origin and the reversal of dart i (-1 where that is missing or
     not a vertex or dart), and, once ``_star_tables`` has built them, the
     star of vertex v holds the darts ``_order[_first[v]:_first[v + 1]]``.
     The whole-table checks below run on the index tables, with no Python
-    step per dart.
+    step per dart.  ``origin`` and ``reverse`` (dart id -> id) are views:
+    the constructor keeps the dicts it is given, and a graph made by
+    ``from_tables`` renders them from the tables on first use.  A caller
+    that reads them once per dart binds them to a local first.
 
     The constructor is permissive: it accepts structurally broken data
     (non-involutive reversal, missing origins) so that ``validate_graph``
@@ -112,7 +114,7 @@ class Graph:
     validation assume a valid graph.
     """
 
-    __slots__ = ("vertices", "darts", "origin", "reverse", "vertex_colour",
+    __slots__ = ("vertices", "darts", "_origin", "_reverse", "vertex_colour",
                  "dart_colour", "org", "rev", "_index", "_order", "_first", "_star")
 
     def __init__(self, vertices, darts, origin, reverse,
@@ -125,10 +127,10 @@ class Graph:
         dindex = _positions(self.darts)
         if len(dindex) != len(self.darts):
             raise GraphError("duplicate dart identifiers")
-        self.origin = dict(origin)
-        self.reverse = dict(reverse)
-        self.org = list(map(vindex.get, map(self.origin.get, self.darts), repeat(-1)))
-        self.rev = list(map(dindex.get, map(self.reverse.get, self.darts), repeat(-1)))
+        self._origin = dict(origin)
+        self._reverse = dict(reverse)
+        self.org = list(map(vindex.get, map(self._origin.get, self.darts), repeat(-1)))
+        self.rev = list(map(dindex.get, map(self._reverse.get, self.darts), repeat(-1)))
         self.vertex_colour = dict(vertex_colour or {})
         self.dart_colour = dict(dart_colour or {})
         self._index = vindex, dindex
@@ -139,15 +141,27 @@ class Graph:
                     vertex_colour=None, dart_colour=None) -> "Graph":
         """The graph on sorted, distinct ``vertices`` and ``darts`` whose
         dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``;
-        the tables must hold valid indices."""
+        the tables must hold valid indices.  No dict of ids is built."""
         g = cls.__new__(cls)
         g.vertices, g.darts, g.org, g.rev = tuple(vertices), tuple(darts), org, rev
-        g.origin = dict(zip(g.darts, map(g.vertices.__getitem__, org)))
-        g.reverse = dict(zip(g.darts, map(g.darts.__getitem__, rev)))
         g.vertex_colour = dict(vertex_colour or {})
         g.dart_colour = dict(dart_colour or {})
-        g._index = g._order = g._first = g._star = None
+        g._origin = g._reverse = g._index = g._order = g._first = g._star = None
         return g
+
+    @property
+    def origin(self) -> dict:
+        """dart id -> the id of its origin."""
+        if self._origin is None:
+            self._origin = dict(zip(self.darts, map(self.vertices.__getitem__, self.org)))
+        return self._origin
+
+    @property
+    def reverse(self) -> dict:
+        """dart id -> the id of its reversal."""
+        if self._reverse is None:
+            self._reverse = dict(zip(self.darts, map(self.darts.__getitem__, self.rev)))
+        return self._reverse
 
     def index(self) -> tuple:
         """(vertex id -> index, dart id -> index), built on first use."""
@@ -180,20 +194,25 @@ class Graph:
 
     def head(self, d: str) -> str:
         """Terminal vertex of a dart: origin of its reversal."""
-        return self.origin[self.reverse[d]]
+        try:
+            return self._origin[self._reverse[d]]
+        except TypeError:       # a view not rendered yet
+            return self.origin[self.reverse[d]]
 
     def edge_reps(self) -> tuple:
         """One canonical dart (the smaller identifier) per geometric edge."""
-        return tuple(d for d in self.darts if d <= self.reverse[d])
+        # darts are numbered in id order, so d <= reverse d is i <= rev[i]
+        return tuple(compress(self.darts, map(le, count(), self.rev)))
 
     def n_edges(self) -> int:
         return len(self.darts) // 2
 
     def canonical(self) -> tuple:
         """Canonical nested-tuple form, used for equality and serialization."""
+        origin, reverse = self.origin, self.reverse
         return (
             self.vertices,
-            tuple((d, self.reverse.get(d), self.origin.get(d),
+            tuple((d, reverse.get(d), origin.get(d),
                    self.dart_colour.get(d)) for d in self.darts),
             tuple((v, self.vertex_colour.get(v)) for v in self.vertices),
         )
@@ -279,9 +298,9 @@ class Graph:
             {d: dcol[d] for d in ds if d in dcol} if dcol else None)
 
     def distances_from(self, v0: str) -> dict:
-        dist = {}
+        dist, origin = {}, self.origin
         for v, d in self.bfs(v0).items():
-            dist[v] = 0 if d is None else dist[self.origin[d]] + 1
+            dist[v] = 0 if d is None else dist[origin[d]] + 1
         return dist
 
     def diameter(self) -> int:

@@ -270,7 +270,7 @@ class ObjectLocalSystem(LocalSystem):
         """The map from the anchor's edge object onto the image's."""
         e, y, r = atom
         domains = self.numbering.domains
-        source, target = domains[self.union.origin[e]], domains[y]
+        source, target = domains[self._origin[e]], domains[y]
         vmap, emap = {}, {}
         for i, j in zip(self.numbering.dom[e], r):
             p, q = source[i], target[j]

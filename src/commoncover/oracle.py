@@ -16,18 +16,18 @@ from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism, Verificat
 
 def permutation_cover(g: Graph, degree: int, voltages: dict):
     """Degree-m cover from a permutation per geometric edge representative."""
-    perms = {}
+    perms, g_origin, g_reverse = {}, g.origin, g.reverse
     for rep in g.edge_reps():
         sigma = voltages.get(rep, tuple(range(degree)))
         perms[rep] = sigma
         inv = [0] * degree
         for i, j in enumerate(sigma):
             inv[j] = i
-        perms[g.reverse[rep]] = tuple(inv)
+        perms[g_reverse[rep]] = tuple(inv)
     vid = {(v, i): "%s@%d" % (v, i) for v in g.vertices for i in range(degree)}
     did = {(d, i): "%s@%d" % (d, i) for d in g.darts for i in range(degree)}
-    origin = {did[(d, i)]: vid[(g.origin[d], i)] for d, i in did}
-    reverse = {did[(d, i)]: did[(g.reverse[d], perms[d][i])] for d, i in did}
+    origin = {did[(d, i)]: vid[(g_origin[d], i)] for d, i in did}
+    reverse = {did[(d, i)]: did[(g_reverse[d], perms[d][i])] for d, i in did}
     vcol = {vid[(v, i)]: g.vertex_colour[v] for v, i in vid if v in g.vertex_colour}
     dcol = {did[(d, i)]: g.dart_colour[d] for d, i in did if d in g.dart_colour}
     cover = Graph(vid.values(), did.values(), origin, reverse, vcol, dcol)
@@ -58,6 +58,7 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
     counter = budget
     v0 = h.vertices[0]
     position = {d: i for i, d in enumerate(h.darts)}
+    h_origin, h_reverse, t_reverse = h.origin, h.reverse, target.reverse
 
     def compatible(v, w):
         if h.degree(v) != target.degree(w):
@@ -69,23 +70,23 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
     def images(pending, vmap, dmap):
         # lazily, so each image is tested against the maps as they stand;
         # e must be unused in the star of v, and its reverse in that of w
-        v = h.origin[pending]
-        w = h.head(pending)
+        v = h_origin[pending]
+        w = h_origin[h_reverse[pending]]
         used = {dmap[x] for x in h.star(v) if x in dmap}
         used_at_w = {dmap[x] for x in h.star(w) if x in dmap} if w in vmap else ()
         hc = h.dart_colour.get(pending)
-        hrc = h.dart_colour.get(h.reverse[pending])
+        hrc = h.dart_colour.get(h_reverse[pending])
         for e in target.star(vmap[v]):
             if e in used:
                 continue
             tc = target.dart_colour.get(e)
-            trc = target.dart_colour.get(target.reverse[e])
+            trc = target.dart_colour.get(t_reverse[e])
             if (hc is not None and tc is not None and hc != tc
                     or hrc is not None and trc is not None and hrc != trc):
                 continue
             tw = target.head(e)
             if w in vmap:
-                if vmap[w] != tw or target.reverse[e] in used_at_w:
+                if vmap[w] != tw or t_reverse[e] in used_at_w:
                     continue
             elif not compatible(w, tw):
                 continue
@@ -97,7 +98,7 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
         # that are dropped here
         while frontier:
             d = h.darts[frontier[0]]
-            if d not in dmap and h.origin[d] in vmap:
+            if d not in dmap and h_origin[d] in vmap:
                 return d
             heapq.heappop(frontier)
         return None
@@ -129,7 +130,7 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
             while stack:
                 pending, untried, fresh = stack[-1]
                 if pending in dmap:
-                    for d in (pending, h.reverse[pending]):
+                    for d in (pending, h_reverse[pending]):
                         del dmap[d]
                         heapq.heappush(frontier, position[d])
                 if fresh:
@@ -138,7 +139,7 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
                 if e is not None:
                     vmap[h.head(pending)] = target.head(e)
                     dmap[pending] = e
-                    dmap[h.reverse[pending]] = target.reverse[e]
+                    dmap[h_reverse[pending]] = t_reverse[e]
                     if fresh:
                         push_star(frontier, h.head(pending))
                     break

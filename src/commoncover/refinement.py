@@ -32,18 +32,20 @@ def _colour_key(colour):
     return (colour is not None, colour)
 
 
-def _dart_type(g: Graph, d: str, block_of: dict):
-    """(colour, reverse colour, head block) of a dart, with the colours as
-    ``_colour_key``s so that a star with coloured and uncoloured darts
-    sorts."""
-    return (_colour_key(g.dart_colour.get(d)),
-            _colour_key(g.dart_colour.get(g.reverse[d])), block_of[g.head(d)])
+def _dart_type(g: Graph, block_of: dict):
+    """The function: dart -> (colour, reverse colour, head block), with the
+    colours as ``_colour_key``s so that a star with coloured and uncoloured
+    darts sorts."""
+    colour, origin, reverse = g.dart_colour, g.origin, g.reverse
+    return lambda d: (_colour_key(colour.get(d)), _colour_key(colour.get(reverse[d])),
+                      block_of[origin[reverse[d]]])
 
 
 def _refine_once(g: Graph, block_of: dict) -> dict:
     keys = {}
+    dart_type = _dart_type(g, block_of)
     for v in g.vertices:
-        sig = tuple(sorted(_dart_type(g, d, block_of) for d in g.star(v)))
+        sig = tuple(sorted(map(dart_type, g.star(v))))
         keys[v] = (block_of[v], sig)
     order = sorted(set(keys.values()))
     index = {k: i for i, k in enumerate(order)}

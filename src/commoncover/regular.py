@@ -37,9 +37,9 @@ def euler_circuit(g: Graph, darts) -> list:
     the circuit is returned as a dart sequence and covers each geometric
     edge exactly once.  Runs per connected piece caller-side.
     """
-    at = {}
+    at, origin, reverse = {}, g.origin, g.reverse
     for d in sorted(darts):
-        at.setdefault(g.origin[d], []).append(d)
+        at.setdefault(origin[d], []).append(d)
     used = set()
     start = min(at)
     stack = [start]
@@ -61,9 +61,9 @@ def euler_circuit(g: Graph, darts) -> list:
                 circuit.append(path.pop())
         else:
             used.add(found)
-            used.add(g.reverse[found])
+            used.add(reverse[found])
             path.append(found)
-            stack.append(g.head(found))
+            stack.append(origin[reverse[found]])
     circuit.reverse()
     return circuit
 
@@ -113,7 +113,8 @@ def _split_two_factor(g: Graph, darts) -> set:
     remaining = set(darts)
     oriented = []
     seen_v = set()
-    verts = sorted({g.origin[d] for d in remaining})
+    origin, reverse = g.origin, g.reverse
+    verts = sorted({origin[d] for d in remaining})
     for v in verts:
         if v in seen_v:
             continue
@@ -123,7 +124,7 @@ def _split_two_factor(g: Graph, darts) -> set:
         oriented.extend(euler_circuit(g, comp_darts))
     adjacency = {}
     for d in oriented:
-        adjacency.setdefault(g.origin[d], []).append((d, g.head(d)))
+        adjacency.setdefault(origin[d], []).append((d, origin[reverse[d]]))
     for v in adjacency:
         adjacency[v].sort()
     matched = max_bipartite_matching(adjacency)
@@ -132,7 +133,7 @@ def _split_two_factor(g: Graph, darts) -> set:
     factor = set()
     for d in matched.values():
         factor.add(d)
-        factor.add(g.reverse[d])
+        factor.add(reverse[d])
     return factor
 
 
@@ -155,12 +156,12 @@ def two_factorization(g: Graph) -> list:
 def two_colouring(g: Graph) -> Optional[dict]:
     """Breadth-first parity colouring of every component, or None when
     some dart joins two vertices of one colour."""
-    colour = {}
+    colour, origin, reverse = {}, g.origin, g.reverse
     for v0 in g.vertices:
         if v0 not in colour:
             for v, d in g.bfs(v0).items():
-                colour[v] = 0 if d is None else 1 - colour[g.origin[d]]
-    if any(colour[g.origin[d]] == colour[g.head(d)] for d in g.darts):
+                colour[v] = 0 if d is None else 1 - colour[origin[d]]
+    if any(colour[origin[d]] == colour[origin[reverse[d]]] for d in g.darts):
         return None
     return colour
 
@@ -169,8 +170,9 @@ def bipartite_double(g: Graph):
     """Double cover whose cycles are all even (bipartite by parity)."""
     vid = {(v, i): "%s#%d" % (v, i) for v in g.vertices for i in (0, 1)}
     did = {(d, i): "%s#%d" % (d, i) for d in g.darts for i in (0, 1)}
-    origin = {did[(d, i)]: vid[(g.origin[d], i)] for d, i in did}
-    reverse = {did[(d, i)]: did[(g.reverse[d], 1 - i)] for d, i in did}
+    g_origin, g_reverse = g.origin, g.reverse
+    origin = {did[(d, i)]: vid[(g_origin[d], i)] for d, i in did}
+    reverse = {did[(d, i)]: did[(g_reverse[d], 1 - i)] for d, i in did}
     vcol = {vid[(v, i)]: g.vertex_colour[v] for v, i in vid if v in g.vertex_colour}
     dcol = {did[(d, i)]: g.dart_colour[d] for d, i in did if d in g.dart_colour}
     double = Graph(vid.values(), did.values(), origin, reverse, vcol, dcol)
@@ -186,13 +188,20 @@ def one_factorization(g: Graph) -> list:
     colour = two_colouring(g)
     if colour is None:
         raise GraphError("bipartite graph required")
+    return _matchings(g, k, colour)
+
+
+def _matchings(g: Graph, k: int, colour: dict) -> list:
+    """``one_factorization`` of a k-regular graph with the two-colouring
+    ``colour``."""
+    origin, reverse = g.origin, g.reverse
     remaining = set(g.darts)
     factors = []
     for step in range(k):
         adjacency = {}
         for v in g.vertices:
             if colour[v] == 0:
-                adjacency[v] = sorted((d, g.head(d))
+                adjacency[v] = sorted((d, origin[reverse[d]])
                                       for d in g.star(v) if d in remaining)
         matched = max_bipartite_matching(adjacency)
         if len(matched) != len(adjacency):
@@ -200,7 +209,7 @@ def one_factorization(g: Graph) -> list:
         factor = set()
         for d in matched.values():
             factor.add(d)
-            factor.add(g.reverse[d])
+            factor.add(reverse[d])
         factors.append(factor)
         remaining -= factor
     return factors
@@ -211,9 +220,9 @@ def _orient_factor(g: Graph, factor) -> set:
     each cycle from its least vertex."""
     forward = set()
     visited = set()
-    at = {}
+    at, origin, reverse = {}, g.origin, g.reverse
     for d in sorted(factor):
-        at.setdefault(g.origin[d], []).append(d)
+        at.setdefault(origin[d], []).append(d)
     for v0 in sorted(at):
         starts = [d for d in at[v0] if d not in visited]
         if not starts:
@@ -221,9 +230,9 @@ def _orient_factor(g: Graph, factor) -> set:
         d = starts[0]
         while d not in visited:
             visited.add(d)
-            visited.add(g.reverse[d])
+            visited.add(reverse[d])
             forward.add(d)
-            w = g.head(d)
+            w = origin[reverse[d]]
             nxt = [x for x in at.get(w, ()) if x not in visited]
             if not nxt:
                 break
@@ -247,10 +256,10 @@ def path_covering(g: Graph, factors, colour) -> GraphMorphism:
     bipartite regular graph (colour = the 2-colouring)."""
     target = families.theta(len(factors))
     vmap = {v: "v%02d" % colour[v] for v in g.vertices}
-    dmap = {}
+    dmap, origin = {}, g.origin
     for i, factor in enumerate(factors):
         for dart in factor:
-            dmap[dart] = "e%02d.%s" % (i, "a" if colour[g.origin[dart]] == 0 else "b")
+            dmap[dart] = "e%02d.%s" % (i, "a" if colour[origin[dart]] == 0 else "b")
     return GraphMorphism(g, target, vmap, dmap)
 
 
@@ -274,8 +283,9 @@ def factorize_regular(g: Graph) -> Factorization:
             raise VerificationError("rose map is not a covering")
         return Factorization("even", factors, cov)
     double, proj = bipartite_double(g)
-    factors = one_factorization(double)
+    # the double has only even cycles, so it is two-coloured
     colour = two_colouring(double)
+    factors = _matchings(double, k, colour)
     cov = path_covering(double, factors, colour)
     if not is_covering(cov).ok:
         raise VerificationError("path map is not a covering")

@@ -77,10 +77,10 @@ class StarLocalSystem(LocalSystem):
         return (atom[0], self.atom_image(atom))
 
 
-def _grouped_star(union, block_of, v):
+def _grouped_star(union, dart_type, v):
     groups = {}
     for d in union.star(v):
-        groups.setdefault(_dart_type(union, d, block_of), []).append(d)
+        groups.setdefault(dart_type(d), []).append(d)
     return groups
 
 
@@ -88,7 +88,8 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
     """Every type-preserving star bijection within a block; their number,
     sum over blocks B of |B|^2 prod_t k_t!, is checked before allocating."""
     block_of = joint.partition.block_of
-    grouped = {v: _grouped_star(union, block_of, v) for v in union.vertices}
+    dart_type = _dart_type(union, block_of)
+    grouped = {v: _grouped_star(union, dart_type, v) for v in union.vertices}
     count = sum(len(block) ** 2 * prod(factorial(len(ds))
                                         for ds in grouped[block[0]].values())
                 for block in joint.partition.blocks)

@@ -36,9 +36,9 @@ class AlignmentBudgetError(BudgetExceeded):
 
 def reduce_path(g: Graph, darts) -> Path:
     """Free reduction: cancel adjacent mutually-reverse darts."""
-    out = []
+    out, reverse = [], g.reverse
     for d in darts:
-        if out and g.reverse[out[-1]] == d:
+        if out and reverse[out[-1]] == d:
             out.pop()
         else:
             out.append(d)
@@ -46,7 +46,7 @@ def reduce_path(g: Graph, darts) -> Path:
 
 
 def invert_path(g: Graph, path: Path) -> Path:
-    return tuple(g.reverse[d] for d in reversed(path))
+    return tuple(map(g.reverse.__getitem__, reversed(path)))
 
 
 class UniversalCover:
@@ -56,6 +56,7 @@ class UniversalCover:
         if not graph.is_connected():
             raise GraphError("connected graph required")
         self.graph = graph
+        self._origin, self._reverse = graph.origin, graph.reverse
         self.basepoint = basepoint if basepoint is not None else graph.vertices[0]
         if self.basepoint not in graph.vertices:
             raise GraphError("vertex not in graph: %r" % (self.basepoint,))
@@ -79,26 +80,26 @@ class UniversalCover:
     # -- paths and projection ----------------------------------------------
 
     def check_path(self, path: Path) -> None:
-        g = self.graph
+        origin, reverse = self._origin, self._reverse
         at = self.basepoint
         prev = None
         for d in path:
-            if d not in g.origin or g.origin[d] != at:
+            if d not in origin or origin[d] != at:
                 raise GraphError("non-reduced path")
-            if prev is not None and g.reverse[prev] == d:
+            if prev is not None and reverse[prev] == d:
                 raise GraphError("non-reduced path")
             prev = d
-            at = g.head(d)
+            at = origin[reverse[d]]
 
     def project(self, path: Path) -> str:
         """Base vertex under the covering projection."""
-        return self.graph.head(path[-1]) if path else self.basepoint
+        return self._origin[self._reverse[path[-1]]] if path else self.basepoint
 
     def step(self, path: Path, dart: str) -> Path:
         """Neighbouring tree vertex in the direction of a base dart."""
-        if self.graph.origin[dart] != self.project(path):
+        if self._origin[dart] != self.project(path):
             raise GraphError("dart %r does not start at the path endpoint" % (dart,))
-        if path and self.graph.reverse[path[-1]] == dart:
+        if path and self._reverse[path[-1]] == dart:
             return path[:-1]
         return path + (dart,)
 
@@ -111,7 +112,7 @@ class UniversalCover:
         if len(b) == len(a) + 1 and b[:len(a)] == a:
             return b[-1]
         if len(a) == len(b) + 1 and a[:len(b)] == b:
-            return self.graph.reverse[a[-1]]
+            return self._reverse[a[-1]]
         raise GraphError("tree vertices are not adjacent")
 
     # -- canonical lifts ----------------------------------------------------
@@ -126,7 +127,7 @@ class UniversalCover:
             while u not in cache:
                 d = self.parent_dart[u]
                 chain.append((u, d))
-                u = self.graph.origin[d]
+                u = self._origin[d]
             path = cache[u]
             for u, d in reversed(chain):
                 path = cache[u] = path + (d,)
@@ -167,14 +168,14 @@ class UniversalCover:
 
     def loop_to_word(self, loop: Path) -> tuple:
         """Express a reduced basepoint loop as a word in the free generators."""
-        word = []
+        word, gen_index, reverse = [], self._gen_index, self._reverse
         for d in loop:
-            if d in self._gen_index:
-                word.append((self._gen_index[d], 1))
+            if d in gen_index:
+                word.append((gen_index[d], 1))
             else:
-                rd = self.graph.reverse[d]
-                if rd in self._gen_index:
-                    word.append((self._gen_index[rd], -1))
+                rd = reverse[d]
+                if rd in gen_index:
+                    word.append((gen_index[rd], -1))
         return tuple(word)
 
     # -- balls ----------------------------------------------------------------
@@ -236,14 +237,17 @@ class TreeAlignment:
         self.radius_built = 0
         self._frontier = [((), ())]
 
-    def _dart_type(self, g: Graph, prefix: str, d: str):
-        b = self.joint.partition.block_of
-        return (g.dart_colour.get(d), g.dart_colour.get(g.reverse[d]),
-                b[prefix + g.head(d)])
+    def _dart_type(self, g: Graph, prefix: str):
+        """The function: dart of g -> (colour, reverse colour, head block)."""
+        b, colour, origin, reverse = (self.joint.partition.block_of, g.dart_colour,
+                                      g.origin, g.reverse)
+        return lambda d: (colour.get(d), colour.get(reverse[d]), b[prefix + origin[reverse[d]]])
 
     def ensure_radius(self, r: int) -> None:
         if r > self.max_radius:
             raise AlignmentBudgetError("alignment radius cap exceeded (%d)" % r)
+        type1 = self._dart_type(self.c1.graph, "1:")
+        type2 = self._dart_type(self.c2.graph, "2:")
         while self.radius_built < r:
             nxt = []
             for z1, z2 in self._frontier:
@@ -251,12 +255,12 @@ class TreeAlignment:
                 pend2 = [(d, w) for d, w in self.c2.star_darts(z2) if w not in self.bwd]
                 used = set()
                 for d, w in pend1:
-                    t = self._dart_type(self.c1.graph, "1:", d)
+                    t = type1(d)
                     pick = None
                     for j, (e, u) in enumerate(pend2):
                         if j in used:
                             continue
-                        if self._dart_type(self.c2.graph, "2:", e) == t:
+                        if type2(e) == t:
                             pick = j
                             break
                     if pick is None:

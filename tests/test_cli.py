@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commoncover import families
-from commoncover.cli import (_encoder, _write, build_parser, dump_graph,
-                             dump_object_graph, load_graph, load_object_graph, main,
-                             write_json)
-from commoncover.graphs import VerificationError
+from commoncover.cli import (SchemaError, _encoder, _graph_from_data, _write, build_parser,
+                             dump_graph, dump_object_graph, load_graph, load_object_graph,
+                             main, write_json)
+from commoncover.graphs import Graph, GraphError, VerificationError, validate_graph
 from commoncover.object_graphs import rotation_pair
+
+from conftest import random_cubic_graph
 
 
 def _write_graph(tmp_path, name, g):
@@ -327,6 +331,119 @@ def test_verify_non_string_vmap_value_exits_two(tmp_path, capsys):
     write_json(path, data)
     assert main(["verify", out, c3, c3]) == 2
     assert "mu1.json: needs vmap and dmap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["vmap", "dmap"])
+def test_verify_key_not_in_the_cover_exits_two(tmp_path, capsys, table):
+    th3 = _write_graph(tmp_path, "theta3.json", families.theta(3))
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    out = str(tmp_path / "out")
+    assert main(["build", th3, k4, "--backend", "star", "--strategy", "aligned",
+                 "-o", out]) == 0
+    path = os.path.join(out, "mu1.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    # the extra key maps onto a valid image, so the map is still a covering
+    data[table]["zzz"] = data[table][sorted(data[table])[0]]
+    write_json(path, data)
+    assert main(["verify", out, th3, k4]) == 2
+    assert ("mu1.json: %s key 'zzz' is not an id of the cover graph" % table
+            in capsys.readouterr().err)
+
+
+def _records(g: Graph) -> dict:
+    """``dump_graph(g)`` with every record a fresh dict."""
+    return json.loads(json.dumps(dump_graph(g)))
+
+
+def _constructor_result(payload, where):
+    """``Graph(...)`` of the records, or the SchemaError text that the
+    constructor or ``validate_graph`` gives for them."""
+    vs, ds = payload["vertices"], payload["darts"]
+    try:
+        g = Graph([e["id"] for e in vs], [e["id"] for e in ds],
+                  {e["id"]: e["from"] for e in ds}, {e["id"]: e["reverse"] for e in ds},
+                  {e["id"]: e["colour"] for e in vs if "colour" in e},
+                  {e["id"]: e["colour"] for e in ds if "colour" in e})
+    except GraphError as exc:
+        return "%s: %s" % (where, exc)
+    report = validate_graph(g)
+    return g if report.ok else "%s: %s" % (where, "; ".join(report.violations[:3]))
+
+
+def _loader_result(payload, where):
+    try:
+        return _graph_from_data(payload, where)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _shuffled(payload):
+    rng = random.Random(5)
+    for records in payload.values():
+        rng.shuffle(records)
+    return payload
+
+
+def _edited(payload, table, i, **fields):
+    payload[table][i].update(fields)
+    return payload
+
+
+def _loader_cases():
+    k4, th3 = families.complete(4), families.theta(3)
+    coloured = families.with_vertex_colour(k4, {v: "red" for v in k4.vertices})
+    coloured = Graph(coloured.vertices, coloured.darts, coloured.origin, coloured.reverse,
+                     coloured.vertex_colour, {d: d[-1] for d in k4.darts})
+    partly = Graph(th3.vertices, th3.darts, th3.origin, th3.reverse,
+                   {"v00": "red"}, {"e00.a": "blue"})
+    first = _records(th3)["darts"][0]["id"]
+    return {
+        "in order": _records(k4),
+        "shuffled": _shuffled(_records(k4)),
+        "shuffled coloured": _shuffled(_records(coloured)),
+        "partly coloured": _records(partly),
+        "missing origin": _edited(_records(th3), "darts", 0, **{"from": None}),
+        "origin not a vertex": _edited(_records(th3), "darts", 1, **{"from": "nope"}),
+        "unknown reversal": _edited(_records(th3), "darts", 1, reverse="nope"),
+        "duplicate dart id": _edited(_records(th3), "darts", 1, id=first),
+        "duplicate vertex id": _edited(_records(th3), "vertices", 1, id="v00"),
+        "fixed point": _edited(_records(th3), "darts", 0, reverse=first),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_loader_cases()))
+def test_loader_agrees_with_the_constructor(case):
+    payload = _loader_cases()[case]
+    expected = _constructor_result(copy.deepcopy(payload), "g.json")
+    got = _loader_result(payload, "g.json")
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        # plain records are read into the tables alone, coloured ones by
+        # the constructor; comparing the graphs renders the views
+        assert isinstance(got, Graph)
+        assert (got._origin is None) == ("coloured" not in case)
+        assert got == expected
+        assert (got.org, got.rev) == (expected.org, expected.rev)
+        assert (got.vertex_colour, got.dart_colour) == (expected.vertex_colour,
+                                                        expected.dart_colour)
+
+
+def test_verify_renders_no_id_views(tmp_path, monkeypatch):
+    p1 = _write_graph(tmp_path, "cubic40.json", random_cubic_graph(random.Random(1), 40))
+    p2 = _write_graph(tmp_path, "cubic30.json", random_cubic_graph(random.Random(1), 30))
+    out = str(tmp_path / "out")
+    assert main(["regular", p1, p2, "-o", out]) == 0
+    rendered = []
+    for name in ("origin", "reverse"):
+        def spy(g, view=Graph.__dict__[name], name=name):
+            if getattr(g, "_" + name) is None:
+                rendered.append((name, len(g.darts)))
+            return view.fget(g)
+        monkeypatch.setattr(Graph, name, property(spy))
+    assert main(["verify", out, p1, p2]) == 0
+    assert rendered == []
 
 
 @pytest.mark.parametrize("key, value", [("dart_map", 5), ("edge_maps", [1]),

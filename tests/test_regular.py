@@ -1,15 +1,19 @@
+import json
+import os
 import random
 
 import pytest
 
 from commoncover import families
-from commoncover.graphs import GraphError, is_covering
+from commoncover.cli import _graph_from_data, dump_graph, main, write_json
+from commoncover.graphs import Graph, GraphError, is_covering
 from commoncover.oracle import find_covering
 from commoncover.regular import (bipartite_double, factorize_regular,
                                  one_factorization, regular_common_cover,
                                  two_colouring, two_factorization)
 
 from conftest import random_cubic_graph
+from test_golden_artifacts import CASES, GRAPHS
 
 
 def _check_two_factor(g, factor):
@@ -121,3 +125,29 @@ def test_factorize_large_cubic_graph_without_recursion():
     assert result.kind == "odd"
     assert len(result.factors) == 3
     assert is_covering(result.covering).ok
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] == "regular"))
+def test_id_views_match_the_constructor(tmp_path, case):
+    # the cover is a pullback, or a restriction of one where a cut drops
+    # components (regular-c4-c6, regular-k4-k33); both and the cover loaded
+    # from disk are built from tables, and their views must give the dicts
+    # of Graph(...) on the written records
+    _, first, second, extra = CASES[case]
+    g1, g2 = GRAPHS[first](), GRAPHS[second]()
+    built = regular_common_cover(g1, g2, "all" if "all" in extra else "least")
+    paths = [str(tmp_path / (name + ".json")) for name in (first, second)]
+    for path, g in zip(paths, (g1, g2)):
+        write_json(path, dump_graph(g))
+    out = str(tmp_path / "out")
+    assert main(["regular", *paths, *extra, "-o", out]) == 0
+    with open(os.path.join(out, "cover.json")) as fh:
+        records = json.load(fh)["graph"]
+    vs, ds = records["vertices"], records["darts"]
+    reference = Graph([e["id"] for e in vs], [e["id"] for e in ds],
+                      {e["id"]: e["from"] for e in ds}, {e["id"]: e["reverse"] for e in ds})
+    loaded = _graph_from_data(records, "cover.json")
+    for g in (built.graph, loaded):
+        assert (g._origin, g._reverse) == (None, None)
+        assert g == reference and g.canonical() == reference.canonical()
+        assert g.origin == reference.origin and g.reverse == reference.reverse
