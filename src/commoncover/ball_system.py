@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError, disjoint_union, side_of, strip_side
-from .groupoids import PermArrow, saturate
+from .groupoids import PermArrow, gather, saturate
 from .refinement import JointBlocks, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
 
@@ -126,8 +126,8 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
         w1 = c1.deck_loop(c1.canonical_lift(x), z)
         w2 = c2.deck_loop(z2, c2.canonical_lift(y))
         at = positions[dst]
-        perm = tuple([at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
-                      for p in domains[src]])
+        perm = [at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
+                for p in domains[src]]
         arrow = BallArrow(
             src, dst, perm, domains[src], domains[dst],
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
@@ -135,7 +135,7 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
         vertex_arrows.setdefault(arrow.key, arrow)
         # the edge atoms at this vertex are restrictions of the same map
         for e in union.star(src):
-            edge_atoms.add((e, dst, tuple([perm[i] for i in dom[e]])))
+            edge_atoms.add((e, dst, gather(dom[e])(arrow.table)))
     return DiscoveredAtoms([vertex_arrows[k] for k in sorted(vertex_arrows)],
                            sorted(edge_atoms), radius, explore_radius, numbering)
 
@@ -191,7 +191,7 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
     domains = numbering.domains
 
     def identity_factory(x):
-        return BallArrow(x, x, tuple(range(len(domains[x]))), domains[x], domains[x])
+        return BallArrow(x, x, range(len(domains[x])), domains[x], domains[x])
 
     groupoid = saturate(discovered.vertex_arrows, union.vertices, identity_factory)
     sys = BallLocalSystem(g1, g2, union, groupoid, joint, alignment,
@@ -212,12 +212,17 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
     return sys
 
 
-def build_ball_system_retrying(g1, g2, radius,
-                               explore_radius=None) -> BallLocalSystem:
+def build_ball_system_retrying(g1, g2, radius, explore_radius=None,
+                               joint: JointBlocks = None) -> BallLocalSystem:
+    """``build_ball_system`` with doubling retries on axiom failure.  The
+    joint refinement (computed unless given) and the alignment are built
+    once, and every retry grows the same alignment."""
     if explore_radius is None:
         explore_radius = radius + g1.diameter() + g2.diameter()
+    joint = joint or joint_refinement(g1, g2)
+    alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
     return retry_doubling(lambda rho: build_ball_system(
-        g1, g2, radius, explore_radius=rho), explore_radius)
+        g1, g2, radius, rho, joint, alignment), explore_radius)
 
 
 def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:

@@ -495,7 +495,7 @@ def _write_cover(outdir, cover, fields) -> None:
 
 def cmd_build(args) -> int:
     g1, g2 = load_graph(args.first), load_graph(args.second)
-    ok, _ = common_cover_exists(g1, g2)
+    ok, joint = common_cover_exists(g1, g2)
     if not ok:
         print("no common cover", file=_sys.stderr)
         return 1
@@ -503,11 +503,11 @@ def cmd_build(args) -> int:
     fields = {"backend": args.backend}
     if args.backend == "star":
         strategy = STRATEGY_DR_FULL if args.strategy == "dr" else STRATEGY_ALIGNED
-        system = build_star_system_retrying(g1, g2, strategy, args.explore)
+        system = build_star_system_retrying(g1, g2, strategy, args.explore, joint)
         cover = build_cover(system, component=args.component)
         fields["strategy"] = args.strategy
     elif args.backend == "ball":
-        system = build_ball_system_retrying(g1, g2, args.radius, args.explore)
+        system = build_ball_system_retrying(g1, g2, args.radius, args.explore, joint)
         based_arrow = None
         if args.based:
             based_arrow = discover_atoms(g1, g2, system.alignment,
@@ -518,8 +518,9 @@ def cmd_build(args) -> int:
                                    check_fixed_ball=args.based)
         fields["radius"] = args.radius
     else:
-        cover = build_glued_cover(g1, g2, args.radius, args.explore,
-                                  component=args.component)
+        cover = build_glued_cover(g1, g2, args.radius, args.explore, args.component,
+                                  build_ball_system_retrying(
+                                      g1, g2, args.radius, args.explore, joint))
         weights = cover.extra["weights"]
         fields.update(radius=args.radius, subdivided=cover.extra["subdivided"],
                       weights={"scale": weights.scale,
@@ -568,6 +569,7 @@ def cmd_verify(args) -> int:
     payload = _read_json(cover_path)
     _expect(isinstance(payload, dict), cover_path, "top level must be an object")
     cover = _graph_from_data(payload.get("graph", payload), cover_path)
+    degrees = payload.get("degrees")
     del payload             # the largest structure of a verify, not needed further
     g1, g2 = load_graph(args.first), load_graph(args.second)
     mu1 = load_morphism(os.path.join(cover_dir, "mu1.json"), cover, g1)
@@ -577,6 +579,9 @@ def cmd_verify(args) -> int:
         if not rep.ok:
             print("%s fails: %s at %r" % (name, rep.reason, rep.witness))
             return 1
+    if degrees not in (None, [len(cover.vertices) / len(g.vertices) for g in (g1, g2)]):
+        print("degrees fails: %r is not |V(C)|/|V(g_i)| on each side" % (degrees,))
+        return 1
     print("cover verifies onto both inputs")
     return 0
 

@@ -16,7 +16,10 @@ its arrows are ``PermArrow`` permutations of the domains of a
 neighbourhood of a dart, held as (anchor dart, target object, positions).
 An atom is its own key.  The checks, the orbit engine and the assembly act
 on a whole row of arrows at once through ``act_row``, one C call per arrow;
-``act`` is the row of one arrow.  The atom sets are computed once, here:
+``act`` is the row of one arrow.  A bundle is several atoms at one target
+held as one: the tuple of their anchors and their positions concatenated.
+``act_row`` moves it part by part, with one C call per arrow for all the
+parts.  The atom sets are computed once, here:
 the atoms anchored at a dart e are {g.id_e : g in out(origin e)}, the orbit
 of the identity atom.  Subclasses render ``atom_serial``, the tuple the
 artifacts record; it is computed only for artifacts and failure messages.
@@ -34,11 +37,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
+from sys import intern
 from typing import Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      finish_cover, side_of, strip_side)
-from .groupoids import FiniteGroupoid, gather, lcm_all
+from .groupoids import FiniteGroupoid, encoding, gather, lcm_all, points
 
 
 class AxiomError(Exception):
@@ -102,9 +107,9 @@ class LocalSystem:
         self.axioms: Optional[AxiomReport] = None
         origin, rev = union.origin, union.reverse
         self._origin, self._rev = origin, rev
-        self._identity = {e: (e, origin[e], r) for e, r in numbering.dom.items()}
+        self._identity = {e: (e, intern(origin[e]), r) for e, r in numbering.dom.items()}
         self._dart_at, self._head_slot = numbering.dart_at, numbering.head_slot
-        self._head_vertex = {e: origin[rev[e]] for e in union.darts}
+        self._head_vertex = {e: intern(origin[rev[e]]) for e in union.darts}
 
     # -- atoms ----------------------------------------------------------------
 
@@ -112,10 +117,10 @@ class LocalSystem:
         return self._identity[dart]
 
     def act_row(self, arrows, atom) -> list:
-        """The atoms h.atom for every h in arrows, in order."""
+        """The atoms (or bundles) h.atom for every h in arrows, in order."""
         e, _, r = atom
         get = gather(r)
-        return [(e, h.dst, get(h.perm)) for h in arrows]
+        return [(e, h.dst, get(h.table)) for h in arrows]
 
     def act(self, arrow, atom):
         return self.act_row((arrow,), atom)[0]
@@ -126,9 +131,13 @@ class LocalSystem:
     def bar(self, atom):
         e, y, r = atom
         f = self._dart_at[y][r[self._head_slot[e]]]
-        move = self.numbering.move[f]
-        return (self._rev[e], self._head_vertex[f],
-                tuple([move[r[j]] for j in self.numbering.bar_slots[e]]))
+        move, slots, head = self.numbering.move[f], self.numbering.bar_slots[e], self._head_vertex[f]
+        if r.__class__ is move.__class__ is bytes:
+            return (self._rev[e], head, slots.translate(r.translate(move).ljust(256, b"\xff")))
+        moved = [move[r[j]] for j in slots]
+        # -1 (or 255) marks a position outside the neighbourhood: not an atom's bar
+        return (self._rev[e], head, tuple(moved) if -1 in moved else
+                points(moved, len(self.numbering.domains[head])))
 
     def atom_anchor(self, atom) -> str:
         return atom[0]
@@ -142,6 +151,15 @@ class LocalSystem:
     # -- the orbit engine ---------------------------------------------------
 
     @cached_property
+    def identity_rows(self) -> dict:
+        """dart e -> the atoms g.id_e for g in out(origin e), in ``by_source``
+        order: one ``act_row`` per dart, which ``atoms_by_anchor`` and the
+        action check read."""
+        by_source, origin = self.groupoid.by_source, self._origin
+        return {e: self.act_row(by_source.get(origin[e], ()), self.identity_atom(e))
+                for e in self.union.darts}
+
+    @cached_property
     def atoms_by_anchor(self) -> dict:
         """dart -> the atoms anchored at the dart, as the keys of a dict in
         the order first reached.
@@ -152,10 +170,7 @@ class LocalSystem:
         out of origin(e).  By the orbit-stabilizer law the set has
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
-        by_source, origin = self.groupoid.by_source, self._origin
-        return {e: dict.fromkeys(self.act_row(by_source.get(origin[e], ()),
-                                              self.identity_atom(e)))
-                for e in self.union.darts}
+        return {e: dict.fromkeys(row) for e, row in self.identity_rows.items()}
 
     def orbit_size(self, dart) -> int:
         return len(self.atoms_by_anchor[dart])
@@ -173,16 +188,18 @@ class LocalSystem:
         return self.groupoid.out_count(obj)
 
     def cross_arrows(self) -> list:
-        return sorted((a for a in self.groupoid.arrows
-                       if side_of(a.src) == 1 and side_of(a.dst) == 2),
-                      key=lambda a: a.key)
+        """The arrows from side 1 to side 2, in key order."""
+        return [a for a in self.groupoid.arrows
+                if side_of(a.src) == 1 and side_of(a.dst) == 2]
 
     def check_axioms(self) -> AxiomReport:
         """Check coverage (AX1), bar closure (AX2) and the action laws (AX3).
 
         Coverage and bar closure run over every atom: each atom's bar is an
         atom anchored at the reversed anchor, with the reversed image, and
-        its bar again is the atom itself.
+        its bar again is the atom itself.  Bars are computed once per atom,
+        one row per dart, and each row is compared whole with the row of the
+        reversed dart.
 
         The action laws are checked on identity atoms, and the check is
         complete.  Fix a dart e at x, write F(g) = g.id_e for g in out(x)
@@ -204,12 +221,13 @@ class LocalSystem:
 
         Cost: the darts are walked by origin, and while the origin x stays
         fixed each arrow r out of x has at most one row of composite keys,
-        h.r for every h out of dst r, compared by arrow number; no composite
-        arrow is built.  That is at most the sum over r in out(x) of
-        |out(dst r)| composed pairs per x, so no more than the groupoid's
-        composable pairs in total.  Each dart e takes one ``act`` for the
-        identity and one ``act_row`` over out(x), and each representative
-        one ``act_row`` over the arrows out of its target.
+        h.r for every h out of dst r, looked up by key; no composite arrow
+        is built.  That is at most the sum over r in out(x) of |out(dst r)|
+        composed pairs per x, so no more than the groupoid's composable
+        pairs in total.  One row decides (b) and (d) for r at every dart of
+        x at once, with one gather per pair (``_check_action``).  Each dart
+        e takes one ``act`` for the identity and reads its ``act_row`` over
+        out(x) from ``identity_rows``.
         """
         union = self.union
         atoms = self.atoms_by_anchor
@@ -230,16 +248,25 @@ class LocalSystem:
                     break
         bar_fail = None
         rev = union.reverse
-        bar = self.bar
+        anchor, image = self.atom_anchor, self.atom_image
+        checked, pending = set(), {}  # the bar rows of pairs checked one way
+
+        def bar_row(e):               # {atom: its bar}, one bar per atom
+            return pending.pop(e) if e in pending else dict(zip(atoms[e], map(self.bar, atoms[e])))
+
         for e in union.darts:
-            for atom in atoms[e]:
-                b = bar(atom)
-                if ((self.atom_anchor(b), self.atom_image(b))
-                        != (rev[e], rev[self.atom_image(atom)])
-                        or b not in atoms[rev[e]] or bar(b) != atom):
-                    bar_fail = self.atom_serial(atom)
-                    break
-            if bar_fail is not None:
+            f = rev[e]
+            row, back = bar_row(e), bar_row(f)
+            if f not in checked:
+                pending[e], pending[f] = row, back
+            checked.add(e)
+            bars = list(row.values())
+            if (list(map(back.get, bars)) != list(row)
+                    or list(map(anchor, bars)).count(f) != len(bars)
+                    or list(map(image, bars)) != list(map(rev.__getitem__, map(image, row)))):
+                bar_fail = next(self.atom_serial(atom) for atom, b in row.items()
+                                if (anchor(b), image(b)) != (f, rev[image(atom)])
+                                or back.get(b) != atom)
                 break
         action_fail = self._check_action()
         report = AxiomReport(
@@ -251,62 +278,79 @@ class LocalSystem:
     def _check_action(self) -> Optional[str]:
         """Checks (a) to (d) of ``check_axioms``; the first failure found.
 
-        Arrows are compared by number, their position in
-        ``groupoid.arrows``.  While the origin x stays fixed, ``row(j)``
-        memoizes the numbers of h.arrows[j] for h out of dst arrows[j], in
-        ``by_source`` order, with -1 where the composite is not an arrow:
-        one ``composite_keys`` row, looked up by key.  An arrow t in Stab
-        has dst t = eps(id_e) = x by (a), since atoms determine their image
-        dart, so row(t) runs over out(x).  Each check compares whole
-        rows, and walks a row to its first failing element only on a
-        mismatch, so the failure reported is the one the element-wise
-        order meets first.
+        The darts are walked by origin.  At an origin x, the identity atoms
+        of its darts form one bundle B, and ``bundles[i]`` is out[i].B, the
+        atoms F(out[i]) at every dart of x at once; composites are matched
+        to them by key.  ``held(i)`` composes the row h.out[i] for h out of
+        dst out[i] once, with one ``composite_keys`` row, and decides
+        F(h.out[i]) = h.F(out[i]) at every dart of x: the bundles of the
+        found composites against one ``act_row`` of the h on bundles[i],
+        one gather per element for all darts.  For t in Stab, F(t) = id_e,
+        so this is (b) at e; for a representative r it is (d).  An arrow t
+        in Stab has dst t = eps(id_e) = x by (a), since atoms determine
+        their image dart, so its row runs over out(x).  Only where the
+        bundles differ are the rows walked element by element at each dart,
+        so the failure reported is the one the element-wise order meets
+        first.
         """
-        groupoid = self.groupoid
-        arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
-        act_row = self.act_row
+        groupoid, identity_rows = self.groupoid, self.identity_rows
+        by_source, act_row = groupoid.by_source, self.act_row
         eps, anchor = self.eps, self.atom_anchor
         for x in self.union.vertices:
+            star = self.union.star(x)
+            if not star:
+                continue
             unit = groupoid.identities.get(x)
             out = by_source.get(x, ())
-            out_numbers = [number[g.key] for g in out]
-            rows = {}
+            keys, targets = [g.key for g in out], [g.dst for g in out]
+            ids = [self.identity_atom(e) for e in star]
+            parts = [r for _, _, r in ids]
+            bundles = act_row(out, (star, x, type(parts[0])(chain.from_iterable(parts))))
+            bundle_of = dict(zip(keys, bundles))
+            rows, verdicts = {}, {}     # the rows kept are those that fail
 
-            def row(j):
-                found = rows.get(j)
-                if found is None:
-                    b = arrows[j]
-                    found = rows[j] = [number.get(k, -1) for k in
-                                       b.composite_keys(by_source.get(b.dst, ()))]
-                return found
+            def held(i):
+                verdict = verdicts.get(i)
+                if verdict is None:
+                    hs = by_source.get(out[i].dst, ())
+                    row = out[i].composite_keys(hs)
+                    verdict = verdicts[i] = (list(map(bundle_of.get, row))
+                                             == act_row(hs, bundles[i]))
+                    if not verdict:
+                        rows[i] = row
+                return verdict
 
-            for e in self.union.star(x):
-                ident = self.identity_atom(e)
+            for e, ident in zip(star, ids):
                 if unit is None or self.act(unit, ident) != ident:
                     return "identity action fails over %r" % (x,)
-                moved = act_row(out, ident)
-                got = list(zip(map(eps, moved), map(anchor, moved)))
-                want = [(g.dst, e) for g in out]
-                if got != want:
-                    i = _first_difference(got, want)
-                    if got[i][0] != want[i][0]:
+                moved = identity_rows[e]
+                got, anchors = list(map(eps, moved)), list(map(anchor, moved))
+                if got != targets or anchors.count(e) != len(out):
+                    got = list(zip(got, anchors))
+                    i = _first_difference(got, list(zip(targets, repeat(e))))
+                    if got[i][0] != targets[i]:
                         return "action target mismatch at %r" % (out[i].serial,)
                     return "action moved an atom anchor at %r" % (out[i].serial,)
-                image = dict(zip(out_numbers, moved))
-                rep = {}
-                for n, ga in zip(out_numbers, moved):
-                    rep.setdefault(ga, n)
-                stab_images = [list(map(image.get, row(n)))
-                               for n, ga in zip(out_numbers, moved) if ga == ident]
-                bad = [_first_difference(ft, moved) for ft in stab_images if ft != moved]
-                if bad:
-                    return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
-                if any(c != len(stab_images) for c in Counter(moved).values()):
+                stab = list(compress(range(len(out)), map(ident.__eq__, moved)))
+                if not all(list(map(held, stab))):
+                    image = dict(zip(keys, moved)).get
+                    bad = [_first_difference(ft, moved) for ft in
+                           (list(map(image, rows[t])) for t in stab if t in rows)
+                           if ft != moved]
+                    if bad:
+                        return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
+                fibres = Counter(moved)
+                if set(fibres.values()) != {len(stab)}:
                     return "orbit-stabilizer count fails at %r" % (e,)
-                for a, r in rep.items():
-                    hs = by_source.get(arrows[r].dst, ())
+                first = dict(zip(reversed(moved), reversed(range(len(out)))))
+                for a in fibres:
+                    r = first[a]
+                    if held(r):
+                        continue
+                    image = dict(zip(keys, moved)).get
+                    hs = by_source.get(out[r].dst, ())
                     expected = act_row(hs, a)
-                    got = list(map(image.get, row(r)))
+                    got = list(map(image, rows[r]))
                     if got != expected:
                         return "action compatibility fails at %r" % (
                             hs[_first_difference(got, expected)].serial,)
@@ -332,9 +376,11 @@ class Numbering:
 
     * ``dom[e]``: the positions of the neighbourhood in the domain;
     * ``head_slot[e]``: the index in ``dom[e]`` of the head element;
-    * ``dart_at[x][i]``: the dart whose head element is at position i;
+    * ``dart_at[x][i]``: the dart whose head element is at position i, and
+      None elsewhere, up to position 255 in a bytes domain;
     * ``move[f]``: each position of the neighbourhood of f to the position
-      of its transport, and -1 elsewhere;
+      of its transport, and -1 elsewhere; when both ends of f have bytes
+      domains, a 256-byte translate table with 255 for -1;
     * ``bar_slots[e]``: for each index of ``dom[reverse e]``, the index of
       ``dom[e]`` that transports to it.
     """
@@ -344,7 +390,9 @@ class Numbering:
         self.positions = at = {x: {p: i for i, p in enumerate(dom)}
                                for x, dom in domains.items()}
         self.dom, self.head_slot, self.move = {}, {}, {}
-        self.dart_at = {x: [None] * len(dom) for x, dom in domains.items()}
+        narrow = {x: encoding(len(dom)) is bytes for x, dom in domains.items()}
+        self.dart_at = {x: [None] * (256 if narrow[x] else len(dom))
+                        for x, dom in domains.items()}
         nbhd, images = {}, {}
         origin, reverse = union.origin, union.reverse
         for e in union.darts:
@@ -352,18 +400,21 @@ class Numbering:
             px = at[x]
             nbhd[e] = nb = tuple(neighbourhood(e))
             h = head(e)
-            self.dom[e] = tuple([px[p] for p in nb])
+            self.dom[e] = points([px[p] for p in nb], len(px))
             self.head_slot[e] = nb.index(h)
             self.dart_at[x][px[h]] = e
             images[e] = moved = tuple(across(e, nb))
             py = at[origin[reverse[e]]]
-            move = self.move[e] = [-1] * len(domains[x])
+            move = [-1] * len(domains[x])
             for p, q in zip(nb, moved):
                 move[px[p]] = py[q]
+            self.move[e] = (bytes([m % 256 for m in move]).ljust(256, b"\xff")
+                            if narrow[x] and narrow[origin[reverse[e]]] else move)
         self.bar_slots = {}
         for e in union.darts:
             slot_of = {q: j for j, q in enumerate(images[e])}
-            self.bar_slots[e] = tuple([slot_of[p] for p in nbhd[reverse[e]]])
+            self.bar_slots[e] = points([slot_of[p] for p in nbhd[reverse[e]]],
+                                       len(domains[origin[e]]))
 
 
 # -- the cover ----------------------------------------------------------------
@@ -570,7 +621,8 @@ def extract_certificate(built: Cover, sys, test_radius: int,
         w2 = c2.deck_loop(psi[z], zy)
         images = [c2.transport(w2, psi[c1.transport(w1, p)]) for p in domains[src]]
         at = positions[dst]
-        arrow = sys.groupoid.by_key((src, dst, tuple([at.get(q, -1) for q in images])))
+        perm = [at.get(q, -1) for q in images]
+        arrow = None if -1 in perm else sys.groupoid.by_key((src, dst, points(perm, len(perm))))
         if arrow is None:
             raise VerificationError(
                 "ball restriction escaped the discovered groupoid at %r (%r)"

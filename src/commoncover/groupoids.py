@@ -16,24 +16,52 @@ orbit-stabilizer counts live in ``cover_builder.LocalSystem``.
 
 ``PermArrow`` is the one arrow class: a permutation between two numbered
 domains (the darts of a star, the vertices of a canonical ball, the points
-of a decorated star), so that composition is tuple indexing, and a whole
-row of composites is one C call per arrow of the row (Holt, Eick and
-O'Brien, chapters 3 and 4: points as ints, permutations as arrays).
+of a decorated star), so that composition is indexing, and a whole row of
+composites is one C call per arrow of the row (Holt, Eick and O'Brien,
+chapters 3 and 4: points as ints, permutations as arrays).  A domain of at
+most ``BYTES_POINTS`` points holds its perms and positions as ``bytes``,
+and an arrow's 256-byte ``table`` gathers any positions in one
+``bytes.translate``; wider domains hold tuples, gathered by an
+``itemgetter``.  Bytes of values below 256 sort as the tuples of the same
+ints do, so keys, serials and artifacts do not depend on the encoding.
+Only arrows and atoms of one domain size meet in a composite or an
+action, so they always share an encoding.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from sys import intern
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable
 
 
-def gather(positions: tuple):
-    """The function p -> tuple(p[i] for i in positions), one C call on
-    each tuple p.  An itemgetter returns a tuple only for two or more
-    positions; for one or none it takes a slice."""
+# Domains of at most this many points are encoded as bytes.  The byte 255
+# is then never a position, and marks one outside a neighbourhood.
+BYTES_POINTS = 255
+
+
+def encoding(size: int) -> type:
+    """The encoding of a domain of ``size`` points: bytes up to
+    ``BYTES_POINTS`` points, else tuple."""
+    return bytes if size <= BYTES_POINTS else tuple
+
+
+def points(values, size: int):
+    """Positions in a domain of ``size`` points, in the domain's encoding."""
+    return encoding(size)(values)
+
+
+def gather(positions):
+    """The function table -> the table's entries at ``positions``, in the
+    encoding of ``positions``: one C call on each arrow ``table``.  Bytes
+    positions translate through the 256-byte table.  An itemgetter returns
+    a tuple only for two or more positions; for one or none it takes a
+    slice."""
+    if positions.__class__ is bytes:
+        return positions.translate
     if len(positions) > 1:
         return itemgetter(*positions)
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
@@ -44,7 +72,9 @@ class PermArrow:
 
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
     those objects; ``perm[i]`` is the codomain position of the image of
-    ``domain[i]``.  Identity is ``key = (src, dst, perm)``: for equal ends,
+    ``domain[i]``, encoded by ``points`` from any sequence of ints, and
+    ``table`` is what ``gather`` reads: ``perm`` padded to 256 bytes, or
+    ``perm`` itself for a tuple.  Identity is ``key = (src, dst, perm)``: for equal ends,
     comparing perms compares the images in sorted codomain order, so keys
     sort as the rendered ``serial`` tuples do.  ``witness`` is a word carried
     along by composition and inversion; it takes no part in identity.
@@ -52,14 +82,16 @@ class PermArrow:
     records, compared and hashed on ``key`` within one class.
     """
 
-    __slots__ = ("src", "dst", "perm", "domain", "codomain", "witness",
+    __slots__ = ("src", "dst", "perm", "table", "domain", "codomain", "witness",
                  "key", "_serial")
 
-    def __init__(self, src, dst, perm: tuple, domain: tuple, codomain: tuple,
+    def __init__(self, src, dst, perm, domain: tuple, codomain: tuple,
                  witness: tuple = ()):
-        self.src = src
-        self.dst = dst
-        self.perm = perm
+        # one string object per end, so that keys compare by identity
+        self.src = src = intern(src)
+        self.dst = dst = intern(dst)
+        self.perm = perm = points(perm, len(perm))
+        self.table = perm.ljust(256, b"\0") if perm.__class__ is bytes else perm
         self.domain = domain
         self.codomain = codomain
         self.witness = witness
@@ -91,7 +123,7 @@ class PermArrow:
     def composite_keys(self, lefts) -> list:
         # the perm of h after self is h.perm[self.perm[i]] for every i
         get, src, dst = gather(self.perm), self.src, self.dst
-        return [(src, h.dst, get(h.perm)) if h.src == dst else None for h in lefts]
+        return [(src, h.dst, get(h.table)) if h.src == dst else None for h in lefts]
 
     def compose(self, other: "PermArrow"):
         key = other.composite_keys((self,))[0]
@@ -104,7 +136,7 @@ class PermArrow:
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
-        return self.__class__(self.dst, self.src, tuple(inv), self.codomain,
+        return self.__class__(self.dst, self.src, inv, self.codomain,
                               self.domain, self.invert_word(self.witness))
 
     @staticmethod
@@ -139,55 +171,6 @@ class FiniteGroupoid:
 
     def hom(self, x, y) -> list:
         return self.by_pair.get((x, y), [])
-
-    def verify(self) -> list:
-        """Check the groupoid axioms, completely.
-
-        Identities, inverses and the identity law are checked per arrow.
-        Every composable pair is composed once, which checks closure and
-        fills a table of composites; associativity c(ab) = (ca)b is then
-        checked on every composable triple by table lookups.  Returns a
-        list of violation strings (empty when the axioms hold).
-        """
-        bad = []
-        number = self.number
-        for x in self.objects:
-            if x not in self.identities:
-                bad.append("missing identity at %r" % (x,))
-        for a in self.arrows:
-            inv = a.inverse()
-            if inv.key not in number:
-                bad.append("inverse missing for %r" % (a.serial,))
-                continue
-            left = inv.compose(a)
-            if left is None or left.key != self.identities[a.src].key:
-                bad.append("inverse law fails for %r" % (a.serial,))
-            ii = self.identities[a.dst].compose(a)
-            if ii is None or ii.key != a.key:
-                bad.append("identity law fails for %r" % (a.serial,))
-        table = {}                   # (i, j) -> index of arrow i after arrow j
-        for j, b in enumerate(self.arrows):
-            for a in self.by_source.get(b.dst, ()):
-                ab = a.compose(b)
-                k = number.get(ab.key) if ab is not None else None
-                if k is None:
-                    bad.append("not closed under composition at (%r, %r)"
-                               % (a.serial, b.serial))
-                else:
-                    table[number[a.key], j] = k
-        if bad:
-            return bad
-        out = [[number[a.key] for a in self.by_source.get(b.dst, ())]
-               for b in self.arrows]
-        for j in range(len(self.arrows)):
-            for i in out[j]:
-                ij = table[i, j]
-                for c in out[i]:
-                    if table[c, ij] != table[table[c, i], j]:
-                        bad.append("associativity fails on a triple at %r"
-                                   % (self.arrows[c].serial,))
-                        return bad
-        return bad
 
 
 def saturate(atoms: Iterable, objects: Iterable,

@@ -370,7 +370,7 @@ def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
 
     src, dst = "1:" + seed.src, "2:" + seed.dst
     at = numbering.positions[dst]
-    return StarMapArrow(src, dst, tuple([at[image(p)] for p in numbering.domains[src]]),
+    return StarMapArrow(src, dst, [at[image(p)] for p in numbering.domains[src]],
                         numbering.domains[src], numbering.domains[dst], (vm,))
 
 
@@ -393,7 +393,7 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
     domains = numbering.domains
 
     def identity_factory(x):
-        return StarMapArrow(x, x, tuple(range(len(domains[x]))), domains[x], domains[x])
+        return StarMapArrow(x, x, range(len(domains[x])), domains[x], domains[x])
 
     groupoid = saturate(arrows, union.vertices, identity_factory)
     sys = ObjectLocalSystem(x1, x2, union, groupoid, numbering)

@@ -43,13 +43,13 @@ def star_arrow(graph: Graph, src, dst, image: dict) -> StarArrow:
     """The star bijection of ``graph`` sending each dart d at src to image[d]."""
     domain, codomain = graph.star(src), graph.star(dst)
     at = {f: i for i, f in enumerate(codomain)}
-    return StarArrow(src, dst, tuple([at[image[d]] for d in domain]), domain, codomain)
+    return StarArrow(src, dst, [at[image[d]] for d in domain], domain, codomain)
 
 
 def _identity_arrow(union: Graph):
     def factory(x):
         star = union.star(x)
-        return StarArrow(x, x, tuple(range(len(star))), star, star)
+        return StarArrow(x, x, range(len(star)), star, star)
     return factory
 
 
@@ -114,7 +114,7 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
                     perm = [0] * len(domain)
                     for i, j in zip(slots, itertools.chain.from_iterable(combo)):
                         perm[i] = j
-                    arrows.append(StarArrow(u, v, tuple(perm), domain, codomain))
+                    arrows.append(StarArrow(u, v, perm, domain, codomain))
     return arrows
 
 
@@ -181,11 +181,15 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
 
 
 def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,
-                               explore_radius=None):
-    """Aligned-strategy builder with doubling retries on axiom failure."""
+                               explore_radius=None, joint: JointBlocks = None):
+    """Aligned-strategy builder with doubling retries on axiom failure.  The
+    joint refinement (computed unless given) and the alignment are built
+    once, and every retry grows the same alignment."""
     if strategy == STRATEGY_DR_FULL:
-        return build_star_system(g1, g2, strategy)
+        return build_star_system(g1, g2, strategy, joint=joint)
     if explore_radius is None:
         explore_radius = 1 + g1.diameter() + g2.diameter()
+    joint = joint or joint_refinement(g1, g2)
+    alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
     return retry_doubling(lambda rho: build_star_system(
-        g1, g2, strategy, explore_radius=rho), explore_radius)
+        g1, g2, strategy, rho, joint, alignment), explore_radius)

@@ -1,9 +1,12 @@
 import random
 from collections import Counter, deque
+from itertools import accumulate, chain
 
 import pytest
 
 from commoncover import families
+from commoncover.bounds import ball_group_divisor, object_group_divisor
+from commoncover.cover_builder import _first_difference
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
@@ -129,19 +132,139 @@ def reference_check_action(self):
     return None
 
 
+def groupoid_violations(gpd) -> list:
+    """The groupoid axioms of ``gpd``, checked completely; the
+    violation strings, empty when the axioms hold.
+
+    Identities, inverses and the identity law are checked per arrow.
+    Every composable pair is composed once, which checks closure and
+    fills a table of composites; associativity c(ab) = (ca)b is then
+    checked on every composable triple by table lookups.
+    """
+    bad = []
+    number = gpd.number
+    for x in gpd.objects:
+        if x not in gpd.identities:
+            bad.append("missing identity at %r" % (x,))
+    for a in gpd.arrows:
+        inv = a.inverse()
+        if inv.key not in number:
+            bad.append("inverse missing for %r" % (a.serial,))
+            continue
+        left = inv.compose(a)
+        if left is None or left.key != gpd.identities[a.src].key:
+            bad.append("inverse law fails for %r" % (a.serial,))
+        ii = gpd.identities[a.dst].compose(a)
+        if ii is None or ii.key != a.key:
+            bad.append("identity law fails for %r" % (a.serial,))
+    table = {}                   # (i, j) -> index of arrow i after arrow j
+    for j, b in enumerate(gpd.arrows):
+        for a in gpd.by_source.get(b.dst, ()):
+            ab = a.compose(b)
+            k = number.get(ab.key) if ab is not None else None
+            if k is None:
+                bad.append("not closed under composition at (%r, %r)"
+                           % (a.serial, b.serial))
+            else:
+                table[number[a.key], j] = k
+    if bad:
+        return bad
+    out = [[number[a.key] for a in gpd.by_source.get(b.dst, ())]
+           for b in gpd.arrows]
+    for j in range(len(gpd.arrows)):
+        for i in out[j]:
+            ij = table[i, j]
+            for c in out[i]:
+                if table[c, ij] != table[table[c, i], j]:
+                    bad.append("associativity fails on a triple at %r"
+                               % (gpd.arrows[c].serial,))
+                    return bad
+    return bad
+
+
+def reference_row_check(self):
+    """``LocalSystem._check_action`` as it was before the check went by
+    origin: one dart at a time, each representative's row composed once
+    per origin (memoized), and every check walked element by element over
+    the atoms of that dart.  It serves as the reference for the verdict
+    and the detail string, and takes the local system as ``self``."""
+    groupoid = self.groupoid
+    arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
+    act_row = self.act_row
+    eps, anchor = self.eps, self.atom_anchor
+    for x in self.union.vertices:
+        unit = groupoid.identities.get(x)
+        out = by_source.get(x, ())
+        out_numbers = [number[g.key] for g in out]
+        rows = {}
+
+        def row(j):
+            found = rows.get(j)
+            if found is None:
+                b = arrows[j]
+                found = rows[j] = [number.get(k, -1) for k in
+                                   b.composite_keys(by_source.get(b.dst, ()))]
+            return found
+
+        for e in self.union.star(x):
+            ident = self.identity_atom(e)
+            if unit is None or self.act(unit, ident) != ident:
+                return "identity action fails over %r" % (x,)
+            moved = act_row(out, ident)
+            got = list(zip(map(eps, moved), map(anchor, moved)))
+            want = [(g.dst, e) for g in out]
+            if got != want:
+                i = _first_difference(got, want)
+                if got[i][0] != want[i][0]:
+                    return "action target mismatch at %r" % (out[i].serial,)
+                return "action moved an atom anchor at %r" % (out[i].serial,)
+            image = dict(zip(out_numbers, moved))
+            rep = {}
+            for n, ga in zip(out_numbers, moved):
+                rep.setdefault(ga, n)
+            stab_images = [list(map(image.get, row(n)))
+                           for n, ga in zip(out_numbers, moved) if ga == ident]
+            bad = [_first_difference(ft, moved) for ft in stab_images if ft != moved]
+            if bad:
+                return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
+            if any(c != len(stab_images) for c in Counter(moved).values()):
+                return "orbit-stabilizer count fails at %r" % (e,)
+            for a, r in rep.items():
+                hs = by_source.get(arrows[r].dst, ())
+                expected = act_row(hs, a)
+                got = list(map(image.get, row(r)))
+                if got != expected:
+                    return "action compatibility fails at %r" % (
+                        hs[_first_difference(got, expected)].serial,)
+    return None
+
+
 def corrupt_act(sys, corrupt):
     """Replace the system's action so that it corrupts the atom produced by
-    one cross arrow, and drop the cached atom sets.  The replaced method is
+    one cross arrow, and drop the cached atom rows and sets.  The replaced method is
     ``act_row``, the one definition of the action: ``act`` is its
-    one-element case."""
+    one-element case.  ``corrupt`` sees the positions of an atom as a
+    tuple, and its result is put back in the system's encoding; a bundle
+    (several atoms with a tuple of anchors and their positions
+    concatenated) is corrupted atom by atom."""
     victim = sys.cross_arrows()[0].serial
-    act_row = sys.act_row
+    act_row, dom = sys.act_row, sys.numbering.dom
+
+    def spoil(atom):
+        e, y, r = atom
+        if isinstance(e, tuple):
+            cuts = list(accumulate((len(dom[d]) for d in e), initial=0))
+            parts = [spoil((d, y, r[i:j]))[2] for d, i, j in zip(e, cuts, cuts[1:])]
+            return (e, y, type(r)(chain.from_iterable(parts)))
+        e, y, moved = corrupt((e, y, tuple(r)))
+        return (e, y, type(r)(moved))
 
     def mutant(arrows, atom):
-        return [corrupt(out) if h.serial == victim else out
+        return [spoil(out) if h.serial == victim else out
                 for h, out in zip(arrows, act_row(arrows, atom))]
 
     sys.act_row = mutant
+    sys.__dict__.pop("identity_rows", None)
     sys.__dict__.pop("atoms_by_anchor", None)
 
 
@@ -180,6 +303,32 @@ def corrupt_compose(sys, monkeypatch):
 
     monkeypatch.setattr(cls, "composite_keys", corrupted_row)
     return True
+
+
+def check_ball_divisors(sys) -> list:
+    """(object, group order, divisor, ok) for every vertex isotropy group of
+    a ball local system: the order must divide ``bounds.ball_group_divisor``."""
+    d = max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
+            max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
+    divisor = ball_group_divisor(d, sys.radius)
+    out = []
+    for x in sys.union.vertices:
+        count = len(sys.groupoid.hom(x, x))
+        out.append((x, count, divisor, divisor % count == 0))
+    return out
+
+
+def check_object_divisors(sys) -> list:
+    """(object, group order, divisor, ok) for object-system vertex groups."""
+    d = max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
+            max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
+    iso = sys.isotropy_lcm()
+    divisor = object_group_divisor(d, iso)
+    out = []
+    for x in sys.union.vertices:
+        count = len(sys.groupoid.hom(x, x))
+        out.append((x, count, divisor, divisor % count == 0))
+    return out
 
 
 def deck_transport(cover, word, path):

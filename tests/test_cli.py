@@ -283,6 +283,23 @@ def test_verify_dart_without_origin_exits_two(tmp_path, capsys):
     assert "darts[0]: needs a string 'from'" in capsys.readouterr().err
 
 
+def test_verify_checks_the_degrees(tmp_path, capsys):
+    th3 = _write_graph(tmp_path, "th3.json", families.theta(3))
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    out = str(tmp_path / "out")
+    assert main(["build", th3, k4, "--backend", "star", "--strategy", "aligned",
+                 "-o", out]) == 0
+    path = os.path.join(out, "cover.json")
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["degrees"] == [12, 6]
+    assert main(["verify", out, th3, k4]) == 0
+    payload["degrees"] = [999, 1]
+    write_json(path, payload)
+    assert main(["verify", out, th3, k4]) == 1
+    assert "degrees fails" in capsys.readouterr().out
+
+
 def test_verify_missing_cover_directory_exits_two(tmp_path):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     assert main(["verify", str(tmp_path / "absent"), c3, c3]) == 2

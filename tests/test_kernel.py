@@ -25,11 +25,22 @@ the same way against the reference object kernel, whose star maps carry
 their vertex maps: the vertex map each arrow's witness word evaluates to
 must be the one the reference composes along the word, and must agree
 with the reference on every composite and inverse.
+
+The action-law check, which goes by origin and compares bundles of atoms,
+gives the verdict and the detail string of ``conftest.reference_row_check``,
+the per-dart walk it replaced: on the same systems, valid and with a
+corrupted action or a corrupted composition.
+
+Domains of at most ``groupoids.BYTES_POINTS`` points hold perms and
+positions as bytes.  With the constant patched to 0, every domain is wide
+and holds tuples; the reference agreement and the action check are re-run
+so on small systems.
 """
 
+import pytest
 from hypothesis import given
 
-from commoncover import families
+from commoncover import families, groupoids
 from commoncover.ball_system import build_ball_system_retrying
 from commoncover.object_graphs import (ObjectGraph, SeedSpec, _check_star_map,
                                        close_star_maps, make_object, obj_identity,
@@ -37,7 +48,8 @@ from commoncover.object_graphs import (ObjectGraph, SeedSpec, _check_star_map,
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
-from conftest import all_pairs_closure, reference_kernel
+from conftest import (all_pairs_closure, corrupt_act, corrupt_compose,
+                      reference_kernel, reference_row_check)
 from test_differential import SEEDS, _settings, related_pair
 
 
@@ -153,3 +165,69 @@ def test_object_kernel_agrees_with_the_reference():
         generators = [_check_star_map(x1, x2, s, sys.numbering) for s in seeds]
         check_against_reference(sys, generators)
         check_vertex_maps(sys, generators)
+
+
+def _move_image(sys):
+    """Send the atom's head to the head of another dart at its target,
+    when the target has one, so that the image dart changes."""
+    def corrupt(atom):
+        e, y, r = atom
+        i = sys.numbering.head_slot[e]
+        heads = [j for j, d in enumerate(sys.numbering.dart_at[y])
+                 if d is not None and j != r[i]]
+        return (e, y, r[:i] + tuple(heads[:1] or [r[i]]) + r[i + 1:])
+    return corrupt
+
+
+def check_action_against_the_walk(sys):
+    """The check by origin and the per-dart walk: one verdict and one
+    detail string, on the valid system and on both mutants."""
+    assert sys._check_action() is None
+    assert reference_row_check(sys) is None
+    with pytest.MonkeyPatch.context() as mp:
+        if corrupt_compose(sys, mp):
+            detail = sys._check_action()
+            assert detail is not None
+            assert detail == reference_row_check(sys)
+    corrupt_act(sys, _move_image(sys))
+    assert sys._check_action() == reference_row_check(sys)
+
+
+@_settings(30)
+@given(SEEDS)
+def test_action_check_agrees_with_the_per_dart_walk(seed):
+    g1, g2, _ = related_pair(seed)
+    for sys in (build_star_system_retrying(g1, g2, STRATEGY_DR_FULL),
+                build_star_system_retrying(g1, g2, STRATEGY_ALIGNED),
+                build_ball_system_retrying(g1, g2, 1)):
+        check_action_against_the_walk(sys)
+
+
+def test_object_action_check_agrees_with_the_per_dart_walk():
+    for order in (2, 3, 6):
+        check_action_against_the_walk(close_star_maps(*rotation_pair(order)))
+
+
+def _small_systems():
+    c3, c4 = families.cycle(3), families.cycle(4)
+    return [build_star_system_retrying(c3, c4, STRATEGY_DR_FULL),
+            build_star_system_retrying(families.theta(3), families.complete(4),
+                                       STRATEGY_ALIGNED),
+            build_ball_system_retrying(c3, c4, 1),
+            close_star_maps(*rotation_pair(3))]
+
+
+@pytest.mark.parametrize("points,encoding", [(groupoids.BYTES_POINTS, bytes), (0, tuple)],
+                         ids=["bytes", "wide"])
+def test_both_encodings_agree_with_the_references(points, encoding, monkeypatch):
+    monkeypatch.setattr(groupoids, "BYTES_POINTS", points)
+    for sys in _small_systems():
+        assert {type(a.perm) for a in sys.groupoid.arrows} == {encoding}
+        assert {type(r) for r in sys.numbering.dom.values()} == {encoding}
+        if sys.kind == "object":
+            x1, x2, seeds = rotation_pair(3)
+            check_against_reference(sys, [_check_star_map(x1, x2, s, sys.numbering)
+                                          for s in seeds])
+        else:
+            check_against_reference(sys)
+        check_action_against_the_walk(sys)
