@@ -214,9 +214,9 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
 
 def build_ball_system_retrying(g1, g2, radius, explore_radius=None,
                                joint: JointBlocks = None) -> BallLocalSystem:
-    """``build_ball_system`` with doubling retries on axiom failure.  The
-    joint refinement (computed unless given) and the alignment are built
-    once, and every retry grows the same alignment."""
+    """``build_ball_system`` with doubling retries on axiom failure; the
+    retries share one joint refinement (computed unless given) and one
+    alignment, which each grows."""
     if explore_radius is None:
         explore_radius = radius + g1.diameter() + g2.diameter()
     joint = joint or joint_refinement(g1, g2)

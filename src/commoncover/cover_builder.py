@@ -16,10 +16,9 @@ its arrows are ``PermArrow`` permutations of the domains of a
 neighbourhood of a dart, held as (anchor dart, target object, positions).
 An atom is its own key.  The checks, the orbit engine and the assembly act
 on a whole row of arrows at once through ``act_row``, one C call per arrow;
-``act`` is the row of one arrow.  A bundle is several atoms at one target
-held as one: the tuple of their anchors and their positions concatenated.
-``act_row`` moves it part by part, with one C call per arrow for all the
-parts.  The atom sets are computed once, here:
+``act`` is the row of one arrow.  A bundle, several atoms at one target
+with a tuple of anchors and their positions concatenated, moves part by
+part in the same one call per arrow.  The atom sets are computed once, here:
 the atoms anchored at a dart e are {g.id_e : g in out(origin e)}, the orbit
 of the identity atom.  Subclasses render ``atom_serial``, the tuple the
 artifacts record; it is computed only for artifacts and failure messages.
@@ -131,11 +130,13 @@ class LocalSystem:
     def bar(self, atom):
         e, y, r = atom
         f = self._dart_at[y][r[self._head_slot[e]]]
-        move, slots, head = self.numbering.move[f], self.numbering.bar_slots[e], self._head_vertex[f]
+        move, slots = self.numbering.move[f], self.numbering.bar_slots[e]
+        head = self._head_vertex[f]
+        # -1 (255 in a translate table) marks a position outside the
+        # neighbourhood, so the result is no atom's bar
         if r.__class__ is move.__class__ is bytes:
             return (self._rev[e], head, slots.translate(r.translate(move).ljust(256, b"\xff")))
         moved = [move[r[j]] for j in slots]
-        # -1 (or 255) marks a position outside the neighbourhood: not an atom's bar
         return (self._rev[e], head, tuple(moved) if -1 in moved else
                 points(moved, len(self.numbering.domains[head])))
 
@@ -197,9 +198,8 @@ class LocalSystem:
 
         Coverage and bar closure run over every atom: each atom's bar is an
         atom anchored at the reversed anchor, with the reversed image, and
-        its bar again is the atom itself.  Bars are computed once per atom,
-        one row per dart, and each row is compared whole with the row of the
-        reversed dart.
+        its bar again is the atom itself: one bar per atom, and each dart's
+        row of bars compared whole with the reversed dart's.
 
         The action laws are checked on identity atoms, and the check is
         complete.  Fix a dart e at x, write F(g) = g.id_e for g in out(x)
@@ -226,8 +226,7 @@ class LocalSystem:
         composed pairs per x, so no more than the groupoid's composable
         pairs in total.  One row decides (b) and (d) for r at every dart of
         x at once, with one gather per pair (``_check_action``).  Each dart
-        e takes one ``act`` for the identity and reads its ``act_row`` over
-        out(x) from ``identity_rows``.
+        e takes one ``act`` for the identity and its row of ``identity_rows``.
         """
         union = self.union
         atoms = self.atoms_by_anchor
@@ -249,17 +248,14 @@ class LocalSystem:
         bar_fail = None
         rev = union.reverse
         anchor, image = self.atom_anchor, self.atom_image
-        checked, pending = set(), {}  # the bar rows of pairs checked one way
-
-        def bar_row(e):               # {atom: its bar}, one bar per atom
-            return pending.pop(e) if e in pending else dict(zip(atoms[e], map(self.bar, atoms[e])))
-
+        pending = {}                 # {atom: its bar} at both darts of a pair checked one way
         for e in union.darts:
             f = rev[e]
-            row, back = bar_row(e), bar_row(f)
-            if f not in checked:
-                pending[e], pending[f] = row, back
-            checked.add(e)
+            if e in pending:
+                row, back = pending.pop(e), pending.pop(f)
+            else:
+                row, back = pending[e], pending[f] = [
+                    dict(zip(atoms[d], map(self.bar, atoms[d]))) for d in (e, f)]
             bars = list(row.values())
             if (list(map(back.get, bars)) != list(row)
                     or list(map(anchor, bars)).count(f) != len(bars)
@@ -307,18 +303,15 @@ class LocalSystem:
             parts = [r for _, _, r in ids]
             bundles = act_row(out, (star, x, type(parts[0])(chain.from_iterable(parts))))
             bundle_of = dict(zip(keys, bundles))
-            rows, verdicts = {}, {}     # the rows kept are those that fail
+            failed = {}                 # i -> None where row i holds, else its keys
 
             def held(i):
-                verdict = verdicts.get(i)
-                if verdict is None:
+                if i not in failed:
                     hs = by_source.get(out[i].dst, ())
                     row = out[i].composite_keys(hs)
-                    verdict = verdicts[i] = (list(map(bundle_of.get, row))
-                                             == act_row(hs, bundles[i]))
-                    if not verdict:
-                        rows[i] = row
-                return verdict
+                    failed[i] = (None if list(map(bundle_of.get, row))
+                                 == act_row(hs, bundles[i]) else row)
+                return failed[i] is None
 
             for e, ident in zip(star, ids):
                 if unit is None or self.act(unit, ident) != ident:
@@ -335,7 +328,7 @@ class LocalSystem:
                 if not all(list(map(held, stab))):
                     image = dict(zip(keys, moved)).get
                     bad = [_first_difference(ft, moved) for ft in
-                           (list(map(image, rows[t])) for t in stab if t in rows)
+                           (list(map(image, failed[t])) for t in stab if failed[t])
                            if ft != moved]
                     if bad:
                         return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
@@ -350,7 +343,7 @@ class LocalSystem:
                     image = dict(zip(keys, moved)).get
                     hs = by_source.get(out[r].dst, ())
                     expected = act_row(hs, a)
-                    got = list(map(image, rows[r]))
+                    got = list(map(image, failed[r]))
                     if got != expected:
                         return "action compatibility fails at %r" % (
                             hs[_first_difference(got, expected)].serial,)

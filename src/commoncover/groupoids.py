@@ -18,34 +18,30 @@ orbit-stabilizer counts live in ``cover_builder.LocalSystem``.
 domains (the darts of a star, the vertices of a canonical ball, the points
 of a decorated star), so that composition is indexing, and a whole row of
 composites is one C call per arrow of the row (Holt, Eick and O'Brien,
-chapters 3 and 4: points as ints, permutations as arrays).  A domain of at
-most ``BYTES_POINTS`` points holds its perms and positions as ``bytes``,
-and an arrow's 256-byte ``table`` gathers any positions in one
-``bytes.translate``; wider domains hold tuples, gathered by an
-``itemgetter``.  Bytes of values below 256 sort as the tuples of the same
-ints do, so keys, serials and artifacts do not depend on the encoding.
-Only arrows and atoms of one domain size meet in a composite or an
-action, so they always share an encoding.
+chapters 3 and 4: points as ints, permutations as arrays).  Perms and
+positions in a domain of at most ``BYTES_POINTS`` points are ``bytes``,
+gathered by one ``bytes.translate``, and tuples in wider domains; bytes
+sort as the tuples of the same ints, so the artifacts do not depend on
+the encoding.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from sys import intern
 from dataclasses import dataclass, field
 from operator import itemgetter
+from sys import intern
 from typing import Callable, Iterable
 
 
-# Domains of at most this many points are encoded as bytes.  The byte 255
-# is then never a position, and marks one outside a neighbourhood.
+# Domains of at most this many points are bytes, so that the byte 255 is
+# never a position and marks one outside a neighbourhood.
 BYTES_POINTS = 255
 
 
 def encoding(size: int) -> type:
-    """The encoding of a domain of ``size`` points: bytes up to
-    ``BYTES_POINTS`` points, else tuple."""
+    """bytes for a domain of at most ``BYTES_POINTS`` points, else tuple."""
     return bytes if size <= BYTES_POINTS else tuple
 
 
@@ -55,11 +51,9 @@ def points(values, size: int):
 
 
 def gather(positions):
-    """The function table -> the table's entries at ``positions``, in the
-    encoding of ``positions``: one C call on each arrow ``table``.  Bytes
-    positions translate through the 256-byte table.  An itemgetter returns
-    a tuple only for two or more positions; for one or none it takes a
-    slice."""
+    """The function table -> the table's entries at ``positions``, in their
+    encoding: one C call on each arrow ``table``.  An itemgetter returns a
+    tuple only for two or more positions; for one or none it takes a slice."""
     if positions.__class__ is bytes:
         return positions.translate
     if len(positions) > 1:
@@ -72,12 +66,12 @@ class PermArrow:
 
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
     those objects; ``perm[i]`` is the codomain position of the image of
-    ``domain[i]``, encoded by ``points`` from any sequence of ints, and
-    ``table`` is what ``gather`` reads: ``perm`` padded to 256 bytes, or
-    ``perm`` itself for a tuple.  Identity is ``key = (src, dst, perm)``: for equal ends,
-    comparing perms compares the images in sorted codomain order, so keys
-    sort as the rendered ``serial`` tuples do.  ``witness`` is a word carried
-    along by composition and inversion; it takes no part in identity.
+    ``domain[i]``, encoded by ``points``; ``table``, which ``gather`` reads,
+    is bytes ``perm`` padded to 256 bytes, or tuple ``perm`` itself.
+    Identity is ``key = (src, dst, perm)``: for equal ends, comparing perms
+    compares the images in sorted codomain order, so keys sort as the
+    rendered ``serial`` tuples do.  ``witness`` is a word carried along by
+    composition and inversion; it takes no part in identity.
     Subclasses name the ``tag`` of their serial.  Arrows are slotted
     records, compared and hashed on ``key`` within one class.
     """
@@ -171,6 +165,55 @@ class FiniteGroupoid:
 
     def hom(self, x, y) -> list:
         return self.by_pair.get((x, y), [])
+
+    def verify(self) -> list:
+        """Check the groupoid axioms, completely.
+
+        Identities, inverses and the identity law are checked per arrow.
+        Every composable pair is composed once, which checks closure and
+        fills a table of composites; associativity c(ab) = (ca)b is then
+        checked on every composable triple by table lookups.  Returns a
+        list of violation strings (empty when the axioms hold).
+        """
+        bad = []
+        number = self.number
+        for x in self.objects:
+            if x not in self.identities:
+                bad.append("missing identity at %r" % (x,))
+        for a in self.arrows:
+            inv = a.inverse()
+            if inv.key not in number:
+                bad.append("inverse missing for %r" % (a.serial,))
+                continue
+            left = inv.compose(a)
+            if left is None or left.key != self.identities[a.src].key:
+                bad.append("inverse law fails for %r" % (a.serial,))
+            ii = self.identities[a.dst].compose(a)
+            if ii is None or ii.key != a.key:
+                bad.append("identity law fails for %r" % (a.serial,))
+        table = {}                   # (i, j) -> index of arrow i after arrow j
+        for j, b in enumerate(self.arrows):
+            for a in self.by_source.get(b.dst, ()):
+                ab = a.compose(b)
+                k = number.get(ab.key) if ab is not None else None
+                if k is None:
+                    bad.append("not closed under composition at (%r, %r)"
+                               % (a.serial, b.serial))
+                else:
+                    table[number[a.key], j] = k
+        if bad:
+            return bad
+        out = [[number[a.key] for a in self.by_source.get(b.dst, ())]
+               for b in self.arrows]
+        for j in range(len(self.arrows)):
+            for i in out[j]:
+                ij = table[i, j]
+                for c in out[i]:
+                    if table[c, ij] != table[table[c, i], j]:
+                        bad.append("associativity fails on a triple at %r"
+                                   % (self.arrows[c].serial,))
+                        return bad
+        return bad
 
 
 def saturate(atoms: Iterable, objects: Iterable,

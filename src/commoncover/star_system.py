@@ -182,9 +182,9 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
 
 def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,
                                explore_radius=None, joint: JointBlocks = None):
-    """Aligned-strategy builder with doubling retries on axiom failure.  The
-    joint refinement (computed unless given) and the alignment are built
-    once, and every retry grows the same alignment."""
+    """Aligned-strategy builder with doubling retries on axiom failure; the
+    retries share one joint refinement (computed unless given) and one
+    alignment, which each grows."""
     if strategy == STRATEGY_DR_FULL:
         return build_star_system(g1, g2, strategy, joint=joint)
     if explore_radius is None:

@@ -5,7 +5,6 @@ from itertools import accumulate, chain
 import pytest
 
 from commoncover import families
-from commoncover.bounds import ball_group_divisor, object_group_divisor
 from commoncover.cover_builder import _first_difference
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
@@ -132,56 +131,6 @@ def reference_check_action(self):
     return None
 
 
-def groupoid_violations(gpd) -> list:
-    """The groupoid axioms of ``gpd``, checked completely; the
-    violation strings, empty when the axioms hold.
-
-    Identities, inverses and the identity law are checked per arrow.
-    Every composable pair is composed once, which checks closure and
-    fills a table of composites; associativity c(ab) = (ca)b is then
-    checked on every composable triple by table lookups.
-    """
-    bad = []
-    number = gpd.number
-    for x in gpd.objects:
-        if x not in gpd.identities:
-            bad.append("missing identity at %r" % (x,))
-    for a in gpd.arrows:
-        inv = a.inverse()
-        if inv.key not in number:
-            bad.append("inverse missing for %r" % (a.serial,))
-            continue
-        left = inv.compose(a)
-        if left is None or left.key != gpd.identities[a.src].key:
-            bad.append("inverse law fails for %r" % (a.serial,))
-        ii = gpd.identities[a.dst].compose(a)
-        if ii is None or ii.key != a.key:
-            bad.append("identity law fails for %r" % (a.serial,))
-    table = {}                   # (i, j) -> index of arrow i after arrow j
-    for j, b in enumerate(gpd.arrows):
-        for a in gpd.by_source.get(b.dst, ()):
-            ab = a.compose(b)
-            k = number.get(ab.key) if ab is not None else None
-            if k is None:
-                bad.append("not closed under composition at (%r, %r)"
-                           % (a.serial, b.serial))
-            else:
-                table[number[a.key], j] = k
-    if bad:
-        return bad
-    out = [[number[a.key] for a in gpd.by_source.get(b.dst, ())]
-           for b in gpd.arrows]
-    for j in range(len(gpd.arrows)):
-        for i in out[j]:
-            ij = table[i, j]
-            for c in out[i]:
-                if table[c, ij] != table[table[c, i], j]:
-                    bad.append("associativity fails on a triple at %r"
-                               % (gpd.arrows[c].serial,))
-                    return bad
-    return bad
-
-
 def reference_row_check(self):
     """``LocalSystem._check_action`` as it was before the check went by
     origin: one dart at a time, each representative's row composed once
@@ -303,32 +252,6 @@ def corrupt_compose(sys, monkeypatch):
 
     monkeypatch.setattr(cls, "composite_keys", corrupted_row)
     return True
-
-
-def check_ball_divisors(sys) -> list:
-    """(object, group order, divisor, ok) for every vertex isotropy group of
-    a ball local system: the order must divide ``bounds.ball_group_divisor``."""
-    d = max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
-            max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
-    divisor = ball_group_divisor(d, sys.radius)
-    out = []
-    for x in sys.union.vertices:
-        count = len(sys.groupoid.hom(x, x))
-        out.append((x, count, divisor, divisor % count == 0))
-    return out
-
-
-def check_object_divisors(sys) -> list:
-    """(object, group order, divisor, ok) for object-system vertex groups."""
-    d = max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
-            max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
-    iso = sys.isotropy_lcm()
-    divisor = object_group_divisor(d, iso)
-    out = []
-    for x in sys.union.vertices:
-        count = len(sys.groupoid.hom(x, x))
-        out.append((x, count, divisor, divisor % count == 0))
-    return out
 
 
 def deck_transport(cover, word, path):

@@ -12,7 +12,7 @@ from commoncover.star_system import (STRATEGY_ALIGNED, StarArrow,
                                      StarLocalSystem, build_star_system,
                                      build_star_system_retrying, star_arrow)
 
-from conftest import all_pairs_closure, bfs_atoms, groupoid_violations
+from conftest import all_pairs_closure, bfs_atoms
 
 
 def identity_factory_for(graph):
@@ -26,7 +26,7 @@ def test_saturate_no_atoms_single_object():
     gpd = saturate([], ["v00"], identity_factory_for(g))
     assert len(gpd.arrows) == 1
     assert gpd.arrows[0].src == gpd.arrows[0].dst == "v00"
-    assert not groupoid_violations(gpd)
+    assert not gpd.verify()
 
 
 def test_saturate_single_bijection_four_arrows():
@@ -35,7 +35,7 @@ def test_saturate_single_bijection_four_arrows():
     gamma = star_arrow(g, "v00", "v01", bij)
     gpd = saturate([gamma], ["v00", "v01"], identity_factory_for(g))
     assert len(gpd.arrows) == 4
-    assert not groupoid_violations(gpd)
+    assert not gpd.verify()
 
 
 def test_saturate_two_bijections_matches_brute_force():
@@ -216,7 +216,7 @@ def test_identity_ignores_stored_witnesses(engine_systems):
     assert star != s and hash(star) == hash((s.src, s.dst, star.perm))
 
 
-# -- conftest.groupoid_violations is complete ----------------------------------
+# -- FiniteGroupoid.verify is complete -------------------------------------------
 
 
 def test_verify_completes_on_k4_theta3(generated):
@@ -224,7 +224,7 @@ def test_verify_completes_on_k4_theta3(generated):
     assert len(gpd.arrows) == 216
     assert {gpd.out_count(x) for x in gpd.objects} == {36}
     # 216 * 36 * 36 = 279,936 associativity triples, all checked
-    assert groupoid_violations(gpd) == []
+    assert gpd.verify() == []
 
 
 def test_verify_reports_one_wrong_composition(generated, monkeypatch):
@@ -243,7 +243,7 @@ def test_verify_reports_one_wrong_composition(generated, monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(StarArrow, "compose", corrupted)
-    bad = groupoid_violations(gpd)
+    bad = gpd.verify()
     assert len(bad) == 1 and bad[0].startswith("associativity fails")
 
 
