@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from sys import intern
 from typing import Callable, Iterable
@@ -48,6 +49,13 @@ def encoding(size: int) -> type:
 def points(values, size: int):
     """Positions in a domain of ``size`` points, in the domain's encoding."""
     return encoding(size)(values)
+
+
+@lru_cache(maxsize=1024)
+def _table(perm: bytes) -> bytes:
+    """``perm`` padded to a 256-byte translate table, one object for equal
+    perms: arrows of one domain size share a few perms."""
+    return perm.ljust(256, b"\0")
 
 
 def gather(positions):
@@ -85,7 +93,7 @@ class PermArrow:
         self.src = src = intern(src)
         self.dst = dst = intern(dst)
         self.perm = perm = points(perm, len(perm))
-        self.table = perm.ljust(256, b"\0") if perm.__class__ is bytes else perm
+        self.table = _table(perm) if perm.__class__ is bytes else perm
         self.domain = domain
         self.codomain = codomain
         self.witness = witness
