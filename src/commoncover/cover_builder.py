@@ -188,10 +188,14 @@ class LocalSystem:
     def out_count(self, obj) -> int:
         return self.groupoid.out_count(obj)
 
-    def cross_arrows(self) -> list:
+    @cached_property
+    def _cross(self) -> tuple:
+        return tuple(a for a in self.groupoid.arrows
+                     if side_of(a.src) == 1 and side_of(a.dst) == 2)
+
+    def cross_arrows(self) -> tuple:
         """The arrows from side 1 to side 2, in key order."""
-        return [a for a in self.groupoid.arrows
-                if side_of(a.src) == 1 and side_of(a.dst) == 2]
+        return self._cross
 
     def check_axioms(self) -> AxiomReport:
         """Check coverage (AX1), bar closure (AX2) and the action laws (AX3).

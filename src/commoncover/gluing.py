@@ -71,7 +71,7 @@ class FaceClass:
 
 @dataclass
 class PairsAndFaces:
-    pairs: list                    # cross arrows, sorted
+    pairs: tuple                   # cross arrows, sorted
     faces: dict                    # serial -> FaceClass
     orientation: dict
 
