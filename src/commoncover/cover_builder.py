@@ -183,7 +183,8 @@ class LocalSystem:
     # -- shared helpers -------------------------------------------------------
 
     def eps(self, atom) -> str:
-        return self._origin[self.atom_image(atom)]
+        e, y, r = atom
+        return self._origin[self._dart_at[y][r[self._head_slot[e]]]]
 
     def out_count(self, obj) -> int:
         return self.groupoid.out_count(obj)
@@ -246,7 +247,9 @@ class LocalSystem:
         if cover_fail is None:
             for e in union.darts:
                 other = 2 if side_of(e) == 1 else 1
-                if not any(side_of(self.atom_image(a)) == other for a in atoms[e]):
+                # atoms follow their arrows' keys, so those into side 2 come last
+                order = reversed(atoms[e]) if other == 2 else atoms[e]
+                if not any(side_of(self.atom_image(a)) == other for a in order):
                     cover_fail = e
                     break
         bar_fail = None
