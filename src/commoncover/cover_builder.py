@@ -281,20 +281,16 @@ class LocalSystem:
     def _check_action(self) -> Optional[str]:
         """Checks (a) to (d) of ``check_axioms``; the first failure found.
 
-        The darts are walked by origin.  At an origin x, the identity atoms
-        of its darts form one bundle B, and ``bundles[i]`` is out[i].B, the
-        atoms F(out[i]) at every dart of x at once; composites are matched
-        to them by key.  ``held(i)`` composes the row h.out[i] for h out of
-        dst out[i] once, with one ``composite_keys`` row, and decides
-        F(h.out[i]) = h.F(out[i]) at every dart of x: the bundles of the
-        found composites against one ``act_row`` of the h on bundles[i],
-        one gather per element for all darts.  For t in Stab, F(t) = id_e,
-        so this is (b) at e; for a representative r it is (d).  An arrow t
-        in Stab has dst t = eps(id_e) = x by (a), since atoms determine
-        their image dart, so its row runs over out(x).  Only where the
-        bundles differ are the rows walked element by element at each dart,
-        so the failure reported is the one the element-wise order meets
-        first.
+        At an origin x the identity atoms of all its darts form one bundle
+        B, and ``bundles[i]`` is out[i].B.  ``held(i)`` composes the row of
+        h.out[i] for h out of dst out[i] once, looks the composites' bundles
+        up by key and compares them with one ``act_row`` of the h on
+        bundles[i]: F(h.out[i]) = h.F(out[i]) at every dart of x, one gather
+        per element.  For t in Stab, F(t) = id_e, so this is (b) at e; for a
+        representative r it is (d).  A row t in Stab runs over out(x), since
+        dst t = eps(id_e) = x by (a).  Only a row that fails is walked
+        element by element at each dart, so the failure reported is the one
+        the element-wise order meets first.
         """
         groupoid, identity_rows = self.groupoid, self.identity_rows
         by_source, act_row = groupoid.by_source, self.act_row

@@ -132,11 +132,11 @@ def reference_check_action(self):
 
 
 def reference_row_check(self):
-    """``LocalSystem._check_action`` as it was before the check went by
-    origin: one dart at a time, each representative's row composed once
-    per origin (memoized), and every check walked element by element over
-    the atoms of that dart.  It serves as the reference for the verdict
-    and the detail string, and takes the local system as ``self``."""
+    """The per-dart form of ``LocalSystem._check_action``: one dart at a
+    time, each needed row composed once per origin (memoized), and every
+    check walked element by element over the atoms of that dart.  It
+    serves as the reference for the verdict and the detail string, and
+    takes the local system as ``self``."""
     groupoid = self.groupoid
     arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
     act_row = self.act_row
@@ -190,8 +190,8 @@ def reference_row_check(self):
 
 def corrupt_act(sys, corrupt):
     """Replace the system's action so that it corrupts the atom produced by
-    one cross arrow, and drop the cached atom rows and sets.  The replaced method is
-    ``act_row``, the one definition of the action: ``act`` is its
+    one cross arrow, and drop the cached atom rows and sets.  The replaced
+    method is ``act_row``, the one definition of the action: ``act`` is its
     one-element case.  ``corrupt`` sees the positions of an atom as a
     tuple, and its result is put back in the system's encoding; a bundle
     (several atoms with a tuple of anchors and their positions
