@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
-from .graphs import Graph, GraphError, disjoint_union, side_of, strip_side
+from .graphs import Graph, GraphError
 from .groupoids import PermArrow, gather, saturate
 from .refinement import JointBlocks, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
@@ -71,24 +71,23 @@ def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
     neighbourhood of the canonical lift of e, and bar transports it by the
     deck transformation that takes the head of that lift to the canonical
     lift of head(e)."""
-    cover = {1: c1, 2: c2}
-    lift, origin = {}, union.origin
-    for x in union.vertices:
-        c = cover[side_of(x)]
-        lift[x] = c.canonical_lift(strip_side(x))
-    domains = {x: cover[side_of(x)].ball(lift[x], radius).vertices
-               for x in union.vertices}
+    g1, g2 = c1.graph, c2.graph
+    # per union vertex and dart: its side's cover and its id in that side
+    vcover = [c1] * len(g1.vertices) + [c2] * len(g2.vertices)
+    dcover = [c1] * len(g1.darts) + [c2] * len(g2.darts)
+    lift = list(map(UniversalCover.canonical_lift, vcover, g1.vertices + g2.vertices))
+    domains = [c.ball(z, radius).vertices for c, z in zip(vcover, lift)]
+    raw, org, rev = g1.darts + g2.darts, union.org, union.rev
 
     def neighbourhood(e):
-        return edge_neighbourhood(cover[side_of(e)], lift[origin[e]],
-                                  strip_side(e), radius)
+        return edge_neighbourhood(dcover[e], lift[org[e]], raw[e], radius)
 
     def head(e):
-        return cover[side_of(e)].step(lift[origin[e]], strip_side(e))
+        return dcover[e].step(lift[org[e]], raw[e])
 
     def across(e, nb):
-        c = cover[side_of(e)]
-        loop = c.deck_loop(head(e), lift[union.head(e)])
+        c = dcover[e]
+        loop = c.deck_loop(head(e), lift[org[rev[e]]])
         return [c.transport(loop, p) for p in nb]
 
     return Numbering(union, domains, neighbourhood, head, across)
@@ -113,28 +112,29 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
         raise GraphError("ball radius must be at least 1")
     c1, c2 = alignment.c1, alignment.c2
     alignment.ensure_radius(explore_radius + radius)
-    union = disjoint_union(g1, g2)
+    union = alignment.joint.union
     numbering = ball_numbering(union, c1, c2, radius)
     domains, positions, dom = numbering.domains, numbering.positions, numbering.dom
+    index1, index2, n1 = g1.index()[0], g2.index()[0], len(g1.vertices)
     vertex_arrows = {}
     edge_atoms = set()
     for z in c1.layers(explore_radius):
         x = c1.project(z)
         z2 = alignment.apply(z)
         y = c2.project(z2)
-        src, dst = "1:" + x, "2:" + y
+        src, dst = index1[x], n1 + index2[y]
         w1 = c1.deck_loop(c1.canonical_lift(x), z)
         w2 = c2.deck_loop(z2, c2.canonical_lift(y))
         at = positions[dst]
         perm = [at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
                 for p in domains[src]]
         arrow = BallArrow(
-            src, dst, perm, domains[src], domains[dst],
+            src, dst, perm, domains[src], domains[dst], union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
                      ("p2", c2.loop_to_word(w2))))
         vertex_arrows.setdefault(arrow.key, arrow)
         # the edge atoms at this vertex are restrictions of the same map
-        for e in union.star(src):
+        for e in numbering.stars[src]:
             edge_atoms.add((e, dst, gather(dom[e])(arrow.table)))
     return DiscoveredAtoms([vertex_arrows[k] for k in sorted(vertex_arrows)],
                            sorted(edge_atoms), radius, explore_radius, numbering)
@@ -157,9 +157,9 @@ class BallLocalSystem(LocalSystem):
     def atom_serial(self, atom):
         """("atom", anchor dart, image dart, sorted (path, path) pairs)."""
         e, y, r = atom
-        domains = self.numbering.domains
-        source, target = domains[self._origin[e]], domains[y]
-        return ("atom", e, self.atom_image(atom),
+        domains, darts = self.numbering.domains, self.union.darts
+        source, target = domains[self._org[e]], domains[y]
+        return ("atom", darts[e], darts[self.atom_image(atom)],
                 tuple([(source[i], target[j])
                        for i, j in zip(self.numbering.dom[e], r)]))
 
@@ -184,16 +184,16 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
         explore_radius = radius + g1.diameter() + g2.diameter()
     if discovered is None:
         discovered = discover_atoms(g1, g2, alignment, radius, explore_radius)
-    union = disjoint_union(g1, g2)
+    union = joint.union
     numbering = discovered.numbering
     if numbering is None:
         numbering = ball_numbering(union, alignment.c1, alignment.c2, radius)
     domains = numbering.domains
 
     def identity_factory(x):
-        return BallArrow(x, x, range(len(domains[x])), domains[x], domains[x])
+        return BallArrow(x, x, range(len(domains[x])), domains[x], domains[x], union.vertices)
 
-    groupoid = saturate(discovered.vertex_arrows, union.vertices, identity_factory)
+    groupoid = saturate(discovered.vertex_arrows, range(len(union.vertices)), identity_factory)
     sys = BallLocalSystem(g1, g2, union, groupoid, joint, alignment,
                           radius, explore_radius, discovered, numbering)
     unreachable = [a for a in discovered.edge_atoms
@@ -232,38 +232,21 @@ def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:
     alignment markers switch sides.  The evaluation starts from the
     identity on the canonical source ball.
     """
-    side = side_of(arrow.src)
+    n1 = sys.n1
+    first = arrow.src < n1              # the evaluation is on the first side
     current = {p: p for p in sys.numbering.domains[arrow.src]}
     for kind, payload in arrow.witness:
-        if kind == "th":
-            if payload == 1:
-                if side != 1:
-                    return False
-                current = {p: sys.alignment.apply(q) for p, q in current.items()}
-                side = 2
-            else:
-                if side != 2:
-                    return False
-                current = {p: sys.alignment.apply_inverse(q)
-                           for p, q in current.items()}
-                side = 1
-        elif kind == "p1":
-            if side != 1:
-                return False
-            loop = sys.cover1.word_to_loop(payload)
-            current = {p: sys.cover1.transport(loop, q)
-                       for p, q in current.items()}
-        elif kind == "p2":
-            if side != 2:
-                return False
-            loop = sys.cover2.word_to_loop(payload)
-            current = {p: sys.cover2.transport(loop, q)
-                       for p, q in current.items()}
+        if kind == "th" and (payload == 1) == first:
+            step = sys.alignment.apply if first else sys.alignment.apply_inverse
+            current = {p: step(q) for p, q in current.items()}
+            first = not first
+        elif kind in ("p1", "p2") and (kind == "p1") == first:
+            cover = sys.cover1 if first else sys.cover2
+            loop = cover.word_to_loop(payload)
+            current = {p: cover.transport(loop, q) for p, q in current.items()}
         else:
             return False
-    if side != side_of(arrow.dst):
-        return False
-    return tuple(sorted(current.items())) == arrow.mapping
+    return first == (arrow.dst < n1) and tuple(sorted(current.items())) == arrow.mapping
 
 
 def saturation_horizon(g1: Graph, g2: Graph, radius: int,

@@ -201,29 +201,3 @@ def bound_report(kind: str, actual: Optional[int] = None, **params) -> BoundRepo
     else:
         bound = Fraction((2 if params["odd"] else 1) * params["v1"] * params["v2"])
     return BoundReport(kind, dict(params), bound, actual)
-
-
-def check_ball_divisors(sys) -> list:
-    """(object, group order, divisor, ok) for every vertex isotropy group of
-    a ball local system."""
-    d = max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
-            max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
-    divisor = ball_group_divisor(d, sys.radius)
-    out = []
-    for x in sys.union.vertices:
-        count = len(sys.groupoid.hom(x, x))
-        out.append((x, count, divisor, divisor % count == 0))
-    return out
-
-
-def check_object_divisors(sys) -> list:
-    """(object, group order, divisor, ok) for object-system vertex groups."""
-    d = max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
-            max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
-    iso = sys.isotropy_lcm()
-    divisor = object_group_divisor(d, iso)
-    out = []
-    for x in sys.union.vertices:
-        count = len(sys.groupoid.hom(x, x))
-        out.append((x, count, divisor, divisor % count == 0))
-    return out

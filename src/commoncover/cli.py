@@ -27,7 +27,7 @@ from .bounds import bound_report
 from .cover_builder import AxiomError, build_cover, extract_certificate
 from .gluing import build_glued_cover
 from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
-                     VerificationError, is_covering, validate_graph)
+                     VerificationError, is_covering, size_fact_failure, validate_graph)
 from .object_graphs import (ObjectCover, ObjectGraph, SeedSpec,
                             build_object_cover, close_star_maps, make_object,
                             obj_morphism, validate_object_graph)
@@ -569,7 +569,7 @@ def cmd_verify(args) -> int:
     payload = _read_json(cover_path)
     _expect(isinstance(payload, dict), cover_path, "top level must be an object")
     cover = _graph_from_data(payload.get("graph", payload), cover_path)
-    degrees = payload.get("degrees")
+    facts = list(map(payload.get, ("degrees", "component_sizes", "bound", "total_vertices")))
     del payload             # the largest structure of a verify, not needed further
     g1, g2 = load_graph(args.first), load_graph(args.second)
     mu1 = load_morphism(os.path.join(cover_dir, "mu1.json"), cover, g1)
@@ -579,8 +579,10 @@ def cmd_verify(args) -> int:
         if not rep.ok:
             print("%s fails: %s at %r" % (name, rep.reason, rep.witness))
             return 1
-    if degrees not in (None, [len(cover.vertices) / len(g.vertices) for g in (g1, g2)]):
-        print("degrees fails: %r is not |V(C)|/|V(g_i)| on each side" % (degrees,))
+    failure = size_fact_failure(len(cover.vertices), len(g1.vertices), len(g2.vertices),
+                                *facts)
+    if failure:
+        print("%s fails: %r is not %s" % failure)
         return 1
     print("cover verifies onto both inputs")
     return 0

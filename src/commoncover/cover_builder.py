@@ -14,6 +14,9 @@ involution, and two closure axioms:
 its arrows are ``PermArrow`` permutations of the domains of a
 ``Numbering``, and an atom is an arrow restricted to the numbered
 neighbourhood of a dart, held as (anchor dart, target object, positions).
+Objects and darts are indices of the disjoint union of the two graphs, so
+a side is a comparison with the number of the first graph's vertices or
+darts; only the serials render ids.
 An atom is its own key.  The checks, the orbit engine and the assembly act
 on a whole row of arrows at once through ``act_row``, one C call per arrow;
 ``act`` is the row of one arrow.  A bundle, several atoms at one target
@@ -36,12 +39,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
-from sys import intern
+from itertools import chain, compress, filterfalse, repeat
 from typing import Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     finish_cover, side_of, strip_side)
+                     finish_cover, numbered_ids)
 from .groupoids import FiniteGroupoid, encoding, gather, lcm_all, points
 
 
@@ -87,11 +89,13 @@ class LocalSystem:
     ``PermArrow`` arrows over the domains of a ``Numbering``, and atoms
     (anchor dart, target object, positions).
 
-    The identity atom at e is (e, origin e, dom[e]); an arrow h acts by
-    (e, y, r) -> (e, dst h, h.perm restricted to r); the image dart is read
-    from ``dart_at``; and bar moves the positions across the reversed dart.
-    Subclasses render ``atom_serial``.  The atom sets, orbit sizes, axiom
-    checks and cover assembly are shared.
+    Vertices and darts are indices of ``union``, which holds the first
+    graph's ``n1`` vertices and ``m1`` darts first; ``stars[x]`` are the
+    darts at vertex x.  The identity atom at e is (e, origin e, dom[e]); an
+    arrow h acts by (e, y, r) -> (e, dst h, h.perm restricted to r); the
+    image dart is read from ``dart_at``; and bar moves the positions across
+    the reversed dart.  Subclasses render ``atom_serial``.  The atom sets,
+    orbit sizes, axiom checks and cover assembly are shared.
     """
 
     kind = "abstract"
@@ -104,11 +108,12 @@ class LocalSystem:
         self.groupoid = groupoid
         self.numbering = numbering
         self.axioms: Optional[AxiomReport] = None
-        origin, rev = union.origin, union.reverse
-        self._origin, self._rev = origin, rev
-        self._identity = {e: (e, intern(origin[e]), r) for e, r in numbering.dom.items()}
+        self.n1, self.m1 = len(g1.vertices), len(g1.darts)
+        self.stars = numbering.stars
+        self._org, self._rev = org, rev = union.org, union.rev
+        self._identity = list(zip(range(len(org)), org, numbering.dom))
         self._dart_at, self._head_slot = numbering.dart_at, numbering.head_slot
-        self._head_vertex = {e: intern(origin[rev[e]]) for e in union.darts}
+        self._head_vertex = list(map(org.__getitem__, rev))
 
     # -- atoms ----------------------------------------------------------------
 
@@ -140,10 +145,10 @@ class LocalSystem:
         return (self._rev[e], head, tuple(moved) if -1 in moved else
                 points(moved, len(self.numbering.domains[head])))
 
-    def atom_anchor(self, atom) -> str:
+    def atom_anchor(self, atom) -> int:
         return atom[0]
 
-    def atom_image(self, atom) -> str:
+    def atom_image(self, atom) -> int:
         return self._dart_at[atom[1]][atom[2][self._head_slot[atom[0]]]]
 
     def atom_serial(self, atom) -> tuple:
@@ -152,17 +157,17 @@ class LocalSystem:
     # -- the orbit engine ---------------------------------------------------
 
     @cached_property
-    def identity_rows(self) -> dict:
-        """dart e -> the atoms g.id_e for g in out(origin e), in ``by_source``
-        order: one ``act_row`` per dart, which ``atoms_by_anchor`` and the
-        action check read."""
-        by_source, origin = self.groupoid.by_source, self._origin
-        return {e: self.act_row(by_source.get(origin[e], ()), self.identity_atom(e))
-                for e in self.union.darts}
+    def identity_rows(self) -> list:
+        """Per dart e, the atoms g.id_e for g in out(origin e), in
+        ``by_source`` order: one ``act_row`` per dart, which
+        ``atoms_by_anchor`` and the action check read."""
+        by_source = self.groupoid.by_source
+        return [self.act_row(by_source.get(x, ()), ident)
+                for x, ident in zip(self._org, self._identity)]
 
     @cached_property
-    def atoms_by_anchor(self) -> dict:
-        """dart -> the atoms anchored at the dart, as the keys of a dict in
+    def atoms_by_anchor(self) -> list:
+        """Per dart, the atoms anchored at the dart, as the keys of a dict in
         the order first reached.
 
         These are the orbit of the identity atom id_e, reached in one step:
@@ -171,7 +176,7 @@ class LocalSystem:
         out of origin(e).  By the orbit-stabilizer law the set has
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
-        return {e: dict.fromkeys(row) for e, row in self.identity_rows.items()}
+        return list(map(dict.fromkeys, self.identity_rows))
 
     def orbit_size(self, dart) -> int:
         return len(self.atoms_by_anchor[dart])
@@ -182,17 +187,17 @@ class LocalSystem:
 
     # -- shared helpers -------------------------------------------------------
 
-    def eps(self, atom) -> str:
+    def eps(self, atom) -> int:
         e, y, r = atom
-        return self._origin[self._dart_at[y][r[self._head_slot[e]]]]
+        return self._org[self._dart_at[y][r[self._head_slot[e]]]]
 
     def out_count(self, obj) -> int:
         return self.groupoid.out_count(obj)
 
     @cached_property
     def _cross(self) -> tuple:
-        return tuple(a for a in self.groupoid.arrows
-                     if side_of(a.src) == 1 and side_of(a.dst) == 2)
+        n1 = self.n1
+        return tuple(a for a in self.groupoid.arrows if a.src < n1 <= a.dst)
 
     def cross_arrows(self) -> tuple:
         """The arrows from side 1 to side 2, in key order."""
@@ -233,30 +238,30 @@ class LocalSystem:
         x at once, with one gather per pair (``_check_action``).  Each dart
         e takes one ``act`` for the identity and its row of ``identity_rows``.
         """
-        union = self.union
+        union, m1 = self.union, self.m1
         atoms = self.atoms_by_anchor
+        anchor, image = self.atom_anchor, self.atom_image
         cover_fail = None
         cross = self.cross_arrows()
-        sources = {a.src for a in cross}
-        targets = {a.dst for a in cross}
-        for v in union.vertices:
-            if side_of(v) == 1 and v not in sources:
-                cover_fail = v
-            if side_of(v) == 2 and v not in targets:
-                cover_fail = v
-        if cover_fail is None:
-            for e in union.darts:
-                other = 2 if side_of(e) == 1 else 1
+        # cross arrows start on side 1 and end on side 2; the last vertex
+        # that none of them reaches is reported
+        bare = set(range(len(union.vertices))).difference(
+            [a.src for a in cross], [a.dst for a in cross])
+        if bare:
+            cover_fail = union.vertices[max(bare)]
+        else:
+            def crosses(e):
                 # atoms follow their arrows' keys, so those into side 2 come last
-                order = reversed(atoms[e]) if other == 2 else atoms[e]
-                if not any(side_of(self.atom_image(a)) == other for a in order):
-                    cover_fail = e
-                    break
+                if e < m1:
+                    return any(map(m1.__le__, map(image, reversed(atoms[e]))))
+                return any(map(m1.__gt__, map(image, atoms[e])))
+
+            e = next(filterfalse(crosses, range(len(atoms))), None)
+            cover_fail = None if e is None else union.darts[e]
         bar_fail = None
-        rev = union.reverse
-        anchor, image = self.atom_anchor, self.atom_image
+        rev = self._rev
         pending = {}                 # {atom: its bar} at both darts of a pair checked one way
-        for e in union.darts:
+        for e in range(len(rev)):
             f = rev[e]
             if e in pending:
                 row, back = pending.pop(e), pending.pop(f)
@@ -295,8 +300,7 @@ class LocalSystem:
         groupoid, identity_rows = self.groupoid, self.identity_rows
         by_source, act_row = groupoid.by_source, self.act_row
         eps, anchor = self.eps, self.atom_anchor
-        for x in self.union.vertices:
-            star = self.union.star(x)
+        for x, star in enumerate(self.stars):
             if not star:
                 continue
             unit = groupoid.identities.get(x)
@@ -318,7 +322,7 @@ class LocalSystem:
 
             for e, ident in zip(star, ids):
                 if unit is None or self.act(unit, ident) != ident:
-                    return "identity action fails over %r" % (x,)
+                    return "identity action fails over %r" % (self.union.vertices[x],)
                 moved = identity_rows[e]
                 got, anchors = list(map(eps, moved)), list(map(anchor, moved))
                 if got != targets or anchors.count(e) != len(out):
@@ -337,7 +341,7 @@ class LocalSystem:
                         return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
                 fibres = Counter(moved)
                 if set(fibres.values()) != {len(stab)}:
-                    return "orbit-stabilizer count fails at %r" % (e,)
+                    return "orbit-stabilizer count fails at %r" % (self.union.darts[e],)
                 first = dict(zip(reversed(moved), reversed(range(len(out)))))
                 for a in fibres:
                     r = first[a]
@@ -363,12 +367,14 @@ def _first_difference(got: list, want: list) -> int:
 class Numbering:
     """Index tables of a permutation local system, built once per dart.
 
-    ``domains[x]`` is the sorted domain an arrow out of object x permutes,
-    numbered by ``positions[x]``.  The system supplies, per dart e, the
-    sorted elements of its ``neighbourhood``, the element at its ``head``,
-    and the transports ``across(e, nb)`` of that neighbourhood, in order,
-    into the domain of head(e) by the deck transformation that takes e
-    onto its reverse.  The tables are:
+    Objects and darts are the vertex and dart indices of ``union``, and
+    ``stars[x]`` are the darts at x.  ``domains[x]`` is the sorted domain
+    an arrow out of object x permutes, numbered by ``positions[x]``.  The
+    system supplies, per dart e, the sorted elements of its
+    ``neighbourhood``, the element at its ``head``, and the transports
+    ``across(e, nb)`` of that neighbourhood, in order, into the domain of
+    head(e) by the deck transformation that takes e onto its reverse.  The
+    tables, lists indexed by dart or object, are:
 
     * ``dom[e]``: the positions of the neighbourhood in the domain;
     * ``head_slot[e]``: the index in ``dom[e]`` of the head element;
@@ -381,36 +387,33 @@ class Numbering:
       ``dom[e]`` that transports to it.
     """
 
-    def __init__(self, union: Graph, domains: dict, neighbourhood, head, across):
-        self.domains = domains
-        self.positions = at = {x: {p: i for i, p in enumerate(dom)}
-                               for x, dom in domains.items()}
-        self.dom, self.head_slot, self.move = {}, {}, {}
-        narrow = {x: encoding(len(dom)) is bytes for x, dom in domains.items()}
-        self.dart_at = {x: [None] * (256 if narrow[x] else len(dom))
-                        for x, dom in domains.items()}
-        nbhd, images = {}, {}
-        origin, reverse = union.origin, union.reverse
-        for e in union.darts:
-            x = origin[e]
-            px = at[x]
-            nbhd[e] = nb = tuple(neighbourhood(e))
+    def __init__(self, union: Graph, domains: list, neighbourhood, head, across):
+        self.union, self.stars, self.domains = union, union.stars(), domains
+        self.positions = at = [{p: i for i, p in enumerate(dom)} for dom in domains]
+        narrow = [encoding(len(dom)) is bytes for dom in domains]
+        self.dart_at = [[None] * (256 if n else len(dom)) for n, dom in zip(narrow, domains)]
+        self.dom, self.head_slot, self.move, nbhd, images = [], [], [], [], []
+        org, rev = union.org, union.rev
+        for e, x in enumerate(org):
+            px, y = at[x], org[rev[e]]
+            nb = tuple(neighbourhood(e))
             h = head(e)
-            self.dom[e] = points([px[p] for p in nb], len(px))
-            self.head_slot[e] = nb.index(h)
+            self.dom.append(points([px[p] for p in nb], len(px)))
+            self.head_slot.append(nb.index(h))
             self.dart_at[x][px[h]] = e
-            images[e] = moved = tuple(across(e, nb))
-            py = at[origin[reverse[e]]]
+            moved = tuple(across(e, nb))
+            py = at[y]
             move = [-1] * len(domains[x])
             for p, q in zip(nb, moved):
                 move[px[p]] = py[q]
-            self.move[e] = (bytes([m % 256 for m in move]).ljust(256, b"\xff")
-                            if narrow[x] and narrow[origin[reverse[e]]] else move)
-        self.bar_slots = {}
-        for e in union.darts:
-            slot_of = {q: j for j, q in enumerate(images[e])}
-            self.bar_slots[e] = points([slot_of[p] for p in nbhd[reverse[e]]],
-                                       len(domains[origin[e]]))
+            self.move.append(bytes([m % 256 for m in move]).ljust(256, b"\xff")
+                             if narrow[x] and narrow[y] else move)
+            nbhd.append(nb)
+            images.append(moved)
+        self.bar_slots = [
+            points(list(map({q: j for j, q in enumerate(images[e])}.__getitem__, nbhd[f])),
+                   len(domains[org[e]]))
+            for e, f in enumerate(rev)]
 
 
 # -- the cover ----------------------------------------------------------------
@@ -430,62 +433,43 @@ def build_cover(sys: LocalSystem, component: str = "least",
     if not sys.axioms.ok:
         raise AxiomError("local system failed closure axioms: %r" % (sys.axioms.detail,),
                          witness=sys.axioms.detail)
-    union = sys.union
-    out = {x: sys.out_count(x) for x in union.vertices}
-    if any(c == 0 for c in out.values()):
-        raise AxiomError("object without arrows", witness=min(
-            x for x, c in out.items() if c == 0))
-    n_mult = lcm_all(out.values())
-    orbit = {e: sys.orbit_size(e) for e in union.darts}
-    origin = union.origin
-    for e, size in orbit.items():
-        if out[origin[e]] % size != 0 or n_mult % size != 0:
+    union, g1, g2, n1, m1 = sys.union, sys.g1, sys.g2, sys.n1, sys.m1
+    out = list(map(sys.out_count, range(len(union.vertices))))
+    if 0 in out:
+        raise AxiomError("object without arrows", witness=union.vertices[out.index(0)])
+    n_mult = lcm_all(out)
+    orbit = list(map(sys.orbit_size, range(len(union.darts))))
+    for e, (size, x) in enumerate(zip(orbit, union.org)):
+        if out[x] % size != 0 or n_mult % size != 0:
             raise VerificationError("orbit size does not divide the arrow "
-                                    "count at %r" % (e,))
+                                    "count at %r" % (union.darts[e],))
 
-    cross = sys.cross_arrows()
-    vertex_ids = {}
-    vertex_label = {}
-    vertex_colour = {}
-    vmap1, vmap2 = {}, {}
-    pull_colour_1 = bool(sys.g1.vertex_colour) or bool(sys.g1.dart_colour)
-    for a in cross:
+    # cover vertex first[a.key] + j - 1 is copy j of cross arrow a
+    first, vertex_label, vm1, vm2, runs = {}, [], [], [], {}
+    for a in sys.cross_arrows():
         reps = n_mult // out[a.src]
-        serial, x, y = a.serial, strip_side(a.src), strip_side(a.dst)
-        colour = (sys.g1.vertex_colour.get(x) if pull_colour_1 else
-                  sys.g2.vertex_colour.get(y))
-        for j in range(1, reps + 1):
-            vid = "v%06d" % len(vertex_ids)
-            vertex_ids[(a.key, j)] = vid
-            vertex_label[vid] = (serial, j)
-            vmap1[vid], vmap2[vid] = x, y
-            if colour is not None:
-                vertex_colour[vid] = colour
+        first[a.key] = len(vm1)
+        vertex_label += [(a.serial, j) for j in range(1, reps + 1)]
+        vm1 += [a.src] * reps
+        vm2 += [a.dst - n1] * reps
+        runs.setdefault(a.src, []).append(a)
 
     # group cover vertices by the atom their action produces at each star
     # dart: one row per dart over the cross arrows out of its origin
     groups = {}
-    runs = {}
-    for a in cross:
-        runs.setdefault(a.src, []).append(a)
     for x, run in runs.items():
         reps = n_mult // out[x]
-        for e in union.star(x):
+        for e in sys.stars[x]:
             row = sys.act_row(run, sys.identity_atom(e))
             for a, atom in zip(run, row):
-                slot = groups.setdefault(atom, [])
-                for j in range(1, reps + 1):
-                    slot.append(vertex_ids[(a.key, j)])
+                groups.setdefault(atom, []).extend(range(first[a.key], first[a.key] + reps))
 
     # every cross atom must be realised: the groupoid is closed, so any atom
-    # anchored on side 1 with image on side 2 arises from some cross arrow
+    # anchored on side 1 with image on side 2 arises from some cross arrow;
+    # cover dart dart_first[atom] + k - 1 is copy k of the atom
     serial_of = {atom: sys.atom_serial(atom) for atom in groups}
     order = sorted(groups, key=serial_of.__getitem__)
-    dart_ids = {}
-    dart_label = {}
-    origin = {}
-    dart_colour = {}
-    dmap1, dmap2 = {}, {}
+    dart_first, dart_label, org, dm1, dm2 = {}, [], [], [], []
     for atom in order:
         anchor, image = sys.atom_anchor(atom), sys.atom_image(atom)
         expected = n_mult // orbit[anchor]
@@ -493,36 +477,43 @@ def build_cover(sys: LocalSystem, component: str = "least",
         if len(members) != expected:
             raise VerificationError("matching count at atom %r: %d != %d"
                                     % (serial_of[atom], len(members), expected))
-        colour = (sys.g1.dart_colour.get(strip_side(anchor)) if pull_colour_1 else
-                  sys.g2.dart_colour.get(strip_side(image)))
-        for k in range(1, expected + 1):
-            did = "d%06d" % len(dart_ids)
-            dart_ids[(atom, k)] = did
-            dart_label[did] = (serial_of[atom], k)
-            origin[did] = members[k - 1]
-            dmap1[did], dmap2[did] = strip_side(anchor), strip_side(image)
-            if colour is not None:
-                dart_colour[did] = colour
-    reverse = {}
+        dart_first[atom] = len(org)
+        dart_label += [(serial_of[atom], k) for k in range(1, expected + 1)]
+        org += members
+        dm1 += [anchor] * expected
+        dm2 += [image - m1] * expected
+    rev = [0] * len(org)
     for atom in order:
         bar = sys.bar(atom)
         if bar not in groups:
             raise VerificationError("bar atom not realised for %r" % (serial_of[atom],))
-        expected = n_mult // orbit[sys.atom_anchor(atom)]
-        for k in range(1, expected + 1):
-            reverse[dart_ids[(atom, k)]] = dart_ids[(bar, k)]
+        a, b, n = dart_first[atom], dart_first[bar], len(groups[atom])
+        rev[a:a + n] = range(b, b + n)
 
-    graph = Graph(vertex_ids.values(), dart_ids.values(), origin, reverse,
-                  vertex_colour, dart_colour)
-    mu1 = GraphMorphism(graph, sys.g1, vmap1, dmap1)
-    mu2 = GraphMorphism(graph, sys.g2, vmap2, dmap2)
+    vertex_ids, dart_ids = (numbered_ids(("v%06d",), range(len(vm1))),
+                            numbered_ids(("d%06d",), range(len(org))))
+    # the cover takes the first graph's colours when it has any
+    g, vm, dm = (g1, vm1, dm1) if g1.vertex_colour or g1.dart_colour else (g2, vm2, dm2)
+    graph = Graph.from_tables(vertex_ids, dart_ids, org, rev,
+                              pulled_colours(vertex_ids, g.vertex_colour, g.vertices, vm),
+                              pulled_colours(dart_ids, g.dart_colour, g.darts, dm))
     based_vertex = None
     if based_at is not None:
-        if (based_at.key, 1) not in vertex_ids:
+        if based_at.key not in first:
             raise GraphError("seed arrow is not a cross arrow of the system")
-        based_vertex = vertex_ids[(based_at.key, 1)]
-    return finish_cover(mu1, mu2, component, based_vertex, n_mult,
-                        vertex_label, dart_label)
+        based_vertex = vertex_ids[first[based_at.key]]
+    return finish_cover(GraphMorphism.from_tables(graph, g1, vm1, dm1),
+                        GraphMorphism.from_tables(graph, g2, vm2, dm2), component,
+                        based_vertex, n_mult, dict(zip(vertex_ids, vertex_label)),
+                        dict(zip(dart_ids, dart_label)))
+
+
+def pulled_colours(ids, colour: dict, names: tuple, images: list) -> dict:
+    """id -> the colour of its image, where the image has one."""
+    if not colour:
+        return {}
+    return {i: c for i, c in zip(ids, map(colour.get, map(names.__getitem__, images)))
+            if c is not None}
 
 
 # -- certificates for the ball backend ---------------------------------------
@@ -604,13 +595,14 @@ def extract_certificate(built: Cover, sys, test_radius: int,
     from .ball_system import verify_witness
 
     domains, positions = sys.numbering.domains, sys.numbering.positions
+    index1, index2 = sys.g1.index()[0], sys.g2.index()[0]
     entries = []
     for z in layers:
         if len(z) > test_radius:
             break
         x = c1.project(z)
         y = c2.project(psi[z])
-        src, dst = "1:" + x, "2:" + y
+        src, dst = index1[x], sys.n1 + index2[y]
         zx = c1.canonical_lift(x)
         zy = c2.canonical_lift(y)
         w1 = c1.deck_loop(zx, z)
@@ -622,7 +614,8 @@ def extract_certificate(built: Cover, sys, test_radius: int,
         if arrow is None:
             raise VerificationError(
                 "ball restriction escaped the discovered groupoid at %r (%r)"
-                % (z, ("ball", src, dst, tuple(zip(domains[src], images)))))
+                % (z, ("ball", sys.union.vertices[src], sys.union.vertices[dst],
+                       tuple(zip(domains[src], images)))))
         serial = arrow.serial
         matches = built.vertex_label[nu1[z]][0] == serial
         entries.append(CertificateEntry(z, serial, matches,

@@ -24,9 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .ball_system import build_ball_system_retrying
-from .cover_builder import LocalSystem
+from .cover_builder import LocalSystem, pulled_colours
 from .graphs import (Cover, Graph, GraphMorphism, VerificationError,
-                     finish_cover, strip_side)
+                     finish_cover, numbered_ids)
 from .groupoids import lcm_all
 
 
@@ -37,21 +37,21 @@ class OrientationError(VerificationError):
 def orient_darts(sys: LocalSystem) -> dict:
     """Two-colour the darts so that atoms join like signs and reversal flips
     the sign; raises ``OrientationError`` when impossible."""
-    union = sys.union
-    same = {d: [] for d in union.darts}
-    for e in union.darts:
+    rev = sys.union.rev
+    same = [[] for _ in rev]
+    for e in range(len(rev)):
         for f in sys.orbit_darts(e):
             same[e].append(f)
             same[f].append(e)
     sign = {}
-    for d0 in union.darts:
+    for d0 in range(len(rev)):
         if d0 in sign:
             continue
         sign[d0] = 1
         queue = deque([d0])
         while queue:
             d = queue.popleft()
-            rd = union.reverse[d]
+            rd = rev[d]
             for f, s in [(x, sign[d]) for x in same[d]] + [(rd, -sign[d])]:
                 if f not in sign:
                     sign[f] = s
@@ -80,11 +80,10 @@ def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
     """Cross arrows and the face classes of their atoms, keyed by the atom
     serial of the face representative."""
     orientation = orient_darts(sys)
-    union = sys.union
     pairs = sys.cross_arrows()
     sides = {}                     # atom -> (left, right)
     for arrow in pairs:
-        for e in union.star(arrow.src):
+        for e in sys.stars[arrow.src]:
             atom = sys.act_identity(arrow, e)
             if orientation[e] == 1:
                 side = 0
@@ -114,8 +113,8 @@ class WeightFn:
 def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
     """Stabilizer-index weights, with every balance equation verified
     exactly: for each face, both side sums equal scale/orbit-size."""
-    out = {x: sys.out_count(x) for x in sys.union.vertices}
-    scale = lcm_all(out.values())
+    out = list(map(sys.out_count, range(len(sys.union.vertices))))
+    scale = lcm_all(out)
     integral = {a.serial: scale // out[a.src] for a in data.pairs}
     for face in data.faces.values():
         anchor = sys.atom_anchor(face.atom)
@@ -127,7 +126,7 @@ def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
                 "gluing equation imbalance at face %r (%d vs %d vs %d)"
                 % (face.serial, left_sum, right_sum, expected))
         # per-face coset correspondence: side count * weight = face count
-        x = sys.union.origin[anchor]
+        x = sys.union.org[anchor]
         if len(face.left) * sys.orbit_size(anchor) != out[x]:
             raise VerificationError("coset count at face %r" % (face.serial,))
     return WeightFn(scale, integral)
@@ -136,46 +135,34 @@ def gluing_weights(sys: LocalSystem, data: PairsAndFaces) -> WeightFn:
 def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
              component: str = "all") -> Cover:
     """Glue weighted polyhedron copies along matched face slots."""
-    union = sys.union
-    instance_ids = {}
-    vmap1, vmap2, vcol = {}, {}, {}
+    n1, m1, rev = sys.n1, sys.m1, sys.union.rev
+    first, vm1, vm2 = {}, [], []            # instance first[a.key] + c - 1 is copy c of a
     for arrow in data.pairs:
-        x, y = strip_side(arrow.src), strip_side(arrow.dst)
-        colour = sys.g1.vertex_colour.get(x)
-        for c in range(1, weights.weight(arrow) + 1):
-            pid = instance_ids[(arrow.key, c)] = "p%06d" % len(instance_ids)
-            vmap1[pid], vmap2[pid] = x, y
-            if colour is not None:
-                vcol[pid] = colour
-    darts, origin, reverse, dmap1, dmap2, dcol = [], {}, {}, {}, {}, {}
+        c = weights.weight(arrow)
+        first[arrow.key] = len(vm1)
+        vm1 += [arrow.src] * c
+        vm2 += [arrow.dst - n1] * c
+    org, dm1, dm2 = [], [], []              # darts 2k and 2k + 1 are glued
     for key in sorted(data.faces):
         face = data.faces[key]
         anchor = sys.atom_anchor(face.atom)
         image = sys.atom_image(face.atom)
-        left_slots = [(a, c) for a in face.left
-                      for c in range(1, weights.weight(a) + 1)]
-        right_slots = [(a, c) for a in face.right
-                       for c in range(1, weights.weight(a) + 1)]
+        left_slots = [first[a.key] + c for a in face.left for c in range(weights.weight(a))]
+        right_slots = [first[a.key] + c for a in face.right for c in range(weights.weight(a))]
         if len(left_slots) != len(right_slots):
             raise VerificationError("slot imbalance")
-        for k, ((la, lc), (ra, rc)) in enumerate(zip(left_slots, right_slots)):
-            dl = "d%06dL" % len(darts)
-            dr = "d%06dR" % len(darts)
-            darts += [dl, dr]
-            origin[dl] = instance_ids[(la.key, lc)]
-            origin[dr] = instance_ids[(ra.key, rc)]
-            reverse[dl], reverse[dr] = dr, dl
-            dmap1[dl] = strip_side(anchor)
-            dmap1[dr] = strip_side(union.reverse[anchor])
-            dmap2[dl] = strip_side(image)
-            dmap2[dr] = strip_side(union.reverse[image])
-            for d in (dl, dr):
-                colour = sys.g1.dart_colour.get(dmap1[d])
-                if colour is not None:
-                    dcol[d] = colour
-    graph = Graph(instance_ids.values(), darts, origin, reverse, vcol, dcol)
-    return finish_cover(GraphMorphism(graph, sys.g1, vmap1, dmap1),
-                        GraphMorphism(graph, sys.g2, vmap2, dmap2), component,
+        for left, right in zip(left_slots, right_slots):
+            org += [left, right]
+            dm1 += [anchor, rev[anchor]]
+            dm2 += [image - m1, rev[image] - m1]
+    g1 = sys.g1
+    vertex_ids = numbered_ids(("p%06d",), range(len(vm1)))
+    dart_ids = numbered_ids(("d%06dL", "d%06dR"), range(0, len(org), 2))
+    graph = Graph.from_tables(vertex_ids, dart_ids, org, [d ^ 1 for d in range(len(org))],
+                              pulled_colours(vertex_ids, g1.vertex_colour, g1.vertices, vm1),
+                              pulled_colours(dart_ids, g1.dart_colour, g1.darts, dm1))
+    return finish_cover(GraphMorphism.from_tables(graph, g1, vm1, dm1),
+                        GraphMorphism.from_tables(graph, sys.g2, vm2, dm2), component,
                         weights=weights, subdivided=False)
 
 

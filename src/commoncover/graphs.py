@@ -176,6 +176,11 @@ class Graph:
             self._order, self._first = _buckets(self.org, len(self.vertices))
         return self._order, self._first
 
+    def stars(self) -> list:
+        """Per vertex index, the indices of its darts in order."""
+        order, first = self._star_tables()
+        return list(map(tuple(order).__getitem__, map(slice, first, islice(first, 1, None))))
+
     # -- basic queries ----------------------------------------------------
 
     def star(self, v: str) -> tuple:
@@ -203,9 +208,6 @@ class Graph:
         """One canonical dart (the smaller identifier) per geometric edge."""
         # darts are numbered in id order, so d <= reverse d is i <= rev[i]
         return tuple(compress(self.darts, map(le, count(), self.rev)))
-
-    def n_edges(self) -> int:
-        return len(self.darts) // 2
 
     def canonical(self) -> tuple:
         """Canonical nested-tuple form, used for equality and serialization."""
@@ -425,9 +427,6 @@ class GraphMorphism:
                     for i in sorted(clash.difference(missing_v))]
         return bad
 
-    def is_valid(self) -> bool:
-        return not self.violations()
-
     def __repr__(self):
         return "GraphMorphism(%r -> %r)" % (self.source, self.target)
 
@@ -514,6 +513,27 @@ class Cover:
         return sum(self.component_sizes)
 
 
+def size_fact_failure(n: int, n1: int, n2: int, degrees, sizes, bound, total):
+    """The first size fact recorded with a cover of n vertices onto graphs of
+    n1 and n2 vertices (None where not recorded) that fails, as (fact,
+    value, what it should be), or None; each check is constant time."""
+    most = 2 * n1 * n2
+    for fact, value, ok, claim in (
+            ("degrees", degrees, degrees in (None, [n / n1, n / n2]),
+             "|V(C)|/|V(g_i)| on each side"),
+            ("component_sizes", sizes, sizes is None or isinstance(sizes, list) and all(
+                type(s) is int for s in sizes) and (n in sizes or n == sum(sizes)),
+             "a list with |V(C)| as an entry or as its sum"),
+            ("bound", bound, bound is None or type(bound) is int and n <= bound <= most,
+             "between |V(C)| and 2|V(g1)||V(g2)|"),
+            ("total_vertices", total, total is None or type(total) is int
+             and n <= total <= (most if bound is None else bound),
+             "between |V(C)| and the bound")):
+        if not ok:
+            return fact, value, claim
+    return None
+
+
 def _verify_cover(mu1: GraphMorphism, mu2: GraphMorphism, what: str) -> None:
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         try:
@@ -526,6 +546,14 @@ def _verify_cover(mu1: GraphMorphism, mu2: GraphMorphism, what: str) -> None:
         if len(mu.source.vertices) % len(mu.target.vertices):
             raise VerificationError("%s%s: cover size is not a multiple of a "
                                     "base size" % (what, name))
+
+
+def numbered_ids(formats: tuple, numbers: range) -> list:
+    """The ids ``f % k`` for k in ``numbers`` and each format f, in that
+    order, which is their sorted order below a million only."""
+    if numbers and numbers[-1] >= 10 ** 6:
+        raise BudgetExceeded("a cover of more than a million vertices or darts")
+    return [f % k for k in numbers for f in formats]
 
 
 def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
@@ -662,34 +690,20 @@ def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
                         GraphMorphism.from_tables(graph, g2, vm2, dm2))
 
 
-def disjoint_union(g1: Graph, g2: Graph, prefix1: str = "1:", prefix2: str = "2:") -> Graph:
-    """Disjoint union with prefixed identifiers (used for joint refinement)."""
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """The disjoint union, built from the two graphs' tables at an offset:
+    vertex (dart) i is g1's vertex (dart) i below the number of g1's
+    vertices (darts), and g2's at that offset above it.  Its ids, the one
+    place where the side prefixes are spelled, are g1's after "1:" and g2's
+    after "2:", which sort in that same order."""
 
     def tag(prefix, g):
-        return (
-            [prefix + v for v in g.vertices],
-            [prefix + d for d in g.darts],
-            {prefix + d: prefix + v for d, v in g.origin.items()},
-            {prefix + d: prefix + e for d, e in g.reverse.items()},
-            {prefix + v: c for v, c in g.vertex_colour.items()},
-            {prefix + d: c for d, c in g.dart_colour.items()},
-        )
+        return ([prefix + v for v in g.vertices], [prefix + d for d in g.darts],
+                {prefix + v: c for v, c in g.vertex_colour.items()},
+                {prefix + d: c for d, c in g.dart_colour.items()})
 
-    a = tag(prefix1, g1)
-    b = tag(prefix2, g2)
-    return Graph(a[0] + b[0], a[1] + b[1],
-                 {**a[2], **b[2]}, {**a[3], **b[3]},
-                 {**a[4], **b[4]}, {**a[5], **b[5]})
-
-
-def side_of(prefixed: str) -> int:
-    """Which input graph a prefixed identifier belongs to (1 or 2)."""
-    if prefixed.startswith("1:"):
-        return 1
-    if prefixed.startswith("2:"):
-        return 2
-    raise GraphError("identifier %r carries no side prefix" % (prefixed,))
-
-
-def strip_side(prefixed: str) -> str:
-    return prefixed[2:]
+    a, b = tag("1:", g1), tag("2:", g2)
+    n1, m1 = len(g1.vertices), len(g1.darts)
+    return Graph.from_tables(a[0] + b[0], a[1] + b[1], g1.org + [v + n1 for v in g2.org],
+                             g1.rev + [d + m1 for d in g2.rev],
+                             {**a[2], **b[2]}, {**a[3], **b[3]})

@@ -1,10 +1,11 @@
 """Finite groupoids and their saturation from generating arrows.
 
-Arrows are ``PermArrow`` records exposing ``src``, ``dst``, ``key`` (their
-identity, sortable), ``serial`` (the canonical tuple written to artifacts
-and failure messages, sorting as ``key`` does), ``compose(other)`` (self
-after other, or None when incompatible), ``composite_keys(lefts)`` (the
-keys of h after self for a whole row of arrows h) and ``inverse()``.
+Arrows are ``PermArrow`` records exposing ``src``, ``dst`` (object
+indices), ``key`` (their identity, sortable), ``serial`` (the canonical
+tuple written to artifacts and failure messages, with the objects' ids,
+sorting as ``key`` does), ``compose(other)`` (self after other, or None
+when incompatible), ``composite_keys(lefts)`` (the keys of h after self
+for a whole row of arrows h) and ``inverse()``.
 Saturation closes a generating set S under composition and inversion inside
 a finite ambient universe by breadth-first search over the Cayley graph:
 each arrow found is left-composed with the letters of S and S^-1 that start
@@ -32,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from sys import intern
 from typing import Callable, Iterable
 
 
@@ -72,30 +72,32 @@ def gather(positions):
 class PermArrow:
     """A bijection from the domain of ``src`` onto the domain of ``dst``.
 
+    ``src`` and ``dst`` index the objects, whose ids are ``names``;
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
     those objects; ``perm[i]`` is the codomain position of the image of
     ``domain[i]``, encoded by ``points``; ``table``, which ``gather`` reads,
     is bytes ``perm`` padded to 256 bytes, or tuple ``perm`` itself.
     Identity is ``key = (src, dst, perm)``: for equal ends, comparing perms
-    compares the images in sorted codomain order, so keys sort as the
-    rendered ``serial`` tuples do.  ``witness`` is a word carried along by
-    composition and inversion; it takes no part in identity.
-    Subclasses name the ``tag`` of their serial.  Arrows are slotted
-    records, compared and hashed on ``key`` within one class.
+    compares the images in sorted codomain order, and objects are indexed
+    in id order, so keys sort as the rendered ``serial`` tuples do.
+    ``witness`` is a word carried along by composition and inversion; it
+    takes no part in identity.  Subclasses name the ``tag`` of their
+    serial.  Arrows are slotted records, compared and hashed on ``key``
+    within one class.
     """
 
-    __slots__ = ("src", "dst", "perm", "table", "domain", "codomain", "witness",
-                 "key", "_serial")
+    __slots__ = ("src", "dst", "perm", "table", "domain", "codomain", "names",
+                 "witness", "key", "_serial")
 
-    def __init__(self, src, dst, perm, domain: tuple, codomain: tuple,
-                 witness: tuple = ()):
-        # one string object per end, so that keys compare by identity
-        self.src = src = intern(src)
-        self.dst = dst = intern(dst)
+    def __init__(self, src: int, dst: int, perm, domain: tuple, codomain: tuple,
+                 names: tuple, witness: tuple = ()):
+        self.src = src
+        self.dst = dst
         self.perm = perm = points(perm, len(perm))
         self.table = _table(perm) if perm.__class__ is bytes else perm
         self.domain = domain
         self.codomain = codomain
+        self.names = names
         self.witness = witness
         self.key = (src, dst, perm)
         self._serial = None
@@ -119,7 +121,8 @@ class PermArrow:
     @property
     def serial(self) -> tuple:
         if self._serial is None:
-            self._serial = (self.tag, self.src, self.dst, self.pairs)
+            names = self.names
+            self._serial = (self.tag, names[self.src], names[self.dst], self.pairs)
         return self._serial
 
     def composite_keys(self, lefts) -> list:
@@ -132,14 +135,14 @@ class PermArrow:
         if key is None:
             return None
         return self.__class__(other.src, self.dst, key[2], other.domain,
-                              self.codomain, other.witness + self.witness)
+                              self.codomain, self.names, other.witness + self.witness)
 
     def inverse(self) -> "PermArrow":
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
         return self.__class__(self.dst, self.src, inv, self.codomain,
-                              self.domain, self.invert_word(self.witness))
+                              self.domain, self.names, self.invert_word(self.witness))
 
     @staticmethod
     def invert_word(word: tuple) -> tuple:
@@ -156,11 +159,9 @@ class FiniteGroupoid:
 
     def __post_init__(self):
         self.by_source = {}
-        self.by_pair = {}
         self.number = {}             # key -> position in ``arrows``
         for i, a in enumerate(self.arrows):
             self.by_source.setdefault(a.src, []).append(a)
-            self.by_pair.setdefault((a.src, a.dst), []).append(a)
             self.number[a.key] = i
 
     def by_key(self, key):
@@ -172,56 +173,7 @@ class FiniteGroupoid:
         return len(self.by_source.get(obj, ()))
 
     def hom(self, x, y) -> list:
-        return self.by_pair.get((x, y), [])
-
-    def verify(self) -> list:
-        """Check the groupoid axioms, completely.
-
-        Identities, inverses and the identity law are checked per arrow.
-        Every composable pair is composed once, which checks closure and
-        fills a table of composites; associativity c(ab) = (ca)b is then
-        checked on every composable triple by table lookups.  Returns a
-        list of violation strings (empty when the axioms hold).
-        """
-        bad = []
-        number = self.number
-        for x in self.objects:
-            if x not in self.identities:
-                bad.append("missing identity at %r" % (x,))
-        for a in self.arrows:
-            inv = a.inverse()
-            if inv.key not in number:
-                bad.append("inverse missing for %r" % (a.serial,))
-                continue
-            left = inv.compose(a)
-            if left is None or left.key != self.identities[a.src].key:
-                bad.append("inverse law fails for %r" % (a.serial,))
-            ii = self.identities[a.dst].compose(a)
-            if ii is None or ii.key != a.key:
-                bad.append("identity law fails for %r" % (a.serial,))
-        table = {}                   # (i, j) -> index of arrow i after arrow j
-        for j, b in enumerate(self.arrows):
-            for a in self.by_source.get(b.dst, ()):
-                ab = a.compose(b)
-                k = number.get(ab.key) if ab is not None else None
-                if k is None:
-                    bad.append("not closed under composition at (%r, %r)"
-                               % (a.serial, b.serial))
-                else:
-                    table[number[a.key], j] = k
-        if bad:
-            return bad
-        out = [[number[a.key] for a in self.by_source.get(b.dst, ())]
-               for b in self.arrows]
-        for j in range(len(self.arrows)):
-            for i in out[j]:
-                ij = table[i, j]
-                for c in out[i]:
-                    if table[c, ij] != table[table[c, i], j]:
-                        bad.append("associativity fails on a triple at %r"
-                                   % (self.arrows[c].serial,))
-                        return bad
-        return bad
+        return [a for a in self.by_source.get(x, ()) if a.dst == y]
 
 
 def saturate(atoms: Iterable, objects: Iterable,

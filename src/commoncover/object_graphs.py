@@ -27,7 +27,7 @@ from typing import Optional
 
 from .cover_builder import AxiomError, LocalSystem, Numbering, build_cover
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     disjoint_union, is_covering, side_of, strip_side, validate_graph)
+                     disjoint_union, is_covering, validate_graph)
 from .groupoids import PermArrow, saturate
 
 
@@ -224,8 +224,8 @@ class StarMapArrow(PermArrow):
                     maps[p[1]] = ([], [])
                 else:
                     maps[p[1]][p[2]].append((p[3], q[3]))
-            self._serial = (self.tag, self.src, self.dst, tuple(bij),
-                            tuple((d, (tuple(vm), tuple(em)))
+            self._serial = (self.tag, self.names[self.src], self.names[self.dst],
+                            tuple(bij), tuple((d, (tuple(vm), tuple(em)))
                                   for d, (vm, em) in maps.items()))
         return self._serial
 
@@ -234,24 +234,24 @@ class StarMapArrow(PermArrow):
         return tuple(obj_invert(m) for m in reversed(word))
 
 
-def object_numbering(union: Graph, edge_object) -> Numbering:
-    """Decorated stars as domains.  The block of a dart d is the point
-    (0, d), then the vertices (1, d, 0, v) and the edges (1, d, 1, e) of
-    its edge object ``edge_object(d)``; the domain of a vertex is the sorted
-    union of the blocks of its star.  Perms then sort as the serials do:
-    dart images first, then each dart's vertex and edge images.  An atom
-    at d restricts an arrow to the block of d, and bar moves the block onto
-    that of reverse d, which shares its edge object."""
-    def block(d):
-        obj = edge_object(d)
-        return ((0, d), *[(1, d, 0, v) for v in obj.vertices],
-                *[(1, d, 1, e[0]) for e in obj.edges])
+def object_numbering(union: Graph, edge_objects: list) -> Numbering:
+    """Decorated stars as domains.  The block of a dart d (with id i) is the
+    point (0, i), then the vertices (1, i, 0, v) and the edges (1, i, 1, e)
+    of its edge object ``edge_objects[d]``; the domain of a vertex is the
+    sorted union of the blocks of its star.  Perms then sort as the serials
+    do: dart images first, then each dart's vertex and edge images.  An
+    atom at d restricts an arrow to the block of d, and bar moves the block
+    onto that of reverse d, which shares its edge object."""
+    darts, rev = union.darts, union.rev
 
-    rev = union.reverse
-    domains = {x: tuple(sorted(p for d in union.star(x) for p in block(d)))
-               for x in union.vertices}
-    return Numbering(union, domains, block, lambda d: (0, d),
-                     lambda d, nb: [(p[0], rev[d], *p[2:]) for p in nb])
+    def block(d):
+        obj, i = edge_objects[d], darts[d]
+        return ((0, i), *[(1, i, 0, v) for v in obj.vertices],
+                *[(1, i, 1, e[0]) for e in obj.edges])
+
+    domains = [tuple(sorted(p for d in star for p in block(d))) for star in union.stars()]
+    return Numbering(union, domains, block, lambda d: (0, darts[d]),
+                     lambda d, nb: [(p[0], darts[rev[d]], *p[2:]) for p in nb])
 
 
 class ObjectLocalSystem(LocalSystem):
@@ -270,7 +270,7 @@ class ObjectLocalSystem(LocalSystem):
         """The map from the anchor's edge object onto the image's."""
         e, y, r = atom
         domains = self.numbering.domains
-        source, target = domains[self._origin[e]], domains[y]
+        source, target = domains[self._org[e]], domains[y]
         vmap, emap = {}, {}
         for i, j in zip(self.numbering.dom[e], r):
             p, q = source[i], target[j]
@@ -280,13 +280,15 @@ class ObjectLocalSystem(LocalSystem):
 
     def atom_serial(self, atom):
         """("oatom", anchor dart, image dart, edge-object map serial)."""
-        return ("oatom", atom[0], self.atom_image(atom), self.atom_morph(atom).serial)
+        darts = self.union.darts
+        return ("oatom", darts[atom[0]], darts[self.atom_image(atom)],
+                self.atom_morph(atom).serial)
 
     def vertex_map(self, arrow: StarMapArrow) -> ObjMorphism:
         """The vertex-object map of an arrow: its witness word evaluated
         from the identity of its source object."""
-        xg = self.x1 if side_of(arrow.src) == 1 else self.x2
-        m = obj_identity(xg.vertex_objects[strip_side(arrow.src)])
+        xg, v = (self.x1, arrow.src) if arrow.src < self.n1 else (self.x2, arrow.src - self.n1)
+        m = obj_identity(xg.vertex_objects[xg.graph.vertices[v]])
         for letter in arrow.witness:
             m = obj_compose(letter, m)
         return m
@@ -299,7 +301,7 @@ class ObjectLocalSystem(LocalSystem):
 
     def isotropy_lcm(self) -> int:
         out = 1
-        for dart in self.union.darts:
+        for dart in range(len(self.union.darts)):
             out = lcm(out, len(self.isotropy(dart)))
         return out
 
@@ -360,18 +362,20 @@ def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
             raise SeedError("no compatible vertex map for the seed at %r (square %r)"
                             % (seed.src, last), square=last)
 
-    def image(p):                        # p = (0, d) or (1, d, kind, id)
-        e = strip_side(p[1])
-        f = "2:" + seed.dart_map[e]
-        if p[0] == 0:
-            return (0, f)
-        m = seed.edge_maps[e]
-        return (1, f, p[2], (m.edict if p[2] else m.vdict)[p[3]])
-
-    src, dst = "1:" + seed.src, "2:" + seed.dst
+    # the union holds g1's vertices and darts first, then g2's
+    (v1, d1), (v2, d2) = g1.index(), g2.index()
+    src, dst = v1[seed.src], len(g1.vertices) + v2[seed.dst]
+    ids = numbering.union.darts
+    image = {}                           # (0, d) or (1, d, kind, id) -> its image
+    for e, f in seed.dart_map.items():
+        a, b, m = ids[d1[e]], ids[len(g1.darts) + d2[f]], seed.edge_maps[e]
+        image[0, a] = (0, b)
+        image.update(((1, a, 0, v), (1, b, 0, w)) for v, w in m.vmap)
+        image.update(((1, a, 1, v), (1, b, 1, w)) for v, w in m.emap)
     at = numbering.positions[dst]
-    return StarMapArrow(src, dst, [at[image(p)] for p in numbering.domains[src]],
-                        numbering.domains[src], numbering.domains[dst], (vm,))
+    return StarMapArrow(src, dst, [at[image[p]] for p in numbering.domains[src]],
+                        numbering.domains[src], numbering.domains[dst], numbering.union.vertices,
+                        (vm,))
 
 
 def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
@@ -383,24 +387,22 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
         if not report.ok:
             raise GraphError("invalid object graph: " + report.violations[0])
     union = disjoint_union(x1.graph, x2.graph)
-
-    def edge_object(d):
-        return (x1 if side_of(d) == 1 else x2).edge_objects[strip_side(d)]
-
-    numbering = object_numbering(union, edge_object)
+    numbering = object_numbering(union, [
+        *map(x1.edge_objects.__getitem__, x1.graph.darts),
+        *map(x2.edge_objects.__getitem__, x2.graph.darts)])
     arrows = [_check_star_map(x1, x2, s, numbering) if isinstance(s, SeedSpec) else s
               for s in seeds]
     domains = numbering.domains
 
     def identity_factory(x):
-        return StarMapArrow(x, x, range(len(domains[x])), domains[x], domains[x])
+        return StarMapArrow(x, x, range(len(domains[x])), domains[x], domains[x], union.vertices)
 
-    groupoid = saturate(arrows, union.vertices, identity_factory)
+    groupoid = saturate(arrows, range(len(union.vertices)), identity_factory)
     sys = ObjectLocalSystem(x1, x2, union, groupoid, numbering)
-    for dart in union.darts:
+    for dart, name in enumerate(union.darts):
         if len(sys.isotropy(dart)) > isotropy_cap:
             raise AxiomError("isotropy group exceeds the configured cap at %r"
-                             % (dart,))
+                             % (name,))
     report = sys.check_axioms()
     if not report.ok:
         raise AxiomError("insufficient seeds: closure axioms unmet at %r"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, disjoint_union, side_of
+from .graphs import Graph, GraphError, disjoint_union
 
 
 @dataclass
@@ -100,11 +100,6 @@ def degree_refinement(g: Graph) -> Partition:
     return refine_partition(g, initial)
 
 
-def is_equitable(p: Partition) -> bool:
-    refined = _refine_once(p.graph, p.block_of)
-    return len(set(refined.values())) == p.n_blocks()
-
-
 @dataclass
 class JointBlocks:
     ok: bool
@@ -124,9 +119,10 @@ def joint_refinement(g1: Graph, g2: Graph) -> JointBlocks:
         union, {v: colours.index(union.vertex_colour.get(v)) for v in union.vertices})
     corr = []
     ok = True
+    index, n1 = union.index()[0], len(g1.vertices)
     for block in part.blocks:
-        left = tuple(v for v in block if side_of(v) == 1)
-        right = tuple(v for v in block if side_of(v) == 2)
+        left = tuple(v for v in block if index[v] < n1)
+        right = block[len(left):]          # blocks are sorted, side 1 first
         corr.append((left, right))
         if not left or not right:
             ok = False

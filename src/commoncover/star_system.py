@@ -19,7 +19,7 @@ import itertools
 from math import factorial, prod
 
 from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
-from .graphs import BudgetExceeded, Graph, GraphError, disjoint_union
+from .graphs import BudgetExceeded, Graph, GraphError
 from .groupoids import FiniteGroupoid, PermArrow, saturate
 from .refinement import JointBlocks, _dart_type, joint_refinement
 from .universal_cover import TreeAlignment, UniversalCover, build_alignment
@@ -30,35 +30,28 @@ DR_FULL_ARROW_BUDGET = 200000
 
 
 class StarArrow(PermArrow):
-    """A bijection between two stars: ``perm`` over the sorted darts of
-    ``union.star(src)`` and ``union.star(dst)``; its serial is
-    ("star", src, dst, bij) with ``bij`` the sorted (dart, image) pairs."""
+    """A bijection between the stars of two vertex indices: ``perm`` over
+    their sorted darts; its serial is ("star", src, dst, bij) with the
+    vertex ids and ``bij`` the sorted (dart, image) pairs."""
 
     __slots__ = ()
     tag = "star"
     bij = PermArrow.pairs
 
 
-def star_arrow(graph: Graph, src, dst, image: dict) -> StarArrow:
-    """The star bijection of ``graph`` sending each dart d at src to image[d]."""
-    domain, codomain = graph.star(src), graph.star(dst)
-    at = {f: i for i, f in enumerate(codomain)}
-    return StarArrow(src, dst, [at[image[d]] for d in domain], domain, codomain)
-
-
 def _identity_arrow(union: Graph):
     def factory(x):
-        star = union.star(x)
-        return StarArrow(x, x, range(len(star)), star, star)
+        star = union.star(union.vertices[x])
+        return StarArrow(x, x, range(len(star)), star, star, union.vertices)
     return factory
 
 
 def star_numbering(union: Graph) -> Numbering:
     """Stars as domains: an atom at e restricts an arrow to e alone, and bar
     moves each dart to its reverse."""
-    rev = union.reverse
-    return Numbering(union, {x: union.star(x) for x in union.vertices},
-                     lambda e: (e,), lambda e: e, lambda e, nb: (rev[e],))
+    darts, rev = union.darts, union.rev
+    return Numbering(union, list(map(union.star, union.vertices)), lambda e: (darts[e],),
+                     darts.__getitem__, lambda e, nb: (darts[rev[e]],))
 
 
 class StarLocalSystem(LocalSystem):
@@ -74,7 +67,8 @@ class StarLocalSystem(LocalSystem):
 
     def atom_serial(self, atom):
         """(anchor dart, image dart)."""
-        return (atom[0], self.atom_image(atom))
+        darts = self.union.darts
+        return (darts[atom[0]], darts[self.atom_image(atom)])
 
 
 def _grouped_star(union, dart_type, v):
@@ -90,6 +84,7 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
     block_of = joint.partition.block_of
     dart_type = _dart_type(union, block_of)
     grouped = {v: _grouped_star(union, dart_type, v) for v in union.vertices}
+    at = union.index()[0]
     count = sum(len(block) ** 2 * prod(factorial(len(ds))
                                         for ds in grouped[block[0]].values())
                 for block in joint.partition.blocks)
@@ -114,7 +109,7 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
                     perm = [0] * len(domain)
                     for i, j in zip(slots, itertools.chain.from_iterable(combo)):
                         perm[i] = j
-                    arrows.append(StarArrow(u, v, perm, domain, codomain))
+                    arrows.append(StarArrow(at[u], at[v], perm, domain, codomain, union.vertices))
     return arrows
 
 
@@ -122,12 +117,15 @@ def induced_star_map(alignment: TreeAlignment, z, union: Graph) -> StarArrow:
     """Star bijection induced at a tree vertex: lift to the first cover's
     tree, push through the alignment, project to the second graph.  Its
     domains are the stars of ``union``, the disjoint union of the two
-    graphs."""
+    graphs, which keep each side's dart order."""
     c1, c2 = alignment.c1, alignment.c2
     z2 = alignment.apply(z)
-    image = {"1:" + d: "2:" + c2.dart_between(z2, alignment.apply(w))
-             for d, w in c1.star_darts(z)}
-    return star_arrow(union, "1:" + c1.project(z), "2:" + c2.project(z2), image)
+    x, y = c1.project(z), c2.project(z2)
+    at = {f: i for i, f in enumerate(c2.graph.star(y))}
+    perm = [at[c2.dart_between(z2, alignment.apply(w))] for _, w in c1.star_darts(z)]
+    src, dst = c1.graph.index()[0][x], len(c1.graph.vertices) + c2.graph.index()[0][y]
+    names = union.vertices
+    return StarArrow(src, dst, perm, union.star(names[src]), union.star(names[dst]), names)
 
 
 def _aligned_atoms(alignment: TreeAlignment, explore_radius: int,
@@ -148,11 +146,12 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
         joint = joint_refinement(g1, g2)
     if not joint.ok:
         raise GraphError("no common universal cover")
-    union = disjoint_union(g1, g2)
+    union = joint.union
+    objects = range(len(union.vertices))
     if strategy == STRATEGY_DR_FULL:
         arrows = _dr_full_arrows(union, joint)
-        identities = {x: _identity_arrow(union)(x) for x in union.vertices}
-        groupoid = FiniteGroupoid(tuple(union.vertices),
+        identities = {x: _identity_arrow(union)(x) for x in objects}
+        groupoid = FiniteGroupoid(tuple(objects),
                                   tuple(sorted(set(arrows), key=lambda a: a.key)),
                                   identities)
         sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy)
@@ -168,7 +167,7 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
     if alignment is None:
         alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
     atoms = _aligned_atoms(alignment, explore_radius, union)
-    groupoid = saturate(atoms, union.vertices, _identity_arrow(union))
+    groupoid = saturate(atoms, objects, _identity_arrow(union))
     sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
                           explore_radius, atoms)
     sys.alignment = alignment

@@ -229,25 +229,27 @@ class TreeAlignment:
         self.c1, self.c2 = c1, c2
         self.joint = joint
         self.max_radius = max_radius
-        b = joint.partition.block_of
-        if b["1:" + c1.project(())] != b["2:" + c2.project(())]:
+        # vertex id -> joint block, per side: the union holds g1's vertices first
+        blocks = list(map(joint.partition.block_of.__getitem__, joint.union.vertices))
+        self._block = (dict(zip(c1.graph.vertices, blocks)),
+                       dict(zip(c2.graph.vertices, blocks[len(c1.graph.vertices):])))
+        if self._block[0][c1.project(())] != self._block[1][c2.project(())]:
             raise GraphError("no common universal cover")
         self.fwd: Dict[Path, Path] = {(): ()}
         self.bwd: Dict[Path, Path] = {(): ()}
         self.radius_built = 0
         self._frontier = [((), ())]
 
-    def _dart_type(self, g: Graph, prefix: str):
+    def _dart_type(self, g: Graph, block: dict):
         """The function: dart of g -> (colour, reverse colour, head block)."""
-        b, colour, origin, reverse = (self.joint.partition.block_of, g.dart_colour,
-                                      g.origin, g.reverse)
-        return lambda d: (colour.get(d), colour.get(reverse[d]), b[prefix + origin[reverse[d]]])
+        colour, origin, reverse = g.dart_colour, g.origin, g.reverse
+        return lambda d: (colour.get(d), colour.get(reverse[d]), block[origin[reverse[d]]])
 
     def ensure_radius(self, r: int) -> None:
         if r > self.max_radius:
             raise AlignmentBudgetError("alignment radius cap exceeded (%d)" % r)
-        type1 = self._dart_type(self.c1.graph, "1:")
-        type2 = self._dart_type(self.c2.graph, "2:")
+        type1 = self._dart_type(self.c1.graph, self._block[0])
+        type2 = self._dart_type(self.c2.graph, self._block[1])
         while self.radius_built < r:
             nxt = []
             for z1, z2 in self._frontier:

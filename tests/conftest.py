@@ -5,11 +5,14 @@ from itertools import accumulate, chain
 import pytest
 
 from commoncover import families
+from commoncover.bounds import ball_group_divisor, object_group_divisor
 from commoncover.cover_builder import _first_difference
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
+from commoncover.refinement import _refine_once
 from commoncover.regular import euler_circuit, max_bipartite_matching
+from commoncover.star_system import StarArrow
 
 
 @pytest.fixture
@@ -62,6 +65,103 @@ def bfs_atoms(sys, dart) -> set:
     return seen
 
 
+def star_arrow(graph: Graph, src: str, dst: str, image: dict) -> StarArrow:
+    """The star bijection of ``graph`` from vertex src to vertex dst sending
+    each dart d to image[d]."""
+    domain, codomain = graph.star(src), graph.star(dst)
+    at = {f: i for i, f in enumerate(codomain)}
+    index = graph.index()[0]
+    return StarArrow(index[src], index[dst], [at[image[d]] for d in domain], domain,
+                     codomain, graph.vertices)
+
+
+def verify_groupoid(gpd) -> list:
+    """Check the groupoid axioms of a ``FiniteGroupoid``, completely.
+
+    Identities, inverses and the identity law are checked per arrow.
+    Every composable pair is composed once, which checks closure and
+    fills a table of composites; associativity c(ab) = (ca)b is then
+    checked on every composable triple by table lookups.  Returns a
+    list of violation strings (empty when the axioms hold).
+    """
+    bad = []
+    number = gpd.number
+    for x in gpd.objects:
+        if x not in gpd.identities:
+            bad.append("missing identity at %r" % (x,))
+    for a in gpd.arrows:
+        inv = a.inverse()
+        if inv.key not in number:
+            bad.append("inverse missing for %r" % (a.serial,))
+            continue
+        left = inv.compose(a)
+        if left is None or left.key != gpd.identities[a.src].key:
+            bad.append("inverse law fails for %r" % (a.serial,))
+        ii = gpd.identities[a.dst].compose(a)
+        if ii is None or ii.key != a.key:
+            bad.append("identity law fails for %r" % (a.serial,))
+    table = {}                   # (i, j) -> index of arrow i after arrow j
+    for j, b in enumerate(gpd.arrows):
+        for a in gpd.by_source.get(b.dst, ()):
+            ab = a.compose(b)
+            k = number.get(ab.key) if ab is not None else None
+            if k is None:
+                bad.append("not closed under composition at (%r, %r)"
+                           % (a.serial, b.serial))
+            else:
+                table[number[a.key], j] = k
+    if bad:
+        return bad
+    out = [[number[a.key] for a in gpd.by_source.get(b.dst, ())]
+           for b in gpd.arrows]
+    for j in range(len(gpd.arrows)):
+        for i in out[j]:
+            ij = table[i, j]
+            for c in out[i]:
+                if table[c, ij] != table[table[c, i], j]:
+                    bad.append("associativity fails on a triple at %r"
+                               % (gpd.arrows[c].serial,))
+                    return bad
+    return bad
+
+
+def _vertex_group_divisors(sys, divisor: int) -> list:
+    """(object id, group order, divisor, ok) for every vertex group."""
+    orders = [len(sys.groupoid.hom(x, x)) for x in range(len(sys.union.vertices))]
+    return [(name, n, divisor, divisor % n == 0)
+            for name, n in zip(sys.union.vertices, orders)]
+
+
+def _max_degree(sys) -> int:
+    return max(max((sys.g1.degree(v) for v in sys.g1.vertices), default=1),
+               max((sys.g2.degree(v) for v in sys.g2.vertices), default=1))
+
+
+def check_ball_divisors(sys) -> list:
+    """(object, group order, divisor, ok) for every vertex isotropy group of
+    a ball local system."""
+    return _vertex_group_divisors(sys, ball_group_divisor(_max_degree(sys), sys.radius))
+
+
+def check_object_divisors(sys) -> list:
+    """(object, group order, divisor, ok) for object-system vertex groups."""
+    return _vertex_group_divisors(
+        sys, object_group_divisor(_max_degree(sys), sys.isotropy_lcm()))
+
+
+def is_equitable(p) -> bool:
+    refined = _refine_once(p.graph, p.block_of)
+    return len(set(refined.values())) == p.n_blocks()
+
+
+def is_valid_morphism(m: GraphMorphism) -> bool:
+    return not m.violations()
+
+
+def n_edges(g: Graph) -> int:
+    return len(g.darts) // 2
+
+
 def all_pairs_closure(atoms, objects, identity_factory) -> list:
     """Sorted serials of the groupoid generated by the atoms, closed by
     composing each new arrow with every arrow already found, on both sides.
@@ -98,13 +198,13 @@ def reference_check_action(self):
     serial.  It serves as the reference for the action-law verdict, and
     takes the local system as ``self``."""
     groupoid = self.groupoid
-    for e in self.union.darts:
+    for e, name in enumerate(self.union.darts):
         ident = self.identity_atom(e)
         id_key = self.atom_serial(ident)
-        x = self.union.origin[e]
+        x = self.union.org[e]
         unit = groupoid.identities.get(x)
         if unit is None or self.atom_serial(self.act(unit, ident)) != id_key:
-            return "identity action fails over %r" % (x,)
+            return "identity action fails over %r" % (self.union.vertices[x],)
         out = groupoid.by_source.get(x, ())
         image, rep = {}, {}
         for g in out:
@@ -122,7 +222,7 @@ def reference_check_action(self):
                 if ft is None or image.get(ft.serial) != image[f.serial]:
                     return "stabilizer moves the image of %r" % (f.serial,)
         if any(n != len(stab) for n in Counter(image.values()).values()):
-            return "orbit-stabilizer count fails at %r" % (e,)
+            return "orbit-stabilizer count fails at %r" % (name,)
         for r, a in rep.values():
             for h in groupoid.by_source.get(r.dst, ()):
                 hr = h.compose(r)
@@ -141,7 +241,7 @@ def reference_row_check(self):
     arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
     act_row = self.act_row
     eps, anchor = self.eps, self.atom_anchor
-    for x in self.union.vertices:
+    for x, star in enumerate(self.stars):
         unit = groupoid.identities.get(x)
         out = by_source.get(x, ())
         out_numbers = [number[g.key] for g in out]
@@ -155,10 +255,10 @@ def reference_row_check(self):
                                    b.composite_keys(by_source.get(b.dst, ()))]
             return found
 
-        for e in self.union.star(x):
+        for e in star:
             ident = self.identity_atom(e)
             if unit is None or self.act(unit, ident) != ident:
-                return "identity action fails over %r" % (x,)
+                return "identity action fails over %r" % (self.union.vertices[x],)
             moved = act_row(out, ident)
             got = list(zip(map(eps, moved), map(anchor, moved)))
             want = [(g.dst, e) for g in out]
@@ -177,7 +277,7 @@ def reference_row_check(self):
             if bad:
                 return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
             if any(c != len(stab_images) for c in Counter(moved).values()):
-                return "orbit-stabilizer count fails at %r" % (e,)
+                return "orbit-stabilizer count fails at %r" % (self.union.darts[e],)
             for a, r in rep.items():
                 hs = by_source.get(arrows[r].dst, ())
                 expected = act_row(hs, a)
@@ -226,10 +326,10 @@ def corrupt_compose(sys, monkeypatch):
     the one definition of composition, whose entry for h becomes the wrong
     key.  Returns False, patching nothing, when no such pair exists."""
     def moved(arrow, x):
-        return {sys.atom_serial(sys.act_identity(arrow, e)) for e in sys.union.star(x)}
+        return {sys.atom_serial(sys.act_identity(arrow, e)) for e in sys.stars[x]}
 
     def pairs():
-        for x in sys.union.vertices:
+        for x in range(len(sys.union.vertices)):
             r = sys.groupoid.by_source[x][0]
             for h in sys.groupoid.by_source[r.dst]:
                 right = moved(h.compose(r), x)
@@ -727,6 +827,14 @@ class ReferenceEdgeAtom:
         self.serial = ("atom", anchor, image, mapping)
 
 
+def _sides(sys) -> dict:
+    """Vertex or dart id of the union -> the side (1 or 2) its index lies
+    on; a vertex and a dart never share an id in the fixtures."""
+    vindex, dindex = sys.union.index()
+    return {**{v: 1 if i < sys.n1 else 2 for v, i in vindex.items()},
+            **{d: 1 if i < sys.m1 else 2 for d, i in dindex.items()}}
+
+
 class ReferenceStarKernel:
     """Star atoms as (anchor dart, image dart) pairs of a star system."""
 
@@ -734,7 +842,7 @@ class ReferenceStarKernel:
         self.union = sys.union
 
     def arrow(self, a):
-        return ReferenceStarArrow(a.src, a.dst, a.bij)
+        return ReferenceStarArrow(a.names[a.src], a.names[a.dst], a.bij)
 
     def atom(self, serial):
         return serial
@@ -764,9 +872,10 @@ class ReferenceBallKernel:
         self.union = sys.union
         self.cover1, self.cover2 = sys.cover1, sys.cover2
         self.radius = sys.radius
+        self._side = _sides(sys)
 
     def _cover_of(self, prefixed):
-        return self.cover1 if prefixed.startswith("1:") else self.cover2
+        return self.cover1 if self._side[prefixed] == 1 else self.cover2
 
     def _neighbourhood(self, cover, root, dart):
         head = cover.step(root, dart)
@@ -775,7 +884,7 @@ class ReferenceBallKernel:
         return tuple(sorted(vs))
 
     def arrow(self, a):
-        return ReferenceBallArrow(a.src, a.dst, a.mapping, a.witness)
+        return ReferenceBallArrow(a.names[a.src], a.names[a.dst], a.mapping, a.witness)
 
     def atom(self, serial):
         return ReferenceEdgeAtom(*serial[1:])
@@ -885,9 +994,10 @@ class ReferenceObjectKernel:
     def __init__(self, sys):
         self.sys = sys
         self.union = sys.union
+        self._side = _sides(sys)
 
     def _object_graph(self, prefixed):
-        return self.sys.x1 if prefixed.startswith("1:") else self.sys.x2
+        return self.sys.x1 if self._side[prefixed] == 1 else self.sys.x2
 
     def _edge_object(self, dart):
         return self._object_graph(dart).edge_objects[dart[2:]]

@@ -12,8 +12,7 @@ import pytest
 
 from commoncover import families
 from commoncover.ball_system import build_ball_system_retrying, discover_atoms
-from commoncover.bounds import (bound_report, check_ball_divisors,
-                                check_object_divisors, landau, landau_exact)
+from commoncover.bounds import bound_report, landau, landau_exact
 from commoncover.cli import dump_graph, main, write_json
 from commoncover.cover_builder import build_cover, extract_certificate
 from commoncover.gluing import (assemble, build_glued_cover, enumerate_pairs,
@@ -29,7 +28,8 @@ from commoncover.refinement import common_cover_exists, joint_refinement
 from commoncover.regular import factorize_regular, regular_common_cover
 from commoncover.star_system import build_star_system
 
-from conftest import lollipop, random_base_graph
+from conftest import (check_ball_divisors, check_object_divisors, lollipop,
+                      random_base_graph)
 from test_cover_builder import counting_checks
 
 SEED = 20260810

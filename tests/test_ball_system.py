@@ -24,15 +24,15 @@ def test_discover_radius_zero_single_vertex_atom():
     found = discover_atoms(g, g, _alignment(g, g), radius=1, explore_radius=0)
     assert len(found.vertex_arrows) == 1
     arrow = found.vertex_arrows[0]
-    assert arrow.src == "1:v00" and arrow.dst == "2:v00"
+    assert arrow.names[arrow.src] == "1:v00" and arrow.names[arrow.dst] == "2:v00"
 
 
 def test_c3_c3_hom_sets_bounded_by_ball_isomorphisms():
     g = families.cycle(3)
     sys = build_ball_system_retrying(g, g, radius=1)
     # on the line, at most two root-fixing radius-1 isomorphisms exist
-    for x in sys.union.vertices:
-        for y in sys.union.vertices:
+    for x in range(len(sys.union.vertices)):
+        for y in range(len(sys.union.vertices)):
             assert len(sys.groupoid.hom(x, y)) <= 2
 
 
@@ -64,9 +64,9 @@ def test_hom_counts_bounded_by_brute_ball_isomorphisms():
     g1, g2 = families.complete(4), families.theta(3)
     sys = build_ball_system_retrying(g1, g2, radius=1)
     c1, c2 = sys.cover1, sys.cover2
-    for x in g1.vertices[:2]:
-        for y in g2.vertices:
-            count = len(sys.groupoid.hom("1:" + x, "2:" + y))
+    for i, x in enumerate(g1.vertices[:2]):
+        for j, y in enumerate(g2.vertices):
+            count = len(sys.groupoid.hom(i, len(g1.vertices) + j))
             brute = len(list(_brute_root_isos(
                 c1, c1.canonical_lift(x), c2, c2.canonical_lift(y), 1)))
             assert count <= brute
@@ -77,7 +77,7 @@ def test_radius_one_matches_aligned_star_orbits():
                    (families.cycle(3), families.cycle(4))):
         ball_sys = build_ball_system_retrying(g1, g2, radius=1)
         star_sys = build_star_system_retrying(g1, g2, STRATEGY_ALIGNED)
-        for e in ball_sys.union.darts:
+        for e in range(len(ball_sys.union.darts)):
             ball_pairs = {(ball_sys.atom_anchor(a), ball_sys.atom_image(a))
                           for a in ball_sys.atoms_by_anchor[e]}
             star_pairs = {(e, f) for f in star_sys.orbit_darts(e)}
@@ -113,14 +113,14 @@ def test_canonical_representatives_deduplicate():
 def test_bar_is_an_involutive_automorphism():
     g1, g2 = families.cycle(3), families.cycle(4)
     sys = build_ball_system_retrying(g1, g2, radius=2)
-    atoms = [a for e in sys.union.darts for a in sorted(sys.atoms_by_anchor[e])]
+    atoms = [a for e in range(len(sys.union.darts)) for a in sorted(sys.atoms_by_anchor[e])]
     serial, mapping = sys.atom_serial, (lambda a: sys.atom_serial(a)[3])
     for atom in atoms:
         twice = sys.bar(sys.bar(atom))
         assert serial(twice) == serial(atom)
         b = sys.bar(atom)
-        assert sys.atom_anchor(b) == sys.union.reverse[sys.atom_anchor(atom)]
-        assert sys.atom_image(b) == sys.union.reverse[sys.atom_image(atom)]
+        assert sys.atom_anchor(b) == sys.union.rev[sys.atom_anchor(atom)]
+        assert sys.atom_image(b) == sys.union.rev[sys.atom_image(atom)]
     # composition is preserved: bar(b . a) == bar(b) . bar(a); an atom is
     # (anchor, target, positions), so b . a reads b's position at each of a's
     for a in atoms[:40]:
@@ -147,13 +147,13 @@ def test_corrupted_representative_fails_witness():
     g1, g2 = families.cycle(3), families.cycle(4)
     sys = build_ball_system_retrying(g1, g2, radius=1)
     arrow = next(a for a in sys.groupoid.arrows
-                 if a.src.startswith("1:") and a.dst.startswith("2:"))
+                 if a.src < sys.n1 <= a.dst)
     perm = list(arrow.perm)
     leaves = [i for i, p in enumerate(arrow.domain) if len(p) == 1]
     a, b = leaves[0], leaves[1]
     perm[a], perm[b] = perm[b], perm[a]
     corrupted = BallArrow(arrow.src, arrow.dst, tuple(perm), arrow.domain,
-                          arrow.codomain, arrow.witness)
+                          arrow.codomain, arrow.names, arrow.witness)
     assert not verify_witness(corrupted, sys)
 
 
@@ -182,13 +182,13 @@ def test_acted_identity_atoms_match_arrow_star_bijection():
     for arrow in sys.cross_arrows():
         mapping = dict(arrow.mapping)
         cov = sys.cover1
-        root = cov.canonical_lift(arrow.src[2:])
-        for e in sys.union.star(arrow.src):
+        root = cov.canonical_lift(g1.vertices[arrow.src])
+        for e in sys.stars[arrow.src]:
             atom = sys.act_identity(arrow, e)
             assert sys.atom_anchor(atom) == e
-            head = cov.step(root, e[2:])
+            head = cov.step(root, g1.darts[e])
             image = sys.cover2.dart_between(mapping[root], mapping[head])
-            assert sys.atom_image(atom) == "2:" + image
+            assert sys.atom_image(atom) == len(g1.darts) + g2.index()[1][image]
 
 
 def test_coloured_ball_system_builds_and_certifies():

@@ -283,21 +283,32 @@ def test_verify_dart_without_origin_exits_two(tmp_path, capsys):
     assert "darts[0]: needs a string 'from'" in capsys.readouterr().err
 
 
-def test_verify_checks_the_degrees(tmp_path, capsys):
-    th3 = _write_graph(tmp_path, "th3.json", families.theta(3))
-    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+@pytest.mark.parametrize("command, field, stored, edited", [
+    ("star", "degrees", [12, 6], [999, 1]),
+    ("star", "component_sizes", [24, 24], [1]),
+    ("regular", "total_vertices", 48, 999),
+    ("regular", "bound", 48, 1),
+], ids=["degrees", "component_sizes", "total_vertices", "bound"])
+def test_verify_checks_the_degrees(tmp_path, capsys, command, field, stored, edited):
+    if command == "star":
+        g1 = _write_graph(tmp_path, "th3.json", families.theta(3))
+        g2 = _write_graph(tmp_path, "k4.json", families.complete(4))
+        argv = ["build", g1, g2, "--backend", "star", "--strategy", "aligned"]
+    else:
+        g1 = _write_graph(tmp_path, "k4.json", families.complete(4))
+        g2 = _write_graph(tmp_path, "k33.json", families.complete_bipartite(3, 3))
+        argv = ["regular", g1, g2]
     out = str(tmp_path / "out")
-    assert main(["build", th3, k4, "--backend", "star", "--strategy", "aligned",
-                 "-o", out]) == 0
+    assert main(argv + ["-o", out]) == 0
     path = os.path.join(out, "cover.json")
     with open(path) as fh:
         payload = json.load(fh)
-    assert payload["degrees"] == [12, 6]
-    assert main(["verify", out, th3, k4]) == 0
-    payload["degrees"] = [999, 1]
+    assert payload[field] == stored
+    assert main(["verify", out, g1, g2]) == 0
+    payload[field] = edited
     write_json(path, payload)
-    assert main(["verify", out, th3, k4]) == 1
-    assert "degrees fails" in capsys.readouterr().out
+    assert main(["verify", out, g1, g2]) == 1
+    assert "%s fails" % field in capsys.readouterr().out
 
 
 def test_verify_missing_cover_directory_exits_two(tmp_path):

@@ -45,9 +45,9 @@ def test_ball_and_star_backends_both_verify_on_k4_theta3():
 def cross_atom_table(sys):
     """All atoms realised by cross arrows, with their vertex multiplicity."""
     n_counts, atoms = {}, {}
-    out = {x: sys.out_count(x) for x in sys.union.vertices}
+    out = {x: sys.out_count(x) for x in range(len(sys.union.vertices))}
     for a in sys.cross_arrows():
-        for e in sys.union.star(a.src):
+        for e in sys.stars[a.src]:
             atom = sys.act_identity(a, e)
             key = sys.atom_serial(atom)
             atoms[key] = atom
@@ -60,12 +60,12 @@ def counting_checks(sys, built):
     cover built with component="all"."""
     n = built.n_multiple
     cross = sys.cross_arrows()
-    out = {x: sys.out_count(x) for x in sys.union.vertices}
+    out = {x: sys.out_count(x) for x in range(len(sys.union.vertices))}
     assert len(built.graph.vertices) == sum(n // out[a.src] for a in cross)
     atoms, _, _ = cross_atom_table(sys)
     counts = {}
     for a in cross:
-        for e in sys.union.star(a.src):
+        for e in sys.stars[a.src]:
             key = sys.atom_serial(sys.act_identity(a, e))
             counts[key] = counts.get(key, 0) + n // out[a.src]
     total_darts = 0
@@ -87,7 +87,7 @@ def test_reversal_provenance_uses_bar():
     built = build_cover(sys, component="all")
     atom_lookup = {}
     for a in sys.cross_arrows():
-        for e in sys.union.star(a.src):
+        for e in sys.stars[a.src]:
             atom = sys.act_identity(a, e)
             atom_lookup[sys.atom_serial(atom)] = atom
     for did in built.graph.darts:
@@ -188,7 +188,7 @@ def _mutated(sys, corrupt):
 
 def _other_dart(sys, dart):
     """Another dart with the same origin, so the target law still holds."""
-    return next(d for d in sys.union.star(sys.union.origin[dart]) if d != dart)
+    return next(d for d in sys.stars[sys.union.org[dart]] if d != dart)
 
 
 def _other_image(sys, atom):

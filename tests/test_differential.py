@@ -48,7 +48,7 @@ from commoncover.refinement import common_cover_exists
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
-from conftest import (corrupt_act, corrupt_compose, random_base_graph,
+from conftest import (corrupt_act, corrupt_compose, n_edges, random_base_graph,
                       random_cubic_graph, reference_check_action)
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -123,7 +123,7 @@ def test_star_builds_repeat_within_the_general_bound(seed):
                 runs.append(_artifacts(out))
             assert runs[0] == runs[1], strategy
             total = sum(json.loads(runs[0]["cover.json"])["component_sizes"])
-            assert bound_report("general", actual=total, edges=g1.n_edges(),
+            assert bound_report("general", actual=total, edges=n_edges(g1),
                                 v_prime=len(g2.vertices)).satisfied, strategy
 
 
@@ -184,7 +184,7 @@ def _wrong_image_dart(sys):
     dart with the image's origin."""
     def corrupt(atom):
         e, y, (i,) = atom
-        return (e, y, (next((j for j in range(len(sys.union.star(y))) if j != i), i),))
+        return (e, y, (next((j for j in range(len(sys.stars[y])) if j != i), i),))
     return corrupt
 
 

@@ -10,6 +10,8 @@ from commoncover.graphs import finish_cover, is_covering
 from commoncover.oracle import find_covering
 from commoncover.star_system import build_star_system
 
+from conftest import n_edges
+
 
 def test_every_face_two_sided_on_aligned_cycles():
     sys = build_ball_system_retrying(families.cycle(3), families.cycle(3), 1)
@@ -48,7 +50,7 @@ def test_weights_balance_exactly_on_c3_c4():
         right = sum(weights.integral[a.serial] for a in face.right)
         assert left == right == n // sys.orbit_size(anchor)
         # coset correspondence: |left side| = out-count / orbit size
-        x = sys.union.origin[anchor]
+        x = sys.union.org[anchor]
         assert len(face.left) == sys.out_count(x) // sys.orbit_size(anchor)
 
 
@@ -98,7 +100,7 @@ def test_subdivide_graph_structure():
     g = families.complete(4)
     info = subdivide_graph(g)
     sub = info.graph
-    assert len(sub.vertices) == len(g.vertices) + g.n_edges()
+    assert len(sub.vertices) == len(g.vertices) + n_edges(g)
     assert len(sub.darts) == 2 * len(g.darts)
     for m in info.midpoints:
         assert sub.degree(m) == 2

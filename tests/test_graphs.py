@@ -7,8 +7,8 @@ from commoncover.graphs import (Graph, GraphError, GraphMorphism,
                                 is_covering, validate_graph)
 from commoncover.oracle import find_covering
 
-from conftest import (fiber_pairs, reference_is_covering, reference_validate_graph,
-                      reference_violations)
+from conftest import (fiber_pairs, is_valid_morphism, reference_is_covering,
+                      reference_validate_graph, reference_violations)
 
 
 def test_validate_well_formed_fixtures():
@@ -106,7 +106,7 @@ def test_collapse_path_onto_loop_fails_star_injectivity():
                       {v: "v00" for v in p3.vertices},
                       {"e00.a": "e00.a", "e00.b": "e00.b",
                        "e01.a": "e00.b", "e01.b": "e00.a"})
-    assert m.is_valid()
+    assert is_valid_morphism(m)
     report = is_covering(m)
     assert not report.ok
     images = [m.dmap[d] for d in p3.star("v01")]
@@ -126,7 +126,7 @@ def test_finish_cover_rejects_a_morphism_that_is_not_a_covering():
     # a valid morphism onto one edge of C3: the third vertex is not covered
     m = GraphMorphism(p2, c3, {"v00": "v00", "v01": "v01"},
                       {"e00.a": "e00.a", "e00.b": "e00.b"})
-    assert m.is_valid()
+    assert is_valid_morphism(m)
     with pytest.raises(VerificationError, match="mu1 is not a covering"):
         finish_cover(m, m)
 

@@ -1,8 +1,11 @@
-"""The package imports only the standard library and mpmath.
+"""Guards read from the source: every module under ``src/commoncover`` is
+parsed with ``ast``.
 
-numpy, networkx and scipy may be installed next to it, but the package
-does not depend on them: every module under ``src/commoncover`` is read
-with ``ast`` and its absolute imports are checked."""
+The package imports only the standard library and mpmath: numpy, networkx
+and scipy may be installed next to it, but the package does not depend on
+them.  The side prefixes of the disjoint union are spelled in one place,
+``graphs.disjoint_union``: everywhere else a side is an index
+comparison."""
 
 import ast
 import pathlib
@@ -28,4 +31,32 @@ def test_src_imports_only_the_standard_library_and_mpmath():
     offenders = {path.name: found for path in paths
                  if (found := [(line, name) for line, name in _imported_roots(path)
                                if name not in ALLOWED])}
+    assert offenders == {}
+
+
+def _side_prefix_uses(path):
+    """(line, what) of every str constant starting with a side prefix
+    outside ``graphs.disjoint_union``, and of every use of a name of the
+    deleted helpers ``side_of`` and ``strip_side``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "disjoint_union"
+              and path.name == "graphs.py" for node in ast.walk(f)}
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith(("1:", "2:"))):
+            yield node.lineno, node.value
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.FunctionDef, ast.alias)):
+            name = node.name
+        if name in ("side_of", "strip_side"):
+            yield getattr(node, "lineno", None), name
+
+
+def test_side_prefixes_are_spelled_only_in_disjoint_union():
+    paths = sorted(SRC.rglob("*.py"))
+    offenders = {path.name: found for path in paths
+                 if (found := list(_side_prefix_uses(path)))}
     assert offenders == {}

@@ -11,7 +11,7 @@ from commoncover.object_graphs import (ObjectGraph, SeedSpec, SeedError,
 from commoncover.oracle import find_covering
 from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 
-from conftest import bfs_atoms
+from conftest import bfs_atoms, verify_groupoid
 
 
 def _singleton_object():
@@ -63,10 +63,10 @@ def test_identity_seeds_give_identity_groupoid():
              for v in g.vertices]
     sys = close_star_maps(x, x, seeds)
     # every atom is an identity-decorated pair
-    for dart in sys.union.darts:
+    for dart in range(len(sys.union.darts)):
         for atom in sys.atoms_by_anchor[dart]:
             assert sys.atom_morph(atom) == obj_identity(_singleton_object())
-            assert sys.atom_anchor(atom)[2:] == sys.atom_image(atom)[2:]
+            assert abs(sys.atom_anchor(atom) - sys.atom_image(atom)) in (0, sys.m1)
     res = build_object_cover(sys)
     assert res.built.degrees == (1, 1)
 
@@ -74,7 +74,7 @@ def test_identity_seeds_give_identity_groupoid():
 def test_rotation_example_closure_and_isotropy():
     x1, x2, seeds = rotation_pair(3)
     sys = close_star_maps(x1, x2, seeds)
-    for dart in sys.union.darts:
+    for dart in range(len(sys.union.darts)):
         iso = sys.isotropy(dart)
         assert 3 % len(iso) == 0
         # isotropy really is a group: closed under composition
@@ -120,7 +120,7 @@ def test_star_map_category_laws():
     x1, x2, seeds = rotation_pair(3)
     sys = close_star_maps(x1, x2, seeds)
     arrows = sys.groupoid.arrows
-    assert not sys.groupoid.verify()
+    assert not verify_groupoid(sys.groupoid)
     for a in arrows:
         inv = a.inverse()
         assert inv.compose(a) == sys.groupoid.identities[a.src]
@@ -130,9 +130,9 @@ def test_vertex_group_bounded_by_star_and_isotropy():
     x1, x2, seeds = rotation_pair(3)
     sys = close_star_maps(x1, x2, seeds)
     import math
-    for x in sys.union.vertices:
+    for x in range(len(sys.union.vertices)):
         group = len(sys.groupoid.hom(x, x))
-        star = sys.union.star(x)
+        star = sys.stars[x]
         iso_product = 1
         for e in star:
             iso_product *= len(sys.isotropy(e))
@@ -144,19 +144,19 @@ def test_counting_identity_and_orbit_law():
     sys = close_star_maps(x1, x2, seeds)
     built = build_cover(sys, component="all")
     n = built.n_multiple
-    out = {x: sys.out_count(x) for x in sys.union.vertices}
+    out = {x: sys.out_count(x) for x in range(len(sys.union.vertices))}
     counts = {}
     for a in sys.cross_arrows():
-        for e in sys.union.star(a.src):
+        for e in sys.stars[a.src]:
             key = sys.atom_serial(sys.act_identity(a, e))
             counts[key] = counts.get(key, 0) + n // out[a.src]
-    for dart in sys.union.darts:
+    darts = range(len(sys.union.darts))
+    for dart in darts:
         for atom in sys.atoms_by_anchor[dart]:
-            if (sys.atom_anchor(atom).startswith("1:")
-                    and sys.atom_image(atom).startswith("2:")):
+            if sys.atom_anchor(atom) < sys.m1 <= sys.atom_image(atom):
                 assert counts[sys.atom_serial(atom)] == n // sys.orbit_size(dart)
     # orbit law: acting on the identity atom reaches the whole anchored set
-    for dart in sys.union.darts:
+    for dart in darts:
         assert bfs_atoms(sys, dart) == set(sys.atoms_by_anchor[dart])
 
 
@@ -168,7 +168,8 @@ def test_trivial_objects_match_star_backend_graph():
     seeds = []
     for arrow in star_sys.atom_arrows:
         dart_map = {e[2:]: f[2:] for e, f in arrow.bij}
-        seeds.append(SeedSpec(arrow.src[2:], arrow.dst[2:], dart_map,
+        seeds.append(SeedSpec(g1.vertices[arrow.src], g2.vertices[arrow.dst - len(g1.vertices)],
+                              dart_map,
                               {e: obj_identity(obj) for e in dart_map}))
     sys = close_star_maps(x1, x2, seeds)
     obj_built = build_object_cover(sys)

@@ -3,8 +3,9 @@ import pytest
 from commoncover import families
 from commoncover.graphs import GraphError
 from commoncover.refinement import (common_cover_exists, degree_refinement,
-                                    is_equitable, joint_refinement,
-                                    refine_partition)
+                                    joint_refinement, refine_partition)
+
+from conftest import is_equitable
 
 
 def test_path3_two_blocks():

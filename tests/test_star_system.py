@@ -15,8 +15,8 @@ def test_dr_full_c3_c4_arrow_counts():
     sys = build_star_system(families.cycle(3), families.cycle(4))
     assert sys.axioms.ok
     # single joint block of 7 vertices, two bijections between any two stars
-    for x in sys.union.vertices:
-        for y in sys.union.vertices:
+    for x in range(len(sys.union.vertices)):
+        for y in range(len(sys.union.vertices)):
             assert len(sys.groupoid.hom(x, y)) == 2
     assert len(sys.groupoid.arrows) == 7 * 7 * 2
 
@@ -47,8 +47,8 @@ def test_dr_full_refuses_an_oversized_system_before_allocating():
 def test_dr_full_orbits_are_bar_closed():
     sys = build_star_system(families.complete(4), families.theta(3))
     assert sys.axioms.ok
-    rev = sys.union.reverse
-    for e in sys.union.darts:
+    rev = sys.union.rev
+    for e in range(len(rev)):
         bar_image = {rev[f] for f in sys.orbit_darts(e)}
         assert set(sys.orbit_darts(rev[e])) == bar_image
 
@@ -59,8 +59,9 @@ def test_aligned_c3_c3_atoms_at_radius_one():
     assert sys.axioms.ok
     assert len(sys.atom_arrows) == 3
     # every atom of an identity alignment is a straight star map
+    n1 = len(g.vertices)
     for arrow in sys.atom_arrows:
-        assert arrow.src[2:] == arrow.dst[2:]
+        assert arrow.src + n1 == arrow.dst
         for e, f in arrow.bij:
             assert e[2:] == f[2:]
 
@@ -90,7 +91,7 @@ def test_transition_identity_for_aligned_atoms():
         gamma_z = induced_star_map(theta, z, sys.union)
         for d, w in c1.star_darts(z):
             gamma_y = induced_star_map(theta, w, sys.union)
-            e = "1:" + d
+            e = sys.union.darts[g1.index()[1][d]]
             e_rev = sys.union.reverse[e]
             f = dict(gamma_z.bij)[e]
             assert dict(gamma_y.bij)[e_rev] == sys.union.reverse[f]
