@@ -116,7 +116,7 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
     numbering = ball_numbering(union, c1, c2, radius)
     domains, positions, dom = numbering.domains, numbering.positions, numbering.dom
     index1, index2, n1 = g1.index()[0], g2.index()[0], len(g1.vertices)
-    vertex_arrows = {}
+    vertex_arrows, tables = {}, {}
     edge_atoms = set()
     for z in c1.layers(explore_radius):
         x = c1.project(z)
@@ -131,7 +131,7 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
         arrow = BallArrow(
             src, dst, perm, domains[src], domains[dst], union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
-                     ("p2", c2.loop_to_word(w2))))
+                     ("p2", c2.loop_to_word(w2))), tables=tables)
         vertex_arrows.setdefault(arrow.key, arrow)
         # the edge atoms at this vertex are restrictions of the same map
         for e in numbering.stars[src]:

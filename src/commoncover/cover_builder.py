@@ -21,7 +21,9 @@ An atom is its own key.  The checks, the orbit engine and the assembly act
 on a whole row of arrows at once through ``act_row``, one C call per arrow;
 ``act`` is the row of one arrow.  A bundle, several atoms at one target
 with a tuple of anchors and their positions concatenated, moves part by
-part in the same one call per arrow.  The atom sets are computed once, here:
+part in the same one call per arrow.  The action-law check reads a
+composite and an action in one gather per pair (``law_row``) and decides a
+whole row by one set test.  The atom sets are computed once, here:
 the atoms anchored at a dart e are {g.id_e : g in out(origin e)}, the orbit
 of the identity atom.  Subclasses render ``atom_serial``, the tuple the
 artifacts record; it is computed only for artifacts and failure messages.
@@ -39,12 +41,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, filterfalse, repeat
-from typing import Optional
+from itertools import chain, compress, filterfalse
+from operator import add, itemgetter
+from typing import Iterable, Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      finish_cover, numbered_ids)
-from .groupoids import FiniteGroupoid, encoding, gather, lcm_all, points
+from .groupoids import FiniteGroupoid, encoding, gather, keyed, lcm_all, marked, points
 
 
 class AxiomError(Exception):
@@ -132,23 +135,43 @@ class LocalSystem:
     def act_identity(self, arrow, dart):
         return self.act(arrow, self.identity_atom(dart))
 
+    def law_row(self, r, tables, bundle) -> Iterable:
+        """Per h in the arrows out of dst r, given by their ``tables``: the
+        key of h after r, then h's target and h.bundle (positions in the
+        codomain of r), as one key; one gather per h through
+        ``r.compose_row``, which the action check tests against the keys of
+        the arrows out of src r and their bundles."""
+        return r.compose_row(tables, bundle)
+
     def bar(self, atom):
-        e, y, r = atom
-        f = self._dart_at[y][r[self._head_slot[e]]]
-        move, slots = self.numbering.move[f], self.numbering.bar_slots[e]
-        head = self._head_vertex[f]
+        """The atom across the reversed anchor; the atom must have an image
+        dart (``atom_image``)."""
+        return self.bar_row((atom,), (self.atom_image(atom),))[0]
+
+    def bar_row(self, atoms, images) -> list:
+        """The bars of atoms whose image darts are ``images``: per atom
+        (e, y, r), the positions r moved by the deck transformation across
+        the image dart, in the order of the neighbourhood of the reverse of
+        e, at the head of the image dart."""
+        rev, bar_slots, heads = self._rev, self.numbering.bar_slots, self._head_vertex
+        moves = self.numbering.move
         # -1 (255 in a translate table) marks a position outside the
         # neighbourhood, so the result is no atom's bar
-        if r.__class__ is move.__class__ is bytes:
-            return (self._rev[e], head, slots.translate(r.translate(move).ljust(256, b"\xff")))
+        return [(rev[e], heads[f], bar_slots[e].translate(r.translate(moves[f]).ljust(256, b"\xff")))
+                if r.__class__ is moves[f].__class__ is bytes else
+                (rev[e], heads[f], self._moved_wide(r, moves[f], bar_slots[e], heads[f]))
+                for (e, _, r), f in zip(atoms, images)]
+
+    def _moved_wide(self, r, move, slots, head):
+        """``bar_row`` for positions or a move that are not bytes."""
         moved = [move[r[j]] for j in slots]
-        return (self._rev[e], head, tuple(moved) if -1 in moved else
-                points(moved, len(self.numbering.domains[head])))
+        return tuple(moved) if -1 in moved else points(moved, len(self.numbering.domains[head]))
 
     def atom_anchor(self, atom) -> int:
         return atom[0]
 
-    def atom_image(self, atom) -> int:
+    def atom_image(self, atom) -> Optional[int]:
+        """The dart whose head the atom's head position is, or None."""
         return self._dart_at[atom[1]][atom[2][self._head_slot[atom[0]]]]
 
     def atom_serial(self, atom) -> tuple:
@@ -168,7 +191,8 @@ class LocalSystem:
     @cached_property
     def atoms_by_anchor(self) -> list:
         """Per dart, the atoms anchored at the dart, as the keys of a dict in
-        the order first reached.
+        the order first reached, each mapped to its image dart, or None
+        where its head position is no dart's head.
 
         These are the orbit of the identity atom id_e, reached in one step:
         {g.id_e : g in out(origin e)}.  The step is exact because the
@@ -176,20 +200,24 @@ class LocalSystem:
         out of origin(e).  By the orbit-stabilizer law the set has
         out(origin e) / |{g : g.id_e = id_e}| elements.
         """
-        return list(map(dict.fromkeys, self.identity_rows))
+        dart_at, slot = self._dart_at, self._head_slot
+        # ``atom_image`` of each atom
+        return [dict(zip(atoms, [dart_at[y][r[slot[e]]] for e, y, r in atoms]))
+                for atoms in map(dict.fromkeys, self.identity_rows)]
 
     def orbit_size(self, dart) -> int:
         return len(self.atoms_by_anchor[dart])
 
     def orbit_darts(self, dart) -> tuple:
         """Image darts of the atoms anchored at the dart, sorted."""
-        return tuple(sorted(set(map(self.atom_image, self.atoms_by_anchor[dart]))))
+        return tuple(sorted(set(self.atoms_by_anchor[dart].values())))
 
     # -- shared helpers -------------------------------------------------------
 
-    def eps(self, atom) -> int:
-        e, y, r = atom
-        return self._org[self._dart_at[y][r[self._head_slot[e]]]]
+    def eps(self, atom) -> Optional[int]:
+        """The origin of the atom's image dart, or None when it has none."""
+        f = self.atom_image(atom)
+        return None if f is None else self._org[f]
 
     def out_count(self, obj) -> int:
         return self.groupoid.out_count(obj)
@@ -209,7 +237,9 @@ class LocalSystem:
         Coverage and bar closure run over every atom: each atom's bar is an
         atom anchored at the reversed anchor, with the reversed image, and
         its bar again is the atom itself: one bar per atom, and each dart's
-        row of bars compared whole with the reversed dart's.
+        row of bars compared whole with the reversed dart's.  An atom whose
+        head position is no dart's head fails all three checks, each naming
+        its anchor dart.
 
         The action laws are checked on identity atoms, and the check is
         complete.  Fix a dart e at x, write F(g) = g.id_e for g in out(x)
@@ -230,131 +260,165 @@ class LocalSystem:
         the anchor e and lies in the one-step atom set of e.
 
         Cost: the darts are walked by origin, and while the origin x stays
-        fixed each arrow r out of x has at most one row of composite keys,
-        h.r for every h out of dst r, looked up by key; no composite arrow
-        is built.  That is at most the sum over r in out(x) of |out(dst r)|
-        composed pairs per x, so no more than the groupoid's composable
-        pairs in total.  One row decides (b) and (d) for r at every dart of
-        x at once, with one gather per pair (``_check_action``).  Each dart
-        e takes one ``act`` for the identity and its row of ``identity_rows``.
+        fixed each arrow r out of x has at most one row, h.r for every h
+        out of dst r; no composite arrow is built.  That is at most the sum
+        over r in out(x) of |out(dst r)| composed pairs per x, so no more
+        than the groupoid's composable pairs in total.  One row decides (b)
+        and (d) for r at every dart of x at once, with one gather per pair
+        and one set test per row (``_check_action``).  Each dart e takes one
+        ``act`` for the identity and its row of ``identity_rows``.
         """
-        union, m1 = self.union, self.m1
-        atoms = self.atoms_by_anchor
-        anchor, image = self.atom_anchor, self.atom_image
-        cover_fail = None
-        cross = self.cross_arrows()
-        # cross arrows start on side 1 and end on side 2; the last vertex
-        # that none of them reaches is reported
-        bare = set(range(len(union.vertices))).difference(
-            [a.src for a in cross], [a.dst for a in cross])
-        if bare:
-            cover_fail = union.vertices[max(bare)]
-        else:
-            def crosses(e):
-                # atoms follow their arrows' keys, so those into side 2 come last
-                if e < m1:
-                    return any(map(m1.__le__, map(image, reversed(atoms[e]))))
-                return any(map(m1.__gt__, map(image, atoms[e])))
-
-            e = next(filterfalse(crosses, range(len(atoms))), None)
-            cover_fail = None if e is None else union.darts[e]
-        bar_fail = None
-        rev = self._rev
-        pending = {}                 # {atom: its bar} at both darts of a pair checked one way
-        for e in range(len(rev)):
-            f = rev[e]
-            if e in pending:
-                row, back = pending.pop(e), pending.pop(f)
-            else:
-                row, back = pending[e], pending[f] = [
-                    dict(zip(atoms[d], map(self.bar, atoms[d]))) for d in (e, f)]
-            bars = list(row.values())
-            if (list(map(back.get, bars)) != list(row)
-                    or list(map(anchor, bars)).count(f) != len(bars)
-                    or list(map(image, bars)) != list(map(rev.__getitem__, map(image, row)))):
-                bar_fail = next(self.atom_serial(atom) for atom, b in row.items()
-                                if (anchor(b), image(b)) != (f, rev[image(atom)])
-                                or back.get(b) != atom)
-                break
-        action_fail = self._check_action()
+        cover_fail, bar_fail, action_fail = (
+            self._check_coverage(), self._check_bar(), self._check_action())
         report = AxiomReport(
             cover_fail is None, bar_fail is None, action_fail is None,
             detail=cover_fail or bar_fail or action_fail)
         self.axioms = report
         return report
 
+    def _check_coverage(self) -> Optional[str]:
+        """AX1: the last vertex that no cross arrow reaches, else the first
+        dart with no atom whose image is on the other side or with an atom
+        that has no image; None when coverage holds."""
+        union, m1, atoms = self.union, self.m1, self.atoms_by_anchor
+        cross = self.cross_arrows()
+        # cross arrows start on side 1 and end on side 2
+        bare = set(range(len(union.vertices))).difference(
+            [a.src for a in cross], [a.dst for a in cross])
+        if bare:
+            return union.vertices[max(bare)]
+
+        def crosses(e):
+            images = atoms[e].values()
+            if None in images:
+                return False
+            # atoms follow their arrows' keys, so those into side 2 come last
+            if e < m1:
+                return any(map(m1.__le__, reversed(images)))
+            return any(map(m1.__gt__, images))
+
+        e = next(filterfalse(crosses, range(len(atoms))), None)
+        return None if e is None else union.darts[e]
+
+    def _check_bar(self) -> Optional[str]:
+        """AX2, dart pair by dart pair; the first failure found."""
+        atoms, rev, image = self.atoms_by_anchor, self._rev, self.atom_image
+        pending = {}                 # {atom: its bar} at both darts of a pair checked one way
+        for e in range(len(rev)):
+            f = rev[e]
+            if e in pending:
+                row, back = pending.pop(e), pending.pop(f)
+            else:
+                headless = [d for d in (e, f) if None in atoms[d].values()]
+                if headless:
+                    return _NO_IMAGE % (self.union.darts[headless[0]],)
+                row, back = pending[e], pending[f] = [
+                    dict(zip(atoms[d], self.bar_row(atoms[d], atoms[d].values())))
+                    for d in (e, f)]
+            bars = list(row.values())
+            if (list(map(back.get, bars)) != list(row)
+                    or list(map(_anchor, bars)).count(f) != len(bars)
+                    or list(map(atoms[f].get, bars))
+                    != list(map(rev.__getitem__, atoms[e].values()))):
+                return next(self.atom_serial(atom) for atom, b in row.items()
+                            if (b[0], image(b)) != (f, rev[image(atom)])
+                            or back.get(b) != atom)
+        return None
+
     def _check_action(self) -> Optional[str]:
         """Checks (a) to (d) of ``check_axioms``; the first failure found.
 
         At an origin x the identity atoms of all its darts form one bundle
-        B, and ``bundles[i]`` is out[i].B.  ``held(i)`` composes the row of
-        h.out[i] for h out of dst out[i] once, looks the composites' bundles
-        up by key and compares them with one ``act_row`` of the h on
-        bundles[i]: F(h.out[i]) = h.F(out[i]) at every dart of x, one gather
-        per element.  For t in Stab, F(t) = id_e, so this is (b) at e; for a
-        representative r it is (d).  A row t in Stab runs over out(x), since
-        dst t = eps(id_e) = x by (a).  Only a row that fails is walked
-        element by element at each dart, so the failure reported is the one
-        the element-wise order meets first.
+        B, and ``bundles[i]`` is out[i].B.  Each arrow g out of x has one
+        key, ``keyed(g.dst, g.perm)`` followed by ``keyed`` of the target
+        and positions of its bundle; ``known`` holds them.  ``held(i)``
+        takes the ``law_row`` of out[i]: per h out of dst out[i], the key of
+        h.out[i] followed by h's target and h.bundles[i].  The fields have
+        fixed lengths, so such a key is in ``known`` exactly when h.out[i] is
+        an arrow whose bundle has h's target and h's positions, and one set
+        test decides F(h.out[i]) = h.F(out[i]) at every dart of x.  For t in
+        Stab, F(t) = id_e, so this is (b) at e; for a representative r it is
+        (d).  A row t in Stab runs over out(x), since dst t = eps(id_e) = x
+        by (a).  Only a row that fails is walked element by element at each
+        dart, so the failure reported is the one the element-wise order
+        meets first.
         """
-        groupoid, identity_rows = self.groupoid, self.identity_rows
-        by_source, act_row = groupoid.by_source, self.act_row
-        eps, anchor = self.eps, self.atom_anchor
+        groupoid, identity_rows, atoms = self.groupoid, self.identity_rows, self.atoms_by_anchor
+        by_source, act_row, law_row = groupoid.by_source, self.act_row, self.law_row
+        tables = {x: [h.table for h in out] for x, out in by_source.items()}
         for x, star in enumerate(self.stars):
             if not star:
                 continue
             unit = groupoid.identities.get(x)
+            if unit is None:
+                return "identity action fails over %r" % (self.union.vertices[x],)
             out = by_source.get(x, ())
-            keys, targets = [g.key for g in out], [g.dst for g in out]
+            targets = [g.dst for g in out]
             ids = [self.identity_atom(e) for e in star]
             parts = [r for _, _, r in ids]
             bundles = act_row(out, (star, x, type(parts[0])(chain.from_iterable(parts))))
-            bundle_of = dict(zip(keys, bundles))
-            failed = {}                 # i -> None where row i holds, else its keys
+            # ``keyed(g.dst, g.perm)``, read from each table in one gather
+            size = len(unit.perm)
+            keys = list(map(gather(marked(points(range(size), size), size)), tables[x]))
+            known = set(map(add, keys, [keyed(y, r) for _, y, r in bundles]))
+            holds = {}                  # i -> whether row i holds
 
             def held(i):
-                if i not in failed:
-                    hs = by_source.get(out[i].dst, ())
-                    row = out[i].composite_keys(hs)
-                    failed[i] = (None if list(map(bundle_of.get, row))
-                                 == act_row(hs, bundles[i]) else row)
-                return failed[i] is None
+                if i not in holds:
+                    r = out[i]
+                    holds[i] = known.issuperset(law_row(r, tables[r.dst], bundles[i][2]))
+                return holds[i]
+
+            def composites(i):
+                # the keys of h.out[i] for every h out of dst out[i]
+                return out[i].compose_row(tables[out[i].dst])
 
             for e, ident in zip(star, ids):
-                if unit is None or self.act(unit, ident) != ident:
+                if self.act(unit, ident) != ident:
                     return "identity action fails over %r" % (self.union.vertices[x],)
                 moved = identity_rows[e]
-                got, anchors = list(map(eps, moved)), list(map(anchor, moved))
-                if got != targets or anchors.count(e) != len(out):
-                    got = list(zip(got, anchors))
-                    i = _first_difference(got, list(zip(targets, repeat(e))))
-                    if got[i][0] != targets[i]:
-                        return "action target mismatch at %r" % (out[i].serial,)
-                    return "action moved an atom anchor at %r" % (out[i].serial,)
-                stab = list(compress(range(len(out)), map(ident.__eq__, moved)))
+                if (list(map(_target, moved)) != targets
+                        or list(map(_anchor, moved)).count(e) != len(out)
+                        or None in atoms[e].values()):
+                    for g, atom in zip(out, moved):
+                        if self.atom_image(atom) is None:
+                            return _NO_IMAGE % (self.union.darts[e],)
+                        if atom[1] != g.dst:
+                            return "action target mismatch at %r" % (g.serial,)
+                        if atom[0] != e:
+                            return "action moved an atom anchor at %r" % (g.serial,)
+                # per arrow, the first arrow that reaches its atom; Stab is
+                # the fibre of id_e
+                first = dict(zip(reversed(moved), reversed(range(len(out)))))
+                fibre = list(map(first.__getitem__, moved))
+                stab = list(compress(range(len(out)), map(first.get(ident, -1).__eq__, fibre)))
                 if not all(list(map(held, stab))):
                     image = dict(zip(keys, moved)).get
                     bad = [_first_difference(ft, moved) for ft in
-                           (list(map(image, failed[t])) for t in stab if failed[t])
+                           (list(map(image, composites(t))) for t in stab if not holds[t])
                            if ft != moved]
                     if bad:
                         return "stabilizer moves the image of %r" % (out[min(bad)].serial,)
-                fibres = Counter(moved)
-                if set(fibres.values()) != {len(stab)}:
+                sizes = Counter(fibre)
+                if set(sizes.values()) != {len(stab)}:
                     return "orbit-stabilizer count fails at %r" % (self.union.darts[e],)
-                first = dict(zip(reversed(moved), reversed(range(len(out)))))
-                for a in fibres:
-                    r = first[a]
+                if all(map(held, sizes)):
+                    continue
+                for r in sizes:
                     if held(r):
                         continue
                     image = dict(zip(keys, moved)).get
                     hs = by_source.get(out[r].dst, ())
-                    expected = act_row(hs, a)
-                    got = list(map(image, failed[r]))
+                    expected = act_row(hs, moved[r])
+                    got = list(map(image, composites(r)))
                     if got != expected:
                         return "action compatibility fails at %r" % (
                             hs[_first_difference(got, expected)].serial,)
         return None
+
+
+_NO_IMAGE = "no dart has the head of an atom anchored at %r"
+_anchor, _target = itemgetter(0), itemgetter(1)
 
 
 def _first_difference(got: list, want: list) -> int:
@@ -470,8 +534,9 @@ def build_cover(sys: LocalSystem, component: str = "least",
     serial_of = {atom: sys.atom_serial(atom) for atom in groups}
     order = sorted(groups, key=serial_of.__getitem__)
     dart_first, dart_label, org, dm1, dm2 = {}, [], [], [], []
-    for atom in order:
-        anchor, image = sys.atom_anchor(atom), sys.atom_image(atom)
+    images = list(map(sys.atom_image, order))
+    for atom, image in zip(order, images):
+        anchor = sys.atom_anchor(atom)
         expected = n_mult // orbit[anchor]
         members = groups[atom]
         if len(members) != expected:
@@ -483,8 +548,7 @@ def build_cover(sys: LocalSystem, component: str = "least",
         dm1 += [anchor] * expected
         dm2 += [image - m1] * expected
     rev = [0] * len(org)
-    for atom in order:
-        bar = sys.bar(atom)
+    for atom, bar in zip(order, sys.bar_row(order, images)):
         if bar not in groups:
             raise VerificationError("bar atom not realised for %r" % (serial_of[atom],))
         a, b, n = dart_first[atom], dart_first[bar], len(groups[atom])

@@ -3,9 +3,10 @@
 Arrows are ``PermArrow`` records exposing ``src``, ``dst`` (object
 indices), ``key`` (their identity, sortable), ``serial`` (the canonical
 tuple written to artifacts and failure messages, with the objects' ids,
-sorting as ``key`` does), ``compose(other)`` (self after other, or None
-when incompatible), ``composite_keys(lefts)`` (the keys of h after self
-for a whole row of arrows h) and ``inverse()``.
+sorting as ``key`` does), ``compose_row(tables)`` (the keys of h after
+self for a whole row of arrows h out of its target, given by their tables),
+``compose(other)`` (self after other, or None when incompatible) and
+``inverse()``.
 Saturation closes a generating set S under composition and inversion inside
 a finite ambient universe by breadth-first search over the Cayley graph:
 each arrow found is left-composed with the letters of S and S^-1 that start
@@ -23,7 +24,9 @@ chapters 3 and 4: points as ints, permutations as arrays).  Perms and
 positions in a domain of at most ``BYTES_POINTS`` points are ``bytes``,
 gathered by one ``bytes.translate``, and tuples in wider domains; bytes
 sort as the tuples of the same ints, so the artifacts do not depend on
-the encoding.
+the encoding.  An arrow's table holds its target beside its perm, so one
+gather through it yields a composite's target and perm together: the key
+of the composite among the arrows of its source, in one object.
 """
 
 from __future__ import annotations
@@ -32,13 +35,20 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable
 
+from .graphs import BudgetExceeded
 
-# Domains of at most this many points are bytes, so that the byte 255 is
-# never a position and marks one outside a neighbourhood.
-BYTES_POINTS = 255
+
+# Domains of at most this many points are bytes.  In a bytes table the
+# positions 253 and 254 hold the arrow's target, big-endian, and the byte
+# 255 marks a position outside a neighbourhood in ``bar``'s tables.
+BYTES_POINTS = 253
+TARGET = bytes((253, 254))
+# object indices that the two target bytes can hold
+BYTES_OBJECTS = 1 << 16
 
 
 def encoding(size: int) -> type:
@@ -52,10 +62,38 @@ def points(values, size: int):
 
 
 @lru_cache(maxsize=1024)
-def _table(perm: bytes) -> bytes:
-    """``perm`` padded to a 256-byte translate table, one object for equal
-    perms: arrows of one domain size share a few perms."""
-    return perm.ljust(256, b"\0")
+def table(perm, dst: int):
+    """The table ``gather`` reads for an arrow with this perm and target:
+    bytes ``perm`` padded to 256 bytes with ``dst`` at ``TARGET``, or tuple
+    ``perm`` followed by ``dst``, whose slot is ``len(perm)``.  The arrows
+    of a system share tables through its dict (``PermArrow``); this cache
+    keeps the latest tables for the next system, so that repeated builds
+    in one process do not reallocate them."""
+    if perm.__class__ is not bytes:
+        return perm + (dst,)
+    if dst >= BYTES_OBJECTS:
+        raise BudgetExceeded("object %d of a local system: bytes tables hold %d objects"
+                             % (dst, BYTES_OBJECTS))
+    return perm.ljust(TARGET[0], b"\0") + dst.to_bytes(2, "big") + b"\0"
+
+
+def marked(positions, size: int):
+    """The target slot of a table, then ``positions`` in a domain of
+    ``size`` points: gathered from an arrow's table, they give the arrow's
+    target followed by its images of the positions, as ``keyed`` spells
+    them."""
+    if positions.__class__ is bytes:
+        return TARGET + positions
+    return (size,) + tuple(positions)
+
+
+def keyed(dst: int, positions):
+    """An object index followed by positions, in the positions' encoding:
+    ``keyed(a.dst, a.perm)`` is the key of arrow a among the arrows of its
+    source, and ``compose_row`` gives the keys of composites so."""
+    if positions.__class__ is bytes:
+        return dst.to_bytes(2, "big") + positions
+    return (dst,) + tuple(positions)
 
 
 def gather(positions):
@@ -76,25 +114,32 @@ class PermArrow:
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
     those objects; ``perm[i]`` is the codomain position of the image of
     ``domain[i]``, encoded by ``points``; ``table``, which ``gather`` reads,
-    is bytes ``perm`` padded to 256 bytes, or tuple ``perm`` itself.
+    is ``perm`` with ``dst`` beside it (``table``), one object for the
+    arrows of one target and perm built with one dict ``tables`` (one per
+    system: ``saturate`` and the builders pass theirs).
     Identity is ``key = (src, dst, perm)``: for equal ends, comparing perms
     compares the images in sorted codomain order, and objects are indexed
-    in id order, so keys sort as the rendered ``serial`` tuples do.
-    ``witness`` is a word carried along by composition and inversion; it
-    takes no part in identity.  Subclasses name the ``tag`` of their
-    serial.  Arrows are slotted records, compared and hashed on ``key``
-    within one class.
+    in id order, so keys sort as the rendered ``serial`` tuples do.  Among
+    the arrows of one source, ``keyed(dst, perm)`` is a key that sorts the
+    same way.  ``witness`` is a word carried along by composition and
+    inversion; it takes no part in identity.  Subclasses name the ``tag``
+    of their serial.  Arrows are slotted records, compared and hashed on
+    ``key`` within one class.
     """
 
     __slots__ = ("src", "dst", "perm", "table", "domain", "codomain", "names",
                  "witness", "key", "_serial")
 
     def __init__(self, src: int, dst: int, perm, domain: tuple, codomain: tuple,
-                 names: tuple, witness: tuple = ()):
+                 names: tuple, witness: tuple = (), tables: dict = None):
         self.src = src
         self.dst = dst
         self.perm = perm = points(perm, len(perm))
-        self.table = _table(perm) if perm.__class__ is bytes else perm
+        if tables is None:
+            self.table = table(perm, dst)
+        else:
+            key = keyed(dst, perm)
+            self.table = tables.get(key) or tables.setdefault(key, table(perm, dst))
         self.domain = domain
         self.codomain = codomain
         self.names = names
@@ -125,24 +170,35 @@ class PermArrow:
             self._serial = (self.tag, names[self.src], names[self.dst], self.pairs)
         return self._serial
 
-    def composite_keys(self, lefts) -> list:
+    def compose_row(self, tables, tail=None):
+        """For the table of each h in a row of arrows out of ``dst``, the
+        key ``keyed`` gives h after self; with ``tail``, positions in the
+        codomain, each key goes on with ``keyed(h.dst, h's images of the
+        tail)``.  One gather per h, returned as an iterator."""
         # the perm of h after self is h.perm[self.perm[i]] for every i
-        get, src, dst = gather(self.perm), self.src, self.dst
-        return [(src, h.dst, get(h.table)) if h.src == dst else None for h in lefts]
+        perm = self.perm
+        if perm.__class__ is bytes:
+            where = TARGET + perm if tail is None else b"".join((TARGET, perm, TARGET, tail))
+            return map(where.translate, tables)
+        where = marked(perm, len(perm))
+        if tail is not None:
+            where += marked(tail, len(perm))
+        return map(gather(where), tables)
 
-    def compose(self, other: "PermArrow"):
-        key = other.composite_keys((self,))[0]
-        if key is None:
+    def compose(self, other: "PermArrow", tables: dict = None):
+        if other.dst != self.src:
             return None
-        return self.__class__(other.src, self.dst, key[2], other.domain,
-                              self.codomain, self.names, other.witness + self.witness)
+        key, = other.compose_row((self.table,))
+        return self.__class__(other.src, self.dst, key[2:] if key.__class__ is bytes else key[1:],
+                              other.domain, self.codomain, self.names,
+                              other.witness + self.witness, tables)
 
-    def inverse(self) -> "PermArrow":
+    def inverse(self, tables: dict = None) -> "PermArrow":
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
         return self.__class__(self.dst, self.src, inv, self.codomain,
-                              self.domain, self.names, self.invert_word(self.witness))
+                              self.domain, self.names, self.invert_word(self.witness), tables)
 
     @staticmethod
     def invert_word(word: tuple) -> tuple:
@@ -183,30 +239,31 @@ def saturate(atoms: Iterable, objects: Iterable,
     Breadth-first search over the Cayley graph from the identities: each
     dequeued arrow b is left-composed only with the generators and their
     inverses whose source is dst b, and s.b gets the witness of b followed
-    by the letter of s.  The keys of those products are computed as one
-    row, and only an arrow whose key is new is built.  Witness letters are
-    ("g", i) for the i-th atom and ("g~", i) for its inverse; words compose
-    left-to-right in application order, and every witness is a shortest
-    word for its arrow.
+    by the letter of s.  The keys of those products are one ``compose_row``,
+    looked up among the keys found at the source of b, and only an arrow
+    whose key is new is built.  Arrows with one target and perm share one
+    table.  Witness letters are ("g", i) for the i-th atom and ("g~", i) for
+    its inverse; words compose left-to-right in application order, and
+    every witness is a shortest word for its arrow.
     """
     atoms = list(atoms)
     objs = sorted(set(objects))
     identities = {x: identity_factory(x) for x in objs}
+    tables = {}                      # keyed(dst, perm) -> the shared table
     gens = []                        # (letter, arrow) for S and S^-1
     for i, a in enumerate(atoms):
-        gens += [(("g", i), a), (("g~", i), a.inverse())]
-    letters = {}                     # source object -> ([letter], [arrow])
-    for letter, s in gens:
-        names, row = letters.setdefault(s.src, ([], []))
-        names.append(letter)
-        row.append(s)
-    arrows = {}
+        gens += [(("g", i), a), (("g~", i), a.inverse(tables))]
+    found = {x: {} for x in objs}    # source -> {keyed(dst, perm): arrow}
     witness = {}
     queue = deque()
 
-    def add(arrow, word):
-        if arrow.key not in arrows:
-            arrows[arrow.key] = arrow
+    def add(arrow, word, key=None):
+        if key is None:
+            key = keyed(arrow.dst, arrow.perm)
+        arrow.table = tables.setdefault(key, arrow.table)
+        at = found.setdefault(arrow.src, {})
+        if key not in at:
+            at[key] = arrow
             witness[arrow.key] = word
             queue.append(arrow)
 
@@ -214,14 +271,21 @@ def saturate(atoms: Iterable, objects: Iterable,
         add(identities[x], ())
     for letter, s in gens:
         add(s, (letter,))
+    letters = {}                     # source object -> ([letter], [arrow], [table])
+    for letter, s in gens:
+        names, row, row_tables = letters.setdefault(s.src, ([], [], []))
+        names.append(letter)
+        row.append(s)
+        row_tables.append(s.table)
     while queue:
         b = queue.popleft()
-        names, row = letters.get(b.dst, ((), ()))
-        word = witness[b.key]
-        for letter, s, key in zip(names, row, b.composite_keys(row)):
-            if key not in arrows:
-                add(s.compose(b), word + (letter,))
-    ordered = tuple(arrows[k] for k in sorted(arrows))
+        names, row, row_tables = letters.get(b.dst, ((), (), ()))
+        at, word = found[b.src], witness[b.key]
+        for letter, s, key in zip(names, row, b.compose_row(row_tables)):
+            if key not in at:
+                add(s.compose(b, tables), word + (letter,), key)
+    ordered = tuple(chain.from_iterable(map(at.__getitem__, sorted(at))
+                                        for _, at in sorted(found.items())))
     return FiniteGroupoid(tuple(objs), ordered, identities, witness)
 
 

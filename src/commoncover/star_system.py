@@ -91,7 +91,7 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
     if count > DR_FULL_ARROW_BUDGET:
         raise BudgetExceeded("dr_full needs %d arrows (budget %d)"
                              % (count, DR_FULL_ARROW_BUDGET))
-    arrows = []
+    arrows, tables = [], {}
     for block in joint.partition.blocks:
         for u in block:
             gu = grouped[u]
@@ -109,7 +109,8 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
                     perm = [0] * len(domain)
                     for i, j in zip(slots, itertools.chain.from_iterable(combo)):
                         perm[i] = j
-                    arrows.append(StarArrow(at[u], at[v], perm, domain, codomain, union.vertices))
+                    arrows.append(StarArrow(at[u], at[v], perm, domain, codomain,
+                                            union.vertices, tables=tables))
     return arrows
 
 

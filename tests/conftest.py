@@ -9,6 +9,7 @@ from commoncover.bounds import ball_group_divisor, object_group_divisor
 from commoncover.cover_builder import _first_difference
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
+from commoncover.groupoids import keyed
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
 from commoncover.refinement import _refine_once
 from commoncover.regular import euler_circuit, max_bipartite_matching
@@ -245,14 +246,16 @@ def reference_row_check(self):
         unit = groupoid.identities.get(x)
         out = by_source.get(x, ())
         out_numbers = [number[g.key] for g in out]
+        number_of = {keyed(g.dst, g.perm): n for g, n in zip(out, out_numbers)}
         rows = {}
 
         def row(j):
             found = rows.get(j)
             if found is None:
                 b = arrows[j]
-                found = rows[j] = [number.get(k, -1) for k in
-                                   b.composite_keys(by_source.get(b.dst, ()))]
+                hs = by_source.get(b.dst, ())
+                found = rows[j] = [number_of.get(k, -1) for k in
+                                   b.compose_row([h.table for h in hs])]
             return found
 
         for e in star:
@@ -291,13 +294,15 @@ def reference_row_check(self):
 def corrupt_act(sys, corrupt):
     """Replace the system's action so that it corrupts the atom produced by
     one cross arrow, and drop the cached atom rows and sets.  The replaced
-    method is ``act_row``, the one definition of the action: ``act`` is its
-    one-element case.  ``corrupt`` sees the positions of an atom as a
-    tuple, and its result is put back in the system's encoding; a bundle
-    (several atoms with a tuple of anchors and their positions
-    concatenated) is corrupted atom by atom."""
+    methods are the two places where arrows act on atoms: ``act_row``
+    (``act`` is its one-element case) and the action half of each key of a
+    ``law_row``, which is put back from the replaced ``act_row``.
+    ``corrupt`` sees the positions of an atom as a tuple, and its result is
+    put back in the system's encoding; a bundle (several atoms with a tuple
+    of anchors and their positions concatenated) is corrupted atom by
+    atom."""
     victim = sys.cross_arrows()[0].serial
-    act_row, dom = sys.act_row, sys.numbering.dom
+    act_row, law_row, dom = sys.act_row, sys.law_row, sys.numbering.dom
 
     def spoil(atom):
         e, y, r = atom
@@ -312,7 +317,18 @@ def corrupt_act(sys, corrupt):
         return [spoil(out) if h.serial == victim else out
                 for h, out in zip(arrows, act_row(arrows, atom))]
 
+    def mutant_law_row(r, tables, bundle):
+        # the row's tables are those of the arrows out of dst r, in order
+        hs = sys.groupoid.by_source[r.dst]
+        out = list(law_row(r, tables, bundle))
+        for k, (h, key) in enumerate(zip(hs, out)):
+            if h.serial == victim:
+                _, y, moved = mutant((h,), (sys.stars[r.src], r.dst, bundle))[0]
+                out[k] = key[:len(keyed(y, r.perm))] + keyed(y, moved)
+        return out
+
     sys.act_row = mutant
+    sys.law_row = mutant_law_row
     sys.__dict__.pop("identity_rows", None)
     sys.__dict__.pop("atoms_by_anchor", None)
 
@@ -322,9 +338,10 @@ def corrupt_compose(sys, monkeypatch):
     (d) of ``check_axioms`` tests.  r is the first arrow out of an object x,
     so it represents its atom at every dart of x; the wrong arrow has the
     composite's source and target but moves some identity atom at x
-    elsewhere.  The patched method is the row kernel ``composite_keys``,
-    the one definition of composition, whose entry for h becomes the wrong
-    key.  Returns False, patching nothing, when no such pair exists."""
+    elsewhere.  The patched method is the row kernel ``compose_row``, the
+    one definition of composition, whose entry for h becomes the wrong
+    key, and a law row's key for h keeps its action half.  Returns False,
+    patching nothing, when no such pair exists."""
     def moved(arrow, x):
         return {sys.atom_serial(sys.act_identity(arrow, e)) for e in sys.stars[x]}
 
@@ -340,18 +357,26 @@ def corrupt_compose(sys, monkeypatch):
     h, r, wrong = next(pairs(), (None, None, None))
     if h is None:
         return False
-    cls = type(h)
-    composite_keys = cls.composite_keys
+    substitute_composite(monkeypatch, h, r, wrong)
+    return True
 
-    def corrupted_row(self, lefts):
-        out = composite_keys(self, lefts)
+
+def substitute_composite(monkeypatch, h, r, wrong):
+    """Patch the row kernel ``compose_row`` so that the key of h after r
+    is the key of ``wrong``; a key that goes on with an action half keeps
+    it."""
+    cls = type(h)
+    compose_row = cls.compose_row
+    wrong_key = keyed(wrong.dst, wrong.perm)
+
+    def corrupted_row(self, tables, tail=None):
+        out = list(compose_row(self, tables, tail))
         if self.serial == r.serial:
-            out = [wrong.key if left.serial == h.serial else k
-                   for left, k in zip(lefts, out)]
+            out = [wrong_key + k[len(wrong_key):] if t == h.table else k
+                   for t, k in zip(tables, out)]
         return out
 
-    monkeypatch.setattr(cls, "composite_keys", corrupted_row)
-    return True
+    monkeypatch.setattr(cls, "compose_row", corrupted_row)
 
 
 def deck_transport(cover, word, path):

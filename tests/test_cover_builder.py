@@ -1,7 +1,8 @@
 import pytest
 
 from commoncover import families
-from commoncover.ball_system import build_ball_system_retrying, discover_atoms
+from commoncover.ball_system import (build_ball_system, build_ball_system_retrying,
+                                     discover_atoms)
 from commoncover.cover_builder import (AxiomError, build_cover,
                                        extract_certificate)
 from commoncover.graphs import is_covering
@@ -11,7 +12,7 @@ from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
                                      build_star_system_retrying)
 
-from conftest import corrupt_act, corrupt_compose
+from conftest import corrupt_act, corrupt_compose, substitute_composite
 
 
 def test_star_backend_c3_c4_least_component_matches_oracle():
@@ -211,6 +212,26 @@ def test_wrong_image_dart_fails_axioms():
     assert not report.ok and not report.action_ok
 
 
+def test_atom_with_no_image_dart_fails_every_check():
+    # a cyclic shift of the positions of a ball atom moves its head position
+    # to a vertex that is no dart's head: each check reports the atom by its
+    # anchor dart instead of raising
+    sys = build_ball_system(families.theta(3), families.complete(4), 1)
+    corrupt_act(sys, lambda atom: (atom[0], atom[1], atom[2][1:] + atom[2][:1]))
+    headless = [sys.union.darts[e] for e, atoms in enumerate(sys.atoms_by_anchor)
+                if None in atoms.values()]
+    assert headless
+    atom = next(a for atoms in sys.atoms_by_anchor for a in atoms
+                if sys.atom_image(a) is None)
+    assert sys.eps(atom) is None
+    report = sys.check_axioms()
+    assert not (report.coverage_ok or report.bar_ok or report.action_ok)
+    assert report.detail in headless
+    for detail in (sys._check_bar(), sys._check_action()):
+        assert detail in ["no dart has the head of an atom anchored at %r" % (d,)
+                          for d in headless]
+
+
 def test_corrupted_atom_payload_fails_axioms():
     ball = build_ball_system_retrying(families.cycle(3), families.cycle(4), radius=1)
 
@@ -242,18 +263,18 @@ def test_corrupted_atom_payload_fails_axioms():
 
 
 def _recheck_counting(sys, monkeypatch):
-    """Rerun check_axioms with the composed pairs counted: the entries that
-    are not None in the rows of the arrow class's ``composite_keys``."""
+    """Rerun check_axioms with the composed pairs counted: the entries of
+    the rows of the arrow class's ``compose_row``."""
     pairs = [0]
     cls = type(sys.groupoid.arrows[0])
-    composite_keys = cls.composite_keys
+    compose_row = cls.compose_row
 
-    def counted(self, lefts):
-        row = composite_keys(self, lefts)
-        pairs[0] += sum(k is not None for k in row)
+    def counted(self, tables, tail=None):
+        row = list(compose_row(self, tables, tail))
+        pairs[0] += len(row)
         return row
 
-    monkeypatch.setattr(cls, "composite_keys", counted)
+    monkeypatch.setattr(cls, "compose_row", counted)
     sys.axioms = None
     report = sys.check_axioms()
     monkeypatch.undo()
@@ -279,6 +300,31 @@ def test_action_check_composes_at_most_the_composable_pairs(build, composed,
     # each pair the check needs, composed once per origin: batching the
     # rows must neither drop a pair nor add one
     assert pairs == composed
+
+
+def test_composite_with_another_target_fails_the_action_check(monkeypatch):
+    # the key of h after r becomes that of an arrow w out of the same object
+    # with the same perm but another target: the action half of the row key
+    # carries h's own target, so no arrow's key matches it
+    sys = build_star_system_retrying(families.theta(3), families.complete(4),
+                                     STRATEGY_ALIGNED)
+    gpd = sys.groupoid
+
+    def pairs():
+        for x in range(len(sys.union.vertices)):
+            r = gpd.by_source[x][0]
+            for h in gpd.by_source[r.dst]:
+                perm = h.compose(r).perm
+                for w in gpd.by_source[x]:
+                    if w.perm == perm and w.dst != h.dst:
+                        yield h, r, w
+
+    h, r, w = next(pairs())
+    assert sys.axioms.ok
+    substitute_composite(monkeypatch, h, r, w)
+    sys.axioms = None
+    report = sys.check_axioms()
+    assert not report.action_ok
 
 
 def test_wrong_composite_fails_the_action_check(monkeypatch):

@@ -13,9 +13,10 @@ pair-tuple arrows and atoms of ``conftest.reference_kernel`` give.  On
   atom by every arrow out of its target, and ``bar`` render the
   reference's serials.
 
-The row kernels are checked on every row: ``composite_keys`` of each
-arrow over all arrows gives the keys of the reference composites, with
-None exactly where the pair is not composable, and ``act_row`` of each
+The row kernels are checked on every row: ``compose_row`` of each arrow
+over the tables of the arrows out of its target gives the keys
+(``groupoids.keyed``) of the reference composites, also with an action
+half, and ``act_row`` of each
 identity atom and each atom over the arrows out of its target gives the
 reference's atoms, in order.
 
@@ -34,7 +35,10 @@ corrupted action or a corrupted composition.
 Domains of at most ``groupoids.BYTES_POINTS`` points hold perms and
 positions as bytes.  With the constant patched to 0, every domain is wide
 and holds tuples; the reference agreement and the action check are re-run
-so on small systems.
+so on small systems.  On a pair with domains of two sizes, the constant at
+the largest size and one lower gives all-bytes and mixed systems, which
+agree with the references and write the same artifacts; at the real limit
+of 253 points, positions never reach the two table slots of the target.
 """
 
 import pytest
@@ -42,6 +46,10 @@ from hypothesis import given
 
 from commoncover import families, groupoids
 from commoncover.ball_system import build_ball_system_retrying
+from commoncover.cli import dump_graph, main, write_json
+from commoncover.gluing import subdivide_graph
+from commoncover.graphs import BudgetExceeded
+from commoncover.groupoids import PermArrow, keyed
 from commoncover.object_graphs import (ObjectGraph, SeedSpec, _check_star_map,
                                        close_star_maps, make_object, obj_identity,
                                        obj_morphism, rotation_pair)
@@ -70,15 +78,19 @@ def check_against_reference(sys, generators=None):
                                 sys.union.vertices, ref.identity)
     assert [a.serial for a in gpd.arrows] == closure
     refs = {a.key: ref.arrow(a) for a in gpd.arrows}
-    key_of = {a.serial: a.key for a in gpd.arrows}
+    key_of = {a.serial: keyed(a.dst, a.perm) for a in gpd.arrows}
     for b in gpd.arrows:
         assert b.inverse().serial == refs[b.key].inverse().serial
         composites = {}
         for a in gpd.by_source[b.dst]:
             composites[a.key] = refs[a.key].compose(refs[b.key]).serial
             assert a.compose(b).serial == composites[a.key]
-        assert b.composite_keys(gpd.arrows) == [
-            key_of[composites[a.key]] if a.src == b.dst else None for a in gpd.arrows]
+        tables = [a.table for a in gpd.by_source[b.dst]]
+        keys = [key_of[composites[a.key]] for a in gpd.by_source[b.dst]]
+        assert list(b.compose_row(tables)) == keys
+        # the action half of a key: h's images of b's own positions are the
+        # composite's perm, so each key repeats
+        assert list(b.compose_row(tables, b.perm)) == [k + k for k in keys]
     serial = sys.atom_serial
     for e, name in enumerate(sys.union.darts):
         ident = ref.identity_atom(name)
@@ -231,3 +243,71 @@ def test_both_encodings_agree_with_the_references(points, encoding, monkeypatch)
         else:
             check_against_reference(sys)
         check_action_against_the_walk(sys)
+
+
+def _subdivided_pair():
+    """rose(2) and Theta4 with a midpoint on every edge: vertices of degree
+    4 and 2, so stars of 4 and 2 darts and balls of radius 1 of 5 and 3
+    points."""
+    return (subdivide_graph(families.rose(2)).graph,
+            subdivide_graph(families.theta(4)).graph)
+
+
+BOUNDARY_BUILDS = {
+    "star-dr": (lambda g1, g2: build_star_system_retrying(g1, g2, STRATEGY_DR_FULL),
+                ["--backend", "star", "--strategy", "dr"]),
+    "ball": (lambda g1, g2: build_ball_system_retrying(g1, g2, 1),
+             ["--backend", "ball", "-R", "1"]),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BOUNDARY_BUILDS))
+def test_encoding_boundary_on_mixed_domains(backend, tmp_path, monkeypatch):
+    # BYTES_POINTS at the largest domain size keeps every domain bytes; one
+    # lower, the largest domains are wide and the others stay bytes.  Both
+    # agree with the references, and the artifacts are byte-identical
+    build, args = BOUNDARY_BUILDS[backend]
+    g1, g2 = _subdivided_pair()
+    paths = []
+    for name, g in (("g1", g1), ("g2", g2)):
+        paths.append(str(tmp_path / (name + ".json")))
+        write_json(paths[-1], dump_graph(g))
+    largest = max(map(len, build(g1, g2).numbering.domains))
+    artifacts = []
+    for points, wide in ((largest, set()), (largest - 1, {largest})):
+        monkeypatch.setattr(groupoids, "BYTES_POINTS", points)
+        sys = build(g1, g2)
+        assert {len(a.perm) for a in sys.groupoid.arrows
+                if type(a.perm) is tuple} == wide
+        assert {len(a.perm) for a in sys.groupoid.arrows
+                if type(a.perm) is bytes} == set(map(len, sys.numbering.domains)) - wide
+        check_against_reference(sys)
+        check_action_against_the_walk(sys)
+        out = tmp_path / ("out%d" % points)
+        assert main(["build", *paths, *args, "-o", str(out)]) == 0
+        artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert artifacts[0] == artifacts[1]
+
+
+def test_the_target_slots_are_no_position():
+    # a bytes domain has at most 253 points, so its positions never reach
+    # 253 and 254, where a table holds the arrow's target
+    n = groupoids.BYTES_POINTS
+    assert n == 253 and groupoids.TARGET == bytes((253, 254))
+    assert groupoids.encoding(n) is bytes and groupoids.encoding(n + 1) is tuple
+    dom, names = tuple(range(n)), tuple(range(300))
+    a = PermArrow(5, 260, range(n - 1, -1, -1), dom, dom, names)
+    b = PermArrow(260, 7, [(i + 1) % n for i in range(n)], dom, dom, names)
+    assert type(a.perm) is bytes and max(a.perm) == n - 1
+    assert a.table[:n] == a.perm and a.table[253:255] == (260).to_bytes(2, "big")
+    ab = b.compose(a)
+    assert ab.key == (5, 7, bytes(b.perm[i] for i in a.perm))
+    assert list(a.compose_row([b.table])) == [keyed(7, ab.perm)]
+    assert list(a.compose_row([b.table], a.perm)) == [keyed(7, ab.perm) * 2]
+    # one point more: tuples, the target in the slot after the perm
+    wide = PermArrow(1, 2, range(n + 1), dom + (n,), dom + (n,), names)
+    assert wide.table == tuple(range(n + 1)) + (2,)
+    assert list(wide.compose_row([wide.table])) == [(2,) + wide.perm]
+    # the two target bytes hold 65,536 objects
+    with pytest.raises(BudgetExceeded):
+        PermArrow(0, 1 << 16, b"\0", (0,), (0,), names)
