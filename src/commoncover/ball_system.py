@@ -44,8 +44,9 @@ class BallArrow(PermArrow):
     """Root-to-root isomorphism between two canonical balls: ``perm`` over
     the sorted vertex paths of the canonical balls of ``src`` and ``dst``;
     its serial is ("ball", src, dst, mapping) with ``mapping`` the sorted
-    (path, path) pairs.  The deck-word witness is carried along but is not
-    part of identity."""
+    (path, path) pairs, the paths rendered as dart identifiers (the
+    numbering's ``shown`` domains).  The deck-word witness is carried along
+    but is not part of identity."""
 
     __slots__ = ()
     tag = "ball"
@@ -70,27 +71,31 @@ def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
     union.  An atom at a dart e restricts an arrow to the edge
     neighbourhood of the canonical lift of e, and bar transports it by the
     deck transformation that takes the head of that lift to the canonical
-    lift of head(e)."""
-    g1, g2 = c1.graph, c2.graph
-    # per union vertex and dart: its side's cover and its id in that side
-    vcover = [c1] * len(g1.vertices) + [c2] * len(g2.vertices)
-    dcover = [c1] * len(g1.darts) + [c2] * len(g2.darts)
-    lift = list(map(UniversalCover.canonical_lift, vcover, g1.vertices + g2.vertices))
-    domains = [c.ball(z, radius).vertices for c, z in zip(vcover, lift)]
-    raw, org, rev = g1.darts + g2.darts, union.org, union.rev
+    lift of head(e).  The serials read ``shown``: per base vertex, its
+    domain's paths as dart identifiers, rendered once."""
+    # per union vertex and dart: its side's cover and its index in that side
+    vside = [(c, i) for c in (c1, c2) for i in range(len(c.graph.vertices))]
+    dside = [(c, i) for c in (c1, c2) for i in range(len(c.graph.darts))]
+    lift = [c.canonical_lift(v) for c, v in vside]
+    domains = [c.ball(z, radius).vertices for (c, _), z in zip(vside, lift)]
+    org, rev = union.org, union.rev
 
     def neighbourhood(e):
-        return edge_neighbourhood(dcover[e], lift[org[e]], raw[e], radius)
+        c, d = dside[e]
+        return edge_neighbourhood(c, lift[org[e]], d, radius)
 
     def head(e):
-        return dcover[e].step(lift[org[e]], raw[e])
+        c, d = dside[e]
+        return c.step(lift[org[e]], d)
 
     def across(e, nb):
-        c = dcover[e]
+        c = dside[e][0]
         loop = c.deck_loop(head(e), lift[org[rev[e]]])
         return [c.transport(loop, p) for p in nb]
 
-    return Numbering(union, domains, neighbourhood, head, across)
+    numbering = Numbering(union, domains, neighbourhood, head, across)
+    numbering.shown = [tuple(map(c.ids, dom)) for (c, _), dom in zip(vside, domains)]
+    return numbering
 
 
 @dataclass
@@ -114,27 +119,27 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
     alignment.ensure_radius(explore_radius + radius)
     union = alignment.joint.union
     numbering = ball_numbering(union, c1, c2, radius)
-    domains, positions, dom = numbering.domains, numbering.positions, numbering.dom
-    index1, index2, n1 = g1.index()[0], g2.index()[0], len(g1.vertices)
+    domains, shown = numbering.domains, numbering.shown
+    positions, dom, n1 = numbering.positions, numbering.dom, len(g1.vertices)
     vertex_arrows, tables = {}, {}
     edge_atoms = set()
     for z in c1.layers(explore_radius):
         x = c1.project(z)
         z2 = alignment.apply(z)
         y = c2.project(z2)
-        src, dst = index1[x], n1 + index2[y]
+        dst = n1 + y
         w1 = c1.deck_loop(c1.canonical_lift(x), z)
         w2 = c2.deck_loop(z2, c2.canonical_lift(y))
         at = positions[dst]
         perm = [at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
-                for p in domains[src]]
+                for p in domains[x]]
         arrow = BallArrow(
-            src, dst, perm, domains[src], domains[dst], union.vertices,
+            x, dst, perm, shown[x], shown[dst], union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
                      ("p2", c2.loop_to_word(w2))), tables=tables)
         vertex_arrows.setdefault(arrow.key, arrow)
         # the edge atoms at this vertex are restrictions of the same map
-        for e in numbering.stars[src]:
+        for e in numbering.stars[x]:
             edge_atoms.add((e, dst, gather(dom[e])(arrow.table)))
     return DiscoveredAtoms([vertex_arrows[k] for k in sorted(vertex_arrows)],
                            sorted(edge_atoms), radius, explore_radius, numbering)
@@ -157,7 +162,7 @@ class BallLocalSystem(LocalSystem):
     def atom_serial(self, atom):
         """("atom", anchor dart, image dart, sorted (path, path) pairs)."""
         e, y, r = atom
-        domains, darts = self.numbering.domains, self.union.darts
+        domains, darts = self.numbering.shown, self.union.darts
         source, target = domains[self._org[e]], domains[y]
         return ("atom", darts[e], darts[self.atom_image(atom)],
                 tuple([(source[i], target[j])
@@ -188,10 +193,10 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
     numbering = discovered.numbering
     if numbering is None:
         numbering = ball_numbering(union, alignment.c1, alignment.c2, radius)
-    domains = numbering.domains
+    shown = numbering.shown
 
     def identity_factory(x):
-        return BallArrow(x, x, range(len(domains[x])), domains[x], domains[x], union.vertices)
+        return BallArrow(x, x, range(len(shown[x])), shown[x], shown[x], union.vertices)
 
     groupoid = saturate(discovered.vertex_arrows, range(len(union.vertices)), identity_factory)
     sys = BallLocalSystem(g1, g2, union, groupoid, joint, alignment,
@@ -232,21 +237,22 @@ def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:
     alignment markers switch sides.  The evaluation starts from the
     identity on the canonical source ball.
     """
-    n1 = sys.n1
+    n1, numbering = sys.n1, sys.numbering
     first = arrow.src < n1              # the evaluation is on the first side
-    current = {p: p for p in sys.numbering.domains[arrow.src]}
+    current = numbering.domains[arrow.src]      # the images, in domain order
     for kind, payload in arrow.witness:
         if kind == "th" and (payload == 1) == first:
             step = sys.alignment.apply if first else sys.alignment.apply_inverse
-            current = {p: step(q) for p, q in current.items()}
+            current = list(map(step, current))
             first = not first
         elif kind in ("p1", "p2") and (kind == "p1") == first:
             cover = sys.cover1 if first else sys.cover2
             loop = cover.word_to_loop(payload)
-            current = {p: cover.transport(loop, q) for p, q in current.items()}
+            current = [cover.transport(loop, q) for q in current]
         else:
             return False
-    return first == (arrow.dst < n1) and tuple(sorted(current.items())) == arrow.mapping
+    return (first == (arrow.dst < n1) and
+            list(map(numbering.positions[arrow.dst].get, current)) == list(arrow.perm))
 
 
 def saturation_horizon(g1: Graph, g2: Graph, radius: int,

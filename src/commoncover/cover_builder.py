@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, filterfalse, repeat
 from operator import add, itemgetter
 from typing import Iterable, Optional
 
@@ -624,28 +624,23 @@ def extract_certificate(built: Cover, sys, test_radius: int,
     """
     if sys.kind != "ball":
         raise GraphError("certificates require a ball-system cover")
+    if test_radius < 0:
+        raise GraphError("certificate radius must be non-negative")
     if not built.graph.is_connected():
         raise GraphError("certificate extraction needs a connected cover")
     c1, c2, alignment, radius = sys.cover1, sys.cover2, sys.alignment, sys.radius
-    graph, mu1, mu2 = built.graph, built.mu1, built.mu2
-    v0 = c1.basepoint
+    graph, vm1, dm1, dm2 = built.graph, built.mu1.vm, built.mu1.dm, built.mu2.dm
     if built.based_vertex is not None:
-        g0 = built.based_vertex
-        if mu1.vmap[g0] != v0:
+        g0 = graph.vertices.index(built.based_vertex)
+        if vm1[g0] != c1.basepoint:
             raise GraphError("seed vertex does not sit over the basepoint")
-    else:
-        g0 = min(v for v in graph.vertices if mu1.vmap[v] == v0)
-
-    # dart lookup: (cover vertex, base dart) -> cover dart
-    lift_dart = {}
-    for d in graph.darts:
-        lift_dart[(graph.origin[d], mu1.dmap[d])] = d
-
-    if built.based_vertex is not None:
         z0_image = alignment.apply(())
     else:
-        z0_image = c2.canonical_lift(mu2.vmap[g0])
+        g0 = vm1.index(c1.basepoint)
+        z0_image = c2.canonical_lift(built.mu2.vm[g0])
 
+    # dart lookup: (cover vertex, base dart) -> cover dart
+    lift_dart = {k: d for d, k in enumerate(zip(graph.org, dm1))}
     nu1 = {(): g0}
     psi = {(): z0_image}
     layers = c1.layers(test_radius + radius)
@@ -653,36 +648,33 @@ def extract_certificate(built: Cover, sys, test_radius: int,
     for w in layers[1:]:
         z = w[:-1]
         cover_dart = lift_dart[(nu1[z], w[-1])]
-        nu1[w] = graph.head(cover_dart)
-        psi[w] = c2.step(psi[z], mu2.dmap[cover_dart])
+        nu1[w] = graph.org[graph.rev[cover_dart]]
+        psi[w] = c2.step(psi[z], dm2[cover_dart])
 
     from .ball_system import verify_witness
 
-    domains, positions = sys.numbering.domains, sys.numbering.positions
-    index1, index2 = sys.g1.index()[0], sys.g2.index()[0]
+    numbering = sys.numbering
+    domains, positions, shown = numbering.domains, numbering.positions, numbering.shown
     entries = []
     for z in layers:
         if len(z) > test_radius:
             break
         x = c1.project(z)
         y = c2.project(psi[z])
-        src, dst = index1[x], sys.n1 + index2[y]
-        zx = c1.canonical_lift(x)
-        zy = c2.canonical_lift(y)
-        w1 = c1.deck_loop(zx, z)
-        w2 = c2.deck_loop(psi[z], zy)
-        images = [c2.transport(w2, psi[c1.transport(w1, p)]) for p in domains[src]]
-        at = positions[dst]
-        perm = [at.get(q, -1) for q in images]
-        arrow = None if -1 in perm else sys.groupoid.by_key((src, dst, points(perm, len(perm))))
+        w1 = c1.deck_loop(c1.canonical_lift(x), z)
+        w2 = c2.deck_loop(psi[z], c2.canonical_lift(y))
+        images = [c2.transport(w2, psi[c1.transport(w1, p)]) for p in domains[x]]
+        dst = sys.n1 + y
+        perm = list(map(positions[dst].get, images, repeat(-1)))
+        arrow = None if -1 in perm else sys.groupoid.by_key((x, dst, points(perm, len(perm))))
         if arrow is None:
             raise VerificationError(
                 "ball restriction escaped the discovered groupoid at %r (%r)"
-                % (z, ("ball", sys.union.vertices[src], sys.union.vertices[dst],
-                       tuple(zip(domains[src], images)))))
+                % (c1.ids(z), ("ball", sys.union.vertices[x], sys.union.vertices[dst],
+                               tuple(zip(shown[x], map(c2.ids, images))))))
         serial = arrow.serial
-        matches = built.vertex_label[nu1[z]][0] == serial
-        entries.append(CertificateEntry(z, serial, matches,
+        matches = built.vertex_label[graph.vertices[nu1[z]]][0] == serial
+        entries.append(CertificateEntry(c1.ids(z), serial, matches,
                                         verify_witness(arrow, sys)))
 
     fixed = None

@@ -122,11 +122,10 @@ def induced_star_map(alignment: TreeAlignment, z, union: Graph) -> StarArrow:
     c1, c2 = alignment.c1, alignment.c2
     z2 = alignment.apply(z)
     x, y = c1.project(z), c2.project(z2)
-    at = {f: i for i, f in enumerate(c2.graph.star(y))}
-    perm = [at[c2.dart_between(z2, alignment.apply(w))] for _, w in c1.star_darts(z)]
-    src, dst = c1.graph.index()[0][x], len(c1.graph.vertices) + c2.graph.index()[0][y]
-    names = union.vertices
-    return StarArrow(src, dst, perm, union.star(names[src]), union.star(names[dst]), names)
+    star = c2.stars[y]
+    perm = [star.index(c2.dart_between(z2, alignment.apply(w))) for _, w in c1.star_darts(z)]
+    dst, names = len(c1.graph.vertices) + y, union.vertices
+    return StarArrow(x, dst, perm, union.star(names[x]), union.star(names[dst]), names)
 
 
 def _aligned_atoms(alignment: TreeAlignment, explore_radius: int,

@@ -2,15 +2,19 @@
 
 The universal cover of a connected based graph is realised as the tree of
 reduced dart paths from the basepoint; it is never materialised.  A tree
-vertex IS its path (a tuple of dart identifiers), the projection to the
-base graph is the endpoint of the path, and adjacency appends or removes a
-single dart.
+vertex IS its path, a tuple of dart indices of the graph (dart i is the
+i-th sorted identifier, so paths sort as the paths of identifiers do); the
+projection to the base graph is the endpoint of the path, and adjacency
+appends or removes a single dart.  Identifiers are rendered (``ids``) only
+for artifacts and failure messages.
 
 Deck transformations correspond to reduced loops at the basepoint: the
-transformation of a loop L sends the vertex with path P to reduce(L + P).
-Free generators are indexed by the geometric edges outside a breadth-first
-spanning tree, which also fixes a canonical lift of every base vertex (its
-spanning-tree path).
+transformation of a loop L sends the vertex with path P to the reduction of
+L + P.  Both are reduced, so only the seam can cancel (Lyndon and Schupp,
+*Combinatorial Group Theory*, I.1): ``transport`` drops the common prefix of
+the inverse of L and P.  Free generators are indexed by the geometric edges
+outside a breadth-first spanning tree, which also fixes a canonical lift of
+every base vertex (its spanning-tree path).
 
 An alignment between two universal covers is a partial tree isomorphism
 grown layer by layer from basepoint to basepoint; extension always picks
@@ -22,112 +26,113 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .graphs import BudgetExceeded, Graph, GraphError
-from .refinement import JointBlocks
+from .refinement import JointBlocks, _dart_type
 
-Path = Tuple[str, ...]
+Path = Tuple[int, ...]
 
 
 class AlignmentBudgetError(BudgetExceeded):
     """Alignment extension exceeded its radius cap."""
 
 
-def reduce_path(g: Graph, darts) -> Path:
-    """Free reduction: cancel adjacent mutually-reverse darts."""
-    out, reverse = [], g.reverse
-    for d in darts:
-        if out and reverse[out[-1]] == d:
-            out.pop()
-        else:
-            out.append(d)
-    return tuple(out)
-
-
-def invert_path(g: Graph, path: Path) -> Path:
-    return tuple(map(g.reverse.__getitem__, reversed(path)))
-
-
 class UniversalCover:
-    """Lazy universal cover of a connected based graph."""
+    """Lazy universal cover of a connected graph, based at a vertex index."""
 
-    def __init__(self, graph: Graph, basepoint: Optional[str] = None):
+    def __init__(self, graph: Graph, basepoint: int = 0):
         if not graph.is_connected():
             raise GraphError("connected graph required")
+        if not 0 <= basepoint < len(graph.vertices):
+            raise GraphError("vertex not in graph: %r" % (basepoint,))
         self.graph = graph
-        self._origin, self._reverse = graph.origin, graph.reverse
-        self.basepoint = basepoint if basepoint is not None else graph.vertices[0]
-        if self.basepoint not in graph.vertices:
-            raise GraphError("vertex not in graph: %r" % (self.basepoint,))
+        self.basepoint = basepoint
+        self.org, self.rev, self.stars = graph.org, graph.rev, graph.stars()
         self._build_spanning_tree()
 
     def _build_spanning_tree(self):
-        g = self.graph
-        # vertex -> dart from its tree parent
-        parent_dart = g.bfs(self.basepoint)
-        del parent_dart[self.basepoint]
-        self.parent_dart = parent_dart
-        tree_darts = set()
-        for d in parent_dart.values():
-            tree_darts.add(d)
-            tree_darts.add(g.reverse[d])
-        # one free generator per geometric edge outside the tree
-        self.generators = tuple(d for d in g.edge_reps() if d not in tree_darts)
-        self._gen_index = {d: i for i, d in enumerate(self.generators)}
-        self._lift_cache: Dict[str, Path] = {self.basepoint: ()}
+        g, rev = self.graph, self.rev
+        vindex, dindex = g.index()
+        # vertex -> dart from its tree parent, -1 at the basepoint
+        self.parent_dart = parent = [-1] * len(g.vertices)
+        tree = g.bfs(g.vertices[self.basepoint])
+        del tree[g.vertices[self.basepoint]]
+        for v, d in tree.items():
+            parent[vindex[v]] = dindex[d]
+        tree_darts = set(map(dindex.__getitem__, tree.values()))
+        tree_darts |= set(map(rev.__getitem__, tree_darts))
+        # one free generator per geometric edge outside the tree; dart d
+        # reads as the letter (generator index, exponent) or None
+        self.generators = tuple(d for d, r in enumerate(rev)
+                                if d < r and d not in tree_darts)
+        self._letter = [None] * len(rev)
+        for i, d in enumerate(self.generators):
+            self._letter[d], self._letter[rev[d]] = (i, 1), (i, -1)
+        self._lift_cache: Dict[int, Path] = {self.basepoint: ()}
 
     # -- paths and projection ----------------------------------------------
 
+    def ids(self, path: Path) -> tuple:
+        """The path as dart identifiers, for artifacts and messages."""
+        return tuple(map(self.graph.darts.__getitem__, path))
+
     def check_path(self, path: Path) -> None:
-        origin, reverse = self._origin, self._reverse
-        at = self.basepoint
-        prev = None
+        org, rev = self.org, self.rev
+        at, prev = self.basepoint, None
         for d in path:
-            if d not in origin or origin[d] != at:
+            if not 0 <= d < len(org) or org[d] != at or prev == rev[d]:
                 raise GraphError("non-reduced path")
-            if prev is not None and reverse[prev] == d:
-                raise GraphError("non-reduced path")
-            prev = d
-            at = origin[reverse[d]]
+            prev, at = d, org[rev[d]]
 
-    def project(self, path: Path) -> str:
+    def project(self, path: Path) -> int:
         """Base vertex under the covering projection."""
-        return self._origin[self._reverse[path[-1]]] if path else self.basepoint
+        return self.org[self.rev[path[-1]]] if path else self.basepoint
 
-    def step(self, path: Path, dart: str) -> Path:
+    def step(self, path: Path, dart: int) -> Path:
         """Neighbouring tree vertex in the direction of a base dart."""
-        if self._origin[dart] != self.project(path):
-            raise GraphError("dart %r does not start at the path endpoint" % (dart,))
-        if path and self._reverse[path[-1]] == dart:
+        if self.org[dart] != self.project(path):
+            raise GraphError("dart %r does not start at the path endpoint"
+                             % (self.graph.darts[dart],))
+        if path and self.rev[path[-1]] == dart:
             return path[:-1]
         return path + (dart,)
 
     def star_darts(self, path: Path):
         """Pairs (base dart, neighbouring path), sorted by the base dart."""
-        return [(d, self.step(path, d)) for d in self.graph.star(self.project(path))]
+        back = self.rev[path[-1]] if path else -1
+        return [(d, path[:-1] if d == back else path + (d,))
+                for d in self.stars[self.project(path)]]
 
-    def dart_between(self, a: Path, b: Path) -> str:
+    def children(self, path: Path) -> list:
+        """The darts d, sorted, for which path + (d,) is a child of path."""
+        if not path:
+            return self.stars[self.basepoint]
+        back = self.rev[path[-1]]
+        return [d for d in self.stars[self.org[back]] if d != back]
+
+    def dart_between(self, a: Path, b: Path) -> int:
         """Base dart labelling the tree edge from a to b (must be adjacent)."""
         if len(b) == len(a) + 1 and b[:len(a)] == a:
             return b[-1]
         if len(a) == len(b) + 1 and a[:len(b)] == b:
-            return self._reverse[a[-1]]
+            return self.rev[a[-1]]
         raise GraphError("tree vertices are not adjacent")
 
     # -- canonical lifts ----------------------------------------------------
 
-    def canonical_lift(self, v: str) -> Path:
-        """Spanning-tree path from the basepoint to a lift of v."""
+    def canonical_lift(self, v: int) -> Path:
+        """Spanning-tree path from the basepoint to a lift of vertex v."""
         cache = self._lift_cache
         if v not in cache:
-            self.graph.star(v)          # GraphError for a vertex not in the graph
+            if not 0 <= v < len(self.parent_dart):
+                raise GraphError("vertex not in graph: %r" % (v,))
             chain = []                  # (vertex, parent dart) up to a cached lift
             u = v
             while u not in cache:
                 d = self.parent_dart[u]
                 chain.append((u, d))
-                u = self._origin[d]
+                u = self.org[d]
             path = cache[u]
             for u, d in reversed(chain):
                 path = cache[u] = path + (d,)
@@ -135,48 +140,44 @@ class UniversalCover:
 
     # -- deck transformations ------------------------------------------------
 
+    def invert(self, path: Path) -> Path:
+        """The reversed path, each dart replaced by its reversal."""
+        return tuple(map(self.rev.__getitem__, reversed(path)))
+
     def transport(self, loop: Path, path: Path) -> Path:
-        """Apply the deck transformation of a reduced basepoint loop."""
-        return reduce_path(self.graph, loop + path)
+        """Apply the deck transformation of a reduced basepoint loop to a
+        reduced path: the reduction of loop + path, which cancels only the
+        common prefix of the inverted loop and the path."""
+        rev, k, n = self.rev, 0, min(len(loop), len(path))
+        while k < n and rev[loop[-1 - k]] == path[k]:
+            k += 1
+        return loop[:len(loop) - k] + path[k:]
 
     def deck_loop(self, src: Path, dst: Path) -> Path:
         """Loop of the unique deck transformation taking src to dst."""
         if self.project(src) != self.project(dst):
             raise GraphError("deck transports preserve fibres")
-        return reduce_path(self.graph, dst + invert_path(self.graph, src))
+        return self.transport(dst, self.invert(src))
 
     def generator_loop(self, i: int) -> Path:
         """Basepoint loop of the i-th free generator."""
         if not 0 <= i < len(self.generators):
             raise GraphError("generator index out of range: %d" % i)
         d = self.generators[i]
-        g = self.graph
-        out = self.canonical_lift(g.origin[d]) + (d,)
-        back = invert_path(g, self.canonical_lift(g.head(d)))
-        return reduce_path(g, out + back)
+        out = self.canonical_lift(self.org[d]) + (d,)
+        return self.transport(out, self.invert(self.canonical_lift(self.org[self.rev[d]])))
 
     def word_to_loop(self, word) -> Path:
         """Evaluate a word over (generator index, exponent) pairs to a loop."""
-        g = self.graph
         loop: Path = ()
         for i, exp in word:
             piece = self.generator_loop(i)
-            if exp < 0:
-                piece = invert_path(g, piece)
-            loop = reduce_path(g, loop + piece)
+            loop = self.transport(loop, piece if exp > 0 else self.invert(piece))
         return loop
 
     def loop_to_word(self, loop: Path) -> tuple:
         """Express a reduced basepoint loop as a word in the free generators."""
-        word, gen_index, reverse = [], self._gen_index, self._reverse
-        for d in loop:
-            if d in gen_index:
-                word.append((gen_index[d], 1))
-            else:
-                rd = reverse[d]
-                if rd in gen_index:
-                    word.append((gen_index[rd], -1))
-        return tuple(word)
+        return tuple(filter(None, map(self._letter.__getitem__, loop)))
 
     # -- balls ----------------------------------------------------------------
 
@@ -199,8 +200,15 @@ class UniversalCover:
     def layers(self, radius: int) -> list:
         """Tree vertices within ``radius`` of the basepoint, layer by layer,
         each layer in sorted order: a parent always comes before its
-        children."""
-        return sorted(self.ball((), radius).vertices, key=lambda z: (len(z), z))
+        children.  Expanding a sorted layer child by child keeps the next
+        one sorted."""
+        if radius < 0:
+            raise GraphError("radius must be non-negative")
+        out, layer = [], [()]
+        for _ in range(radius):
+            out += layer
+            layer = [z + (d,) for z in layer for d in self.children(z)]
+        return out + layer
 
 
 @dataclass
@@ -229,50 +237,38 @@ class TreeAlignment:
         self.c1, self.c2 = c1, c2
         self.joint = joint
         self.max_radius = max_radius
-        # vertex id -> joint block, per side: the union holds g1's vertices first
-        blocks = list(map(joint.partition.block_of.__getitem__, joint.union.vertices))
-        self._block = (dict(zip(c1.graph.vertices, blocks)),
-                       dict(zip(c2.graph.vertices, blocks[len(c1.graph.vertices):])))
-        if self._block[0][c1.project(())] != self._block[1][c2.project(())]:
+        # per side, each dart's type: the union holds g1's vertices and darts first
+        union, block = joint.union, joint.partition.block_of
+        types = list(map(_dart_type(union, block), union.darts))
+        self._types = types[:len(c1.graph.darts)], types[len(c1.graph.darts):]
+        if (block[union.vertices[c1.basepoint]]
+                != block[union.vertices[len(c1.graph.vertices) + c2.basepoint]]):
             raise GraphError("no common universal cover")
         self.fwd: Dict[Path, Path] = {(): ()}
         self.bwd: Dict[Path, Path] = {(): ()}
         self.radius_built = 0
         self._frontier = [((), ())]
 
-    def _dart_type(self, g: Graph, block: dict):
-        """The function: dart of g -> (colour, reverse colour, head block)."""
-        colour, origin, reverse = g.dart_colour, g.origin, g.reverse
-        return lambda d: (colour.get(d), colour.get(reverse[d]), block[origin[reverse[d]]])
-
     def ensure_radius(self, r: int) -> None:
         if r > self.max_radius:
             raise AlignmentBudgetError("alignment radius cap exceeded (%d)" % r)
-        type1 = self._dart_type(self.c1.graph, self._block[0])
-        type2 = self._dart_type(self.c2.graph, self._block[1])
+        (type1, type2), fwd, bwd = self._types, self.fwd, self.bwd
         while self.radius_built < r:
             nxt = []
             for z1, z2 in self._frontier:
-                pend1 = [(d, w) for d, w in self.c1.star_darts(z1) if w not in self.fwd]
-                pend2 = [(d, w) for d, w in self.c2.star_darts(z2) if w not in self.bwd]
-                used = set()
-                for d, w in pend1:
-                    t = type1(d)
-                    pick = None
-                    for j, (e, u) in enumerate(pend2):
-                        if j in used:
-                            continue
-                        if type2(e) == t:
-                            pick = j
-                            break
-                    if pick is None:
+                # per type, the free image darts, least last
+                free = {}
+                for e in reversed(self.c2.children(z2)):
+                    free.setdefault(type2[e], []).append(e)
+                for d in self.c1.children(z1):
+                    pool = free.get(type1[d])
+                    if not pool:
                         raise GraphError("no common universal cover")
-                    used.add(pick)
-                    u = pend2[pick][1]
-                    self.fwd[w] = u
-                    self.bwd[u] = w
+                    w, u = z1 + (d,), z2 + (pool.pop(),)
+                    fwd[w] = u
+                    bwd[u] = w
                     nxt.append((w, u))
-                if len(used) != len(pend2):
+                if any(free.values()):
                     raise GraphError("no common universal cover")
             self._frontier = nxt
             self.radius_built += 1

@@ -380,14 +380,14 @@ def substitute_composite(monkeypatch, h, r, wrong):
 
 
 def deck_transport(cover, word, path):
-    """Apply to a tree vertex of ``cover`` the deck transformation of a word
-    over (generator index, exponent) pairs."""
+    """Apply to a tree vertex of ``cover``, a path of dart indices, the deck
+    transformation of a word over (generator index, exponent) pairs."""
     cover.check_path(path)
     return cover.transport(cover.word_to_loop(word), path)
 
 
 def map_vertices(alignment, vertices) -> dict:
-    """The alignment's image of each tree vertex."""
+    """The alignment's image of each tree vertex (a path of dart indices)."""
     return {z: alignment.apply(z) for z in vertices}
 
 
@@ -401,7 +401,7 @@ def fiber_pairs(fp) -> tuple:
 
 def map_is_ball_isomorphism(bsrc, btgt, mapping: dict) -> bool:
     """Root-preserving label-compatible tree isomorphism check of two balls
-    of universal covers."""
+    of universal covers, given as a map between paths of dart indices."""
     if set(mapping) != set(bsrc.vertices):
         return False
     if sorted(mapping.values()) != sorted(btgt.vertices):
@@ -711,7 +711,8 @@ def reference_non_tree_reps(g: Graph) -> list:
 
 
 def reference_spanning_tree(g: Graph, basepoint: str):
-    """``UniversalCover._build_spanning_tree``: (parent_dart, generators)."""
+    """``UniversalCover._build_spanning_tree``: (parent_dart, generators),
+    by dart id."""
     parent_dart = {}
     seen = {basepoint}
     queue = deque([basepoint])
@@ -891,7 +892,9 @@ class ReferenceStarKernel:
 
 class ReferenceBallKernel:
     """Ball atoms as ``ReferenceEdgeAtom`` records of a ball system, acting
-    through the tree paths of its two universal covers."""
+    through the tree paths of its two universal covers.  The records hold
+    paths of dart ids, as the serials do; the covers' paths of dart indices
+    are read through ``_path`` and rendered by ``cover.ids``."""
 
     def __init__(self, sys):
         self.union = sys.union
@@ -902,11 +905,20 @@ class ReferenceBallKernel:
     def _cover_of(self, prefixed):
         return self.cover1 if self._side[prefixed] == 1 else self.cover2
 
+    @staticmethod
+    def _path(cover, ids):
+        return tuple(map(cover.graph.index()[1].__getitem__, ids))
+
+    def _lift_of_origin(self, cover, raw_dart):
+        """The canonical lift of the origin of a dart id, and the dart's index."""
+        d = cover.graph.index()[1][raw_dart]
+        return cover.canonical_lift(cover.graph.org[d]), d
+
     def _neighbourhood(self, cover, root, dart):
         head = cover.step(root, dart)
         vs = set(cover.ball(root, self.radius - 1).vertices)
         vs |= set(cover.ball(head, self.radius - 1).vertices)
-        return tuple(sorted(vs))
+        return tuple(map(cover.ids, sorted(vs)))
 
     def arrow(self, a):
         return ReferenceBallArrow(a.names[a.src], a.names[a.dst], a.mapping, a.witness)
@@ -916,14 +928,13 @@ class ReferenceBallKernel:
 
     def identity(self, x):
         cover = self._cover_of(x)
-        vs = cover.ball(cover.canonical_lift(x[2:]), self.radius).vertices
-        return ReferenceBallArrow(x, x, tuple((p, p) for p in vs))
+        root = cover.canonical_lift(cover.graph.index()[0][x[2:]])
+        vs = cover.ball(root, self.radius).vertices
+        return ReferenceBallArrow(x, x, tuple((p, p) for p in map(cover.ids, vs)))
 
     def identity_atom(self, dart):
         cover = self._cover_of(dart)
-        raw = dart[2:]
-        root = cover.canonical_lift(cover.graph.origin[raw])
-        nb = self._neighbourhood(cover, root, raw)
+        nb = self._neighbourhood(cover, *self._lift_of_origin(cover, dart[2:]))
         return ReferenceEdgeAtom(dart, dart, tuple((p, p) for p in nb))
 
     def serial(self, atom):
@@ -931,32 +942,32 @@ class ReferenceBallKernel:
 
     def act(self, arrow, atom):
         cover = self._cover_of(atom.image)
-        raw = atom.image[2:]
-        root = cover.canonical_lift(cover.graph.origin[raw])
+        root, raw = self._lift_of_origin(cover, atom.image[2:])
         head = cover.step(root, raw)
         m = dict(arrow.mapping)
         new_mapping = tuple((p, m[q]) for p, q in atom.mapping)
         target = self._cover_of(arrow.dst)
-        new_dart = target.dart_between(m[root], m[head])
-        return ReferenceEdgeAtom(atom.anchor, arrow.dst[:2] + new_dart, new_mapping)
+        new_dart = target.dart_between(self._path(target, m[cover.ids(root)]),
+                                       self._path(target, m[cover.ids(head)]))
+        return ReferenceEdgeAtom(atom.anchor, arrow.dst[:2] + target.graph.darts[new_dart],
+                                 new_mapping)
 
     def bar(self, atom):
         csrc = self._cover_of(atom.anchor)
         ctgt = self._cover_of(atom.image)
-        e, f = atom.anchor[2:], atom.image[2:]
-        e_rev = csrc.graph.reverse[e]
-        f_rev = ctgt.graph.reverse[f]
-        zx = csrc.canonical_lift(csrc.graph.origin[e])
-        zy = ctgt.canonical_lift(ctgt.graph.origin[f])
-        w1 = csrc.deck_loop(csrc.canonical_lift(csrc.graph.origin[e_rev]),
+        zx, e = self._lift_of_origin(csrc, atom.anchor[2:])
+        zy, f = self._lift_of_origin(ctgt, atom.image[2:])
+        e_rev, f_rev = csrc.graph.rev[e], ctgt.graph.rev[f]
+        w1 = csrc.deck_loop(csrc.canonical_lift(csrc.graph.org[e_rev]),
                             csrc.step(zx, e))
         w2 = ctgt.deck_loop(ctgt.step(zy, f),
-                            ctgt.canonical_lift(ctgt.graph.origin[f_rev]))
-        m = dict(atom.mapping)
-        root = csrc.canonical_lift(csrc.graph.origin[e_rev])
+                            ctgt.canonical_lift(ctgt.graph.org[f_rev]))
+        m = {self._path(csrc, p): self._path(ctgt, q) for p, q in atom.mapping}
+        root = csrc.canonical_lift(csrc.graph.org[e_rev])
         nb = self._neighbourhood(csrc, root, e_rev)
         mapping = tuple(sorted(
-            (p, ctgt.transport(w2, m[csrc.transport(w1, p)])) for p in nb))
+            (p, ctgt.ids(ctgt.transport(w2, m[csrc.transport(w1, self._path(csrc, p))])))
+            for p in nb))
         rev = self.union.reverse
         return ReferenceEdgeAtom(rev[atom.anchor], rev[atom.image], mapping)
 
@@ -1065,3 +1076,16 @@ def reference_kernel(sys):
     object system."""
     return {"star": ReferenceStarKernel, "ball": ReferenceBallKernel,
             "object": ReferenceObjectKernel}[sys.kind](sys)
+
+
+def reduce_path(g: Graph, darts) -> tuple:
+    """Free reduction of a walk of dart indices: cancel adjacent mutually
+    reverse darts.  The reference for ``UniversalCover.transport``, which
+    cancels at the seam of two reduced paths only."""
+    out = []
+    for d in darts:
+        if out and g.rev[out[-1]] == d:
+            out.pop()
+        else:
+            out.append(d)
+    return tuple(out)

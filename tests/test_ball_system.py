@@ -64,11 +64,11 @@ def test_hom_counts_bounded_by_brute_ball_isomorphisms():
     g1, g2 = families.complete(4), families.theta(3)
     sys = build_ball_system_retrying(g1, g2, radius=1)
     c1, c2 = sys.cover1, sys.cover2
-    for i, x in enumerate(g1.vertices[:2]):
-        for j, y in enumerate(g2.vertices):
+    for i in range(2):
+        for j in range(len(g2.vertices)):
             count = len(sys.groupoid.hom(i, len(g1.vertices) + j))
             brute = len(list(_brute_root_isos(
-                c1, c1.canonical_lift(x), c2, c2.canonical_lift(y), 1)))
+                c1, c1.canonical_lift(i), c2, c2.canonical_lift(j), 1)))
             assert count <= brute
 
 
@@ -161,7 +161,7 @@ def test_edge_neighbourhood_is_intersection_of_endpoint_balls():
     g = families.complete(4)
     cov = UniversalCover(g)
     root = ()
-    dart = g.star("v00")[0]
+    dart = g.stars()[cov.basepoint][0]
     for radius in (1, 2):
         nb = set(edge_neighbourhood(cov, root, dart, radius))
         head = cov.step(root, dart)
@@ -179,16 +179,20 @@ def test_saturation_horizon_reports_small_radius():
 def test_acted_identity_atoms_match_arrow_star_bijection():
     g1, g2 = families.cycle(3), families.cycle(4)
     sys = build_ball_system_retrying(g1, g2, radius=2)
+    c1, c2 = sys.cover1, sys.cover2
     for arrow in sys.cross_arrows():
-        mapping = dict(arrow.mapping)
-        cov = sys.cover1
-        root = cov.canonical_lift(g1.vertices[arrow.src])
+        # the arrow's map on paths of dart indices: perm over the two domains
+        domain, codomain = sys.numbering.domains[arrow.src], sys.numbering.domains[arrow.dst]
+        mapping = dict(zip(domain, map(codomain.__getitem__, arrow.perm)))
+        root = c1.canonical_lift(arrow.src)
         for e in sys.stars[arrow.src]:
             atom = sys.act_identity(arrow, e)
             assert sys.atom_anchor(atom) == e
-            head = cov.step(root, g1.darts[e])
-            image = sys.cover2.dart_between(mapping[root], mapping[head])
-            assert sys.atom_image(atom) == len(g1.darts) + g2.index()[1][image]
+            head = c1.step(root, e)
+            image = c2.dart_between(mapping[root], mapping[head])
+            assert sys.atom_image(atom) == len(g1.darts) + image
+            # the serial renders the same map with dart ids
+            assert dict(arrow.mapping)[c1.ids(head)] == c2.ids(mapping[head])
 
 
 def test_coloured_ball_system_builds_and_certifies():

@@ -82,6 +82,17 @@ def test_build_ball_writes_certificate(tmp_path):
     assert cert["fixes_base_ball"] is True
 
 
+@pytest.mark.parametrize("radius", ["-1", "-5"])
+def test_negative_certificate_radius_exits_two(tmp_path, capsys, radius):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
+    out = tmp_path / "ball"
+    assert main(["build", c3, c4, "--backend", "ball", "-R", "1",
+                 "--certificate-radius", radius, "-o", str(out)]) == 2
+    assert "certificate radius must be non-negative" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+
+
 def test_build_glue_backend(tmp_path):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))

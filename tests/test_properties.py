@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from commoncover import families
 from commoncover.graphs import Graph, validate_graph
-from commoncover.universal_cover import UniversalCover, invert_path, reduce_path
+from commoncover.universal_cover import UniversalCover
+
+from conftest import reduce_path
 
 
 @st.composite
@@ -46,19 +48,19 @@ def test_free_reduction_is_idempotent_and_invertible(g, picks):
     if not g.is_connected() or not g.darts:
         return
     cov = UniversalCover(g)
-    # random walk from the basepoint, then reduce
+    # random walk of dart indices from the basepoint, then reduce
     path = []
     at = cov.basepoint
     for pick in picks:
-        star = g.star(at)
+        star = g.stars()[at]
         if not star:
             break
         d = star[pick % len(star)]
         path.append(d)
-        at = g.head(d)
+        at = g.org[g.rev[d]]
     reduced = reduce_path(g, path)
     assert reduce_path(g, reduced) == reduced
-    assert reduce_path(g, reduced + invert_path(g, reduced)) == ()
+    assert reduce_path(g, reduced + cov.invert(reduced)) == ()
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=3))

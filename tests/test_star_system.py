@@ -91,7 +91,7 @@ def test_transition_identity_for_aligned_atoms():
         gamma_z = induced_star_map(theta, z, sys.union)
         for d, w in c1.star_darts(z):
             gamma_y = induced_star_map(theta, w, sys.union)
-            e = sys.union.darts[g1.index()[1][d]]
+            e = sys.union.darts[d]
             e_rev = sys.union.reverse[e]
             f = dict(gamma_z.bij)[e]
             assert dict(gamma_y.bij)[e_rev] == sys.union.reverse[f]

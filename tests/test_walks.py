@@ -40,10 +40,11 @@ def _graphs(seed):
 
 
 def _lift(g, parent_dart, basepoint, v):
+    """The spanning-tree path to v, as dart indices."""
     path = ()
     while v != basepoint:
         d = parent_dart[v]
-        path = (d,) + path
+        path = (g.index()[1][d],) + path
         v = g.origin[d]
     return path
 
@@ -62,12 +63,13 @@ def test_walks_agree_with_the_loops_they_replaced(seed):
         if len(comps) != 1:
             continue
         cover = UniversalCover(g)
-        parent_dart, generators = reference_spanning_tree(g, cover.basepoint)
-        assert list(cover.parent_dart.items()) == list(parent_dart.items())
-        assert cover.generators == generators
-        for v in g.vertices:
-            assert cover.canonical_lift(v) == _lift(g, parent_dart,
-                                                    cover.basepoint, v)
+        basepoint = g.vertices[cover.basepoint]
+        parent_dart, generators = reference_spanning_tree(g, basepoint)
+        assert cover.parent_dart == [g.index()[1][parent_dart[v]] if v in parent_dart else -1
+                                     for v in g.vertices]
+        assert cover.ids(cover.generators) == generators
+        for i, v in enumerate(g.vertices):
+            assert cover.canonical_lift(i) == _lift(g, parent_dart, basepoint, v)
         for r in range(5):
             assert cover.layers(r) == reference_frontier_walk(cover, r)
 
