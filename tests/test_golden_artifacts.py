@@ -12,11 +12,20 @@ import random
 
 import pytest
 
-from commoncover import families
+from commoncover import families, oracle
 from commoncover.cli import dump_graph, dump_object_graph, main, write_json
 from commoncover.object_graphs import rotation_pair
 
 from conftest import random_cubic_graph
+
+
+def _k23_double():
+    """A connected 2-fold cover of K_{2,3}: its first edge crosses the sheets."""
+    g = families.complete_bipartite(2, 3)
+    reps = g.edge_reps()
+    return oracle.permutation_cover(g, 2, {r: (1, 0) if r == reps[0] else (0, 1)
+                                           for r in reps})[0]
+
 
 GRAPHS = {
     "c3": lambda: families.cycle(3),
@@ -25,6 +34,8 @@ GRAPHS = {
     "cubic30": lambda: random_cubic_graph(random.Random(1), 30),
     "cubic40": lambda: random_cubic_graph(random.Random(1), 40),
     "k4": lambda: families.complete(4),
+    "k23": lambda: families.complete_bipartite(2, 3),
+    "k23x2": _k23_double,
     "k33": lambda: families.complete_bipartite(3, 3),
     "rose2": lambda: families.rose(2),
     "theta3": lambda: families.theta(3),
@@ -42,6 +53,11 @@ CASES = {
     "star-aligned-theta3-k4": ("build", "theta3", "k4",
                                ["--backend", "star", "--strategy", "aligned"]),
     "ball-k4-theta3": ("build", "k4", "theta3", ["--backend", "ball", "-R", "1"]),
+    # two joint blocks (degree 2 and degree 3) whose vertex 0s share a block
+    "star-dr-k23-k23x2": ("build", "k23", "k23x2", ["--backend", "star", "--strategy", "dr"]),
+    "star-aligned-k23-k23x2": ("build", "k23", "k23x2",
+                               ["--backend", "star", "--strategy", "aligned"]),
+    "ball-k23-k23x2": ("build", "k23", "k23x2", ["--backend", "ball", "-R", "1"]),
     "glue-c3-c4": ("build", "c3", "c4", ["--backend", "glue", "-R", "1"]),
     "glue-rose2-theta4": ("build", "rose2", "theta4", ["--backend", "glue", "-R", "1"]),
     "regular-c3-c4": ("regular", "c3", "c4", []),
@@ -93,6 +109,16 @@ def artifact_digests(workdir, case) -> dict:
 
 
 GOLDEN = {
+    "ball-k23-k23x2": {
+        "certificate.json":
+            "95538508561498503c6fb3407df844713af2845c5ffc1e253d720a9a6dab114d",
+        "cover.json":
+            "840ae7f8d7729dd64e7f851bc25ff49a70ee8182910f7ac25fa5e67c747942f6",
+        "mu1.json":
+            "fa8b3ea3648131789d5a4b261779a2496ccac9b8ffd34fbaacfdac408f41fdd3",
+        "mu2.json":
+            "c31c0749fda23d7178a368510a04a2e5f1654e0efbb807402defed8f02ba382d",
+    },
     "ball-k4-theta3": {
         "certificate.json":
             "89cc6ba34bb98acf13ab447fbf9af0361c2acb10f11cabc380de7d1255cb29fc",
@@ -193,6 +219,14 @@ GOLDEN = {
         "mu2.json":
             "b8d88b91997d2cfe454739a65c44e0957d496928f5ac657706b55b07ed7062f1",
     },
+    "star-aligned-k23-k23x2": {
+        "cover.json":
+            "afe7e3beb10e613a275114cb1261727214d01431354ab451bbce836793959014",
+        "mu1.json":
+            "fa8b3ea3648131789d5a4b261779a2496ccac9b8ffd34fbaacfdac408f41fdd3",
+        "mu2.json":
+            "c31c0749fda23d7178a368510a04a2e5f1654e0efbb807402defed8f02ba382d",
+    },
     "star-dr-c3-c4": {
         "cover.json":
             "13e6027564444b126a32bce8917b3a6e7bab546960e1c5ed7723dc819eaf1b3e",
@@ -200,6 +234,14 @@ GOLDEN = {
             "6a5f7e016080a2d5713f543539acf1ce60650cb12d4c140d9181f70013912ab6",
         "mu2.json":
             "f64d5543f0e172fb03e04a8e584de989924b35d2c85608f3eae4f6ef3a1c85a6",
+    },
+    "star-dr-k23-k23x2": {
+        "cover.json":
+            "dfaf4aaf5505953c32f7abd7b41dd18c5c478d245c95a72861f20ada513c3514",
+        "mu1.json":
+            "3793122b0df98f2b9d1c98f6247a39f30529e092c789d01f9fca0209d444e52b",
+        "mu2.json":
+            "932378e662177f77ead0a0dd874020571a75e883fbd2f3b1bedc3cd2867560bc",
     },
 }
 
