@@ -30,7 +30,7 @@ from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
 from .graphs import Graph, GraphError
 from .groupoids import PermArrow, gather, saturate
 from .refinement import JointBlocks, joint_refinement
-from .universal_cover import TreeAlignment, UniversalCover, build_alignment
+from .universal_cover import TreeAlignment, UniversalCover, align
 
 
 def _invert_letter(letter):
@@ -184,7 +184,7 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
     if not joint.ok:
         raise GraphError("no common universal cover")
     if alignment is None:
-        alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
+        alignment = align(g1, g2, joint)
     if explore_radius is None:
         explore_radius = radius + g1.diameter() + g2.diameter()
     if discovered is None:
@@ -225,7 +225,7 @@ def build_ball_system_retrying(g1, g2, radius, explore_radius=None,
     if explore_radius is None:
         explore_radius = radius + g1.diameter() + g2.diameter()
     joint = joint or joint_refinement(g1, g2)
-    alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
+    alignment = align(g1, g2, joint)
     return retry_doubling(lambda rho: build_ball_system(
         g1, g2, radius, rho, joint, alignment), explore_radius)
 
@@ -261,7 +261,7 @@ def saturation_horizon(g1: Graph, g2: Graph, radius: int,
     new vertex arrows; this is an empirical stability report, not a
     completeness proof."""
     joint = joint_refinement(g1, g2)
-    alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
+    alignment = align(g1, g2, joint)
     prev = None
     for rho in range(explore_max + 1):
         found = discover_atoms(g1, g2, alignment, radius, rho)

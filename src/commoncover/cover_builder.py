@@ -64,14 +64,14 @@ RETRY_DOUBLINGS = 4
 
 
 def retry_doubling(build, radius: int):
-    """``build(radius)``, retried with the radius doubled after each
-    ``AxiomError``, at most ``RETRY_DOUBLINGS`` times; the last error
-    propagates."""
+    """``build(radius)``, retried with the radius doubled (0 grows to 1)
+    after each ``AxiomError``, at most ``RETRY_DOUBLINGS`` times; the last
+    error propagates."""
     for _ in range(RETRY_DOUBLINGS):
         try:
             return build(radius)
         except AxiomError:
-            radius *= 2
+            radius = 2 * radius or 1
     return build(radius)
 
 

@@ -227,21 +227,21 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def bfs(self, root: str, darts=None) -> dict:
-        """Breadth-first spanning tree from ``root``: vertex -> the dart from
-        its parent (None at the root), in visiting order.  Stars are walked
-        in sorted order; given ``darts``, only the darts in it are followed."""
-        self.star(root)
-        star, origin, reverse = self._star, self.origin, self.reverse
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            for d in star[queue.popleft()]:
-                if darts is None or d in darts:
-                    w = origin[reverse[d]]
-                    if w not in parent:
-                        parent[w] = d
-                        queue.append(w)
+    def bfs(self, root: int, darts=None) -> dict:
+        """Breadth-first spanning tree from vertex index ``root``: vertex
+        index -> the index of the dart from its parent (-1 at the root), in
+        visiting order.  Stars are walked in dart order; given ``darts``, a
+        set of dart indices, only the darts in it are followed."""
+        if not 0 <= root < len(self.vertices):
+            raise GraphError("vertex not in graph: %r" % (root,))
+        stars, org, rev = self.stars(), self.org, self.rev
+        parent, queue = {root: -1}, [root]
+        for v in queue:
+            for d in stars[v]:
+                w = org[rev[d]]
+                if w not in parent and (darts is None or d in darts):
+                    parent[w] = d
+                    queue.append(w)
         return parent
 
     def components(self) -> list:
@@ -265,8 +265,7 @@ class Graph:
         return comps
 
     def is_connected(self) -> bool:
-        return (len(self.vertices) <= 1
-                or len(self.bfs(self.vertices[0])) == len(self.vertices))
+        return len(self.vertices) <= 1 or len(self.bfs(0)) == len(self.vertices)
 
     def restrict(self, vertices) -> "Graph":
         """Induced subgraph on a union of components.
@@ -299,19 +298,19 @@ class Graph:
             {v: vcol[v] for v in vs if v in vcol} if vcol else None,
             {d: dcol[d] for d in ds if d in dcol} if dcol else None)
 
-    def distances_from(self, v0: str) -> dict:
-        dist, origin = {}, self.origin
+    def distances_from(self, v0: int) -> dict:
+        """Vertex index -> its distance from vertex index ``v0``, for the
+        vertices reachable from it, in visiting order."""
+        dist, org = {}, self.org
         for v, d in self.bfs(v0).items():
-            dist[v] = 0 if d is None else dist[origin[d]] + 1
+            dist[v] = 0 if d < 0 else dist[org[d]] + 1
         return dist
 
     def diameter(self) -> int:
         if not self.is_connected():
             raise GraphError("connected graph required")
-        best = 0
-        for v in self.vertices:
-            best = max(best, max(self.distances_from(v).values(), default=0))
-        return best
+        return max((max(self.distances_from(v).values()) for v in range(len(self.vertices))),
+                   default=0)
 
 
 @dataclass

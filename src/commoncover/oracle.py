@@ -38,12 +38,11 @@ def permutation_cover(g: Graph, degree: int, voltages: dict):
 
 
 def _non_tree_reps(g: Graph):
-    tree = set()
-    for d in g.bfs(g.vertices[0]).values():
-        if d is not None:
-            tree.add(d)
-            tree.add(g.reverse[d])
-    return [d for d in g.edge_reps() if d not in tree]
+    rev = g.rev
+    tree = set(g.bfs(0).values())
+    tree.discard(-1)
+    tree |= set(map(rev.__getitem__, tree))
+    return [g.darts[d] for d, r in enumerate(rev) if d < r and d not in tree]
 
 
 def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[GraphMorphism]:
@@ -169,6 +168,8 @@ def brute_common_cover(g1: Graph, g2: Graph, max_degree: int,
     and tests each for a covering onto g2.  Cover sizes grow with m, so the
     first hit has the least vertex count.
     """
+    if max_degree < 1:
+        raise GraphError("maximum degree must be at least 1, not %d" % max_degree)
     for g in (g1, g2):
         if not g.is_connected():
             raise GraphError("connected graph required")

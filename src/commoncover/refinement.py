@@ -1,12 +1,14 @@
 """Coarsest equitable vertex partitions and the common-cover decision.
 
 Two connected finite graphs admit a common (infinite tree) cover exactly
-when the coarsest equitable partition of their disjoint union pairs every
-block across both graphs.  The refinement here is colour-aware: the initial
-partition splits by vertex colour, and a refinement round separates
-vertices whose stars differ in the multiset of (dart colour, reverse dart
-colour, head block) triples. Block numbering is canonicalised so equal
-inputs always produce identical partitions.
+when the coarsest equitable partition of their disjoint union puts vertices
+of both graphs in every block (Leighton, 1982).  The refinement here is
+colour-aware and runs on the index tables: the initial partition splits by
+vertex colour, and a refinement round separates vertices whose stars differ
+in the multiset of dart types (dart colour, reverse colour, head block).  A
+round numbers the keys (block, sorted star types) in sorted order, so equal
+inputs always produce identical partitions.  The partition is unique; which
+block gets which number decides no output.
 """
 
 from __future__ import annotations
@@ -19,93 +21,59 @@ from .graphs import Graph, GraphError, disjoint_union
 @dataclass
 class Partition:
     graph: Graph
-    block_of: dict              # vertex -> block index
-    blocks: tuple               # tuple of sorted vertex tuples
-    signature: tuple            # signature[i][j] = darts from a block-i vertex into block j
+    block_of: list              # vertex index -> block number
+    blocks: tuple               # per block number, its sorted vertex indices
+    types: list                 # dart index -> (colour, reverse colour, head block)
 
     def n_blocks(self) -> int:
         return len(self.blocks)
 
 
-def _colour_key(colour):
-    """Sort key of an optional colour: uncoloured first, then by colour."""
-    return (colour is not None, colour)
+def _colour_keys(colour: dict, ids) -> list:
+    """Per id, the sort key of its optional colour: uncoloured first, then
+    by colour, so that coloured and uncoloured keys sort together."""
+    return [(c is not None, c) for c in map(colour.get, ids)]
 
 
-def _dart_type(g: Graph, block_of: dict):
-    """The function: dart -> (colour, reverse colour, head block), with the
-    colours as ``_colour_key``s so that a star with coloured and uncoloured
-    darts sorts."""
-    colour, origin, reverse = g.dart_colour, g.origin, g.reverse
-    return lambda d: (_colour_key(colour.get(d)), _colour_key(colour.get(reverse[d])),
-                      block_of[origin[reverse[d]]])
+def _number(keys: list) -> list:
+    """Each key's position among the distinct keys in sorted order."""
+    number = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return list(map(number.__getitem__, keys))
 
 
-def _refine_once(g: Graph, block_of: dict) -> dict:
-    keys = {}
-    dart_type = _dart_type(g, block_of)
-    for v in g.vertices:
-        sig = tuple(sorted(map(dart_type, g.star(v))))
-        keys[v] = (block_of[v], sig)
-    order = sorted(set(keys.values()))
-    index = {k: i for i, k in enumerate(order)}
-    return {v: index[keys[v]] for v in g.vertices}
-
-
-def _canonical_numbering(g: Graph, block_of: dict) -> Partition:
-    # provisional order by least contained vertex, then sort blocks by
-    # (size, signature row, least vertex) for a reproducible numbering
-    groups = {}
-    for v in g.vertices:
-        groups.setdefault(block_of[v], []).append(v)
-    blocks = sorted((sorted(vs) for vs in groups.values()), key=lambda b: b[0])
-    prov = {v: i for i, b in enumerate(blocks) for v in b}
-    n = len(blocks)
-
-    def row(block):
-        counts = [0] * n
-        v = block[0]
-        for d in g.star(v):
-            counts[prov[g.head(d)]] += 1
-        return tuple(counts)
-
-    keyed = sorted(range(n), key=lambda i: (len(blocks[i]), row(blocks[i]), blocks[i][0]))
-    final_blocks = tuple(tuple(blocks[i]) for i in keyed)
-    final_of = {v: i for i, b in enumerate(final_blocks) for v in b}
-    signature = []
-    for b in final_blocks:
-        counts = [0] * n
-        for d in g.star(b[0]):
-            counts[final_of[g.head(d)]] += 1
-        signature.append(tuple(counts))
-    return Partition(g, final_of, final_blocks, tuple(signature))
-
-
-def refine_partition(g: Graph, block_of: dict) -> Partition:
-    """Coarsest equitable partition refining the given one."""
-    current = dict(block_of)
+def refine_partition(g: Graph, block_of: list) -> Partition:
+    """Coarsest equitable partition refining the given one (vertex index ->
+    block number, the numbers from 0 up), with the dart types of its
+    blocks."""
+    stars, rev = g.stars(), g.rev
+    heads = list(map(g.org.__getitem__, rev))
+    colours = _colour_keys(g.dart_colour, g.darts)
+    back = list(map(colours.__getitem__, rev))
     while True:
-        refined = _refine_once(g, current)
-        if len(set(refined.values())) == len(set(current.values())):
-            return _canonical_numbering(g, refined)
-        current = refined
+        types = list(zip(colours, back, map(block_of.__getitem__, heads)))
+        refined = _number(list(zip(block_of, (tuple(sorted(map(types.__getitem__, star)))
+                                              for star in stars))))
+        if len(set(refined)) == len(set(block_of)):
+            break
+        block_of = refined
+    blocks = [[] for _ in range(len(set(block_of)))]
+    for v, b in enumerate(block_of):
+        blocks[b].append(v)
+    return Partition(g, block_of, tuple(map(tuple, blocks)), types)
 
 
 def degree_refinement(g: Graph) -> Partition:
     """Coarsest equitable partition of a connected graph, refining colours."""
     if not g.is_connected():
         raise GraphError("connected graph required")
-    order = sorted({g.vertex_colour.get(v) for v in g.vertices}, key=_colour_key)
-    initial = {v: order.index(g.vertex_colour.get(v)) for v in g.vertices}
-    return refine_partition(g, initial)
+    return refine_partition(g, _number(_colour_keys(g.vertex_colour, g.vertices)))
 
 
 @dataclass
 class JointBlocks:
-    ok: bool
-    union: Graph
-    partition: Partition
-    correspondence: tuple    # per block: (vertices from g1, vertices from g2), prefixed
+    ok: bool                    # every block holds vertices of both graphs
+    union: Graph                # g1's vertices and darts first, then g2's
+    partition: Partition        # of the union, with its dart types
 
 
 def joint_refinement(g1: Graph, g2: Graph) -> JointBlocks:
@@ -113,23 +81,12 @@ def joint_refinement(g1: Graph, g2: Graph) -> JointBlocks:
         if not g.is_connected():
             raise GraphError("connected graph required")
     union = disjoint_union(g1, g2)
-    colours = sorted({union.vertex_colour.get(v) for v in union.vertices},
-                     key=_colour_key)
-    part = refine_partition(
-        union, {v: colours.index(union.vertex_colour.get(v)) for v in union.vertices})
-    corr = []
-    ok = True
-    index, n1 = union.index()[0], len(g1.vertices)
-    for block in part.blocks:
-        left = tuple(v for v in block if index[v] < n1)
-        right = block[len(left):]          # blocks are sorted, side 1 first
-        corr.append((left, right))
-        if not left or not right:
-            ok = False
-    return JointBlocks(ok, union, part, tuple(corr))
+    part = refine_partition(union, _number(_colour_keys(union.vertex_colour, union.vertices)))
+    n1 = len(g1.vertices)
+    return JointBlocks(all(b[0] < n1 <= b[-1] for b in part.blocks), union, part)
 
 
 def common_cover_exists(g1: Graph, g2: Graph):
-    """True (with the matched block correspondence) when a common cover exists."""
+    """True (with the joint blocks) when a common cover exists."""
     joint = joint_refinement(g1, g2)
     return joint.ok, joint

@@ -16,6 +16,7 @@ give a common cover with at most 2*|V1|*|V2| vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Optional
 
 from . import families
@@ -110,18 +111,15 @@ def max_bipartite_matching(adjacency: dict) -> dict:
 def _split_two_factor(g: Graph, darts) -> set:
     """One spanning 2-regular reversal-closed subset of an even-regular
     reversal-closed dart set."""
-    remaining = set(darts)
-    oriented = []
-    seen_v = set()
+    remaining = set(map(g.index()[1].__getitem__, darts))
+    stars, oriented, seen = g.stars(), [], set()
+    for v in sorted(set(map(g.org.__getitem__, remaining))):
+        if v not in seen:
+            comp = g.bfs(v, remaining)
+            seen.update(comp)
+            oriented.extend(euler_circuit(g, {g.darts[d] for u in comp for d in stars[u]
+                                              if d in remaining}))
     origin, reverse = g.origin, g.reverse
-    verts = sorted({origin[d] for d in remaining})
-    for v in verts:
-        if v in seen_v:
-            continue
-        comp_vs = g.bfs(v, remaining)
-        comp_darts = {d for u in comp_vs for d in g.star(u) if d in remaining}
-        seen_v.update(comp_vs)
-        oriented.extend(euler_circuit(g, comp_darts))
     adjacency = {}
     for d in oriented:
         adjacency.setdefault(origin[d], []).append((d, origin[reverse[d]]))
@@ -156,14 +154,15 @@ def two_factorization(g: Graph) -> list:
 def two_colouring(g: Graph) -> Optional[dict]:
     """Breadth-first parity colouring of every component, or None when
     some dart joins two vertices of one colour."""
-    colour, origin, reverse = {}, g.origin, g.reverse
-    for v0 in g.vertices:
-        if v0 not in colour:
+    org, colour = g.org, [-1] * len(g.vertices)
+    for v0 in range(len(colour)):
+        if colour[v0] < 0:
             for v, d in g.bfs(v0).items():
-                colour[v] = 0 if d is None else 1 - colour[origin[d]]
-    if any(colour[origin[d]] == colour[origin[reverse[d]]] for d in g.darts):
+                colour[v] = 0 if d < 0 else 1 - colour[org[d]]
+    ends = list(map(colour.__getitem__, org))
+    if any(map(eq, ends, map(ends.__getitem__, g.rev))):
         return None
-    return colour
+    return dict(zip(g.vertices, colour))
 
 
 def bipartite_double(g: Graph):

@@ -21,8 +21,8 @@ from math import factorial, prod
 from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
 from .graphs import BudgetExceeded, Graph, GraphError
 from .groupoids import FiniteGroupoid, PermArrow, saturate
-from .refinement import JointBlocks, _dart_type, joint_refinement
-from .universal_cover import TreeAlignment, UniversalCover, build_alignment
+from .refinement import JointBlocks, joint_refinement
+from .universal_cover import TreeAlignment, align
 
 STRATEGY_DR_FULL = "dr_full"
 STRATEGY_ALIGNED = "aligned"
@@ -71,46 +71,44 @@ class StarLocalSystem(LocalSystem):
         return (darts[atom[0]], darts[self.atom_image(atom)])
 
 
-def _grouped_star(union, dart_type, v):
+def _grouped_star(types: list, star) -> dict:
+    """type -> the positions in the star of the darts of that type."""
     groups = {}
-    for d in union.star(v):
-        groups.setdefault(dart_type(d), []).append(d)
+    for i, d in enumerate(star):
+        groups.setdefault(types[d], []).append(i)
     return groups
 
 
 def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
     """Every type-preserving star bijection within a block; their number,
     sum over blocks B of |B|^2 prod_t k_t!, is checked before allocating."""
-    block_of = joint.partition.block_of
-    dart_type = _dart_type(union, block_of)
-    grouped = {v: _grouped_star(union, dart_type, v) for v in union.vertices}
-    at = union.index()[0]
+    part = joint.partition
+    grouped = [_grouped_star(part.types, star) for star in union.stars()]
     count = sum(len(block) ** 2 * prod(factorial(len(ds))
                                         for ds in grouped[block[0]].values())
-                for block in joint.partition.blocks)
+                for block in part.blocks)
     if count > DR_FULL_ARROW_BUDGET:
         raise BudgetExceeded("dr_full needs %d arrows (budget %d)"
                              % (count, DR_FULL_ARROW_BUDGET))
-    arrows, tables = [], {}
-    for block in joint.partition.blocks:
+    arrows, tables, names = [], {}, union.vertices
+    for block in part.blocks:
         for u in block:
             gu = grouped[u]
             types = sorted(gu)
-            domain = union.star(u)
-            slots = [i for t in types for i in (domain.index(d) for d in gu[t])]
+            domain = union.star(names[u])
+            slots = list(itertools.chain.from_iterable(map(gu.__getitem__, types)))
             for v in block:
                 gv = grouped[v]
                 if sorted(gv) != types or any(len(gu[t]) != len(gv[t]) for t in types):
-                    raise AxiomError("joint partition is not equitable at %r" % (v,))
-                codomain = union.star(v)
-                pools = [itertools.permutations([codomain.index(f) for f in gv[t]])
-                         for t in types]
+                    raise AxiomError("joint partition is not equitable at %r" % (names[v],))
+                codomain = union.star(names[v])
+                pools = [itertools.permutations(gv[t]) for t in types]
                 for combo in itertools.product(*pools):
                     perm = [0] * len(domain)
                     for i, j in zip(slots, itertools.chain.from_iterable(combo)):
                         perm[i] = j
-                    arrows.append(StarArrow(at[u], at[v], perm, domain, codomain,
-                                            union.vertices, tables=tables))
+                    arrows.append(StarArrow(u, v, perm, domain, codomain, names,
+                                            tables=tables))
     return arrows
 
 
@@ -165,7 +163,7 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
     if explore_radius is None:
         explore_radius = 1 + g1.diameter() + g2.diameter()
     if alignment is None:
-        alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
+        alignment = align(g1, g2, joint)
     atoms = _aligned_atoms(alignment, explore_radius, union)
     groupoid = saturate(atoms, objects, _identity_arrow(union))
     sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
@@ -189,6 +187,6 @@ def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,
     if explore_radius is None:
         explore_radius = 1 + g1.diameter() + g2.diameter()
     joint = joint or joint_refinement(g1, g2)
-    alignment = build_alignment(UniversalCover(g1), UniversalCover(g2), joint)
+    alignment = align(g1, g2, joint)
     return retry_doubling(lambda rho: build_star_system(
         g1, g2, strategy, rho, joint, alignment), explore_radius)

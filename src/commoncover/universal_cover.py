@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from .graphs import BudgetExceeded, Graph, GraphError
-from .refinement import JointBlocks, _dart_type
+from .refinement import JointBlocks
 
 Path = Tuple[int, ...]
 
@@ -52,15 +52,13 @@ class UniversalCover:
         self._build_spanning_tree()
 
     def _build_spanning_tree(self):
-        g, rev = self.graph, self.rev
-        vindex, dindex = g.index()
+        rev = self.rev
         # vertex -> dart from its tree parent, -1 at the basepoint
-        self.parent_dart = parent = [-1] * len(g.vertices)
-        tree = g.bfs(g.vertices[self.basepoint])
-        del tree[g.vertices[self.basepoint]]
-        for v, d in tree.items():
-            parent[vindex[v]] = dindex[d]
-        tree_darts = set(map(dindex.__getitem__, tree.values()))
+        self.parent_dart = parent = [-1] * len(self.stars)
+        for v, d in self.graph.bfs(self.basepoint).items():
+            parent[v] = d
+        tree_darts = set(parent)
+        tree_darts.discard(-1)
         tree_darts |= set(map(rev.__getitem__, tree_darts))
         # one free generator per geometric edge outside the tree; dart d
         # reads as the letter (generator index, exponent) or None
@@ -238,12 +236,10 @@ class TreeAlignment:
         self.joint = joint
         self.max_radius = max_radius
         # per side, each dart's type: the union holds g1's vertices and darts first
-        union, block = joint.union, joint.partition.block_of
-        types = list(map(_dart_type(union, block), union.darts))
+        types, block = joint.partition.types, joint.partition.block_of
         self._types = types[:len(c1.graph.darts)], types[len(c1.graph.darts):]
-        if (block[union.vertices[c1.basepoint]]
-                != block[union.vertices[len(c1.graph.vertices) + c2.basepoint]]):
-            raise GraphError("no common universal cover")
+        if block[c1.basepoint] != block[len(c1.graph.vertices) + c2.basepoint]:
+            raise GraphError("the basepoints lie in different joint blocks")
         self.fwd: Dict[Path, Path] = {(): ()}
         self.bwd: Dict[Path, Path] = {(): ()}
         self.radius_built = 0
@@ -292,3 +288,11 @@ def build_alignment(c1: UniversalCover, c2: UniversalCover, joint: JointBlocks,
     theta = TreeAlignment(c1, c2, joint, max_radius=max_radius)
     theta.ensure_radius(radius)
     return theta
+
+
+def align(g1: Graph, g2: Graph, joint: JointBlocks) -> TreeAlignment:
+    """``build_alignment`` of the universal covers of g1 at vertex 0 and of
+    g2 at its least vertex in the joint block of g1's vertex 0."""
+    n1, part = len(g1.vertices), joint.partition
+    basepoint = next((v - n1 for v in part.blocks[part.block_of[0]] if v >= n1), 0)
+    return build_alignment(UniversalCover(g1), UniversalCover(g2, basepoint), joint)

@@ -11,7 +11,6 @@ from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism
                                 ValidationReport)
 from commoncover.groupoids import keyed
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
-from commoncover.refinement import _refine_once
 from commoncover.regular import euler_circuit, max_bipartite_matching
 from commoncover.star_system import StarArrow
 
@@ -151,8 +150,15 @@ def check_object_divisors(sys) -> list:
 
 
 def is_equitable(p) -> bool:
-    refined = _refine_once(p.graph, p.block_of)
-    return len(set(refined.values())) == p.n_blocks()
+    """Every vertex of a block sees the same multiset of (dart colour,
+    reverse colour, head block) along its star."""
+    g, colour = p.graph, p.graph.dart_colour
+
+    def profile(v):
+        return frozenset(Counter((colour.get(g.darts[d]), colour.get(g.darts[g.rev[d]]),
+                                  p.block_of[g.org[g.rev[d]]]) for d in g.stars()[v]).items())
+
+    return all(len(set(map(profile, block))) == 1 for block in p.blocks)
 
 
 def is_valid_morphism(m: GraphMorphism) -> bool:
@@ -657,13 +663,14 @@ def reference_components(g: Graph) -> list:
     return sorted(comps)
 
 
-def reference_distances_from(g: Graph, v0: str) -> dict:
-    """``Graph.distances_from``, over sorted neighbour sets."""
+def reference_distances_from(g: Graph, v0: int) -> dict:
+    """``Graph.distances_from``, over sorted neighbour sets of vertex indices."""
+    stars, org, rev = g.stars(), g.org, g.rev
     dist = {v0: 0}
     queue = deque([v0])
     while queue:
         v = queue.popleft()
-        for w in sorted({g.head(d) for d in g.star(v)}):
+        for w in sorted({org[rev[d]] for d in stars[v]}):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -710,23 +717,25 @@ def reference_non_tree_reps(g: Graph) -> list:
     return [d for d in g.edge_reps() if d not in tree]
 
 
-def reference_spanning_tree(g: Graph, basepoint: str):
+def reference_spanning_tree(g: Graph, basepoint: int):
     """``UniversalCover._build_spanning_tree``: (parent_dart, generators),
-    by dart id."""
-    parent_dart = {}
+    the parent dart per vertex index (-1 at the basepoint) and the
+    generators as dart indices."""
+    stars, org, rev = g.stars(), g.org, g.rev
+    parent_dart = [-1] * len(g.vertices)
     seen = {basepoint}
     queue = deque([basepoint])
     while queue:
         v = queue.popleft()
-        for d in g.star(v):
-            w = g.head(d)
+        for d in stars[v]:
+            w = org[rev[d]]
             if w not in seen:
                 seen.add(w)
                 parent_dart[w] = d
                 queue.append(w)
-    tree_darts = set(parent_dart.values())
-    tree_darts |= {g.reverse[d] for d in tree_darts}
-    return parent_dart, tuple(d for d in g.edge_reps() if d not in tree_darts)
+    tree_darts = {d for d in parent_dart if d >= 0}
+    tree_darts |= {rev[d] for d in tree_darts}
+    return parent_dart, tuple(d for d, r in enumerate(rev) if d < r and d not in tree_darts)
 
 
 def reference_frontier_walk(cover, radius: int) -> list:

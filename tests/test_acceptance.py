@@ -54,20 +54,20 @@ def _random_cover(g, degree, rng, tries=30):
 def _predicted_size(joint):
     part, union = joint.partition, joint.union
     out_values, per_block = [], []
+    darts, colour, rev = union.darts, union.dart_colour, union.rev
     for block in part.blocks:
-        v = block[0]
+        star = union.stars()[block[0]]
         counts = {}
-        for d in union.star(v):
-            t = (union.dart_colour.get(d),
-                 union.dart_colour.get(union.reverse[d]),
-                 part.block_of[union.head(d)])
+        for d in star:
+            t = (colour.get(darts[d]), colour.get(darts[rev[d]]),
+                 part.block_of[union.org[rev[d]]])
             counts[t] = counts.get(t, 0) + 1
         bij = 1
         for c in counts.values():
             bij *= math.factorial(c)
         out_values.append(len(block) * bij)
-        n1 = sum(1 for w in block if w.startswith("1:"))
-        per_block.append((len(block), n1, len(block) - n1, union.degree(v)))
+        n1 = sum(1 for w in block if union.vertices[w].startswith("1:"))
+        per_block.append((len(block), n1, len(block) - n1, len(star)))
     n = 1
     for o in out_values:
         n = lcm(n, o)

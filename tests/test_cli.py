@@ -15,7 +15,8 @@ from commoncover import families
 from commoncover.cli import (SchemaError, _encoder, _graph_from_data, _write, build_parser,
                              dump_graph, dump_object_graph, load_graph, load_object_graph,
                              main, write_json)
-from commoncover.graphs import Graph, GraphError, VerificationError, validate_graph
+from commoncover.gluing import subdivide_graph
+from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationError, validate_graph
 from commoncover.object_graphs import rotation_pair
 
 from conftest import random_cubic_graph
@@ -788,3 +789,67 @@ def test_unwritable_output_paths_exit_two(tmp_path, capsys):
                        (["export-dot", c3, "-o", str(tmp_path)], tmp_path)):
         assert main(argv) == 2
         assert "input error: cannot write %s" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", [
+    ["--backend", "star", "--strategy", "aligned"],
+    ["--backend", "ball", "-R", "1"],
+    ["--backend", "ball", "-R", "1", "--based"],
+    ["--backend", "glue", "-R", "1"],
+], ids=["aligned", "ball", "ball-based", "glue"])
+def test_build_when_the_vertex_zeros_lie_in_different_blocks(tmp_path, capsys, backend):
+    # K_{2,3} and the subdivided K_4 have two joint blocks; the first vertex
+    # of the subdivision is a midpoint, so the second cover is based elsewhere
+    k23 = _write_graph(tmp_path, "k23.json", families.complete_bipartite(2, 3))
+    sk4 = _write_graph(tmp_path, "sk4.json",
+                       subdivide_graph(families.complete(4)).graph)
+    assert main(["check", k23, sk4]) == 0
+    assert "(2 joint blocks)" in capsys.readouterr().out
+    out = str(tmp_path / "out")
+    assert main(["build", k23, sk4, *backend, "-o", out]) == 0
+    assert main(["verify", out, k23, sk4]) == 0
+
+
+@pytest.mark.parametrize("backend", [
+    ["--backend", "star", "--strategy", "aligned"],
+    ["--backend", "ball", "-R", "1"],
+], ids=["aligned", "ball"])
+def test_an_exploration_radius_of_zero_grows(tmp_path, backend):
+    th3 = _write_graph(tmp_path, "th3.json", families.theta(3))
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    assert main(["build", th3, k4, *backend, "--explore", "0",
+                 "-o", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("maximum", ["0", "-1"])
+def test_oracle_maximum_degree_below_one_exits_two(tmp_path, capsys, maximum):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
+    assert main(["oracle", c3, c4, "--max", maximum]) == 2
+    assert "maximum degree must be at least 1" in capsys.readouterr().err
+
+
+def test_builds_render_no_id_views(tmp_path, monkeypatch):
+    th3 = _write_graph(tmp_path, "th3.json", families.theta(3))
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    c6 = _write_graph(tmp_path, "c6.json", families.cycle(6))
+    th2 = _write_graph(tmp_path, "th2.json", families.theta(2))
+    rendered = []
+    for cls, names in ((Graph, ("origin", "reverse")), (GraphMorphism, ("vmap", "dmap"))):
+        for name in names:
+            def spy(x, view=cls.__dict__[name], name=name):
+                if getattr(x, "_" + name) is None:
+                    rendered.append(name)
+                return view.fget(x)
+            monkeypatch.setattr(cls, name, property(spy))
+    out = str(tmp_path / "out")
+    for argv in (["check", th3, k4],
+                 ["build", th3, k4, "--strategy", "dr", "-o", out],
+                 ["build", th3, k4, "--strategy", "aligned", "-o", out],
+                 ["build", k4, th3, "--backend", "ball", "-R", "1", "-o", out],
+                 ["build", k4, th3, "--backend", "ball", "-R", "1", "--based", "-o", out],
+                 ["build", c6, th2, "--backend", "glue", "-R", "1", "-o", out]):
+        assert main(argv) == 0
+        assert rendered == [], argv
+    with open(os.path.join(out, "cover.json")) as fh:
+        assert json.load(fh)["subdivided"] is False     # C6/Theta2 glues directly

@@ -4,7 +4,7 @@ from commoncover import families
 from commoncover.ball_system import (build_ball_system, build_ball_system_retrying,
                                      discover_atoms)
 from commoncover.cover_builder import (AxiomError, build_cover,
-                                       extract_certificate)
+                                       extract_certificate, retry_doubling)
 from commoncover.graphs import is_covering
 from commoncover.object_graphs import close_star_maps, rotation_pair
 from commoncover.oracle import brute_common_cover, find_covering
@@ -103,9 +103,9 @@ def test_covers_land_in_matched_blocks():
     joint = joint_refinement(g1, g2)
     sys = build_star_system(g1, g2, joint=joint)
     built = build_cover(sys)
-    block = joint.partition.block_of
-    for v in built.graph.vertices:
-        assert block["1:" + built.mu1.vmap[v]] == block["2:" + built.mu2.vmap[v]]
+    block, n1 = joint.partition.block_of, len(g1.vertices)
+    for v1, v2 in zip(built.mu1.vm, built.mu2.vm):
+        assert block[v1] == block[n1 + v2]
 
 
 def test_colour_pullback():
@@ -341,3 +341,15 @@ def test_wrong_composite_fails_the_action_check(monkeypatch):
         report = sys.check_axioms()
         monkeypatch.undo()
         assert not report.action_ok, sys.kind
+
+
+def test_retry_doubling_grows_a_zero_radius():
+    radii = []
+
+    def build(radius):
+        radii.append(radius)
+        raise AxiomError("closure axioms unmet", radius=radius)
+
+    with pytest.raises(AxiomError):
+        retry_doubling(build, 0)
+    assert radii == [0, 1, 2, 4, 8]

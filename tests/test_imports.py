@@ -3,7 +3,7 @@ parsed with ``ast``.
 
 The package imports only the standard library and mpmath: numpy, networkx
 and scipy may be installed next to it, but the package does not depend on
-them.  The side prefixes of the disjoint union are spelled in one place,
+them.  No module imports a leading-underscore name from another.  The side prefixes of the disjoint union are spelled in one place,
 ``graphs.disjoint_union``: everywhere else a side is an index
 comparison."""
 
@@ -59,4 +59,13 @@ def test_side_prefixes_are_spelled_only_in_disjoint_union():
     paths = sorted(SRC.rglob("*.py"))
     offenders = {path.name: found for path in paths
                  if (found := list(_side_prefix_uses(path)))}
+    assert offenders == {}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = {path.name: found for path in sorted(SRC.rglob("*.py"))
+                 if (found := [(node.lineno, alias.name)
+                               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                               if isinstance(node, ast.ImportFrom)
+                               for alias in node.names if alias.name.startswith("_")])}
     assert offenders == {}

@@ -163,8 +163,7 @@ def test_alignment_between_cycles_preserves_blocks():
     block = joint.partition.block_of
     for z in c1.ball((), 4).vertices:
         w = theta.apply(z)
-        assert (block["1:" + g1.vertices[c1.project(z)]]
-                == block["2:" + g2.vertices[c2.project(w)]])
+        assert block[c1.project(z)] == block[len(g1.vertices) + c2.project(w)]
         assert theta.apply_inverse(w) == z
 
 

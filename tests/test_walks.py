@@ -40,12 +40,12 @@ def _graphs(seed):
 
 
 def _lift(g, parent_dart, basepoint, v):
-    """The spanning-tree path to v, as dart indices."""
+    """The spanning-tree path to vertex index v, as dart indices."""
     path = ()
     while v != basepoint:
         d = parent_dart[v]
-        path = (g.index()[1][d],) + path
-        v = g.origin[d]
+        path = (d,) + path
+        v = g.org[d]
     return path
 
 
@@ -56,20 +56,18 @@ def test_walks_agree_with_the_loops_they_replaced(seed):
         comps = reference_components(g)
         assert g.components() == comps
         assert g.is_connected() == (len(comps) == 1)
-        for v in g.vertices:
+        for v in range(len(g.vertices)):
             assert g.distances_from(v) == reference_distances_from(g, v)
         assert two_colouring(g) == reference_two_colouring(g)
         assert _non_tree_reps(g) == reference_non_tree_reps(g)
         if len(comps) != 1:
             continue
         cover = UniversalCover(g)
-        basepoint = g.vertices[cover.basepoint]
-        parent_dart, generators = reference_spanning_tree(g, basepoint)
-        assert cover.parent_dart == [g.index()[1][parent_dart[v]] if v in parent_dart else -1
-                                     for v in g.vertices]
-        assert cover.ids(cover.generators) == generators
-        for i, v in enumerate(g.vertices):
-            assert cover.canonical_lift(i) == _lift(g, parent_dart, basepoint, v)
+        parent_dart, generators = reference_spanning_tree(g, cover.basepoint)
+        assert cover.parent_dart == parent_dart
+        assert cover.generators == generators
+        for v in range(len(g.vertices)):
+            assert cover.canonical_lift(v) == _lift(g, parent_dart, cover.basepoint, v)
         for r in range(5):
             assert cover.layers(r) == reference_frontier_walk(cover, r)
 
@@ -87,21 +85,22 @@ def test_two_factorization_agrees_with_the_depth_first_split(g):
 
 def test_bfs_records_parent_darts_in_visiting_order():
     g = families.cycle(4)
-    tree = g.bfs("v00")
-    assert list(tree) == ["v00", "v01", "v03", "v02"]
-    assert tree["v00"] is None
-    assert all(g.head(d) == v for v, d in tree.items() if d is not None)
+    tree = g.bfs(0)
+    assert list(tree) == [0, 1, 3, 2]
+    assert tree[0] == -1
+    assert all(g.org[g.rev[d]] == v for v, d in tree.items() if d >= 0)
     # restricted to one edge, the walk stays on its two ends
-    d = g.star("v00")[0]
-    assert g.bfs("v00", {d, g.reverse[d]}) == {"v00": None, g.head(d): d}
+    d = g.stars()[0][0]
+    assert g.bfs(0, {d, g.rev[d]}) == {0: -1, g.org[g.rev[d]]: d}
 
 
 def test_bfs_and_distances_reject_an_unknown_root():
     g = families.cycle(3)
-    with pytest.raises(GraphError, match="vertex not in graph"):
-        g.bfs("nope")
-    with pytest.raises(GraphError, match="vertex not in graph"):
-        g.distances_from("nope")
+    for root in (3, -1):
+        with pytest.raises(GraphError, match="vertex not in graph"):
+            g.bfs(root)
+        with pytest.raises(GraphError, match="vertex not in graph"):
+            g.distances_from(root)
 
 
 def _pop_zero_calls(path):
