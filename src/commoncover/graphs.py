@@ -115,7 +115,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "darts", "_origin", "_reverse", "vertex_colour",
-                 "dart_colour", "org", "rev", "_index", "_order", "_first", "_star")
+                 "dart_colour", "org", "rev", "_index", "_order", "_first", "_star", "_stars")
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
@@ -134,7 +134,7 @@ class Graph:
         self.vertex_colour = dict(vertex_colour or {})
         self.dart_colour = dict(dart_colour or {})
         self._index = vindex, dindex
-        self._order = self._first = self._star = None
+        self._order = self._first = self._star = self._stars = None
 
     @classmethod
     def from_tables(cls, vertices, darts, org, rev,
@@ -146,7 +146,7 @@ class Graph:
         g.vertices, g.darts, g.org, g.rev = tuple(vertices), tuple(darts), org, rev
         g.vertex_colour = dict(vertex_colour or {})
         g.dart_colour = dict(dart_colour or {})
-        g._origin = g._reverse = g._index = g._order = g._first = g._star = None
+        g._origin = g._reverse = g._index = g._order = g._first = g._star = g._stars = None
         return g
 
     @property
@@ -177,9 +177,13 @@ class Graph:
         return self._order, self._first
 
     def stars(self) -> list:
-        """Per vertex index, the indices of its darts in order."""
-        order, first = self._star_tables()
-        return list(map(tuple(order).__getitem__, map(slice, first, islice(first, 1, None))))
+        """Per vertex index, the indices of its darts in order; built on
+        first use and shared by every caller, which must not change it."""
+        if self._stars is None:
+            order, first = self._star_tables()
+            self._stars = list(map(tuple(order).__getitem__,
+                                   map(slice, first, islice(first, 1, None))))
+        return self._stars
 
     # -- basic queries ----------------------------------------------------
 
