@@ -41,11 +41,10 @@ def _number(keys: list) -> list:
     return list(map(number.__getitem__, keys))
 
 
-def refine_partition(g: Graph, block_of: list) -> Partition:
-    """Coarsest equitable partition refining the given one (vertex index ->
-    block number, the numbers from 0 up), with the dart types of its
-    blocks."""
-    stars, rev = g.stars(), g.rev
+def refine_partition(g: Graph, labels: list) -> Partition:
+    """Coarsest equitable partition refining the one given by sortable
+    labels (vertex index -> label), with the dart types of its blocks."""
+    block_of, stars, rev = _number(labels), g.stars(), g.rev
     heads = list(map(g.org.__getitem__, rev))
     colours = _colour_keys(g.dart_colour, g.darts)
     back = list(map(colours.__getitem__, rev))
@@ -66,7 +65,7 @@ def degree_refinement(g: Graph) -> Partition:
     """Coarsest equitable partition of a connected graph, refining colours."""
     if not g.is_connected():
         raise GraphError("connected graph required")
-    return refine_partition(g, _number(_colour_keys(g.vertex_colour, g.vertices)))
+    return refine_partition(g, _colour_keys(g.vertex_colour, g.vertices))
 
 
 @dataclass
@@ -81,7 +80,7 @@ def joint_refinement(g1: Graph, g2: Graph) -> JointBlocks:
         if not g.is_connected():
             raise GraphError("connected graph required")
     union = disjoint_union(g1, g2)
-    part = refine_partition(union, _number(_colour_keys(union.vertex_colour, union.vertices)))
+    part = refine_partition(union, _colour_keys(union.vertex_colour, union.vertices))
     n1 = len(g1.vertices)
     return JointBlocks(all(b[0] < n1 <= b[-1] for b in part.blocks), union, part)
 
