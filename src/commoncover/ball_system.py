@@ -168,6 +168,12 @@ class BallLocalSystem(LocalSystem):
                 tuple([(source[i], target[j])
                        for i, j in zip(self.numbering.dom[e], r)]))
 
+    def atom_shapes(self, atoms, quote):
+        darts, org, dom = list(map(quote, self.union.darts)), self._org, self.numbering.dom
+        return self.serial_shapes(
+            [('"atom"', darts[a[0]], darts[self.atom_image(a)]) for a in atoms],
+            [(org[e], dom[e], y, r) for e, y, r in atoms], quote)
+
 
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
                       explore_radius=None, joint: JointBlocks = None,

@@ -20,11 +20,11 @@ import math
 import os
 import sys as _sys
 from itertools import chain, count, islice, repeat
-from operator import itemgetter, lt
+from operator import add, itemgetter, lt, mod
 
 from .ball_system import build_ball_system_retrying, discover_atoms
 from .bounds import bound_report
-from .cover_builder import AxiomError, build_cover, extract_certificate
+from .cover_builder import AxiomError, Labels, build_cover, extract_certificate
 from .gluing import build_glued_cover
 from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                      VerificationError, is_covering, size_fact_failure, validate_graph)
@@ -90,9 +90,14 @@ def _write_rows(write, table: _Table, nl: str, head: str) -> None:
     parts = list(chain.from_iterable(zip(map(repeat, seps), table.columns)))
     if table.keys is not None:
         parts.append(repeat(inner + "}"))
-    # every row starts with "," + inner; the first row drops the comma
-    pieces = chain.from_iterable(zip(*parts))
-    batch = _BATCH_ROWS * len(parts)
+    _write_batches(write, chain.from_iterable(zip(*parts)), _BATCH_ROWS * len(parts),
+                   nl, head, brackets)
+
+
+def _write_batches(write, pieces, batch: int, nl: str, head: str, brackets: str) -> None:
+    """Write ``head`` and the rows' ``pieces`` in ``brackets``, ``batch``
+    pieces joined per write.  Every row starts with "," and a newline; the
+    first row drops the comma."""
     chunk = "".join(islice(pieces, batch))
     if not chunk:
         return write(head + brackets)
@@ -102,14 +107,53 @@ def _write_rows(write, table: _Table, nl: str, head: str) -> None:
     write(nl + brackets[1])
 
 
+def _blank(x):
+    """x with every scalar replaced by a NUL character."""
+    if isinstance(x, dict):
+        return dict(zip(x, map(_blank, x.values())))
+    return list(map(_blank, x)) if isinstance(x, (list, tuple)) else "\0"
+
+
+@functools.lru_cache(maxsize=1024)
+def _template(blank: str, inner: str, lead: str) -> str:
+    """``lead`` and the JSON value ``blank`` as ``_write`` writes it at
+    ``inner``, with a %s slot for each of its scalars, all NUL characters:
+    the template of the rows of its shape."""
+    pieces = []
+    _write(pieces.append, json.loads(blank), inner)
+    return lead + "".join(pieces).replace("%", "%%").replace(_quote("\0"), "%s")
+
+
+def _write_labels(write, labels: Labels, nl: str, head: str) -> None:
+    """Write ``head`` and a ``Labels`` table: each row fills the template of
+    its shape, made from one row's value, after its id."""
+    inner, by_id = nl + "  ", labels.ids is not None
+    used = sorted(set(labels.of))         # a component cut leaves sources unused
+    keys, texts = labels.shapes(list(map(labels.sources.__getitem__, used)), _quote)
+    number = {}
+    shape = [number.setdefault(k, len(number)) for k in keys]
+    # the value of one source of each shape, in the order of the shape numbers
+    values = [labels.value(labels.sources[i]) for i in dict(zip(shape, used)).values()]
+    templates = [_template(json.dumps(_blank((v, 1) if by_id else v)), inner,
+                           "," + inner + ("%s: " if by_id else "")) for v in values]
+    rows = list(map(dict(zip(used, count())).__getitem__, labels.of))
+    args = map(texts.__getitem__, rows)
+    if by_id:
+        args = map(add, zip(map(_quote, labels.ids)), map(add, args, zip(labels.copies)))
+    _write_batches(write, map(mod, map(templates.__getitem__, map(shape.__getitem__, rows)), args),
+                   _BATCH_ROWS, nl, head, "{}" if by_id else "[]")
+
+
 def _write(write, x, nl: str, head: str = "") -> None:
     """Write ``head`` and x as ``json.dump(x, sort_keys=True, indent=2)``
     does at indentation ``nl``.  A container of plain scalars is one call of
-    the C encoder, a ``_Table`` a batch of rows per piece; any other
-    container is written one piece per entry.
+    the C encoder, a ``_Table`` or ``Labels`` a batch of rows per piece; any
+    other container is written one piece per entry.
     ``json.dumps({k: 0})`` names a non-str key."""
     if isinstance(x, _Table):
         return _write_rows(write, x, nl, head)
+    if isinstance(x, Labels):
+        return _write_labels(write, x, nl, head)
     if isinstance(x, dict):
         brackets, values = "{}", x.values()
     elif isinstance(x, (list, tuple)):
@@ -536,11 +580,7 @@ def cmd_build(args) -> int:
         write_json(os.path.join(args.out, "certificate.json"), {
             "radius": cert.radius, "test_radius": cert.test_radius,
             "mismatches": cert.mismatches,
-            "fixes_base_ball": cert.fixes_base_ball,
-            "entries": [{"tree_vertex": list(e.tree_vertex),
-                         "arrow": e.arrow_serial,
-                         "matches_label": e.matches_label,
-                         "witness_ok": e.witness_ok} for e in cert.entries]})
+            "fixes_base_ball": cert.fixes_base_ball, "entries": cert.table})
         if not cert.ok:
             raise VerificationError("certificate has mismatches")
     print("wrote %s" % args.out)

@@ -39,10 +39,11 @@ canonical sorted order so builds are reproducible.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, filterfalse, repeat
-from operator import add, itemgetter
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
@@ -97,8 +98,9 @@ class LocalSystem:
     darts at vertex x.  The identity atom at e is (e, origin e, dom[e]); an
     arrow h acts by (e, y, r) -> (e, dst h, h.perm restricted to r); the
     image dart is read from ``dart_at``; and bar moves the positions across
-    the reversed dart.  Subclasses render ``atom_serial``.  The atom sets,
-    orbit sizes, axiom checks and cover assembly are shared.
+    the reversed dart.  Subclasses render ``atom_serial`` and give its
+    shapes (``atom_shapes``).  The atom sets, orbit sizes, axiom checks and
+    cover assembly are shared.
     """
 
     kind = "abstract"
@@ -177,6 +179,33 @@ class LocalSystem:
     def atom_serial(self, atom) -> tuple:
         raise NotImplementedError
 
+    def atom_shapes(self, atoms, quote) -> tuple:
+        raise NotImplementedError       # object covers write no provenance
+
+    def arrow_shapes(self, arrows, quote) -> tuple:
+        """``Labels.shapes`` of arrows whose serial is ``PermArrow.serial``."""
+        names = list(map(quote, self.union.vertices))
+        return self.serial_shapes([(quote(a.tag), names[a.src], names[a.dst]) for a in arrows],
+                                  [(a.src, range(len(a.perm)), a.dst, a.perm) for a in arrows],
+                                  quote)
+
+    def serial_shapes(self, heads, pairs, quote) -> tuple:
+        """Shape keys and JSON texts of serials made of ``heads`` (JSON
+        texts), then (element, image) pairs given as (x, positions, y,
+        positions) in the domains of ``numbering.shown``, whose elements are
+        strs or tuples of strs.  The key is the elements' sizes (-1 for a
+        str).  Elements are quoted once per object, and each serial's key
+        and texts are C-level maps."""
+        shown = self.numbering.shown
+        texts = [[(quote(p),) if p.__class__ is str else tuple(map(quote, p)) for p in dom]
+                 for dom in shown]
+        sizes = [[-1 if p.__class__ is str else len(p) for p in dom] for dom in shown]
+        return ([(tuple(map(sizes[x].__getitem__, p)), tuple(map(sizes[y].__getitem__, q)))
+                 for x, p, y, q in pairs],
+                [(*head, *chain.from_iterable(chain.from_iterable(
+                    zip(map(texts[x].__getitem__, p), map(texts[y].__getitem__, q)))))
+                 for head, (x, p, y, q) in zip(heads, pairs)])
+
     # -- the orbit engine ---------------------------------------------------
 
     @cached_property
@@ -199,11 +228,19 @@ class LocalSystem:
         groupoid is closed: g.(k.id_e) = (gk).id_e and gk is again an arrow
         out of origin(e).  By the orbit-stabilizer law the set has
         out(origin e) / |{g : g.id_e = id_e}| elements.
+
+        The same pass numbers each dart's row, the one place its atoms are
+        hashed: ``_fibres[e][i]`` is the first index in the row of the atom
+        at index i, which the action check reads.
         """
         dart_at, slot = self._dart_at, self._head_slot
-        # ``atom_image`` of each atom
-        return [dict(zip(atoms, [dart_at[y][r[slot[e]]] for e, y, r in atoms]))
-                for atoms in map(dict.fromkeys, self.identity_rows)]
+        atoms, self._fibres = [], []
+        for row in self.identity_rows:
+            first = {}
+            self._fibres.append(list(map(first.setdefault, row, count())))
+            # ``atom_image`` of each atom
+            atoms.append(dict(zip(first, [dart_at[y][r[slot[e]]] for e, y, r in first])))
+        return atoms
 
     def orbit_size(self, dart) -> int:
         return len(self.atoms_by_anchor[dart])
@@ -344,6 +381,7 @@ class LocalSystem:
         meets first.
         """
         groupoid, identity_rows, atoms = self.groupoid, self.identity_rows, self.atoms_by_anchor
+        fibres = self._fibres
         by_source, act_row, law_row = groupoid.by_source, self.act_row, self.law_row
         tables = {x: [h.table for h in out] for x, out in by_source.items()}
         for x, star in enumerate(self.stars):
@@ -389,9 +427,9 @@ class LocalSystem:
                             return "action moved an atom anchor at %r" % (g.serial,)
                 # per arrow, the first arrow that reaches its atom; Stab is
                 # the fibre of id_e
-                first = dict(zip(reversed(moved), reversed(range(len(out)))))
-                fibre = list(map(first.__getitem__, moved))
-                stab = list(compress(range(len(out)), map(first.get(ident, -1).__eq__, fibre)))
+                fibre = fibres[e]
+                unit_at = next(compress(fibre, map(ident.__eq__, moved)), -1)
+                stab = list(compress(range(len(out)), map(unit_at.__eq__, fibre)))
                 if not all(list(map(held, stab))):
                     image = dict(zip(keys, moved)).get
                     bad = [_first_difference(ft, moved) for ft in
@@ -448,11 +486,14 @@ class Numbering:
       of its transport, and -1 elsewhere; when both ends of f have bytes
       domains, a 256-byte translate table with 255 for -1;
     * ``bar_slots[e]``: for each index of ``dom[reverse e]``, the index of
-      ``dom[e]`` that transports to it.
+      ``dom[e]`` that transports to it;
+    * ``shown[x]``: the domain as the serials write it; the domain itself
+      unless the system renders it (``ball_numbering``).
     """
 
     def __init__(self, union: Graph, domains: list, neighbourhood, head, across):
         self.union, self.stars, self.domains = union, union.stars(), domains
+        self.shown = domains
         self.positions = at = [{p: i for i, p in enumerate(dom)} for dom in domains]
         narrow = [encoding(len(dom)) is bytes for dom in domains]
         self.dart_at = [[None] * (256 if n else len(dom)) for n, dom in zip(narrow, domains)]
@@ -483,6 +524,41 @@ class Numbering:
 # -- the cover ----------------------------------------------------------------
 
 
+class Labels(Mapping):
+    """Provenance rows: row k is copy ``copies[k]`` of ``sources[of[k]]``,
+    an arrow or an atom, with the id ``ids[k]``; as a mapping, id ->
+    (serial, copy), the serial rendered by ``value`` when read.
+    ``cli._write`` writes them by shape: ``shapes(sources, quote)`` gives
+    per source a shape key and the JSON texts of its value's scalars, in
+    written order, and values of one key differ in those alone.  Rows
+    without ids (certificate entries) are a list of their values alone."""
+
+    __slots__ = ("ids", "of", "copies", "sources", "value", "shapes", "_at")
+
+    def __init__(self, ids, of, copies, sources, value, shapes):
+        self.ids, self.of, self.copies = ids, of, copies
+        self.sources, self.value, self.shapes = sources, value, shapes
+        self._at = None
+
+    def __getitem__(self, key):
+        if self._at is None:
+            self._at = dict(zip(self.ids, range(len(self.ids))))
+        k = self._at[key]
+        return self.value(self.sources[self.of[k]]), self.copies[k]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def take(self, rows) -> "Labels":
+        """The labels of ``rows``, in that order."""
+        return Labels(*[list(map(column.__getitem__, rows))
+                        for column in (self.ids, self.of, self.copies)],
+                      self.sources, self.value, self.shapes)
+
+
 def build_cover(sys: LocalSystem, component: str = "least",
                 based_at=None) -> Cover:
     """Assemble, verify and return a finite common cover of sys.g1 and sys.g2.
@@ -490,7 +566,8 @@ def build_cover(sys: LocalSystem, component: str = "least",
     ``component`` is "least" (default) or "all"; ``based_at`` selects the
     component containing copy 1 of the given seed arrow instead.  Cover
     vertices are numbered in arrow-key order, cover darts in atom-serial
-    order, and the provenance labels carry the serials.
+    order, and the provenance labels are ``Labels`` over the cross arrows
+    and the cross atoms.
     """
     if sys.axioms is None:
         sys.check_axioms()
@@ -509,11 +586,13 @@ def build_cover(sys: LocalSystem, component: str = "least",
                                     "count at %r" % (union.darts[e],))
 
     # cover vertex first[a.key] + j - 1 is copy j of cross arrow a
-    first, vertex_label, vm1, vm2, runs = {}, [], [], [], {}
-    for a in sys.cross_arrows():
+    first, vertex_of, vertex_copy, vm1, vm2, runs = {}, [], [], [], [], {}
+    cross = sys.cross_arrows()
+    for i, a in enumerate(cross):
         reps = n_mult // out[a.src]
         first[a.key] = len(vm1)
-        vertex_label += [(a.serial, j) for j in range(1, reps + 1)]
+        vertex_of += [i] * reps
+        vertex_copy += range(1, reps + 1)
         vm1 += [a.src] * reps
         vm2 += [a.dst - n1] * reps
         runs.setdefault(a.src, []).append(a)
@@ -533,9 +612,9 @@ def build_cover(sys: LocalSystem, component: str = "least",
     # cover dart dart_first[atom] + k - 1 is copy k of the atom
     serial_of = {atom: sys.atom_serial(atom) for atom in groups}
     order = sorted(groups, key=serial_of.__getitem__)
-    dart_first, dart_label, org, dm1, dm2 = {}, [], [], [], []
+    dart_first, dart_of, dart_copy, org, dm1, dm2 = {}, [], [], [], [], []
     images = list(map(sys.atom_image, order))
-    for atom, image in zip(order, images):
+    for k, (atom, image) in enumerate(zip(order, images)):
         anchor = sys.atom_anchor(atom)
         expected = n_mult // orbit[anchor]
         members = groups[atom]
@@ -543,7 +622,8 @@ def build_cover(sys: LocalSystem, component: str = "least",
             raise VerificationError("matching count at atom %r: %d != %d"
                                     % (serial_of[atom], len(members), expected))
         dart_first[atom] = len(org)
-        dart_label += [(serial_of[atom], k) for k in range(1, expected + 1)]
+        dart_of += [k] * expected
+        dart_copy += range(1, expected + 1)
         org += members
         dm1 += [anchor] * expected
         dm2 += [image - m1] * expected
@@ -568,8 +648,11 @@ def build_cover(sys: LocalSystem, component: str = "least",
         based_vertex = vertex_ids[first[based_at.key]]
     return finish_cover(GraphMorphism.from_tables(graph, g1, vm1, dm1),
                         GraphMorphism.from_tables(graph, g2, vm2, dm2), component,
-                        based_vertex, n_mult, dict(zip(vertex_ids, vertex_label)),
-                        dict(zip(dart_ids, dart_label)))
+                        based_vertex, n_mult,
+                        Labels(vertex_ids, vertex_of, vertex_copy, cross, attrgetter("serial"),
+                               sys.arrow_shapes),
+                        Labels(dart_ids, dart_of, dart_copy, order, serial_of.__getitem__,
+                               sys.atom_shapes))
 
 
 def pulled_colours(ids, colour: dict, names: tuple, images: list) -> dict:
@@ -586,20 +669,26 @@ def pulled_colours(ids, colour: dict, names: tuple, images: list) -> dict:
 @dataclass
 class CertificateEntry:
     tree_vertex: tuple
-    arrow_serial: tuple
+    arrow: object                   # a ``BallArrow``
     matches_label: bool
     witness_ok: bool
+
+    def written(self) -> dict:
+        return {"tree_vertex": list(self.tree_vertex), "arrow": self.arrow.serial,
+                "matches_label": self.matches_label, "witness_ok": self.witness_ok}
 
 
 @dataclass
 class RestrictionCertificate:
     """Per-ball witnesses that the induced tree automorphism is locally
-    a restriction of a product of deck transformations."""
+    a restriction of a product of deck transformations; ``table`` holds
+    the entries for the writer."""
 
     radius: int
     test_radius: int
     entries: list
     fixes_base_ball: Optional[bool] = None
+    table: Optional[Labels] = None
 
     @property
     def mismatches(self) -> int:
@@ -672,13 +761,19 @@ def extract_certificate(built: Cover, sys, test_radius: int,
                 "ball restriction escaped the discovered groupoid at %r (%r)"
                 % (c1.ids(z), ("ball", sys.union.vertices[x], sys.union.vertices[dst],
                                tuple(zip(shown[x], map(c2.ids, images))))))
-        serial = arrow.serial
-        matches = built.vertex_label[graph.vertices[nu1[z]]][0] == serial
-        entries.append(CertificateEntry(c1.ids(z), serial, matches,
-                                        verify_witness(arrow, sys)))
+        matches = built.vertex_label[graph.vertices[nu1[z]]][0] == arrow.serial
+        entries.append(CertificateEntry(c1.ids(z), arrow, matches, verify_witness(arrow, sys)))
+
+    def shapes(rows, quote):
+        # the sorted keys: "arrow", "matches_label", "tree_vertex", "witness_ok"
+        keys, texts = sys.arrow_shapes([e.arrow for e in rows], quote)
+        return ([(k, len(e.tree_vertex)) for k, e in zip(keys, rows)],
+                [(*t, ("false", "true")[e.matches_label], *map(quote, e.tree_vertex),
+                  ("false", "true")[e.witness_ok]) for t, e in zip(texts, rows)])
 
     fixed = None
     if check_fixed_ball:
         fixed = all(psi[p] == alignment.apply(p)
                     for p in c1.ball((), radius).vertices)
-    return RestrictionCertificate(radius, test_radius, entries, fixed)
+    return RestrictionCertificate(radius, test_radius, entries, fixed, Labels(
+        None, range(len(entries)), None, entries, CertificateEntry.written, shapes))

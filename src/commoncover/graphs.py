@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, gt, le, mul, ne, sub
-from typing import Optional
+from typing import Mapping, Optional
 
 
 class GraphError(ValueError):
@@ -491,7 +491,7 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
 class Cover:
     """A finite graph with two coverings onto the inputs: every backend's
     result.  The groupoid backends add ``n_multiple``, the provenance labels
-    (id -> (arrow or atom serial, copy)) and the ``based_vertex`` of a
+    (mappings id -> (arrow or atom serial, copy)) and the ``based_vertex`` of a
     pinned cut; ``extra`` holds one backend's facts (gluing ``weights`` and
     ``subdivided``, the regular ``bound``)."""
 
@@ -500,8 +500,8 @@ class Cover:
     mu2: GraphMorphism
     component_sizes: tuple
     n_multiple: Optional[int] = None
-    vertex_label: Optional[dict] = None
-    dart_label: Optional[dict] = None
+    vertex_label: Optional[Mapping] = None
+    dart_label: Optional[Mapping] = None
     based_vertex: Optional[str] = None
     extra: dict = field(default_factory=dict)
 
@@ -562,8 +562,8 @@ def numbered_ids(formats: tuple, numbers: range) -> list:
 def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
                  component: str = "least", seed: Optional[str] = None,
                  n_multiple: Optional[int] = None,
-                 vertex_label: Optional[dict] = None,
-                 dart_label: Optional[dict] = None, **extra) -> Cover:
+                 vertex_label: Optional[Mapping] = None,
+                 dart_label: Optional[Mapping] = None, **extra) -> Cover:
     """The one exit of every backend: verify, cut to a component, record.
 
     ``mu1`` and ``mu2`` share the assembled cover graph as source.  The
@@ -595,9 +595,8 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
                                                   list(map(mu.dm.__getitem__, kd)))
                         for mu in (mu1, mu2)]
             _verify_cover(mu1, mu2, "component ")
-            if vertex_label is not None:
-                vertex_label = {v: vertex_label[v] for v in sub.vertices}
-                dart_label = {d: dart_label[d] for d in sub.darts}
+            if vertex_label is not None:            # ``cover_builder.Labels``
+                vertex_label, dart_label = vertex_label.take(kv), dart_label.take(kd)
     return Cover(mu1.source, mu1, mu2, tuple(len(c) for c in comps), n_multiple,
                  vertex_label, dart_label, seed, extra)
 

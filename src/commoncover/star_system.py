@@ -70,6 +70,10 @@ class StarLocalSystem(LocalSystem):
         darts = self.union.darts
         return (darts[atom[0]], darts[self.atom_image(atom)])
 
+    def atom_shapes(self, atoms, quote):
+        darts = list(map(quote, self.union.darts))
+        return [0] * len(atoms), [(darts[a[0]], darts[self.atom_image(a)]) for a in atoms]
+
 
 def _grouped_star(types: list, star) -> dict:
     """type -> the positions in the star of the darts of that type."""

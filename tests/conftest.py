@@ -1,15 +1,16 @@
+import json
 import random
 from collections import Counter, deque
 from itertools import accumulate, chain
 
 import pytest
 
-from commoncover import families
+from commoncover import cli, families
 from commoncover.bounds import ball_group_divisor, object_group_divisor
-from commoncover.cover_builder import _first_difference
+from commoncover.cover_builder import _first_difference, build_cover
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
-from commoncover.groupoids import keyed
+from commoncover.groupoids import keyed, lcm_all
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
 from commoncover.regular import euler_circuit, max_bipartite_matching
 from commoncover.star_system import StarArrow
@@ -295,6 +296,65 @@ def reference_row_check(self):
                     return "action compatibility fails at %r" % (
                         hs[_first_difference(got, expected)].serial,)
     return None
+
+
+def reference_labels(sys) -> tuple:
+    """The provenance labels of ``build_cover(sys, component="all")`` as the
+    builder nested them before they were a table: cover vertex i ("v%06d")
+    -> (arrow serial, copy) over the cross arrows in key order, and cover
+    dart i ("d%06d") -> (atom serial, copy) over the cross atoms in serial
+    order."""
+    out = [sys.out_count(x) for x in range(len(sys.union.vertices))]
+    n_mult = lcm_all(out)
+    vertex_label, atoms, dart_label = [], set(), []
+    for a in sys.cross_arrows():
+        vertex_label += [(a.serial, j) for j in range(1, n_mult // out[a.src] + 1)]
+        atoms.update(sys.act_identity(a, e) for e in sys.stars[a.src])
+    for atom in sorted(atoms, key=sys.atom_serial):
+        dart_label += [(sys.atom_serial(atom), k)
+                       for k in range(1, n_mult // sys.orbit_size(atom[0]) + 1)]
+    return ({"v%06d" % i: label for i, label in enumerate(vertex_label)},
+            {"d%06d" % i: label for i, label in enumerate(dart_label)})
+
+
+def spied_builds(monkeypatch) -> list:
+    """Record (function name, result, arguments) of each ``build_cover``,
+    ``build_object_cover`` and ``extract_certificate`` that ``cli`` calls."""
+    calls = []
+    for name in ("build_cover", "build_object_cover", "extract_certificate"):
+        def spy(*args, fn=getattr(cli, name), name=name, **kwargs):
+            calls.append((name, fn(*args, **kwargs), args))
+            return calls[-1][1]
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def _assert_written(path, payload, want):
+    cli.write_json(path, payload)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def check_label_tables(calls, path) -> None:
+    """For the build of ``spied_builds`` calls: its label tables, and those
+    of the same system's uncut cover, equal ``reference_labels`` as mappings
+    (on the cover's ids) and write as ``json.dumps`` writes those; a
+    certificate's entry table writes as its entries do."""
+    (name, built, args), *rest = calls
+    built = built.built if name == "build_object_cover" else built
+    vertices, darts = reference_labels(args[0])
+    for cover in (build_cover(args[0], component="all"), built):
+        want = {"darts": {d: darts[d] for d in cover.graph.darts},
+                "vertices": {v: vertices[v] for v in cover.graph.vertices}}
+        assert (cover.vertex_label, cover.dart_label) == (want["vertices"], want["darts"])
+        if name == "build_cover":          # object covers write no provenance
+            _assert_written(path, {"darts": cover.dart_label,
+                                   "vertices": cover.vertex_label}, want)
+    for _, cert, _ in rest:
+        _assert_written(path, cert.table, [
+            {"tree_vertex": list(e.tree_vertex), "arrow": e.arrow.serial,
+             "matches_label": e.matches_label, "witness_ok": e.witness_ok}
+            for e in cert.entries])
 
 
 def corrupt_act(sys, corrupt):

@@ -853,3 +853,35 @@ def test_builds_render_no_id_views(tmp_path, monkeypatch):
         assert rendered == [], argv
     with open(os.path.join(out, "cover.json")) as fh:
         assert json.load(fh)["subdivided"] is False     # C6/Theta2 glues directly
+
+
+def _awkward(g: Graph) -> Graph:
+    """g with every vertex and dart id given a prefix that holds "%", "%s",
+    a double quote, a backslash and a non-ASCII character."""
+    def name(x):
+        return '%s"\\é%' + x
+    return Graph([name(v) for v in g.vertices], [name(d) for d in g.darts],
+                 {name(d): name(v) for d, v in g.origin.items()},
+                 {name(d): name(r) for d, r in g.reverse.items()})
+
+
+@pytest.mark.parametrize("argv_tail", [
+    ["--backend", "star", "--strategy", "aligned"],
+    ["--backend", "star", "--strategy", "dr"],
+    ["--backend", "ball", "-R", "1", "--based"],
+], ids=["aligned", "dr", "ball-based"])
+def test_awkward_ids_are_written_as_json_dump_writes_them(tmp_path, argv_tail):
+    th3 = _write_graph(tmp_path, "th3.json", _awkward(families.theta(3)))
+    k4 = _write_graph(tmp_path, "k4.json", _awkward(families.complete(4)))
+    out = str(tmp_path / "out")
+    assert main(["build", k4, th3, *argv_tail, "-o", out]) == 0
+    names = sorted(os.listdir(out))
+    assert names == sorted(["cover.json", "mu1.json", "mu2.json"]
+                           + ["certificate.json"] * ("ball" in argv_tail))
+    for name in names:
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+    with open(os.path.join(out, "cover.json"), encoding="utf-8") as fh:
+        serial, copy = next(iter(json.load(fh)["provenance"]["vertices"].values()))
+    assert serial[1].startswith('1:%s"\\é%') and copy == 1

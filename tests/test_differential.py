@@ -48,8 +48,9 @@ from commoncover.refinement import common_cover_exists
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
-from conftest import (corrupt_act, corrupt_compose, n_edges, random_base_graph,
-                      random_cubic_graph, reference_check_action)
+from conftest import (check_label_tables, corrupt_act, corrupt_compose, n_edges,
+                      random_base_graph, random_cubic_graph, reference_check_action,
+                      spied_builds)
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -109,6 +110,19 @@ def test_star_builds_verify_from_disk(seed):
             with open(os.path.join(out, "cover.json"), encoding="utf-8") as fh:
                 size = len(json.load(fh)["graph"]["vertices"])
             assert size % len(g1.vertices) == 0 and size % len(g2.vertices) == 0
+
+
+@_settings(2)
+@given(SEEDS)
+def test_label_tables_equal_the_nested_labels(seed):
+    g1, g2, _ = related_pair(seed)
+    with _on_disk(g1, g2) as (tmp, p1, p2):
+        for backend in (["--strategy", "dr"], ["--strategy", "aligned"],
+                        ["--backend", "ball", "-R", "1"]):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = spied_builds(mp)
+                assert _run("build", p1, p2, *backend, "-o", os.path.join(tmp, "out")) == 0
+            check_label_tables(calls, os.path.join(tmp, "labels.json"))
 
 
 @_settings(20)

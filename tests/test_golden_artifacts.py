@@ -16,7 +16,7 @@ from commoncover import families, oracle
 from commoncover.cli import dump_graph, dump_object_graph, main, write_json
 from commoncover.object_graphs import rotation_pair
 
-from conftest import random_cubic_graph
+from conftest import check_label_tables, random_cubic_graph, spied_builds
 
 
 def _k23_double():
@@ -249,6 +249,14 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_golden_digests(tmp_path, case):
     assert artifact_digests(str(tmp_path), case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (command, *_) in CASES.items()
+                                         if command != "regular" and "glue" not in c))
+def test_label_tables_equal_the_nested_labels(tmp_path, monkeypatch, case):
+    calls = spied_builds(monkeypatch)
+    artifact_digests(str(tmp_path), case)
+    check_label_tables(calls, str(tmp_path / "labels.json"))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import pytest
 
 from commoncover import families
+from commoncover.cover_builder import Labels
 from commoncover.graphs import (Graph, GraphError, GraphMorphism,
                                 VerificationError, compose_morphisms,
                                 fiber_product, finish_cover, identity_morphism,
@@ -289,10 +290,13 @@ def test_covering_check_fixtures_reach_every_verdict():
 
 
 def _labelled(fp):
+    """Provenance tables over the fiber pairs, each pair its own source:
+    vertex -> (pair, 0) and dart -> (pair, 1)."""
+    def table(pairs, copy):
+        return Labels(list(pairs), range(len(pairs)), [copy] * len(pairs),
+                      list(pairs.values()), lambda pair: pair, None)
     vertex_pairs, dart_pairs = fiber_pairs(fp)
-    labels = ({v: (p, 0) for v, p in vertex_pairs.items()},
-              {d: (p, 1) for d, p in dart_pairs.items()})
-    return dict(vertex_label=labels[0], dart_label=labels[1])
+    return dict(vertex_label=table(vertex_pairs, 0), dart_label=table(dart_pairs, 1))
 
 
 def test_finish_cover_keeps_a_one_component_cover_as_it_is():
@@ -323,6 +327,8 @@ def test_finish_cover_cuts_a_cover_of_several_components():
         assert set(cover.mu2.dmap) == set(cover.graph.darts)
         assert set(cover.vertex_label) == set(chosen)
         assert set(cover.dart_label) == set(cover.graph.darts)
+        assert cover.vertex_label == {v: labels["vertex_label"][v] for v in chosen}
+        assert cover.dart_label == {d: labels["dart_label"][d] for d in cover.graph.darts}
         assert cover.component_sizes == (3, 3, 3)
         assert is_covering(cover.mu1).ok and is_covering(cover.mu2).ok
     with pytest.raises(StopIteration):
