@@ -259,20 +259,3 @@ def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:
             return False
     return (first == (arrow.dst < n1) and
             list(map(numbering.positions[arrow.dst].get, current)) == list(arrow.perm))
-
-
-def saturation_horizon(g1: Graph, g2: Graph, radius: int,
-                       explore_max: int) -> int:
-    """Smallest tested exploration radius after which one more step adds no
-    new vertex arrows; this is an empirical stability report, not a
-    completeness proof."""
-    joint = joint_refinement(g1, g2)
-    alignment = align(g1, g2, joint)
-    prev = None
-    for rho in range(explore_max + 1):
-        found = discover_atoms(g1, g2, alignment, radius, rho)
-        keys = {a.key for a in found.vertex_arrows}
-        if prev is not None and keys == prev:
-            return rho - 1
-        prev = keys
-    return explore_max

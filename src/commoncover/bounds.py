@@ -85,26 +85,6 @@ def landau(n: int, mode: str = "exact"):
     raise ValueError("mode must be 'exact' or 'bound'")
 
 
-def ball_group_divisor(d: int, radius: int) -> int:
-    """Order of the root-fixing automorphism group of the radius-R ball in
-    the d-regular tree: d! * ((d-1)!)^(number of interior non-root vertices).
-
-    Every group of root-fixing ball isomorphisms embeds in it, so sizes of
-    vertex isotropy groups in a ball system divide this number.
-    """
-    if d < 1 or radius < 1:
-        raise ValueError("degree and radius must be positive")
-    interior = 0
-    for i in range(radius - 1):
-        interior += d * (d - 1) ** i
-    return math.factorial(d) * math.factorial(max(d - 1, 0)) ** interior
-
-
-def object_group_divisor(d: int, isotropy_lcm: int) -> int:
-    """Vertex-group divisor for object systems: d! * (lcm of isotropy orders)^d."""
-    return math.factorial(d) * isotropy_lcm ** d
-
-
 # Python's default limit on the decimal digits of an int converted to a string
 PRINTABLE_DIGITS = 4300
 

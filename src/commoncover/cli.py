@@ -26,11 +26,10 @@ from .ball_system import build_ball_system_retrying, discover_atoms
 from .bounds import bound_report
 from .cover_builder import AxiomError, Labels, build_cover, extract_certificate
 from .gluing import build_glued_cover
-from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
+from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
                      VerificationError, is_covering, size_fact_failure, validate_graph)
-from .object_graphs import (ObjectCover, ObjectGraph, SeedSpec,
-                            build_object_cover, close_star_maps, make_object,
-                            obj_morphism, validate_object_graph)
+from .object_graphs import (ObjectGraph, SeedSpec, build_object_cover, close_star_maps,
+                            make_object, obj_morphism, validate_object_graph)
 from .oracle import brute_common_cover
 from .refinement import common_cover_exists
 from .regular import regular_common_cover
@@ -212,7 +211,7 @@ def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # deep nesting recurses
         raise SchemaError("%s: %s" % (path, exc))
 
 
@@ -344,16 +343,12 @@ def _graph_tables(g: Graph, quoted_v: list, quoted_d: list) -> dict:
 
 
 def _morphism_tables(m: GraphMorphism, quoted_v: list, quoted_d: list) -> dict:
-    """``dump_morphism(m)`` for the writer, read from m's index tables and
-    the quoted ids of its source."""
+    """The vmap and dmap tables of a morphism file, read from m's index
+    tables and the quoted ids of its source."""
     images_v = list(map(_quote, m.target.vertices))
     images_d = list(map(_quote, m.target.darts))
     return {"vmap": _Table(None, (quoted_v, map(images_v.__getitem__, m.vm))),
             "dmap": _Table(None, (quoted_d, map(images_d.__getitem__, m.dm)))}
-
-
-def dump_morphism(m: GraphMorphism) -> dict:
-    return {"vmap": dict(m.vmap), "dmap": dict(m.dmap)}
 
 
 def _is_id_table(table) -> bool:
@@ -467,9 +462,12 @@ def _object_tables(x: ObjectGraph) -> dict:
     # the objects are named in the order the tables below meet them
     return {"vertex_objects": {v: name_of(o) for v, o in sorted(x.vertex_objects.items())},
             "edge_objects": {d: name_of(o) for d, o in sorted(x.edge_objects.items())},
-            "edge_morphisms": {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
-                               for d, m in sorted(x.edge_morphisms.items())},
-            "objects": table}
+            "edge_morphisms": _object_maps(x.edge_morphisms), "objects": table}
+
+
+def _object_maps(maps: dict) -> dict:
+    """id -> the vmap and emap tables of its object map."""
+    return {k: {"vmap": dict(m.vmap), "emap": dict(m.emap)} for k, m in sorted(maps.items())}
 
 
 def load_seeds(path: str) -> list:
@@ -496,14 +494,6 @@ def load_seeds(path: str) -> list:
     return out
 
 
-def dump_object_morphism(m) -> dict:
-    return {"graph": dump_morphism(m.graph),
-            "vertex_morphisms": {v: {"vmap": dict(t.vmap), "emap": dict(t.emap)}
-                                 for v, t in sorted(m.vertex_morphisms.items())},
-            "edge_morphisms": {d: {"vmap": dict(t.vmap), "emap": dict(t.emap)}
-                               for d, t in sorted(m.edge_morphisms.items())}}
-
-
 # -- commands ---------------------------------------------------------------------
 
 
@@ -517,21 +507,21 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _write_cover(outdir, cover, fields) -> None:
+def _write_cover(outdir, cover: Cover, fields) -> None:
     """Write cover.json (the cover graph plus ``fields``), mu1.json and
-    mu2.json for a ``Cover`` or an ``ObjectCover``.  The cover graph, and a
-    ``Cover``'s maps, are written from the index tables, each cover id
-    quoted once."""
-    objects = isinstance(cover, ObjectCover)
-    g = cover.cover.graph if objects else cover.graph
+    mu2.json.  The graph and the maps are written from the index tables,
+    each cover id quoted once.  An object cover's graph sits at the top
+    level beside its object tables, and each of its maps as "graph" beside
+    the vertex and edge morphism tables of ``extra["objects"]``."""
+    g, objects = cover.graph, cover.extra.get("objects")
     quoted_v, quoted_d = list(map(_quote, g.vertices)), list(map(_quote, g.darts))
-    tables = _graph_tables(g, quoted_v, quoted_d)
+    graph = {"graph": _graph_tables(g, quoted_v, quoted_d)}
+    maps = [_morphism_tables(mu, quoted_v, quoted_d) for mu in (cover.mu1, cover.mu2)]
     if objects:
-        graph = {**tables, **_object_tables(cover.cover)}
-        maps = [dump_object_morphism(mu) for mu in (cover.mu1, cover.mu2)]
-    else:
-        graph = {"graph": tables}
-        maps = [_morphism_tables(mu, quoted_v, quoted_d) for mu in (cover.mu1, cover.mu2)]
+        graph = {**graph["graph"], **_object_tables(objects[0].source)}
+        maps = [{"graph": m, "vertex_morphisms": _object_maps(mu.vertex_morphisms),
+                 "edge_morphisms": _object_maps(mu.edge_morphisms)}
+                for m, mu in zip(maps, objects)]
     write_json(os.path.join(outdir, "cover.json"), {**graph, **fields})
     for name, payload in zip(("mu1.json", "mu2.json"), maps):
         write_json(os.path.join(outdir, name), payload)
@@ -592,9 +582,9 @@ def cmd_build_objects(args) -> int:
     x2 = load_object_graph(args.second)
     seeds = load_seeds(args.seeds)
     system = close_star_maps(x1, x2, seeds)
-    result = build_object_cover(system, component=args.component)
-    _write_cover(args.out, result, {"degrees": list(result.built.degrees),
-                                    "n_multiple": result.built.n_multiple})
+    cover = build_object_cover(system, component=args.component)
+    _write_cover(args.out, cover, {"degrees": list(cover.degrees),
+                                   "n_multiple": cover.n_multiple})
     print("wrote %s" % args.out)
     return 0
 

@@ -251,11 +251,6 @@ class LocalSystem:
 
     # -- shared helpers -------------------------------------------------------
 
-    def eps(self, atom) -> Optional[int]:
-        """The origin of the atom's image dart, or None when it has none."""
-        f = self.atom_image(atom)
-        return None if f is None else self._org[f]
-
     def out_count(self, obj) -> int:
         return self.groupoid.out_count(obj)
 

@@ -489,11 +489,11 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
 
 @dataclass
 class Cover:
-    """A finite graph with two coverings onto the inputs: every backend's
+    """A finite graph with two coverings onto the inputs: every build's
     result.  The groupoid backends add ``n_multiple``, the provenance labels
-    (mappings id -> (arrow or atom serial, copy)) and the ``based_vertex`` of a
-    pinned cut; ``extra`` holds one backend's facts (gluing ``weights`` and
-    ``subdivided``, the regular ``bound``)."""
+    (id -> (arrow or atom serial, copy)) and a pinned cut's ``based_vertex``;
+    ``extra`` holds one backend's facts: gluing ``weights`` and ``subdivided``,
+    the regular ``bound``, an object cover's two ``ObjectGraphMorphism`` as ``objects``."""
 
     graph: Graph
     mu1: GraphMorphism

@@ -228,9 +228,6 @@ class FiniteGroupoid:
     def out_count(self, obj) -> int:
         return len(self.by_source.get(obj, ()))
 
-    def hom(self, x, y) -> list:
-        return [a for a in self.by_source.get(x, ()) if a.dst == y]
-
 
 def saturate(atoms: Iterable, objects: Iterable,
              identity_factory: Callable) -> FiniteGroupoid:

@@ -30,6 +30,10 @@ from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      disjoint_union, is_covering, validate_graph)
 from .groupoids import PermArrow, saturate
 
+# the most atoms fixing a dart (the order of its isotropy group) that
+# ``close_star_maps`` admits
+ISOTROPY_CAP = 512
+
 
 # -- finite labelled multigraph objects and their maps -----------------------
 
@@ -378,8 +382,7 @@ def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
                         (vm,))
 
 
-def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
-                    isotropy_cap: int = 512) -> ObjectLocalSystem:
+def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSystem:
     """Saturate seed star maps into an object local system, with axiom and
     isotropy checks."""
     for x in (x1, x2):
@@ -400,7 +403,7 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds,
     groupoid = saturate(arrows, range(len(union.vertices)), identity_factory)
     sys = ObjectLocalSystem(x1, x2, union, groupoid, numbering)
     for dart, name in enumerate(union.darts):
-        if len(sys.isotropy(dart)) > isotropy_cap:
+        if list(sys.atoms_by_anchor[dart].values()).count(dart) > ISOTROPY_CAP:
             raise AxiomError("isotropy group exceeds the configured cap at %r"
                              % (name,))
     report = sys.check_axioms()
@@ -449,46 +452,38 @@ def verify_object_covering(f: ObjectGraphMorphism):
     return True, None
 
 
-@dataclass
-class ObjectCover:
-    cover: ObjectGraph
-    mu1: ObjectGraphMorphism
-    mu2: ObjectGraphMorphism
-    built: Cover
+def build_object_cover(sys: ObjectLocalSystem, component: str = "least") -> Cover:
+    """Run the generic assembly and decorate its cover row by row: a vertex
+    takes the object of its image in the first graph and the vertex map of
+    its source arrow, a dart the edge map of its source atom.  The two
+    ``ObjectGraphMorphism`` out of the decorated cover go in ``extra["objects"]``."""
+    cover = build_cover(sys, component=component)
+    x1, g, vl, dl = sys.x1, cover.graph, cover.vertex_label, cover.dart_label
+    vm, dm = cover.mu1.vm, cover.mu1.dm
 
+    def pulled(ids, rows, table):       # id -> the table entry of its row
+        return dict(zip(ids, map(table.__getitem__, rows)))
 
-def build_object_cover(sys: ObjectLocalSystem, component: str = "least",
-                       based_at=None) -> ObjectCover:
-    """Run the generic assembly and decorate the result with objects pulled
-    back from the first object graph."""
-    built = build_cover(sys, component=component, based_at=based_at)
-    x1, x2 = sys.x1, sys.x2
-    vertex_map = {a.serial: sys.vertex_map(a) for a in sys.cross_arrows()}
-    vertex_objects, vmorph1, vmorph2 = {}, {}, {}
-    for vid, (arrow_serial, _) in built.vertex_label.items():
-        obj = x1.vertex_objects[built.mu1.vmap[vid]]
-        vertex_objects[vid] = obj
-        vmorph1[vid] = obj_identity(obj)
-        vmorph2[vid] = vertex_map[arrow_serial]
-    edge_objects, edge_morphs, emorph1, emorph2 = {}, {}, {}, {}
-    for did, (atom_serial, _) in built.dart_label.items():
-        raw = built.mu1.dmap[did]
-        obj = x1.edge_objects[raw]
-        edge_objects[did] = obj
-        edge_morphs[did] = x1.edge_morphisms[raw]
-        emorph1[did] = obj_identity(obj)
-        emorph2[did] = ObjMorphism(*atom_serial[3])       # the atom's edge map
-    cover = ObjectGraph(built.graph, vertex_objects, edge_objects, edge_morphs)
-    report = validate_object_graph(cover)
+    vobj = list(map(x1.vertex_objects.__getitem__, x1.graph.vertices))
+    eobj = list(map(x1.edge_objects.__getitem__, x1.graph.darts))
+    emor = list(map(x1.edge_morphisms.__getitem__, x1.graph.darts))
+    decorated = ObjectGraph(g, pulled(g.vertices, vm, vobj), pulled(g.darts, dm, eobj),
+                            pulled(g.darts, dm, emor))
+    report = validate_object_graph(decorated)
     if not report.ok:
         raise VerificationError("object cover invalid: " + report.violations[0])
-    mu1 = ObjectGraphMorphism(cover, x1, built.mu1, vmorph1, emorph1)
-    mu2 = ObjectGraphMorphism(cover, x2, built.mu2, vmorph2, emorph2)
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+    cover.extra["objects"] = (
+        ObjectGraphMorphism(decorated, x1, cover.mu1,
+                            pulled(g.vertices, vm, list(map(obj_identity, vobj))),
+                            pulled(g.darts, dm, list(map(obj_identity, eobj)))),
+        ObjectGraphMorphism(decorated, sys.x2, cover.mu2,
+                            pulled(g.vertices, vl.of, list(map(sys.vertex_map, vl.sources))),
+                            pulled(g.darts, dl.of, list(map(sys.atom_morph, dl.sources)))))
+    for name, mu in zip(("mu1", "mu2"), cover.extra["objects"]):
         ok, failure = verify_object_covering(mu)
         if not ok:
             raise VerificationError("%s: %s" % (name, failure))
-    return ObjectCover(cover, mu1, mu2, built)
+    return cover
 
 
 # -- demo fixture ----------------------------------------------------------------

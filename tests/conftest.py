@@ -1,19 +1,23 @@
 import json
+import math
 import random
 from collections import Counter, deque
+from functools import partial
 from itertools import accumulate, chain
 
 import pytest
 
 from commoncover import cli, families
-from commoncover.bounds import ball_group_divisor, object_group_divisor
+from commoncover.ball_system import discover_atoms
 from commoncover.cover_builder import _first_difference, build_cover
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
 from commoncover.groupoids import keyed, lcm_all
 from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
+from commoncover.refinement import joint_refinement
 from commoncover.regular import euler_circuit, max_bipartite_matching
 from commoncover.star_system import StarArrow
+from commoncover.universal_cover import align
 
 
 @pytest.fixture
@@ -46,6 +50,49 @@ def lollipop() -> Graph:
     )
 
 
+def hom(gpd, x, y) -> list:
+    """The arrows of the groupoid from object x to object y."""
+    return [a for a in gpd.by_source.get(x, ()) if a.dst == y]
+
+
+def eps(sys, atom):
+    """The origin of the atom's image dart, or None when it has none."""
+    f = sys.atom_image(atom)
+    return None if f is None else sys.union.org[f]
+
+
+def saturation_horizon(g1: Graph, g2: Graph, radius: int, explore_max: int) -> int:
+    """Smallest tested exploration radius after which one more step adds no
+    new vertex arrows; this is an empirical stability report, not a
+    completeness proof."""
+    alignment = align(g1, g2, joint_refinement(g1, g2))
+    prev = None
+    for rho in range(explore_max + 1):
+        keys = {a.key for a in discover_atoms(g1, g2, alignment, radius, rho).vertex_arrows}
+        if prev is not None and keys == prev:
+            return rho - 1
+        prev = keys
+    return explore_max
+
+
+def ball_group_divisor(d: int, radius: int) -> int:
+    """Order of the root-fixing automorphism group of the radius-R ball in
+    the d-regular tree: d! * ((d-1)!)^(number of interior non-root vertices).
+
+    Every group of root-fixing ball isomorphisms embeds in it, so sizes of
+    vertex isotropy groups in a ball system divide this number.
+    """
+    if d < 1 or radius < 1:
+        raise ValueError("degree and radius must be positive")
+    interior = sum(d * (d - 1) ** i for i in range(radius - 1))
+    return math.factorial(d) * math.factorial(max(d - 1, 0)) ** interior
+
+
+def object_group_divisor(d: int, isotropy_lcm: int) -> int:
+    """Vertex-group divisor for object systems: d! * (lcm of isotropy orders)^d."""
+    return math.factorial(d) * isotropy_lcm ** d
+
+
 def bfs_atoms(sys, dart) -> set:
     """The atoms reached from the identity atom at the dart by
     breadth-first search under the arrow action.
@@ -58,7 +105,7 @@ def bfs_atoms(sys, dart) -> set:
     frontier = [start]
     while frontier:
         atom = frontier.pop()
-        for arrow in sys.groupoid.by_source.get(sys.eps(atom), ()):
+        for arrow in sys.groupoid.by_source.get(eps(sys, atom), ()):
             nxt = sys.act(arrow, atom)
             if nxt not in seen:
                 seen.add(nxt)
@@ -128,7 +175,7 @@ def verify_groupoid(gpd) -> list:
 
 def _vertex_group_divisors(sys, divisor: int) -> list:
     """(object id, group order, divisor, ok) for every vertex group."""
-    orders = [len(sys.groupoid.hom(x, x)) for x in range(len(sys.union.vertices))]
+    orders = [len(hom(sys.groupoid, x, x)) for x in range(len(sys.union.vertices))]
     return [(name, n, divisor, divisor % n == 0)
             for name, n in zip(sys.union.vertices, orders)]
 
@@ -217,7 +264,7 @@ def reference_check_action(self):
         image, rep = {}, {}
         for g in out:
             ga = self.act(g, ident)
-            if self.eps(ga) != g.dst:
+            if eps(self, ga) != g.dst:
                 return "action target mismatch at %r" % (g.serial,)
             if self.atom_anchor(ga) != e:
                 return "action moved an atom anchor at %r" % (g.serial,)
@@ -248,7 +295,7 @@ def reference_row_check(self):
     groupoid = self.groupoid
     arrows, number, by_source = groupoid.arrows, groupoid.number, groupoid.by_source
     act_row = self.act_row
-    eps, anchor = self.eps, self.atom_anchor
+    origin, anchor = partial(eps, self), self.atom_anchor
     for x, star in enumerate(self.stars):
         unit = groupoid.identities.get(x)
         out = by_source.get(x, ())
@@ -270,7 +317,7 @@ def reference_row_check(self):
             if unit is None or self.act(unit, ident) != ident:
                 return "identity action fails over %r" % (self.union.vertices[x],)
             moved = act_row(out, ident)
-            got = list(zip(map(eps, moved), map(anchor, moved)))
+            got = list(zip(map(origin, moved), map(anchor, moved)))
             want = [(g.dst, e) for g in out]
             if got != want:
                 i = _first_difference(got, want)
@@ -341,7 +388,6 @@ def check_label_tables(calls, path) -> None:
     (on the cover's ids) and write as ``json.dumps`` writes those; a
     certificate's entry table writes as its entries do."""
     (name, built, args), *rest = calls
-    built = built.built if name == "build_object_cover" else built
     vertices, darts = reference_labels(args[0])
     for cover in (build_cover(args[0], component="all"), built):
         want = {"darts": {d: darts[d] for d in cover.graph.darts},
@@ -416,7 +462,7 @@ def corrupt_compose(sys, monkeypatch):
             r = sys.groupoid.by_source[x][0]
             for h in sys.groupoid.by_source[r.dst]:
                 right = moved(h.compose(r), x)
-                for w in sys.groupoid.hom(x, h.dst):
+                for w in hom(sys.groupoid, x, h.dst):
                     if moved(w, x) != right:
                         yield h, r, w
 

@@ -6,12 +6,13 @@ from commoncover import families
 from commoncover.ball_system import (BallArrow, build_ball_system,
                                      build_ball_system_retrying,
                                      DiscoveredAtoms, discover_atoms,
-                                     edge_neighbourhood, saturation_horizon,
-                                     verify_witness)
+                                     edge_neighbourhood, verify_witness)
 from commoncover.cover_builder import AxiomError
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 from commoncover.universal_cover import UniversalCover, build_alignment
+
+from conftest import hom, saturation_horizon
 
 
 def _alignment(g1, g2):
@@ -33,7 +34,7 @@ def test_c3_c3_hom_sets_bounded_by_ball_isomorphisms():
     # on the line, at most two root-fixing radius-1 isomorphisms exist
     for x in range(len(sys.union.vertices)):
         for y in range(len(sys.union.vertices)):
-            assert len(sys.groupoid.hom(x, y)) <= 2
+            assert len(hom(sys.groupoid, x, y)) <= 2
 
 
 def _brute_root_isos(cov_a, root_a, cov_b, root_b, radius):
@@ -66,7 +67,7 @@ def test_hom_counts_bounded_by_brute_ball_isomorphisms():
     c1, c2 = sys.cover1, sys.cover2
     for i in range(2):
         for j in range(len(g2.vertices)):
-            count = len(sys.groupoid.hom(i, len(g1.vertices) + j))
+            count = len(hom(sys.groupoid, i, len(g1.vertices) + j))
             brute = len(list(_brute_root_isos(
                 c1, c1.canonical_lift(i), c2, c2.canonical_lift(j), 1)))
             assert count <= brute

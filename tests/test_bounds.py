@@ -8,12 +8,12 @@ import pytest
 
 from commoncover import families
 from commoncover.ball_system import build_ball_system_retrying
-from commoncover.bounds import (ball_group_divisor, bound_report, landau,
-                                landau_exact, object_group_divisor, upper_exp_sqrt)
+from commoncover.bounds import bound_report, landau, landau_exact, upper_exp_sqrt
 from commoncover.object_graphs import close_star_maps, rotation_pair
 from commoncover.oracle import brute_landau
 
-from conftest import check_ball_divisors, check_object_divisors
+from conftest import (ball_group_divisor, check_ball_divisors, check_object_divisors,
+                      object_group_divisor)
 
 
 def test_landau_small_values():

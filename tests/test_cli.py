@@ -277,6 +277,30 @@ def test_build_objects_is_deterministic(tmp_path):
         assert left[name] == right[name]
 
 
+@pytest.mark.parametrize("kind", ["graph", "cover", "mu1", "object graph", "seeds"])
+def test_deeply_nested_input_exits_two(tmp_path, kind):
+    c3, out = _built_star_cover(tmp_path)
+    x1, x2, _ = rotation_pair(3)
+    p1, p2, seeds = (str(tmp_path / name) for name in ("x1.json", "x2.json", "seeds.json"))
+    write_json(p1, dump_object_graph(x1))
+    write_json(p2, dump_object_graph(x2))
+    write_json(seeds, {"seeds": []})
+    objects = ["build-objects", p1, p2, "--seeds", seeds, "-o", str(tmp_path / "objects")]
+    argv, path = {"graph": (["check", c3, c3], c3),
+                  "cover": (["verify", out, c3, c3], os.path.join(out, "cover.json")),
+                  "mu1": (["verify", out, c3, c3], os.path.join(out, "mu1.json")),
+                  "object graph": (objects, p1),
+                  "seeds": (objects, seeds)}[kind]
+    with open(path, "w") as fh:
+        fh.write("[" * 100000 + "]" * 100000)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-m", "commoncover.cli", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 2
+    assert "input error: %s" % path in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def _built_star_cover(tmp_path):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     out = str(tmp_path / "out")

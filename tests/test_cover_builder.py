@@ -12,7 +12,7 @@ from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
                                      build_star_system_retrying)
 
-from conftest import corrupt_act, corrupt_compose, substitute_composite
+from conftest import corrupt_act, corrupt_compose, eps, substitute_composite
 
 
 def test_star_backend_c3_c4_least_component_matches_oracle():
@@ -223,7 +223,7 @@ def test_atom_with_no_image_dart_fails_every_check():
     assert headless
     atom = next(a for atoms in sys.atoms_by_anchor for a in atoms
                 if sys.atom_image(a) is None)
-    assert sys.eps(atom) is None
+    assert eps(sys, atom) is None
     report = sys.check_axioms()
     assert not (report.coverage_ok or report.bar_ok or report.action_ok)
     assert report.detail in headless

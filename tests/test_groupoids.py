@@ -12,7 +12,7 @@ from commoncover.star_system import (STRATEGY_ALIGNED, StarArrow,
                                      StarLocalSystem, build_star_system,
                                      build_star_system_retrying)
 
-from conftest import all_pairs_closure, bfs_atoms, star_arrow, verify_groupoid
+from conftest import all_pairs_closure, bfs_atoms, hom, star_arrow, verify_groupoid
 
 
 def identity_factory_for(graph):
@@ -236,7 +236,7 @@ def test_verify_reports_one_wrong_composition(generated, monkeypatch):
     a = next(a for a in reversed(gpd.by_source[b.dst])
              if a.serial not in identities and a.compose(b).serial not in identities)
     right = a.compose(b).serial
-    wrong = next(x for x in gpd.hom(b.src, a.dst) if x.serial != right)
+    wrong = next(x for x in hom(gpd, b.src, a.dst) if x.serial != right)
     compose = StarArrow.compose
 
     def corrupted(self, other):

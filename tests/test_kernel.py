@@ -56,7 +56,7 @@ from commoncover.object_graphs import (ObjectGraph, SeedSpec, _check_star_map,
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
-from conftest import (all_pairs_closure, corrupt_act, corrupt_compose,
+from conftest import (all_pairs_closure, corrupt_act, corrupt_compose, eps,
                       reference_kernel, reference_row_check)
 from test_differential import SEEDS, _settings, related_pair
 
@@ -103,7 +103,7 @@ def check_against_reference(sys, generators=None):
         for atom in sys.atoms_by_anchor[e]:
             ref_atom = ref.atom(serial(atom))
             assert serial(sys.bar(atom)) == ref.serial(ref.bar(ref_atom))
-            hs = gpd.by_source[sys.eps(atom)]
+            hs = gpd.by_source[eps(sys, atom)]
             row = sys.act_row(hs, atom)
             assert list(map(serial, row)) == [
                 ref.serial(ref.act(refs[h.key], ref_atom)) for h in hs]

@@ -1,6 +1,6 @@
 import pytest
 
-from commoncover import families
+from commoncover import families, object_graphs
 from commoncover.cover_builder import AxiomError, build_cover
 from commoncover.object_graphs import (ObjectGraph, SeedSpec, SeedError,
                                        all_object_isos, build_object_cover,
@@ -11,7 +11,7 @@ from commoncover.object_graphs import (ObjectGraph, SeedSpec, SeedError,
 from commoncover.oracle import find_covering
 from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 
-from conftest import bfs_atoms, verify_groupoid
+from conftest import bfs_atoms, hom, verify_groupoid
 
 
 def _singleton_object():
@@ -55,20 +55,41 @@ def test_validate_non_preserving_edge_morphism():
     assert any("not structure-preserving" in v for v in report.violations)
 
 
-def test_identity_seeds_give_identity_groupoid():
+def _identity_system():
+    """The identity seeds on C3 with trivial objects, closed."""
     x = _trivial_object_graph(families.cycle(3))
     g = x.graph
     seeds = [SeedSpec(v, v, {d: d for d in g.star(v)},
                       {d: obj_identity(_singleton_object()) for d in g.star(v)})
              for v in g.vertices]
-    sys = close_star_maps(x, x, seeds)
+    return close_star_maps(x, x, seeds)
+
+
+def _trivial_star_systems():
+    """The aligned star system of C3 and C4, and the trivial-object system
+    closed from its seed arrows."""
+    g1, g2 = families.cycle(3), families.cycle(4)
+    star_sys = build_star_system_retrying(g1, g2, STRATEGY_ALIGNED)
+    x1, x2 = _trivial_object_graph(g1), _trivial_object_graph(g2)
+    obj = _singleton_object()
+    seeds = []
+    for arrow in star_sys.atom_arrows:
+        dart_map = {e[2:]: f[2:] for e, f in arrow.bij}
+        seeds.append(SeedSpec(g1.vertices[arrow.src], g2.vertices[arrow.dst - len(g1.vertices)],
+                              dart_map,
+                              {e: obj_identity(obj) for e in dart_map}))
+    return star_sys, close_star_maps(x1, x2, seeds)
+
+
+def test_identity_seeds_give_identity_groupoid():
+    sys = _identity_system()
     # every atom is an identity-decorated pair
     for dart in range(len(sys.union.darts)):
         for atom in sys.atoms_by_anchor[dart]:
             assert sys.atom_morph(atom) == obj_identity(_singleton_object())
             assert abs(sys.atom_anchor(atom) - sys.atom_image(atom)) in (0, sys.m1)
     res = build_object_cover(sys)
-    assert res.built.degrees == (1, 1)
+    assert res.degrees == (1, 1)
 
 
 def test_rotation_example_closure_and_isotropy():
@@ -85,6 +106,20 @@ def test_rotation_example_closure_and_isotropy():
     assert sys.isotropy_lcm() == 3
 
 
+def test_isotropy_cap_refuses_a_larger_group(monkeypatch):
+    monkeypatch.setattr(object_graphs, "ISOTROPY_CAP", 2)
+    with pytest.raises(AxiomError, match="isotropy group exceeds the configured cap"):
+        close_star_maps(*rotation_pair(3))
+
+
+def test_isotropy_cap_counts_the_isotropy_group():
+    # the cap counts the atoms at a dart whose image is that dart
+    systems = [close_star_maps(*rotation_pair(order)) for order in range(2, 7)]
+    for sys in [*systems, _identity_system(), _trivial_star_systems()[1]]:
+        for e in range(len(sys.union.darts)):
+            assert list(sys.atoms_by_anchor[e].values()).count(e) == len(sys.isotropy(e))
+
+
 def test_rotation_example_single_seed_insufficient():
     x1, x2, seeds = rotation_pair(3)
     with pytest.raises(AxiomError, match="insufficient seeds"):
@@ -96,7 +131,7 @@ def test_rotation_cover_circuits_divisible_by_order():
         x1, x2, seeds = rotation_pair(order)
         sys = close_star_maps(x1, x2, seeds)
         res = build_object_cover(sys, component="all")
-        comps = res.cover.graph.components()
+        comps = res.graph.components()
         for comp in comps:
             assert len(comp) % order == 0
 
@@ -131,7 +166,7 @@ def test_vertex_group_bounded_by_star_and_isotropy():
     sys = close_star_maps(x1, x2, seeds)
     import math
     for x in range(len(sys.union.vertices)):
-        group = len(sys.groupoid.hom(x, x))
+        group = len(hom(sys.groupoid, x, x))
         star = sys.stars[x]
         iso_product = 1
         for e in star:
@@ -161,42 +196,32 @@ def test_counting_identity_and_orbit_law():
 
 
 def test_trivial_objects_match_star_backend_graph():
-    g1, g2 = families.cycle(3), families.cycle(4)
-    star_sys = build_star_system_retrying(g1, g2, STRATEGY_ALIGNED)
-    x1, x2 = _trivial_object_graph(g1), _trivial_object_graph(g2)
-    obj = _singleton_object()
-    seeds = []
-    for arrow in star_sys.atom_arrows:
-        dart_map = {e[2:]: f[2:] for e, f in arrow.bij}
-        seeds.append(SeedSpec(g1.vertices[arrow.src], g2.vertices[arrow.dst - len(g1.vertices)],
-                              dart_map,
-                              {e: obj_identity(obj) for e in dart_map}))
-    sys = close_star_maps(x1, x2, seeds)
+    star_sys, sys = _trivial_star_systems()
     obj_built = build_object_cover(sys)
     star_built = build_cover(star_sys)
-    assert len(obj_built.cover.graph.vertices) == len(star_built.graph.vertices)
-    assert len(obj_built.cover.graph.darts) == len(star_built.graph.darts)
-    assert find_covering(obj_built.cover.graph, star_built.graph) is not None
+    assert len(obj_built.graph.vertices) == len(star_built.graph.vertices)
+    assert len(obj_built.graph.darts) == len(star_built.graph.darts)
+    assert find_covering(obj_built.graph, star_built.graph) is not None
 
 
 def test_verify_object_covering_detects_mutation():
     x1, x2, seeds = rotation_pair(3)
     sys = close_star_maps(x1, x2, seeds)
-    res = build_object_cover(sys)
-    ok, failure = verify_object_covering(res.mu2)
+    _, mu2 = build_object_cover(sys).extra["objects"]
+    ok, failure = verify_object_covering(mu2)
     assert ok and failure is None
-    dart = res.cover.graph.darts[0]
-    partner = res.cover.graph.reverse[dart]
-    image = res.mu2.graph.dmap[dart]
-    candidates = [m for m in all_object_isos(res.cover.edge_objects[dart],
+    dart = mu2.source.graph.darts[0]
+    partner = mu2.source.graph.reverse[dart]
+    image = mu2.graph.dmap[dart]
+    candidates = [m for m in all_object_isos(mu2.source.edge_objects[dart],
                                              x2.edge_objects[image])
-                  if m != res.mu2.edge_morphisms[dart]]
-    mutated = dict(res.mu2.edge_morphisms)
+                  if m != mu2.edge_morphisms[dart]]
+    mutated = dict(mu2.edge_morphisms)
     mutated[dart] = candidates[0]
     mutated[partner] = candidates[0]
     from commoncover.object_graphs import ObjectGraphMorphism
-    bad = ObjectGraphMorphism(res.cover, x2, res.mu2.graph,
-                              res.mu2.vertex_morphisms, mutated)
+    bad = ObjectGraphMorphism(mu2.source, x2, mu2.graph,
+                              mu2.vertex_morphisms, mutated)
     ok, failure = verify_object_covering(bad)
     assert not ok
 
