@@ -845,6 +845,28 @@ def test_an_exploration_radius_of_zero_grows(tmp_path, backend):
                  "-o", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("pair,backend,final", [
+    (("theta3", "k4"), ["--backend", "star", "--strategy", "aligned"], "2"),
+    (("theta3", "k4"), ["--backend", "ball", "-R", "1"], "2"),
+    (("theta3", "k4"), ["--backend", "ball", "-R", "1", "--based"], "2"),
+    (("theta3", "k4"), ["--backend", "glue", "-R", "1"], "2"),
+    (("rose2", "theta4"), ["--backend", "ball", "-R", "1"], "1"),
+], ids=["aligned", "ball", "ball-based", "glue", "ball-rose2-theta4"])
+def test_a_retried_build_writes_the_bytes_of_its_final_radius(tmp_path, pair, backend,
+                                                              final):
+    # --explore 0 fails its axioms and is retried (0 -> 1 -> 2 on Theta3/K4):
+    # the resumed walk must leave no trace of the attempts that failed
+    graphs = {"theta3": families.theta(3), "k4": families.complete(4),
+              "rose2": families.rose(2), "theta4": families.theta(4)}
+    paths = [_write_graph(tmp_path, name + ".json", graphs[name]) for name in pair]
+    outs = {}
+    for explore in ("0", final):
+        outs[explore] = str(tmp_path / ("explore" + explore))
+        assert main(["build", *paths, *backend, "--explore", explore,
+                     "-o", outs[explore]]) == 0
+    assert _dir_bytes(outs["0"]) == _dir_bytes(outs[final])
+
+
 @pytest.mark.parametrize("maximum", ["0", "-1"])
 def test_oracle_maximum_degree_below_one_exits_two(tmp_path, capsys, maximum):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
