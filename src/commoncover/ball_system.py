@@ -24,13 +24,14 @@ restriction of a product of deck transformations and the alignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
-from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
+from .cover_builder import (DiscoveredAtoms, Kind, LocalSystem, Numbering,
+                            build_aligned)
 from .graphs import Graph, GraphError
-from .groupoids import PermArrow, gather, saturate
-from .refinement import JointBlocks, joint_refinement
-from .universal_cover import TreeAlignment, UniversalCover, align
+from .groupoids import PermArrow, gather
+from .refinement import JointBlocks
+from .universal_cover import TreeAlignment, UniversalCover
 
 
 def _invert_letter(letter):
@@ -98,66 +99,55 @@ def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
     return numbering
 
 
-@dataclass
-class DiscoveredAtoms:
-    vertex_arrows: list
-    edge_atoms: list               # atoms (anchor, target, positions), by key
-    radius: int
-    explore_radius: int
-    numbering: Numbering = None
+class BallKind(Kind):
+    """The normalised restrictions of the alignment to the canonical balls
+    of radius R (``ball_numbering``), with their edge atoms."""
 
+    def __init__(self, alignment, radius: int):
+        if radius < 1:
+            raise GraphError("ball radius must be at least 1")
+        super().__init__(alignment, radius)
+        self.numbering = ball_numbering(self.union, alignment.c1, alignment.c2, radius)
+        self.tables = {}
 
-def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
-                   radius: int, explore_radius: int) -> DiscoveredAtoms:
-    """Normalised restrictions of the alignment to balls and edge
-    neighbourhoods centred within the exploration radius."""
-    if explore_radius < 0:
-        raise GraphError("exploration radius must be non-negative")
-    if radius < 1:
-        raise GraphError("ball radius must be at least 1")
-    c1, c2 = alignment.c1, alignment.c2
-    alignment.ensure_radius(explore_radius + radius)
-    union = alignment.joint.union
-    numbering = ball_numbering(union, c1, c2, radius)
-    domains, shown = numbering.domains, numbering.shown
-    positions, dom, n1 = numbering.positions, numbering.dom, len(g1.vertices)
-    vertex_arrows, tables = {}, {}
-    edge_atoms = set()
-    for z in c1.layers(explore_radius):
+    def arrow_at(self, alignment, z) -> BallArrow:
+        numbering = self.numbering
+        c1, c2, shown = alignment.c1, alignment.c2, numbering.shown
         x = c1.project(z)
         z2 = alignment.apply(z)
         y = c2.project(z2)
-        dst = n1 + y
+        dst = len(c1.graph.vertices) + y
         w1 = c1.deck_loop(c1.canonical_lift(x), z)
         w2 = c2.deck_loop(z2, c2.canonical_lift(y))
-        at = positions[dst]
+        at = numbering.positions[dst]
         perm = [at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
-                for p in domains[x]]
-        arrow = BallArrow(
-            x, dst, perm, shown[x], shown[dst], union.vertices,
+                for p in numbering.domains[x]]
+        return BallArrow(
+            x, dst, perm, shown[x], shown[dst], self.union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
-                     ("p2", c2.loop_to_word(w2))), tables=tables)
-        vertex_arrows.setdefault(arrow.key, arrow)
-        # the edge atoms at this vertex are restrictions of the same map
-        for e in numbering.stars[x]:
-            edge_atoms.add((e, dst, gather(dom[e])(arrow.table)))
-    return DiscoveredAtoms([vertex_arrows[k] for k in sorted(vertex_arrows)],
-                           sorted(edge_atoms), radius, explore_radius, numbering)
+                     ("p2", c2.loop_to_word(w2))), tables=self.tables)
+
+    def edge_atoms(self, arrow) -> list:
+        dom = self.numbering.dom
+        return [(e, arrow.dst, gather(dom[e])(arrow.table))
+                for e in self.numbering.stars[arrow.src]]
+
+    def identity(self, x) -> BallArrow:
+        return BallArrow.identity(x, self.numbering.shown[x], self.union.vertices)
+
+    def system(self, g1, g2, alignment, groupoid, explore_radius, found) -> BallLocalSystem:
+        return BallLocalSystem(g1, g2, alignment, groupoid, self, explore_radius, found)
 
 
 class BallLocalSystem(LocalSystem):
     kind = "ball"
 
-    def __init__(self, g1, g2, union, groupoid, joint, alignment,
-                 radius, explore_radius, discovered, numbering: Numbering):
-        super().__init__(g1, g2, union, groupoid, numbering)
-        self.joint = joint
-        self.alignment = alignment
-        self.cover1 = alignment.c1
-        self.cover2 = alignment.c2
-        self.radius = radius
-        self.explore_radius = explore_radius
-        self.discovered = discovered
+    def __init__(self, g1, g2, alignment, groupoid, walk: BallKind, explore_radius,
+                 discovered):
+        super().__init__(g1, g2, walk.union, groupoid, walk.numbering)
+        self.alignment, self.radius = alignment, walk.radius
+        self.cover1, self.cover2 = alignment.c1, alignment.c2
+        self.explore_radius, self.discovered = explore_radius, discovered
 
     def atom_serial(self, atom):
         """("atom", anchor dart, image dart, sorted (path, path) pairs)."""
@@ -175,65 +165,32 @@ class BallLocalSystem(LocalSystem):
             [(org[e], dom[e], y, r) for e, y, r in atoms], quote)
 
 
+def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
+                   radius: int, explore_radius: int) -> DiscoveredAtoms:
+    """Normalised restrictions of the alignment to balls and edge
+    neighbourhoods centred within the exploration radius: the ball kind's
+    walk on the alignment, resumed to that radius."""
+    if explore_radius < 0:
+        raise GraphError("exploration radius must be non-negative")
+    return BallKind.on(alignment, radius).within(alignment, explore_radius)
+
+
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
                       explore_radius=None, joint: JointBlocks = None,
                       alignment: TreeAlignment = None,
                       discovered: DiscoveredAtoms = None) -> BallLocalSystem:
-    """Saturate discovered ball atoms into a local system, checking axioms.
-
-    Raises ``AxiomError`` when the closure axioms fail at this exploration
-    radius or when a discovered edge atom is not reachable from the
-    identity atoms; callers retry with a larger radius.
-    """
-    if joint is None:
-        joint = joint_refinement(g1, g2)
-    if not joint.ok:
-        raise GraphError("no common universal cover")
-    if alignment is None:
-        alignment = align(g1, g2, joint)
-    if explore_radius is None:
-        explore_radius = radius + g1.diameter() + g2.diameter()
-    if discovered is None:
-        discovered = discover_atoms(g1, g2, alignment, radius, explore_radius)
-    union = joint.union
-    numbering = discovered.numbering
-    if numbering is None:
-        numbering = ball_numbering(union, alignment.c1, alignment.c2, radius)
-    shown = numbering.shown
-
-    def identity_factory(x):
-        return BallArrow(x, x, range(len(shown[x])), shown[x], shown[x], union.vertices)
-
-    groupoid = saturate(discovered.vertex_arrows, range(len(union.vertices)), identity_factory)
-    sys = BallLocalSystem(g1, g2, union, groupoid, joint, alignment,
-                          radius, explore_radius, discovered, numbering)
-    unreachable = [a for a in discovered.edge_atoms
-                   if a not in sys.atoms_by_anchor[a[0]]]
-    if unreachable:
-        serial = min(map(sys.atom_serial, unreachable))
-        raise AxiomError(
-            "closure axioms unmet at radius %d (edge atom %r unreachable)"
-            % (explore_radius, serial[1]),
-            radius=explore_radius, witness=serial)
-    report = sys.check_axioms()
-    if not report.ok:
-        raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
-                         % (explore_radius, report.detail),
-                         radius=explore_radius, witness=report.detail)
-    return sys
+    """The ball kind of ``build_aligned``, saturated from ``discovered`` if
+    given; an ``AxiomError`` asks the caller to retry at a larger radius."""
+    return build_aligned(BallKind, radius, g1, g2, explore_radius, joint, alignment,
+                         discovered)
 
 
 def build_ball_system_retrying(g1, g2, radius, explore_radius=None,
                                joint: JointBlocks = None) -> BallLocalSystem:
-    """``build_ball_system`` with doubling retries on axiom failure; the
-    retries share one joint refinement (computed unless given) and one
-    alignment, which each grows."""
-    if explore_radius is None:
-        explore_radius = radius + g1.diameter() + g2.diameter()
-    joint = joint or joint_refinement(g1, g2)
-    alignment = align(g1, g2, joint)
-    return retry_doubling(lambda rho: build_ball_system(
-        g1, g2, radius, rho, joint, alignment), explore_radius)
+    """``build_ball_system`` with doubling retries on axiom failure
+    (``build_aligned``); each attempt is one ``build_ball_system``."""
+    return build_aligned(BallKind, radius, g1, g2, explore_radius, joint,
+                         attempt=partial(build_ball_system, g1, g2, radius))
 
 
 def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:

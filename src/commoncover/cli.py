@@ -22,7 +22,7 @@ import sys as _sys
 from itertools import chain, count, islice, repeat
 from operator import add, itemgetter, lt, mod
 
-from .ball_system import build_ball_system_retrying, discover_atoms
+from .ball_system import build_ball_system_retrying
 from .bounds import bound_report
 from .cover_builder import AxiomError, Labels, build_cover, extract_certificate
 from .gluing import build_glued_cover
@@ -33,8 +33,7 @@ from .object_graphs import (ObjectGraph, SeedSpec, build_object_cover, close_sta
 from .oracle import brute_common_cover
 from .refinement import common_cover_exists
 from .regular import regular_common_cover
-from .star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
-                          build_star_system, build_star_system_retrying)
+from .star_system import STRATEGY_ALIGNED, STRATEGY_DR_FULL, build_star_system_retrying
 
 
 class SchemaError(GraphError):
@@ -528,6 +527,8 @@ def _write_cover(outdir, cover: Cover, fields) -> None:
 
 
 def cmd_build(args) -> int:
+    if args.based and args.backend != "ball":
+        raise GraphError("--based needs --backend ball")
     g1, g2 = load_graph(args.first), load_graph(args.second)
     ok, joint = common_cover_exists(g1, g2)
     if not ok:
@@ -542,19 +543,14 @@ def cmd_build(args) -> int:
         fields["strategy"] = args.strategy
     elif args.backend == "ball":
         system = build_ball_system_retrying(g1, g2, args.radius, args.explore, joint)
-        based_arrow = None
-        if args.based:
-            based_arrow = discover_atoms(g1, g2, system.alignment,
-                                         args.radius, 0).vertex_arrows[0]
         cover = build_cover(system, component=args.component,
-                            based_at=based_arrow)
+                            based_at=system.discovered.root if args.based else None)
         cert = extract_certificate(cover, system, args.certificate_radius,
                                    check_fixed_ball=args.based)
         fields["radius"] = args.radius
     else:
-        cover = build_glued_cover(g1, g2, args.radius, args.explore, args.component,
-                                  build_ball_system_retrying(
-                                      g1, g2, args.radius, args.explore, joint))
+        system = build_ball_system_retrying(g1, g2, args.radius, args.explore, joint)
+        cover = build_glued_cover(g1, g2, args.radius, args.explore, args.component, system)
         weights = cover.extra["weights"]
         fields.update(radius=args.radius, subdivided=cover.extra["subdivided"],
                       weights={"scale": weights.scale,

@@ -48,7 +48,10 @@ from typing import Iterable, Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      finish_cover, numbered_ids)
-from .groupoids import FiniteGroupoid, encoding, gather, keyed, lcm_all, marked, points
+from .groupoids import (FiniteGroupoid, encoding, gather, keyed, lcm_all, marked, points,
+                        saturate)
+from .refinement import joint_refinement
+from .universal_cover import align
 
 
 class AxiomError(Exception):
@@ -74,6 +77,91 @@ def retry_doubling(build, radius: int):
         except AxiomError:
             radius = 2 * radius or 1
     return build(radius)
+
+
+@dataclass
+class DiscoveredAtoms:
+    vertex_arrows: list            # the first arrow met per key, by key
+    edge_atoms: list               # atoms (anchor, target, positions), sorted
+    radius: int
+    explore_radius: int
+    root: object = None            # the arrow met at the root
+
+
+class Kind:
+    """A kind of local system of ``build_aligned`` and its walk on one
+    alignment.  A kind gives the arrow an alignment induces at a tree vertex
+    (``arrow_at``), the ``edge_atoms`` it restricts to, ``identity`` and its
+    ``system``.  ``within(alignment, rho)`` walks ``c1.layers(rho)``, a
+    prefix of ``layers(2 rho)``, and keeps the first arrow met per key with
+    its depth: a walk resumed from rho to 2 rho meets what a walk from
+    scratch meets.  An alignment keeps one walk per kind and radius
+    (``on``); the walk holds no reference back, so they form no cycle."""
+
+    def __init__(self, alignment, radius: int):
+        self.radius, self.union = radius, alignment.joint.union
+        self.first = {}            # key -> (depth, arrow): the first arrow met per key
+        self.walked, self.visited = -1, 0       # the radius walked, its tree vertices
+
+    @classmethod
+    def on(cls, alignment, radius: int) -> "Kind":
+        walks, key = alignment.walks, (cls, radius)
+        if key not in walks:
+            walks[key] = cls(alignment, radius)
+        return walks[key]
+
+    def edge_atoms(self, arrow) -> Iterable:
+        return ()
+
+    def within(self, alignment, explore_radius: int) -> DiscoveredAtoms:
+        first = self.first
+        if explore_radius > self.walked:
+            alignment.ensure_radius(explore_radius + self.radius)
+            layers = alignment.c1.layers(explore_radius)
+            for z in layers[self.visited:]:
+                arrow = self.arrow_at(alignment, z)
+                first.setdefault(arrow.key, (len(z), arrow))
+            self.walked, self.visited = explore_radius, len(layers)
+        arrows = [first[k][1] for k in sorted(first) if first[k][0] <= explore_radius]
+        edge_atoms = sorted(set(chain.from_iterable(map(self.edge_atoms, arrows))))
+        return DiscoveredAtoms(arrows, edge_atoms, self.radius, explore_radius,
+                               next(iter(first.values()))[1])
+
+
+def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
+                  joint=None, alignment=None, found: DiscoveredAtoms = None,
+                  attempt=None) -> LocalSystem:
+    """A local system of a ``kind`` and ``radius``, by stages: the joint check,
+    the alignment, the exploration radius (``radius + diam g1 + diam g2`` by
+    default), the kind's walk (unless ``found``), saturation, the system, the
+    reachability of the edge atoms found and the closure axioms, the last two
+    raising ``AxiomError``.  With ``attempt``, ``attempt(rho, joint,
+    alignment)`` builds instead, rho doubled after each ``AxiomError``."""
+    joint = joint or joint_refinement(g1, g2)
+    if not joint.ok:
+        raise GraphError("no common universal cover")
+    alignment = alignment or align(g1, g2, joint)
+    if explore_radius is None:
+        explore_radius = radius + g1.diameter() + g2.diameter()
+    if explore_radius < 0:
+        raise GraphError("exploration radius must be non-negative")
+    if attempt is not None:
+        return retry_doubling(lambda rho: attempt(rho, joint, alignment), explore_radius)
+    walk = kind.on(alignment, radius)
+    found = found or walk.within(alignment, explore_radius)
+    groupoid = saturate(found.vertex_arrows, range(len(walk.union.vertices)), walk.identity)
+    sys = walk.system(g1, g2, alignment, groupoid, explore_radius, found)
+    unreachable = [a for a in found.edge_atoms if a not in sys.atoms_by_anchor[a[0]]]
+    if unreachable:
+        serial = min(map(sys.atom_serial, unreachable))
+        raise AxiomError("closure axioms unmet at radius %d (edge atom %r unreachable)"
+                         % (explore_radius, serial[1]), radius=explore_radius, witness=serial)
+    report = sys.check_axioms()
+    if not report.ok:
+        raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
+                         % (explore_radius, report.detail),
+                         radius=explore_radius, witness=report.detail)
+    return sys
 
 
 @dataclass

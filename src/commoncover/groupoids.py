@@ -158,6 +158,10 @@ class PermArrow:
     def __repr__(self):
         return "%s%r" % (type(self).__name__, self.key)
 
+    @classmethod
+    def identity(cls, x: int, domain: tuple, names: tuple) -> "PermArrow":
+        return cls(x, x, range(len(domain)), domain, domain, names)
+
     @property
     def pairs(self) -> tuple:
         """(element, image) pairs in domain order."""

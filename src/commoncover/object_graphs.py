@@ -395,12 +395,8 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSyste
         *map(x2.edge_objects.__getitem__, x2.graph.darts)])
     arrows = [_check_star_map(x1, x2, s, numbering) if isinstance(s, SeedSpec) else s
               for s in seeds]
-    domains = numbering.domains
-
-    def identity_factory(x):
-        return StarMapArrow(x, x, range(len(domains[x])), domains[x], domains[x], union.vertices)
-
-    groupoid = saturate(arrows, range(len(union.vertices)), identity_factory)
+    groupoid = saturate(arrows, range(len(union.vertices)), lambda x: StarMapArrow.identity(
+        x, numbering.domains[x], union.vertices))
     sys = ObjectLocalSystem(x1, x2, union, groupoid, numbering)
     for dart, name in enumerate(union.darts):
         if list(sys.atoms_by_anchor[dart].values()).count(dart) > ISOTROPY_CAP:

@@ -16,13 +16,14 @@ Two construction strategies sit behind one interface:
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import factorial, prod
 
-from .cover_builder import AxiomError, Numbering, LocalSystem, retry_doubling
+from .cover_builder import AxiomError, Kind, LocalSystem, Numbering, build_aligned
 from .graphs import BudgetExceeded, Graph, GraphError
-from .groupoids import FiniteGroupoid, PermArrow, saturate
+from .groupoids import FiniteGroupoid, PermArrow
 from .refinement import JointBlocks, joint_refinement
-from .universal_cover import TreeAlignment, align
+from .universal_cover import TreeAlignment
 
 STRATEGY_DR_FULL = "dr_full"
 STRATEGY_ALIGNED = "aligned"
@@ -37,13 +38,6 @@ class StarArrow(PermArrow):
     __slots__ = ()
     tag = "star"
     bij = PermArrow.pairs
-
-
-def _identity_arrow(union: Graph):
-    def factory(x):
-        star = union.star(union.vertices[x])
-        return StarArrow(x, x, range(len(star)), star, star, union.vertices)
-    return factory
 
 
 def star_numbering(union: Graph) -> Numbering:
@@ -130,67 +124,55 @@ def induced_star_map(alignment: TreeAlignment, z, union: Graph) -> StarArrow:
     return StarArrow(x, dst, perm, union.star(names[x]), union.star(names[dst]), names)
 
 
-def _aligned_atoms(alignment: TreeAlignment, explore_radius: int,
-                   union: Graph) -> list:
-    alignment.ensure_radius(explore_radius + 1)
-    seen = {}
-    for z in alignment.c1.layers(explore_radius):
-        arrow = induced_star_map(alignment, z, union)
-        seen.setdefault(arrow.key, arrow)
-    return [seen[k] for k in sorted(seen)]
+class StarKind(Kind):
+    """The star maps the alignment induces (``induced_star_map``)."""
+
+    def arrow_at(self, alignment, z) -> StarArrow:
+        return induced_star_map(alignment, z, self.union)
+
+    def identity(self, x) -> StarArrow:
+        names = self.union.vertices
+        return StarArrow.identity(x, self.union.star(names[x]), names)
+
+    def system(self, g1, g2, alignment, groupoid, explore_radius, found) -> StarLocalSystem:
+        return StarLocalSystem(g1, g2, self.union, groupoid, alignment.joint,
+                               STRATEGY_ALIGNED, explore_radius, found.vertex_arrows)
 
 
 def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
                       explore_radius=None, joint: JointBlocks = None,
                       alignment: TreeAlignment = None) -> StarLocalSystem:
-    """Build the star-bijection local system for two connected graphs."""
+    """Build the star-bijection local system for two connected graphs; the
+    aligned strategy is the star kind of ``build_aligned``."""
     if joint is None:
         joint = joint_refinement(g1, g2)
     if not joint.ok:
         raise GraphError("no common universal cover")
+    if strategy == STRATEGY_ALIGNED:
+        return build_aligned(StarKind, 1, g1, g2, explore_radius, joint, alignment)
+    if strategy != STRATEGY_DR_FULL:
+        raise GraphError("unknown strategy: %r" % (strategy,))
     union = joint.union
     objects = range(len(union.vertices))
-    if strategy == STRATEGY_DR_FULL:
-        arrows = _dr_full_arrows(union, joint)
-        identities = {x: _identity_arrow(union)(x) for x in objects}
-        groupoid = FiniteGroupoid(tuple(objects),
-                                  tuple(sorted(set(arrows), key=lambda a: a.key)),
-                                  identities)
-        sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy)
-        report = sys.check_axioms()
-        if not report.ok:
-            raise AxiomError("complete star system failed its axioms at %r"
-                             % (report.detail,))
-        return sys
-    if strategy != STRATEGY_ALIGNED:
-        raise GraphError("unknown strategy: %r" % (strategy,))
-    if explore_radius is None:
-        explore_radius = 1 + g1.diameter() + g2.diameter()
-    if alignment is None:
-        alignment = align(g1, g2, joint)
-    atoms = _aligned_atoms(alignment, explore_radius, union)
-    groupoid = saturate(atoms, objects, _identity_arrow(union))
-    sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
-                          explore_radius, atoms)
-    sys.alignment = alignment
+    arrows = _dr_full_arrows(union, joint)
+    identities = {x: StarArrow.identity(x, union.star(union.vertices[x]), union.vertices)
+                  for x in objects}
+    groupoid = FiniteGroupoid(tuple(objects),
+                              tuple(sorted(set(arrows), key=lambda a: a.key)),
+                              identities)
+    sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy)
     report = sys.check_axioms()
     if not report.ok:
-        raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
-                         % (explore_radius, report.detail),
-                         radius=explore_radius, witness=report.detail)
+        raise AxiomError("complete star system failed its axioms at %r"
+                         % (report.detail,))
     return sys
 
 
 def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,
                                explore_radius=None, joint: JointBlocks = None):
-    """Aligned-strategy builder with doubling retries on axiom failure; the
-    retries share one joint refinement (computed unless given) and one
-    alignment, which each grows."""
+    """Aligned-strategy builder with doubling retries on axiom failure
+    (``build_aligned``); each attempt is one ``build_star_system``."""
     if strategy == STRATEGY_DR_FULL:
         return build_star_system(g1, g2, strategy, joint=joint)
-    if explore_radius is None:
-        explore_radius = 1 + g1.diameter() + g2.diameter()
-    joint = joint or joint_refinement(g1, g2)
-    alignment = align(g1, g2, joint)
-    return retry_doubling(lambda rho: build_star_system(
-        g1, g2, strategy, rho, joint, alignment), explore_radius)
+    return build_aligned(StarKind, 1, g1, g2, explore_radius, joint,
+                         attempt=partial(build_star_system, g1, g2, strategy))

@@ -845,8 +845,8 @@ def reference_spanning_tree(g: Graph, basepoint: int):
 
 
 def reference_frontier_walk(cover, radius: int) -> list:
-    """The frontier loop of ``star_system._aligned_atoms`` and
-    ``ball_system.discover_atoms``: tree vertices in visiting order."""
+    """The frontier loop of the discovery walk (``cover_builder.Kind.within``)
+    of the star and ball builds: tree vertices in visiting order."""
     order = []
     frontier = [()]
     layer = 0

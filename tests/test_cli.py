@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commoncover import families
+from commoncover import ball_system, families
+from commoncover.ball_system import BallKind
 from commoncover.cli import (SchemaError, _encoder, _graph_from_data, _write, build_parser,
                              dump_graph, dump_object_graph, load_graph, load_object_graph,
                              main, write_json)
+from commoncover.cover_builder import Kind
 from commoncover.gluing import subdivide_graph
 from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationError, validate_graph
 from commoncover.object_graphs import rotation_pair
@@ -865,6 +867,47 @@ def test_a_retried_build_writes_the_bytes_of_its_final_radius(tmp_path, pair, ba
         assert main(["build", *paths, *backend, "--explore", explore,
                      "-o", outs[explore]]) == 0
     assert _dir_bytes(outs["0"]) == _dir_bytes(outs[final])
+
+
+@pytest.mark.parametrize("backend", [
+    ["--backend", "star", "--strategy", "aligned"],
+    ["--backend", "ball", "-R", "1"],
+    ["--backend", "glue", "-R", "1"],
+], ids=["aligned", "ball", "glue"])
+def test_a_negative_exploration_radius_exits_two(tmp_path, capsys, backend):
+    th3 = _write_graph(tmp_path, "th3.json", families.theta(3))
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    assert main(["build", th3, k4, *backend, "--explore", "-1",
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "input error: exploration radius must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", [["--backend", "star"], ["--backend", "glue"]],
+                         ids=["star", "glue"])
+def test_based_needs_the_ball_backend(tmp_path, capsys, backend):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
+    out = str(tmp_path / "out")
+    assert main(["build", c3, c4, *backend, "--based", "-o", out]) == 2
+    assert "input error: --based needs --backend ball" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_based_build_walks_once(tmp_path, monkeypatch):
+    # the basepoint arrow is the one the build's walk met at the root
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    th3 = _write_graph(tmp_path, "th3.json", families.theta(3))
+    calls = []
+    for owner, name in ((Kind, "within"), (BallKind, "arrow_at"),
+                        (ball_system, "ball_numbering")):
+        def spy(*args, fn=getattr(owner, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(owner, name, spy)
+    assert main(["build", k4, th3, "--backend", "ball", "-R", "1", "--based",
+                 "-o", str(tmp_path / "out")]) == 0
+    # one numbering, one walk at the default radius 3: 1 + 3 + 6 + 12 tree vertices
+    assert calls == ["ball_numbering", "within"] + ["arrow_at"] * 22
 
 
 @pytest.mark.parametrize("maximum", ["0", "-1"])

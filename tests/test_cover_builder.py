@@ -1,4 +1,7 @@
+import gc
+
 import pytest
+from hypothesis import given
 
 from commoncover import families
 from commoncover.ball_system import (build_ball_system, build_ball_system_retrying,
@@ -10,9 +13,12 @@ from commoncover.object_graphs import close_star_maps, rotation_pair
 from commoncover.oracle import brute_common_cover, find_covering
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
-                                     build_star_system_retrying)
+                                     build_star_system_retrying, induced_star_map)
+from commoncover.universal_cover import TreeAlignment, align
 
-from conftest import corrupt_act, corrupt_compose, eps, substitute_composite
+from conftest import (corrupt_act, corrupt_compose, eps, reference_frontier_walk,
+                      substitute_composite)
+from test_differential import SEEDS, _settings, related_pair
 
 
 def test_star_backend_c3_c4_least_component_matches_oracle():
@@ -353,3 +359,77 @@ def test_retry_doubling_grows_a_zero_radius():
     with pytest.raises(AxiomError):
         retry_doubling(build, 0)
     assert radii == [0, 1, 2, 4, 8]
+
+
+def _aligned_star(g1, g2, rho):
+    return build_star_system_retrying(g1, g2, STRATEGY_ALIGNED, rho)
+
+
+def _ball(g1, g2, rho):
+    return build_ball_system_retrying(g1, g2, 1, rho)
+
+
+def _walked(sys) -> tuple:
+    """The (key, witness) of each arrow a system was saturated from, and
+    its edge atoms."""
+    found = sys.discovered if sys.kind == "ball" else None
+    arrows = found.vertex_arrows if found else sys.atom_arrows
+    return [(a.key, a.witness) for a in arrows], found.edge_atoms if found else []
+
+
+def _walked_from_scratch(sys) -> tuple:
+    """``_walked`` for a walk on a new alignment at the system's final radius:
+    ``discover_atoms`` for a ball system, the first induced star map per key
+    over the reference walk for a star system."""
+    g1, g2, rho = sys.g1, sys.g2, sys.explore_radius
+    alignment = align(g1, g2, joint_refinement(g1, g2))
+    if sys.kind == "ball":
+        found = discover_atoms(g1, g2, alignment, sys.radius, rho)
+        return [(a.key, a.witness) for a in found.vertex_arrows], found.edge_atoms
+    first = {}
+    for z in reference_frontier_walk(alignment.c1, rho):
+        arrow = induced_star_map(alignment, z, sys.union)
+        first.setdefault(arrow.key, arrow)
+    return [(first[k].key, first[k].witness) for k in sorted(first)], []
+
+
+@pytest.mark.parametrize("build,pair,applied", [
+    (_aligned_star, (families.theta(3), families.complete(4)), 40),
+    (_ball, (families.complete(4), families.theta(3)), 50),
+], ids=["star-aligned-theta3-k4", "ball-R1-k4-theta3"])
+def test_a_retry_resumes_the_walk(build, pair, applied, monkeypatch):
+    # explore 0 fails its axioms at 0 and 1 and holds at 2: a walk that
+    # restarted on each retry would evaluate the alignment 60 and 75 times
+    calls, apply = [], TreeAlignment.apply
+    monkeypatch.setattr(TreeAlignment, "apply", lambda self, z: calls.append(z) or apply(self, z))
+    sys = build(*pair, 0)
+    retried, calls[:] = len(calls), []
+    assert sys.explore_radius == 2
+    assert _walked(build(*pair, 2)) == _walked(sys)
+    assert retried == len(calls) == applied
+    assert _walked(sys) == _walked_from_scratch(sys)
+
+
+@_settings(20)
+@given(SEEDS)
+def test_a_resumed_walk_is_a_walk_from_scratch(seed):
+    g1, g2, _ = related_pair(seed)
+    for build in (_aligned_star, _ball):
+        sys = build(g1, g2, 0)
+        assert _walked(sys) == _walked_from_scratch(sys)
+
+
+@pytest.mark.parametrize("build,pair", [
+    (_aligned_star, (families.theta(3), families.complete(4))),
+    (_ball, (families.complete(4), families.theta(3))),
+], ids=["star-aligned", "ball-R1"])
+def test_a_build_leaves_no_reference_cycle(build, pair):
+    # an alignment keeps its walks, and a walk keeps no reference back: a
+    # built system is freed by reference counting, not by the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        build(*pair, None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
