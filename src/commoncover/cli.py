@@ -296,20 +296,14 @@ def _raise_bad_entry(vs, ds, where):
 
 
 def dump_graph(g: Graph) -> dict:
-    def vertex(v):
-        out = {"id": v}
-        if v in g.vertex_colour:
-            out["colour"] = g.vertex_colour[v]
+    def record(out, colours):
+        if out["id"] in colours:
+            out["colour"] = colours[out["id"]]
         return out
 
-    def dart(d):
-        out = {"id": d, "reverse": g.reverse[d], "from": g.origin[d]}
-        if d in g.dart_colour:
-            out["colour"] = g.dart_colour[d]
-        return out
-
-    return {"vertices": [vertex(v) for v in g.vertices],
-            "darts": [dart(d) for d in g.darts]}
+    return {"vertices": [record({"id": v}, g.vertex_colour) for v in g.vertices],
+            "darts": [record({"id": d, "reverse": g.darts[r], "from": g.vertices[o]},
+                             g.dart_colour) for d, r, o in zip(g.darts, g.rev, g.org)]}
 
 
 def _colour_column(ids, colours):
@@ -356,29 +350,23 @@ def _is_id_table(table) -> bool:
 
 
 def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
-    """The map of a morphism file, as index tables built through the target
-    index in source-id order; the decoded tables are not kept.  A key that
-    is not a source id is an input error.  Where an image is missing or not
-    a target id, the ``GraphMorphism`` constructor keeps the tables, so
-    that its violations name the bad entries."""
+    """The map of a morphism file, converted into index tables by the
+    ``GraphMorphism`` constructor; the decoded tables are not kept.  A key
+    that is not a source id is an input error.  An image that is missing or
+    not a target id is -1 in the tables, and the violations name it."""
     data = _read_json(path)
     _expect(isinstance(data, dict) and _is_id_table(data.get("vmap"))
             and _is_id_table(data.get("dmap")), path,
             "needs vmap and dmap objects of string ids")
-    vmap, dmap = data["vmap"], data["dmap"]
-    vindex, dindex = target.index()
-    vm = list(map(vindex.get, map(vmap.get, source.vertices), repeat(-1)))
-    dm = list(map(dindex.get, map(dmap.get, source.darts), repeat(-1)))
-    for name, table, ids, images in (("vmap", vmap, source.vertices, vm),
-                                     ("dmap", dmap, source.darts, dm)):
+    m = GraphMorphism(source, target, data["vmap"], data["dmap"])
+    for name, ids, images in (("vmap", source.vertices, m.vm), ("dmap", source.darts, m.dm)):
         # where every image is valid, every id is a key
+        table = data[name]
         keyed = len(ids) if -1 not in images else sum(map(table.__contains__, ids))
         if keyed < len(table):
             raise SchemaError("%s: %s key %r is not an id of the cover graph"
                               % (path, name, min(table.keys() - set(ids))))
-    if -1 in vm or -1 in dm:
-        return GraphMorphism(source, target, vmap, dmap)
-    return GraphMorphism.from_tables(source, target, vm, dm)
+    return m
 
 
 # -- object graphs on disk -------------------------------------------------------
@@ -419,11 +407,11 @@ def load_object_graph(path: str) -> ObjectGraph:
         _expect(isinstance(name, str) and name in objects, path,
                 "vertex %r has no object" % v)
         vobj[v] = objects[name]
-    for d in g.darts:
+    for d, r in zip(g.darts, g.rev):
         name = data["edge_objects"].get(d)
         _expect(isinstance(name, str) and name in objects, path,
                 "dart %r has no object" % d)
-        _expect(data["edge_objects"].get(g.reverse[d]) == name, path,
+        _expect(data["edge_objects"].get(g.darts[r]) == name, path,
                 "dart %r and its reverse name different objects" % d)
         eobj[d] = objects[name]
         entry = data["edge_morphisms"].get(d)
@@ -660,15 +648,16 @@ def cmd_export_dot(args) -> int:
         if v in g.vertex_colour:
             attrs = " [color=%s]" % _dot_id(g.vertex_colour[v])
         lines.append("  %s%s;" % (_dot_id(v), attrs))
+    origin, reverse = g.origin, g.reverse
     for d in g.edge_reps():
-        rd = g.reverse[d]
+        rd = reverse[d]
         attrs = []
         if d in g.dart_colour:
             attrs.append("taillabel=%s" % _dot_id(g.dart_colour[d]))
         if rd in g.dart_colour:
             attrs.append("headlabel=%s" % _dot_id(g.dart_colour[rd]))
         suffix = " [%s]" % ", ".join(attrs) if attrs else ""
-        lines.append("  %s -- %s%s;" % (_dot_id(g.origin[d]), _dot_id(g.head(d)), suffix))
+        lines.append("  %s -- %s%s;" % (_dot_id(origin[d]), _dot_id(origin[rd]), suffix))
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -152,6 +152,11 @@ def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
     groupoid = saturate(found.vertex_arrows, range(len(walk.union.vertices)), walk.identity)
     sys = walk.system(g1, g2, alignment, groupoid, explore_radius, found)
     unreachable = [a for a in found.edge_atoms if a not in sys.atoms_by_anchor[a[0]]]
+    headless = [a[0] for a in unreachable if sys.atom_image(a) is None]
+    if headless:
+        detail = _NO_IMAGE % (walk.union.darts[min(headless)],)
+        raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
+                         % (explore_radius, detail), radius=explore_radius, witness=detail)
     if unreachable:
         serial = min(map(sys.atom_serial, unreachable))
         raise AxiomError("closure axioms unmet at radius %d (edge atom %r unreachable)"
@@ -571,7 +576,7 @@ class Numbering:
     * ``bar_slots[e]``: for each index of ``dom[reverse e]``, the index of
       ``dom[e]`` that transports to it;
     * ``shown[x]``: the domain as the serials write it; the domain itself
-      unless the system renders it (``ball_numbering``).
+      unless the system renders it (``ball_numbering``, ``star_numbering``).
     """
 
     def __init__(self, union: Graph, domains: list, neighbourhood, head, across):

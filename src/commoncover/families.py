@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, sort_graph
 
 
 def _from_edges(n_vertices, edges, loops=()):
-    """Build a graph from (u, v) index pairs; loops is a list of vertex indices."""
-    vertices = ["v%02d" % i for i in range(n_vertices)]
-    darts, origin, reverse = [], {}, {}
-    for k, (u, v) in enumerate(list(edges) + [(w, w) for w in loops]):
-        a, b = "e%02d.a" % k, "e%02d.b" % k
-        darts += [a, b]
-        origin[a], origin[b] = vertices[u], vertices[v]
-        reverse[a], reverse[b] = b, a
-    return Graph(vertices, darts, origin, reverse)
+    """Build a graph from (u, v) index pairs; loops is a list of vertex
+    indices.  Edge k has the darts e<k>.a from u and e<k>.b from v."""
+    ends = [x for edge in [*edges, *((w, w) for w in loops)] for x in edge]
+    return sort_graph(["v%02d" % i for i in range(n_vertices)],
+                      ["e%02d.%s" % (k >> 1, "ab"[k & 1]) for k in range(len(ends))],
+                      ends, [k ^ 1 for k in range(len(ends))])[0]
 
 
 def cycle(n: int) -> Graph:
@@ -48,5 +45,5 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 
 def with_vertex_colour(g: Graph, colours: dict) -> Graph:
-    return Graph(g.vertices, g.darts, g.origin, g.reverse,
-                 {**g.vertex_colour, **colours}, g.dart_colour)
+    return Graph.from_tables(g.vertices, g.darts, g.org, g.rev,
+                             {**g.vertex_colour, **colours}, g.dart_colour)

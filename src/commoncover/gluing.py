@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .ball_system import build_ball_system_retrying
 from .cover_builder import LocalSystem, pulled_colours
 from .graphs import (Cover, Graph, GraphMorphism, VerificationError,
-                     finish_cover, numbered_ids)
+                     finish_cover, numbered_ids, sort_graph)
 from .groupoids import lcm_all
 
 
@@ -172,8 +173,12 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
 @dataclass
 class SubdivisionInfo:
     graph: Graph                    # the subdivided graph
-    midpoints: set
-    original_dart: dict             # outward sub-dart -> original dart
+    vertex_of: list                 # vertex -> its original vertex, -1 at a midpoint
+    dart_of: list                   # outward dart -> its original dart, -1 on the others
+
+    @property
+    def midpoints(self) -> set:
+        return {v for v, x in zip(self.graph.vertices, self.vertex_of) if x < 0}
 
 
 def subdivide_graph(g: Graph) -> SubdivisionInfo:
@@ -181,62 +186,60 @@ def subdivide_graph(g: Graph) -> SubdivisionInfo:
 
     Each original dart e from u yields an outward dart e.o from u to the
     midpoint and its reversal e.i back; darts keep their colours on the
-    outward half.
+    outward half.  The midpoint of the edge of least dart e is m.e, or,
+    where that is a vertex id, the first of m.e', m.e'', ... that is no id.
     """
-    vertices = list(g.vertices)
-    midpoints = {}
-    for d in g.edge_reps():
-        midpoints[d] = "m.%s" % d
-    vertices += sorted(midpoints.values())
-    darts, origin, reverse, dcol = [], {}, {}, {}
-    for d in g.darts:
-        rep = min(d, g.reverse[d])
-        out_d, in_d = d + ".o", d + ".i"
-        darts += [out_d, in_d]
-        origin[out_d] = g.origin[d]
-        origin[in_d] = midpoints[rep]
-        reverse[out_d], reverse[in_d] = in_d, out_d
-        if d in g.dart_colour:
-            dcol[out_d] = g.dart_colour[d]
-    sub = Graph(vertices, darts, origin, reverse, dict(g.vertex_colour), dcol)
-    return SubdivisionInfo(sub, set(midpoints.values()),
-                           {d + ".o": d for d in g.darts})
+    n, org, rev = len(g.vertices), g.org, g.rev
+    reps = [d for d, r in enumerate(rev) if d < r]
+    midpoints = ["m." + g.darts[d] for d in reps]
+    vertex_ids = set(g.vertices)
+    taken = vertex_ids.union(midpoints)
+    mid = [-1] * len(rev)
+    for k, d in enumerate(reps):
+        if midpoints[k] in vertex_ids:
+            while midpoints[k] in taken:
+                midpoints[k] += "'"
+            taken.add(midpoints[k])
+        mid[d] = mid[rev[d]] = n + k
+    darts = [d + half for d in g.darts for half in (".o", ".i")]
+    sub, vorder, dorder = sort_graph(
+        [*g.vertices, *midpoints], darts, [v for d, u in enumerate(org) for v in (u, mid[d])],
+        [k ^ 1 for k in range(len(darts))], g.vertex_colour,
+        {d + ".o": c for d, c in g.dart_colour.items()})
+    return SubdivisionInfo(sub, [k if k < n else -1 for k in vorder],
+                           [-1 if k & 1 else k >> 1 for k in dorder])
 
 
 def contract_subdivided(glued: Cover, info1: SubdivisionInfo,
                         info2: SubdivisionInfo, g1: Graph, g2: Graph,
                         component: str = "least") -> Cover:
     """Contract the midpoint fibres of a cover of two subdivided graphs,
-    producing coverings of the original graphs."""
+    producing coverings of the original graphs: the vertices over original
+    vertices and the darts over outward darts stay, and the two darts into
+    a midpoint of the cover become each other's reversal."""
     cover, mu1, mu2 = glued.graph, glued.mu1, glued.mu2
-    keep_vertices = []
-    mid_vertices = []
-    for v in cover.vertices:
-        over_mid1 = mu1.vmap[v] in info1.midpoints
-        over_mid2 = mu2.vmap[v] in info2.midpoints
-        if over_mid1 != over_mid2:
+    over1, over2 = ([info.vertex_of[x] for x in mu.vm] for info, mu in ((info1, mu1), (info2, mu2)))
+    for v, x1, x2 in zip(cover.vertices, over1, over2):
+        if (x1 < 0) != (x2 < 0):
             raise VerificationError("midpoint fibres disagree at %r" % (v,))
-        (mid_vertices if over_mid1 else keep_vertices).append(v)
-    kept_darts = [d for d in cover.darts if mu1.dmap[d] in info1.original_dart]
-    new_reverse = {}
-    for w in mid_vertices:
-        ds = cover.star(w)
-        if len(ds) != 2:
-            raise VerificationError("midpoint degree")
-        a, b = cover.reverse[ds[0]], cover.reverse[ds[1]]
-        new_reverse[a], new_reverse[b] = b, a
-    keep_set, kept_set = set(keep_vertices), set(kept_darts)
-    graph = Graph(keep_vertices, kept_darts,
-                  {d: cover.origin[d] for d in kept_darts},
-                  new_reverse,
-                  {v: c for v, c in cover.vertex_colour.items() if v in keep_set},
-                  {d: c for d, c in cover.dart_colour.items() if d in kept_set})
-    out1 = GraphMorphism(graph, g1,
-                         {v: mu1.vmap[v] for v in keep_vertices},
-                         {d: info1.original_dart[mu1.dmap[d]] for d in kept_darts})
-    out2 = GraphMorphism(graph, g2,
-                         {v: mu2.vmap[v] for v in keep_vertices},
-                         {d: info2.original_dart[mu2.dmap[d]] for d in kept_darts})
+    rev, stars, new_rev = cover.rev, cover.stars(), [-1] * len(cover.darts)
+    for w, x in enumerate(over1):
+        if x < 0:
+            if len(stars[w]) != 2:
+                raise VerificationError("midpoint degree")
+            a, b = rev[stars[w][0]], rev[stars[w][1]]
+            new_rev[a], new_rev[b] = b, a
+    kv = [k for k, x in enumerate(over1) if x >= 0]
+    kd = [k for k, x in enumerate(mu1.dm) if info1.dart_of[x] >= 0]
+    vnew, dnew = dict(zip(kv, count())), dict(zip(kd, count()))
+    # only vertices over original vertices and darts over outward darts
+    # have colours, and they stay
+    graph = Graph.from_tables([cover.vertices[k] for k in kv], [cover.darts[k] for k in kd],
+                              [vnew[cover.org[k]] for k in kd], [dnew[new_rev[k]] for k in kd],
+                              cover.vertex_colour, cover.dart_colour)
+    out1, out2 = (GraphMorphism.from_tables(graph, g, [over[k] for k in kv],
+                                            [info.dart_of[mu.dm[k]] for k in kd])
+                  for g, over, info, mu in ((g1, over1, info1, mu1), (g2, over2, info2, mu2)))
     return finish_cover(out1, out2, component, weights=glued.extra["weights"],
                         subdivided=True)
 

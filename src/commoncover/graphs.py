@@ -68,6 +68,13 @@ def _clashes(s_colour: dict, ids, t_colour: dict, images) -> set:
     return {i for i in _differ(sc, tc) if sc[i] is not None and tc[i] is not None}
 
 
+def _rendered(ids, table: list, names: tuple) -> dict:
+    """id -> the name at its index in ``table``, where that is not -1."""
+    if -1 in table:
+        return {i: names[t] for i, t in zip(ids, table) if t >= 0}
+    return dict(zip(ids, map(names.__getitem__, table)))
+
+
 def _inverse(perm: list) -> list:
     """The inverse of a permutation of ``range(len(perm))``."""
     inv = [0] * len(perm)
@@ -97,71 +104,75 @@ def _degrees(org: list, n: int) -> list:
 class Graph:
     """A finite multigraph in the dart model.
 
-    The graph is held as index tables: vertex and dart i are the i-th
-    identifiers in sorted order, ``org[i]`` and ``rev[i]`` are the indices
-    of the origin and the reversal of dart i (-1 where that is missing or
-    not a vertex or dart), and, once ``_star_tables`` has built them, the
-    star of vertex v holds the darts ``_order[_first[v]:_first[v + 1]]``.
-    The whole-table checks below run on the index tables, with no Python
-    step per dart.  ``origin`` and ``reverse`` (dart id -> id) are views:
-    the constructor keeps the dicts it is given, and a graph made by
-    ``from_tables`` renders them from the tables on first use.  A caller
-    that reads them once per dart binds them to a local first.
+    A graph is its index tables: vertex and dart i are the i-th identifiers
+    in sorted order, ``org[i]`` and ``rev[i]`` are the indices of the origin
+    and the reversal of dart i (-1 where that is missing or not a vertex or
+    dart), and, once ``_star_tables`` has built them, the star of vertex v
+    holds the darts ``_order[_first[v]:_first[v + 1]]``.  The whole-table
+    checks below run on the index tables, with no Python step per dart.
+    ``origin`` and ``reverse`` (dart id -> id) are views rendered from the
+    tables on each use, for output and messages.
 
-    The constructor is permissive: it accepts structurally broken data
-    (non-involutive reversal, missing origins) so that ``validate_graph``
-    can report violations instead of crashing.  All operations other than
-    validation assume a valid graph.
+    The constructor is the one converter from id dicts.  It is permissive:
+    it accepts structurally broken data (non-involutive reversal, missing
+    origins) so that ``validate_graph`` can report violations instead of
+    crashing, and keeps the given entries of the darts whose tables hold -1
+    for those messages.  All operations other than validation assume a
+    valid graph.
     """
 
-    __slots__ = ("vertices", "darts", "_origin", "_reverse", "vertex_colour",
-                 "dart_colour", "org", "rev", "_index", "_order", "_first", "_star", "_stars")
+    __slots__ = ("vertices", "darts", "vertex_colour", "dart_colour", "org", "rev",
+                 "_given", "_index", "_order", "_first", "_stars")
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
-        self.vertices = tuple(sorted(vertices))
-        vindex = _positions(self.vertices)
-        if len(vindex) != len(self.vertices):
+        vertices, darts = tuple(sorted(vertices)), tuple(sorted(darts))
+        vindex, dindex = _positions(vertices), _positions(darts)
+        if len(vindex) != len(vertices):
             raise GraphError("duplicate vertex identifiers")
-        self.darts = tuple(sorted(darts))
-        dindex = _positions(self.darts)
-        if len(dindex) != len(self.darts):
+        if len(dindex) != len(darts):
             raise GraphError("duplicate dart identifiers")
-        self._origin = dict(origin)
-        self._reverse = dict(reverse)
-        self.org = list(map(vindex.get, map(self._origin.get, self.darts), repeat(-1)))
-        self.rev = list(map(dindex.get, map(self._reverse.get, self.darts), repeat(-1)))
-        self.vertex_colour = dict(vertex_colour or {})
-        self.dart_colour = dict(dart_colour or {})
-        self._index = vindex, dindex
-        self._order = self._first = self._star = self._stars = None
+        froms, tos = list(map(origin.get, darts)), list(map(reverse.get, darts))
+        org = list(map(vindex.get, froms, repeat(-1)))
+        rev = list(map(dindex.get, tos, repeat(-1)))
+        broken = {*_equal_to(org, -1), *_equal_to(rev, -1)}
+        self._set(vertices, darts, org, rev, vertex_colour, dart_colour,
+                  {i: (froms[i], tos[i]) for i in broken} or None, (vindex, dindex))
 
     @classmethod
     def from_tables(cls, vertices, darts, org, rev,
                     vertex_colour=None, dart_colour=None) -> "Graph":
         """The graph on sorted, distinct ``vertices`` and ``darts`` whose
         dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``;
-        the tables must hold valid indices.  No dict of ids is built."""
+        the tables must hold valid indices."""
         g = cls.__new__(cls)
-        g.vertices, g.darts, g.org, g.rev = tuple(vertices), tuple(darts), org, rev
-        g.vertex_colour = dict(vertex_colour or {})
-        g.dart_colour = dict(dart_colour or {})
-        g._origin = g._reverse = g._index = g._order = g._first = g._star = g._stars = None
+        g._set(tuple(vertices), tuple(darts), org, rev, vertex_colour, dart_colour, None, None)
         return g
+
+    def _set(self, vertices, darts, org, rev, vertex_colour, dart_colour, given, index):
+        self.vertices, self.darts, self.org, self.rev = vertices, darts, org, rev
+        self.vertex_colour = dict(vertex_colour or {})
+        self.dart_colour = dict(dart_colour or {})
+        self._given, self._index = given, index
+        self._order = self._first = self._stars = None
+
+    def _view(self, table: list, names: tuple, given: int) -> dict:
+        """dart id -> the name at its index in ``table``; where that is -1,
+        the entry the constructor was given, if any."""
+        view = _rendered(self.darts, table, names)
+        view.update((self.darts[i], self._given[i][given]) for i in _equal_to(table, -1)
+                    if self._given[i][given] is not None)
+        return view
 
     @property
     def origin(self) -> dict:
         """dart id -> the id of its origin."""
-        if self._origin is None:
-            self._origin = dict(zip(self.darts, map(self.vertices.__getitem__, self.org)))
-        return self._origin
+        return self._view(self.org, self.vertices, 0)
 
     @property
     def reverse(self) -> dict:
         """dart id -> the id of its reversal."""
-        if self._reverse is None:
-            self._reverse = dict(zip(self.darts, map(self.darts.__getitem__, self.rev)))
-        return self._reverse
+        return self._view(self.rev, self.darts, 1)
 
     def index(self) -> tuple:
         """(vertex id -> index, dart id -> index), built on first use."""
@@ -189,24 +200,17 @@ class Graph:
 
     def star(self, v: str) -> tuple:
         """Sorted darts with origin ``v``."""
-        if self._star is None:
-            order, first = self._star_tables()
-            names = tuple(map(self.darts.__getitem__, order))
-            self._star = dict(zip(self.vertices, map(names.__getitem__, map(
-                slice, first, islice(first, 1, None)))))
-        if v not in self._star:
+        i = self.index()[0].get(v)
+        if i is None:
             raise GraphError("vertex not in graph: %r" % (v,))
-        return self._star[v]
+        return tuple(map(self.darts.__getitem__, self.stars()[i]))
 
     def degree(self, v: str) -> int:
         return len(self.star(v))
 
     def head(self, d: str) -> str:
         """Terminal vertex of a dart: origin of its reversal."""
-        try:
-            return self._origin[self._reverse[d]]
-        except TypeError:       # a view not rendered yet
-            return self.origin[self.reverse[d]]
+        return self.vertices[self.org[self.rev[self.index()[1][d]]]]
 
     def edge_reps(self) -> tuple:
         """One canonical dart (the smaller identifier) per geometric edge."""
@@ -214,14 +218,11 @@ class Graph:
         return tuple(compress(self.darts, map(le, count(), self.rev)))
 
     def canonical(self) -> tuple:
-        """Canonical nested-tuple form, used for equality and serialization."""
-        origin, reverse = self.origin, self.reverse
-        return (
-            self.vertices,
-            tuple((d, reverse.get(d), origin.get(d),
-                   self.dart_colour.get(d)) for d in self.darts),
-            tuple((v, self.vertex_colour.get(v)) for v in self.vertices),
-        )
+        """Canonical form, used for equality: the tables, the entries kept
+        of a broken graph and the colours by index."""
+        return (self.vertices, self.darts, self.org, self.rev, self._given,
+                tuple(map(self.vertex_colour.get, self.vertices)),
+                tuple(map(self.dart_colour.get, self.darts)))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.canonical() == other.canonical()
@@ -335,18 +336,16 @@ def validate_graph(g: Graph) -> ValidationReport:
     failing.update(_where(map(eq, rev, index)))
     # rev[-1] stands in where a reversal is missing; that dart fails above
     failing.update(_differ(list(map(rev.__getitem__, rev)), index))
-    bad = []
+    bad, given = [], g._given or {}
     for i in sorted(failing):
         d, r = g.darts[i], rev[i]
-        v = g.origin.get(d)
-        if v is None:
-            bad.append("missing origin for dart %r" % d)
-        elif org[i] < 0:
-            bad.append("origin of dart %r is not a vertex: %r" % (d, v))
-        if g.reverse.get(d) is None:
-            bad.append("missing reversal for dart %r" % d)
-        elif r < 0:
-            bad.append("reversal of dart %r is not a dart: %r" % (d, g.reverse[d]))
+        v, w = given.get(i, (None, None))
+        if org[i] < 0:
+            bad.append("missing origin for dart %r" % d if v is None else
+                       "origin of dart %r is not a vertex: %r" % (d, v))
+        if r < 0:
+            bad.append("missing reversal for dart %r" % d if w is None else
+                       "reversal of dart %r is not a dart: %r" % (d, w))
         elif r == i:
             bad.append("fixed point of reversal: %r" % d)
         elif rev[r] != i:
@@ -358,41 +357,33 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 
 class GraphMorphism:
-    """A map of graphs given by vertex and dart tables: ``vmap`` and ``dmap``
-    by identifier, ``vm`` and ``dm`` by index (-1 where an image is missing
-    or not in the target)."""
+    """A map of graphs given by index tables: ``vm`` and ``dm`` (-1 where an
+    image is missing or not in the target).  The constructor converts id
+    dicts; ``vmap`` and ``dmap`` are views of the valid images by
+    identifier, rendered from the tables on each use."""
 
-    __slots__ = ("source", "target", "vm", "dm", "_vmap", "_dmap")
+    __slots__ = ("source", "target", "vm", "dm")
 
     def __init__(self, source: Graph, target: Graph, vmap: dict, dmap: dict):
-        self.source = source
-        self.target = target
-        self._vmap = dict(vmap)
-        self._dmap = dict(dmap)
         vindex, dindex = target.index()
-        self.vm = list(map(vindex.get, map(self._vmap.get, source.vertices), repeat(-1)))
-        self.dm = list(map(dindex.get, map(self._dmap.get, source.darts), repeat(-1)))
+        self.source, self.target = source, target
+        self.vm = list(map(vindex.get, map(vmap.get, source.vertices), repeat(-1)))
+        self.dm = list(map(dindex.get, map(dmap.get, source.darts), repeat(-1)))
 
     @classmethod
     def from_tables(cls, source: Graph, target: Graph, vm: list, dm: list) -> "GraphMorphism":
-        """The morphism with valid index tables ``vm`` and ``dm``; ``vmap``
-        and ``dmap`` are built on first use."""
+        """The morphism with the index tables ``vm`` and ``dm``."""
         m = cls.__new__(cls)
-        m.source, m.target, m.vm, m.dm, m._vmap, m._dmap = source, target, vm, dm, None, None
+        m.source, m.target, m.vm, m.dm = source, target, vm, dm
         return m
 
     @property
     def vmap(self) -> dict:
-        if self._vmap is None:
-            self._vmap = dict(zip(self.source.vertices,
-                                  map(self.target.vertices.__getitem__, self.vm)))
-        return self._vmap
+        return _rendered(self.source.vertices, self.vm, self.target.vertices)
 
     @property
     def dmap(self) -> dict:
-        if self._dmap is None:
-            self._dmap = dict(zip(self.source.darts, map(self.target.darts.__getitem__, self.dm)))
-        return self._dmap
+        return _rendered(self.source.darts, self.dm, self.target.darts)
 
     def violations(self) -> list:
         """Every failure to be a graph morphism, in the order: vertex images,
@@ -690,6 +681,22 @@ def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
     graph = Graph.from_tables(vertices, darts, org, rev, vcol, dcol)
     return FiberProduct(graph, GraphMorphism.from_tables(graph, g1, vm1, dm1),
                         GraphMorphism.from_tables(graph, g2, vm2, dm2))
+
+
+def sort_graph(vertices: list, darts: list, org: list, rev: list,
+               vertex_colour=None, dart_colour=None) -> tuple:
+    """The graph on distinct ids given in any order, with tables ``org`` and
+    ``rev`` of positions in those lists, as (graph, vorder, dorder): vertex k
+    of the graph is ``vertices[vorder[k]]`` and dart k is ``darts[dorder[k]]``."""
+    vorder = sorted(range(len(vertices)), key=vertices.__getitem__)
+    dorder = sorted(range(len(darts)), key=darts.__getitem__)
+    vpos, dpos = _inverse(vorder), _inverse(dorder)
+    graph = Graph.from_tables(list(map(vertices.__getitem__, vorder)),
+                              list(map(darts.__getitem__, dorder)),
+                              list(map(vpos.__getitem__, map(org.__getitem__, dorder))),
+                              list(map(dpos.__getitem__, map(rev.__getitem__, dorder))),
+                              vertex_colour, dart_colour)
+    return graph, vorder, dorder
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

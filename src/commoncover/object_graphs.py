@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import ne
 from typing import Optional
 
 from .cover_builder import AxiomError, LocalSystem, Numbering, build_cover
@@ -166,28 +167,28 @@ class ObjectGraph:
 
 
 def validate_object_graph(x: ObjectGraph):
-    report = validate_graph(x.graph)
-    bad = list(report.violations)
-    for v in x.graph.vertices:
-        if v not in x.vertex_objects:
-            bad.append("missing vertex object at %r" % (v,))
-    for d in x.graph.darts:
-        if d not in x.edge_objects:
+    g = x.graph
+    report = validate_graph(g)
+    bad = report.violations
+    bad += ["missing vertex object at %r" % (v,) for v in g.vertices
+            if v not in x.vertex_objects]
+    vobj = list(map(x.vertex_objects.get, g.vertices))
+    eobj = list(map(x.edge_objects.get, g.darts))
+    for d, obj, o, r in zip(g.darts, eobj, g.org, g.rev):
+        if obj is None:
             bad.append("missing edge object at %r" % (d,))
             continue
-        if x.edge_objects[d] != x.edge_objects.get(x.graph.reverse[d]):
+        if r < 0 or obj != eobj[r]:
             bad.append("edge objects differ across the reversal at %r" % (d,))
         m = x.edge_morphisms.get(d)
         if m is None:
             bad.append("missing edge morphism at %r" % (d,))
             continue
-        target = x.vertex_objects.get(x.graph.origin[d])
-        if target is not None:
-            errs = object_map_violations(x.edge_objects[d], target, m)
+        if o >= 0 and vobj[o] is not None:
+            errs = object_map_violations(obj, vobj[o], m)
             if errs:
                 bad.append("edge morphism not structure-preserving at %r: %s"
                            % (d, errs[0]))
-    report.violations = bad
     report.ok = not bad
     return report
 
@@ -325,8 +326,7 @@ class SeedSpec:
 def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
                     numbering: Numbering) -> StarMapArrow:
     g1, g2 = x1.graph, x2.graph
-    star_u = g1.star(seed.src)
-    if sorted(seed.dart_map) != list(star_u):
+    if sorted(seed.dart_map) != list(g1.star(seed.src)):
         raise SeedError("seed dart map must cover the source star exactly")
     if sorted(seed.dart_map.values()) != list(g2.star(seed.dst)):
         raise SeedError("seed dart map must hit the target star exactly")
@@ -422,29 +422,39 @@ class ObjectGraphMorphism:
 
 
 def verify_object_covering(f: ObjectGraphMorphism):
-    """Exhaustive check of the covering conditions; returns (ok, failure)."""
+    """Exhaustive check of the covering conditions; returns (ok, failure).
+
+    The maps, the objects and the two sides of the decoration squares are
+    rows by index, compared whole; every square is checked."""
     rep = is_covering(f.graph)
     if not rep.ok:
         return False, "underlying map: %s at %r" % (rep.reason, rep.witness)
-    x, y = f.source, f.target
-    for d in x.graph.darts:
-        if f.edge_morphisms.get(d) != f.edge_morphisms.get(x.graph.reverse[d]):
-            return False, "edge morphisms differ across the reversal at %r" % (d,)
-    for v in x.graph.vertices:
-        m = f.vertex_morphisms.get(v)
-        if m is None or not is_object_iso(x.vertex_objects[v],
-                                          y.vertex_objects[f.graph.vmap[v]], m):
-            return False, "vertex morphism at %r is not invertible" % (v,)
-    for d in x.graph.darts:
-        m = f.edge_morphisms.get(d)
-        if m is None or not is_object_iso(x.edge_objects[d],
-                                          y.edge_objects[f.graph.dmap[d]], m):
-            return False, "edge morphism at %r is not invertible" % (d,)
-        u = x.graph.origin[d]
-        left = obj_compose(f.vertex_morphisms[u], x.edge_morphisms[d])
-        right = obj_compose(y.edge_morphisms[f.graph.dmap[d]], m)
-        if left != right:
-            return False, "decoration square fails at dart %r" % (d,)
+    x, y, vm, dm = f.source, f.target, f.graph.vm, f.graph.dm
+    g, h = x.graph, y.graph
+    vmor = list(map(f.vertex_morphisms.get, g.vertices))
+    emor = list(map(f.edge_morphisms.get, g.darts))
+    differ = list(map(ne, emor, map(emor.__getitem__, g.rev)))
+    if True in differ:
+        return False, ("edge morphisms differ across the reversal at %r"
+                       % (g.darts[differ.index(True)],))
+    objects = list(map(y.vertex_objects.__getitem__, h.vertices))
+    iso = [m is not None and is_object_iso(obj, objects[w], m)
+           for obj, w, m in zip(map(x.vertex_objects.__getitem__, g.vertices), vm, vmor)]
+    if False in iso:
+        return False, "vertex morphism at %r is not invertible" % (g.vertices[iso.index(False)],)
+    objects = list(map(y.edge_objects.__getitem__, h.darts))
+    iso = [m is not None and is_object_iso(obj, objects[e], m)
+           for obj, e, m in zip(map(x.edge_objects.__getitem__, g.darts), dm, emor)]
+    # the squares of the darts before the first edge morphism that fails
+    n = iso.index(False) if False in iso else len(iso)
+    ymor = list(map(y.edge_morphisms.__getitem__, h.darts))
+    differ = list(map(ne, map(obj_compose, map(vmor.__getitem__, g.org[:n]),
+                              map(x.edge_morphisms.__getitem__, g.darts[:n])),
+                      map(obj_compose, map(ymor.__getitem__, dm[:n]), emor[:n])))
+    if True in differ:
+        return False, "decoration square fails at dart %r" % (g.darts[differ.index(True)],)
+    if n < len(iso):
+        return False, "edge morphism at %r is not invertible" % (g.darts[n],)
     return True, None
 
 

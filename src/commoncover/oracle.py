@@ -11,30 +11,28 @@ from math import lcm
 from typing import Optional
 
 from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism, VerificationError,
-                     is_covering)
+                     is_covering, sort_graph)
 
 
 def permutation_cover(g: Graph, degree: int, voltages: dict):
-    """Degree-m cover from a permutation per geometric edge representative."""
-    perms, g_origin, g_reverse = {}, g.origin, g.reverse
-    for rep in g.edge_reps():
-        sigma = voltages.get(rep, tuple(range(degree)))
-        perms[rep] = sigma
-        inv = [0] * degree
-        for i, j in enumerate(sigma):
-            inv[j] = i
-        perms[g_reverse[rep]] = tuple(inv)
-    vid = {(v, i): "%s@%d" % (v, i) for v in g.vertices for i in range(degree)}
-    did = {(d, i): "%s@%d" % (d, i) for d in g.darts for i in range(degree)}
-    origin = {did[(d, i)]: vid[(g_origin[d], i)] for d, i in did}
-    reverse = {did[(d, i)]: did[(g_reverse[d], perms[d][i])] for d, i in did}
-    vcol = {vid[(v, i)]: g.vertex_colour[v] for v, i in vid if v in g.vertex_colour}
-    dcol = {did[(d, i)]: g.dart_colour[d] for d, i in did if d in g.dart_colour}
-    cover = Graph(vid.values(), did.values(), origin, reverse, vcol, dcol)
-    proj = GraphMorphism(cover, g,
-                         {vid[k]: k[0] for k in vid},
-                         {did[k]: k[0] for k in did})
-    return cover, proj
+    """Degree-m cover, on the vertices v@i and darts d@i, from a permutation
+    sigma per geometric edge representative d (by id): d@i reverses to rev(d)@sigma(i)."""
+    m, rev = degree, g.rev
+    perms = [None] * len(rev)
+    for d, r in enumerate(rev):
+        if d < r:
+            sigma = voltages.get(g.darts[d], tuple(range(m)))
+            perms[d], perms[r] = sigma, sorted(range(m), key=sigma.__getitem__)
+    copies = range(m)
+    vids = ["%s@%d" % (v, i) for v in g.vertices for i in copies]
+    dids = ["%s@%d" % (d, i) for d in g.darts for i in copies]
+    vcol, dcol = [{"%s@%d" % (x, i): c for x, c in colour.items() for i in copies}
+                  for colour in (g.vertex_colour, g.dart_colour)]
+    cover, vorder, dorder = sort_graph(
+        vids, dids, [v * m + i for v in g.org for i in copies],
+        [r * m + perms[d][i] for d, r in enumerate(rev) for i in copies], vcol, dcol)
+    return cover, GraphMorphism.from_tables(cover, g, [k // m for k in vorder],
+                                            [k // m for k in dorder])
 
 
 def _non_tree_reps(g: Graph):
@@ -49,68 +47,68 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
     """Backtracking search for a covering morphism h -> target: depth first
     over an explicit stack, one budget unit per node, undone on backtracking.
 
-    Each node maps the first unmapped dart of ``h.darts`` whose origin is
-    mapped, taken from a heap of dart positions rather than a scan of
-    ``h.darts``, so a search that never backtracks costs O(n log n)."""
+    Each node maps the first unmapped dart (index) of h whose origin is
+    mapped, taken from a heap of dart indices rather than a scan of the
+    darts, so a search that never backtracks costs O(n log n)."""
     if not h.vertices:
         return None
     counter = budget
-    v0 = h.vertices[0]
-    position = {d: i for i, d in enumerate(h.darts)}
-    h_origin, h_reverse, t_reverse = h.origin, h.reverse, target.reverse
+    h_org, h_rev, h_stars = h.org, h.rev, h.stars()
+    t_org, t_rev, t_stars = target.org, target.rev, target.stars()
+    h_vc, t_vc, h_dc, t_dc = [list(map(colour.get, ids)) for colour, ids in (
+        (h.vertex_colour, h.vertices), (target.vertex_colour, target.vertices),
+        (h.dart_colour, h.darts), (target.dart_colour, target.darts))]
 
     def compatible(v, w):
-        if h.degree(v) != target.degree(w):
+        if len(h_stars[v]) != len(t_stars[w]):
             return False
-        cv = h.vertex_colour.get(v)
-        cw = target.vertex_colour.get(w)
+        cv, cw = h_vc[v], t_vc[w]
         return cv is None or cw is None or cv == cw
 
     def images(pending, vmap, dmap):
         # lazily, so each image is tested against the maps as they stand;
         # e must be unused in the star of v, and its reverse in that of w
-        v = h_origin[pending]
-        w = h_origin[h_reverse[pending]]
-        used = {dmap[x] for x in h.star(v) if x in dmap}
-        used_at_w = {dmap[x] for x in h.star(w) if x in dmap} if w in vmap else ()
-        hc = h.dart_colour.get(pending)
-        hrc = h.dart_colour.get(h_reverse[pending])
-        for e in target.star(vmap[v]):
+        v = h_org[pending]
+        w = h_org[h_rev[pending]]
+        used = {dmap[x] for x in h_stars[v] if x in dmap}
+        used_at_w = {dmap[x] for x in h_stars[w] if x in dmap} if w in vmap else ()
+        hc = h_dc[pending]
+        hrc = h_dc[h_rev[pending]]
+        for e in t_stars[vmap[v]]:
             if e in used:
                 continue
-            tc = target.dart_colour.get(e)
-            trc = target.dart_colour.get(t_reverse[e])
+            tc = t_dc[e]
+            trc = t_dc[t_rev[e]]
             if (hc is not None and tc is not None and hc != tc
                     or hrc is not None and trc is not None and hrc != trc):
                 continue
-            tw = target.head(e)
+            tw = t_org[t_rev[e]]
             if w in vmap:
-                if vmap[w] != tw or t_reverse[e] in used_at_w:
+                if vmap[w] != tw or t_rev[e] in used_at_w:
                     continue
             elif not compatible(w, tw):
                 continue
             yield e
 
     def pending_dart(frontier, vmap, dmap):
-        # the first unmapped dart of h.darts whose origin is mapped: the
-        # frontier heap holds every such dart's index, plus stale entries
-        # that are dropped here
+        # the first unmapped dart of h whose origin is mapped: the frontier
+        # heap holds every such dart, plus stale entries that are dropped here
         while frontier:
-            d = h.darts[frontier[0]]
-            if d not in dmap and h_origin[d] in vmap:
+            d = frontier[0]
+            if d not in dmap and h_org[d] in vmap:
                 return d
             heapq.heappop(frontier)
         return None
 
     def push_star(frontier, v):
-        for d in h.star(v):
-            heapq.heappush(frontier, position[d])
+        for d in h_stars[v]:
+            heapq.heappush(frontier, d)
 
-    for w0 in target.vertices:
-        if not compatible(v0, w0):
+    for w0 in range(len(target.vertices)):
+        if not compatible(0, w0):
             continue
-        vmap, dmap, stack, frontier = {v0: w0}, {}, [], []
-        push_star(frontier, v0)
+        vmap, dmap, stack, frontier = {0: w0}, {}, [], []
+        push_star(frontier, 0)
         while True:
             counter -= 1
             if counter < 0:
@@ -118,9 +116,10 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
             pending = pending_dart(frontier, vmap, dmap)
             if pending is not None:
                 stack.append((pending, images(pending, vmap, dmap),
-                              h.head(pending) not in vmap))
+                              h_org[h_rev[pending]] not in vmap))
             elif len(vmap) == len(h.vertices):
-                out = GraphMorphism(h, target, vmap, dmap)
+                out = GraphMorphism.from_tables(h, target, [vmap[v] for v in range(len(vmap))],
+                                                [dmap[d] for d in range(len(dmap))])
                 if not is_covering(out).ok:
                     raise VerificationError("oracle produced a non-covering morphism")
                 return out
@@ -128,19 +127,20 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
             # apply its next untried one, popping exhausted frames
             while stack:
                 pending, untried, fresh = stack[-1]
+                head = h_org[h_rev[pending]]
                 if pending in dmap:
-                    for d in (pending, h_reverse[pending]):
+                    for d in (pending, h_rev[pending]):
                         del dmap[d]
-                        heapq.heappush(frontier, position[d])
+                        heapq.heappush(frontier, d)
                 if fresh:
-                    vmap.pop(h.head(pending), None)
+                    vmap.pop(head, None)
                 e = next(untried, None)
                 if e is not None:
-                    vmap[h.head(pending)] = target.head(e)
+                    vmap[head] = t_org[t_rev[e]]
                     dmap[pending] = e
-                    dmap[h_reverse[pending]] = t_reverse[e]
+                    dmap[h_rev[pending]] = t_rev[e]
                     if fresh:
-                        push_star(frontier, h.head(pending))
+                        push_star(frontier, head)
                     break
                 stack.pop()
             else:

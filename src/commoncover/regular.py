@@ -21,50 +21,46 @@ from typing import Optional
 
 from . import families
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     compose_morphisms, finish_cover, is_covering, pullback)
+                     compose_morphisms, finish_cover, is_covering, pullback, sort_graph)
 
 
 def regularity(g: Graph) -> int:
-    degs = {g.degree(v) for v in g.vertices}
+    degs = set(map(len, g.stars()))
     if len(degs) != 1:
         raise GraphError("regular graph required")
     return degs.pop()
 
 
+def _ids(g: Graph, factors: list) -> list:
+    """Dart index sets as sets of dart ids."""
+    return [set(map(g.darts.__getitem__, factor)) for factor in factors]
+
+
 def euler_circuit(g: Graph, darts) -> list:
     """Hierholzer circuit over the geometric edges spanned by the darts.
 
-    The dart set must be reversal-closed and induce even degree everywhere;
-    the circuit is returned as a dart sequence and covers each geometric
-    edge exactly once.  Runs per connected piece caller-side.
+    The dart index set must be reversal-closed and induce even degree
+    everywhere; the circuit is returned as a sequence of dart indices and
+    covers each geometric edge exactly once.  Each vertex offers its darts
+    in order.  Runs per connected piece caller-side.
     """
-    at, origin, reverse = {}, g.origin, g.reverse
-    for d in sorted(darts):
-        at.setdefault(origin[d], []).append(d)
-    used = set()
-    start = min(at)
-    stack = [start]
-    circuit = []
-    take = {v: 0 for v in at}
-    path = []
+    at, org, rev = {}, g.org, g.rev
+    for d in sorted(darts, reverse=True):       # popped from the end, least first
+        at.setdefault(org[d], []).append(d)
+    used, stack, path, circuit = set(), [min(at)], [], []
     while stack:
-        v = stack[-1]
-        found = None
-        while take[v] < len(at[v]):
-            d = at[v][take[v]]
-            take[v] += 1
-            if d not in used:
-                found = d
-                break
-        if found is None:
+        left = at[stack[-1]]
+        while left and left[-1] in used:
+            left.pop()
+        if left:
+            d = left.pop()
+            used.update((d, rev[d]))
+            path.append(d)
+            stack.append(org[rev[d]])
+        else:
             stack.pop()
             if path:
                 circuit.append(path.pop())
-        else:
-            used.add(found)
-            used.add(reverse[found])
-            path.append(found)
-            stack.append(origin[reverse[found]])
     circuit.reverse()
     return circuit
 
@@ -108,47 +104,48 @@ def max_bipartite_matching(adjacency: dict) -> dict:
     return match_left
 
 
+def _matched_factor(g: Graph, adjacency: dict, failure: str) -> set:
+    """The darts of a perfect matching of ``adjacency`` (vertex index -> its
+    (dart, head) pairs in order) and their reversals."""
+    matched = max_bipartite_matching(adjacency)
+    if len(matched) != len(adjacency):
+        raise GraphError(failure)
+    return {*matched.values(), *map(g.rev.__getitem__, matched.values())}
+
+
 def _split_two_factor(g: Graph, darts) -> set:
     """One spanning 2-regular reversal-closed subset of an even-regular
-    reversal-closed dart set."""
-    remaining = set(map(g.index()[1].__getitem__, darts))
-    stars, oriented, seen = g.stars(), [], set()
-    for v in sorted(set(map(g.org.__getitem__, remaining))):
+    reversal-closed set of dart indices."""
+    remaining = set(darts)
+    stars, org, rev, oriented, seen = g.stars(), g.org, g.rev, [], set()
+    for v in sorted(set(map(org.__getitem__, remaining))):
         if v not in seen:
             comp = g.bfs(v, remaining)
             seen.update(comp)
-            oriented.extend(euler_circuit(g, {g.darts[d] for u in comp for d in stars[u]
+            oriented.extend(euler_circuit(g, {d for u in comp for d in stars[u]
                                               if d in remaining}))
-    origin, reverse = g.origin, g.reverse
     adjacency = {}
     for d in oriented:
-        adjacency.setdefault(origin[d], []).append((d, origin[reverse[d]]))
-    for v in adjacency:
-        adjacency[v].sort()
-    matched = max_bipartite_matching(adjacency)
-    if len(matched) != len(adjacency):
-        raise GraphError("no perfect matching in the circuit orientation")
-    factor = set()
-    for d in matched.values():
-        factor.add(d)
-        factor.add(reverse[d])
-    return factor
+        adjacency.setdefault(org[d], []).append((d, org[rev[d]]))
+    return _matched_factor(g, {v: sorted(a) for v, a in adjacency.items()},
+                           "no perfect matching in the circuit orientation")
 
 
-def two_factorization(g: Graph) -> list:
-    k = regularity(g)
+def _two_factors(g: Graph, k: int) -> list:
     if k % 2:
         raise GraphError("even-regular graph required")
-    remaining = set(g.darts)
+    remaining = set(range(len(g.darts)))
     factors = []
     for step in range(k // 2):
-        if len(remaining) == 2 * len(g.vertices):
-            factor = set(remaining)
-        else:
-            factor = _split_two_factor(g, remaining)
+        factor = (set(remaining) if len(remaining) == 2 * len(g.vertices)
+                  else _split_two_factor(g, remaining))
         factors.append(factor)
         remaining -= factor
     return factors
+
+
+def two_factorization(g: Graph) -> list:
+    return _ids(g, _two_factors(g, regularity(g)))
 
 
 def two_colouring(g: Graph) -> Optional[dict]:
@@ -166,19 +163,18 @@ def two_colouring(g: Graph) -> Optional[dict]:
 
 
 def bipartite_double(g: Graph):
-    """Double cover whose cycles are all even (bipartite by parity)."""
-    vid = {(v, i): "%s#%d" % (v, i) for v in g.vertices for i in (0, 1)}
-    did = {(d, i): "%s#%d" % (d, i) for d in g.darts for i in (0, 1)}
-    g_origin, g_reverse = g.origin, g.reverse
-    origin = {did[(d, i)]: vid[(g_origin[d], i)] for d, i in did}
-    reverse = {did[(d, i)]: did[(g_reverse[d], 1 - i)] for d, i in did}
-    vcol = {vid[(v, i)]: g.vertex_colour[v] for v, i in vid if v in g.vertex_colour}
-    dcol = {did[(d, i)]: g.dart_colour[d] for d, i in did if d in g.dart_colour}
-    double = Graph(vid.values(), did.values(), origin, reverse, vcol, dcol)
-    proj = GraphMorphism(double, g,
-                         {vid[k]: k[0] for k in vid},
-                         {did[k]: k[0] for k in did})
-    return double, proj
+    """Double cover whose cycles are all even (bipartite by parity): vertex
+    v#i and dart d#i for i in 0, 1, the reversal of d#i being rev(d)#(1 - i)."""
+    two = (0, 1)
+    vids = ["%s#%d" % (v, i) for v in g.vertices for i in two]
+    dids = ["%s#%d" % (d, i) for d in g.darts for i in two]
+    vcol, dcol = [{"%s#%d" % (x, i): c for x, c in colour.items() for i in two}
+                  for colour in (g.vertex_colour, g.dart_colour)]
+    double, vorder, dorder = sort_graph(vids, dids, [2 * v + i for v in g.org for i in two],
+                                        [2 * r + 1 - i for r in g.rev for i in two],
+                                        vcol, dcol)
+    return double, GraphMorphism.from_tables(double, g, [k >> 1 for k in vorder],
+                                             [k >> 1 for k in dorder])
 
 
 def one_factorization(g: Graph) -> list:
@@ -187,108 +183,86 @@ def one_factorization(g: Graph) -> list:
     colour = two_colouring(g)
     if colour is None:
         raise GraphError("bipartite graph required")
-    return _matchings(g, k, colour)
+    return _ids(g, _matchings(g, k, list(colour.values())))
 
 
-def _matchings(g: Graph, k: int, colour: dict) -> list:
+def _matchings(g: Graph, k: int, colour: list) -> list:
     """``one_factorization`` of a k-regular graph with the two-colouring
-    ``colour``."""
-    origin, reverse = g.origin, g.reverse
-    remaining = set(g.darts)
+    ``colour``, as dart index sets."""
+    org, rev, stars = g.org, g.rev, g.stars()
+    left = [v for v, c in enumerate(colour) if c == 0]
+    remaining = set(range(len(g.darts)))
     factors = []
     for step in range(k):
-        adjacency = {}
-        for v in g.vertices:
-            if colour[v] == 0:
-                adjacency[v] = sorted((d, origin[reverse[d]])
-                                      for d in g.star(v) if d in remaining)
-        matched = max_bipartite_matching(adjacency)
-        if len(matched) != len(adjacency):
-            raise GraphError("no perfect matching in a regular bipartite graph")
-        factor = set()
-        for d in matched.values():
-            factor.add(d)
-            factor.add(reverse[d])
+        # stars are in dart order, so each list is sorted
+        adjacency = {v: [(d, org[rev[d]]) for d in stars[v] if d in remaining] for v in left}
+        factor = _matched_factor(g, adjacency,
+                                 "no perfect matching in a regular bipartite graph")
         factors.append(factor)
         remaining -= factor
     return factors
 
 
 def _orient_factor(g: Graph, factor) -> set:
-    """Forward darts of a 2-factor: one dart per geometric edge, following
-    each cycle from its least vertex."""
-    forward = set()
-    visited = set()
-    at, origin, reverse = {}, g.origin, g.reverse
+    """Forward darts of a 2-factor of dart indices: one dart per geometric
+    edge, following each cycle from its least vertex."""
+    forward, visited, at, org, rev = set(), set(), {}, g.org, g.rev
     for d in sorted(factor):
-        at.setdefault(origin[d], []).append(d)
-    for v0 in sorted(at):
-        starts = [d for d in at[v0] if d not in visited]
-        if not starts:
-            continue
-        d = starts[0]
-        while d not in visited:
-            visited.add(d)
-            visited.add(reverse[d])
+        at.setdefault(org[d], []).append(d)
+    for v in sorted(at):
+        while (d := next((x for x in at.get(v, ()) if x not in visited), None)) is not None:
+            visited.update((d, rev[d]))
             forward.add(d)
-            w = origin[reverse[d]]
-            nxt = [x for x in at.get(w, ()) if x not in visited]
-            if not nxt:
-                break
-            d = nxt[0]
+            v = org[rev[d]]
     return forward
 
 
-def rose_covering(g: Graph, factors) -> GraphMorphism:
-    d = len(factors)
-    rose = families.rose(d)
-    dmap = {}
+def _factor_covering(g: Graph, target: Graph, vm: list, factors: list, side) -> GraphMorphism:
+    """The map onto the rose or the theta graph ``target`` with vertex table
+    ``vm`` that sends dart d of factor i to e<i>.b if ``side(i, d)``, else e<i>.a."""
+    dindex, dm = target.index()[1], [-1] * len(g.darts)
     for i, factor in enumerate(factors):
-        forward = _orient_factor(g, factor)
-        for dart in factor:
-            dmap[dart] = "e%02d.%s" % (i, "a" if dart in forward else "b")
-    return GraphMorphism(g, rose, {v: "v00" for v in g.vertices}, dmap)
-
-
-def path_covering(g: Graph, factors, colour) -> GraphMorphism:
-    """Covering of the two-vertex multigraph from a 1-factorization of a
-    bipartite regular graph (colour = the 2-colouring)."""
-    target = families.theta(len(factors))
-    vmap = {v: "v%02d" % colour[v] for v in g.vertices}
-    dmap, origin = {}, g.origin
-    for i, factor in enumerate(factors):
-        for dart in factor:
-            dmap[dart] = "e%02d.%s" % (i, "a" if colour[origin[dart]] == 0 else "b")
-    return GraphMorphism(g, target, vmap, dmap)
+        ends = dindex["e%02d.a" % i], dindex["e%02d.b" % i]
+        for d in factor:
+            dm[d] = ends[side(i, d)]
+    return GraphMorphism.from_tables(g, target, vm, dm)
 
 
 @dataclass
 class Factorization:
     kind: str                       # "even" or "odd"
-    factors: list                   # dart sets (2-factors or matchings)
+    factors: list                   # dart id sets (2-factors or matchings)
     covering: GraphMorphism         # onto the rose or the two-vertex graph
     double: Optional[Graph] = None
     double_proj: Optional[GraphMorphism] = None
 
 
 def factorize_regular(g: Graph) -> Factorization:
+    """A covering onto the rose with k/2 petals (k even: the 2-factors, each
+    oriented along its cycles) or onto the theta graph with k edges (k odd:
+    the matchings of the bipartite double, each coloured edge by colour)."""
     if not g.is_connected():
         raise GraphError("connected graph required")
     k = regularity(g)
     if k % 2 == 0:
-        factors = two_factorization(g)
-        cov = rose_covering(g, factors)
-        if not is_covering(cov).ok:
-            raise VerificationError("rose map is not a covering")
-        return Factorization("even", factors, cov)
-    double, proj = bipartite_double(g)
-    # the double has only even cycles, so it is two-coloured
-    colour = two_colouring(double)
-    factors = _matchings(double, k, colour)
-    cov = path_covering(double, factors, colour)
-    if not is_covering(cov).ok:
-        raise VerificationError("path map is not a covering")
-    return Factorization("odd", factors, cov, double, proj)
+        factors = _two_factors(g, k)
+        forward = [_orient_factor(g, factor) for factor in factors]
+        fact = Factorization("even", _ids(g, factors), _factor_covering(
+            g, families.rose(k // 2), [0] * len(g.vertices), factors,
+            lambda i, d: d not in forward[i]))
+    else:
+        double, proj = bipartite_double(g)
+        # the double has only even cycles, so it is two-coloured
+        colour, org = list(two_colouring(double).values()), double.org
+        factors = _matchings(double, k, colour)
+        # theta's vertices v00 and v01 are the colours' indices
+        fact = Factorization("odd", _ids(double, factors), _factor_covering(
+            double, families.theta(k), colour, factors, lambda i, d: colour[org[d]]),
+            double, proj)
+    if not is_covering(fact.covering).ok:
+        raise VerificationError("%s map is not a covering"
+                                % ("rose" if fact.kind == "even" else "path"))
+    return fact
 
 
 def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cover:

@@ -42,18 +42,20 @@ class StarArrow(PermArrow):
 
 def star_numbering(union: Graph) -> Numbering:
     """Stars as domains: an atom at e restricts an arrow to e alone, and bar
-    moves each dart to its reverse."""
-    darts, rev = union.darts, union.rev
-    return Numbering(union, list(map(union.star, union.vertices)), lambda e: (darts[e],),
-                     darts.__getitem__, lambda e, nb: (darts[rev[e]],))
+    moves each dart to its reverse.  The serials read the ids, ``shown``."""
+    rev = union.rev
+    numbering = Numbering(union, union.stars(), lambda e: (e,), lambda e: e,
+                          lambda e, nb: (rev[e],))
+    numbering.shown = [tuple(map(union.darts.__getitem__, star)) for star in numbering.stars]
+    return numbering
 
 
 class StarLocalSystem(LocalSystem):
     kind = "star"
 
     def __init__(self, g1, g2, union, groupoid, joint: JointBlocks,
-                 strategy: str, explore_radius=None, atom_arrows=()):
-        super().__init__(g1, g2, union, groupoid, star_numbering(union))
+                 strategy: str, explore_radius=None, atom_arrows=(), numbering=None):
+        super().__init__(g1, g2, union, groupoid, numbering or star_numbering(union))
         self.joint = joint
         self.strategy = strategy
         self.explore_radius = explore_radius
@@ -77,9 +79,10 @@ def _grouped_star(types: list, star) -> dict:
     return groups
 
 
-def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
-    """Every type-preserving star bijection within a block; their number,
-    sum over blocks B of |B|^2 prod_t k_t!, is checked before allocating."""
+def _dr_full_arrows(union: Graph, joint: JointBlocks, shown: list) -> list:
+    """Every type-preserving star bijection within a block, on the stars as
+    ids ``shown``; their number, sum over blocks B of |B|^2 prod_t k_t!, is
+    checked before allocating."""
     part = joint.partition
     grouped = [_grouped_star(part.types, star) for star in union.stars()]
     count = sum(len(block) ** 2 * prod(factorial(len(ds))
@@ -93,13 +96,13 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
         for u in block:
             gu = grouped[u]
             types = sorted(gu)
-            domain = union.star(names[u])
+            domain = shown[u]
             slots = list(itertools.chain.from_iterable(map(gu.__getitem__, types)))
             for v in block:
                 gv = grouped[v]
                 if sorted(gv) != types or any(len(gu[t]) != len(gv[t]) for t in types):
                     raise AxiomError("joint partition is not equitable at %r" % (names[v],))
-                codomain = union.star(names[v])
+                codomain = shown[v]
                 pools = [itertools.permutations(gv[t]) for t in types]
                 for combo in itertools.product(*pools):
                     perm = [0] * len(domain)
@@ -110,33 +113,37 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks) -> list:
     return arrows
 
 
-def induced_star_map(alignment: TreeAlignment, z, union: Graph) -> StarArrow:
+def induced_star_map(alignment: TreeAlignment, z, numbering: Numbering) -> StarArrow:
     """Star bijection induced at a tree vertex: lift to the first cover's
     tree, push through the alignment, project to the second graph.  Its
-    domains are the stars of ``union``, the disjoint union of the two
-    graphs, which keep each side's dart order."""
+    domains are the stars of the disjoint union of the two graphs, which
+    keep each side's dart order, as ids (``star_numbering``'s ``shown``)."""
     c1, c2 = alignment.c1, alignment.c2
     z2 = alignment.apply(z)
     x, y = c1.project(z), c2.project(z2)
     star = c2.stars[y]
     perm = [star.index(c2.dart_between(z2, alignment.apply(w))) for _, w in c1.star_darts(z)]
-    dst, names = len(c1.graph.vertices) + y, union.vertices
-    return StarArrow(x, dst, perm, union.star(names[x]), union.star(names[dst]), names)
+    dst, shown = len(c1.graph.vertices) + y, numbering.shown
+    return StarArrow(x, dst, perm, shown[x], shown[dst], numbering.union.vertices)
 
 
 class StarKind(Kind):
     """The star maps the alignment induces (``induced_star_map``)."""
 
+    def __init__(self, alignment, radius: int):
+        super().__init__(alignment, radius)
+        self.numbering = star_numbering(self.union)
+
     def arrow_at(self, alignment, z) -> StarArrow:
-        return induced_star_map(alignment, z, self.union)
+        return induced_star_map(alignment, z, self.numbering)
 
     def identity(self, x) -> StarArrow:
-        names = self.union.vertices
-        return StarArrow.identity(x, self.union.star(names[x]), names)
+        return StarArrow.identity(x, self.numbering.shown[x], self.union.vertices)
 
     def system(self, g1, g2, alignment, groupoid, explore_radius, found) -> StarLocalSystem:
         return StarLocalSystem(g1, g2, self.union, groupoid, alignment.joint,
-                               STRATEGY_ALIGNED, explore_radius, found.vertex_arrows)
+                               STRATEGY_ALIGNED, explore_radius, found.vertex_arrows,
+                               self.numbering)
 
 
 def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
@@ -153,14 +160,15 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
     if strategy != STRATEGY_DR_FULL:
         raise GraphError("unknown strategy: %r" % (strategy,))
     union = joint.union
+    numbering = star_numbering(union)
     objects = range(len(union.vertices))
-    arrows = _dr_full_arrows(union, joint)
-    identities = {x: StarArrow.identity(x, union.star(union.vertices[x]), union.vertices)
+    arrows = _dr_full_arrows(union, joint, numbering.shown)
+    identities = {x: StarArrow.identity(x, numbering.shown[x], union.vertices)
                   for x in objects}
     groupoid = FiniteGroupoid(tuple(objects),
                               tuple(sorted(set(arrows), key=lambda a: a.key)),
                               identities)
-    sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy)
+    sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy, numbering=numbering)
     report = sys.check_axioms()
     if not report.ok:
         raise AxiomError("complete star system failed its axioms at %r"

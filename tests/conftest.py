@@ -864,11 +864,12 @@ def reference_frontier_walk(cover, radius: int) -> list:
 
 def reference_split_two_factor(g: Graph, darts) -> set:
     """``regular._split_two_factor``, finding each component by a
-    depth-first stack."""
+    depth-first stack; darts are indices."""
     remaining = set(darts)
+    org, rev, stars = g.org, g.rev, g.stars()
     oriented = []
     seen_v = set()
-    for v in sorted({g.origin[d] for d in remaining}):
+    for v in sorted({org[d] for d in remaining}):
         if v in seen_v:
             continue
         comp_darts = set()
@@ -879,15 +880,15 @@ def reference_split_two_factor(g: Graph, darts) -> set:
             if u in comp_vs:
                 continue
             comp_vs.add(u)
-            for d in g.star(u):
+            for d in stars[u]:
                 if d in remaining:
                     comp_darts.add(d)
-                    stack.append(g.head(d))
+                    stack.append(org[rev[d]])
         seen_v |= comp_vs
         oriented.extend(euler_circuit(g, comp_darts))
     adjacency = {}
     for d in oriented:
-        adjacency.setdefault(g.origin[d], []).append((d, g.head(d)))
+        adjacency.setdefault(org[d], []).append((d, org[rev[d]]))
     for v in adjacency:
         adjacency[v].sort()
     matched = max_bipartite_matching(adjacency)
@@ -896,7 +897,7 @@ def reference_split_two_factor(g: Graph, darts) -> set:
     factor = set()
     for d in matched.values():
         factor.add(d)
-        factor.add(g.reverse[d])
+        factor.add(rev[d])
     return factor
 
 

@@ -206,3 +206,21 @@ def test_coloured_ball_system_builds_and_certifies():
     assert built.graph.vertex_colour       # colours pulled through
     cert = extract_certificate(built, sys, 2)
     assert cert.ok
+
+
+@pytest.mark.parametrize("extra,message", [
+    # a valid image, but in no orbit of the saturated groupoid
+    ((0, 1, b"\x00\x02"), "(edge atom '1:e00.a' unreachable)"),
+    # a head position that is the head of no dart
+    ((0, 1, b"\x00\x01"),
+     "(failing item \"no dart has the head of an atom anchored at '1:e00.a'\")"),
+], ids=["no orbit", "no image"])
+def test_an_unreachable_edge_atom_fails_the_build(extra, message):
+    k4, th3 = families.complete(4), families.theta(3)
+    found = discover_atoms(k4, th3, _alignment(k4, th3), radius=1, explore_radius=2)
+    discovered = DiscoveredAtoms(found.vertex_arrows, sorted([*found.edge_atoms, extra]),
+                                 1, 2, found.root)
+    with pytest.raises(AxiomError) as caught:
+        build_ball_system(k4, th3, 1, 2, discovered=discovered)
+    assert caught.value.radius == 2
+    assert str(caught.value) == "closure axioms unmet at radius 2 " + message

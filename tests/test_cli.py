@@ -22,6 +22,7 @@ from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationErr
 from commoncover.object_graphs import rotation_pair
 
 from conftest import random_cubic_graph
+from test_golden_artifacts import _write_object_inputs
 
 
 def _write_graph(tmp_path, name, g):
@@ -487,9 +488,9 @@ def test_loader_agrees_with_the_constructor(case):
         assert got == expected
     else:
         # plain records are read into the tables alone, coloured ones by
-        # the constructor; comparing the graphs renders the views
+        # the constructor, and a valid graph keeps no given entry either way
         assert isinstance(got, Graph)
-        assert (got._origin is None) == ("coloured" not in case)
+        assert got._given is None
         assert got == expected
         assert (got.org, got.rev) == (expected.org, expected.rev)
         assert (got.vertex_colour, got.dart_colour) == (expected.vertex_colour,
@@ -504,8 +505,7 @@ def test_verify_renders_no_id_views(tmp_path, monkeypatch):
     rendered = []
     for name in ("origin", "reverse"):
         def spy(g, view=Graph.__dict__[name], name=name):
-            if getattr(g, "_" + name) is None:
-                rendered.append((name, len(g.darts)))
+            rendered.append((name, len(g.darts)))
             return view.fget(g)
         monkeypatch.setattr(Graph, name, property(spy))
     assert main(["verify", out, p1, p2]) == 0
@@ -923,25 +923,40 @@ def test_builds_render_no_id_views(tmp_path, monkeypatch):
     k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
     c6 = _write_graph(tmp_path, "c6.json", families.cycle(6))
     th2 = _write_graph(tmp_path, "th2.json", families.theta(2))
+    k33 = _write_graph(tmp_path, "k33.json", families.complete_bipartite(3, 3))
+    k5 = _write_graph(tmp_path, "k5.json", families.complete(5))
+    k44 = _write_graph(tmp_path, "k44.json", families.complete_bipartite(4, 4))
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    rose2 = _write_graph(tmp_path, "rose2.json", families.rose(2))
+    th4 = _write_graph(tmp_path, "th4.json", families.theta(4))
+    objects = _write_object_inputs(str(tmp_path))
+    # the views are rendered on every use, so every use is recorded
     rendered = []
     for cls, names in ((Graph, ("origin", "reverse")), (GraphMorphism, ("vmap", "dmap"))):
         for name in names:
             def spy(x, view=cls.__dict__[name], name=name):
-                if getattr(x, "_" + name) is None:
-                    rendered.append(name)
+                rendered.append(name)
                 return view.fget(x)
             monkeypatch.setattr(cls, name, property(spy))
     out = str(tmp_path / "out")
-    for argv in (["check", th3, k4],
-                 ["build", th3, k4, "--strategy", "dr", "-o", out],
-                 ["build", th3, k4, "--strategy", "aligned", "-o", out],
-                 ["build", k4, th3, "--backend", "ball", "-R", "1", "-o", out],
-                 ["build", k4, th3, "--backend", "ball", "-R", "1", "--based", "-o", out],
-                 ["build", c6, th2, "--backend", "glue", "-R", "1", "-o", out]):
+    for argv, subdivided in (
+            (["check", th3, k4], None),
+            (["build", th3, k4, "--strategy", "dr", "-o", out], None),
+            (["build", th3, k4, "--strategy", "aligned", "-o", out], None),
+            (["build", k4, th3, "--backend", "ball", "-R", "1", "-o", out], None),
+            (["build", k4, th3, "--backend", "ball", "-R", "1", "--based", "-o", out], None),
+            (["build", c6, th2, "--backend", "glue", "-R", "1", "-o", out], False),
+            (["build", rose2, th4, "--backend", "glue", "-R", "1", "-o", out], True),
+            (["regular", k4, k33, "-o", out], None),
+            (["regular", k5, k44, "-o", out], None),
+            (["oracle", c3, c6, "--max", "2"], None),
+            (["build-objects", objects["x1"], objects["x2"], "--seeds", objects["seeds"],
+              "-o", out], None)):
         assert main(argv) == 0
         assert rendered == [], argv
-    with open(os.path.join(out, "cover.json")) as fh:
-        assert json.load(fh)["subdivided"] is False     # C6/Theta2 glues directly
+        if subdivided is not None:
+            with open(os.path.join(out, "cover.json")) as fh:
+                assert json.load(fh)["subdivided"] is subdivided, argv
 
 
 def _awkward(g: Graph) -> Graph:

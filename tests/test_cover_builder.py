@@ -388,7 +388,7 @@ def _walked_from_scratch(sys) -> tuple:
         return [(a.key, a.witness) for a in found.vertex_arrows], found.edge_atoms
     first = {}
     for z in reference_frontier_walk(alignment.c1, rho):
-        arrow = induced_star_map(alignment, z, sys.union)
+        arrow = induced_star_map(alignment, z, sys.numbering)
         first.setdefault(arrow.key, arrow)
     return [(first[k].key, first[k].witness) for k in sorted(first)], []
 

@@ -1,12 +1,15 @@
+import json
+
 import pytest
 
 from commoncover import families
 from commoncover.ball_system import build_ball_system_retrying
+from commoncover.cli import dump_graph, main, write_json
 from commoncover.cover_builder import build_cover
 from commoncover.gluing import (OrientationError, WeightFn, assemble,
                                 build_glued_cover, enumerate_pairs,
                                 gluing_weights, orient_darts, subdivide_graph)
-from commoncover.graphs import finish_cover, is_covering
+from commoncover.graphs import Graph, finish_cover, is_covering
 from commoncover.oracle import find_covering
 from commoncover.star_system import build_star_system
 
@@ -106,3 +109,23 @@ def test_subdivide_graph_structure():
         assert sub.degree(m) == 2
     from commoncover.graphs import validate_graph
     assert validate_graph(sub).ok
+
+
+def test_a_midpoint_id_taken_by_a_vertex_is_renamed(tmp_path):
+    # rose(2) whose vertex has the id of its first edge's midpoint
+    darts = ["e000.a", "e000.b", "e001.a", "e001.b"]
+    g = Graph(["m.e000.a"], darts, dict.fromkeys(darts, "m.e000.a"),
+              dict(zip(darts, ["e000.b", "e000.a", "e001.b", "e001.a"])))
+    assert subdivide_graph(g).midpoints == {"m.e000.a'", "m.e001.a"}
+    # the other midpoint keeps its name, and so does every midpoint of an
+    # input without the clash
+    assert subdivide_graph(families.rose(2)).midpoints == {"m.e00.a", "m.e01.a"}
+    paths = []
+    for name, graph in (("rose2.json", g), ("theta4.json", families.theta(4))):
+        paths.append(str(tmp_path / name))
+        write_json(paths[-1], dump_graph(graph))
+    for backend in ("glue", "ball"):
+        out = str(tmp_path / backend)
+        assert main(["build", *paths, "--backend", backend, "-R", "1", "-o", out]) == 0
+    with open(str(tmp_path / "glue" / "cover.json")) as fh:
+        assert json.load(fh)["subdivided"] is True

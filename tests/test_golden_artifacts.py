@@ -34,9 +34,11 @@ GRAPHS = {
     "cubic30": lambda: random_cubic_graph(random.Random(1), 30),
     "cubic40": lambda: random_cubic_graph(random.Random(1), 40),
     "k4": lambda: families.complete(4),
+    "k5": lambda: families.complete(5),
     "k23": lambda: families.complete_bipartite(2, 3),
     "k23x2": _k23_double,
     "k33": lambda: families.complete_bipartite(3, 3),
+    "k44": lambda: families.complete_bipartite(4, 4),
     "rose2": lambda: families.rose(2),
     "theta3": lambda: families.theta(3),
     "theta4": lambda: families.theta(4),
@@ -67,6 +69,8 @@ CASES = {
     # even degree: the pullback over the rose has two components of 12
     "regular-c4-c6": ("regular", "c4", "c6", []),
     "regular-cubic40-cubic30": ("regular", "cubic40", "cubic30", []),
+    # degree 4: Euler circuits and matchings split the 2-factors of both
+    "regular-k5-k44": ("regular", "k5", "k44", []),
     "objects-rotation3": ("build-objects", "x1", "x2", None),
 }
 
@@ -202,6 +206,14 @@ GOLDEN = {
             "62fa33227d12a401d851d10297764b617161e14febd89d7c27f54279afc4bc96",
         "mu2.json":
             "2630108f385964b4bebc50ff69f56724346529931949362610b6454b452af899",
+    },
+    "regular-k5-k44": {
+        "cover.json":
+            "903e8448ca741c9db853b30c90d68ad89da3aee83e6e1c332b2899e6233bca02",
+        "mu1.json":
+            "2e855eb3272b2aa12c05b218cc5e8b5f48abbc7246358f97c68651f1f6082b01",
+        "mu2.json":
+            "e8068ccd9ac1c414a57cc88b839cb1a3ee3addd98d1aa1e6a494a2235a416c60",
     },
     "star-aligned-c3-c4": {
         "cover.json":

@@ -34,6 +34,24 @@ def test_validate_non_involutive_reversal():
     assert any("not involutive" in v for v in report.violations)
 
 
+def test_a_graph_keeps_no_dict_it_was_given():
+    origin, reverse = {"a": "v", "b": "w"}, {"a": "b", "b": "a"}
+    g = Graph(["v", "w"], ["a", "b"], origin, reverse)
+    vmap, dmap = {"v": "v00", "w": "v00"}, {"a": "e00.a", "b": "e00.b"}
+    m = GraphMorphism(g, families.rose(1), vmap, dmap)
+    kept = [getattr(x, name) for x in (g, m) for name in type(x).__slots__]
+    assert not any(value is given for value in kept for given in (origin, reverse, vmap, dmap))
+    origin["a"], reverse["a"], vmap["v"], dmap["a"] = "w", "a", "x", "e00.b"
+    assert (g.org, g.rev, m.vm, m.dm) == ([0, 1], [1, 0], [0, 0], [0, 1])
+    # the views are rendered from the tables on each use
+    assert g.origin == {"a": "v", "b": "w"} and g.origin is not g.origin
+    assert m.dmap == {"a": "e00.a", "b": "e00.b"} and m.vmap is not m.vmap
+    # single-id queries read the tables
+    assert (g.star("v"), g.degree("w"), g.head("a")) == (("a",), 1, "w")
+    with pytest.raises(GraphError, match="vertex not in graph"):
+        g.star("x")
+
+
 def _broken_graphs():
     """Graphs that break each dart-model invariant, one at a time and
     several at once on several darts."""

@@ -131,8 +131,8 @@ def test_factorize_large_cubic_graph_without_recursion():
 def test_id_views_match_the_constructor(tmp_path, case):
     # the cover is a pullback, or a restriction of one where a cut drops
     # components (regular-c4-c6, regular-k4-k33); both and the cover loaded
-    # from disk are built from tables, and their views must give the dicts
-    # of Graph(...) on the written records
+    # from disk are built from tables and keep no given entries, and their
+    # views must give the dicts of Graph(...) on the written records
     _, first, second, extra = CASES[case]
     g1, g2 = GRAPHS[first](), GRAPHS[second]()
     built = regular_common_cover(g1, g2, "all" if "all" in extra else "least")
@@ -148,6 +148,6 @@ def test_id_views_match_the_constructor(tmp_path, case):
                       {e["id"]: e["from"] for e in ds}, {e["id"]: e["reverse"] for e in ds})
     loaded = _graph_from_data(records, "cover.json")
     for g in (built.graph, loaded):
-        assert (g._origin, g._reverse) == (None, None)
+        assert g._given is None
         assert g == reference and g.canonical() == reference.canonical()
         assert g.origin == reference.origin and g.reverse == reference.reverse

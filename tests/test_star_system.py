@@ -90,9 +90,9 @@ def test_transition_identity_for_aligned_atoms():
                             joint=joint, alignment=theta)
     serials = {a.serial for a in sys.groupoid.arrows}
     for z in [w for w in c1.ball((), rho - 1).vertices]:
-        gamma_z = induced_star_map(theta, z, sys.union)
+        gamma_z = induced_star_map(theta, z, sys.numbering)
         for d, w in c1.star_darts(z):
-            gamma_y = induced_star_map(theta, w, sys.union)
+            gamma_y = induced_star_map(theta, w, sys.numbering)
             e = sys.union.darts[d]
             e_rev = sys.union.reverse[e]
             f = dict(gamma_z.bij)[e]
