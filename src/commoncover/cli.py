@@ -20,16 +20,18 @@ import math
 import os
 import sys as _sys
 from itertools import chain, count, islice, repeat
-from operator import add, itemgetter, lt, mod
+from operator import add, itemgetter, mod
 
 from .ball_system import build_ball_system_retrying
 from .bounds import bound_report
 from .cover_builder import AxiomError, Labels, build_cover, extract_certificate
 from .gluing import build_glued_cover
 from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
-                     VerificationError, is_covering, size_fact_failure, validate_graph)
-from .object_graphs import (ObjectGraph, SeedSpec, build_object_cover, close_star_maps,
-                            make_object, obj_morphism, validate_object_graph)
+                     VerificationError, graph_from_ids, is_covering, size_fact_failure,
+                     validate_graph)
+from .object_graphs import (ObjectGraph, ObjectGraphMorphism, SeedSpec, build_object_cover,
+                            close_star_maps, make_object, obj_morphism, validate_object_graph,
+                            verify_object_covering)
 from .oracle import brute_common_cover
 from .refinement import common_cover_exists
 from .regular import regular_common_cover
@@ -221,38 +223,23 @@ def load_graph(path: str) -> Graph:
 _ID, _FROM, _REVERSE = itemgetter("id"), itemgetter("from"), itemgetter("reverse")
 
 
-def _graph_from_columns(vs, ds):
-    """The graph of uncoloured records with distinct str ids whose endpoints
-    are all ids, read straight into the index tables; None for any other
-    input.  The dart columns are permuted only when the records are not in
-    id order."""
-    vertices, darts = list(map(_ID, vs)), list(map(_ID, ds))
-    froms, reverses = list(map(_FROM, ds)), list(map(_REVERSE, ds))
-    if not (set(map(type, vertices)).union(map(type, darts)) <= {str}
-            and set(map(dict.get, chain(vs, ds), repeat("colour"))) <= {None}):
+def _colours(entries: list, ids: list):
+    """id -> the colour of each entry that has one, or None where none has;
+    a colour that is not a str raises TypeError."""
+    if set(map(dict.get, entries, repeat("colour"))) <= {None}:
         return None
-    if not all(map(lt, darts, islice(darts, 1, None))):
-        order = sorted(range(len(darts)), key=darts.__getitem__)
-        darts, froms, reverses = [list(map(column.__getitem__, order))
-                                  for column in (darts, froms, reverses)]
-    vertices.sort()
-    vindex, dindex = dict(zip(vertices, count())), dict(zip(darts, count()))
-    if len(vindex) < len(vertices) or len(dindex) < len(darts):
-        return None
-    org = list(map(vindex.get, froms, repeat(-1)))
-    rev = list(map(dindex.get, reverses, repeat(-1)))
-    if -1 in org or -1 in rev:
-        return None
-    return Graph.from_tables(vertices, darts, org, rev)
+    colours = {i: c for i, c in zip(ids, map(dict.get, entries, repeat("colour"))) if c is not None}
+    if not set(map(type, colours.values())) <= {str}:
+        raise TypeError
+    return colours
 
 
 def _graph_from_data(data, where) -> Graph:
     """Parse a graph payload; every malformed input raises SchemaError.
 
-    Plain input is read by ``_graph_from_columns``.  Colours, duplicate ids
-    and missing or unknown endpoints take the ``Graph`` constructor, whose
-    tables are built by comprehensions; only when that fails are the
-    entries scanned one by one to name the bad one.
+    The id, endpoint and colour columns go to ``graph_from_ids`` and so to
+    ``sort_graph``, the one builder of graphs given by ids; only when an
+    entry is malformed are the entries scanned one by one to name it.
     """
     _expect(isinstance(data, dict), where, "top level must be an object")
     vs, ds = data.get("vertices"), data.get("darts")
@@ -260,21 +247,14 @@ def _graph_from_data(data, where) -> Graph:
     _expect(isinstance(ds, list), where, "missing darts list")
     _expect(vs, where, "vertices: a graph needs at least one vertex")
     try:
-        g = _graph_from_columns(vs, ds)
-        if g is None:
-            vertices = [e["id"] for e in vs]
-            vcol = {e["id"]: e["colour"] for e in vs if e.get("colour") is not None}
-            darts = [e["id"] for e in ds]
-            origin = {e["id"]: e["from"] for e in ds}
-            reverse = {e["id"]: e["reverse"] for e in ds}
-            dcol = {e["id"]: e["colour"] for e in ds if e.get("colour") is not None}
-            if not set(map(type, vertices)).union(
-                    map(type, darts), map(type, vcol.values()), map(type, dcol.values())) <= {str}:
-                # to the handler below: a SchemaError here would be re-wrapped
-                raise TypeError
-            g = Graph(vertices, darts, origin, reverse, vcol, dcol)
+        vertices, darts = list(map(_ID, vs)), list(map(_ID, ds))
+        if not set(map(type, vertices)).union(map(type, darts)) <= {str}:
+            # to the handler below: a SchemaError here would be re-wrapped
+            raise TypeError
+        g = graph_from_ids(vertices, darts, list(map(_FROM, ds)), list(map(_REVERSE, ds)),
+                           _colours(vs, vertices), _colours(ds, darts))
         report = validate_graph(g)
-    except (KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError):
         _raise_bad_entry(vs, ds, where)
     except GraphError as exc:
         raise SchemaError("%s: %s" % (where, exc))
@@ -350,11 +330,14 @@ def _is_id_table(table) -> bool:
 
 
 def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
-    """The map of a morphism file, converted into index tables by the
+    return _morphism_from_data(_read_json(path), path, source, target)
+
+
+def _morphism_from_data(data, path: str, source: Graph, target: Graph) -> GraphMorphism:
+    """The map of a morphism payload, converted into index tables by the
     ``GraphMorphism`` constructor; the decoded tables are not kept.  A key
     that is not a source id is an input error.  An image that is missing or
     not a target id is -1 in the tables, and the violations name it."""
-    data = _read_json(path)
     _expect(isinstance(data, dict) and _is_id_table(data.get("vmap"))
             and _is_id_table(data.get("dmap")), path,
             "needs vmap and dmap objects of string ids")
@@ -380,7 +363,10 @@ def _load_morphism_tables(entry, where):
 
 
 def load_object_graph(path: str) -> ObjectGraph:
-    data = _read_json(path)
+    return _object_graph_from_data(_read_json(path), path)
+
+
+def _object_graph_from_data(data, path: str) -> ObjectGraph:
     g = _graph_from_data(data, path)
     objects = {}
     _expect(isinstance(data.get("objects"), dict), path, "missing objects table")
@@ -421,6 +407,21 @@ def load_object_graph(path: str) -> ObjectGraph:
     report = validate_object_graph(x)
     _expect(report.ok, path, "; ".join(report.violations[:3]) or "invalid")
     return x
+
+
+def load_object_morphism(path: str, source: ObjectGraph,
+                         target: ObjectGraph) -> ObjectGraphMorphism:
+    """A map file of an object cover: the graph map under "graph", beside
+    the vertex and edge morphism tables."""
+    data = _read_json(path)
+    _expect(isinstance(data, dict), path, "top level must be an object")
+    tables = []
+    for key in ("vertex_morphisms", "edge_morphisms"):
+        _expect(isinstance(data.get(key), dict), path, "missing %s table" % key)
+        tables.append({k: _load_morphism_tables(entry, "%s: %s[%s]" % (path, key, k))
+                       for k, entry in data[key].items()})
+    return ObjectGraphMorphism(source, target, _morphism_from_data(
+        data.get("graph"), path, source.graph, target.graph), *tables)
 
 
 def dump_object(obj) -> dict:
@@ -573,7 +574,16 @@ def cmd_build_objects(args) -> int:
     return 0
 
 
+def _covering_check(mu: GraphMorphism) -> tuple:
+    rep = is_covering(mu)
+    return rep.ok, "%s at %r" % (rep.reason, rep.witness)
+
+
 def cmd_verify(args) -> int:
+    """Re-verify a stored cover onto both inputs: each map as a covering
+    and the recorded size facts.  A cover.json with object tables is an
+    object cover: the cover and the inputs load as object graphs, and each
+    map with its vertex and edge morphism tables."""
     cover_path = args.cover
     if os.path.isdir(cover_path):
         cover_dir = cover_path
@@ -582,16 +592,23 @@ def cmd_verify(args) -> int:
         cover_dir = os.path.dirname(cover_path)
     payload = _read_json(cover_path)
     _expect(isinstance(payload, dict), cover_path, "top level must be an object")
-    cover = _graph_from_data(payload.get("graph", payload), cover_path)
     facts = list(map(payload.get, ("degrees", "component_sizes", "bound", "total_vertices")))
-    del payload             # the largest structure of a verify, not needed further
-    g1, g2 = load_graph(args.first), load_graph(args.second)
-    mu1 = load_morphism(os.path.join(cover_dir, "mu1.json"), cover, g1)
-    mu2 = load_morphism(os.path.join(cover_dir, "mu2.json"), cover, g2)
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        rep = is_covering(mu)
-        if not rep.ok:
-            print("%s fails: %s at %r" % (name, rep.reason, rep.witness))
+    paths = [os.path.join(cover_dir, name) for name in ("mu1.json", "mu2.json")]
+    if "objects" in payload:
+        x = _object_graph_from_data(payload, cover_path)
+        inputs = load_object_graph(args.first), load_object_graph(args.second)
+        checks = map(verify_object_covering, [load_object_morphism(path, x, y)
+                                              for path, y in zip(paths, inputs)])
+        cover, g1, g2 = x.graph, inputs[0].graph, inputs[1].graph
+    else:
+        cover = _graph_from_data(payload.get("graph", payload), cover_path)
+        del payload         # the largest structure of a verify, not needed further
+        g1, g2 = load_graph(args.first), load_graph(args.second)
+        checks = map(_covering_check, [load_morphism(path, cover, g)
+                                       for path, g in zip(paths, (g1, g2))])
+    for name, (ok, failure) in zip(("mu1", "mu2"), checks):
+        if not ok:
+            print("%s fails: %s" % (name, failure))
             return 1
     failure = size_fact_failure(len(cover.vertices), len(g1.vertices), len(g2.vertices),
                                 *facts)

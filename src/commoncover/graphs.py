@@ -113,12 +113,12 @@ class Graph:
     ``origin`` and ``reverse`` (dart id -> id) are views rendered from the
     tables on each use, for output and messages.
 
-    The constructor is the one converter from id dicts.  It is permissive:
-    it accepts structurally broken data (non-involutive reversal, missing
-    origins) so that ``validate_graph`` can report violations instead of
-    crashing, and keeps the given entries of the darts whose tables hold -1
-    for those messages.  All operations other than validation assume a
-    valid graph.
+    The constructor takes id dicts through ``graph_from_ids``, as the
+    graph file reader takes its columns.  It is permissive: it accepts
+    structurally broken data (non-involutive reversal, missing origins) so
+    that ``validate_graph`` can report violations instead of crashing, and
+    keeps the given entries of the darts whose tables hold -1 for those
+    messages.  All operations other than validation assume a valid graph.
     """
 
     __slots__ = ("vertices", "darts", "vertex_colour", "dart_colour", "org", "rev",
@@ -126,34 +126,26 @@ class Graph:
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
-        vertices, darts = tuple(sorted(vertices)), tuple(sorted(darts))
-        vindex, dindex = _positions(vertices), _positions(darts)
-        if len(vindex) != len(vertices):
-            raise GraphError("duplicate vertex identifiers")
-        if len(dindex) != len(darts):
-            raise GraphError("duplicate dart identifiers")
-        froms, tos = list(map(origin.get, darts)), list(map(reverse.get, darts))
-        org = list(map(vindex.get, froms, repeat(-1)))
-        rev = list(map(dindex.get, tos, repeat(-1)))
-        broken = {*_equal_to(org, -1), *_equal_to(rev, -1)}
-        self._set(vertices, darts, org, rev, vertex_colour, dart_colour,
-                  {i: (froms[i], tos[i]) for i in broken} or None, (vindex, dindex))
+        darts = list(darts)
+        g = graph_from_ids(list(vertices), darts, list(map(origin.get, darts)),
+                           list(map(reverse.get, darts)), vertex_colour, dart_colour)
+        self._set(g.vertices, g.darts, g.org, g.rev, g.vertex_colour, g.dart_colour, g._given)
 
     @classmethod
     def from_tables(cls, vertices, darts, org, rev,
                     vertex_colour=None, dart_colour=None) -> "Graph":
         """The graph on sorted, distinct ``vertices`` and ``darts`` whose
-        dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``;
-        the tables must hold valid indices."""
+        dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``,
+        where those are not -1."""
         g = cls.__new__(cls)
-        g._set(tuple(vertices), tuple(darts), org, rev, vertex_colour, dart_colour, None, None)
+        g._set(tuple(vertices), tuple(darts), org, rev, vertex_colour, dart_colour, None)
         return g
 
-    def _set(self, vertices, darts, org, rev, vertex_colour, dart_colour, given, index):
+    def _set(self, vertices, darts, org, rev, vertex_colour, dart_colour, given):
         self.vertices, self.darts, self.org, self.rev = vertices, darts, org, rev
         self.vertex_colour = dict(vertex_colour or {})
         self.dart_colour = dict(dart_colour or {})
-        self._given, self._index = given, index
+        self._given, self._index = given, None
         self._order = self._first = self._stars = None
 
     def _view(self, table: list, names: tuple, given: int) -> dict:
@@ -686,17 +678,40 @@ def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
 def sort_graph(vertices: list, darts: list, org: list, rev: list,
                vertex_colour=None, dart_colour=None) -> tuple:
     """The graph on distinct ids given in any order, with tables ``org`` and
-    ``rev`` of positions in those lists, as (graph, vorder, dorder): vertex k
-    of the graph is ``vertices[vorder[k]]`` and dart k is ``darts[dorder[k]]``."""
-    vorder = sorted(range(len(vertices)), key=vertices.__getitem__)
-    dorder = sorted(range(len(darts)), key=darts.__getitem__)
-    vpos, dpos = _inverse(vorder), _inverse(dorder)
-    graph = Graph.from_tables(list(map(vertices.__getitem__, vorder)),
-                              list(map(darts.__getitem__, dorder)),
-                              list(map(vpos.__getitem__, map(org.__getitem__, dorder))),
-                              list(map(dpos.__getitem__, map(rev.__getitem__, dorder))),
-                              vertex_colour, dart_colour)
-    return graph, vorder, dorder
+    ``rev`` of positions in those lists (-1 kept as -1), as (graph, vorder,
+    dorder): vertex k of the graph is ``vertices[vorder[k]]`` and dart k is
+    ``darts[dorder[k]]``.  This is the one builder of graphs given by ids;
+    ids that come sorted are taken as they are, with no permutation."""
+    vorder, dorder = [None if sorted(ids) == ids else sorted(range(len(ids)), key=ids.__getitem__)
+                      for ids in (vertices, darts)]
+    if dorder is not None:
+        darts, org, rev = [list(map(t.__getitem__, dorder)) for t in (darts, org, rev)]
+        rev = list(map((_inverse(dorder) + [-1]).__getitem__, rev))
+    if vorder is not None:
+        vertices = list(map(vertices.__getitem__, vorder))
+        org = list(map((_inverse(vorder) + [-1]).__getitem__, org))
+    return (Graph.from_tables(vertices, darts, org, rev, vertex_colour, dart_colour),
+            vorder or range(len(vertices)), dorder or range(len(darts)))
+
+
+def graph_from_ids(vertices: list, darts: list, froms: list, tos: list,
+                   vertex_colour=None, dart_colour=None) -> Graph:
+    """The graph on ids given in any order whose dart ``darts[i]`` has the
+    origin ``froms[i]`` and the reversal ``tos[i]``, built by ``sort_graph``.
+    Duplicate ids raise.  An endpoint that is no id of its kind (None, 5, an
+    unknown str) is -1 in the tables, and its dart keeps the given endpoints
+    for the messages of ``validate_graph``; an unhashable one raises."""
+    vindex, dindex = _positions(vertices), _positions(darts)
+    if len(vindex) != len(vertices):
+        raise GraphError("duplicate vertex identifiers")
+    if len(dindex) != len(darts):
+        raise GraphError("duplicate dart identifiers")
+    g, _, dorder = sort_graph(vertices, darts, list(map(vindex.get, froms, repeat(-1))),
+                              list(map(dindex.get, tos, repeat(-1))), vertex_colour, dart_colour)
+    broken = {*_equal_to(g.org, -1), *_equal_to(g.rev, -1)}
+    if broken:
+        g._given = {k: (froms[dorder[k]], tos[dorder[k]]) for k in broken}
+    return g
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

@@ -34,8 +34,15 @@ from .refinement import JointBlocks
 Path = Tuple[int, ...]
 
 
+# The most tree vertices an alignment holds per side.  It admits every build
+# of the tests and the benchmark (at most 10,247) and a ball build of random
+# cubic graphs of 60 and 40 vertices (196,606 at radius 16); C12 against C8,
+# each with a loop at every vertex, would need 1,062,881 at radius 12.
+MAX_ALIGNED = 262_144
+
+
 class AlignmentBudgetError(BudgetExceeded):
-    """Alignment extension exceeded its radius cap."""
+    """Alignment extension exceeded its radius cap or its size budget."""
 
 
 class UniversalCover:
@@ -116,6 +123,25 @@ class UniversalCover:
         if len(a) == len(b) + 1 and a[:len(b)] == b:
             return self.rev[a[-1]]
         raise GraphError("tree vertices are not adjacent")
+
+    def tree_size(self, radius: int) -> int:
+        """The number of tree vertices within ``radius`` of the basepoint:
+        the non-backtracking walks from it, counted one pass over the darts
+        per step (Hashimoto's edge matrix).  ``walks[d]`` is the number of
+        walks of the current length that end with dart d; one that goes on
+        with dart e came into the origin of e by any dart but rev(e)."""
+        org, rev = self.org, self.rev
+        walks = [0] * len(org)
+        for d in self.stars[self.basepoint]:
+            walks[d] = 1
+        total = 1
+        for _ in range(radius):
+            into = [0] * len(self.stars)
+            for d, w in enumerate(walks):
+                into[org[rev[d]]] += w
+            total += sum(walks)
+            walks = [into[o] - walks[r] for o, r in zip(org, rev)]
+        return total
 
     # -- canonical lifts ----------------------------------------------------
 
@@ -250,6 +276,9 @@ class TreeAlignment:
     def ensure_radius(self, r: int) -> None:
         if r > self.max_radius:
             raise AlignmentBudgetError("alignment radius cap exceeded (%d)" % r)
+        if r > self.radius_built and (n := self.c1.tree_size(r)) > MAX_ALIGNED:
+            raise AlignmentBudgetError("an alignment to radius %d holds %d tree vertices per "
+                                       "side, more than %d" % (r, n, MAX_ALIGNED))
         (type1, type2), fwd, bwd = self._types, self.fwd, self.bwd
         while self.radius_built < r:
             nxt = []

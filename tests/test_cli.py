@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -470,6 +471,11 @@ def _loader_cases():
         "shuffled": _shuffled(_records(k4)),
         "shuffled coloured": _shuffled(_records(coloured)),
         "partly coloured": _records(partly),
+        "vertex colours only": _records(families.with_vertex_colour(
+            k4, {v: "red" for v in k4.vertices})),
+        "dart colours only": _records(Graph(k4.vertices, k4.darts, k4.origin, k4.reverse,
+                                            None, {d: d[-1] for d in k4.darts})),
+        "endpoint not a string": _edited(_records(th3), "darts", 1, **{"from": 5}),
         "missing origin": _edited(_records(th3), "darts", 0, **{"from": None}),
         "origin not a vertex": _edited(_records(th3), "darts", 1, **{"from": "nope"}),
         "unknown reversal": _edited(_records(th3), "darts", 1, reverse="nope"),
@@ -477,6 +483,11 @@ def _loader_cases():
         "duplicate vertex id": _edited(_records(th3), "vertices", 1, id="v00"),
         "fixed point": _edited(_records(th3), "darts", 0, reverse=first),
     }
+
+
+def test_an_endpoint_that_is_not_a_string_is_named_with_its_value():
+    got = _loader_result(_loader_cases()["endpoint not a string"], "g.json")
+    assert got.endswith("is not a vertex: 5")
 
 
 @pytest.mark.parametrize("case", sorted(_loader_cases()))
@@ -544,6 +555,53 @@ def test_build_objects_non_string_object_name_exits_two(tmp_path, capsys, table)
     assert main(["build-objects", p1, p2, "--seeds", seeds_path,
                  "-o", str(tmp_path / "out")]) == 2
     assert "has no object" in capsys.readouterr().err
+
+
+def _built_object_cover(tmp_path):
+    paths = _write_object_inputs(str(tmp_path))
+    out = str(tmp_path / "out")
+    assert main(["build-objects", paths["x1"], paths["x2"], "--seeds", paths["seeds"],
+                 "-o", out]) == 0
+    return paths, out
+
+
+def test_verify_an_object_cover(tmp_path, capsys):
+    paths, out = _built_object_cover(tmp_path)
+    assert main(["verify", out, paths["x1"], paths["x2"]]) == 0
+    assert "cover verifies onto both inputs" in capsys.readouterr().out
+
+
+def test_verify_an_object_cover_with_an_edited_edge_morphism_exits_one(tmp_path, capsys):
+    paths, out = _built_object_cover(tmp_path)
+    path = os.path.join(out, "mu2.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    entry = data["edge_morphisms"][sorted(data["edge_morphisms"])[0]]
+    first = sorted(entry["vmap"].values())[0]
+    entry["vmap"] = dict.fromkeys(entry["vmap"], first)     # no longer invertible
+    write_json(path, data)
+    assert main(["verify", out, paths["x1"], paths["x2"]]) == 1
+    assert "mu2 fails: " in capsys.readouterr().out
+
+
+def test_verify_an_object_cover_onto_plain_graphs_exits_two(tmp_path, capsys):
+    _, out = _built_object_cover(tmp_path)
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    assert main(["verify", out, c3, c3]) == 2
+    assert "c3.json: missing objects table" in capsys.readouterr().err
+
+
+def test_an_alignment_past_its_size_budget_exits_two(tmp_path, capsys):
+    def looped_cycle(n):
+        return families._from_edges(n, [(i, (i + 1) % n) for i in range(n)], loops=range(n))
+
+    c16 = _write_graph(tmp_path, "c16.json", looped_cycle(16))
+    c8 = _write_graph(tmp_path, "c8.json", looped_cycle(8))
+    start = time.perf_counter()
+    assert main(["build", c16, c8, "--backend", "ball", "-R", "1",
+                 "-o", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 2
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def _seed_entries(seeds):

@@ -194,6 +194,16 @@ def test_alignment_radius_cap():
         theta.ensure_radius(5)
 
 
+@pytest.mark.parametrize("g1, g2", [(families.theta(3), families.complete(4)),
+                                    (families.rose(2), families.theta(4))],
+                         ids=["theta3-k4", "rose2-theta4"])
+def test_tree_size_counts_the_aligned_vertices(g1, g2):
+    theta = build_alignment(UniversalCover(g1), UniversalCover(g2), joint_refinement(g1, g2))
+    for r in range(1, 6):
+        theta.ensure_radius(r)
+        assert theta.c1.tree_size(r) == len(theta.fwd) == theta.c2.tree_size(r)
+
+
 # -- the seam rule and the index paths ------------------------------------
 
 SEAM_GRAPHS = {"C3": families.cycle(3), "rose2": families.rose(2),
