@@ -13,6 +13,7 @@ import random
 import pytest
 
 from commoncover import families, oracle
+from commoncover.graphs import Graph
 from commoncover.cli import dump_graph, dump_object_graph, main, write_json
 from commoncover.object_graphs import rotation_pair
 
@@ -27,10 +28,21 @@ def _k23_double():
                                            for r in reps})[0]
 
 
+def _red(g, red_edges):
+    """g with both darts of the named edges coloured red and the other darts
+    uncoloured."""
+    return Graph(g.vertices, g.darts, g.origin, g.reverse, None,
+                 {d: "red" for d in g.darts if d.split(".")[0] in red_edges})
+
+
 GRAPHS = {
     "c3": lambda: families.cycle(3),
+    "c3red": lambda: _red(families.cycle(3), {"e00"}),
     "c4": lambda: families.cycle(4),
     "c6": lambda: families.cycle(6),
+    "c6red": lambda: _red(families.cycle(6), {"e00", "e03"}),
+    "c6v": lambda: families.with_vertex_colour(families.cycle(6),
+                                               {"v00": "red", "v03": "red"}),
     "cubic30": lambda: random_cubic_graph(random.Random(1), 30),
     "cubic40": lambda: random_cubic_graph(random.Random(1), 40),
     "k4": lambda: families.complete(4),
@@ -40,8 +52,10 @@ GRAPHS = {
     "k33": lambda: families.complete_bipartite(3, 3),
     "k44": lambda: families.complete_bipartite(4, 4),
     "rose2": lambda: families.rose(2),
+    "rose2red": lambda: _red(families.rose(2), {"e00"}),
     "theta3": lambda: families.theta(3),
     "theta4": lambda: families.theta(4),
+    "theta4red": lambda: _red(families.theta(4), {"e00", "e01"}),
 }
 
 # case name -> (command, first input, second input, extra arguments)
@@ -62,6 +76,9 @@ CASES = {
     "ball-k23-k23x2": ("build", "k23", "k23x2", ["--backend", "ball", "-R", "1"]),
     "glue-c3-c4": ("build", "c3", "c4", ["--backend", "glue", "-R", "1"]),
     "glue-rose2-theta4": ("build", "rose2", "theta4", ["--backend", "glue", "-R", "1"]),
+    # subdivides, so the outward darts carry the colours through
+    "glue-rose2red-theta4red": ("build", "rose2red", "theta4red",
+                                ["--backend", "glue", "-R", "1"]),
     "regular-c3-c4": ("regular", "c3", "c4", []),
     # odd degree: bipartite doubles, two components of 24, cut to one
     "regular-k4-k33": ("regular", "k4", "k33", []),
@@ -72,6 +89,15 @@ CASES = {
     # degree 4: Euler circuits and matchings split the 2-factors of both
     "regular-k5-k44": ("regular", "k5", "k44", []),
     "objects-rotation3": ("build-objects", "x1", "x2", None),
+    # coloured inputs: partly dart-coloured cycles, and vertex-coloured ones
+    **{"%s-%s" % (name, pair): (command, *pair.split("-"), extra)
+       for pair in ("c3red-c6red", "c6v-c6v")
+       for name, command, extra in (
+           ("star-dr", "build", ["--backend", "star", "--strategy", "dr"]),
+           ("star-aligned", "build", ["--backend", "star", "--strategy", "aligned"]),
+           ("ball", "build", ["--backend", "ball", "-R", "1"]),
+           ("glue", "build", ["--backend", "glue", "-R", "1"]),
+           ("regular", "regular", []))},
 }
 
 
@@ -113,6 +139,36 @@ def artifact_digests(workdir, case) -> dict:
 
 
 GOLDEN = {
+    "ball-based-c3-c4": {
+        "certificate.json":
+            "a52323ce2e45115ed6042622092e2273f35b5e6244635184cb5307f70d838371",
+        "cover.json":
+            "88f4761b8508e58b69a3de61bdf676e5fe9e8285a2df930fde1b5883f420eb23",
+        "mu1.json":
+            "6d098cb82bcea9039506c0601df26c1eea8acc0e1fb5a8ada8edb5ebf93d766c",
+        "mu2.json":
+            "dfc0f880adb019320bdd4dc7e64bfded9bc6ae478a1c4898ef3c71fe7913f825",
+    },
+    "ball-c3red-c6red": {
+        "certificate.json":
+            "7d8d38248dac64140f55341f9d4caaf4d25c10535ccda40cc05651025226ab9a",
+        "cover.json":
+            "c9dac616c6bdeb5ee96c20986cffa19b04eb312b5c16fb7bf5c7932fd0a512ce",
+        "mu1.json":
+            "8bb7fcba7d60ec82e0c3c87301956cd5310f5916b2547fbe7833ad7cf6108041",
+        "mu2.json":
+            "b636c8839233fe750223f9a9885c1503383326105c3255f9fd55297efe6ca39b",
+    },
+    "ball-c6v-c6v": {
+        "certificate.json":
+            "2887d812bf2f93af00cbe5eef9213f4387b1f93f53bee898d5a2962a56596888",
+        "cover.json":
+            "fdda0c73f878938077aaa011761e65f5971ea60c0e65ca6d7de164403eae6095",
+        "mu1.json":
+            "33d0e67ee731fed1cb38787b1e86e9874d2b34cfc6ca31a46c3563e1330375d2",
+        "mu2.json":
+            "33d0e67ee731fed1cb38787b1e86e9874d2b34cfc6ca31a46c3563e1330375d2",
+    },
     "ball-k23-k23x2": {
         "certificate.json":
             "95538508561498503c6fb3407df844713af2845c5ffc1e253d720a9a6dab114d",
@@ -133,16 +189,6 @@ GOLDEN = {
         "mu2.json":
             "d9c38cc34d5e841aba1e9c9c65cbdf031bc375acc10d160d9d1854fa21273c8e",
     },
-    "ball-based-c3-c4": {
-        "certificate.json":
-            "a52323ce2e45115ed6042622092e2273f35b5e6244635184cb5307f70d838371",
-        "cover.json":
-            "88f4761b8508e58b69a3de61bdf676e5fe9e8285a2df930fde1b5883f420eb23",
-        "mu1.json":
-            "6d098cb82bcea9039506c0601df26c1eea8acc0e1fb5a8ada8edb5ebf93d766c",
-        "mu2.json":
-            "dfc0f880adb019320bdd4dc7e64bfded9bc6ae478a1c4898ef3c71fe7913f825",
-    },
     "glue-c3-c4": {
         "cover.json":
             "30b37f42d895d29ae03543a87b0867ccb73ab73d15a21f00709230377b51876c",
@@ -151,9 +197,33 @@ GOLDEN = {
         "mu2.json":
             "8b493a0106a83b1a3e5d10a484113795b1243edbd1e13ea8ae70d76c57eafb09",
     },
+    "glue-c3red-c6red": {
+        "cover.json":
+            "04ad6fca5a0154b09f6ba3edeb549b3ffa65d904b842e63c293ce87da8b53dd6",
+        "mu1.json":
+            "7e3fbefd9fd0c8e9bc32b3403a602032bef38c12768877a92e3576ef8fb6112f",
+        "mu2.json":
+            "abf4c9f477328bdc740f2c61f70ca57ba9f333ae851425ff3eaa8f60bcd65ac8",
+    },
+    "glue-c6v-c6v": {
+        "cover.json":
+            "893cd6fd795ede162e16c4e44c5d37d7eed1155366fc0c39c2dd2c67e4063632",
+        "mu1.json":
+            "62bda749bddc91b1ea71bf1939331393547f2b2c61d24afbadef6ab8b8699497",
+        "mu2.json":
+            "62bda749bddc91b1ea71bf1939331393547f2b2c61d24afbadef6ab8b8699497",
+    },
     "glue-rose2-theta4": {
         "cover.json":
             "457ef391541fbf13a64965698210975a6f08f8500adb6b91de26caa6753ae03d",
+        "mu1.json":
+            "cdfe484b8576e43013d18c854e318e130cf68d796d75043bb4ae9733c66a7083",
+        "mu2.json":
+            "174209e352e773f2150fd1d84a0219ce5bc30dd86d1d76b7b39f168a93f0822e",
+    },
+    "glue-rose2red-theta4red": {
+        "cover.json":
+            "cbbedb8b06b7348a94ca6c023bb4c0b6c60f6546a380f35813ab3fd41ca4a232",
         "mu1.json":
             "cdfe484b8576e43013d18c854e318e130cf68d796d75043bb4ae9733c66a7083",
         "mu2.json":
@@ -183,6 +253,14 @@ GOLDEN = {
         "mu2.json":
             "2697e1f6c4b6a208f0dde26df6bfc6c5ae65647e8d7bbf53fdc3b53629bb3b5a",
     },
+    "regular-c3red-c6red": {
+        "cover.json":
+            "cc3b2d4cc0503e0874a95fa89797b8b2d3f45747f4cbb2dfec9bdfb93eb83663",
+        "mu1.json":
+            "242b497668a229c080ba256e20007ee070c45da12efe86bd336a01b73c635506",
+        "mu2.json":
+            "49200640b67e3a7cbeb7e387b20e7d32c8350e688de651adacad832c26b15fbb",
+    },
     "regular-c4-c6": {
         "cover.json":
             "1f0351bf8a75a664b2a528b74b969ee79c6db9f37c6d6bc35e4d9204cac04acc",
@@ -190,6 +268,14 @@ GOLDEN = {
             "126cea0d9a8c0838417f1a4da4fd96d5ad111bd9c1c58ea1d1f5840749b31b05",
         "mu2.json":
             "310c61acc73cc2b45d7cf0aa4b82c49682a6cc1c47fe087e46f9f35319ebf77f",
+    },
+    "regular-c6v-c6v": {
+        "cover.json":
+            "9246dbd608e0472edd257177c7c7d916d4e4b7f58f6075bda6f7af1651613699",
+        "mu1.json":
+            "a431b08482932786bf6ef25dfe213e6e4d7248e9a373ce9f0e3d558b912d6246",
+        "mu2.json":
+            "a431b08482932786bf6ef25dfe213e6e4d7248e9a373ce9f0e3d558b912d6246",
     },
     "regular-cubic40-cubic30": {
         "cover.json":
@@ -223,13 +309,21 @@ GOLDEN = {
         "mu2.json":
             "dfc0f880adb019320bdd4dc7e64bfded9bc6ae478a1c4898ef3c71fe7913f825",
     },
-    "star-aligned-theta3-k4": {
+    "star-aligned-c3red-c6red": {
         "cover.json":
-            "0426662f93426e3cd94b36ea7516c6af393e66428b865cf9bbdca45cfa63064d",
+            "be73399c1fd8861cba7aef496d11a4212704db6b6219a589b58c7abc1ea9ff42",
         "mu1.json":
-            "25ce17c952fba8f57561ca186f216589faadce264489b5d9bc945bfff57c9aa2",
+            "8bb7fcba7d60ec82e0c3c87301956cd5310f5916b2547fbe7833ad7cf6108041",
         "mu2.json":
-            "b8d88b91997d2cfe454739a65c44e0957d496928f5ac657706b55b07ed7062f1",
+            "b636c8839233fe750223f9a9885c1503383326105c3255f9fd55297efe6ca39b",
+    },
+    "star-aligned-c6v-c6v": {
+        "cover.json":
+            "d7f2875dd08423301ef941dccae9e127d3650538ed2e3ce9ba17d4f6934cd3ee",
+        "mu1.json":
+            "33d0e67ee731fed1cb38787b1e86e9874d2b34cfc6ca31a46c3563e1330375d2",
+        "mu2.json":
+            "33d0e67ee731fed1cb38787b1e86e9874d2b34cfc6ca31a46c3563e1330375d2",
     },
     "star-aligned-k23-k23x2": {
         "cover.json":
@@ -239,6 +333,14 @@ GOLDEN = {
         "mu2.json":
             "c31c0749fda23d7178a368510a04a2e5f1654e0efbb807402defed8f02ba382d",
     },
+    "star-aligned-theta3-k4": {
+        "cover.json":
+            "0426662f93426e3cd94b36ea7516c6af393e66428b865cf9bbdca45cfa63064d",
+        "mu1.json":
+            "25ce17c952fba8f57561ca186f216589faadce264489b5d9bc945bfff57c9aa2",
+        "mu2.json":
+            "b8d88b91997d2cfe454739a65c44e0957d496928f5ac657706b55b07ed7062f1",
+    },
     "star-dr-c3-c4": {
         "cover.json":
             "13e6027564444b126a32bce8917b3a6e7bab546960e1c5ed7723dc819eaf1b3e",
@@ -246,6 +348,22 @@ GOLDEN = {
             "6a5f7e016080a2d5713f543539acf1ce60650cb12d4c140d9181f70013912ab6",
         "mu2.json":
             "f64d5543f0e172fb03e04a8e584de989924b35d2c85608f3eae4f6ef3a1c85a6",
+    },
+    "star-dr-c3red-c6red": {
+        "cover.json":
+            "18e5673d58d6df7a13a9fa9fe05663b6bcf0dbfe92c51f394e16ef6b3227bc64",
+        "mu1.json":
+            "e6f2950925075e62101243ad161abcf8504f3ff53615f3dfca14556460d456d6",
+        "mu2.json":
+            "88144455072ac7572bea31d3b6aca5b014119cf1e793a94a92da24f773d983c7",
+    },
+    "star-dr-c6v-c6v": {
+        "cover.json":
+            "77140a019a6c2a84a6130f22d44bae81d4930bd836d6f18326aed570449658d8",
+        "mu1.json":
+            "4544e759cc6b61a33f6181d00ff09761bbeabcb2332d91b03f6d16dd9cb1f226",
+        "mu2.json":
+            "4544e759cc6b61a33f6181d00ff09761bbeabcb2332d91b03f6d16dd9cb1f226",
     },
     "star-dr-k23-k23x2": {
         "cover.json":

@@ -132,7 +132,8 @@ def test_id_views_match_the_constructor(tmp_path, case):
     # the cover is a pullback, or a restriction of one where a cut drops
     # components (regular-c4-c6, regular-k4-k33); both and the cover loaded
     # from disk are built from tables and keep no given entries, and their
-    # views must give the dicts of Graph(...) on the written records
+    # views must give the dicts of Graph(...) on the written records, the
+    # colours of the coloured cases included
     _, first, second, extra = CASES[case]
     g1, g2 = GRAPHS[first](), GRAPHS[second]()
     built = regular_common_cover(g1, g2, "all" if "all" in extra else "least")
@@ -145,7 +146,8 @@ def test_id_views_match_the_constructor(tmp_path, case):
         records = json.load(fh)["graph"]
     vs, ds = records["vertices"], records["darts"]
     reference = Graph([e["id"] for e in vs], [e["id"] for e in ds],
-                      {e["id"]: e["from"] for e in ds}, {e["id"]: e["reverse"] for e in ds})
+                      {e["id"]: e["from"] for e in ds}, {e["id"]: e["reverse"] for e in ds},
+                      *[{e["id"]: e["colour"] for e in es if "colour" in e} for es in (vs, ds)])
     loaded = _graph_from_data(records, "cover.json")
     for g in (built.graph, loaded):
         assert g._given is None
