@@ -223,15 +223,14 @@ def load_graph(path: str) -> Graph:
 _ID, _FROM, _REVERSE = itemgetter("id"), itemgetter("from"), itemgetter("reverse")
 
 
-def _colours(entries: list, ids: list):
-    """id -> the colour of each entry that has one, or None where none has;
-    a colour that is not a str raises TypeError."""
-    if set(map(dict.get, entries, repeat("colour"))) <= {None}:
-        return None
-    colours = {i: c for i, c in zip(ids, map(dict.get, entries, repeat("colour"))) if c is not None}
-    if not set(map(type, colours.values())) <= {str}:
+def _colours(entries: list):
+    """The colour of each entry (None where it has none), or None where no
+    entry has one; a colour that is not a str raises TypeError."""
+    column = list(map(dict.get, entries, repeat("colour")))
+    kinds = set(map(type, column))
+    if not kinds <= {str, type(None)}:
         raise TypeError
-    return colours
+    return column if str in kinds else None
 
 
 def _graph_from_data(data, where) -> Graph:
@@ -252,7 +251,7 @@ def _graph_from_data(data, where) -> Graph:
             # to the handler below: a SchemaError here would be re-wrapped
             raise TypeError
         g = graph_from_ids(vertices, darts, list(map(_FROM, ds)), list(map(_REVERSE, ds)),
-                           _colours(vs, vertices), _colours(ds, darts))
+                           _colours(vs), _colours(ds))
         report = validate_graph(g)
     except (KeyError, TypeError):
         _raise_bad_entry(vs, ds, where)
@@ -276,34 +275,29 @@ def _raise_bad_entry(vs, ds, where):
 
 
 def dump_graph(g: Graph) -> dict:
-    def record(out, colours):
-        if out["id"] in colours:
-            out["colour"] = colours[out["id"]]
-        return out
+    vertices = [{"id": v} for v in g.vertices]
+    darts = [{"id": d, "reverse": g.darts[r], "from": g.vertices[o]}
+             for d, r, o in zip(g.darts, g.rev, g.org)]
+    for records, column in ((vertices, g.vcol), (darts, g.dcol)):
+        for record, colour in zip(records, column or ()):
+            if colour is not None:
+                record["colour"] = colour
+    return {"vertices": vertices, "darts": darts}
 
-    return {"vertices": [record({"id": v}, g.vertex_colour) for v in g.vertices],
-            "darts": [record({"id": d, "reverse": g.darts[r], "from": g.vertices[o]},
-                             g.dart_colour) for d, r, o in zip(g.darts, g.rev, g.org)]}
 
-
-def _colour_column(ids, colours):
-    """The quoted colour of each id; [] when no id has a colour, None when
-    only some do or a colour is not a str."""
-    if not colours:
+def _colour_column(column):
+    """The quoted colours of a colour column; [] for no column, None when
+    only some entries have a colour or a colour is not a str."""
+    if column is None:
         return []
-    values = list(map(colours.get, ids))
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(_quote, values))
-    return [] if kinds <= {type(None)} else None
+    return list(map(_quote, column)) if set(map(type, column)) == {str} else None
 
 
 def _graph_tables(g: Graph, quoted_v: list, quoted_d: list) -> dict:
     """``dump_graph(g)`` for the writer, read from g's index tables and its
     quoted ids: no record dicts.  Partly coloured vertices or darts take
     ``dump_graph``'s records, whose keys differ between entries."""
-    vcol = _colour_column(g.vertices, g.vertex_colour)
-    dcol = _colour_column(g.darts, g.dart_colour)
+    vcol, dcol = _colour_column(g.vcol), _colour_column(g.dcol)
     if vcol is None or dcol is None:
         return dump_graph(g)
     vertices = {"id": quoted_v}
@@ -412,12 +406,16 @@ def _object_graph_from_data(data, path: str) -> ObjectGraph:
 def load_object_morphism(path: str, source: ObjectGraph,
                          target: ObjectGraph) -> ObjectGraphMorphism:
     """A map file of an object cover: the graph map under "graph", beside
-    the vertex and edge morphism tables."""
+    the vertex and edge morphism tables, keyed by cover vertex and dart."""
     data = _read_json(path)
     _expect(isinstance(data, dict), path, "top level must be an object")
     tables = []
-    for key in ("vertex_morphisms", "edge_morphisms"):
+    for key, ids in (("vertex_morphisms", source.graph.vertices),
+                     ("edge_morphisms", source.graph.darts)):
         _expect(isinstance(data.get(key), dict), path, "missing %s table" % key)
+        unknown = data[key].keys() - set(ids)
+        _expect(not unknown, path, "%s key %r is not an id of the cover graph"
+                % (key, min(unknown, default=None)))
         tables.append({k: _load_morphism_tables(entry, "%s: %s[%s]" % (path, key, k))
                        for k, entry in data[key].items()})
     return ObjectGraphMorphism(source, target, _morphism_from_data(
@@ -659,20 +657,21 @@ def _dot_id(s: str) -> str:
 
 def cmd_export_dot(args) -> int:
     g = load_graph(args.file)
+    origin, reverse = g.origin, g.reverse
+    vertex_colour, dart_colour = g.vertex_colour, g.dart_colour
     lines = ["graph G {"]
     for v in g.vertices:
         attrs = ""
-        if v in g.vertex_colour:
-            attrs = " [color=%s]" % _dot_id(g.vertex_colour[v])
+        if v in vertex_colour:
+            attrs = " [color=%s]" % _dot_id(vertex_colour[v])
         lines.append("  %s%s;" % (_dot_id(v), attrs))
-    origin, reverse = g.origin, g.reverse
     for d in g.edge_reps():
         rd = reverse[d]
         attrs = []
-        if d in g.dart_colour:
-            attrs.append("taillabel=%s" % _dot_id(g.dart_colour[d]))
-        if rd in g.dart_colour:
-            attrs.append("headlabel=%s" % _dot_id(g.dart_colour[rd]))
+        if d in dart_colour:
+            attrs.append("taillabel=%s" % _dot_id(dart_colour[d]))
+        if rd in dart_colour:
+            attrs.append("headlabel=%s" % _dot_id(dart_colour[rd]))
         suffix = " [%s]" % ", ".join(attrs) if attrs else ""
         lines.append("  %s -- %s%s;" % (_dot_id(origin[d]), _dot_id(origin[rd]), suffix))
     lines.append("}")

@@ -47,7 +47,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     finish_cover, numbered_ids)
+                     colours_at, finish_cover, numbered_ids)
 from .groupoids import (FiniteGroupoid, encoding, gather, keyed, lcm_all, marked, points,
                         saturate)
 from .refinement import joint_refinement
@@ -725,10 +725,9 @@ def build_cover(sys: LocalSystem, component: str = "least",
     vertex_ids, dart_ids = (numbered_ids(("v%06d",), range(len(vm1))),
                             numbered_ids(("d%06d",), range(len(org))))
     # the cover takes the first graph's colours when it has any
-    g, vm, dm = (g1, vm1, dm1) if g1.vertex_colour or g1.dart_colour else (g2, vm2, dm2)
+    g, vm, dm = (g1, vm1, dm1) if g1.vcol or g1.dcol else (g2, vm2, dm2)
     graph = Graph.from_tables(vertex_ids, dart_ids, org, rev,
-                              pulled_colours(vertex_ids, g.vertex_colour, g.vertices, vm),
-                              pulled_colours(dart_ids, g.dart_colour, g.darts, dm))
+                              colours_at(g.vcol, vm), colours_at(g.dcol, dm))
     based_vertex = None
     if based_at is not None:
         if based_at.key not in first:
@@ -741,14 +740,6 @@ def build_cover(sys: LocalSystem, component: str = "least",
                                sys.arrow_shapes),
                         Labels(dart_ids, dart_of, dart_copy, order, serial_of.__getitem__,
                                sys.atom_shapes))
-
-
-def pulled_colours(ids, colour: dict, names: tuple, images: list) -> dict:
-    """id -> the colour of its image, where the image has one."""
-    if not colour:
-        return {}
-    return {i: c for i, c in zip(ids, map(colour.get, map(names.__getitem__, images)))
-            if c is not None}
 
 
 # -- certificates for the ball backend ---------------------------------------

@@ -46,4 +46,4 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def with_vertex_colour(g: Graph, colours: dict) -> Graph:
     return Graph.from_tables(g.vertices, g.darts, g.org, g.rev,
-                             {**g.vertex_colour, **colours}, g.dart_colour)
+                             list(map({**g.vertex_colour, **colours}.get, g.vertices)), g.dcol)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from itertools import count
 
 from .ball_system import build_ball_system_retrying
-from .cover_builder import LocalSystem, pulled_colours
+from .cover_builder import LocalSystem
 from .graphs import (Cover, Graph, GraphMorphism, VerificationError,
-                     finish_cover, numbered_ids, sort_graph)
+                     colours_at, finish_cover, numbered_ids, sort_graph)
 from .groupoids import lcm_all
 
 
@@ -160,8 +160,7 @@ def assemble(sys: LocalSystem, data: PairsAndFaces, weights: WeightFn,
     vertex_ids = numbered_ids(("p%06d",), range(len(vm1)))
     dart_ids = numbered_ids(("d%06dL", "d%06dR"), range(0, len(org), 2))
     graph = Graph.from_tables(vertex_ids, dart_ids, org, [d ^ 1 for d in range(len(org))],
-                              pulled_colours(vertex_ids, g1.vertex_colour, g1.vertices, vm1),
-                              pulled_colours(dart_ids, g1.dart_colour, g1.darts, dm1))
+                              colours_at(g1.vcol, vm1), colours_at(g1.dcol, dm1))
     return finish_cover(GraphMorphism.from_tables(graph, g1, vm1, dm1),
                         GraphMorphism.from_tables(graph, sys.g2, vm2, dm2), component,
                         weights=weights, subdivided=False)
@@ -204,8 +203,9 @@ def subdivide_graph(g: Graph) -> SubdivisionInfo:
     darts = [d + half for d in g.darts for half in (".o", ".i")]
     sub, vorder, dorder = sort_graph(
         [*g.vertices, *midpoints], darts, [v for d, u in enumerate(org) for v in (u, mid[d])],
-        [k ^ 1 for k in range(len(darts))], g.vertex_colour,
-        {d + ".o": c for d, c in g.dart_colour.items()})
+        [k ^ 1 for k in range(len(darts))],
+        None if g.vcol is None else g.vcol + [None] * len(midpoints),
+        None if g.dcol is None else [c for colour in g.dcol for c in (colour, None)])
     return SubdivisionInfo(sub, [k if k < n else -1 for k in vorder],
                            [-1 if k & 1 else k >> 1 for k in dorder])
 
@@ -236,7 +236,7 @@ def contract_subdivided(glued: Cover, info1: SubdivisionInfo,
     # have colours, and they stay
     graph = Graph.from_tables([cover.vertices[k] for k in kv], [cover.darts[k] for k in kd],
                               [vnew[cover.org[k]] for k in kd], [dnew[new_rev[k]] for k in kd],
-                              cover.vertex_colour, cover.dart_colour)
+                              colours_at(cover.vcol, kv), colours_at(cover.dcol, kd))
     out1, out2 = (GraphMorphism.from_tables(graph, g, [over[k] for k in kv],
                                             [info.dart_of[mu.dm[k]] for k in kd])
                   for g, over, info, mu in ((g1, over1, info1, mu1), (g2, over2, info2, mu2)))

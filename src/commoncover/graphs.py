@@ -5,7 +5,8 @@ A graph is a finite set of vertices together with a finite set of darts
 the reversal map is required to be a fixed-point-free involution, so a
 geometric edge is an unordered pair ``{e, reverse(e)}`` and loops and
 parallel edges are unambiguous.  Vertices and darts may carry optional
-colour labels.
+colour labels, held as one column per kind (colour per index, None where
+an element has none).
 
 Conventions used throughout the package:
 
@@ -59,13 +60,18 @@ def _differ(a: list, b: list) -> list:
     return [] if a == b else _where(map(ne, a, b))
 
 
-def _clashes(s_colour: dict, ids, t_colour: dict, images) -> set:
-    """The indices of the ``ids`` whose colour and whose image's colour are
-    both set and differ; none unless both graphs carry colours."""
-    if not (s_colour and t_colour):
+def _clashes(s_col: Optional[list], t_col: Optional[list], images: list) -> set:
+    """The indices whose colour and whose image's colour are both set and
+    differ; none unless both graphs carry colours."""
+    if s_col is None or t_col is None:
         return set()
-    sc, tc = list(map(s_colour.get, ids)), list(map(t_colour.get, images))
-    return {i for i in _differ(sc, tc) if sc[i] is not None and tc[i] is not None}
+    tc = list(map(t_col.__getitem__, images))
+    return {i for i in _differ(s_col, tc) if s_col[i] is not None and tc[i] is not None}
+
+
+def colours_at(column: Optional[list], indices) -> Optional[list]:
+    """The entries of a colour column at ``indices``; no column gives none."""
+    return None if column is None else list(map(column.__getitem__, indices))
 
 
 def _rendered(ids, table: list, names: tuple) -> dict:
@@ -96,22 +102,19 @@ def _sizes(first: list) -> list:
     return list(map(sub, islice(first, 1, None), first))
 
 
-def _degrees(org: list, n: int) -> list:
-    """The number of entries of ``org`` equal to each of ``range(n)``."""
-    return _sizes(list(map(bisect_left, repeat(sorted(org)), range(n + 1))))
-
-
 class Graph:
     """A finite multigraph in the dart model.
 
     A graph is its index tables: vertex and dart i are the i-th identifiers
     in sorted order, ``org[i]`` and ``rev[i]`` are the indices of the origin
     and the reversal of dart i (-1 where that is missing or not a vertex or
-    dart), and, once ``_star_tables`` has built them, the star of vertex v
-    holds the darts ``_order[_first[v]:_first[v + 1]]``.  The whole-table
-    checks below run on the index tables, with no Python step per dart.
-    ``origin`` and ``reverse`` (dart id -> id) are views rendered from the
-    tables on each use, for output and messages.
+    dart), ``vcol[i]`` and ``dcol[i]`` are the colours of vertex and dart i
+    (None where it has none; a column is None where no element has one),
+    and ``stars()`` is built on first use.  The whole-table checks below run
+    on the index tables, with no Python step per dart.  ``origin``,
+    ``reverse`` (dart id -> id), ``vertex_colour`` and ``dart_colour`` (id ->
+    colour) are views rendered from the tables on each use, for output and
+    messages.
 
     The constructor takes id dicts through ``graph_from_ids``, as the
     graph file reader takes its columns.  It is permissive: it accepts
@@ -121,32 +124,33 @@ class Graph:
     messages.  All operations other than validation assume a valid graph.
     """
 
-    __slots__ = ("vertices", "darts", "vertex_colour", "dart_colour", "org", "rev",
-                 "_given", "_index", "_order", "_first", "_stars")
+    __slots__ = ("vertices", "darts", "org", "rev", "vcol", "dcol",
+                 "_given", "_index", "_stars")
 
     def __init__(self, vertices, darts, origin, reverse,
                  vertex_colour=None, dart_colour=None):
-        darts = list(darts)
-        g = graph_from_ids(list(vertices), darts, list(map(origin.get, darts)),
-                           list(map(reverse.get, darts)), vertex_colour, dart_colour)
-        self._set(g.vertices, g.darts, g.org, g.rev, g.vertex_colour, g.dart_colour, g._given)
+        vertices, darts = list(vertices), list(darts)
+        vcol, dcol = [list(map(colours.get, ids)) if colours else None
+                      for colours, ids in ((vertex_colour, vertices), (dart_colour, darts))]
+        g = graph_from_ids(vertices, darts, list(map(origin.get, darts)),
+                           list(map(reverse.get, darts)), vcol, dcol)
+        self._set(g.vertices, g.darts, g.org, g.rev, g.vcol, g.dcol, g._given)
 
     @classmethod
-    def from_tables(cls, vertices, darts, org, rev,
-                    vertex_colour=None, dart_colour=None) -> "Graph":
+    def from_tables(cls, vertices, darts, org, rev, vcol=None, dcol=None) -> "Graph":
         """The graph on sorted, distinct ``vertices`` and ``darts`` whose
         dart i has origin ``vertices[org[i]]`` and reversal ``darts[rev[i]]``,
-        where those are not -1."""
+        where those are not -1, and the colours ``vcol[i]`` and ``dcol[i]``."""
         g = cls.__new__(cls)
-        g._set(tuple(vertices), tuple(darts), org, rev, vertex_colour, dart_colour, None)
+        g._set(tuple(vertices), tuple(darts), org, rev, vcol, dcol, None)
         return g
 
-    def _set(self, vertices, darts, org, rev, vertex_colour, dart_colour, given):
+    def _set(self, vertices, darts, org, rev, vcol, dcol, given):
         self.vertices, self.darts, self.org, self.rev = vertices, darts, org, rev
-        self.vertex_colour = dict(vertex_colour or {})
-        self.dart_colour = dict(dart_colour or {})
-        self._given, self._index = given, None
-        self._order = self._first = self._stars = None
+        # a column with no colour in it is no column
+        self.vcol, self.dcol = [None if c is None or c.count(None) == len(c) else c
+                                for c in (vcol, dcol)]
+        self._given, self._index, self._stars = given, None, None
 
     def _view(self, table: list, names: tuple, given: int) -> dict:
         """dart id -> the name at its index in ``table``; where that is -1,
@@ -166,26 +170,32 @@ class Graph:
         """dart id -> the id of its reversal."""
         return self._view(self.rev, self.darts, 1)
 
+    @property
+    def vertex_colour(self) -> dict:
+        """vertex id -> its colour, where it has one."""
+        return {v: c for v, c in zip(self.vertices, self.vcol or ()) if c is not None}
+
+    @property
+    def dart_colour(self) -> dict:
+        """dart id -> its colour, where it has one."""
+        return {d: c for d, c in zip(self.darts, self.dcol or ()) if c is not None}
+
     def index(self) -> tuple:
         """(vertex id -> index, dart id -> index), built on first use."""
         if self._index is None:
             self._index = _positions(self.vertices), _positions(self.darts)
         return self._index
 
-    def _star_tables(self) -> tuple:
-        """(_order, _first), built on first use: a stable sort of the darts
-        by origin keeps each star in sorted dart order."""
-        if self._first is None:
-            self._order, self._first = _buckets(self.org, len(self.vertices))
-        return self._order, self._first
-
     def stars(self) -> list:
         """Per vertex index, the indices of its darts in order; built on
-        first use and shared by every caller, which must not change it."""
+        first use and shared by every caller, which must not change it.  A
+        dart whose origin is -1 is in no star."""
         if self._stars is None:
-            order, first = self._star_tables()
-            self._stars = list(map(tuple(order).__getitem__,
-                                   map(slice, first, islice(first, 1, None))))
+            stars = [[] for _ in range(len(self.vertices) + 1)]
+            for d, v in enumerate(self.org):
+                stars[v].append(d)
+            stars.pop()                 # the darts at -1
+            self._stars = list(map(tuple, stars))
         return self._stars
 
     # -- basic queries ----------------------------------------------------
@@ -211,10 +221,8 @@ class Graph:
 
     def canonical(self) -> tuple:
         """Canonical form, used for equality: the tables, the entries kept
-        of a broken graph and the colours by index."""
-        return (self.vertices, self.darts, self.org, self.rev, self._given,
-                tuple(map(self.vertex_colour.get, self.vertices)),
-                tuple(map(self.dart_colour.get, self.darts)))
+        of a broken graph and the colour columns."""
+        return self.vertices, self.darts, self.org, self.rev, self._given, self.vcol, self.dcol
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.canonical() == other.canonical()
@@ -246,14 +254,13 @@ class Graph:
 
         Each component grows a whole breadth-first layer per step, as a set
         of vertex indices."""
-        org, (order, first) = self.org, self._star_tables()
-        heads = list(map(org.__getitem__, map(self.rev.__getitem__, order)))
-        neighbours = list(map(heads.__getitem__, map(slice, first, islice(first, 1, None))))
+        stars, heads = self.stars(), list(map(self.org.__getitem__, self.rev))
         n, done, comps, root = len(self.vertices), set(), [], 0
         while (root := next(filterfalse(done.__contains__, range(root, n)), None)) is not None:
             comp, layer = {root}, (root,)
             while layer:
-                layer = set(chain.from_iterable(map(neighbours.__getitem__, layer)))
+                layer = set(map(heads.__getitem__,
+                                chain.from_iterable(map(stars.__getitem__, layer))))
                 layer -= comp
                 comp |= layer
             done |= comp
@@ -286,14 +293,11 @@ class Graph:
         vnew, dnew = [-1] * len(kept), [-1] * len(inside)
         deque(map(vnew.__setitem__, kv, count()), maxlen=0)
         deque(map(dnew.__setitem__, kd, count()), maxlen=0)
-        vs = list(map(self.vertices.__getitem__, kv))
-        ds = list(map(self.darts.__getitem__, kd))
-        vcol, dcol = self.vertex_colour, self.dart_colour
         return Graph.from_tables(
-            vs, ds, list(map(vnew.__getitem__, map(org.__getitem__, kd))),
+            list(map(self.vertices.__getitem__, kv)), list(map(self.darts.__getitem__, kd)),
+            list(map(vnew.__getitem__, map(org.__getitem__, kd))),
             list(map(dnew.__getitem__, map(rev.__getitem__, kd))),
-            {v: vcol[v] for v in vs if v in vcol} if vcol else None,
-            {d: dcol[d] for d in ds if d in dcol} if dcol else None)
+            colours_at(self.vcol, kv), colours_at(self.dcol, kd))
 
     def distances_from(self, v0: int) -> dict:
         """Vertex index -> its distance from vertex index ``v0``, for the
@@ -388,8 +392,7 @@ class GraphMorphism:
         # dm[i] = -1 reads the last entry of a target table: such a dart is
         # reported as having no image and checked no further
         if len(missing) < len(dm):
-            clash = _clashes(src.dart_colour, src.darts, tgt.dart_colour,
-                             map(tgt.darts.__getitem__, dm))
+            clash = _clashes(src.dcol, tgt.dcol, dm)
             failing = [*missing, *clash,
                        *_differ(list(map(vm.__getitem__, src.org)),
                                 list(map(tgt.org.__getitem__, dm))),
@@ -407,8 +410,7 @@ class GraphMorphism:
             if i in clash:
                 bad.append("dart colour not preserved at %r" % (d,))
         if len(missing_v) < len(vm):
-            clash = _clashes(src.vertex_colour, src.vertices, tgt.vertex_colour,
-                             map(tgt.vertices.__getitem__, vm))
+            clash = _clashes(src.vcol, tgt.vcol, vm)
             bad += ["vertex colour not preserved at %r" % (src.vertices[i],)
                     for i in sorted(clash.difference(missing_v))]
         return bad
@@ -460,12 +462,11 @@ def is_covering(m: GraphMorphism) -> CoveringReport:
     # no two darts of one star share an image and the target stars of the
     # source vertices hold as many darts as the source: maps into them,
     # each injective, fill them all only when the sizes add up.
-    t_degree = _degrees(tgt.org, len(tgt.vertices))
+    t_degree = list(map(len, tgt.stars()))
     if (sum(map(t_degree.__getitem__, vm)) != len(dm)
             or len(set(map(add, map(mul, src.org, repeat(len(tgt.darts))), dm))) < len(dm)):
-        order, first = src._star_tables()
-        for v, (a, b) in enumerate(zip(first, islice(first, 1, None))):
-            if not len(set(map(dm.__getitem__, order[a:b]))) == b - a == t_degree[vm[v]]:
+        for v, star in enumerate(src.stars()):
+            if not len(set(map(dm.__getitem__, star))) == len(star) == t_degree[vm[v]]:
                 return CoveringReport(False, "star map not bijective", src.vertices[v])
     return CoveringReport(True)
 
@@ -666,38 +667,39 @@ def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
                                          map(vat2.__getitem__, map(g2.org.__getitem__, dm2)))))
     rev = list(map(dpos.__getitem__, map(add, map(dat1.__getitem__, map(g1.rev.__getitem__, dm1)),
                                          map(dat2.__getitem__, map(g2.rev.__getitem__, dm2)))))
-    vcol, dcol = [{i: c for i, c in zip(ids, map(colour.get, map(names.__getitem__, firsts)))
-                   if c is not None} if colour else None
-                  for ids, colour, names, firsts in ((vertices, g1.vertex_colour, g1.vertices, vm1),
-                                                     (darts, g1.dart_colour, g1.darts, dm1))]
-    graph = Graph.from_tables(vertices, darts, org, rev, vcol, dcol)
+    graph = Graph.from_tables(vertices, darts, org, rev,
+                              colours_at(g1.vcol, vm1), colours_at(g1.dcol, dm1))
     return FiberProduct(graph, GraphMorphism.from_tables(graph, g1, vm1, dm1),
                         GraphMorphism.from_tables(graph, g2, vm2, dm2))
 
 
 def sort_graph(vertices: list, darts: list, org: list, rev: list,
-               vertex_colour=None, dart_colour=None) -> tuple:
+               vcol: Optional[list] = None, dcol: Optional[list] = None) -> tuple:
     """The graph on distinct ids given in any order, with tables ``org`` and
-    ``rev`` of positions in those lists (-1 kept as -1), as (graph, vorder,
-    dorder): vertex k of the graph is ``vertices[vorder[k]]`` and dart k is
-    ``darts[dorder[k]]``.  This is the one builder of graphs given by ids;
-    ids that come sorted are taken as they are, with no permutation."""
+    ``rev`` of positions in those lists (-1 kept as -1) and colour columns
+    in the order of the ids, as (graph, vorder, dorder): vertex k of the
+    graph is ``vertices[vorder[k]]`` and dart k is ``darts[dorder[k]]``.
+    This is the one builder of graphs given by ids; ids that come sorted are
+    taken as they are, with no permutation."""
     vorder, dorder = [None if sorted(ids) == ids else sorted(range(len(ids)), key=ids.__getitem__)
                       for ids in (vertices, darts)]
     if dorder is not None:
         darts, org, rev = [list(map(t.__getitem__, dorder)) for t in (darts, org, rev)]
         rev = list(map((_inverse(dorder) + [-1]).__getitem__, rev))
+        dcol = colours_at(dcol, dorder)
     if vorder is not None:
         vertices = list(map(vertices.__getitem__, vorder))
         org = list(map((_inverse(vorder) + [-1]).__getitem__, org))
-    return (Graph.from_tables(vertices, darts, org, rev, vertex_colour, dart_colour),
+        vcol = colours_at(vcol, vorder)
+    return (Graph.from_tables(vertices, darts, org, rev, vcol, dcol),
             vorder or range(len(vertices)), dorder or range(len(darts)))
 
 
 def graph_from_ids(vertices: list, darts: list, froms: list, tos: list,
-                   vertex_colour=None, dart_colour=None) -> Graph:
+                   vcol: Optional[list] = None, dcol: Optional[list] = None) -> Graph:
     """The graph on ids given in any order whose dart ``darts[i]`` has the
-    origin ``froms[i]`` and the reversal ``tos[i]``, built by ``sort_graph``.
+    origin ``froms[i]``, the reversal ``tos[i]`` and the colour ``dcol[i]``
+    (vertex ``vertices[i]`` the colour ``vcol[i]``), built by ``sort_graph``.
     Duplicate ids raise.  An endpoint that is no id of its kind (None, 5, an
     unknown str) is -1 in the tables, and its dart keeps the given endpoints
     for the messages of ``validate_graph``; an unhashable one raises."""
@@ -707,7 +709,7 @@ def graph_from_ids(vertices: list, darts: list, froms: list, tos: list,
     if len(dindex) != len(darts):
         raise GraphError("duplicate dart identifiers")
     g, _, dorder = sort_graph(vertices, darts, list(map(vindex.get, froms, repeat(-1))),
-                              list(map(dindex.get, tos, repeat(-1))), vertex_colour, dart_colour)
+                              list(map(dindex.get, tos, repeat(-1))), vcol, dcol)
     broken = {*_equal_to(g.org, -1), *_equal_to(g.rev, -1)}
     if broken:
         g._given = {k: (froms[dorder[k]], tos[dorder[k]]) for k in broken}
@@ -720,14 +722,10 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     vertices (darts), and g2's at that offset above it.  Its ids, the one
     place where the side prefixes are spelled, are g1's after "1:" and g2's
     after "2:", which sort in that same order."""
-
-    def tag(prefix, g):
-        return ([prefix + v for v in g.vertices], [prefix + d for d in g.darts],
-                {prefix + v: c for v, c in g.vertex_colour.items()},
-                {prefix + d: c for d, c in g.dart_colour.items()})
-
-    a, b = tag("1:", g1), tag("2:", g2)
     n1, m1 = len(g1.vertices), len(g1.darts)
-    return Graph.from_tables(a[0] + b[0], a[1] + b[1], g1.org + [v + n1 for v in g2.org],
-                             g1.rev + [d + m1 for d in g2.rev],
-                             {**a[2], **b[2]}, {**a[3], **b[3]})
+    return Graph.from_tables(
+        ["1:" + v for v in g1.vertices] + ["2:" + v for v in g2.vertices],
+        ["1:" + d for d in g1.darts] + ["2:" + d for d in g2.darts],
+        g1.org + [v + n1 for v in g2.org], g1.rev + [d + m1 for d in g2.rev],
+        (g1.vcol or [None] * n1) + (g2.vcol or [None] * len(g2.vertices)),
+        (g1.dcol or [None] * m1) + (g2.dcol or [None] * len(g2.darts)))

@@ -11,7 +11,7 @@ from math import lcm
 from typing import Optional
 
 from .graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism, VerificationError,
-                     is_covering, sort_graph)
+                     colours_at, is_covering, sort_graph)
 
 
 def permutation_cover(g: Graph, degree: int, voltages: dict):
@@ -26,11 +26,11 @@ def permutation_cover(g: Graph, degree: int, voltages: dict):
     copies = range(m)
     vids = ["%s@%d" % (v, i) for v in g.vertices for i in copies]
     dids = ["%s@%d" % (d, i) for d in g.darts for i in copies]
-    vcol, dcol = [{"%s@%d" % (x, i): c for x, c in colour.items() for i in copies}
-                  for colour in (g.vertex_colour, g.dart_colour)]
     cover, vorder, dorder = sort_graph(
         vids, dids, [v * m + i for v in g.org for i in copies],
-        [r * m + perms[d][i] for d, r in enumerate(rev) for i in copies], vcol, dcol)
+        [r * m + perms[d][i] for d, r in enumerate(rev) for i in copies],
+        colours_at(g.vcol, [k // m for k in range(len(vids))]),
+        colours_at(g.dcol, [k // m for k in range(len(dids))]))
     return cover, GraphMorphism.from_tables(cover, g, [k // m for k in vorder],
                                             [k // m for k in dorder])
 
@@ -55,9 +55,9 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
     counter = budget
     h_org, h_rev, h_stars = h.org, h.rev, h.stars()
     t_org, t_rev, t_stars = target.org, target.rev, target.stars()
-    h_vc, t_vc, h_dc, t_dc = [list(map(colour.get, ids)) for colour, ids in (
-        (h.vertex_colour, h.vertices), (target.vertex_colour, target.vertices),
-        (h.dart_colour, h.darts), (target.dart_colour, target.darts))]
+    h_vc, t_vc, h_dc, t_dc = [column or [None] * len(ids) for column, ids in (
+        (h.vcol, h.vertices), (target.vcol, target.vertices),
+        (h.dcol, h.darts), (target.dcol, target.darts))]
 
     def compatible(v, w):
         if len(h_stars[v]) != len(t_stars[w]):

@@ -14,6 +14,7 @@ block gets which number decides no output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .graphs import Graph, GraphError, disjoint_union
 
@@ -29,10 +30,10 @@ class Partition:
         return len(self.blocks)
 
 
-def _colour_keys(colour: dict, ids) -> list:
-    """Per id, the sort key of its optional colour: uncoloured first, then
-    by colour, so that coloured and uncoloured keys sort together."""
-    return [(c is not None, c) for c in map(colour.get, ids)]
+def _colour_keys(column, n: int) -> list:
+    """Per index below n, the sort key of its colour in ``column``: uncoloured
+    first, then by colour, so that coloured and uncoloured keys sort together."""
+    return [(c is not None, c) for c in column or repeat(None, n)]
 
 
 def _number(keys: list) -> list:
@@ -46,7 +47,7 @@ def refine_partition(g: Graph, labels: list) -> Partition:
     labels (vertex index -> label), with the dart types of its blocks."""
     block_of, stars, rev = _number(labels), g.stars(), g.rev
     heads = list(map(g.org.__getitem__, rev))
-    colours = _colour_keys(g.dart_colour, g.darts)
+    colours = _colour_keys(g.dcol, len(g.darts))
     back = list(map(colours.__getitem__, rev))
     while True:
         types = list(zip(colours, back, map(block_of.__getitem__, heads)))
@@ -65,7 +66,7 @@ def degree_refinement(g: Graph) -> Partition:
     """Coarsest equitable partition of a connected graph, refining colours."""
     if not g.is_connected():
         raise GraphError("connected graph required")
-    return refine_partition(g, _colour_keys(g.vertex_colour, g.vertices))
+    return refine_partition(g, _colour_keys(g.vcol, len(g.vertices)))
 
 
 @dataclass
@@ -80,7 +81,7 @@ def joint_refinement(g1: Graph, g2: Graph) -> JointBlocks:
         if not g.is_connected():
             raise GraphError("connected graph required")
     union = disjoint_union(g1, g2)
-    part = refine_partition(union, _colour_keys(union.vertex_colour, union.vertices))
+    part = refine_partition(union, _colour_keys(union.vcol, len(union.vertices)))
     n1 = len(g1.vertices)
     return JointBlocks(all(b[0] < n1 <= b[-1] for b in part.blocks), union, part)
 

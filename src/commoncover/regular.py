@@ -21,7 +21,8 @@ from typing import Optional
 
 from . import families
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     compose_morphisms, finish_cover, is_covering, pullback, sort_graph)
+                     colours_at, compose_morphisms, finish_cover, is_covering, pullback,
+                     sort_graph)
 
 
 def regularity(g: Graph) -> int:
@@ -168,11 +169,10 @@ def bipartite_double(g: Graph):
     two = (0, 1)
     vids = ["%s#%d" % (v, i) for v in g.vertices for i in two]
     dids = ["%s#%d" % (d, i) for d in g.darts for i in two]
-    vcol, dcol = [{"%s#%d" % (x, i): c for x, c in colour.items() for i in two}
-                  for colour in (g.vertex_colour, g.dart_colour)]
     double, vorder, dorder = sort_graph(vids, dids, [2 * v + i for v in g.org for i in two],
                                         [2 * r + 1 - i for r in g.rev for i in two],
-                                        vcol, dcol)
+                                        colours_at(g.vcol, [k >> 1 for k in range(len(vids))]),
+                                        colours_at(g.dcol, [k >> 1 for k in range(len(dids))]))
     return double, GraphMorphism.from_tables(double, g, [k >> 1 for k in vorder],
                                              [k >> 1 for k in dorder])
 
@@ -271,9 +271,8 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cove
     cover takes g1's, so two inputs that both carry vertex colours, or
     both dart colours, are refused when more than one colour occurs
     between them."""
-    for kind, c1, c2 in (("vertex", g1.vertex_colour, g2.vertex_colour),
-                         ("dart", g1.dart_colour, g2.dart_colour)):
-        if c1 and c2 and len({*c1.values(), *c2.values()}) > 1:
+    for kind, c1, c2 in (("vertex", g1.vcol, g2.vcol), ("dart", g1.dcol, g2.dcol)):
+        if c1 and c2 and len({*c1, *c2} - {None}) > 1:
             raise GraphError("the regular path ignores colours: both inputs carry %s "
                              "colours, more than one between them; use build" % kind)
     k1, k2 = regularity(g1), regularity(g2)

@@ -23,7 +23,7 @@ from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationErr
 from commoncover.object_graphs import rotation_pair
 
 from conftest import random_cubic_graph
-from test_golden_artifacts import _write_object_inputs
+from test_golden_artifacts import GRAPHS, _write_object_inputs
 
 
 def _write_graph(tmp_path, name, g):
@@ -584,6 +584,20 @@ def test_verify_an_object_cover_with_an_edited_edge_morphism_exits_one(tmp_path,
     assert "mu2 fails: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("table", ["vertex_morphisms", "edge_morphisms"])
+def test_verify_an_object_cover_with_an_unknown_morphism_key_exits_two(tmp_path, capsys, table):
+    paths, out = _built_object_cover(tmp_path)
+    path = os.path.join(out, "mu1.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    # the extra key holds a valid entry, so every check but the keys passes
+    data[table]["zzz"] = data[table][sorted(data[table])[0]]
+    write_json(path, data)
+    assert main(["verify", out, paths["x1"], paths["x2"]]) == 2
+    assert ("mu1.json: %s key 'zzz' is not an id of the cover graph" % table
+            in capsys.readouterr().err)
+
+
 def test_verify_an_object_cover_onto_plain_graphs_exits_two(tmp_path, capsys):
     _, out = _built_object_cover(tmp_path)
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
@@ -987,10 +1001,14 @@ def test_builds_render_no_id_views(tmp_path, monkeypatch):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     rose2 = _write_graph(tmp_path, "rose2.json", families.rose(2))
     th4 = _write_graph(tmp_path, "th4.json", families.theta(4))
+    c3red, c6red, c6v, rose2red, th4red = [
+        _write_graph(tmp_path, name + ".json", GRAPHS[name]())
+        for name in ("c3red", "c6red", "c6v", "rose2red", "theta4red")]
     objects = _write_object_inputs(str(tmp_path))
     # the views are rendered on every use, so every use is recorded
     rendered = []
-    for cls, names in ((Graph, ("origin", "reverse")), (GraphMorphism, ("vmap", "dmap"))):
+    for cls, names in ((Graph, ("origin", "reverse", "vertex_colour", "dart_colour")),
+                       (GraphMorphism, ("vmap", "dmap"))):
         for name in names:
             def spy(x, view=cls.__dict__[name], name=name):
                 rendered.append(name)
@@ -1009,7 +1027,18 @@ def test_builds_render_no_id_views(tmp_path, monkeypatch):
             (["regular", k5, k44, "-o", out], None),
             (["oracle", c3, c6, "--max", "2"], None),
             (["build-objects", objects["x1"], objects["x2"], "--seeds", objects["seeds"],
-              "-o", out], None)):
+              "-o", out], None),
+            # coloured inputs: partly dart-coloured, and vertex-coloured
+            (["check", c3red, c6red], None),
+            (["build", c3red, c6red, "--strategy", "dr", "-o", out], None),
+            (["build", c3red, c6red, "--strategy", "aligned", "-o", out], None),
+            (["build", c6v, c6v, "--backend", "ball", "-R", "1", "-o", out], None),
+            (["build", c3red, c6red, "--backend", "glue", "-R", "1", "-o", out], False),
+            (["build", rose2red, th4red, "--backend", "glue", "-R", "1", "-o", out], True),
+            (["regular", c3red, c6red, "-o", out], None),
+            (["regular", c6v, c6v, "-o", out], None),
+            (["oracle", c3red, c6red, "--max", "2"], None),
+            (["oracle", c6v, c6v, "--max", "2"], None)):
         assert main(argv) == 0
         assert rendered == [], argv
         if subdivided is not None:

@@ -36,15 +36,21 @@ def test_validate_non_involutive_reversal():
 
 def test_a_graph_keeps_no_dict_it_was_given():
     origin, reverse = {"a": "v", "b": "w"}, {"a": "b", "b": "a"}
-    g = Graph(["v", "w"], ["a", "b"], origin, reverse)
+    vertex_colour, dart_colour = {"w": "red"}, {"a": "blue", "b": "blue"}
+    g = Graph(["v", "w"], ["a", "b"], origin, reverse, vertex_colour, dart_colour)
     vmap, dmap = {"v": "v00", "w": "v00"}, {"a": "e00.a", "b": "e00.b"}
     m = GraphMorphism(g, families.rose(1), vmap, dmap)
     kept = [getattr(x, name) for x in (g, m) for name in type(x).__slots__]
-    assert not any(value is given for value in kept for given in (origin, reverse, vmap, dmap))
+    assert not any(isinstance(value, dict) for value in kept)
     origin["a"], reverse["a"], vmap["v"], dmap["a"] = "w", "a", "x", "e00.b"
+    vertex_colour["v"], dart_colour["a"] = "green", "green"
     assert (g.org, g.rev, m.vm, m.dm) == ([0, 1], [1, 0], [0, 0], [0, 1])
+    # colours are columns by index, None where an element has none
+    assert (g.vcol, g.dcol) == ([None, "red"], ["blue", "blue"])
     # the views are rendered from the tables on each use
     assert g.origin == {"a": "v", "b": "w"} and g.origin is not g.origin
+    assert g.vertex_colour == {"w": "red"} and g.vertex_colour is not g.vertex_colour
+    assert g.dart_colour == {"a": "blue", "b": "blue"} and g.dart_colour is not g.dart_colour
     assert m.dmap == {"a": "e00.a", "b": "e00.b"} and m.vmap is not m.vmap
     # single-id queries read the tables
     assert (g.star("v"), g.degree("w"), g.head("a")) == (("a",), 1, "w")
