@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationErr
 from commoncover.object_graphs import rotation_pair
 
 from conftest import random_cubic_graph
-from test_golden_artifacts import GRAPHS, _write_object_inputs
+from test_golden_artifacts import GRAPHS, _rotation_inputs, _write_object_inputs
 
 
 def _write_graph(tmp_path, name, g):
@@ -603,6 +604,128 @@ def test_verify_an_object_cover_onto_plain_graphs_exits_two(tmp_path, capsys):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     assert main(["verify", out, c3, c3]) == 2
     assert "c3.json: missing objects table" in capsys.readouterr().err
+
+
+def _map_mutations(entries, groups):
+    """(label, entries) with the object maps at the ids of one group in
+    ``groups`` changed together in ``entries`` (id -> vmap/emap tables):
+    each replaced by the map at each other id where that differs, each image
+    set to the next image of its table, and the first image of each table
+    set to "zzz" and dropped."""
+    def changed(group, change):
+        out = copy.deepcopy(entries)
+        for key in group:
+            change(out[key])
+        return out
+
+    for group in groups:
+        for other in sorted(entries):
+            if other not in group and entries[other] != entries[group[0]]:
+                yield "%s as %s" % ("+".join(group), other), changed(
+                    group, lambda m: m.update(copy.deepcopy(entries[other])))
+        for table in ("vmap", "emap"):
+            images = sorted(set(entries[group[0]][table].values()))
+            for i, (k, w) in enumerate(sorted(entries[group[0]][table].items())):
+                nxt = images[(images.index(w) + 1) % len(images)]
+                for image in [nxt, "zzz", None] if i == 0 else [nxt]:
+                    yield "%s %s %s %s" % ("+".join(group), table, k, image), changed(
+                        group, lambda m: m[table].pop(k) if image is None
+                        else m[table].__setitem__(k, image))
+
+
+def _object_cover_mutations(cover, maps):
+    """(file name, label, payload) for each mutation of an object cover's
+    files: the vertex maps, the edge maps (a dart with its reverse, and a
+    dart alone) and the dart images of both map files, and the edge maps of
+    cover.json."""
+    reverse = {d["id"]: d["reverse"] for d in cover["darts"]}
+    pairs = [(d, r) for d, r in sorted(reverse.items()) if d < r]
+    singles = [(d,) for d in sorted(reverse)]
+    for name, data in maps:
+        for label, table in _map_mutations(data["vertex_morphisms"],
+                                           [(v,) for v in sorted(data["vertex_morphisms"])]):
+            yield name, "vertex_morphisms " + label, {**data, "vertex_morphisms": table}
+        for groups in (pairs, singles):
+            for label, table in _map_mutations(data["edge_morphisms"], groups):
+                yield name, "edge_morphisms " + label, {**data, "edge_morphisms": table}
+        images = sorted(set(data["graph"]["dmap"].values()))
+        for d, f in sorted(data["graph"]["dmap"].items()):
+            for other in images:
+                if other != f:
+                    graph = {**data["graph"], "dmap": {**data["graph"]["dmap"], d: other}}
+                    yield name, "dmap %s %s" % (d, other), {**data, "graph": graph}
+    for groups in (pairs, singles):
+        for label, table in _map_mutations(cover["edge_morphisms"], groups):
+            yield "cover.json", "edge_morphisms " + label, {**cover, "edge_morphisms": table}
+
+
+def test_mutated_object_maps_keep_their_verdicts(tmp_path, capsys):
+    """1,942 mutations of the object maps of the covers of rotation_pair(3),
+    (4) and (5), each file changed alone and ``verify`` run on it: the exit
+    codes and messages, pinned by count and by one digest of them all."""
+    records = []
+    for order in (3, 4, 5):
+        work = tmp_path / str(order)
+        work.mkdir()
+        paths = {key: str(work / (key + ".json")) for key in ("x1", "x2", "seeds")}
+        for key, payload in zip(("x1", "x2", "seeds"), _rotation_inputs(order)):
+            write_json(paths[key], payload)
+        out = str(work / "out")
+        assert main(["build-objects", paths["x1"], paths["x2"], "--seeds", paths["seeds"],
+                     "-o", out]) == 0
+        capsys.readouterr()
+        files = {}
+        for name in ("cover.json", "mu1.json", "mu2.json"):
+            with open(os.path.join(out, name)) as fh:
+                files[name] = json.load(fh)
+        for name, label, payload in _object_cover_mutations(
+                files["cover.json"], [(m, files[m]) for m in ("mu1.json", "mu2.json")]):
+            with open(os.path.join(out, name), "w") as fh:
+                json.dump(payload, fh)
+            code = main(["verify", out, paths["x1"], paths["x2"]])
+            said = capsys.readouterr()
+            message = (said.out + said.err).strip().replace(str(work), "<dir>")
+            records.append("%d %s %s\t%d\t%s" % (order, name, label, code, message))
+            with open(os.path.join(out, name), "w") as fh:
+                json.dump(files[name], fh)
+    counts = {}
+    for record in records:
+        code, message = record.split("\t")[1:]
+        kind = "%s %s" % (code, re.sub(r"'[^']*'", "_", message))
+        counts[kind] = counts.get(kind, 0) + 1
+    assert counts == MUTATION_COUNTS
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == MUTATION_DIGEST
+
+
+# exit code and message, with each quoted id as "_" -> mutations
+MUTATION_COUNTS = {
+    '1 mu1 fails: edge morphism at _ is not invertible': 148,
+    '1 mu1 fails: edge morphisms differ across the reversal at _': 296,
+    '1 mu1 fails: vertex morphism at _ is not invertible': 148,
+    '1 mu2 fails: decoration square fails at dart _': 114,
+    '1 mu2 fails: edge morphism at _ is not invertible': 148,
+    '1 mu2 fails: edge morphisms differ across the reversal at _': 448,
+    '1 mu2 fails: vertex morphism at _ is not invertible': 148,
+    '2 input error: <dir>/out/cover.json: edge morphism not structure-preserving at '
+    '_: edge _ has no valid image': 48,
+    '2 input error: <dir>/out/cover.json: edge morphism not structure-preserving at '
+    '_: edge _ has no valid image; edge morphism not structure-preserving at _: edge '
+    '_ has no valid image': 24,
+    '2 input error: <dir>/out/cover.json: edge morphism not structure-preserving at '
+    '_: incidence not preserved at edge _': 200,
+    '2 input error: <dir>/out/cover.json: edge morphism not structure-preserving at '
+    '_: incidence not preserved at edge _; edge morphism not structure-preserving at '
+    '_: incidence not preserved at edge _': 100,
+    '2 input error: <dir>/out/cover.json: edge morphism not structure-preserving at '
+    '_: vertex _ has no valid image': 48,
+    '2 input error: <dir>/out/cover.json: edge morphism not structure-preserving at '
+    '_: vertex _ has no valid image; edge morphism not structure-preserving at _: '
+    'vertex _ has no valid image': 24,
+    '2 input error: not a graph morphism: reversal not preserved at dart _; reversal '
+    'not preserved at dart _': 48,
+}
+MUTATION_DIGEST = "564a779eecacc66b39b65c2e0aa6883baadb1ce1e00758f6f585794b92d22405"
 
 
 def test_an_alignment_past_its_size_budget_exits_two(tmp_path, capsys):

@@ -15,7 +15,8 @@ import pytest
 from commoncover import families, oracle
 from commoncover.graphs import Graph
 from commoncover.cli import dump_graph, dump_object_graph, main, write_json
-from commoncover.object_graphs import rotation_pair
+from commoncover.object_graphs import rotation_map, rotation_pair
+from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 
 from conftest import check_label_tables, random_cubic_graph, spied_builds
 
@@ -88,7 +89,12 @@ CASES = {
     "regular-cubic40-cubic30": ("regular", "cubic40", "cubic30", []),
     # degree 4: Euler circuits and matchings split the 2-factors of both
     "regular-k5-k44": ("regular", "k5", "k44", []),
-    "objects-rotation3": ("build-objects", "x1", "x2", None),
+    "objects-rotation3": ("build-objects", "rotation3", None, []),
+    "objects-all-rotation4": ("build-objects", "rotation4", None, ["--component", "all"]),
+    # vertex and edge labels, a twist of two steps: a cover of 3 vertices
+    "objects-labelled-rotation6": ("build-objects", "labelled6", None, []),
+    # one-point objects: the seeds are the aligned star arrows, with no vertex map
+    "objects-singletons-k4-theta3": ("build-objects", "singletons-k4-theta3", None, []),
     # coloured inputs: partly dart-coloured cycles, and vertex-coloured ones
     **{"%s-%s" % (name, pair): (command, *pair.split("-"), extra)
        for pair in ("c3red-c6red", "c6v-c6v")
@@ -101,18 +107,85 @@ CASES = {
 }
 
 
-def _write_object_inputs(workdir):
-    x1, x2, seeds = rotation_pair(3)
-    paths = {name: os.path.join(workdir, name + ".json") for name in ("x1", "x2", "seeds")}
-    write_json(paths["x1"], dump_object_graph(x1))
-    write_json(paths["x2"], dump_object_graph(x2))
-    write_json(paths["seeds"], {"seeds": [
-        {"from": s.src, "to": s.dst, "dart_map": s.dart_map,
-         "edge_maps": {d: {"vmap": dict(m.vmap), "emap": dict(m.emap)}
-                       for d, m in s.edge_maps.items()},
-         "vertex_map": {"vmap": dict(s.vertex_map.vmap),
-                        "emap": dict(s.vertex_map.emap)}}
-        for s in seeds]})
+def _map_tables(m) -> dict:
+    return {"vmap": dict(m.vmap), "emap": dict(m.emap)}
+
+
+def _seed_tables(seeds) -> dict:
+    """Seed star maps in the format ``load_seeds`` reads."""
+    return {"seeds": [
+        {"from": s.src, "to": s.dst, "dart_map": dict(s.dart_map),
+         "edge_maps": {d: _map_tables(m) for d, m in s.edge_maps.items()},
+         "vertex_map": _map_tables(s.vertex_map)}
+        for s in seeds]}
+
+
+def _rotation_inputs(order):
+    x1, x2, seeds = rotation_pair(order)
+    return dump_object_graph(x1), dump_object_graph(x2), _seed_tables(seeds)
+
+
+def _one_object_graph(g, obj, edge_map) -> dict:
+    """g with the object ``obj`` (written as an object file writes it) at
+    every vertex and dart, and ``edge_map`` at every dart but the first
+    reversed one, which takes the identity."""
+    identity = {"vmap": {v["id"]: v["id"] for v in obj["vertices"]},
+                "emap": {e["id"]: e["id"] for e in obj["edges"]}}
+    return {**dump_graph(g), "objects": {"ob000": obj},
+            "vertex_objects": dict.fromkeys(g.vertices, "ob000"),
+            "edge_objects": dict.fromkeys(g.darts, "ob000"),
+            "edge_morphisms": {d: edge_map if d == "e00.b" else identity for d in g.darts}}
+
+
+def _labelled_rotation_inputs(order=6, twist=2):
+    """rose(1) over a cyclic object whose vertices are labelled A, B, A, ...
+    and edges a, b, a, ...: the first glues the loop with identities, the
+    second twists one side by ``twist`` steps.  The seeds rotate by 0 and
+    by ``twist`` steps, so the cover has order / gcd(order, twist) vertices."""
+    obj = {"vertices": [{"id": "o%d" % i, "label": "AB"[i % 2]} for i in range(order)],
+           "edges": [{"id": "r%d" % i, "from": "o%d" % i, "to": "o%d" % ((i + 1) % order),
+                      "label": "ab"[i % 2]} for i in range(order)]}
+    g = families.rose(1)
+    identity = _map_tables(rotation_map(order, 0))
+    seeds = [{"from": "v00", "to": "v00", "dart_map": {"e00.a": "e00.a", "e00.b": "e00.b"},
+              "edge_maps": {"e00.a": _map_tables(rotation_map(order, twist * i)),
+                            "e00.b": _map_tables(rotation_map(order, twist * (i - 1)))},
+              "vertex_map": _map_tables(rotation_map(order, twist * i))}
+             for i in (0, 1)]
+    return (_one_object_graph(g, obj, identity),
+            _one_object_graph(g, obj, _map_tables(rotation_map(order, twist))),
+            {"seeds": seeds})
+
+
+def _singleton_inputs(g1, g2):
+    """g1 and g2 with a one-point object everywhere; the seeds are the atom
+    arrows of the aligned star system, with no vertex map given."""
+    obj = {"vertices": [{"id": "o"}], "edges": []}
+    identity = {"vmap": {"o": "o"}, "emap": {}}
+    arrows = build_star_system_retrying(g1, g2, STRATEGY_ALIGNED).atom_arrows
+    seeds = [{"from": g1.vertices[a.src], "to": g2.vertices[a.dst - len(g1.vertices)],
+              "dart_map": {e[2:]: f[2:] for e, f in a.bij},
+              "edge_maps": {e[2:]: identity for e, _ in a.bij}}
+             for a in arrows]
+    return (_one_object_graph(g1, obj, identity), _one_object_graph(g2, obj, identity),
+            {"seeds": seeds})
+
+
+OBJECT_INPUTS = {
+    "rotation3": lambda: _rotation_inputs(3),
+    "rotation4": lambda: _rotation_inputs(4),
+    "labelled6": _labelled_rotation_inputs,
+    "singletons-k4-theta3": lambda: _singleton_inputs(families.complete(4),
+                                                      families.theta(3)),
+}
+
+
+def _write_object_inputs(workdir, name="rotation3"):
+    """Write the two object graphs and the seeds of ``OBJECT_INPUTS[name]``;
+    returns their paths, keyed "x1", "x2" and "seeds"."""
+    paths = {key: os.path.join(workdir, key + ".json") for key in ("x1", "x2", "seeds")}
+    for key, payload in zip(("x1", "x2", "seeds"), OBJECT_INPUTS[name]()):
+        write_json(paths[key], payload)
     return paths
 
 
@@ -120,8 +193,8 @@ def artifact_digests(workdir, case) -> dict:
     """Run one case in workdir and return {file name: SHA-256 hex digest}."""
     command, first, second, extra = CASES[case]
     if command == "build-objects":
-        paths = _write_object_inputs(workdir)
-        argv = [command, paths["x1"], paths["x2"], "--seeds", paths["seeds"]]
+        paths = _write_object_inputs(workdir, first)
+        argv = [command, paths["x1"], paths["x2"], "--seeds", paths["seeds"], *extra]
     else:
         inputs = []
         for name in (first, second):
@@ -229,6 +302,22 @@ GOLDEN = {
         "mu2.json":
             "174209e352e773f2150fd1d84a0219ce5bc30dd86d1d76b7b39f168a93f0822e",
     },
+    "objects-all-rotation4": {
+        "cover.json":
+            "c38ed65681eecd7f8c1c293827e1f83fcfdce72a977ef7c273a1b879c43196ab",
+        "mu1.json":
+            "668a849c2b2b5bfd8261eedcd16170d70ca280f0de02b6eb5f9c6575bf93ad8f",
+        "mu2.json":
+            "f4c914b3ee578de82b707766953c9ecafa3f581c9a4b2c60a7a40223a61b8e54",
+    },
+    "objects-labelled-rotation6": {
+        "cover.json":
+            "07af2a520b3c44e1c8e005b74822a9353ec4f96f1f14833d9a2b7da2f100cc5d",
+        "mu1.json":
+            "f3f570b242a962f7c9886d5d9cfeba5d9ccf26497f1ce1d3ab92451cd31a3193",
+        "mu2.json":
+            "90f1945cf8d05a18a705e3b5dd5f02bdba73c456723ddbe8231a8525b15f0b03",
+    },
     "objects-rotation3": {
         "cover.json":
             "e7552842e99473bd0a5b814b7ef35e32017344322d331e6b30d67c5dddef118a",
@@ -236,6 +325,14 @@ GOLDEN = {
             "944db88874074390eff847bfc8af39fd6daf7e3a0d8a0241434dd0cbfa72c670",
         "mu2.json":
             "4903040b3201d430242dd77a6ad56e51266c7e8bd05916cbe4573477809cf596",
+    },
+    "objects-singletons-k4-theta3": {
+        "cover.json":
+            "ef40cde1f0de687aae2fa57320fa076d707cf8731d93a4be0f159b3a99685185",
+        "mu1.json":
+            "9623bf621ce0683587992fa367116e11bde4d5e77ea889ab56dd1f1304f3523d",
+        "mu2.json":
+            "d081c514a6150bfef5cb6e536d931e5fc2f0bfe6eddd677bffedcb1ec66e7c40",
     },
     "regular-all-k4-k33": {
         "cover.json":
