@@ -30,8 +30,8 @@ from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
                      VerificationError, graph_from_ids, is_covering, size_fact_failure,
                      validate_graph)
 from .object_graphs import (ObjectGraph, ObjectGraphMorphism, SeedSpec, build_object_cover,
-                            close_star_maps, make_object, obj_morphism, validate_object_graph,
-                            verify_object_covering)
+                            check_seed_stars, close_star_maps, make_object, obj_morphism,
+                            validate_object_graph, verify_object_covering)
 from .oracle import brute_common_cover
 from .refinement import common_cover_exists
 from .regular import regular_common_cover
@@ -349,11 +349,20 @@ def _morphism_from_data(data, path: str, source: Graph, target: Graph) -> GraphM
 # -- object graphs on disk -------------------------------------------------------
 
 
-def _load_morphism_tables(entry, where):
+def _object_map(entry, where, source, target):
+    """The map of a vmap/emap entry from source to target; stray keys exit 2."""
     _expect(isinstance(entry, dict) and _is_id_table(entry.get("vmap"))
             and _is_id_table(entry.get("emap")), where,
             "needs vmap and emap objects of string ids")
-    return obj_morphism(entry["vmap"], entry["emap"])
+    _expect_ids(entry["vmap"], source.vertices, where, "vmap", "a vertex of the source object")
+    _expect_ids(entry["emap"], source.edges, where, "emap", "an edge of the source object")
+    return obj_morphism(source, target, entry["vmap"], entry["emap"])
+
+
+def _expect_ids(table: dict, ids, where, name, what):
+    """Refuse a key of ``table`` that is not in ``ids``, naming the least."""
+    unknown = table.keys() - set(ids)
+    _expect(not unknown, where, "%s key %r is not %s" % (name, min(unknown, default=None), what))
 
 
 def load_object_graph(path: str) -> ObjectGraph:
@@ -376,28 +385,33 @@ def _object_graph_from_data(data, path: str) -> ObjectGraph:
                         and isinstance(e.get("label", ""), (str, type(None))),
                         "%s.%s[%d]" % (where, table, i), "needs string %s; a "
                         "'label' must be a string" % ", ".join(map(repr, keys)))
-        objects[name] = make_object(
-            [e["id"] for e in vs], [(e["id"], e["from"], e["to"], e.get("label")) for e in es],
-            [(e["id"], e["label"]) for e in vs if e.get("label") is not None])
-    for key in ("vertex_objects", "edge_objects", "edge_morphisms"):
+        try:
+            objects[name] = make_object(
+                [e["id"] for e in vs], [(e["id"], e["from"], e["to"], e.get("label")) for e in es],
+                [(e["id"], e["label"]) for e in vs if e.get("label") is not None])
+        except GraphError as exc:
+            raise SchemaError("%s: %s" % (where, exc))
+    for key, ids in (("vertex_objects", g.vertices), ("edge_objects", g.darts),
+                     ("edge_morphisms", g.darts)):
         _expect(isinstance(data.get(key), dict), path, "missing %s table" % key)
-    vobj, eobj, emor = {}, {}, {}
+        _expect_ids(data[key], ids, path, key, "an id of the graph")
+    vobj, eobj, emor = [], [], []
     for v in g.vertices:
         name = data["vertex_objects"].get(v)
         _expect(isinstance(name, str) and name in objects, path,
                 "vertex %r has no object" % v)
-        vobj[v] = objects[name]
-    for d, r in zip(g.darts, g.rev):
+        vobj.append(objects[name])
+    for d, r, o in zip(g.darts, g.rev, g.org):
         name = data["edge_objects"].get(d)
         _expect(isinstance(name, str) and name in objects, path,
                 "dart %r has no object" % d)
         _expect(data["edge_objects"].get(g.darts[r]) == name, path,
                 "dart %r and its reverse name different objects" % d)
-        eobj[d] = objects[name]
+        eobj.append(objects[name])
         entry = data["edge_morphisms"].get(d)
         _expect(entry is not None, path, "dart %r has no edge morphism" % d)
-        emor[d] = _load_morphism_tables(entry, "%s: edge_morphisms[%s]" % (path, d))
-    x = ObjectGraph(g, vobj, eobj, emor)
+        emor.append(_object_map(entry, "%s: edge_morphisms[%s]" % (path, d), eobj[-1], vobj[o]))
+    x = ObjectGraph(g, tuple(vobj), tuple(eobj), tuple(emor))
     report = validate_object_graph(x)
     _expect(report.ok, path, "; ".join(report.violations[:3]) or "invalid")
     return x
@@ -406,28 +420,31 @@ def _object_graph_from_data(data, path: str) -> ObjectGraph:
 def load_object_morphism(path: str, source: ObjectGraph,
                          target: ObjectGraph) -> ObjectGraphMorphism:
     """A map file of an object cover: the graph map under "graph", beside
-    the vertex and edge morphism tables, keyed by cover vertex and dart."""
+    the vertex and edge morphism tables, keyed by cover vertex and dart.
+    Each object map goes into the object of its element's image."""
     data = _read_json(path)
     _expect(isinstance(data, dict), path, "top level must be an object")
-    tables = []
-    for key, ids in (("vertex_morphisms", source.graph.vertices),
-                     ("edge_morphisms", source.graph.darts)):
+    m = _morphism_from_data(data.get("graph"), path, source.graph, target.graph)
+    columns = []
+    for key, ids, objects, images, targets in zip(
+            ("vertex_morphisms", "edge_morphisms"), (source.graph.vertices, source.graph.darts),
+            (source.vertex_objects, source.edge_objects), (m.vm, m.dm),
+            (target.vertex_objects, target.edge_objects)):
         _expect(isinstance(data.get(key), dict), path, "missing %s table" % key)
-        unknown = data[key].keys() - set(ids)
-        _expect(not unknown, path, "%s key %r is not an id of the cover graph"
-                % (key, min(unknown, default=None)))
-        tables.append({k: _load_morphism_tables(entry, "%s: %s[%s]" % (path, key, k))
-                       for k, entry in data[key].items()})
-    return ObjectGraphMorphism(source, target, _morphism_from_data(
-        data.get("graph"), path, source.graph, target.graph), *tables)
+        table, targets = data[key], (*targets, make_object(()))     # -1: the empty object
+        _expect_ids(table, ids, path, key, "an id of the cover graph")
+        columns.append(tuple(
+            _object_map(table[k], "%s: %s[%s]" % (path, key, k), obj, targets[i])
+            if k in table else None for k, obj, i in zip(ids, objects, images)))
+    return ObjectGraphMorphism(source, target, m, *columns)
 
 
 def dump_object(obj) -> dict:
-    return {"vertices": [{"id": v, **({"label": obj.vlabel[v]} if v in obj.vlabel else {})}
-                         for v in obj.vertices],
-            "edges": [{"id": e, "from": s, "to": d,
+    return {"vertices": [{"id": v, **({"label": lab} if lab is not None else {})}
+                         for v, lab in zip(obj.vertices, obj.vertex_labels)],
+            "edges": [{"id": e, "from": obj.vertices[s], "to": obj.vertices[d],
                        **({"label": lab} if lab is not None else {})}
-                      for e, s, d, lab in obj.edges]}
+                      for e, s, d, lab in zip(obj.edges, obj.src, obj.dst, obj.edge_labels)]}
 
 
 def dump_object_graph(x: ObjectGraph) -> dict:
@@ -436,30 +453,29 @@ def dump_object_graph(x: ObjectGraph) -> dict:
 
 def _object_tables(x: ObjectGraph) -> dict:
     """The object tables of ``dump_object_graph(x)``, without the graph."""
-    names = {}
-    table = {}
-    def name_of(obj):
-        key = (obj.vertices, obj.edges, obj.vertex_labels)
-        if key not in names:
-            names[key] = "ob%03d" % len(names)
-            table[names[key]] = dump_object(obj)
-        return names[key]
-
     # the objects are named in the order the tables below meet them
-    return {"vertex_objects": {v: name_of(o) for v, o in sorted(x.vertex_objects.items())},
-            "edge_objects": {d: name_of(o) for d, o in sorted(x.edge_objects.items())},
-            "edge_morphisms": _object_maps(x.edge_morphisms), "objects": table}
+    g, names = x.graph, {}
+
+    def name_of(obj):
+        return names.setdefault(obj, "ob%03d" % len(names))
+
+    return {"vertex_objects": dict(zip(g.vertices, map(name_of, x.vertex_objects))),
+            "edge_objects": dict(zip(g.darts, map(name_of, x.edge_objects))),
+            "edge_morphisms": _object_maps(g.darts, x.edge_morphisms),
+            "objects": {name: dump_object(obj) for obj, name in names.items()}}
 
 
-def _object_maps(maps: dict) -> dict:
-    """id -> the vmap and emap tables of its object map."""
-    return {k: {"vmap": dict(m.vmap), "emap": dict(m.emap)} for k, m in sorted(maps.items())}
+def _object_maps(ids, maps) -> dict:
+    """id -> the vmap and emap tables of its map, for maps by id index."""
+    return {k: {"vmap": dict(m.vmap), "emap": dict(m.emap)} for k, m in zip(ids, maps)}
 
 
-def load_seeds(path: str) -> list:
+def load_seeds(path: str, x1: ObjectGraph, x2: ObjectGraph) -> list:
+    """The seed star maps of a seeds file, their maps between x1's and x2's objects."""
     data = _read_json(path)
     _expect(isinstance(data, dict) and isinstance(data.get("seeds"), list),
             path, "needs a seeds list")
+    (v1, d1), (v2, d2) = x1.graph.index(), x2.graph.index()
     out = []
     for i, entry in enumerate(data["seeds"]):
         where = "%s: seeds[%d]" % (path, i)
@@ -470,13 +486,18 @@ def load_seeds(path: str) -> list:
                     % (key, "string" if kind is str else "object"))
         _expect(_is_id_table(entry["dart_map"]), where,
                 "dart_map values must be string ids")
-        edge_maps = {d: _load_morphism_tables(m, where)
-                     for d, m in entry["edge_maps"].items()}
-        vm = None
+        seed = SeedSpec(entry["from"], entry["to"], dict(entry["dart_map"]), {})
+        check_seed_stars(x1.graph, x2.graph, seed)
+        _expect_ids(entry["edge_maps"], seed.dart_map, where, "edge_maps", "a key of dart_map")
+        seed.edge_maps = {
+            e: _object_map(m, "%s: edge_maps[%s]" % (where, e), x1.edge_objects[d1[e]],
+                           x2.edge_objects[d2[seed.dart_map[e]]])
+            for e, m in entry["edge_maps"].items()}
         if entry.get("vertex_map") is not None:
-            vm = _load_morphism_tables(entry["vertex_map"], where)
-        out.append(SeedSpec(entry["from"], entry["to"], dict(entry["dart_map"]),
-                            edge_maps, vm))
+            seed.vertex_map = _object_map(entry["vertex_map"], where + ": vertex_map",
+                                          x1.vertex_objects[v1[seed.src]],
+                                          x2.vertex_objects[v2[seed.dst]])
+        out.append(seed)
     return out
 
 
@@ -505,8 +526,8 @@ def _write_cover(outdir, cover: Cover, fields) -> None:
     maps = [_morphism_tables(mu, quoted_v, quoted_d) for mu in (cover.mu1, cover.mu2)]
     if objects:
         graph = {**graph["graph"], **_object_tables(objects[0].source)}
-        maps = [{"graph": m, "vertex_morphisms": _object_maps(mu.vertex_morphisms),
-                 "edge_morphisms": _object_maps(mu.edge_morphisms)}
+        maps = [{"graph": m, "vertex_morphisms": _object_maps(g.vertices, mu.vertex_morphisms),
+                 "edge_morphisms": _object_maps(g.darts, mu.edge_morphisms)}
                 for m, mu in zip(maps, objects)]
     write_json(os.path.join(outdir, "cover.json"), {**graph, **fields})
     for name, payload in zip(("mu1.json", "mu2.json"), maps):
@@ -561,9 +582,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_build_objects(args) -> int:
-    x1 = load_object_graph(args.first)
-    x2 = load_object_graph(args.second)
-    seeds = load_seeds(args.seeds)
+    x1, x2 = load_object_graph(args.first), load_object_graph(args.second)
+    seeds = load_seeds(args.seeds, x1, x2)
     system = close_star_maps(x1, x2, seeds)
     cover = build_object_cover(system, component=args.component)
     _write_cover(args.out, cover, {"degrees": list(cover.degrees),

@@ -14,22 +14,21 @@ witness word and is not part of a star map's identity.  Star maps are
 permutations of numbered decorated stars, arrows of the one kernel the star
 and ball systems use; the closure of a seed set is a finite groupoid, and
 the induced local system feeds the generic cover assembly, after which the
-cover is decorated with objects pulled back from the first graph.
+cover is decorated with the first graph's objects along the covering map.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
-from operator import ne
-from typing import Optional
+from operator import itemgetter, ne
+from typing import NamedTuple, Optional
 
 from .cover_builder import AxiomError, LocalSystem, Numbering, build_cover
 from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
                      disjoint_union, is_covering, validate_graph)
-from .groupoids import PermArrow, saturate
+from .groupoids import PermArrow, gather, saturate
 
 # the most atoms fixing a dart (the order of its isotropy group) that
 # ``close_star_maps`` admits
@@ -39,119 +38,145 @@ ISOTROPY_CAP = 512
 # -- finite labelled multigraph objects and their maps -----------------------
 
 
-@dataclass(frozen=True)
-class FiniteObject:
+class FiniteObject(NamedTuple):
+    """A finite directed multigraph as index columns: vertex and edge i are
+    the i-th sorted ids, ``src``/``dst`` give each edge's end vertices, and
+    the label columns hold None where an element has no label.  Objects,
+    their maps and object graphs are all columns; ids are rendered only for
+    serials and files."""
+
     vertices: tuple
-    edges: tuple                       # (edge id, src, dst, label)
-    vertex_labels: tuple = ()          # (vertex, label)
-
-    @cached_property
-    def vlabel(self) -> dict:
-        return dict(self.vertex_labels)
-
-    @cached_property
-    def edge_by_id(self) -> dict:
-        return {e[0]: e for e in self.edges}
+    edges: tuple
+    src: tuple
+    dst: tuple
+    vertex_labels: tuple
+    edge_labels: tuple
 
 
 def make_object(vertices, edges=(), vertex_labels=()) -> FiniteObject:
-    return FiniteObject(tuple(sorted(vertices)),
-                        tuple(sorted(edges)),
-                        tuple(sorted(vertex_labels)))
+    """The object of these vertex ids, (id, source, target, label) edges and
+    (vertex, label) pairs.  A repeated id, or an edge end that is no vertex,
+    raises GraphError."""
+    vs, es = sorted(vertices), sorted(edges, key=itemgetter(0))
+    ids = [e[0] for e in es]
+    for kind, names in (("vertex", vs), ("edge", ids)):
+        repeated = [a for a, b in zip(names, names[1:]) if a == b]
+        if repeated:
+            raise GraphError("duplicate %s id %r" % (kind, repeated[0]))
+    at, n = dict(zip(vs, range(len(vs)))), len(es)
+    ends = [at.get(e[k], -1) for k in (1, 2) for e in es]
+    if -1 in ends:
+        raise GraphError("edge %r: an end is not a vertex of the object"
+                         % (ids[ends.index(-1) % n],))
+    return FiniteObject(tuple(vs), tuple(ids), tuple(ends[:n]), tuple(ends[n:]),
+                        tuple(map(dict(vertex_labels).get, vs)), tuple(e[3] for e in es))
 
 
-@dataclass(frozen=True)
-class ObjMorphism:
-    vmap: tuple
-    emap: tuple
+class ObjMorphism(NamedTuple):
+    """A map of objects as two index columns: ``vm[i]`` is the image of
+    source vertex i and ``em[i]`` that of edge i, -1 for none; ``vmap`` and
+    ``emap`` are (id, id) views rendered on use, ``serial`` their pair."""
 
-    @cached_property
-    def vdict(self) -> dict:
-        return dict(self.vmap)
+    source: FiniteObject
+    target: FiniteObject
+    vm: tuple
+    em: tuple
 
-    @cached_property
-    def edict(self) -> dict:
-        return dict(self.emap)
+    @property
+    def vmap(self) -> tuple:
+        return tuple(zip(self.source.vertices, gather(self.vm)((*self.target.vertices, None))))
+
+    @property
+    def emap(self) -> tuple:
+        return tuple(zip(self.source.edges, gather(self.em)((*self.target.edges, None))))
 
     @property
     def serial(self):
         return (self.vmap, self.emap)
 
 
-def obj_morphism(vmap: dict, emap: dict) -> ObjMorphism:
-    return ObjMorphism(tuple(sorted(vmap.items())), tuple(sorted(emap.items())))
+def obj_morphism(source: FiniteObject, target: FiniteObject, vmap: dict,
+                 emap: dict) -> ObjMorphism:
+    """The map from ``source`` to ``target`` with the id tables vmap and
+    emap, read at the ids of source (other keys are not read); an image
+    that is missing or no id of target is -1."""
+    columns = []
+    for table, ids, images in ((vmap, source.vertices, target.vertices),
+                               (emap, source.edges, target.edges)):
+        at = dict(zip(images, range(len(images))))
+        columns.append(tuple(at.get(table.get(i), -1) for i in ids))
+    return ObjMorphism(source, target, *columns)
 
 
 def obj_identity(x: FiniteObject) -> ObjMorphism:
-    return obj_morphism({v: v for v in x.vertices}, {e[0]: e[0] for e in x.edges})
+    return ObjMorphism(x, x, tuple(range(len(x.vertices))), tuple(range(len(x.edges))))
 
 
 def obj_compose(outer: ObjMorphism, inner: ObjMorphism) -> ObjMorphism:
-    return obj_morphism({v: outer.vdict[w] for v, w in inner.vmap},
-                        {e: outer.edict[f] for e, f in inner.emap})
+    """outer after inner: one C-level gather per column."""
+    return ObjMorphism(inner.source, outer.target, gather(inner.vm)(outer.vm),
+                       gather(inner.em)(outer.em))
 
 
 def obj_invert(m: ObjMorphism) -> ObjMorphism:
-    return obj_morphism({w: v for v, w in m.vmap}, {f: e for e, f in m.emap})
+    """The inverse of an isomorphism: each column's indices sorted by image."""
+    return ObjMorphism(m.target, m.source, *(tuple(sorted(range(len(c)), key=c.__getitem__))
+                                             for c in (m.vm, m.em)))
 
 
-def object_map_violations(x: FiniteObject, y: FiniteObject, m: ObjMorphism) -> list:
-    bad = []
-    yv = set(y.vertices)
-    for v in x.vertices:
-        w = m.vdict.get(v)
-        if w not in yv:
-            bad.append("vertex %r has no valid image" % (v,))
-        elif x.vlabel.get(v) != y.vlabel.get(w):
-            bad.append("vertex label not preserved at %r" % (v,))
-    for eid, src, dst, lab in x.edges:
-        fid = m.edict.get(eid)
-        if fid not in y.edge_by_id:
-            bad.append("edge %r has no valid image" % (eid,))
-            continue
-        _, fsrc, fdst, flab = y.edge_by_id[fid]
-        if (m.vdict.get(src), m.vdict.get(dst)) != (fsrc, fdst):
-            bad.append("incidence not preserved at edge %r" % (eid,))
-        if lab != flab:
-            bad.append("edge label not preserved at %r" % (eid,))
-    return bad
+def object_map_violation(x: FiniteObject, y: FiniteObject, m: ObjMorphism) -> Optional[str]:
+    """The first element, vertices first, at which m is no structure-preserving
+    map from x to y, or None; only a failing map is read element by element."""
+    if m.source != x or m.target != y:
+        return "map is not between these objects"
+    vm, em = m.vm, m.em
+    at_v, at_e = gather(vm), gather(em)
+    if -1 not in vm and -1 not in em and (
+            at_v(y.vertex_labels), at_e(y.edge_labels), at_e(y.src), at_e(y.dst)) == (
+            x.vertex_labels, x.edge_labels, gather(x.src)(vm), gather(x.dst)(vm)):
+        return None
+    for v, w, label in zip(x.vertices, vm, x.vertex_labels):
+        if w < 0:
+            return "vertex %r has no valid image" % (v,)
+        if label != y.vertex_labels[w]:
+            return "vertex label not preserved at %r" % (v,)
+    for e, f, s, d, label in zip(x.edges, em, x.src, x.dst, x.edge_labels):
+        if f < 0:
+            return "edge %r has no valid image" % (e,)
+        if (vm[s], vm[d]) != (y.src[f], y.dst[f]):
+            return "incidence not preserved at edge %r" % (e,)
+        if label != y.edge_labels[f]:
+            return "edge label not preserved at %r" % (e,)
+    return None
 
 
-def is_object_iso(x: FiniteObject, y: FiniteObject, m: ObjMorphism) -> bool:
-    if object_map_violations(x, y, m):
-        return False
-    return (sorted(m.vdict.values()) == sorted(y.vertices)
-            and len(set(m.vdict.values())) == len(x.vertices)
-            and sorted(m.edict.values()) == sorted(e[0] for e in y.edges)
-            and len(set(m.edict.values())) == len(x.edges))
+def is_object_iso(x: FiniteObject, y: FiniteObject, m: Optional[ObjMorphism]) -> bool:
+    return (m is not None and object_map_violation(x, y, m) is None
+            and len(x.vertices) == len(y.vertices) == len(set(m.vm))
+            and len(x.edges) == len(y.edges) == len(set(m.em)))
 
 
 def all_object_isos(x: FiniteObject, y: FiniteObject) -> list:
-    """All bijective structure-preserving maps (tiny objects only)."""
+    """All isomorphisms (tiny objects only): per vertex permutation in order,
+    each product of bijections between edges of equal ends and label."""
+    def edge_classes(*columns):        # (source, target, label) -> edge indices
+        classes = {}
+        for e, key in enumerate(zip(*columns)):
+            classes.setdefault(key, []).append(e)
+        return classes
+
     if len(x.vertices) != len(y.vertices) or len(x.edges) != len(y.edges):
         return []
-    out = []
-    for perm in itertools.permutations(y.vertices):
-        vmap = dict(zip(x.vertices, perm))
-        if any(x.vlabel.get(v) != y.vlabel.get(w) for v, w in vmap.items()):
+    out, classes_y = [], edge_classes(y.src, y.dst, y.edge_labels)
+    for perm in itertools.permutations(range(len(y.vertices))):
+        classes = edge_classes(gather(x.src)(perm), gather(x.dst)(perm), x.edge_labels)
+        if (gather(perm)(y.vertex_labels) != x.vertex_labels or classes.keys() != classes_y.keys()
+                or any(len(classes[k]) != len(classes_y[k]) for k in classes)):
             continue
-        groups_x = {}
-        for eid, s, d, lab in x.edges:
-            groups_x.setdefault((vmap[s], vmap[d], lab), []).append(eid)
-        groups_y = {}
-        for fid, s, d, lab in y.edges:
-            groups_y.setdefault((s, d, lab), []).append(fid)
-        if sorted(groups_x) != sorted(groups_y):
-            continue
-        if any(len(groups_x[k]) != len(groups_y[k]) for k in groups_x):
-            continue
-        keys = sorted(groups_x)
-        pools = [itertools.permutations(groups_y[k]) for k in keys]
-        for combo in itertools.product(*pools):
-            emap = {}
-            for k, perm_e in zip(keys, combo):
-                emap.update(zip(groups_x[k], perm_e))
-            out.append(obj_morphism(vmap, emap))
+        keys = sorted(classes, key=lambda k: (k[:2], k[2] is not None, k[2] or ""))
+        for combo in itertools.product(*(itertools.permutations(classes_y[k]) for k in keys)):
+            pairs = sorted(p for k, images in zip(keys, combo) for p in zip(classes[k], images))
+            out.append(ObjMorphism(x, y, perm, tuple(f for _, f in pairs)))
     return out
 
 
@@ -160,35 +185,38 @@ def all_object_isos(x: FiniteObject, y: FiniteObject) -> list:
 
 @dataclass
 class ObjectGraph:
+    """Columns by vertex and dart index: an object per vertex and per dart
+    (shared with its reverse), and per dart a map into its origin's."""
+
     graph: Graph
-    vertex_objects: dict
-    edge_objects: dict                 # per dart; shared between a dart and its reverse
-    edge_morphisms: dict               # dart -> map from its edge object into the origin's object
+    vertex_objects: tuple
+    edge_objects: tuple
+    edge_morphisms: tuple
 
 
 def validate_object_graph(x: ObjectGraph):
     g = x.graph
     report = validate_graph(g)
     bad = report.violations
-    bad += ["missing vertex object at %r" % (v,) for v in g.vertices
-            if v not in x.vertex_objects]
-    vobj = list(map(x.vertex_objects.get, g.vertices))
-    eobj = list(map(x.edge_objects.get, g.darts))
-    for d, obj, o, r in zip(g.darts, eobj, g.org, g.rev):
+    vobj, eobj = x.vertex_objects, x.edge_objects
+    if list(map(len, (vobj, eobj, x.edge_morphisms))) != [len(g.vertices), *[len(g.darts)] * 2]:
+        bad.append("the object columns do not match the graph")
+        vobj = eobj = ()
+    bad += ["missing vertex object at %r" % (v,) for v, obj in zip(g.vertices, vobj)
+            if obj is None]
+    for d, obj, m, o, r in zip(g.darts, eobj, x.edge_morphisms, g.org, g.rev):
         if obj is None:
             bad.append("missing edge object at %r" % (d,))
             continue
         if r < 0 or obj != eobj[r]:
             bad.append("edge objects differ across the reversal at %r" % (d,))
-        m = x.edge_morphisms.get(d)
         if m is None:
             bad.append("missing edge morphism at %r" % (d,))
             continue
         if o >= 0 and vobj[o] is not None:
-            errs = object_map_violations(obj, vobj[o], m)
-            if errs:
-                bad.append("edge morphism not structure-preserving at %r: %s"
-                           % (d, errs[0]))
+            err = object_map_violation(obj, vobj[o], m)
+            if err:
+                bad.append("edge morphism not structure-preserving at %r: %s" % (d, err))
     report.ok = not bad
     return report
 
@@ -198,10 +226,6 @@ def validate_object_graph(x: ObjectGraph):
 
 class SeedError(GraphError):
     """A seed star map is not a valid, decorated star isomorphism."""
-
-    def __init__(self, message, square=None):
-        super().__init__(message)
-        self.square = square
 
 
 class StarMapArrow(PermArrow):
@@ -252,7 +276,7 @@ def object_numbering(union: Graph, edge_objects: list) -> Numbering:
     def block(d):
         obj, i = edge_objects[d], darts[d]
         return ((0, i), *[(1, i, 0, v) for v in obj.vertices],
-                *[(1, i, 1, e[0]) for e in obj.edges])
+                *[(1, i, 1, e) for e in obj.edges])
 
     domains = [tuple(sorted(p for d in star for p in block(d))) for star in union.stars()]
     return Numbering(union, domains, block, lambda d: (0, darts[d]),
@@ -268,20 +292,19 @@ class ObjectLocalSystem(LocalSystem):
     def __init__(self, x1: ObjectGraph, x2: ObjectGraph, union, groupoid,
                  numbering: Numbering):
         super().__init__(x1.graph, x2.graph, union, groupoid, numbering)
-        self.x1 = x1
-        self.x2 = x2
+        self.x1, self.x2 = x1, x2
+        self.edge_objects = (*x1.edge_objects, *x2.edge_objects)
 
     def atom_morph(self, atom) -> ObjMorphism:
-        """The map from the anchor's edge object onto the image's."""
-        e, y, r = atom
-        domains = self.numbering.domains
-        source, target = domains[self._org[e]], domains[y]
-        vmap, emap = {}, {}
-        for i, j in zip(self.numbering.dom[e], r):
-            p, q = source[i], target[j]
-            if p[0] == 1:
-                (emap if p[2] else vmap)[p[3]] = q[3]
-        return obj_morphism(vmap, emap)
+        """The map from the anchor's edge object onto the image's: the atom's
+        positions as offsets into the image block's runs of consecutive
+        vertex and edge positions in the sorted domain."""
+        e, _, r = atom
+        f = self.atom_image(atom)
+        source, block = self.edge_objects[e], self.numbering.dom[f]
+        n = len(source.vertices) + 1
+        return ObjMorphism(source, self.edge_objects[f], tuple(p - block[1] for p in r[1:n]),
+                           tuple(p - block[n] for p in r[n:]))
 
     def atom_serial(self, atom):
         """("oatom", anchor dart, image dart, edge-object map serial)."""
@@ -293,22 +316,8 @@ class ObjectLocalSystem(LocalSystem):
         """The vertex-object map of an arrow: its witness word evaluated
         from the identity of its source object."""
         xg, v = (self.x1, arrow.src) if arrow.src < self.n1 else (self.x2, arrow.src - self.n1)
-        m = obj_identity(xg.vertex_objects[xg.graph.vertices[v]])
-        for letter in arrow.witness:
-            m = obj_compose(letter, m)
-        return m
-
-    def isotropy(self, dart) -> list:
-        """Invertible self-maps of the dart's edge object induced by star
-        maps fixing the dart."""
-        return sorted((self.atom_morph(a) for a in self.atoms_by_anchor[dart]
-                       if self.atom_image(a) == dart), key=lambda m: m.serial)
-
-    def isotropy_lcm(self) -> int:
-        out = 1
-        for dart in range(len(self.union.darts)):
-            out = lcm(out, len(self.isotropy(dart)))
-        return out
+        return functools.reduce(lambda m, letter: obj_compose(letter, m), arrow.witness,
+                                obj_identity(xg.vertex_objects[v]))
 
 
 @dataclass
@@ -323,63 +332,54 @@ class SeedSpec:
     vertex_map: Optional[ObjMorphism] = None
 
 
-def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
-                    numbering: Numbering) -> StarMapArrow:
-    g1, g2 = x1.graph, x2.graph
+def check_seed_stars(g1: Graph, g2: Graph, seed: SeedSpec) -> None:
+    """Refuse a seed whose dart map is no bijection between the stars."""
     if sorted(seed.dart_map) != list(g1.star(seed.src)):
         raise SeedError("seed dart map must cover the source star exactly")
     if sorted(seed.dart_map.values()) != list(g2.star(seed.dst)):
         raise SeedError("seed dart map must hit the target star exactly")
-    for e, f in seed.dart_map.items():
-        m = seed.edge_maps.get(e)
-        if m is None or not is_object_iso(x1.edge_objects[e], x2.edge_objects[f], m):
+
+
+def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
+                    numbering: Numbering) -> StarMapArrow:
+    check_seed_stars(x1.graph, x2.graph, seed)
+    (v1, d1), (v2, d2) = x1.graph.index(), x2.graph.index()
+    darts = [(e, f, d1[e], d2[f]) for e, f in seed.dart_map.items()]
+    for e, _, a, b in darts:
+        if not is_object_iso(x1.edge_objects[a], x2.edge_objects[b], seed.edge_maps.get(e)):
             raise SeedError("edge map at %r is not an object isomorphism" % (e,))
-    xu = x1.vertex_objects[seed.src]
-    yv = x2.vertex_objects[seed.dst]
+    xu, yv = x1.vertex_objects[v1[seed.src]], x2.vertex_objects[v2[seed.dst]]
+    given = seed.vertex_map
 
-    def squares_ok(su):
-        for e, f in seed.dart_map.items():
-            left = obj_compose(su, x1.edge_morphisms[e])
-            right = obj_compose(x2.edge_morphisms[f], seed.edge_maps[e])
-            if left != right:
-                return (e, f)
-        return None
+    def failed_square(su):
+        return next(((e, f) for e, f, a, b in darts
+                     if obj_compose(su, x1.edge_morphisms[a])
+                     != obj_compose(x2.edge_morphisms[b], seed.edge_maps[e])), None)
 
-    if seed.vertex_map is not None:
-        if not is_object_iso(xu, yv, seed.vertex_map):
-            raise SeedError("seed vertex map is not an object isomorphism")
-        square = squares_ok(seed.vertex_map)
-        if square is not None:
-            raise SeedError("decoration square fails at darts %r -> %r" % square,
-                            square=square)
-        vm = seed.vertex_map
+    if given is not None and not is_object_iso(xu, yv, given):
+        raise SeedError("seed vertex map is not an object isomorphism")
+    square = None
+    for vm in [given] if given is not None else all_object_isos(xu, yv):
+        square = failed_square(vm)
+        if square is None:
+            break
     else:
-        vm = None
-        last = None
-        for cand in all_object_isos(xu, yv):
-            square = squares_ok(cand)
-            if square is None:
-                vm = cand
-                break
-            last = square
-        if vm is None:
-            raise SeedError("no compatible vertex map for the seed at %r (square %r)"
-                            % (seed.src, last), square=last)
+        raise SeedError("decoration square fails at darts %r -> %r" % square if given is not None
+                        else "no compatible vertex map for the seed at %r (square %r)"
+                        % (seed.src, square))
 
-    # the union holds g1's vertices and darts first, then g2's
-    (v1, d1), (v2, d2) = g1.index(), g2.index()
-    src, dst = v1[seed.src], len(g1.vertices) + v2[seed.dst]
-    ids = numbering.union.darts
-    image = {}                           # (0, d) or (1, d, kind, id) -> its image
-    for e, f in seed.dart_map.items():
-        a, b, m = ids[d1[e]], ids[len(g1.darts) + d2[f]], seed.edge_maps[e]
-        image[0, a] = (0, b)
-        image.update(((1, a, 0, v), (1, b, 0, w)) for v, w in m.vmap)
-        image.update(((1, a, 1, v), (1, b, 1, w)) for v, w in m.emap)
-    at = numbering.positions[dst]
-    return StarMapArrow(src, dst, [at[image[p]] for p in numbering.domains[src]],
-                        numbering.domains[src], numbering.domains[dst], numbering.union.vertices,
-                        (vm,))
+    # in the union (g1 first, then g2) each block moves onto the image
+    # dart's block: the dart, then its vertices and edges by their images
+    src, dst = v1[seed.src], len(v1) + v2[seed.dst]
+    dom, n = numbering.dom, len(d1)
+    perm = [0] * len(numbering.domains[src])
+    for e, _, a, b in darts:
+        m, block = seed.edge_maps[e], dom[n + b]
+        k = len(m.vm) + 1
+        for p, q in zip(dom[a], (block[0], *gather(m.vm)(block[1:k]), *gather(m.em)(block[k:]))):
+            perm[p] = q
+    return StarMapArrow(src, dst, perm, numbering.domains[src], numbering.domains[dst],
+                        numbering.union.vertices, (vm,))
 
 
 def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSystem:
@@ -390,9 +390,7 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSyste
         if not report.ok:
             raise GraphError("invalid object graph: " + report.violations[0])
     union = disjoint_union(x1.graph, x2.graph)
-    numbering = object_numbering(union, [
-        *map(x1.edge_objects.__getitem__, x1.graph.darts),
-        *map(x2.edge_objects.__getitem__, x2.graph.darts)])
+    numbering = object_numbering(union, (*x1.edge_objects, *x2.edge_objects))
     arrows = [_check_star_map(x1, x2, s, numbering) if isinstance(s, SeedSpec) else s
               for s in seeds]
     groupoid = saturate(arrows, range(len(union.vertices)), lambda x: StarMapArrow.identity(
@@ -414,43 +412,38 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSyste
 
 @dataclass
 class ObjectGraphMorphism:
+    """A graph map and columns of object maps by source vertex and dart."""
+
     source: ObjectGraph
     target: ObjectGraph
     graph: GraphMorphism
-    vertex_morphisms: dict
-    edge_morphisms: dict
+    vertex_morphisms: tuple
+    edge_morphisms: tuple
 
 
 def verify_object_covering(f: ObjectGraphMorphism):
     """Exhaustive check of the covering conditions; returns (ok, failure).
 
     The maps, the objects and the two sides of the decoration squares are
-    rows by index, compared whole; every square is checked."""
+    columns by index, compared whole; every square is checked."""
     rep = is_covering(f.graph)
     if not rep.ok:
         return False, "underlying map: %s at %r" % (rep.reason, rep.witness)
     x, y, vm, dm = f.source, f.target, f.graph.vm, f.graph.dm
-    g, h = x.graph, y.graph
-    vmor = list(map(f.vertex_morphisms.get, g.vertices))
-    emor = list(map(f.edge_morphisms.get, g.darts))
+    g, vmor, emor = x.graph, f.vertex_morphisms, f.edge_morphisms
     differ = list(map(ne, emor, map(emor.__getitem__, g.rev)))
     if True in differ:
         return False, ("edge morphisms differ across the reversal at %r"
                        % (g.darts[differ.index(True)],))
-    objects = list(map(y.vertex_objects.__getitem__, h.vertices))
-    iso = [m is not None and is_object_iso(obj, objects[w], m)
-           for obj, w, m in zip(map(x.vertex_objects.__getitem__, g.vertices), vm, vmor)]
+    iso = list(map(is_object_iso, x.vertex_objects, map(y.vertex_objects.__getitem__, vm), vmor))
     if False in iso:
         return False, "vertex morphism at %r is not invertible" % (g.vertices[iso.index(False)],)
-    objects = list(map(y.edge_objects.__getitem__, h.darts))
-    iso = [m is not None and is_object_iso(obj, objects[e], m)
-           for obj, e, m in zip(map(x.edge_objects.__getitem__, g.darts), dm, emor)]
+    iso = list(map(is_object_iso, x.edge_objects, map(y.edge_objects.__getitem__, dm), emor))
     # the squares of the darts before the first edge morphism that fails
     n = iso.index(False) if False in iso else len(iso)
-    ymor = list(map(y.edge_morphisms.__getitem__, h.darts))
     differ = list(map(ne, map(obj_compose, map(vmor.__getitem__, g.org[:n]),
-                              map(x.edge_morphisms.__getitem__, g.darts[:n])),
-                      map(obj_compose, map(ymor.__getitem__, dm[:n]), emor[:n])))
+                              x.edge_morphisms[:n]),
+                      map(obj_compose, map(y.edge_morphisms.__getitem__, dm[:n]), emor[:n])))
     if True in differ:
         return False, "decoration square fails at dart %r" % (g.darts[differ.index(True)],)
     if n < len(iso):
@@ -459,32 +452,25 @@ def verify_object_covering(f: ObjectGraphMorphism):
 
 
 def build_object_cover(sys: ObjectLocalSystem, component: str = "least") -> Cover:
-    """Run the generic assembly and decorate its cover row by row: a vertex
+    """Run the generic assembly and decorate its cover by index: a vertex
     takes the object of its image in the first graph and the vertex map of
     its source arrow, a dart the edge map of its source atom.  The two
     ``ObjectGraphMorphism`` out of the decorated cover go in ``extra["objects"]``."""
     cover = build_cover(sys, component=component)
     x1, g, vl, dl = sys.x1, cover.graph, cover.vertex_label, cover.dart_label
     vm, dm = cover.mu1.vm, cover.mu1.dm
-
-    def pulled(ids, rows, table):       # id -> the table entry of its row
-        return dict(zip(ids, map(table.__getitem__, rows)))
-
-    vobj = list(map(x1.vertex_objects.__getitem__, x1.graph.vertices))
-    eobj = list(map(x1.edge_objects.__getitem__, x1.graph.darts))
-    emor = list(map(x1.edge_morphisms.__getitem__, x1.graph.darts))
-    decorated = ObjectGraph(g, pulled(g.vertices, vm, vobj), pulled(g.darts, dm, eobj),
-                            pulled(g.darts, dm, emor))
+    vobj, eobj = x1.vertex_objects, x1.edge_objects
+    decorated = ObjectGraph(g, tuple(map(vobj.__getitem__, vm)), tuple(map(eobj.__getitem__, dm)),
+                            tuple(map(x1.edge_morphisms.__getitem__, dm)))
     report = validate_object_graph(decorated)
     if not report.ok:
         raise VerificationError("object cover invalid: " + report.violations[0])
-    cover.extra["objects"] = (
-        ObjectGraphMorphism(decorated, x1, cover.mu1,
-                            pulled(g.vertices, vm, list(map(obj_identity, vobj))),
-                            pulled(g.darts, dm, list(map(obj_identity, eobj)))),
-        ObjectGraphMorphism(decorated, sys.x2, cover.mu2,
-                            pulled(g.vertices, vl.of, list(map(sys.vertex_map, vl.sources))),
-                            pulled(g.darts, dl.of, list(map(sys.atom_morph, dl.sources)))))
+    columns = [(vm, list(map(obj_identity, vobj))), (dm, list(map(obj_identity, eobj))),
+               (vl.of, list(map(sys.vertex_map, vl.sources))),
+               (dl.of, list(map(sys.atom_morph, dl.sources)))]
+    vi, ei, vs, es = (tuple(map(maps.__getitem__, rows)) for rows, maps in columns)
+    cover.extra["objects"] = (ObjectGraphMorphism(decorated, x1, cover.mu1, vi, ei),
+                              ObjectGraphMorphism(decorated, sys.x2, cover.mu2, vs, es))
     for name, mu in zip(("mu1", "mu2"), cover.extra["objects"]):
         ok, failure = verify_object_covering(mu)
         if not ok:
@@ -495,6 +481,7 @@ def build_object_cover(sys: ObjectLocalSystem, component: str = "least") -> Cove
 # -- demo fixture ----------------------------------------------------------------
 
 
+@functools.cache
 def rotation_cycle_object(order: int) -> FiniteObject:
     vs = ["o%d" % i for i in range(order)]
     edges = [("r%d" % i, "o%d" % i, "o%d" % ((i + 1) % order), None)
@@ -503,8 +490,9 @@ def rotation_cycle_object(order: int) -> FiniteObject:
 
 
 def rotation_map(order: int, steps: int = 1) -> ObjMorphism:
+    cyc = rotation_cycle_object(order)
     return obj_morphism(
-        {"o%d" % i: "o%d" % ((i + steps) % order) for i in range(order)},
+        cyc, cyc, {"o%d" % i: "o%d" % ((i + steps) % order) for i in range(order)},
         {"r%d" % i: "r%d" % ((i + steps) % order) for i in range(order)})
 
 
@@ -519,22 +507,12 @@ def rotation_pair(order: int):
     """
     from .families import rose
 
-    g = rose(1)
+    g = rose(1)                            # darts "e00.a", "e00.b"
     cyc = rotation_cycle_object(order)
     ident = obj_identity(cyc)
-    darts = list(g.darts)                  # ["e00.a", "e00.b"]
-    x1 = ObjectGraph(g, {"v00": cyc},
-                     {d: cyc for d in darts},
-                     {d: ident for d in darts})
-    x2 = ObjectGraph(g, {"v00": cyc},
-                     {d: cyc for d in darts},
-                     {"e00.a": ident, "e00.b": rotation_map(order)})
-    seeds = []
-    for i in (0, 1):
-        seeds.append(SeedSpec(
-            "v00", "v00",
-            {"e00.a": "e00.a", "e00.b": "e00.b"},
-            {"e00.a": rotation_map(order, i),
-             "e00.b": rotation_map(order, i - 1)},
-            vertex_map=rotation_map(order, i)))
-    return x1, x2, seeds
+    x1 = ObjectGraph(g, (cyc,), (cyc, cyc), (ident, ident))
+    x2 = ObjectGraph(g, (cyc,), (cyc, cyc), (ident, rotation_map(order)))
+    return x1, x2, [SeedSpec("v00", "v00", {"e00.a": "e00.a", "e00.b": "e00.b"},
+                             {"e00.a": rotation_map(order, i),
+                              "e00.b": rotation_map(order, i - 1)},
+                             vertex_map=rotation_map(order, i)) for i in (0, 1)]

@@ -13,7 +13,8 @@ from commoncover.cover_builder import _first_difference, build_cover
 from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
                                 ValidationReport)
 from commoncover.groupoids import keyed, lcm_all
-from commoncover.object_graphs import ObjMorphism, obj_compose, obj_identity, obj_invert
+from commoncover.object_graphs import (ObjectGraph, obj_compose, obj_identity, obj_invert,
+                                       obj_morphism)
 from commoncover.refinement import joint_refinement
 from commoncover.regular import euler_circuit, max_bipartite_matching
 from commoncover.star_system import StarArrow
@@ -91,6 +92,26 @@ def ball_group_divisor(d: int, radius: int) -> int:
 def object_group_divisor(d: int, isotropy_lcm: int) -> int:
     """Vertex-group divisor for object systems: d! * (lcm of isotropy orders)^d."""
     return math.factorial(d) * isotropy_lcm ** d
+
+
+def isotropy(sys, dart) -> list:
+    """The invertible self-maps of a dart's edge object that the star maps
+    of an object system fixing the dart induce, sorted by serial."""
+    return sorted((sys.atom_morph(a) for a in sys.atoms_by_anchor[dart]
+                   if sys.atom_image(a) == dart), key=lambda m: m.serial)
+
+
+def isotropy_lcm(sys) -> int:
+    """The lcm of the orders of the isotropy groups of an object system."""
+    return math.lcm(*(len(isotropy(sys, dart)) for dart in range(len(sys.union.darts))))
+
+
+def object_graph(g, vertex_objects: dict, edge_objects: dict, edge_morphisms: dict):
+    """The ObjectGraph of id-keyed tables: their entries as columns by
+    index, None where an id has none."""
+    return ObjectGraph(g, tuple(map(vertex_objects.get, g.vertices)),
+                       tuple(map(edge_objects.get, g.darts)),
+                       tuple(map(edge_morphisms.get, g.darts)))
 
 
 def bfs_atoms(sys, dart) -> set:
@@ -194,7 +215,7 @@ def check_ball_divisors(sys) -> list:
 def check_object_divisors(sys) -> list:
     """(object, group order, divisor, ok) for object-system vertex groups."""
     return _vertex_group_divisors(
-        sys, object_group_divisor(_max_degree(sys), sys.isotropy_lcm()))
+        sys, object_group_divisor(_max_degree(sys), isotropy_lcm(sys)))
 
 
 def is_equitable(p) -> bool:
@@ -1152,24 +1173,30 @@ class ReferenceObjectKernel:
         return self.sys.x1 if self._side[prefixed] == 1 else self.sys.x2
 
     def _edge_object(self, dart):
-        return self._object_graph(dart).edge_objects[dart[2:]]
+        x = self._object_graph(dart)
+        return x.edge_objects[x.graph.index()[1][dart[2:]]]
+
+    def _map(self, dart, image, serial):
+        return obj_morphism(self._edge_object(dart), self._edge_object(image),
+                            dict(serial[0]), dict(serial[1]))
 
     def arrow(self, a):
         _, src, dst, bij, maps = a.serial
+        images = dict(bij)
         return ReferenceStarMapArrow(src, dst, bij,
-                                     tuple((d, ObjMorphism(*m)) for d, m in maps),
+                                     tuple((d, self._map(d, images[d], m)) for d, m in maps),
                                      self.sys.vertex_map(a))
 
     def atom(self, serial):
         _, anchor, image, morph = serial
-        return ReferenceObjectAtom(anchor, image, ObjMorphism(*morph))
+        return ReferenceObjectAtom(anchor, image, self._map(anchor, image, morph))
 
     def identity(self, x):
         xg, star = self._object_graph(x), self.union.star(x)
         return ReferenceStarMapArrow(
             x, x, tuple((d, d) for d in star),
             tuple((d, obj_identity(self._edge_object(d))) for d in star),
-            obj_identity(xg.vertex_objects[x[2:]]))
+            obj_identity(xg.vertex_objects[xg.graph.index()[0][x[2:]]]))
 
     def identity_atom(self, dart):
         return ReferenceObjectAtom(dart, dart, obj_identity(self._edge_object(dart)))

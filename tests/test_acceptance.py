@@ -288,8 +288,8 @@ def test_criterion_7_graphs_of_objects():
     assert all(len(c) % 3 == 0 for c in comps)
     ident_seed = SeedSpec("v00", "v00",
                           {"e00.a": "e00.a", "e00.b": "e00.b"},
-                          {d: obj_identity(x1.edge_objects[d])
-                           for d in ("e00.a", "e00.b")})
+                          {d: obj_identity(obj)
+                           for d, obj in zip(x1.graph.darts, x1.edge_objects)})
     ident_sys = close_star_maps(x1, x1, [ident_seed])
     ident = build_object_cover(ident_sys)
     assert ident.degrees == (1, 1)

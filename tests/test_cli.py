@@ -606,6 +606,70 @@ def test_verify_an_object_cover_onto_plain_graphs_exits_two(tmp_path, capsys):
     assert "c3.json: missing objects table" in capsys.readouterr().err
 
 
+def _edited_object_run(tmp_path, name, edit):
+    """Build an object cover of rotation_pair(3), then run ``build-objects``
+    with ``edit`` applied to the payload of input ``name`` ("x1" or
+    "seeds"), or ``verify`` with it applied to that of output ``name``
+    ("mu2.json"); returns the exit code."""
+    paths, out = _built_object_cover(tmp_path)
+    path = paths.get(name) or os.path.join(out, name)
+    with open(path) as fh:
+        data = json.load(fh)
+    edit(data)
+    write_json(path, data)
+    if name in paths:
+        return main(["build-objects", paths["x1"], paths["x2"], "--seeds", paths["seeds"],
+                     "-o", str(tmp_path / "again")])
+    return main(["verify", out, paths["x1"], paths["x2"]])
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("x1", lambda x: x["edge_morphisms"]["e00.a"]["emap"].update(zz="r0"),
+     "x1.json: edge_morphisms[e00.a]: emap key 'zz' is not an edge of the source object"),
+    ("x1", lambda x: x["edge_morphisms"]["e00.b"]["vmap"].update(zz="o0"),
+     "x1.json: edge_morphisms[e00.b]: vmap key 'zz' is not a vertex of the source object"),
+    ("seeds", lambda s: s["seeds"][0]["edge_maps"]["e00.a"]["vmap"].update(zz="o0"),
+     "seeds[0]: edge_maps[e00.a]: vmap key 'zz' is not a vertex of the source object"),
+    ("seeds", lambda s: s["seeds"][1]["vertex_map"]["emap"].update(zz="r0"),
+     "seeds[1]: vertex_map: emap key 'zz' is not an edge of the source object"),
+    ("mu2.json", lambda m: m["edge_morphisms"]["d000000"]["emap"].update(zz="r0"),
+     "mu2.json: edge_morphisms[d000000]: emap key 'zz' is not an edge of the source object"),
+    ("mu2.json", lambda m: m["vertex_morphisms"]["v000001"]["vmap"].update(zz="o0"),
+     "mu2.json: vertex_morphisms[v000001]: vmap key 'zz' is not a vertex of the source object"),
+], ids=["graph edge map emap", "graph edge map vmap", "seed edge map", "seed vertex map",
+        "map file edge morphism", "map file vertex morphism"])
+def test_a_stray_object_map_key_exits_two(tmp_path, capsys, name, edit, message):
+    # an object map key that is no element of its source object
+    assert _edited_object_run(tmp_path, name, edit) == 2
+    assert message in capsys.readouterr().err
+
+
+def _repeat_first(table):
+    def edit(x):
+        records = x["objects"]["ob000"][table]
+        records.append(dict(records[0]))
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("x1", lambda x: x["vertex_objects"].update(zzz="ob000"),
+     "x1.json: vertex_objects key 'zzz' is not an id of the graph"),
+    ("x1", lambda x: x["edge_objects"].update(zzz="ob000"),
+     "x1.json: edge_objects key 'zzz' is not an id of the graph"),
+    ("x1", lambda x: x["edge_morphisms"].update(zzz=x["edge_morphisms"]["e00.a"]),
+     "x1.json: edge_morphisms key 'zzz' is not an id of the graph"),
+    ("seeds", lambda s: s["seeds"][0]["edge_maps"].update(zzz=s["seeds"][0]["edge_maps"]["e00.a"]),
+     "seeds.json: seeds[0]: edge_maps key 'zzz' is not a key of dart_map"),
+    ("x1", _repeat_first("vertices"), "x1.json: objects[ob000]: duplicate vertex id 'o0'"),
+    ("x1", _repeat_first("edges"), "x1.json: objects[ob000]: duplicate edge id 'r0'"),
+], ids=["vertex_objects", "edge_objects", "edge_morphisms", "seed edge_maps",
+        "duplicate vertex", "duplicate edge"])
+def test_an_unknown_or_repeated_id_in_an_object_file_exits_two(tmp_path, capsys, name, edit,
+                                                                message):
+    assert _edited_object_run(tmp_path, name, edit) == 2
+    assert message in capsys.readouterr().err
+
+
 def _map_mutations(entries, groups):
     """(label, entries) with the object maps at the ids of one group in
     ``groups`` changed together in ``entries`` (id -> vmap/emap tables):

@@ -50,13 +50,13 @@ from commoncover.cli import dump_graph, main, write_json
 from commoncover.gluing import subdivide_graph
 from commoncover.graphs import BudgetExceeded
 from commoncover.groupoids import PermArrow, keyed
-from commoncover.object_graphs import (ObjectGraph, SeedSpec, _check_star_map,
-                                       close_star_maps, make_object, obj_identity,
-                                       obj_morphism, rotation_pair)
+from commoncover.object_graphs import (SeedSpec, _check_star_map, close_star_maps,
+                                       make_object, obj_identity, obj_morphism,
+                                       rotation_pair)
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
-from conftest import (all_pairs_closure, corrupt_act, corrupt_compose, eps,
+from conftest import (all_pairs_closure, corrupt_act, corrupt_compose, eps, object_graph,
                       reference_kernel, reference_row_check)
 from test_differential import SEEDS, _settings, related_pair
 
@@ -147,8 +147,8 @@ def check_vertex_maps(sys, generators):
 def _identity_seed_system():
     obj = make_object(["o"])
     g = families.cycle(3)
-    x = ObjectGraph(g, {v: obj for v in g.vertices}, {d: obj for d in g.darts},
-                    {d: obj_identity(obj) for d in g.darts})
+    x = object_graph(g, {v: obj for v in g.vertices}, {d: obj for d in g.darts},
+                     {d: obj_identity(obj) for d in g.darts})
     return x, x, [SeedSpec(v, v, {d: d for d in g.star(v)},
                            {d: obj_identity(obj) for d in g.star(v)})
                   for v in g.vertices]
@@ -161,11 +161,11 @@ def _non_commuting_system():
     maps of ``rotation_pair`` commute)."""
     g = families.rose(1)
     points, empty = make_object(["p0", "p1", "p2"]), make_object([])
-    x = ObjectGraph(g, {"v00": points}, {d: empty for d in g.darts},
-                    {d: obj_identity(empty) for d in g.darts})
+    x = object_graph(g, {"v00": points}, {d: empty for d in g.darts},
+                     {d: obj_morphism(empty, points, {}, {}) for d in g.darts})
     maps = {d: obj_identity(empty) for d in g.darts}
-    swap = obj_morphism({"p0": "p1", "p1": "p0", "p2": "p2"}, {})
-    turn = obj_morphism({"p0": "p1", "p1": "p2", "p2": "p0"}, {})
+    swap = obj_morphism(points, points, {"p0": "p1", "p1": "p0", "p2": "p2"}, {})
+    turn = obj_morphism(points, points, {"p0": "p1", "p1": "p2", "p2": "p0"}, {})
     return x, x, [SeedSpec("v00", "v00", {"e00.a": "e00.a", "e00.b": "e00.b"}, maps, swap),
                   SeedSpec("v00", "v00", {"e00.a": "e00.b", "e00.b": "e00.a"}, maps, turn)]
 

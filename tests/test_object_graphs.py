@@ -2,16 +2,17 @@ import pytest
 
 from commoncover import families, object_graphs
 from commoncover.cover_builder import AxiomError, build_cover
-from commoncover.object_graphs import (ObjectGraph, SeedSpec, SeedError,
-                                       all_object_isos, build_object_cover,
-                                       close_star_maps, make_object,
-                                       obj_compose, obj_identity, obj_morphism,
+from commoncover.graphs import GraphError
+from commoncover.object_graphs import (ObjectGraph, ObjectGraphMorphism, SeedSpec,
+                                       SeedError, all_object_isos, build_object_cover,
+                                       close_star_maps, is_object_iso, make_object,
+                                       obj_compose, obj_identity, obj_invert, obj_morphism,
                                        rotation_pair, validate_object_graph,
                                        verify_object_covering)
 from commoncover.oracle import find_covering
 from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 
-from conftest import bfs_atoms, hom, verify_groupoid
+from conftest import bfs_atoms, hom, isotropy, isotropy_lcm, object_graph, verify_groupoid
 
 
 def _singleton_object():
@@ -20,10 +21,9 @@ def _singleton_object():
 
 def _trivial_object_graph(g):
     obj = _singleton_object()
-    ident = obj_identity(obj)
-    return ObjectGraph(g, {v: obj for v in g.vertices},
-                       {d: obj for d in g.darts},
-                       {d: ident for d in g.darts})
+    darts = len(g.darts)
+    return ObjectGraph(g, (obj,) * len(g.vertices), (obj,) * darts,
+                       (obj_identity(obj),) * darts)
 
 
 def test_validate_single_loop_identities_ok():
@@ -31,14 +31,22 @@ def test_validate_single_loop_identities_ok():
     assert validate_object_graph(x).ok
 
 
+def test_validate_columns_of_another_length():
+    x = _trivial_object_graph(families.rose(1))
+    short = ObjectGraph(x.graph, x.vertex_objects, x.edge_objects[:1], x.edge_morphisms)
+    report = validate_object_graph(short)
+    assert not report.ok
+    assert report.violations == ["the object columns do not match the graph"]
+
+
 def test_validate_mismatched_edge_objects():
     g = families.rose(1)
     a = make_object(["o"])
     b = make_object(["p"])
-    x = ObjectGraph(g, {"v00": a},
-                    {"e00.a": a, "e00.b": b},
-                    {"e00.a": obj_identity(a),
-                     "e00.b": obj_morphism({"p": "o"}, {})})
+    x = object_graph(g, {"v00": a},
+                     {"e00.a": a, "e00.b": b},
+                     {"e00.a": obj_identity(a),
+                      "e00.b": obj_morphism(b, a, {"p": "o"}, {})})
     report = validate_object_graph(x)
     assert not report.ok
     assert any("differ across the reversal" in v for v in report.violations)
@@ -47,9 +55,9 @@ def test_validate_mismatched_edge_objects():
 def test_validate_non_preserving_edge_morphism():
     g = families.rose(1)
     obj = make_object(["o", "p"], vertex_labels=[("o", "A"), ("p", "B")])
-    bad = obj_morphism({"o": "p", "p": "o"}, {})
-    x = ObjectGraph(g, {"v00": obj}, {d: obj for d in g.darts},
-                    {"e00.a": obj_identity(obj), "e00.b": bad})
+    bad = obj_morphism(obj, obj, {"o": "p", "p": "o"}, {})
+    x = object_graph(g, {"v00": obj}, {d: obj for d in g.darts},
+                     {"e00.a": obj_identity(obj), "e00.b": bad})
     report = validate_object_graph(x)
     assert not report.ok
     assert any("not structure-preserving" in v for v in report.violations)
@@ -96,14 +104,14 @@ def test_rotation_example_closure_and_isotropy():
     x1, x2, seeds = rotation_pair(3)
     sys = close_star_maps(x1, x2, seeds)
     for dart in range(len(sys.union.darts)):
-        iso = sys.isotropy(dart)
+        iso = isotropy(sys, dart)
         assert 3 % len(iso) == 0
         # isotropy really is a group: closed under composition
         serials = {m.serial for m in iso}
         for m in iso:
             for m2 in iso:
                 assert obj_compose(m, m2).serial in serials
-    assert sys.isotropy_lcm() == 3
+    assert isotropy_lcm(sys) == 3
 
 
 def test_isotropy_cap_refuses_a_larger_group(monkeypatch):
@@ -117,7 +125,7 @@ def test_isotropy_cap_counts_the_isotropy_group():
     systems = [close_star_maps(*rotation_pair(order)) for order in range(2, 7)]
     for sys in [*systems, _identity_system(), _trivial_star_systems()[1]]:
         for e in range(len(sys.union.darts)):
-            assert list(sys.atoms_by_anchor[e].values()).count(e) == len(sys.isotropy(e))
+            assert list(sys.atoms_by_anchor[e].values()).count(e) == len(isotropy(sys, e))
 
 
 def test_rotation_example_single_seed_insufficient():
@@ -139,12 +147,12 @@ def test_rotation_cover_circuits_divisible_by_order():
 def test_seed_rejected_without_compatible_vertex_map():
     g = families.rose(1)
     obj = make_object(["o", "p"])
-    swap = obj_morphism({"o": "p", "p": "o"}, {})
+    swap = obj_morphism(obj, obj, {"o": "p", "p": "o"}, {})
     ident = obj_identity(obj)
-    x1 = ObjectGraph(g, {"v00": obj}, {d: obj for d in g.darts},
-                     {d: ident for d in g.darts})
-    x2 = ObjectGraph(g, {"v00": obj}, {d: obj for d in g.darts},
-                     {"e00.a": ident, "e00.b": swap})
+    x1 = object_graph(g, {"v00": obj}, {d: obj for d in g.darts},
+                      {d: ident for d in g.darts})
+    x2 = object_graph(g, {"v00": obj}, {d: obj for d in g.darts},
+                      {"e00.a": ident, "e00.b": swap})
     seed = SeedSpec("v00", "v00", {"e00.a": "e00.a", "e00.b": "e00.b"},
                     {"e00.a": ident, "e00.b": ident})
     with pytest.raises(SeedError, match="no compatible vertex map"):
@@ -170,7 +178,7 @@ def test_vertex_group_bounded_by_star_and_isotropy():
         star = sys.stars[x]
         iso_product = 1
         for e in star:
-            iso_product *= len(sys.isotropy(e))
+            iso_product *= len(isotropy(sys, e))
         assert group <= math.factorial(len(star)) * iso_product
 
 
@@ -210,18 +218,17 @@ def test_verify_object_covering_detects_mutation():
     _, mu2 = build_object_cover(sys).extra["objects"]
     ok, failure = verify_object_covering(mu2)
     assert ok and failure is None
-    dart = mu2.source.graph.darts[0]
-    partner = mu2.source.graph.reverse[dart]
-    image = mu2.graph.dmap[dart]
+    dart = 0
+    partner = mu2.source.graph.rev[dart]
+    image = mu2.graph.dm[dart]
     candidates = [m for m in all_object_isos(mu2.source.edge_objects[dart],
                                              x2.edge_objects[image])
                   if m != mu2.edge_morphisms[dart]]
-    mutated = dict(mu2.edge_morphisms)
+    mutated = list(mu2.edge_morphisms)
     mutated[dart] = candidates[0]
     mutated[partner] = candidates[0]
-    from commoncover.object_graphs import ObjectGraphMorphism
     bad = ObjectGraphMorphism(mu2.source, x2, mu2.graph,
-                              mu2.vertex_morphisms, mutated)
+                              mu2.vertex_morphisms, tuple(mutated))
     ok, failure = verify_object_covering(bad)
     assert not ok
 
@@ -229,10 +236,66 @@ def test_verify_object_covering_detects_mutation():
 def test_identity_morphism_verifies():
     x = _trivial_object_graph(families.cycle(3))
     from commoncover.graphs import identity_morphism
-    from commoncover.object_graphs import ObjectGraphMorphism
     ident = ObjectGraphMorphism(
         x, x, identity_morphism(x.graph),
-        {v: obj_identity(x.vertex_objects[v]) for v in x.graph.vertices},
-        {d: obj_identity(x.edge_objects[d]) for d in x.graph.darts})
+        tuple(map(obj_identity, x.vertex_objects)),
+        tuple(map(obj_identity, x.edge_objects)))
     ok, failure = verify_object_covering(ident)
     assert ok and failure is None
+
+
+def test_the_object_layer_holds_no_dict(tmp_path):
+    from commoncover.cli import dump_object_graph, load_object_graph, write_json
+
+    x1, x2, seeds = rotation_pair(3)
+    path = str(tmp_path / "x2.json")
+    write_json(path, dump_object_graph(x2))
+    loaded = load_object_graph(path)
+    cover = build_object_cover(close_star_maps(x1, loaded, seeds))
+    mu1, mu2 = cover.extra["objects"]
+    records = [loaded, mu1.source, mu1, mu2]
+    objects = [*loaded.vertex_objects, *loaded.edge_objects, *mu1.source.edge_objects]
+    maps = [*loaded.edge_morphisms, *mu2.vertex_morphisms, *mu2.edge_morphisms,
+            *[m for s in seeds for m in (*s.edge_maps.values(), s.vertex_map)]]
+    kept = [*(value for r in records for value in vars(r).values()),
+            *(value for item in objects + maps for value in item)]
+    assert not any(isinstance(value, dict) for value in kept)
+    # columns by index: an object, a map and a decoration per element
+    assert len(mu1.source.vertex_objects) == len(mu2.vertex_morphisms) == len(cover.graph.vertices)
+    assert len(mu1.source.edge_morphisms) == len(mu2.edge_morphisms) == len(cover.graph.darts)
+    assert all(isinstance(c, tuple) for m in maps for c in (m.vm, m.em))
+    # the id views are rendered on use, in the order of the sorted ids
+    m = mu2.edge_morphisms[0]
+    assert m.vmap == tuple(zip(m.source.vertices, map(m.target.vertices.__getitem__, m.vm)))
+    assert m.serial == (m.vmap, m.emap) and m.vmap is not m.vmap
+
+
+def test_compose_and_invert_on_columns():
+    obj = make_object(["a", "b", "c"], [("x", "a", "b", None), ("y", "b", "c", None),
+                                        ("z", "c", "a", None)])
+    turn = obj_morphism(obj, obj, {"a": "b", "b": "c", "c": "a"}, {"x": "y", "y": "z", "z": "x"})
+    back = obj_invert(turn)
+    assert (back.vm, back.em) == ((2, 0, 1), (2, 0, 1))
+    assert obj_compose(back, turn) == obj_compose(turn, back) == obj_identity(obj)
+    assert obj_compose(turn, turn) == obj_invert(turn)
+    # an image that is no id of the target is -1, rendered as None
+    partial = obj_morphism(obj, obj, {"a": "a", "b": "q"}, {})
+    assert (partial.vm, partial.em) == ((0, -1, -1), (-1, -1, -1))
+    assert partial.vmap == (("a", "a"), ("b", None), ("c", None))
+    assert not is_object_iso(obj, obj, partial)
+
+
+def test_isomorphisms_of_an_object_with_labelled_and_unlabelled_edges():
+    # two loops at one vertex, one labelled: edge classes of mixed labels
+    obj = make_object(["v"], [("a", "v", "v", None), ("b", "v", "v", "red")])
+    assert all_object_isos(obj, obj) == [obj_identity(obj)]
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a", "a"], [], "duplicate vertex id 'a'"),
+    (["a"], [("x", "a", "a", None), ("x", "a", "a", None)], "duplicate edge id 'x'"),
+    (["a"], [("x", "a", "b", None)], "edge 'x': an end is not a vertex of the object"),
+])
+def test_an_object_refuses_what_its_columns_cannot_hold(vertices, edges, message):
+    with pytest.raises(GraphError, match=message):
+        make_object(vertices, edges)
