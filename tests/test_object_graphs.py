@@ -31,14 +31,6 @@ def test_validate_single_loop_identities_ok():
     assert validate_object_graph(x).ok
 
 
-def test_validate_columns_of_another_length():
-    x = _trivial_object_graph(families.rose(1))
-    short = ObjectGraph(x.graph, x.vertex_objects, x.edge_objects[:1], x.edge_morphisms)
-    report = validate_object_graph(short)
-    assert not report.ok
-    assert report.violations == ["the object columns do not match the graph"]
-
-
 def test_validate_mismatched_edge_objects():
     g = families.rose(1)
     a = make_object(["o"])
