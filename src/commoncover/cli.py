@@ -487,6 +487,7 @@ def load_seeds(path: str, x1: ObjectGraph, x2: ObjectGraph) -> list:
         _expect(_is_id_table(entry["dart_map"]), where,
                 "dart_map values must be string ids")
         seed = SeedSpec(entry["from"], entry["to"], dict(entry["dart_map"]), {})
+        # first, as close_star_maps reports it again; it makes the lookups below safe
         check_seed_stars(x1.graph, x2.graph, seed)
         _expect_ids(entry["edge_maps"], seed.dart_map, where, "edge_maps", "a key of dart_map")
         seed.edge_maps = {

@@ -99,12 +99,12 @@ def keyed(dst: int, positions):
 def gather(positions):
     """The function table -> the table's entries at ``positions``, in their
     encoding: one C call on each arrow ``table``.  An itemgetter returns a
-    tuple only for two or more positions; for one or none it takes a slice."""
+    tuple only for two or more positions; for one (-1 too) or none, a slice."""
     if positions.__class__ is bytes:
         return positions.translate
     if len(positions) > 1:
         return itemgetter(*positions)
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+    return itemgetter(slice(positions[0], positions[0] + 1 or None) if positions else slice(0))
 
 
 class PermArrow:

@@ -113,9 +113,9 @@ def obj_identity(x: FiniteObject) -> ObjMorphism:
 
 
 def obj_compose(outer: ObjMorphism, inner: ObjMorphism) -> ObjMorphism:
-    """outer after inner: one C-level gather per column."""
-    return ObjMorphism(inner.source, outer.target, gather(inner.vm)(outer.vm),
-                       gather(inner.em)(outer.em))
+    """outer after inner: one C-level gather per column; -1 (no image) stays -1."""
+    return ObjMorphism(inner.source, outer.target, gather(inner.vm)(outer.vm + (-1,)),
+                       gather(inner.em)(outer.em + (-1,)))
 
 
 def obj_invert(m: ObjMorphism) -> ObjMorphism:

@@ -275,6 +275,13 @@ def test_compose_and_invert_on_columns():
     assert (partial.vm, partial.em) == ((0, -1, -1), (-1, -1, -1))
     assert partial.vmap == (("a", "a"), ("b", None), ("c", None))
     assert not is_object_iso(obj, obj, partial)
+    # composing keeps -1 at the length of the source, on one element too
+    assert obj_compose(turn, partial).vm == (1, -1, -1)
+    assert obj_compose(partial, turn).vm == (-1, -1, 0)
+    one = make_object(["a"], [("x", "a", "a", None)])
+    lone = obj_morphism(one, one, {"a": "q"}, {})
+    assert (lone.vmap, lone.emap) == ((("a", None),), (("x", None),))
+    assert obj_compose(obj_identity(one), lone) == obj_compose(lone, lone) == lone
 
 
 def test_isomorphisms_of_an_object_with_labelled_and_unlabelled_edges():
