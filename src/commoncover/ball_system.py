@@ -24,10 +24,8 @@ restriction of a product of deck transformations and the alignment.
 
 from __future__ import annotations
 
-from functools import partial
-
-from .cover_builder import (DiscoveredAtoms, Kind, LocalSystem, Numbering,
-                            build_aligned)
+from .cover_builder import (DiscoveredAtoms, Kind, LocalSystem, Numbering, aligned_inputs,
+                            build_aligned, retry_doubling)
 from .graphs import Graph, GraphError
 from .groupoids import PermArrow, gather
 from .refinement import JointBlocks
@@ -169,10 +167,8 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
                    radius: int, explore_radius: int) -> DiscoveredAtoms:
     """Normalised restrictions of the alignment to balls and edge
     neighbourhoods centred within the exploration radius: the ball kind's
-    walk on the alignment, resumed to that radius."""
-    if explore_radius < 0:
-        raise GraphError("exploration radius must be non-negative")
-    return BallKind.on(alignment, radius).within(alignment, explore_radius)
+    walk on the alignment."""
+    return BallKind(alignment, radius).within(alignment, explore_radius)
 
 
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
@@ -188,9 +184,12 @@ def build_ball_system(g1: Graph, g2: Graph, radius: int,
 def build_ball_system_retrying(g1, g2, radius, explore_radius=None,
                                joint: JointBlocks = None) -> BallLocalSystem:
     """``build_ball_system`` with doubling retries on axiom failure
-    (``build_aligned``); each attempt is one ``build_ball_system``."""
-    return build_aligned(BallKind, radius, g1, g2, explore_radius, joint,
-                         attempt=partial(build_ball_system, g1, g2, radius))
+    (``retry_doubling``): the joint blocks, the alignment and the default
+    radius are prepared once, and each attempt is one ``build_ball_system``."""
+    joint, alignment, explore_radius = aligned_inputs(g1, g2, radius, explore_radius, joint)
+    # the name is looked up at each attempt, as in build_star_system_retrying
+    return retry_doubling(lambda rho: build_ball_system(g1, g2, radius, rho, joint, alignment),
+                          explore_radius)
 
 
 def verify_witness(arrow: BallArrow, sys: BallLocalSystem) -> bool:

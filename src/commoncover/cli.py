@@ -484,6 +484,9 @@ def load_seeds(path: str, x1: ObjectGraph, x2: ObjectGraph) -> list:
                           ("edge_maps", dict)):
             _expect(isinstance(entry.get(key), kind), where, "needs %r as a JSON %s"
                     % (key, "string" if kind is str else "object"))
+        for key, index in (("from", v1), ("to", v2)):
+            _expect(entry[key] in index, where, "%s %r is not a vertex of its graph"
+                    % (key, entry[key]))
         _expect(_is_id_table(entry["dart_map"]), where,
                 "dart_map values must be string ids")
         seed = SeedSpec(entry["from"], entry["to"], dict(entry["dart_map"]), {})
@@ -611,7 +614,8 @@ def cmd_verify(args) -> int:
         cover_dir = os.path.dirname(cover_path)
     payload = _read_json(cover_path)
     _expect(isinstance(payload, dict), cover_path, "top level must be an object")
-    facts = list(map(payload.get, ("degrees", "component_sizes", "bound", "total_vertices")))
+    facts = list(map(payload.get, ("degrees", "component_sizes", "bound", "total_vertices",
+                                   "n_multiple")))
     paths = [os.path.join(cover_dir, name) for name in ("mu1.json", "mu2.json")]
     if "objects" in payload:
         x = _object_graph_from_data(payload, cover_path)

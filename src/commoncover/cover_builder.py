@@ -92,51 +92,33 @@ class Kind:
     """A kind of local system of ``build_aligned`` and its walk on one
     alignment.  A kind gives the arrow an alignment induces at a tree vertex
     (``arrow_at``), the ``edge_atoms`` it restricts to, ``identity`` and its
-    ``system``.  ``within(alignment, rho)`` walks ``c1.layers(rho)``, a
-    prefix of ``layers(2 rho)``, and keeps the first arrow met per key with
-    its depth: a walk resumed from rho to 2 rho meets what a walk from
-    scratch meets.  An alignment keeps one walk per kind and radius
-    (``on``); the walk holds no reference back, so they form no cycle."""
+    ``system``.  ``within(alignment, rho)`` walks ``c1.layers(rho)`` and
+    keeps the first arrow met per key."""
 
     def __init__(self, alignment, radius: int):
         self.radius, self.union = radius, alignment.joint.union
-        self.first = {}            # key -> (depth, arrow): the first arrow met per key
-        self.walked, self.visited = -1, 0       # the radius walked, its tree vertices
-
-    @classmethod
-    def on(cls, alignment, radius: int) -> "Kind":
-        walks, key = alignment.walks, (cls, radius)
-        if key not in walks:
-            walks[key] = cls(alignment, radius)
-        return walks[key]
 
     def edge_atoms(self, arrow) -> Iterable:
         return ()
 
     def within(self, alignment, explore_radius: int) -> DiscoveredAtoms:
-        first = self.first
-        if explore_radius > self.walked:
-            alignment.ensure_radius(explore_radius + self.radius)
-            layers = alignment.c1.layers(explore_radius)
-            for z in layers[self.visited:]:
-                arrow = self.arrow_at(alignment, z)
-                first.setdefault(arrow.key, (len(z), arrow))
-            self.walked, self.visited = explore_radius, len(layers)
-        arrows = [first[k][1] for k in sorted(first) if first[k][0] <= explore_radius]
+        alignment.ensure_radius(explore_radius + self.radius)
+        first = {}                 # key -> the first arrow met with that key
+        for z in alignment.c1.layers(explore_radius):
+            arrow = self.arrow_at(alignment, z)
+            first.setdefault(arrow.key, arrow)
+        arrows = list(map(first.__getitem__, sorted(first)))
         edge_atoms = sorted(set(chain.from_iterable(map(self.edge_atoms, arrows))))
         return DiscoveredAtoms(arrows, edge_atoms, self.radius, explore_radius,
-                               next(iter(first.values()))[1])
+                               next(iter(first.values())))
 
 
-def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
-                  joint=None, alignment=None, found: DiscoveredAtoms = None,
-                  attempt=None) -> LocalSystem:
-    """A local system of a ``kind`` and ``radius``, by stages: the joint check,
-    the alignment, the exploration radius (``radius + diam g1 + diam g2`` by
-    default), the kind's walk (unless ``found``), saturation, the system, the
-    reachability of the edge atoms found and the closure axioms, the last two
-    raising ``AxiomError``.  With ``attempt``, ``attempt(rho, joint,
-    alignment)`` builds instead, rho doubled after each ``AxiomError``."""
+def aligned_inputs(g1: Graph, g2: Graph, radius: int, explore_radius=None, joint=None,
+                   alignment=None) -> tuple:
+    """The joint blocks, the alignment and the exploration radius of an
+    aligned build, each computed unless given: the radius defaults to
+    ``radius + diam g1 + diam g2``.  Two graphs with no common universal
+    cover, or a negative radius, raise GraphError."""
     joint = joint or joint_refinement(g1, g2)
     if not joint.ok:
         raise GraphError("no common universal cover")
@@ -145,28 +127,22 @@ def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
         explore_radius = radius + g1.diameter() + g2.diameter()
     if explore_radius < 0:
         raise GraphError("exploration radius must be non-negative")
-    if attempt is not None:
-        return retry_doubling(lambda rho: attempt(rho, joint, alignment), explore_radius)
-    walk = kind.on(alignment, radius)
+    return joint, alignment, explore_radius
+
+
+def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
+                  joint=None, alignment=None, found: DiscoveredAtoms = None) -> LocalSystem:
+    """A local system of a ``kind`` and ``radius``, by stages: the inputs
+    (``aligned_inputs``), the kind's walk (unless ``found``), saturation, the
+    system, and its axioms with the reachability of the edge atoms found
+    (``LocalSystem.require_axioms``), which raise ``AxiomError``."""
+    joint, alignment, explore_radius = aligned_inputs(g1, g2, radius, explore_radius, joint,
+                                                      alignment)
+    walk = kind(alignment, radius)
     found = found or walk.within(alignment, explore_radius)
     groupoid = saturate(found.vertex_arrows, range(len(walk.union.vertices)), walk.identity)
     sys = walk.system(g1, g2, alignment, groupoid, explore_radius, found)
-    unreachable = [a for a in found.edge_atoms if a not in sys.atoms_by_anchor[a[0]]]
-    headless = [a[0] for a in unreachable if sys.atom_image(a) is None]
-    if headless:
-        detail = _NO_IMAGE % (walk.union.darts[min(headless)],)
-        raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
-                         % (explore_radius, detail), radius=explore_radius, witness=detail)
-    if unreachable:
-        serial = min(map(sys.atom_serial, unreachable))
-        raise AxiomError("closure axioms unmet at radius %d (edge atom %r unreachable)"
-                         % (explore_radius, serial[1]), radius=explore_radius, witness=serial)
-    report = sys.check_axioms()
-    if not report.ok:
-        raise AxiomError("closure axioms unmet at radius %d (failing item %r)"
-                         % (explore_radius, report.detail),
-                         radius=explore_radius, witness=report.detail)
-    return sys
+    return sys.require_axioms(found.edge_atoms)
 
 
 @dataclass
@@ -197,6 +173,7 @@ class LocalSystem:
     """
 
     kind = "abstract"
+    explore_radius = None
 
     def __init__(self, g1: Graph, g2: Graph, union: Graph, groupoid: FiniteGroupoid,
                  numbering: Numbering):
@@ -400,6 +377,31 @@ class LocalSystem:
             detail=cover_fail or bar_fail or action_fail)
         self.axioms = report
         return report
+
+    def require_axioms(self, edge_atoms=(), prefix: str = "") -> "LocalSystem":
+        """The system, when every atom of ``edge_atoms`` is in the atom set
+        of its anchor and the closure axioms hold (checked once); else the
+        one ``AxiomError`` of a failed system, "closure axioms unmet", with
+        the exploration radius where the system has one and the failing
+        item as its witness."""
+        unreachable = [a for a in edge_atoms if a not in self.atoms_by_anchor[a[0]]]
+        headless = [a[0] for a in unreachable if self.atom_image(a) is None]
+        if headless:
+            witness = _NO_IMAGE % (self.union.darts[min(headless)],)
+            item = "failing item %r" % (witness,)
+        elif unreachable:
+            witness = min(map(self.atom_serial, unreachable))
+            item = "edge atom %r unreachable" % (witness[1],)
+        else:
+            report = self.axioms or self.check_axioms()
+            if report.ok:
+                return self
+            witness = report.detail
+            item = "failing item %r" % (witness,)
+        radius = self.explore_radius
+        where = "" if radius is None else "at radius %d " % radius
+        raise AxiomError("%sclosure axioms unmet %s(%s)" % (prefix, where, item),
+                         radius=radius, witness=witness)
 
     def _check_coverage(self) -> Optional[str]:
         """AX1: the last vertex that no cross arrow reaches, else the first
@@ -657,11 +659,7 @@ def build_cover(sys: LocalSystem, component: str = "least",
     order, and the provenance labels are ``Labels`` over the cross arrows
     and the cross atoms.
     """
-    if sys.axioms is None:
-        sys.check_axioms()
-    if not sys.axioms.ok:
-        raise AxiomError("local system failed closure axioms: %r" % (sys.axioms.detail,),
-                         witness=sys.axioms.detail)
+    sys.require_axioms()
     union, g1, g2, n1, m1 = sys.union, sys.g1, sys.g2, sys.n1, sys.m1
     out = list(map(sys.out_count, range(len(union.vertices))))
     if 0 in out:

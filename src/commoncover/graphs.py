@@ -500,10 +500,12 @@ class Cover:
         return sum(self.component_sizes)
 
 
-def size_fact_failure(n: int, n1: int, n2: int, degrees, sizes, bound, total):
+def size_fact_failure(n: int, n1: int, n2: int, degrees, sizes, bound, total, multiple):
     """The first size fact recorded with a cover of n vertices onto graphs of
     n1 and n2 vertices (None where not recorded) that fails, as (fact,
-    value, what it should be), or None; each check is constant time."""
+    value, what it should be), or None; each check is constant time.  The
+    n_multiple of a local system bounds both degrees: over a vertex x the
+    cover has cross(x) n_multiple / out(x) vertices, and cross(x) <= out(x)."""
     most = 2 * n1 * n2
     for fact, value, ok, claim in (
             ("degrees", degrees, degrees in (None, [n / n1, n / n2]),
@@ -515,7 +517,10 @@ def size_fact_failure(n: int, n1: int, n2: int, degrees, sizes, bound, total):
              "between |V(C)| and 2|V(g1)||V(g2)|"),
             ("total_vertices", total, total is None or type(total) is int
              and n <= total <= (most if bound is None else bound),
-             "between |V(C)| and the bound")):
+             "between |V(C)| and the bound"),
+            ("n_multiple", multiple, multiple is None or type(multiple) is int
+             and 0 < multiple and n <= multiple * min(n1, n2),
+             "a positive int no smaller than either degree")):
         if not ok:
             return fact, value, claim
     return None

@@ -11,10 +11,10 @@ Saturation closes a generating set S under composition and inversion inside
 a finite ambient universe by breadth-first search over the Cayley graph:
 each arrow found is left-composed with the letters of S and S^-1 that start
 at its target, and nothing else.  Every word over those letters is reached
-this way, so the result is exactly the closure, and each arrow's witness
-word is a shortest one (Holt, Eick and O'Brien, *Handbook of Computational
-Group Theory*, 2005, section 4.1).  Actions on edge atoms, their orbits and the
-orbit-stabilizer counts live in ``cover_builder.LocalSystem``.
+this way, so the result is exactly the closure (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, section 4.1).  Actions on
+edge atoms, their orbits and the orbit-stabilizer counts live in
+``cover_builder.LocalSystem``.
 
 ``PermArrow`` is the one arrow class: a permutation between two numbered
 domains (the darts of a star, the vertices of a canonical ball, the points
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -215,7 +215,6 @@ class FiniteGroupoid:
     objects: tuple
     arrows: tuple                    # sorted by key
     identities: dict                 # object -> identity arrow
-    witness: dict = field(default_factory=dict)   # key -> word over generators
 
     def __post_init__(self):
         self.by_source = {}
@@ -235,59 +234,48 @@ class FiniteGroupoid:
 
 def saturate(atoms: Iterable, objects: Iterable,
              identity_factory: Callable) -> FiniteGroupoid:
-    """Smallest groupoid containing the atoms, with generation witnesses.
+    """Smallest groupoid containing the atoms.
 
     Breadth-first search over the Cayley graph from the identities: each
     dequeued arrow b is left-composed only with the generators and their
-    inverses whose source is dst b, and s.b gets the witness of b followed
-    by the letter of s.  The keys of those products are one ``compose_row``,
-    looked up among the keys found at the source of b, and only an arrow
-    whose key is new is built.  Arrows with one target and perm share one
-    table.  Witness letters are ("g", i) for the i-th atom and ("g~", i) for
-    its inverse; words compose left-to-right in application order, and
-    every witness is a shortest word for its arrow.
+    inverses whose source is dst b.  The keys of those products are one
+    ``compose_row``, looked up among the keys found at the source of b, and
+    only an arrow whose key is new is built.  Arrows with one target and
+    perm share one table.
     """
-    atoms = list(atoms)
     objs = sorted(set(objects))
     identities = {x: identity_factory(x) for x in objs}
     tables = {}                      # keyed(dst, perm) -> the shared table
-    gens = []                        # (letter, arrow) for S and S^-1
-    for i, a in enumerate(atoms):
-        gens += [(("g", i), a), (("g~", i), a.inverse(tables))]
+    gens = list(chain.from_iterable((a, a.inverse(tables)) for a in atoms))
     found = {x: {} for x in objs}    # source -> {keyed(dst, perm): arrow}
-    witness = {}
     queue = deque()
 
-    def add(arrow, word, key=None):
+    def add(arrow, key=None):
         if key is None:
             key = keyed(arrow.dst, arrow.perm)
         arrow.table = tables.setdefault(key, arrow.table)
         at = found.setdefault(arrow.src, {})
         if key not in at:
             at[key] = arrow
-            witness[arrow.key] = word
             queue.append(arrow)
 
-    for x in objs:
-        add(identities[x], ())
-    for letter, s in gens:
-        add(s, (letter,))
-    letters = {}                     # source object -> ([letter], [arrow], [table])
-    for letter, s in gens:
-        names, row, row_tables = letters.setdefault(s.src, ([], [], []))
-        names.append(letter)
+    for arrow in chain(map(identities.__getitem__, objs), gens):
+        add(arrow)
+    letters = {}                     # source object -> ([arrow], [table])
+    for s in gens:
+        row, row_tables = letters.setdefault(s.src, ([], []))
         row.append(s)
         row_tables.append(s.table)
     while queue:
         b = queue.popleft()
-        names, row, row_tables = letters.get(b.dst, ((), (), ()))
-        at, word = found[b.src], witness[b.key]
-        for letter, s, key in zip(names, row, b.compose_row(row_tables)):
+        row, row_tables = letters.get(b.dst, ((), ()))
+        at = found[b.src]
+        for s, key in zip(row, b.compose_row(row_tables)):
             if key not in at:
-                add(s.compose(b, tables), word + (letter,), key)
+                add(s.compose(b, tables), key)
     ordered = tuple(chain.from_iterable(map(at.__getitem__, sorted(at))
                                         for _, at in sorted(found.items())))
-    return FiniteGroupoid(tuple(objs), ordered, identities, witness)
+    return FiniteGroupoid(tuple(objs), ordered, identities)
 
 
 def lcm_all(sizes: Iterable[int]) -> int:

@@ -26,13 +26,17 @@ from operator import itemgetter, ne
 from typing import NamedTuple, Optional
 
 from .cover_builder import AxiomError, LocalSystem, Numbering, build_cover
-from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
-                     disjoint_union, is_covering, validate_graph)
+from .graphs import (BudgetExceeded, Cover, Graph, GraphError, GraphMorphism,
+                     VerificationError, disjoint_union, is_covering, validate_graph)
 from .groupoids import PermArrow, gather, saturate
 
 # the most atoms fixing a dart (the order of its isotropy group) that
 # ``close_star_maps`` admits
 ISOTROPY_CAP = 512
+# the most vertices of a vertex object whose isomorphisms are searched for a
+# seed given without a vertex_map (``all_object_isos`` tries each of their n!
+# permutations; 8! = 40,320)
+VERTEX_MAP_SEARCH_CAP = 8
 
 
 # -- finite labelled multigraph objects and their maps -----------------------
@@ -357,6 +361,10 @@ def _check_star_map(x1: ObjectGraph, x2: ObjectGraph, seed: SeedSpec,
 
     if given is not None and not is_object_iso(xu, yv, given):
         raise SeedError("seed vertex map is not an object isomorphism")
+    if given is None and len(xu.vertices) > VERTEX_MAP_SEARCH_CAP:
+        raise BudgetExceeded("the seed at %r has no vertex_map, and its vertex object has %d "
+                             "vertices (the search for one is capped at %d): give a vertex_map"
+                             % (seed.src, len(xu.vertices), VERTEX_MAP_SEARCH_CAP))
     square = None
     for vm in [given] if given is not None else all_object_isos(xu, yv):
         square = failed_square(vm)
@@ -399,11 +407,7 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSyste
         if list(sys.atoms_by_anchor[dart].values()).count(dart) > ISOTROPY_CAP:
             raise AxiomError("isotropy group exceeds the configured cap at %r"
                              % (name,))
-    report = sys.check_axioms()
-    if not report.ok:
-        raise AxiomError("insufficient seeds: closure axioms unmet at %r"
-                         % (report.detail,), witness=report.detail)
-    return sys
+    return sys.require_axioms(prefix="insufficient seeds: ")
 
 
 # -- object covers --------------------------------------------------------------

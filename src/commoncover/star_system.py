@@ -16,10 +16,10 @@ Two construction strategies sit behind one interface:
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from math import factorial, prod
 
-from .cover_builder import AxiomError, Kind, LocalSystem, Numbering, build_aligned
+from .cover_builder import (AxiomError, Kind, LocalSystem, Numbering, aligned_inputs,
+                            build_aligned, retry_doubling)
 from .graphs import BudgetExceeded, Graph, GraphError
 from .groupoids import FiniteGroupoid, PermArrow
 from .refinement import JointBlocks, joint_refinement
@@ -151,14 +151,13 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
                       alignment: TreeAlignment = None) -> StarLocalSystem:
     """Build the star-bijection local system for two connected graphs; the
     aligned strategy is the star kind of ``build_aligned``."""
-    if joint is None:
-        joint = joint_refinement(g1, g2)
-    if not joint.ok:
-        raise GraphError("no common universal cover")
     if strategy == STRATEGY_ALIGNED:
         return build_aligned(StarKind, 1, g1, g2, explore_radius, joint, alignment)
     if strategy != STRATEGY_DR_FULL:
         raise GraphError("unknown strategy: %r" % (strategy,))
+    joint = joint or joint_refinement(g1, g2)
+    if not joint.ok:
+        raise GraphError("no common universal cover")
     union = joint.union
     numbering = star_numbering(union)
     objects = range(len(union.vertices))
@@ -168,19 +167,19 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
     groupoid = FiniteGroupoid(tuple(objects),
                               tuple(sorted(set(arrows), key=lambda a: a.key)),
                               identities)
-    sys = StarLocalSystem(g1, g2, union, groupoid, joint, strategy, numbering=numbering)
-    report = sys.check_axioms()
-    if not report.ok:
-        raise AxiomError("complete star system failed its axioms at %r"
-                         % (report.detail,))
-    return sys
+    return StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
+                           numbering=numbering).require_axioms()
 
 
 def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,
                                explore_radius=None, joint: JointBlocks = None):
     """Aligned-strategy builder with doubling retries on axiom failure
-    (``build_aligned``); each attempt is one ``build_star_system``."""
+    (``retry_doubling``): the joint blocks, the alignment and the default
+    radius are prepared once, and each attempt is one ``build_star_system``."""
     if strategy == STRATEGY_DR_FULL:
         return build_star_system(g1, g2, strategy, joint=joint)
-    return build_aligned(StarKind, 1, g1, g2, explore_radius, joint,
-                         attempt=partial(build_star_system, g1, g2, strategy))
+    joint, alignment, explore_radius = aligned_inputs(g1, g2, 1, explore_radius, joint)
+    # the name is looked up at each attempt, so a wrapper installed on the
+    # module (perfbench's tracer) sees every attempt
+    return retry_doubling(lambda rho: build_star_system(g1, g2, strategy, rho, joint, alignment),
+                          explore_radius)

@@ -270,8 +270,6 @@ class TreeAlignment:
         self.bwd: Dict[Path, Path] = {(): ()}
         self.radius_built = 0
         self._frontier = [((), ())]
-        # the discovery walks over this alignment, by kind and radius (cover_builder.Kind.on)
-        self.walks = {}
 
     def ensure_radius(self, r: int) -> None:
         if r > self.max_radius:

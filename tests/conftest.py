@@ -134,6 +134,35 @@ def bfs_atoms(sys, dart) -> set:
     return seen
 
 
+def generator_words(generators, identities) -> dict:
+    """Per arrow key of the groupoid the generators saturate to, a word over
+    them: ("g", i) for the i-th generator and ("g~", i) for its inverse, in
+    application order.  The search is ``groupoids.saturate``'s own
+    breadth-first order (the identities, then each letter, then each arrow
+    found left-composed with the letters at its target), so each word
+    evaluates to the arrow ``saturate`` kept, witness included."""
+    letters = []
+    for i, g in enumerate(generators):
+        letters += [(("g", i), g), (("g~", i), g.inverse())]
+    words, queue = {}, deque()
+
+    def add(arrow, word):
+        if arrow.key not in words:
+            words[arrow.key] = word
+            queue.append(arrow)
+
+    for x in sorted(identities):
+        add(identities[x], ())
+    for letter, s in letters:
+        add(s, (letter,))
+    while queue:
+        b = queue.popleft()
+        for letter, s in letters:
+            if s.src == b.dst:
+                add(s.compose(b), words[b.key] + (letter,))
+    return words
+
+
 def star_arrow(graph: Graph, src: str, dst: str, image: dict) -> StarArrow:
     """The star bijection of ``graph`` from vertex src to vertex dst sending
     each dart d to image[d]."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commoncover import ball_system, families
+from commoncover import ball_system, families, object_graphs
 from commoncover.ball_system import BallKind
 from commoncover.cli import (SchemaError, _encoder, _graph_from_data, _write, build_parser,
                              dump_graph, dump_object_graph, load_graph, load_object_graph,
@@ -350,6 +350,35 @@ def test_verify_checks_the_degrees(tmp_path, capsys, command, field, stored, edi
     write_json(path, payload)
     assert main(["verify", out, g1, g2]) == 1
     assert "%s fails" % field in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, edited", [
+    ("star", -5), ("star", 0), ("star", 11), ("star", "36"),
+    ("objects", -5), ("objects", 0), ("objects", 2),
+])
+def test_verify_checks_n_multiple(tmp_path, capsys, kind, edited):
+    # n_multiple bounds both degrees (12 and 6 on Theta3/K4, 3 on the
+    # rotation_pair(3) object cover)
+    if kind == "star":
+        g1 = _write_graph(tmp_path, "th3.json", families.theta(3))
+        g2 = _write_graph(tmp_path, "k4.json", families.complete(4))
+        out = str(tmp_path / "out")
+        assert main(["build", g1, g2, "--backend", "star", "--strategy", "aligned",
+                     "-o", out]) == 0
+    else:
+        paths, out = _built_object_cover(tmp_path)
+        g1, g2 = paths["x1"], paths["x2"]
+    path = os.path.join(out, "cover.json")
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["n_multiple"] == (36 if kind == "star" else 6)
+    for value, code in ((12 if kind == "star" else 3, 0), (edited, 1)):
+        payload["n_multiple"] = value
+        write_json(path, payload)
+        capsys.readouterr()
+        assert main(["verify", out, g1, g2]) == code
+    assert ("n_multiple fails: %r is not a positive int no smaller than either degree"
+            % (edited,)) in capsys.readouterr().out
 
 
 def test_verify_missing_cover_directory_exits_two(tmp_path):
@@ -838,6 +867,45 @@ def test_build_objects_invalid_seed_exits_two(tmp_path, capsys, corrupt, message
     assert main(["build-objects", p1, p2, "--seeds", seeds_path,
                  "-o", str(tmp_path / "out")]) == 2
     assert "input error: " + message in capsys.readouterr().err
+
+
+def _write_rotation_run(tmp_path, order, edit):
+    """Write rotation_pair(order) object graphs and its seeds with ``edit``
+    applied to the seed entries; returns the argv of their ``build-objects``
+    and the seeds path."""
+    x1, x2, seeds = rotation_pair(order)
+    p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
+    write_json(p1, dump_object_graph(x1))
+    write_json(p2, dump_object_graph(x2))
+    entries = _seed_entries(seeds)
+    edit(entries)
+    seeds_path = str(tmp_path / "seeds.json")
+    write_json(seeds_path, {"seeds": entries})
+    return (["build-objects", p1, p2, "--seeds", seeds_path, "-o", str(tmp_path / "out")],
+            seeds_path)
+
+
+@pytest.mark.parametrize("key", ["from", "to"])
+def test_a_seed_end_that_is_no_vertex_names_its_entry(tmp_path, capsys, key):
+    argv, seeds_path = _write_rotation_run(tmp_path, 3,
+                                           lambda entries: entries[1].update({key: "nope"}))
+    assert main(argv) == 2
+    assert ("input error: %s: seeds[1]: %s 'nope' is not a vertex of its graph"
+            % (seeds_path, key)) in capsys.readouterr().err
+
+
+def test_a_seed_without_a_vertex_map_over_a_large_object_exits_two(tmp_path, capsys,
+                                                                   monkeypatch):
+    # nine vertices: the search would try 9! vertex permutations
+    def searched(x, y):
+        raise AssertionError("the vertex map search ran")
+
+    monkeypatch.setattr(object_graphs, "all_object_isos", searched)
+    argv, _ = _write_rotation_run(tmp_path, 9, lambda entries: entries[0].pop("vertex_map"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: the seed at 'v00' has no vertex_map")
+    assert "give a vertex_map" in err
 
 
 def test_only_verification_errors_exit_three(tmp_path, capsys, monkeypatch):

@@ -177,24 +177,6 @@ def test_saturate_matches_all_pairs_closure(generated):
         assert serials == [a.serial for a in sys.groupoid.arrows], kind
 
 
-def test_witness_words_evaluate_to_their_arrows(generated):
-    for kind, (gens, objects, factory, sys) in generated.items():
-        gpd = saturate(gens, objects, factory)
-        letters = {}
-        for i, g in enumerate(gens):
-            letters["g", i] = g
-            letters["g~", i] = g.inverse()
-        lengths = set()
-        for a in gpd.arrows:
-            current = gpd.identities[a.src]
-            for letter in gpd.witness[a.key]:
-                current = letters[letter].compose(current)
-            assert current.serial == a.serial, (kind, a.serial)
-            lengths.add(len(gpd.witness[a.key]))
-        # breadth-first words: every length up to the longest occurs
-        assert lengths == set(range(max(lengths) + 1)), kind
-
-
 def test_ball_arrows_pass_their_witness(engine_systems):
     for kind in ("ball-R1", "ball-R2"):
         sys = engine_systems[kind]

@@ -56,8 +56,8 @@ from commoncover.object_graphs import (SeedSpec, _check_star_map, close_star_map
 from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
                                      build_star_system_retrying)
 
-from conftest import (all_pairs_closure, corrupt_act, corrupt_compose, eps, object_graph,
-                      reference_kernel, reference_row_check)
+from conftest import (all_pairs_closure, corrupt_act, corrupt_compose, eps, generator_words,
+                      object_graph, reference_kernel, reference_row_check)
 from test_differential import SEEDS, _settings, related_pair
 
 
@@ -122,9 +122,11 @@ def test_kernel_agrees_with_the_pair_tuple_reference(seed):
 
 def check_vertex_maps(sys, generators):
     """The vertex maps that the witness words of an object system evaluate
-    to, against the reference star maps composed along the same words."""
+    to, against the reference star maps composed along the generator words
+    of the same arrows (``generator_words``)."""
     ref = reference_kernel(sys)
     gpd = sys.groupoid
+    words = generator_words(generators, gpd.identities)
     letters = {}
     for i, g in enumerate(generators):
         letters["g", i] = ref.arrow(g)
@@ -132,7 +134,7 @@ def check_vertex_maps(sys, generators):
     refs = {}
     for a in gpd.arrows:
         current = ref.identity(a.names[a.src])
-        for letter in gpd.witness[a.key]:
+        for letter in words[a.key]:
             current = letters[letter].compose(current)
         assert current.serial == a.serial
         assert current.vertex_map == sys.vertex_map(a)
