@@ -106,7 +106,6 @@ class BallKind(Kind):
             raise GraphError("ball radius must be at least 1")
         super().__init__(alignment, radius)
         self.numbering = ball_numbering(self.union, alignment.c1, alignment.c2, radius)
-        self.tables = {}
 
     def arrow_at(self, alignment, z) -> BallArrow:
         numbering = self.numbering
@@ -123,7 +122,7 @@ class BallKind(Kind):
         return BallArrow(
             x, dst, perm, shown[x], shown[dst], self.union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
-                     ("p2", c2.loop_to_word(w2))), tables=self.tables)
+                     ("p2", c2.loop_to_word(w2))))
 
     def edge_atoms(self, arrow) -> list:
         dom = self.numbering.dom

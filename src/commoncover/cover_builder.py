@@ -17,13 +17,14 @@ neighbourhood of a dart, held as (anchor dart, target object, positions).
 Objects and darts are indices of the disjoint union of the two graphs, so
 a side is a comparison with the number of the first graph's vertices or
 darts; only the serials render ids.
-An atom is its own key.  The checks, the orbit engine and the assembly act
-on a whole row of arrows at once through ``act_row``, one C call per arrow;
-``act`` is the row of one arrow.  A bundle, several atoms at one target
-with a tuple of anchors and their positions concatenated, moves part by
-part in the same one call per arrow.  The action-law check reads a
-composite and an action in one gather per pair (``law_row``) and decides a
-whole row by one set test.  The atom sets are computed once, here:
+An atom is its own key.  The checks and the orbit engine act on a whole
+row of arrows at once through ``act_row``, one C call per arrow, and the
+assembly reads the orbit engine's rows; ``act`` is the row of one arrow.
+A bundle, several atoms at one target with a tuple of anchors and their
+positions concatenated, moves part by part in the same one call per arrow.
+The action-law check reads a composite and an action in one gather per
+pair (``law_row``) and decides a whole row by one set test.  The atom sets
+are computed once, here:
 the atoms anchored at a dart e are {g.id_e : g in out(origin e)}, the orbit
 of the identity atom.  Subclasses render ``atom_serial``, the tuple the
 artifacts record; it is computed only for artifacts and failure messages.
@@ -282,7 +283,7 @@ class LocalSystem:
     def identity_rows(self) -> list:
         """Per dart e, the atoms g.id_e for g in out(origin e), in
         ``by_source`` order: one ``act_row`` per dart, which
-        ``atoms_by_anchor`` and the action check read."""
+        ``atoms_by_anchor``, the action check and ``build_cover`` read."""
         by_source = self.groupoid.by_source
         return [self.act_row(by_source.get(x, ()), ident)
                 for x, ident in zip(self._org, self._identity)]
@@ -684,13 +685,13 @@ def build_cover(sys: LocalSystem, component: str = "least",
         runs.setdefault(a.src, []).append(a)
 
     # group cover vertices by the atom their action produces at each star
-    # dart: one row per dart over the cross arrows out of its origin
-    groups = {}
+    # dart: the cross arrows out of x end on side 2, so they are the tail of
+    # by_source[x], and their atoms the tail of the dart's identity row
+    groups, rows = {}, sys.identity_rows
     for x, run in runs.items():
         reps = n_mult // out[x]
         for e in sys.stars[x]:
-            row = sys.act_row(run, sys.identity_atom(e))
-            for a, atom in zip(run, row):
+            for a, atom in zip(run, rows[e][-len(run):]):
                 groups.setdefault(atom, []).extend(range(first[a.key], first[a.key] + reps))
 
     # every cross atom must be realised: the groupoid is closed, so any atom

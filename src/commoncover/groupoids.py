@@ -61,14 +61,16 @@ def points(values, size: int):
     return encoding(size)(values)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1 << 18)
 def table(perm, dst: int):
     """The table ``gather`` reads for an arrow with this perm and target:
     bytes ``perm`` padded to 256 bytes with ``dst`` at ``TARGET``, or tuple
-    ``perm`` followed by ``dst``, whose slot is ``len(perm)``.  The arrows
-    of a system share tables through its dict (``PermArrow``); this cache
-    keeps the latest tables for the next system, so that repeated builds
-    in one process do not reallocate them."""
+    ``perm`` followed by ``dst``, whose slot is ``len(perm)``.  This cache
+    is the one place where arrows share tables: every ``PermArrow`` takes
+    its table here, so the arrows of one target and perm hold one table
+    object, within a build and across the builds of one process.  It keeps
+    the latest 2^18 tables, more than the arrows of the largest dr build
+    that ``star_system.DR_FULL_ARROW_BUDGET`` admits."""
     if perm.__class__ is not bytes:
         return perm + (dst,)
     if dst >= BYTES_OBJECTS:
@@ -114,9 +116,8 @@ class PermArrow:
     ``domain`` and ``codomain`` are sorted tuples shared by every arrow at
     those objects; ``perm[i]`` is the codomain position of the image of
     ``domain[i]``, encoded by ``points``; ``table``, which ``gather`` reads,
-    is ``perm`` with ``dst`` beside it (``table``), one object for the
-    arrows of one target and perm built with one dict ``tables`` (one per
-    system: ``saturate`` and the builders pass theirs).
+    is ``perm`` with ``dst`` beside it, taken from the cache of ``table``,
+    so that arrows of one target and perm share it.
     Identity is ``key = (src, dst, perm)``: for equal ends, comparing perms
     compares the images in sorted codomain order, and objects are indexed
     in id order, so keys sort as the rendered ``serial`` tuples do.  Among
@@ -131,15 +132,11 @@ class PermArrow:
                  "witness", "key", "_serial")
 
     def __init__(self, src: int, dst: int, perm, domain: tuple, codomain: tuple,
-                 names: tuple, witness: tuple = (), tables: dict = None):
+                 names: tuple, witness: tuple = ()):
         self.src = src
         self.dst = dst
         self.perm = perm = points(perm, len(perm))
-        if tables is None:
-            self.table = table(perm, dst)
-        else:
-            key = keyed(dst, perm)
-            self.table = tables.get(key) or tables.setdefault(key, table(perm, dst))
+        self.table = table(perm, dst)
         self.domain = domain
         self.codomain = codomain
         self.names = names
@@ -189,20 +186,20 @@ class PermArrow:
             where += marked(tail, len(perm))
         return map(gather(where), tables)
 
-    def compose(self, other: "PermArrow", tables: dict = None):
+    def compose(self, other: "PermArrow"):
         if other.dst != self.src:
             return None
         key, = other.compose_row((self.table,))
         return self.__class__(other.src, self.dst, key[2:] if key.__class__ is bytes else key[1:],
                               other.domain, self.codomain, self.names,
-                              other.witness + self.witness, tables)
+                              other.witness + self.witness)
 
-    def inverse(self, tables: dict = None) -> "PermArrow":
+    def inverse(self) -> "PermArrow":
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
         return self.__class__(self.dst, self.src, inv, self.codomain,
-                              self.domain, self.names, self.invert_word(self.witness), tables)
+                              self.domain, self.names, self.invert_word(self.witness))
 
     @staticmethod
     def invert_word(word: tuple) -> tuple:
@@ -241,26 +238,22 @@ def saturate(atoms: Iterable, objects: Iterable,
     inverses whose source is dst b.  The keys of those products are one
     ``compose_row``, looked up among the keys found at the source of b, and
     only an arrow whose key is new is built.  Arrows with one target and
-    perm share one table.
+    perm share one table through the cache of ``table``.
     """
     objs = sorted(set(objects))
     identities = {x: identity_factory(x) for x in objs}
-    tables = {}                      # keyed(dst, perm) -> the shared table
-    gens = list(chain.from_iterable((a, a.inverse(tables)) for a in atoms))
+    gens = list(chain.from_iterable((a, a.inverse()) for a in atoms))
     found = {x: {} for x in objs}    # source -> {keyed(dst, perm): arrow}
     queue = deque()
 
-    def add(arrow, key=None):
-        if key is None:
-            key = keyed(arrow.dst, arrow.perm)
-        arrow.table = tables.setdefault(key, arrow.table)
+    def add(arrow, key):
         at = found.setdefault(arrow.src, {})
         if key not in at:
             at[key] = arrow
             queue.append(arrow)
 
     for arrow in chain(map(identities.__getitem__, objs), gens):
-        add(arrow)
+        add(arrow, keyed(arrow.dst, arrow.perm))
     letters = {}                     # source object -> ([arrow], [table])
     for s in gens:
         row, row_tables = letters.setdefault(s.src, ([], []))
@@ -272,7 +265,7 @@ def saturate(atoms: Iterable, objects: Iterable,
         at = found[b.src]
         for s, key in zip(row, b.compose_row(row_tables)):
             if key not in at:
-                add(s.compose(b, tables), key)
+                add(s.compose(b), key)
     ordered = tuple(chain.from_iterable(map(at.__getitem__, sorted(at))
                                         for _, at in sorted(found.items())))
     return FiniteGroupoid(tuple(objs), ordered, identities)

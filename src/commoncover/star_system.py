@@ -91,7 +91,7 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks, shown: list) -> list:
     if count > DR_FULL_ARROW_BUDGET:
         raise BudgetExceeded("dr_full needs %d arrows (budget %d)"
                              % (count, DR_FULL_ARROW_BUDGET))
-    arrows, tables, names = [], {}, union.vertices
+    arrows, names = [], union.vertices
     for block in part.blocks:
         for u in block:
             gu = grouped[u]
@@ -108,8 +108,7 @@ def _dr_full_arrows(union: Graph, joint: JointBlocks, shown: list) -> list:
                     perm = [0] * len(domain)
                     for i, j in zip(slots, itertools.chain.from_iterable(combo)):
                         perm[i] = j
-                    arrows.append(StarArrow(u, v, perm, domain, codomain, names,
-                                            tables=tables))
+                    arrows.append(StarArrow(u, v, perm, domain, codomain, names))
     return arrows
 
 

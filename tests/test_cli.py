@@ -1184,7 +1184,7 @@ def test_an_exploration_radius_of_zero_grows(tmp_path, backend):
 def test_a_retried_build_writes_the_bytes_of_its_final_radius(tmp_path, pair, backend,
                                                               final):
     # --explore 0 fails its axioms and is retried (0 -> 1 -> 2 on Theta3/K4):
-    # the resumed walk must leave no trace of the attempts that failed
+    # the retried build must leave no trace of the attempts that failed
     graphs = {"theta3": families.theta(3), "k4": families.complete(4),
               "rose2": families.rose(2), "theta4": families.theta(4)}
     paths = [_write_graph(tmp_path, name + ".json", graphs[name]) for name in pair]

@@ -9,7 +9,7 @@ from commoncover.ball_system import (build_ball_system, build_ball_system_retryi
 from commoncover.cover_builder import (AxiomError, build_cover,
                                        extract_certificate, retry_doubling)
 from commoncover.graphs import is_covering
-from commoncover.object_graphs import close_star_maps, rotation_pair
+from commoncover.object_graphs import build_object_cover, close_star_maps, rotation_pair
 from commoncover.oracle import brute_common_cover, find_covering
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
@@ -47,6 +47,26 @@ def test_ball_and_star_backends_both_verify_on_k4_theta3():
     for built in (star_built, ball_built):
         assert is_covering(built.mu1).ok
         assert is_covering(built.mu2).ok
+
+
+def test_the_assembly_acts_on_no_arrow():
+    # the atoms of the cross arrows are the tails of the identity rows that
+    # the axiom check has read: the assembly reads them there
+    g1, g2 = families.complete(4), families.theta(3)
+    x1, x2, seeds = rotation_pair(3)
+
+    def act_row(arrows, atom):
+        raise AssertionError("the assembly acted on a row of arrows")
+
+    for build, sys in ((build_cover, build_star_system(g1, g2)),
+                       (build_cover, build_ball_system_retrying(g1, g2, radius=1)),
+                       (build_object_cover, close_star_maps(x1, x2, seeds))):
+        built = build(sys)
+        sys.act_row = act_row
+        again = build(sys)
+        assert again.graph == built.graph
+        assert dict(again.vertex_label) == dict(built.vertex_label)
+        assert dict(again.dart_label) == dict(built.dart_label)
 
 
 def cross_atom_table(sys):
@@ -407,7 +427,7 @@ def test_a_retry_walks_as_a_build_at_its_final_radius(build, pair):
 
 @_settings(20)
 @given(SEEDS)
-def test_a_resumed_walk_is_a_walk_from_scratch(seed):
+def test_a_retried_build_walks_as_a_walk_from_scratch(seed):
     g1, g2, _ = related_pair(seed)
     for build in (_aligned_star, _ball):
         sys = build(g1, g2, 0)

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from commoncover import families
@@ -58,18 +60,20 @@ def test_saturate_two_bijections_matches_brute_force():
 # -- orbits and stabilizers of the atom action (cover_builder.LocalSystem) ----
 
 
+ENGINE_BUILDS = {
+    "star-dr": lambda: build_star_system(families.complete(4), families.theta(3)),
+    "star-aligned": lambda: build_star_system_retrying(families.cycle(3), families.cycle(4),
+                                                       STRATEGY_ALIGNED),
+    "ball-R1": lambda: build_ball_system_retrying(families.cycle(3), families.cycle(4), 1),
+    "ball-R2": lambda: build_ball_system_retrying(families.cycle(3), families.cycle(4), 2),
+    "objects": lambda: close_star_maps(*rotation_pair(3)),
+}
+
+
 @pytest.fixture(scope="module")
 def engine_systems():
     """One local system of every kind that the orbit engine serves."""
-    c3, c4 = families.cycle(3), families.cycle(4)
-    x1, x2, seeds = rotation_pair(3)
-    return {
-        "star-dr": build_star_system(families.complete(4), families.theta(3)),
-        "star-aligned": build_star_system_retrying(c3, c4, STRATEGY_ALIGNED),
-        "ball-R1": build_ball_system_retrying(c3, c4, 1),
-        "ball-R2": build_ball_system_retrying(c3, c4, 2),
-        "objects": close_star_maps(x1, x2, seeds),
-    }
+    return {kind: build() for kind, build in ENGINE_BUILDS.items()}
 
 
 def _identity_star_system(g):
@@ -136,6 +140,18 @@ def test_orbit_of_matches_partition(engine_systems):
     for kind, sys in engine_systems.items():
         for e in range(len(sys.union.darts)):
             assert set(sys.atoms_by_anchor[e]) == bfs_atoms(sys, e), (kind, e)
+
+
+def test_arrows_of_one_target_and_perm_share_one_table(engine_systems):
+    """The cache of ``table`` shares each table among the arrows of one
+    system, and a second build of the same pair takes the first one's."""
+    for kind, sys in engine_systems.items():
+        shared = {}
+        for a in chain(sys.groupoid.arrows, sys.groupoid.identities.values()):
+            assert shared.setdefault((a.dst, a.perm), a.table) is a.table, kind
+        again = ENGINE_BUILDS[kind]().groupoid
+        for a in chain(again.arrows, again.identities.values()):
+            assert a.table is shared[a.dst, a.perm], kind
 
 
 # -- generator-only saturation against the all-pairs closure -------------------
