@@ -141,7 +141,7 @@ class BallLocalSystem(LocalSystem):
 
     def __init__(self, g1, g2, alignment, groupoid, walk: BallKind, explore_radius,
                  discovered):
-        super().__init__(g1, g2, walk.union, groupoid, walk.numbering)
+        super().__init__(g1, g2, groupoid, walk.numbering)
         self.alignment, self.radius = alignment, walk.radius
         self.cover1, self.cover2 = alignment.c1, alignment.c2
         self.explore_radius, self.discovered = explore_radius, discovered

@@ -120,7 +120,6 @@ def _log10_bound(kind: str, p: dict) -> float:
 @dataclass
 class BoundReport:
     kind: str
-    params: dict
     bound: Fraction
     actual: Optional[int] = None
 
@@ -180,4 +179,4 @@ def bound_report(kind: str, actual: Optional[int] = None, **params) -> BoundRepo
             * v * v * upper_exp_sqrt(v, Fraction(2))
     else:
         bound = Fraction((2 if params["odd"] else 1) * params["v1"] * params["v2"])
-    return BoundReport(kind, dict(params), bound, actual)
+    return BoundReport(kind, bound, actual)

@@ -84,8 +84,6 @@ def retry_doubling(build, radius: int):
 class DiscoveredAtoms:
     vertex_arrows: list            # the first arrow met per key, by key
     edge_atoms: list               # atoms (anchor, target, positions), sorted
-    radius: int
-    explore_radius: int
     root: object = None            # the arrow met at the root
 
 
@@ -110,8 +108,7 @@ class Kind:
             first.setdefault(arrow.key, arrow)
         arrows = list(map(first.__getitem__, sorted(first)))
         edge_atoms = sorted(set(chain.from_iterable(map(self.edge_atoms, arrows))))
-        return DiscoveredAtoms(arrows, edge_atoms, self.radius, explore_radius,
-                               next(iter(first.values())))
+        return DiscoveredAtoms(arrows, edge_atoms, next(iter(first.values())))
 
 
 def aligned_inputs(g1: Graph, g2: Graph, radius: int, explore_radius=None, joint=None,
@@ -163,24 +160,23 @@ class LocalSystem:
     ``PermArrow`` arrows over the domains of a ``Numbering``, and atoms
     (anchor dart, target object, positions).
 
-    Vertices and darts are indices of ``union``, which holds the first
-    graph's ``n1`` vertices and ``m1`` darts first; ``stars[x]`` are the
-    darts at vertex x.  The identity atom at e is (e, origin e, dom[e]); an
-    arrow h acts by (e, y, r) -> (e, dst h, h.perm restricted to r); the
-    image dart is read from ``dart_at``; and bar moves the positions across
-    the reversed dart.  Subclasses render ``atom_serial`` and give its
-    shapes (``atom_shapes``).  The atom sets, orbit sizes, axiom checks and
-    cover assembly are shared.
+    Vertices and darts are indices of the numbering's ``union``, which
+    holds the first graph's ``n1`` vertices and ``m1`` darts first;
+    ``stars[x]`` are the darts at vertex x.  The identity atom at e is
+    (e, origin e, dom[e]); an arrow h acts by (e, y, r) -> (e, dst h, h.perm
+    restricted to r); the image dart is read from ``dart_at``; and bar moves
+    the positions across the reversed dart.  Subclasses render
+    ``atom_serial`` and give its shapes (``atom_shapes``).  The atom sets,
+    orbit sizes, axiom checks and cover assembly are shared.
     """
 
     kind = "abstract"
     explore_radius = None
 
-    def __init__(self, g1: Graph, g2: Graph, union: Graph, groupoid: FiniteGroupoid,
-                 numbering: Numbering):
+    def __init__(self, g1: Graph, g2: Graph, groupoid: FiniteGroupoid, numbering: Numbering):
         self.g1 = g1
         self.g2 = g2
-        self.union = union
+        self.union = union = numbering.union
         self.groupoid = groupoid
         self.numbering = numbering
         self.axioms: Optional[AxiomReport] = None
@@ -822,6 +818,7 @@ def extract_certificate(built: Cover, sys, test_radius: int,
 
     numbering = sys.numbering
     domains, positions, shown = numbering.domains, numbering.positions, numbering.shown
+    sources, of = built.vertex_label.sources, built.vertex_label.of   # row k: vertex k
     entries = []
     for z in layers:
         if len(z) > test_radius:
@@ -839,7 +836,7 @@ def extract_certificate(built: Cover, sys, test_radius: int,
                 "ball restriction escaped the discovered groupoid at %r (%r)"
                 % (c1.ids(z), ("ball", sys.union.vertices[x], sys.union.vertices[dst],
                                tuple(zip(shown[x], map(c2.ids, images))))))
-        matches = built.vertex_label[graph.vertices[nu1[z]]][0] == arrow.serial
+        matches = sources[of[nu1[z]]].key == arrow.key
         entries.append(CertificateEntry(c1.ids(z), arrow, matches, verify_witness(arrow, sys)))
 
     def shapes(rows, quote):

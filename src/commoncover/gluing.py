@@ -74,7 +74,6 @@ class FaceClass:
 class PairsAndFaces:
     pairs: tuple                   # cross arrows, sorted
     faces: dict                    # serial -> FaceClass
-    orientation: dict
 
 
 def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
@@ -99,7 +98,7 @@ def enumerate_pairs(sys: LocalSystem) -> PairsAndFaces:
             raise VerificationError("one-sided face")
         serial = sys.atom_serial(atom)
         faces[serial] = FaceClass(atom, serial, left, right)
-    return PairsAndFaces(pairs, faces, orientation)
+    return PairsAndFaces(pairs, faces)
 
 
 @dataclass

@@ -290,9 +290,8 @@ class ObjectLocalSystem(LocalSystem):
 
     kind = "object"
 
-    def __init__(self, x1: ObjectGraph, x2: ObjectGraph, union, groupoid,
-                 numbering: Numbering):
-        super().__init__(x1.graph, x2.graph, union, groupoid, numbering)
+    def __init__(self, x1: ObjectGraph, x2: ObjectGraph, groupoid, numbering: Numbering):
+        super().__init__(x1.graph, x2.graph, groupoid, numbering)
         self.x1 = x1
         self.x2 = x2
         self.edge_objects = (*x1.edge_objects, *x2.edge_objects)
@@ -402,7 +401,7 @@ def close_star_maps(x1: ObjectGraph, x2: ObjectGraph, seeds) -> ObjectLocalSyste
               for s in seeds]
     groupoid = saturate(arrows, range(len(union.vertices)), lambda x: StarMapArrow.identity(
         x, numbering.domains[x], union.vertices))
-    sys = ObjectLocalSystem(x1, x2, union, groupoid, numbering)
+    sys = ObjectLocalSystem(x1, x2, groupoid, numbering)
     for dart, name in enumerate(union.darts):
         if list(sys.atoms_by_anchor[dart].values()).count(dart) > ISOTROPY_CAP:
             raise AxiomError("isotropy group exceeds the configured cap at %r"

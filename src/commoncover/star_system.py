@@ -53,10 +53,9 @@ def star_numbering(union: Graph) -> Numbering:
 class StarLocalSystem(LocalSystem):
     kind = "star"
 
-    def __init__(self, g1, g2, union, groupoid, joint: JointBlocks,
-                 strategy: str, explore_radius=None, atom_arrows=(), numbering=None):
-        super().__init__(g1, g2, union, groupoid, numbering or star_numbering(union))
-        self.joint = joint
+    def __init__(self, g1, g2, groupoid, numbering: Numbering, strategy: str,
+                 explore_radius=None, atom_arrows=()):
+        super().__init__(g1, g2, groupoid, numbering)
         self.strategy = strategy
         self.explore_radius = explore_radius
         self.atom_arrows = tuple(atom_arrows)
@@ -140,9 +139,8 @@ class StarKind(Kind):
         return StarArrow.identity(x, self.numbering.shown[x], self.union.vertices)
 
     def system(self, g1, g2, alignment, groupoid, explore_radius, found) -> StarLocalSystem:
-        return StarLocalSystem(g1, g2, self.union, groupoid, alignment.joint,
-                               STRATEGY_ALIGNED, explore_radius, found.vertex_arrows,
-                               self.numbering)
+        return StarLocalSystem(g1, g2, groupoid, self.numbering, STRATEGY_ALIGNED,
+                               explore_radius, found.vertex_arrows)
 
 
 def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
@@ -166,8 +164,7 @@ def build_star_system(g1: Graph, g2: Graph, strategy: str = STRATEGY_DR_FULL,
     groupoid = FiniteGroupoid(tuple(objects),
                               tuple(sorted(set(arrows), key=lambda a: a.key)),
                               identities)
-    return StarLocalSystem(g1, g2, union, groupoid, joint, strategy,
-                           numbering=numbering).require_axioms()
+    return StarLocalSystem(g1, g2, groupoid, numbering, strategy).require_axioms()
 
 
 def build_star_system_retrying(g1, g2, strategy=STRATEGY_ALIGNED,

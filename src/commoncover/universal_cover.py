@@ -39,6 +39,8 @@ Path = Tuple[int, ...]
 # cubic graphs of 60 and 40 vertices (196,606 at radius 16); C12 against C8,
 # each with a loop at every vertex, would need 1,062,881 at radius 12.
 MAX_ALIGNED = 262_144
+# A cycle's tree grows two vertices a layer; MAX_ALIGNED alone would let paths exhaust memory.
+MAX_RADIUS = 512
 
 
 class AlignmentBudgetError(BudgetExceeded):
@@ -256,11 +258,9 @@ class TreeAlignment:
     changes it because extension always proceeds by whole layers.
     """
 
-    def __init__(self, c1: UniversalCover, c2: UniversalCover,
-                 joint: JointBlocks, max_radius: int = 512):
+    def __init__(self, c1: UniversalCover, c2: UniversalCover, joint: JointBlocks):
         self.c1, self.c2 = c1, c2
         self.joint = joint
-        self.max_radius = max_radius
         # per side, each dart's type: the union holds g1's vertices and darts first
         types, block = joint.partition.types, joint.partition.block_of
         self._types = types[:len(c1.graph.darts)], types[len(c1.graph.darts):]
@@ -272,7 +272,7 @@ class TreeAlignment:
         self._frontier = [((), ())]
 
     def ensure_radius(self, r: int) -> None:
-        if r > self.max_radius:
+        if r > MAX_RADIUS:
             raise AlignmentBudgetError("alignment radius cap exceeded (%d)" % r)
         if r > self.radius_built and (n := self.c1.tree_size(r)) > MAX_ALIGNED:
             raise AlignmentBudgetError("an alignment to radius %d holds %d tree vertices per "
@@ -309,14 +309,12 @@ class TreeAlignment:
         return self.bwd[z]
 
 
-def build_alignment(c1: UniversalCover, c2: UniversalCover, joint: JointBlocks,
-                    radius: int = 0, max_radius: int = 512) -> TreeAlignment:
-    """Block-preserving alignment, eagerly built out to the given radius."""
+def build_alignment(c1: UniversalCover, c2: UniversalCover, joint: JointBlocks) -> TreeAlignment:
+    """Block-preserving alignment of the basepoints; ``apply`` grows it on
+    demand."""
     if not joint.ok:
         raise GraphError("no common universal cover")
-    theta = TreeAlignment(c1, c2, joint, max_radius=max_radius)
-    theta.ensure_radius(radius)
-    return theta
+    return TreeAlignment(c1, c2, joint)
 
 
 def align(g1: Graph, g2: Graph, joint: JointBlocks) -> TreeAlignment:

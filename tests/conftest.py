@@ -495,6 +495,52 @@ def corrupt_act(sys, corrupt):
     sys.__dict__.pop("atoms_by_anchor", None)
 
 
+def corrupt_identity_row(sys, field: int):
+    """Replace the system's action so that one cross arrow moves the
+    identity atom at the first dart of its source to another target
+    (``field`` 1) or to another anchor at that source (``field`` 0), with a
+    head position that is still some dart's head, and drop the cached atom
+    rows and sets.  Only that one atom of ``identity_rows`` changes: the
+    bundles and the law rows keep the true action, since the action check
+    reads a dart's identity row before its law rows."""
+    victim = sys.cross_arrows()[0]
+    dart = sys.stars[victim.src][0]
+    e, y, r = sys.act_identity(victim, dart)
+    slot, dart_at = sys.numbering.head_slot, sys.numbering.dart_at
+
+    def has_head(atom):
+        i = slot[atom[0]]
+        return (i < len(atom[2]) and atom[2][i] < len(dart_at[atom[1]])
+                and dart_at[atom[1]][atom[2][i]] is not None)
+
+    if field == 1:
+        candidates = [(e, z, r) for z in range(len(sys.union.vertices)) if z != y]
+    else:
+        candidates = [(f, y, r) for f in sys.stars[victim.src] if f != e]
+    wrong = next(filter(has_head, candidates))
+    act_row = sys.act_row
+
+    def mutant(arrows, atom):
+        out = act_row(arrows, atom)
+        if atom[0] != dart:
+            return out
+        return [wrong if h.key == victim.key else a for h, a in zip(arrows, out)]
+
+    sys.act_row = mutant
+    sys.__dict__.pop("identity_rows", None)
+    sys.__dict__.pop("atoms_by_anchor", None)
+
+
+def mislabel_base_vertex(cover, sys) -> None:
+    """Swap, in ``cover.vertex_label.of``, the row of the cover vertex over
+    the first cover's basepoint (an unbased certificate's first entry) with
+    the first row that names another cross arrow."""
+    of = cover.vertex_label.of
+    base = cover.mu1.vm.index(sys.cover1.basepoint)
+    other = next(k for k, i in enumerate(of) if i != of[base])
+    of[base], of[other] = of[other], of[base]
+
+
 def corrupt_compose(sys, monkeypatch):
     """Make composition give a wrong arrow for one pair (h, r) that check
     (d) of ``check_axioms`` tests.  r is the first arrow out of an object x,

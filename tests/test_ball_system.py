@@ -87,7 +87,7 @@ def test_radius_one_matches_aligned_star_orbits():
 
 def test_empty_atoms_fail_coverage():
     g = families.cycle(3)
-    empty = DiscoveredAtoms([], [], 1, 0)
+    empty = DiscoveredAtoms([], [])
     with pytest.raises(AxiomError, match="closure axioms unmet"):
         build_ball_system(g, g, radius=1, explore_radius=0, discovered=empty)
 
@@ -219,7 +219,7 @@ def test_an_unreachable_edge_atom_fails_the_build(extra, message):
     k4, th3 = families.complete(4), families.theta(3)
     found = discover_atoms(k4, th3, _alignment(k4, th3), radius=1, explore_radius=2)
     discovered = DiscoveredAtoms(found.vertex_arrows, sorted([*found.edge_atoms, extra]),
-                                 1, 2, found.root)
+                                 found.root)
     with pytest.raises(AxiomError) as caught:
         build_ball_system(k4, th3, 1, 2, discovered=discovered)
     assert caught.value.radius == 2

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commoncover import ball_system, families, object_graphs
+from commoncover import ball_system, cli, families, object_graphs
 from commoncover.ball_system import BallKind
 from commoncover.cli import (SchemaError, _encoder, _graph_from_data, _write, build_parser,
                              dump_graph, dump_object_graph, load_graph, load_object_graph,
@@ -23,7 +24,7 @@ from commoncover.gluing import subdivide_graph
 from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationError, validate_graph
 from commoncover.object_graphs import rotation_pair
 
-from conftest import random_cubic_graph
+from conftest import mislabel_base_vertex, random_cubic_graph
 from test_golden_artifacts import GRAPHS, _rotation_inputs, _write_object_inputs
 
 
@@ -88,6 +89,29 @@ def test_build_ball_writes_certificate(tmp_path):
     assert cert["fixes_base_ball"] is True
 
 
+def test_a_certificate_mismatch_exits_three(tmp_path, capsys, monkeypatch):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
+    build = cli.build_cover
+
+    def mislabelled(sys, **kwargs):
+        cover = build(sys, **kwargs)
+        mislabel_base_vertex(cover, sys)
+        return cover
+
+    monkeypatch.setattr(cli, "build_cover", mislabelled)
+    out = tmp_path / "ball"
+    assert main(["build", c3, c4, "--backend", "ball", "-R", "1",
+                 "--certificate-radius", "2", "-o", str(out)]) == 3
+    assert ("verification failure: certificate has mismatches"
+            in capsys.readouterr().err)
+    with open(out / "certificate.json") as fh:
+        cert = json.load(fh)
+    failed = [e for e in cert["entries"] if not (e["matches_label"] and e["witness_ok"])]
+    assert cert["mismatches"] == len(failed) >= 1
+    assert cert["entries"][0]["tree_vertex"] == [] and not cert["entries"][0]["matches_label"]
+
+
 @pytest.mark.parametrize("radius", ["-1", "-5"])
 def test_negative_certificate_radius_exits_two(tmp_path, capsys, radius):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
@@ -144,6 +168,17 @@ def test_bounds_command(capsys):
     assert capsys.readouterr().out.strip() == "48"
 
 
+def test_objects_bound_prints_its_closed_form(capsys):
+    d, iso_lcm, v = 3, 2, 10
+    assert main(["bounds", "--kind", "objects", "--d", str(d), "--iso-lcm", str(iso_lcm),
+                 "--v", str(v), "--actual", "100"]) == 0
+    out = capsys.readouterr().out
+    assert out == "3.39179e+09\nactual=100 satisfied=True\n"
+    plain = (math.factorial(d) ** 2 * iso_lcm ** (2 * d) * v * v
+             * math.exp(2 * math.sqrt(v * math.log(v))))
+    assert out.splitlines()[0] == "%.6g" % plain
+
+
 def test_oracle_command(tmp_path, capsys):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))
@@ -159,6 +194,18 @@ def test_export_dot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("graph G {")
     assert out.count(" -- ") == 3
+
+
+def test_export_dot_to_a_file_labels_a_coloured_reverse_dart(tmp_path, capsys):
+    g = families.cycle(3)
+    path = _write_graph(tmp_path, "c3.json", Graph(g.vertices, g.darts, g.origin, g.reverse,
+                                                   None, {"e00.b": "red"}))
+    dot = tmp_path / "c3.dot"
+    assert main(["export-dot", path, "-o", str(dot)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dot.read_bytes() == (b'graph G {\n  "v00";\n  "v01";\n  "v02";\n'
+                                b'  "v00" -- "v01" [headlabel="red"];\n'
+                                b'  "v01" -- "v02";\n  "v02" -- "v00";\n}\n')
 
 
 _DOT_ID = r'"(?:[^"\\]|\\.)*"'

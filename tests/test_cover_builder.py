@@ -8,7 +8,7 @@ from commoncover.ball_system import (build_ball_system, build_ball_system_retryi
                                      discover_atoms)
 from commoncover.cover_builder import (AxiomError, build_cover,
                                        extract_certificate, retry_doubling)
-from commoncover.graphs import is_covering
+from commoncover.graphs import GraphError, is_covering
 from commoncover.object_graphs import build_object_cover, close_star_maps, rotation_pair
 from commoncover.oracle import brute_common_cover, find_covering
 from commoncover.refinement import joint_refinement
@@ -16,7 +16,8 @@ from commoncover.star_system import (STRATEGY_ALIGNED, build_star_system,
                                      build_star_system_retrying, induced_star_map)
 from commoncover.universal_cover import align
 
-from conftest import (corrupt_act, corrupt_compose, eps, reference_frontier_walk,
+from conftest import (corrupt_act, corrupt_compose, corrupt_identity_row, eps,
+                      mislabel_base_vertex, reference_frontier_walk, reference_row_check,
                       substitute_composite)
 from test_differential import SEEDS, _settings, related_pair
 
@@ -164,6 +165,12 @@ def test_based_at_selects_seed_component():
     assert built.vertex_label[built.based_vertex] == (seed.serial, 1)
 
 
+def test_a_seed_that_is_no_cross_arrow_is_refused():
+    sys = build_ball_system_retrying(families.cycle(3), families.cycle(4), radius=1)
+    with pytest.raises(GraphError, match="seed arrow is not a cross arrow of the system"):
+        build_cover(sys, based_at=sys.groupoid.identities[0])
+
+
 def test_refusal_when_axioms_not_ok():
     sys = build_star_system(families.cycle(3), families.cycle(4))
     sys.axioms.coverage_ok = False
@@ -190,6 +197,20 @@ def test_certificate_fixed_ball_when_based():
     cert = extract_certificate(built, sys, 3, check_fixed_ball=True)
     assert cert.ok
     assert cert.fixes_base_ball is True
+
+
+def test_a_mislabelled_cover_vertex_fails_the_certificate():
+    # the labels are corrupted, not the check: the base vertex's row names
+    # another cross arrow than the restriction at the root
+    g1, g2 = families.cycle(3), families.cycle(4)
+    sys = build_ball_system_retrying(g1, g2, radius=1)
+    built = build_cover(sys)
+    assert extract_certificate(built, sys, 2).ok
+    mislabel_base_vertex(built, sys)
+    cert = extract_certificate(built, sys, 2)
+    assert cert.mismatches >= 1 and not cert.ok
+    root = cert.entries[0]
+    assert root.tree_vertex == () and not root.matches_label and root.witness_ok
 
 
 def test_single_vertex_pair_builds_trivial_cover():
@@ -256,6 +277,27 @@ def test_atom_with_no_image_dart_fails_every_check():
     for detail in (sys._check_bar(), sys._check_action()):
         assert detail in ["no dart has the head of an atom anchored at %r" % (d,)
                           for d in headless]
+
+
+_SMALL_SYSTEMS = {
+    "star": lambda: build_star_system(families.cycle(3), families.cycle(4)),
+    "ball": lambda: build_ball_system_retrying(families.cycle(3), families.cycle(4), 1),
+    "objects": lambda: close_star_maps(*rotation_pair(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_SYSTEMS))
+@pytest.mark.parametrize("field,message", [(1, "action target mismatch at "),
+                                           (0, "action moved an atom anchor at ")],
+                         ids=["target", "anchor"])
+def test_an_identity_row_atom_moved_fails_the_action_check(kind, field, message):
+    sys = _SMALL_SYSTEMS[kind]()
+    corrupt_identity_row(sys, field)
+    report = sys.check_axioms()
+    assert not report.action_ok
+    detail = sys._check_action()
+    assert detail == reference_row_check(sys)
+    assert detail == message + repr(sys.cross_arrows()[0].serial)
 
 
 def test_corrupted_atom_payload_fails_axioms():

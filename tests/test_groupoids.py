@@ -9,10 +9,9 @@ from commoncover.graphs import disjoint_union
 from commoncover.groupoids import lcm_all, saturate
 from commoncover.object_graphs import (StarMapArrow, _check_star_map,
                                        close_star_maps, rotation_pair)
-from commoncover.refinement import joint_refinement
 from commoncover.star_system import (STRATEGY_ALIGNED, StarArrow,
                                      StarLocalSystem, build_star_system,
-                                     build_star_system_retrying)
+                                     build_star_system_retrying, star_numbering)
 
 from conftest import all_pairs_closure, bfs_atoms, hom, star_arrow, verify_groupoid
 
@@ -80,7 +79,7 @@ def _identity_star_system(g):
     """Star system on g and a copy of g whose groupoid has identities only."""
     union = disjoint_union(g, g)
     gpd = saturate([], range(len(union.vertices)), identity_factory_for(union))
-    return StarLocalSystem(g, g, union, gpd, joint_refinement(g, g), "identities")
+    return StarLocalSystem(g, g, gpd, star_numbering(union), "identities")
 
 
 def _stabilizer(sys, dart) -> tuple:

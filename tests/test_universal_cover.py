@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from commoncover import families
 from commoncover.graphs import GraphError
 from commoncover.refinement import joint_refinement
-from commoncover.universal_cover import (AlignmentBudgetError, UniversalCover,
+from commoncover.universal_cover import (MAX_RADIUS, AlignmentBudgetError, UniversalCover,
                                          build_alignment)
 
 from conftest import deck_transport, map_is_ball_isomorphism, map_vertices, reduce_path
@@ -150,7 +150,7 @@ def test_projection_is_covering_on_balls():
 def test_alignment_identity_for_equal_graphs():
     g = families.cycle(3)
     joint = joint_refinement(g, g)
-    theta = build_alignment(UniversalCover(g), UniversalCover(g), joint, radius=3)
+    theta = build_alignment(UniversalCover(g), UniversalCover(g), joint)
     for z in UniversalCover(g).ball((), 3).vertices:
         assert theta.apply(z) == z
 
@@ -159,7 +159,7 @@ def test_alignment_between_cycles_preserves_blocks():
     g1, g2 = families.cycle(3), families.cycle(4)
     joint = joint_refinement(g1, g2)
     c1, c2 = UniversalCover(g1), UniversalCover(g2)
-    theta = build_alignment(c1, c2, joint, radius=4)
+    theta = build_alignment(c1, c2, joint)
     block = joint.partition.block_of
     for z in c1.ball((), 4).vertices:
         w = theta.apply(z)
@@ -171,7 +171,7 @@ def test_alignment_is_ball_isomorphism():
     g1, g2 = families.complete(4), families.theta(3)
     joint = joint_refinement(g1, g2)
     c1, c2 = UniversalCover(g1), UniversalCover(g2)
-    theta = build_alignment(c1, c2, joint, radius=2)
+    theta = build_alignment(c1, c2, joint)
     b1 = c1.ball((), 2)
     b2 = c2.ball((), 2)
     mapping = map_vertices(theta, b1.vertices)
@@ -188,10 +188,9 @@ def test_alignment_blocks_mismatch_rejected():
 def test_alignment_radius_cap():
     g = families.cycle(3)
     joint = joint_refinement(g, g)
-    theta = build_alignment(UniversalCover(g), UniversalCover(g), joint,
-                            max_radius=2)
-    with pytest.raises(AlignmentBudgetError):
-        theta.ensure_radius(5)
+    theta = build_alignment(UniversalCover(g), UniversalCover(g), joint)
+    with pytest.raises(AlignmentBudgetError, match="radius cap exceeded"):
+        theta.ensure_radius(MAX_RADIUS + 1)
 
 
 @pytest.mark.parametrize("g1, g2", [(families.theta(3), families.complete(4)),
@@ -256,7 +255,7 @@ def test_tree_layer_holds_no_ids(g1, g2):
         return type(p) is tuple and all(type(d) is int for d in p)
 
     c1, c2 = UniversalCover(g1), UniversalCover(g2)
-    theta = build_alignment(c1, c2, joint_refinement(g1, g2), radius=3)
+    theta = build_alignment(c1, c2, joint_refinement(g1, g2))
     paths = c1.layers(3) + list(c2.ball(c2.canonical_lift(1), 2).vertices)
     paths += [w for z in c1.layers(2) for _, w in c1.star_darts(z)]
     for v in range(len(g1.vertices)):
