@@ -105,7 +105,7 @@ class BallKind(Kind):
         if radius < 1:
             raise GraphError("ball radius must be at least 1")
         super().__init__(alignment, radius)
-        self.numbering = ball_numbering(self.union, alignment.c1, alignment.c2, radius)
+        self.numbering = ball_numbering(alignment.joint.union, alignment.c1, alignment.c2, radius)
 
     def arrow_at(self, alignment, z) -> BallArrow:
         numbering = self.numbering
@@ -120,7 +120,7 @@ class BallKind(Kind):
         perm = [at[c2.transport(w2, alignment.apply(c1.transport(w1, p)))]
                 for p in numbering.domains[x]]
         return BallArrow(
-            x, dst, perm, shown[x], shown[dst], self.union.vertices,
+            x, dst, perm, shown[x], shown[dst], numbering.union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
                      ("p2", c2.loop_to_word(w2))))
 
@@ -130,7 +130,7 @@ class BallKind(Kind):
                 for e in self.numbering.stars[arrow.src]]
 
     def identity(self, x) -> BallArrow:
-        return BallArrow.identity(x, self.numbering.shown[x], self.union.vertices)
+        return BallArrow.identity(x, self.numbering.shown[x], self.numbering.union.vertices)
 
     def system(self, g1, g2, alignment, groupoid, explore_radius, found) -> BallLocalSystem:
         return BallLocalSystem(g1, g2, alignment, groupoid, self, explore_radius, found)

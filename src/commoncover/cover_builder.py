@@ -95,7 +95,7 @@ class Kind:
     keeps the first arrow met per key."""
 
     def __init__(self, alignment, radius: int):
-        self.radius, self.union = radius, alignment.joint.union
+        self.radius = radius
 
     def edge_atoms(self, arrow) -> Iterable:
         return ()
@@ -138,7 +138,7 @@ def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
                                                       alignment)
     walk = kind(alignment, radius)
     found = found or walk.within(alignment, explore_radius)
-    groupoid = saturate(found.vertex_arrows, range(len(walk.union.vertices)), walk.identity)
+    groupoid = saturate(found.vertex_arrows, range(len(joint.union.vertices)), walk.identity)
     sys = walk.system(g1, g2, alignment, groupoid, explore_radius, found)
     return sys.require_axioms(found.edge_atoms)
 

@@ -232,11 +232,10 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def bfs(self, root: int, darts=None) -> dict:
+    def bfs(self, root: int) -> dict:
         """Breadth-first spanning tree from vertex index ``root``: vertex
         index -> the index of the dart from its parent (-1 at the root), in
-        visiting order.  Stars are walked in dart order; given ``darts``, a
-        set of dart indices, only the darts in it are followed."""
+        visiting order.  Stars are walked in dart order."""
         if not 0 <= root < len(self.vertices):
             raise GraphError("vertex not in graph: %r" % (root,))
         stars, org, rev = self.stars(), self.org, self.rev
@@ -244,7 +243,7 @@ class Graph:
         for v in queue:
             for d in stars[v]:
                 w = org[rev[d]]
-                if w not in parent and (darts is None or d in darts):
+                if w not in parent:
                     parent[w] = d
                     queue.append(w)
         return parent

@@ -3,9 +3,11 @@
 Even degree 2d: splitting off spanning 2-regular subgraphs one at a time
 (orient an Euler circuit, then take a perfect matching of the resulting
 d-regular bipartite out/in incidence graph) partitions the edges into d
-2-factors, which is exactly a covering onto the rose with d petals.  The
-fiber product of the two rose coverings is then a common cover with at
-most |V1|*|V2| vertices.
+2-factors, which is exactly a covering onto the rose with d petals.  One
+walk, ``euler_circuit`` over every connected piece, orients both the darts
+each split matches and the cycles of each 2-factor.  The fiber product of
+the two rose coverings is then a common cover with at most |V1|*|V2|
+vertices.
 
 Odd degree d: the bipartite double cover has only even cycles, so it
 1-factorizes into d perfect matchings, which is a covering onto the graph
@@ -32,37 +34,36 @@ def regularity(g: Graph) -> int:
     return degs.pop()
 
 
-def _ids(g: Graph, factors: list) -> list:
-    """Dart index sets as sets of dart ids."""
-    return [set(map(g.darts.__getitem__, factor)) for factor in factors]
-
-
 def euler_circuit(g: Graph, darts) -> list:
-    """Hierholzer circuit over the geometric edges spanned by the darts.
+    """Hierholzer circuits over the geometric edges spanned by the darts.
 
     The dart index set must be reversal-closed and induce even degree
-    everywhere; the circuit is returned as a sequence of dart indices and
-    covers each geometric edge exactly once.  Each vertex offers its darts
-    in order.  Runs per connected piece caller-side.
+    everywhere; the circuits are returned as one sequence of dart indices
+    that covers each geometric edge exactly once: one circuit per connected
+    piece, each from the piece's least vertex, least piece first.  Each
+    vertex offers its darts in order, so a piece gets the circuit it gets
+    alone.
     """
     at, org, rev = {}, g.org, g.rev
     for d in sorted(darts, reverse=True):       # popped from the end, least first
         at.setdefault(org[d], []).append(d)
-    used, stack, path, circuit = set(), [min(at)], [], []
-    while stack:
-        left = at[stack[-1]]
-        while left and left[-1] in used:
-            left.pop()
-        if left:
-            d = left.pop()
-            used.update((d, rev[d]))
-            path.append(d)
-            stack.append(org[rev[d]])
-        else:
-            stack.pop()
-            if path:
-                circuit.append(path.pop())
-    circuit.reverse()
+    used, circuit = set(), []
+    for v in sorted(at):                        # a walked piece's vertices add nothing
+        stack, path, piece = [v], [], []
+        while stack:
+            left = at[stack[-1]]
+            while left and left[-1] in used:
+                left.pop()
+            if left:
+                d = left.pop()
+                used.update((d, rev[d]))
+                path.append(d)
+                stack.append(org[rev[d]])
+            else:
+                stack.pop()
+                if path:
+                    piece.append(path.pop())
+        circuit.extend(reversed(piece))
     return circuit
 
 
@@ -116,17 +117,9 @@ def _matched_factor(g: Graph, adjacency: dict, failure: str) -> set:
 
 def _split_two_factor(g: Graph, darts) -> set:
     """One spanning 2-regular reversal-closed subset of an even-regular
-    reversal-closed set of dart indices."""
-    remaining = set(darts)
-    stars, org, rev, oriented, seen = g.stars(), g.org, g.rev, [], set()
-    for v in sorted(set(map(org.__getitem__, remaining))):
-        if v not in seen:
-            comp = g.bfs(v, remaining)
-            seen.update(comp)
-            oriented.extend(euler_circuit(g, {d for u in comp for d in stars[u]
-                                              if d in remaining}))
-    adjacency = {}
-    for d in oriented:
+    reversal-closed set of dart indices, matched along its circuits."""
+    org, rev, adjacency = g.org, g.rev, {}
+    for d in euler_circuit(g, darts):
         adjacency.setdefault(org[d], []).append((d, org[rev[d]]))
     return _matched_factor(g, {v: sorted(a) for v, a in adjacency.items()},
                            "no perfect matching in the circuit orientation")
@@ -143,10 +136,6 @@ def _two_factors(g: Graph, k: int) -> list:
         factors.append(factor)
         remaining -= factor
     return factors
-
-
-def two_factorization(g: Graph) -> list:
-    return _ids(g, _two_factors(g, regularity(g)))
 
 
 def two_colouring(g: Graph) -> Optional[dict]:
@@ -177,18 +166,9 @@ def bipartite_double(g: Graph):
                                              [k >> 1 for k in dorder])
 
 
-def one_factorization(g: Graph) -> list:
-    """Perfect matchings partitioning the edges of a regular bipartite graph."""
-    k = regularity(g)
-    colour = two_colouring(g)
-    if colour is None:
-        raise GraphError("bipartite graph required")
-    return _ids(g, _matchings(g, k, list(colour.values())))
-
-
 def _matchings(g: Graph, k: int, colour: list) -> list:
-    """``one_factorization`` of a k-regular graph with the two-colouring
-    ``colour``, as dart index sets."""
+    """Perfect matchings partitioning the edges of a k-regular graph with
+    the two-colouring ``colour``, as dart index sets."""
     org, rev, stars = g.org, g.rev, g.stars()
     left = [v for v, c in enumerate(colour) if c == 0]
     remaining = set(range(len(g.darts)))
@@ -201,20 +181,6 @@ def _matchings(g: Graph, k: int, colour: list) -> list:
         factors.append(factor)
         remaining -= factor
     return factors
-
-
-def _orient_factor(g: Graph, factor) -> set:
-    """Forward darts of a 2-factor of dart indices: one dart per geometric
-    edge, following each cycle from its least vertex."""
-    forward, visited, at, org, rev = set(), set(), {}, g.org, g.rev
-    for d in sorted(factor):
-        at.setdefault(org[d], []).append(d)
-    for v in sorted(at):
-        while (d := next((x for x in at.get(v, ()) if x not in visited), None)) is not None:
-            visited.update((d, rev[d]))
-            forward.add(d)
-            v = org[rev[d]]
-    return forward
 
 
 def _factor_covering(g: Graph, target: Graph, vm: list, factors: list, side) -> GraphMorphism:
@@ -231,10 +197,8 @@ def _factor_covering(g: Graph, target: Graph, vm: list, factors: list, side) -> 
 @dataclass
 class Factorization:
     kind: str                       # "even" or "odd"
-    factors: list                   # dart id sets (2-factors or matchings)
     covering: GraphMorphism         # onto the rose or the two-vertex graph
-    double: Optional[Graph] = None
-    double_proj: Optional[GraphMorphism] = None
+    double_proj: Optional[GraphMorphism] = None     # the double onto g (odd)
 
 
 def factorize_regular(g: Graph) -> Factorization:
@@ -246,8 +210,9 @@ def factorize_regular(g: Graph) -> Factorization:
     k = regularity(g)
     if k % 2 == 0:
         factors = _two_factors(g, k)
-        forward = [_orient_factor(g, factor) for factor in factors]
-        fact = Factorization("even", _ids(g, factors), _factor_covering(
+        # each cycle forward from its least vertex, along its least dart
+        forward = [set(euler_circuit(g, factor)) for factor in factors]
+        fact = Factorization("even", _factor_covering(
             g, families.rose(k // 2), [0] * len(g.vertices), factors,
             lambda i, d: d not in forward[i]))
     else:
@@ -256,9 +221,8 @@ def factorize_regular(g: Graph) -> Factorization:
         colour, org = list(two_colouring(double).values()), double.org
         factors = _matchings(double, k, colour)
         # theta's vertices v00 and v01 are the colours' indices
-        fact = Factorization("odd", _ids(double, factors), _factor_covering(
-            double, families.theta(k), colour, factors, lambda i, d: colour[org[d]]),
-            double, proj)
+        fact = Factorization("odd", _factor_covering(
+            double, families.theta(k), colour, factors, lambda i, d: colour[org[d]]), proj)
     if not is_covering(fact.covering).ok:
         raise VerificationError("%s map is not a covering"
                                 % ("rose" if fact.kind == "even" else "path"))

@@ -130,13 +130,13 @@ class StarKind(Kind):
 
     def __init__(self, alignment, radius: int):
         super().__init__(alignment, radius)
-        self.numbering = star_numbering(self.union)
+        self.numbering = star_numbering(alignment.joint.union)
 
     def arrow_at(self, alignment, z) -> StarArrow:
         return induced_star_map(alignment, z, self.numbering)
 
     def identity(self, x) -> StarArrow:
-        return StarArrow.identity(x, self.numbering.shown[x], self.union.vertices)
+        return StarArrow.identity(x, self.numbering.shown[x], self.numbering.union.vertices)
 
     def system(self, g1, g2, alignment, groupoid, explore_radius, found) -> StarLocalSystem:
         return StarLocalSystem(g1, g2, groupoid, self.numbering, STRATEGY_ALIGNED,

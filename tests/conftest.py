@@ -825,6 +825,27 @@ def random_base_graph(rng: random.Random, max_vertices: int = 8,
     return edge_list_graph(vertices, edges)
 
 
+def random_regular_multigraph(rng: random.Random, n: int, k: int) -> Graph:
+    """Connected k-regular multigraph on n vertices (n * k even) from the
+    pairing model, loops and parallel edges kept, redrawn until connected."""
+    while True:
+        points = [i // k for i in range(n * k)]
+        rng.shuffle(points)
+        g = families._from_edges(n, [tuple(points[i:i + 2]) for i in range(0, n * k, 2)])
+        if g.is_connected():
+            return g
+
+
+def factors_of(covering) -> list:
+    """The source dart ids over each edge of the rose or theta target of
+    ``regular.factorize_regular``'s covering, in edge order: the 2-factors
+    of an even graph, the perfect matchings of an odd graph's double."""
+    factors = {}
+    for d, f in zip(covering.source.darts, covering.dm):
+        factors.setdefault(covering.target.darts[f].split(".")[0], set()).add(d)
+    return [factors[e] for e in sorted(factors)]
+
+
 def edge_list_graph(vertices, edges) -> Graph:
     """Graph with one edge per (u, w) pair, its darts named as
     ``random_base_graph`` names them: "eKK.a" from u and "eKK.b" from w."""
@@ -995,6 +1016,22 @@ def reference_split_two_factor(g: Graph, darts) -> set:
         factor.add(d)
         factor.add(rev[d])
     return factor
+
+
+def reference_orient_factor(g: Graph, factor) -> set:
+    """The forward darts of a 2-factor of dart indices as
+    ``regular.factorize_regular`` took them before ``euler_circuit`` did:
+    one dart per geometric edge, following each cycle from its least
+    vertex along its least dart."""
+    forward, visited, at, org, rev = set(), set(), {}, g.org, g.rev
+    for d in sorted(factor):
+        at.setdefault(org[d], []).append(d)
+    for v in sorted(at):
+        while (d := next((x for x in at.get(v, ()) if x not in visited), None)) is not None:
+            visited.update((d, rev[d]))
+            forward.add(d)
+            v = org[rev[d]]
+    return forward
 
 
 # -- the star and ball kernels as they were before arrows became permutations

@@ -28,7 +28,7 @@ from commoncover.refinement import common_cover_exists, joint_refinement
 from commoncover.regular import factorize_regular, regular_common_cover
 from commoncover.star_system import build_star_system
 
-from conftest import (check_ball_divisors, check_object_divisors, lollipop,
+from conftest import (check_ball_divisors, check_object_divisors, factors_of, lollipop,
                       random_base_graph)
 from test_cover_builder import counting_checks
 
@@ -259,7 +259,7 @@ def test_criterion_5_regular_fast_path():
     assert is_covering(even.mu1).ok and is_covering(even.mu2).ok
     for g in (families.complete(5), families.cycle(6)):
         fact = factorize_regular(g)
-        for factor in fact.factors:
+        for factor in factors_of(fact.covering):
             degree = {v: 0 for v in g.vertices}
             for d in factor:
                 degree[g.origin[d]] += 1
@@ -267,9 +267,10 @@ def test_criterion_5_regular_fast_path():
     for g in (families.complete(4), families.complete_bipartite(3, 3)):
         fact = factorize_regular(g)
         assert fact.kind == "odd"
-        for factor in fact.factors:
-            covered = {fact.double.origin[d] for d in factor}
-            assert covered == set(fact.double.vertices)
+        double = fact.double_proj.source
+        for factor in factors_of(fact.covering):
+            covered = {double.origin[d] for d in factor}
+            assert covered == set(double.vertices)
     print("PASS criterion 5: (K4, K33) cover within 48 vertices, even pair "
           "within the product bound, all factors check out")
 

@@ -123,6 +123,14 @@ def test_negative_certificate_radius_exits_two(tmp_path, capsys, radius):
     assert not (out / "certificate.json").exists()
 
 
+def test_a_ball_radius_below_one_exits_two(tmp_path, capsys):
+    c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
+    out = tmp_path / "ball"
+    assert main(["build", c3, c3, "--backend", "ball", "-R", "0", "-o", str(out)]) == 2
+    assert "ball radius must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_glue_backend(tmp_path):
     c3 = _write_graph(tmp_path, "c3.json", families.cycle(3))
     c4 = _write_graph(tmp_path, "c4.json", families.cycle(4))

@@ -189,6 +189,29 @@ def test_certificate_on_aligned_cycles():
     assert len(tiny.entries) == 1
 
 
+def test_an_unknown_star_strategy_is_refused():
+    with pytest.raises(GraphError, match="unknown strategy: 'nope'"):
+        build_star_system(families.cycle(3), families.cycle(4), "nope")
+
+
+def test_a_ball_radius_below_one_is_refused():
+    g = families.cycle(3)
+    with pytest.raises(GraphError, match="ball radius must be at least 1"):
+        build_ball_system(g, g, 0)
+
+
+def test_a_certificate_needs_a_connected_ball_cover():
+    g1, g2 = families.cycle(3), families.cycle(4)
+    star = build_star_system(g1, g2)
+    with pytest.raises(GraphError, match="certificates require a ball-system cover"):
+        extract_certificate(build_cover(star), star, 1)
+    ball = build_ball_system(families.theta(3), families.complete(4), 1)
+    built = build_cover(ball, component="all")
+    assert [len(c) for c in built.graph.components()] == [24, 24]
+    with pytest.raises(GraphError, match="certificate extraction needs a connected cover"):
+        extract_certificate(built, ball, 1)
+
+
 def test_certificate_fixed_ball_when_based():
     g1, g2 = families.cycle(3), families.cycle(4)
     sys = build_ball_system_retrying(g1, g2, radius=1)

@@ -8,11 +8,10 @@ from commoncover import families
 from commoncover.cli import _graph_from_data, dump_graph, main, write_json
 from commoncover.graphs import Graph, GraphError, is_covering
 from commoncover.oracle import find_covering
-from commoncover.regular import (bipartite_double, factorize_regular,
-                                 one_factorization, regular_common_cover,
-                                 two_colouring, two_factorization)
+from commoncover.regular import (bipartite_double, factorize_regular, regular_common_cover,
+                                 two_colouring)
 
-from conftest import random_cubic_graph
+from conftest import factors_of, random_cubic_graph
 from test_golden_artifacts import CASES, GRAPHS
 
 
@@ -26,12 +25,12 @@ def _check_two_factor(g, factor):
 
 def test_k5_two_factorization():
     g = families.complete(5)
-    factors = two_factorization(g)
+    result = factorize_regular(g)
+    factors = factors_of(result.covering)
     assert len(factors) == 2
     for factor in factors:
         _check_two_factor(g, factor)
     assert set().union(*factors) == set(g.darts)
-    result = factorize_regular(g)
     assert is_covering(result.covering).ok
     assert result.covering.target == families.rose(2)
 
@@ -40,8 +39,7 @@ def test_c6_single_factor_is_itself():
     g = families.cycle(6)
     result = factorize_regular(g)
     assert result.kind == "even"
-    assert len(result.factors) == 1
-    assert result.factors[0] == set(g.darts)
+    assert factors_of(result.covering) == [set(g.darts)]
     assert result.covering.target == families.rose(1)
     assert is_covering(result.covering).ok
 
@@ -50,12 +48,13 @@ def test_k4_odd_factorization_via_double_cover():
     g = families.complete(4)
     result = factorize_regular(g)
     assert result.kind == "odd"
-    double = result.double
+    double = result.double_proj.source
     assert len(double.vertices) == 8
     colour = two_colouring(double)
     assert colour is not None                    # only even cycles
-    assert len(result.factors) == 3
-    for factor in result.factors:
+    factors = factors_of(result.covering)
+    assert len(factors) == 3
+    for factor in factors:
         assert {double.reverse[d] for d in factor} == set(factor)
         matched = {double.origin[d] for d in factor}
         assert matched == set(double.vertices)   # perfect matching
@@ -66,7 +65,7 @@ def test_k4_odd_factorization_via_double_cover():
 
 def test_loops_handled_in_factorization():
     g = families.rose(2)
-    factors = two_factorization(g)
+    factors = factors_of(factorize_regular(g).covering)
     assert len(factors) == 2
     for factor in factors:
         _check_two_factor(g, factor)
@@ -105,11 +104,6 @@ def test_non_regular_rejected():
         factorize_regular(families.path(3))
 
 
-def test_one_factorization_requires_bipartite():
-    with pytest.raises(GraphError, match="bipartite"):
-        one_factorization(families.complete(4))
-
-
 def test_bipartite_double_of_bipartite_graph_disconnects():
     g = families.complete_bipartite(3, 3)
     double, proj = bipartite_double(g)
@@ -123,7 +117,7 @@ def test_factorize_large_cubic_graph_without_recursion():
     g = random_cubic_graph(random.Random(1), 2000)
     result = factorize_regular(g)
     assert result.kind == "odd"
-    assert len(result.factors) == 3
+    assert len(factors_of(result.covering)) == 3
     assert is_covering(result.covering).ok
 
 

@@ -1,9 +1,11 @@
-"""The shared walks: ``Graph.bfs`` and ``UniversalCover.layers``.
+"""The shared walks: ``Graph.bfs``, ``UniversalCover.layers`` and
+``regular.euler_circuit``.
 
 Every traversal that calls one of them is compared with the loop it
 replaced (the ``reference_*`` functions of ``conftest``) on random
 multigraphs, random cubic graphs, their bipartite doubles and disjoint
-unions of the two, which are disconnected.
+unions of the two, which are disconnected; the Euler walk on random
+regular multigraphs with loops and parallel edges.
 """
 
 import ast
@@ -18,13 +20,16 @@ import commoncover
 from commoncover import families, regular
 from commoncover.graphs import GraphError, disjoint_union
 from commoncover.oracle import _non_tree_reps
-from commoncover.regular import bipartite_double, two_colouring, two_factorization
+from commoncover.regular import (bipartite_double, euler_circuit, factorize_regular,
+                                 two_colouring)
 from commoncover.universal_cover import UniversalCover
 
-from conftest import (random_base_graph, random_cubic_graph, reference_components,
+from conftest import (factors_of, random_base_graph, random_cubic_graph,
+                      random_regular_multigraph, reference_components,
                       reference_distances_from, reference_frontier_walk,
-                      reference_non_tree_reps, reference_spanning_tree,
-                      reference_split_two_factor, reference_two_colouring)
+                      reference_non_tree_reps, reference_orient_factor,
+                      reference_spanning_tree, reference_split_two_factor,
+                      reference_two_colouring)
 
 SRC = pathlib.Path(commoncover.__file__).parent
 
@@ -79,8 +84,66 @@ def test_walks_agree_with_the_loops_they_replaced(seed):
 def test_two_factorization_agrees_with_the_depth_first_split(g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regular, "_split_two_factor", reference_split_two_factor)
-        expected = two_factorization(g)
-    assert two_factorization(g) == expected
+        expected = factorize_regular(g).covering.dm
+    assert factorize_regular(g).covering.dm == expected
+
+
+def _pieces(g, darts) -> list:
+    """The dart sets of the connected pieces of a reversal-closed set of
+    dart indices, by least vertex."""
+    left, pieces, stars = set(darts), [], g.stars()
+    while left:
+        piece, stack = set(), [min(g.org[d] for d in left)]
+        while stack:
+            for d in stars[stack.pop()]:
+                if d in left and d not in piece:
+                    piece.update((d, g.rev[d]))
+                    stack.append(g.org[g.rev[d]])
+        pieces.append(piece)
+        left -= piece
+    return pieces
+
+
+def _walks_piece_by_piece(g, darts) -> bool:
+    pieces = _pieces(g, darts)
+    return euler_circuit(g, darts) == [d for piece in pieces for d in euler_circuit(g, piece)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_one_euler_walk_splits_and_orients_as_the_references(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.6:
+        k, n = 2 * rng.randint(1, 4), rng.randint(1, 14)
+    else:
+        k = rng.choice((1, 3, 5))
+        n = 2 if k == 1 else 2 * rng.randint(1, 7)
+    g = random_regular_multigraph(rng, n, k)
+    fact = factorize_regular(g)
+    if k % 2:
+        double = fact.double_proj.source
+        matchings = regular._matchings(double, k, list(two_colouring(double).values()))
+        assert factors_of(fact.covering) == [set(map(double.darts.__getitem__, m))
+                                             for m in matchings]
+        # two perfect matchings of the double make a 2-factor of even cycles
+        for m1, m2 in zip(matchings, matchings[1:]):
+            assert set(euler_circuit(double, m1 | m2)) == reference_orient_factor(double, m1 | m2)
+            assert _walks_piece_by_piece(double, m1 | m2)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regular, "_split_two_factor", reference_split_two_factor)
+        factors = regular._two_factors(g, k)
+    assert regular._two_factors(g, k) == factors
+    remaining = set(range(len(g.darts)))
+    for factor in factors:
+        assert _walks_piece_by_piece(g, remaining) and _walks_piece_by_piece(g, factor)
+        remaining -= factor
+    forward = [reference_orient_factor(g, factor) for factor in factors]
+    assert [set(euler_circuit(g, factor)) for factor in factors] == forward
+    expected = regular._factor_covering(g, families.rose(k // 2), [0] * n, factors,
+                                        lambda i, d: d not in forward[i])
+    assert (fact.covering.vm, fact.covering.dm) == (expected.vm, expected.dm)
+    assert factors_of(fact.covering) == [set(map(g.darts.__getitem__, f)) for f in factors]
 
 
 def test_bfs_records_parent_darts_in_visiting_order():
@@ -89,9 +152,6 @@ def test_bfs_records_parent_darts_in_visiting_order():
     assert list(tree) == [0, 1, 3, 2]
     assert tree[0] == -1
     assert all(g.org[g.rev[d]] == v for v, d in tree.items() if d >= 0)
-    # restricted to one edge, the walk stays on its two ends
-    d = g.stars()[0][0]
-    assert g.bfs(0, {d, g.rev[d]}) == {0: -1, g.org[g.rev[d]]: d}
 
 
 def test_bfs_and_distances_reject_an_unknown_root():
