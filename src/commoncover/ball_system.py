@@ -12,9 +12,8 @@ same way.  Each is the restriction of an arrow to the neighbourhood of its
 anchor dart, held as positions in the numbered canonical balls
 (``cover_builder.LocalSystem``).  The atoms anchored at a dart are the
 orbit of its identity atom under the arrow action, computed by the shared
-one-step rule of ``LocalSystem.atoms_by_anchor``; every discovered edge
-atom must lie in that set, and coverage, bar closure and the action laws
-are runtime checks.
+one-step rule of ``LocalSystem.atoms_by_anchor``, and coverage, bar
+closure and the action laws are runtime checks.
 
 Every discovered arrow carries a witness word over the free generators of
 the two deck groups and alignment markers; evaluating the word from
@@ -27,7 +26,7 @@ from __future__ import annotations
 from .cover_builder import (DiscoveredAtoms, Kind, LocalSystem, Numbering, aligned_inputs,
                             build_aligned, retry_doubling)
 from .graphs import Graph, GraphError
-from .groupoids import PermArrow, gather
+from .groupoids import PermArrow
 from .refinement import JointBlocks
 from .universal_cover import TreeAlignment, UniversalCover
 
@@ -99,7 +98,7 @@ def ball_numbering(union: Graph, c1: UniversalCover, c2: UniversalCover,
 
 class BallKind(Kind):
     """The normalised restrictions of the alignment to the canonical balls
-    of radius R (``ball_numbering``), with their edge atoms."""
+    of radius R (``ball_numbering``)."""
 
     def __init__(self, alignment, radius: int):
         if radius < 1:
@@ -123,11 +122,6 @@ class BallKind(Kind):
             x, dst, perm, shown[x], shown[dst], numbering.union.vertices,
             witness=(("p1", c1.loop_to_word(w1)), ("th", 1),
                      ("p2", c2.loop_to_word(w2))))
-
-    def edge_atoms(self, arrow) -> list:
-        dom = self.numbering.dom
-        return [(e, arrow.dst, gather(dom[e])(arrow.table))
-                for e in self.numbering.stars[arrow.src]]
 
     def identity(self, x) -> BallArrow:
         return BallArrow.identity(x, self.numbering.shown[x], self.numbering.union.vertices)
@@ -172,12 +166,10 @@ def discover_atoms(g1: Graph, g2: Graph, alignment: TreeAlignment,
 
 def build_ball_system(g1: Graph, g2: Graph, radius: int,
                       explore_radius=None, joint: JointBlocks = None,
-                      alignment: TreeAlignment = None,
-                      discovered: DiscoveredAtoms = None) -> BallLocalSystem:
-    """The ball kind of ``build_aligned``, saturated from ``discovered`` if
-    given; an ``AxiomError`` asks the caller to retry at a larger radius."""
-    return build_aligned(BallKind, radius, g1, g2, explore_radius, joint, alignment,
-                         discovered)
+                      alignment: TreeAlignment = None) -> BallLocalSystem:
+    """The ball kind of ``build_aligned``; an ``AxiomError`` asks the caller
+    to retry at a larger radius."""
+    return build_aligned(BallKind, radius, g1, g2, explore_radius, joint, alignment)
 
 
 def build_ball_system_retrying(g1, g2, radius, explore_radius=None,

@@ -541,6 +541,8 @@ def _write_cover(outdir, cover: Cover, fields) -> None:
 def cmd_build(args) -> int:
     if args.based and args.backend != "ball":
         raise GraphError("--based needs --backend ball")
+    if args.backend == "ball" and args.component == "all":
+        raise GraphError("--backend ball needs --component least: it certifies one component")
     g1, g2 = load_graph(args.first), load_graph(args.second)
     ok, joint = common_cover_exists(g1, g2)
     if not ok:

@@ -83,22 +83,17 @@ def retry_doubling(build, radius: int):
 @dataclass
 class DiscoveredAtoms:
     vertex_arrows: list            # the first arrow met per key, by key
-    edge_atoms: list               # atoms (anchor, target, positions), sorted
     root: object = None            # the arrow met at the root
 
 
 class Kind:
     """A kind of local system of ``build_aligned`` and its walk on one
     alignment.  A kind gives the arrow an alignment induces at a tree vertex
-    (``arrow_at``), the ``edge_atoms`` it restricts to, ``identity`` and its
-    ``system``.  ``within(alignment, rho)`` walks ``c1.layers(rho)`` and
-    keeps the first arrow met per key."""
+    (``arrow_at``), ``identity`` and its ``system``.  ``within(alignment,
+    rho)`` walks ``c1.layers(rho)`` and keeps the first arrow met per key."""
 
     def __init__(self, alignment, radius: int):
         self.radius = radius
-
-    def edge_atoms(self, arrow) -> Iterable:
-        return ()
 
     def within(self, alignment, explore_radius: int) -> DiscoveredAtoms:
         alignment.ensure_radius(explore_radius + self.radius)
@@ -106,9 +101,8 @@ class Kind:
         for z in alignment.c1.layers(explore_radius):
             arrow = self.arrow_at(alignment, z)
             first.setdefault(arrow.key, arrow)
-        arrows = list(map(first.__getitem__, sorted(first)))
-        edge_atoms = sorted(set(chain.from_iterable(map(self.edge_atoms, arrows))))
-        return DiscoveredAtoms(arrows, edge_atoms, next(iter(first.values())))
+        return DiscoveredAtoms(list(map(first.__getitem__, sorted(first))),
+                               next(iter(first.values())))
 
 
 def aligned_inputs(g1: Graph, g2: Graph, radius: int, explore_radius=None, joint=None,
@@ -116,31 +110,27 @@ def aligned_inputs(g1: Graph, g2: Graph, radius: int, explore_radius=None, joint
     """The joint blocks, the alignment and the exploration radius of an
     aligned build, each computed unless given: the radius defaults to
     ``radius + diam g1 + diam g2``.  Two graphs with no common universal
-    cover, or a negative radius, raise GraphError."""
-    joint = joint or joint_refinement(g1, g2)
-    if not joint.ok:
-        raise GraphError("no common universal cover")
-    alignment = alignment or align(g1, g2, joint)
+    cover (refused by ``TreeAlignment``), or a negative radius, raise
+    GraphError."""
+    alignment = alignment or align(g1, g2, joint or joint_refinement(g1, g2))
     if explore_radius is None:
         explore_radius = radius + g1.diameter() + g2.diameter()
     if explore_radius < 0:
         raise GraphError("exploration radius must be non-negative")
-    return joint, alignment, explore_radius
+    return alignment.joint, alignment, explore_radius
 
 
 def build_aligned(kind, radius: int, g1: Graph, g2: Graph, explore_radius=None,
-                  joint=None, alignment=None, found: DiscoveredAtoms = None) -> LocalSystem:
+                  joint=None, alignment=None) -> LocalSystem:
     """A local system of a ``kind`` and ``radius``, by stages: the inputs
-    (``aligned_inputs``), the kind's walk (unless ``found``), saturation, the
-    system, and its axioms with the reachability of the edge atoms found
-    (``LocalSystem.require_axioms``), which raise ``AxiomError``."""
+    (``aligned_inputs``), the kind's walk, saturation, the system, and its
+    axioms (``LocalSystem.require_axioms``), which raise ``AxiomError``."""
     joint, alignment, explore_radius = aligned_inputs(g1, g2, radius, explore_radius, joint,
                                                       alignment)
     walk = kind(alignment, radius)
-    found = found or walk.within(alignment, explore_radius)
+    found = walk.within(alignment, explore_radius)
     groupoid = saturate(found.vertex_arrows, range(len(joint.union.vertices)), walk.identity)
-    sys = walk.system(g1, g2, alignment, groupoid, explore_radius, found)
-    return sys.require_axioms(found.edge_atoms)
+    return walk.system(g1, g2, alignment, groupoid, explore_radius, found).require_axioms()
 
 
 @dataclass
@@ -375,30 +365,18 @@ class LocalSystem:
         self.axioms = report
         return report
 
-    def require_axioms(self, edge_atoms=(), prefix: str = "") -> "LocalSystem":
-        """The system, when every atom of ``edge_atoms`` is in the atom set
-        of its anchor and the closure axioms hold (checked once); else the
+    def require_axioms(self, prefix: str = "") -> "LocalSystem":
+        """The system, when the closure axioms hold (checked once); else the
         one ``AxiomError`` of a failed system, "closure axioms unmet", with
         the exploration radius where the system has one and the failing
         item as its witness."""
-        unreachable = [a for a in edge_atoms if a not in self.atoms_by_anchor[a[0]]]
-        headless = [a[0] for a in unreachable if self.atom_image(a) is None]
-        if headless:
-            witness = _NO_IMAGE % (self.union.darts[min(headless)],)
-            item = "failing item %r" % (witness,)
-        elif unreachable:
-            witness = min(map(self.atom_serial, unreachable))
-            item = "edge atom %r unreachable" % (witness[1],)
-        else:
-            report = self.axioms or self.check_axioms()
-            if report.ok:
-                return self
-            witness = report.detail
-            item = "failing item %r" % (witness,)
+        report = self.axioms or self.check_axioms()
+        if report.ok:
+            return self
         radius = self.explore_radius
         where = "" if radius is None else "at radius %d " % radius
-        raise AxiomError("%sclosure axioms unmet %s(%s)" % (prefix, where, item),
-                         radius=radius, witness=witness)
+        raise AxiomError("%sclosure axioms unmet %s(failing item %r)"
+                         % (prefix, where, report.detail), radius=radius, witness=report.detail)
 
     def _check_coverage(self) -> Optional[str]:
         """AX1: the last vertex that no cross arrow reaches, else the first
@@ -659,14 +637,7 @@ def build_cover(sys: LocalSystem, component: str = "least",
     sys.require_axioms()
     union, g1, g2, n1, m1 = sys.union, sys.g1, sys.g2, sys.n1, sys.m1
     out = list(map(sys.out_count, range(len(union.vertices))))
-    if 0 in out:
-        raise AxiomError("object without arrows", witness=union.vertices[out.index(0)])
     n_mult = lcm_all(out)
-    orbit = list(map(sys.orbit_size, range(len(union.darts))))
-    for e, (size, x) in enumerate(zip(orbit, union.org)):
-        if out[x] % size != 0 or n_mult % size != 0:
-            raise VerificationError("orbit size does not divide the arrow "
-                                    "count at %r" % (union.darts[e],))
 
     # cover vertex first[a.key] + j - 1 is copy j of cross arrow a
     first, vertex_of, vertex_copy, vm1, vm2, runs = {}, [], [], [], [], {}
@@ -690,30 +661,26 @@ def build_cover(sys: LocalSystem, component: str = "least",
             for a, atom in zip(run, rows[e][-len(run):]):
                 groups.setdefault(atom, []).extend(range(first[a.key], first[a.key] + reps))
 
-    # every cross atom must be realised: the groupoid is closed, so any atom
-    # anchored on side 1 with image on side 2 arises from some cross arrow;
-    # cover dart dart_first[atom] + k - 1 is copy k of the atom
+    # the groupoid is closed, so any atom anchored on side 1 with image on
+    # side 2 arises from some cross arrow; by the orbit-stabilizer law (check
+    # (c) of the axioms) an atom at e has n_mult / orbit_size(e) vertices,
+    # and by bar closure (AX2) its bar as many; cover dart dart_first[atom]
+    # + k - 1 is copy k of the atom
     serial_of = {atom: sys.atom_serial(atom) for atom in groups}
     order = sorted(groups, key=serial_of.__getitem__)
     dart_first, dart_of, dart_copy, org, dm1, dm2 = {}, [], [], [], [], []
     images = list(map(sys.atom_image, order))
     for k, (atom, image) in enumerate(zip(order, images)):
-        anchor = sys.atom_anchor(atom)
-        expected = n_mult // orbit[anchor]
         members = groups[atom]
-        if len(members) != expected:
-            raise VerificationError("matching count at atom %r: %d != %d"
-                                    % (serial_of[atom], len(members), expected))
+        n = len(members)
         dart_first[atom] = len(org)
-        dart_of += [k] * expected
-        dart_copy += range(1, expected + 1)
+        dart_of += [k] * n
+        dart_copy += range(1, n + 1)
         org += members
-        dm1 += [anchor] * expected
-        dm2 += [image - m1] * expected
+        dm1 += [sys.atom_anchor(atom)] * n
+        dm2 += [image - m1] * n
     rev = [0] * len(org)
     for atom, bar in zip(order, sys.bar_row(order, images)):
-        if bar not in groups:
-            raise VerificationError("bar atom not realised for %r" % (serial_of[atom],))
         a, b, n = dart_first[atom], dart_first[bar], len(groups[atom])
         rev[a:a + n] = range(b, b + n)
 

@@ -256,9 +256,16 @@ class TreeAlignment:
     subject to equality of (dart colour, reverse colour, head block).  The
     result is canonical relative to this policy, and request order never
     changes it because extension always proceeds by whole layers.
+
+    The joint blocks must hold vertices of both graphs (``joint.ok``).  The
+    partition is equitable and matched darts share a type, so at each
+    frontier pair the darts to match have the types of their free images:
+    the greedy matching never runs out.
     """
 
     def __init__(self, c1: UniversalCover, c2: UniversalCover, joint: JointBlocks):
+        if not joint.ok:
+            raise GraphError("no common universal cover")
         self.c1, self.c2 = c1, c2
         self.joint = joint
         # per side, each dart's type: the union holds g1's vertices and darts first
@@ -286,15 +293,10 @@ class TreeAlignment:
                 for e in reversed(self.c2.children(z2)):
                     free.setdefault(type2[e], []).append(e)
                 for d in self.c1.children(z1):
-                    pool = free.get(type1[d])
-                    if not pool:
-                        raise GraphError("no common universal cover")
-                    w, u = z1 + (d,), z2 + (pool.pop(),)
+                    w, u = z1 + (d,), z2 + (free[type1[d]].pop(),)
                     fwd[w] = u
                     bwd[u] = w
                     nxt.append((w, u))
-                if any(free.values()):
-                    raise GraphError("no common universal cover")
             self._frontier = nxt
             self.radius_built += 1
 
@@ -312,8 +314,6 @@ class TreeAlignment:
 def build_alignment(c1: UniversalCover, c2: UniversalCover, joint: JointBlocks) -> TreeAlignment:
     """Block-preserving alignment of the basepoints; ``apply`` grows it on
     demand."""
-    if not joint.ok:
-        raise GraphError("no common universal cover")
     return TreeAlignment(c1, c2, joint)
 
 

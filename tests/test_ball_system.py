@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from commoncover import families
-from commoncover.ball_system import (BallArrow, build_ball_system,
-                                     build_ball_system_retrying,
+from commoncover.ball_system import (BallArrow, BallKind, build_ball_system_retrying,
                                      DiscoveredAtoms, discover_atoms,
                                      edge_neighbourhood, verify_witness)
 from commoncover.cover_builder import AxiomError
+from commoncover.groupoids import saturate
 from commoncover.refinement import joint_refinement
 from commoncover.star_system import STRATEGY_ALIGNED, build_star_system_retrying
 from commoncover.universal_cover import UniversalCover, build_alignment
@@ -86,10 +86,14 @@ def test_radius_one_matches_aligned_star_orbits():
 
 
 def test_empty_atoms_fail_coverage():
+    # the stages of ``build_aligned``, saturated from no arrow at all
     g = families.cycle(3)
-    empty = DiscoveredAtoms([], [])
+    alignment = _alignment(g, g)
+    walk = BallKind(alignment, 1)
+    groupoid = saturate([], range(len(alignment.joint.union.vertices)), walk.identity)
+    sys = walk.system(g, g, alignment, groupoid, 0, DiscoveredAtoms([]))
     with pytest.raises(AxiomError, match="closure axioms unmet"):
-        build_ball_system(g, g, radius=1, explore_radius=0, discovered=empty)
+        sys.require_axioms()
 
 
 def test_atom_discovery_monotone_in_radius():
@@ -206,21 +210,3 @@ def test_coloured_ball_system_builds_and_certifies():
     assert built.graph.vertex_colour       # colours pulled through
     cert = extract_certificate(built, sys, 2)
     assert cert.ok
-
-
-@pytest.mark.parametrize("extra,message", [
-    # a valid image, but in no orbit of the saturated groupoid
-    ((0, 1, b"\x00\x02"), "(edge atom '1:e00.a' unreachable)"),
-    # a head position that is the head of no dart
-    ((0, 1, b"\x00\x01"),
-     "(failing item \"no dart has the head of an atom anchored at '1:e00.a'\")"),
-], ids=["no orbit", "no image"])
-def test_an_unreachable_edge_atom_fails_the_build(extra, message):
-    k4, th3 = families.complete(4), families.theta(3)
-    found = discover_atoms(k4, th3, _alignment(k4, th3), radius=1, explore_radius=2)
-    discovered = DiscoveredAtoms(found.vertex_arrows, sorted([*found.edge_atoms, extra]),
-                                 found.root)
-    with pytest.raises(AxiomError) as caught:
-        build_ball_system(k4, th3, 1, 2, discovered=discovered)
-    assert caught.value.radius == 2
-    assert str(caught.value) == "closure axioms unmet at radius 2 " + message

@@ -1275,6 +1275,22 @@ def test_based_needs_the_ball_backend(tmp_path, capsys, backend):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("pair", [("theta3", "k4"), ("c3", "c4")])
+def test_a_ball_build_of_every_component_exits_two_before_building(tmp_path, capsys,
+                                                                   monkeypatch, pair):
+    # on theta3/k4 the whole cover has two components, on c3/c4 one: the
+    # verdict does not wait for the build, so it does not depend on the ids
+    graphs = {"theta3": families.theta(3), "k4": families.complete(4),
+              "c3": families.cycle(3), "c4": families.cycle(4)}
+    paths = [_write_graph(tmp_path, name + ".json", graphs[name]) for name in pair]
+    monkeypatch.setattr(cli, "build_ball_system_retrying", None)
+    out = str(tmp_path / "out")
+    assert main(["build", *paths, "--backend", "ball", "--component", "all", "-o", out]) == 2
+    assert ("input error: --backend ball needs --component least"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 def test_a_based_build_walks_once(tmp_path, monkeypatch):
     # the basepoint arrow is the one the build's walk met at the root
     k4 = _write_graph(tmp_path, "k4.json", families.complete(4))

@@ -454,15 +454,13 @@ def _ball(g1, g2, rho):
     return build_ball_system_retrying(g1, g2, 1, rho)
 
 
-def _walked(sys) -> tuple:
-    """The (key, witness) of each arrow a system was saturated from, and
-    its edge atoms."""
-    found = sys.discovered if sys.kind == "ball" else None
-    arrows = found.vertex_arrows if found else sys.atom_arrows
-    return [(a.key, a.witness) for a in arrows], found.edge_atoms if found else []
+def _walked(sys) -> list:
+    """The (key, witness) of each arrow a system was saturated from."""
+    arrows = sys.discovered.vertex_arrows if sys.kind == "ball" else sys.atom_arrows
+    return [(a.key, a.witness) for a in arrows]
 
 
-def _walked_from_scratch(sys) -> tuple:
+def _walked_from_scratch(sys) -> list:
     """``_walked`` for a walk on a new alignment at the system's final radius:
     ``discover_atoms`` for a ball system, the first induced star map per key
     over the reference walk for a star system."""
@@ -470,12 +468,12 @@ def _walked_from_scratch(sys) -> tuple:
     alignment = align(g1, g2, joint_refinement(g1, g2))
     if sys.kind == "ball":
         found = discover_atoms(g1, g2, alignment, sys.radius, rho)
-        return [(a.key, a.witness) for a in found.vertex_arrows], found.edge_atoms
+        return [(a.key, a.witness) for a in found.vertex_arrows]
     first = {}
     for z in reference_frontier_walk(alignment.c1, rho):
         arrow = induced_star_map(alignment, z, sys.numbering)
         first.setdefault(arrow.key, arrow)
-    return [(first[k].key, first[k].witness) for k in sorted(first)], []
+    return [(first[k].key, first[k].witness) for k in sorted(first)]
 
 
 @pytest.mark.parametrize("build,pair", [
