@@ -328,22 +328,27 @@ def load_morphism(path: str, source: Graph, target: Graph) -> GraphMorphism:
 
 
 def _morphism_from_data(data, path: str, source: Graph, target: Graph) -> GraphMorphism:
-    """The map of a morphism payload, converted into index tables by the
-    ``GraphMorphism`` constructor; the decoded tables are not kept.  A key
-    that is not a source id is an input error.  An image that is missing or
-    not a target id is -1 in the tables, and the violations name it."""
+    """The map of a morphism payload, converted into index tables; the
+    decoded tables are not kept.  A table keyed by the source's ids in their
+    order, as the writer writes it, is read by position.  A key that is not
+    a source id is an input error.  An image that is missing or not a target
+    id is -1 in the tables, and the violations name it."""
     _expect(isinstance(data, dict) and _is_id_table(data.get("vmap"))
             and _is_id_table(data.get("dmap")), path,
             "needs vmap and dmap objects of string ids")
-    m = GraphMorphism(source, target, data["vmap"], data["dmap"])
-    for name, ids, images in (("vmap", source.vertices, m.vm), ("dmap", source.darts, m.dm)):
-        # where every image is valid, every id is a key
+    tables = []
+    for name, ids, index in zip(("vmap", "dmap"), (source.vertices, source.darts), target.index()):
         table = data[name]
-        keyed = len(ids) if -1 not in images else sum(map(table.__contains__, ids))
+        in_order = tuple(table) == ids
+        images = list(map(index.get, table.values() if in_order else map(table.get, ids),
+                          repeat(-1)))
+        # where the keys are the ids in order, or every image is valid, every id is a key
+        keyed = len(ids) if in_order or -1 not in images else sum(map(table.__contains__, ids))
         if keyed < len(table):
             raise SchemaError("%s: %s key %r is not an id of the cover graph"
                               % (path, name, min(table.keys() - set(ids))))
-    return m
+        tables.append(images)
+    return GraphMorphism.from_tables(source, target, *tables)
 
 
 # -- object graphs on disk -------------------------------------------------------

@@ -453,9 +453,10 @@ class LocalSystem:
             if not star:
                 continue
             unit = groupoid.identities.get(x)
-            if unit is None:
+            # an identity with no arrow out of its object is no arrow of the groupoid
+            if unit is None or x not in by_source:
                 return "identity action fails over %r" % (self.union.vertices[x],)
-            out = by_source.get(x, ())
+            out = by_source[x]
             targets = [g.dst for g in out]
             ids = [self.identity_atom(e) for e in star]
             parts = [r for _, _, r in ids]

@@ -20,11 +20,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, eq, gt, le, mul, ne, sub
+from operator import add, eq, gt, le, mul, ne
 from typing import Mapping, Optional
 
 
@@ -86,20 +85,6 @@ def _inverse(perm: list) -> list:
     inv = [0] * len(perm)
     deque(map(inv.__setitem__, perm, count()), maxlen=0)
     return inv
-
-
-def _buckets(images: list, n: int):
-    """The indices grouped by image in ``range(n)``: (order, first), with the
-    indices of image b at ``order[first[b]:first[b + 1]]`` in increasing
-    order.  Indices whose image is -1 come first and are in no group."""
-    order = sorted(range(len(images)), key=images.__getitem__)
-    return order, list(map(bisect_left, repeat(list(map(images.__getitem__, order))),
-                           range(n + 1)))
-
-
-def _sizes(first: list) -> list:
-    """The group sizes of the offsets ``first`` of ``_buckets``."""
-    return list(map(sub, islice(first, 1, None), first))
 
 
 class Graph:
@@ -615,38 +600,35 @@ def fiber_product(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
 
 
 def _pairs(images1: list, images2: list, n: int) -> tuple:
-    """The pairs (i, j) with ``images1[i] == images2[j]`` in ``range(n)``,
-    grouped by image and in (i, j) order within a group: (left, right, at1,
-    at2), the pair at position p being (left[p], right[p]) and the pair
-    (i, j) at position ``at1[i] + at2[j]``."""
-    order1, first1 = _buckets(images1, n)
-    order2, first2 = _buckets(images2, n)
-    size1, size2 = _sizes(first1), _sizes(first2)
-    start = [0, *accumulate(map(mul, size1, size2))]
-    left, right = [], []
-    for b in range(n):
-        ones, twos = order1[first1[b]:first1[b + 1]], order2[first2[b]:first2[b + 1]]
-        left += chain.from_iterable(map(repeat, ones, repeat(len(twos))))
-        right += twos * len(ones)
-    # the rank of i within its group, times the size of the other group
-    rank1 = map(sub, _inverse(order1), map(first1.__getitem__, images1))
-    at1 = list(map(add, map(start.__getitem__, images1),
-                   map(mul, rank1, map(size2.__getitem__, images1))))
-    at2 = list(map(sub, _inverse(order2), map(first2.__getitem__, images2)))
-    return left, right, at1, at2
+    """The pairs (i, j) with ``images1[i] == images2[j]`` in ``range(n)``, in
+    (i, j) order: (left, right, first, rank), the pair at position p being
+    (left[p], right[p]) and the pair (i, j) at position ``first[i] + rank[j]``,
+    where ``rank[j]`` counts the earlier j' with the image of j."""
+    groups = [[] for _ in range(n)]
+    deque(map(list.append, map(groups.__getitem__, images2), count()), maxlen=0)
+    partners = list(map(groups.__getitem__, images1))
+    sizes = list(map(len, partners))
+    rank = [0] * len(images2)
+    deque(map(rank.__setitem__, chain.from_iterable(groups),
+              chain.from_iterable(map(range, map(len, groups)))), maxlen=0)
+    return (list(chain.from_iterable(map(repeat, count(), sizes))),
+            list(chain.from_iterable(partners)), [0, *accumulate(sizes)], rank)
 
 
-def _pair_ids(names1: tuple, names2: tuple, left: list, right: list) -> tuple:
-    """The ids ``(a|b)`` of the pairs, sorted, and the sort permutation."""
-    heads = ["(" + a + "|" for a in names1]
-    tails = [b + ")" for b in names2]
-    ids = list(map(add, map(heads.__getitem__, left), map(tails.__getitem__, right)))
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    ids = list(map(ids.__getitem__, order))
-    if any(map(eq, ids, islice(ids, 1, None))):
+def _sums(xs: list, ys: list, left: list, right: list) -> list:
+    """``xs[i] + ys[j]`` for each pair (i, j) = (left[p], right[p])."""
+    return list(map(add, map(xs.__getitem__, left), map(ys.__getitem__, right)))
+
+
+def _pair_ids(names1: tuple, names2: tuple, left: list, right: list) -> list:
+    """The ids ``(a|b)`` of the pairs.  Only where some a holds a "|" can two
+    pairs render one id; the first such id in sorted order raises."""
+    ids = _sums(["(" + a + "|" for a in names1], [b + ")" for b in names2], left, right)
+    if any(map(str.__contains__, names1, repeat("|"))) and len(set(ids)) < len(ids):
+        ids.sort()
         raise GraphError("pair identifiers collide: %r" % next(
             compress(ids, map(eq, ids, islice(ids, 1, None)))))
-    return ids, order
+    return ids
 
 
 def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
@@ -656,23 +638,27 @@ def pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
     morphisms onto one graph it is still the pullback, but its projections
     need not be coverings.
 
-    Pairs are index arithmetic within image buckets; each pair id is
-    rendered once, and the cover takes g1's colours."""
+    The pairs are laid out in (i, j) order and go to ``sort_graph``, which
+    takes them as they are unless an id of g1 or of g2 is a proper prefix
+    of another; the cover takes g1's colours."""
     g1, g2, base = m1.source, m2.source, m1.target
-    vleft, vright, vat1, vat2 = _pairs(m1.vm, m2.vm, len(base.vertices))
-    dleft, dright, dat1, dat2 = _pairs(m1.dm, m2.dm, len(base.darts))
-    vertices, vorder = _pair_ids(g1.vertices, g2.vertices, vleft, vright)
-    darts, dorder = _pair_ids(g1.darts, g2.darts, dleft, dright)
-    # cover vertex k is the pair (vm1[k], vm2[k]), cover dart k (dm1[k], dm2[k])
-    vm1, vm2 = list(map(vleft.__getitem__, vorder)), list(map(vright.__getitem__, vorder))
-    dm1, dm2 = list(map(dleft.__getitem__, dorder)), list(map(dright.__getitem__, dorder))
-    vpos, dpos = _inverse(vorder), _inverse(dorder)
-    org = list(map(vpos.__getitem__, map(add, map(vat1.__getitem__, map(g1.org.__getitem__, dm1)),
-                                         map(vat2.__getitem__, map(g2.org.__getitem__, dm2)))))
-    rev = list(map(dpos.__getitem__, map(add, map(dat1.__getitem__, map(g1.rev.__getitem__, dm1)),
-                                         map(dat2.__getitem__, map(g2.rev.__getitem__, dm2)))))
-    graph = Graph.from_tables(vertices, darts, org, rev,
-                              colours_at(g1.vcol, vm1), colours_at(g1.dcol, dm1))
+    vleft, vright, vfirst, vrank = _pairs(m1.vm, m2.vm, len(base.vertices))
+    dleft, dright, dfirst, drank = _pairs(m1.dm, m2.dm, len(base.darts))
+    # the origin of pair dart (i, j) is the pair (org1[i], org2[j]), at
+    # vfirst[org1[i]] + vrank[org2[j]]; its reversal likewise
+    graph, vorder, dorder = sort_graph(
+        _pair_ids(g1.vertices, g2.vertices, vleft, vright),
+        _pair_ids(g1.darts, g2.darts, dleft, dright),
+        _sums(list(map(vfirst.__getitem__, g1.org)), list(map(vrank.__getitem__, g2.org)),
+              dleft, dright),
+        _sums(list(map(dfirst.__getitem__, g1.rev)), list(map(drank.__getitem__, g2.rev)),
+              dleft, dright),
+        colours_at(g1.vcol, vleft), colours_at(g1.dcol, dleft))
+    # cover vertex k is the pair (vm1[k], vm2[k]), cover dart k (dm1[k], dm2[k]);
+    # sort_graph gives a range for an order that it kept
+    vm1, vm2, dm1, dm2 = [
+        table if isinstance(order, range) else list(map(table.__getitem__, order))
+        for table, order in ((vleft, vorder), (vright, vorder), (dleft, dorder), (dright, dorder))]
     return FiberProduct(graph, GraphMorphism.from_tables(graph, g1, vm1, dm1),
                         GraphMorphism.from_tables(graph, g2, vm2, dm2))
 

@@ -1,17 +1,19 @@
 import json
 import math
 import random
+from bisect import bisect_left
 from collections import Counter, deque
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, mul, sub
 
 import pytest
 
 from commoncover import cli, families
 from commoncover.ball_system import discover_atoms
 from commoncover.cover_builder import _first_difference, build_cover
-from commoncover.graphs import (BudgetExceeded, Graph, GraphError, GraphMorphism,
-                                ValidationReport)
+from commoncover.graphs import (BudgetExceeded, FiberProduct, Graph, GraphError,
+                                GraphMorphism, ValidationReport, colours_at)
 from commoncover.groupoids import keyed, lcm_all
 from commoncover.object_graphs import (ObjectGraph, obj_compose, obj_identity, obj_invert,
                                        obj_morphism)
@@ -1344,3 +1346,86 @@ def reduce_path(g: Graph, darts) -> tuple:
         else:
             out.append(d)
     return tuple(out)
+
+
+# -- the pullback as it was before its pairs went through ``sort_graph``:
+# pairs grouped by image, their ids sorted as strings and re-indexed.  The
+# reference for ``graphs.pullback``.
+
+
+def _inverse(perm: list) -> list:
+    """The inverse of a permutation of ``range(len(perm))``."""
+    inv = [0] * len(perm)
+    deque(map(inv.__setitem__, perm, count()), maxlen=0)
+    return inv
+
+
+def _buckets(images: list, n: int):
+    """The indices grouped by image in ``range(n)``: (order, first), with the
+    indices of image b at ``order[first[b]:first[b + 1]]`` in increasing
+    order.  Indices whose image is -1 come first and are in no group."""
+    order = sorted(range(len(images)), key=images.__getitem__)
+    return order, list(map(bisect_left, repeat(list(map(images.__getitem__, order))),
+                           range(n + 1)))
+
+
+def _sizes(first: list) -> list:
+    """The group sizes of the offsets ``first`` of ``_buckets``."""
+    return list(map(sub, islice(first, 1, None), first))
+
+
+def _pairs(images1: list, images2: list, n: int) -> tuple:
+    """The pairs (i, j) with ``images1[i] == images2[j]`` in ``range(n)``,
+    grouped by image and in (i, j) order within a group: (left, right, at1,
+    at2), the pair at position p being (left[p], right[p]) and the pair
+    (i, j) at position ``at1[i] + at2[j]``."""
+    order1, first1 = _buckets(images1, n)
+    order2, first2 = _buckets(images2, n)
+    size1, size2 = _sizes(first1), _sizes(first2)
+    start = [0, *accumulate(map(mul, size1, size2))]
+    left, right = [], []
+    for b in range(n):
+        ones, twos = order1[first1[b]:first1[b + 1]], order2[first2[b]:first2[b + 1]]
+        left += chain.from_iterable(map(repeat, ones, repeat(len(twos))))
+        right += twos * len(ones)
+    # the rank of i within its group, times the size of the other group
+    rank1 = map(sub, _inverse(order1), map(first1.__getitem__, images1))
+    at1 = list(map(add, map(start.__getitem__, images1),
+                   map(mul, rank1, map(size2.__getitem__, images1))))
+    at2 = list(map(sub, _inverse(order2), map(first2.__getitem__, images2)))
+    return left, right, at1, at2
+
+
+def _pair_ids(names1: tuple, names2: tuple, left: list, right: list) -> tuple:
+    """The ids ``(a|b)`` of the pairs, sorted, and the sort permutation."""
+    heads = ["(" + a + "|" for a in names1]
+    tails = [b + ")" for b in names2]
+    ids = list(map(add, map(heads.__getitem__, left), map(tails.__getitem__, right)))
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = list(map(ids.__getitem__, order))
+    if any(map(eq, ids, islice(ids, 1, None))):
+        raise GraphError("pair identifiers collide: %r" % next(
+            compress(ids, map(eq, ids, islice(ids, 1, None)))))
+    return ids, order
+
+
+def reference_pullback(m1: GraphMorphism, m2: GraphMorphism) -> FiberProduct:
+    """``graphs.pullback`` with its pairs grouped by image, their ids sorted
+    and the tables re-indexed through the inverse sort permutations."""
+    g1, g2, base = m1.source, m2.source, m1.target
+    vleft, vright, vat1, vat2 = _pairs(m1.vm, m2.vm, len(base.vertices))
+    dleft, dright, dat1, dat2 = _pairs(m1.dm, m2.dm, len(base.darts))
+    vertices, vorder = _pair_ids(g1.vertices, g2.vertices, vleft, vright)
+    darts, dorder = _pair_ids(g1.darts, g2.darts, dleft, dright)
+    # cover vertex k is the pair (vm1[k], vm2[k]), cover dart k (dm1[k], dm2[k])
+    vm1, vm2 = list(map(vleft.__getitem__, vorder)), list(map(vright.__getitem__, vorder))
+    dm1, dm2 = list(map(dleft.__getitem__, dorder)), list(map(dright.__getitem__, dorder))
+    vpos, dpos = _inverse(vorder), _inverse(dorder)
+    org = list(map(vpos.__getitem__, map(add, map(vat1.__getitem__, map(g1.org.__getitem__, dm1)),
+                                         map(vat2.__getitem__, map(g2.org.__getitem__, dm2)))))
+    rev = list(map(dpos.__getitem__, map(add, map(dat1.__getitem__, map(g1.rev.__getitem__, dm1)),
+                                         map(dat2.__getitem__, map(g2.rev.__getitem__, dm2)))))
+    graph = Graph.from_tables(vertices, darts, org, rev,
+                              colours_at(g1.vcol, vm1), colours_at(g1.dcol, dm1))
+    return FiberProduct(graph, GraphMorphism.from_tables(graph, g1, vm1, dm1),
+                        GraphMorphism.from_tables(graph, g2, vm2, dm2))

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from commoncover import ball_system, cli, families, object_graphs
 from commoncover.ball_system import BallKind
 from commoncover.cli import (SchemaError, _encoder, _graph_from_data, _write, build_parser,
-                             dump_graph, dump_object_graph, load_graph, load_object_graph,
-                             main, write_json)
+                             dump_graph, dump_object_graph, load_graph, load_morphism,
+                             load_object_graph, main, write_json)
 from commoncover.cover_builder import Kind
 from commoncover.gluing import subdivide_graph
 from commoncover.graphs import Graph, GraphError, GraphMorphism, VerificationError, validate_graph
@@ -502,6 +502,40 @@ def test_verify_key_not_in_the_cover_exits_two(tmp_path, capsys, table):
     assert main(["verify", out, th3, k4]) == 2
     assert ("mu1.json: %s key 'zzz' is not an id of the cover graph" % table
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edited", [False, True], ids=["as-written", "one-image-edited"])
+def test_a_map_with_its_keys_shuffled_verifies_as_the_ordered_one(tmp_path, capsys, edited):
+    # the writer keys each table by the cover's ids in their order, which
+    # the loader reads by position; any other order is read key by key
+    th3 = _write_graph(tmp_path, "theta3.json", families.theta(3))
+    k4 = _write_graph(tmp_path, "k4.json", families.complete(4))
+    out = str(tmp_path / "out")
+    assert main(["build", th3, k4, "--backend", "star", "--strategy", "aligned",
+                 "-o", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "cover.json")) as fh:
+        cover = _graph_from_data(json.load(fh)["graph"], "cover.json")
+    path = os.path.join(out, "mu1.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    assert (tuple(data["vmap"]), tuple(data["dmap"])) == (cover.vertices, cover.darts)
+    if edited:
+        dmap, first = data["dmap"], cover.darts[0]
+        dmap[first] = next(image for image in dmap.values() if image != dmap[first])
+    rng = random.Random(3)
+    results = []
+    for shuffle in (False, True):
+        tables = {name: list(data[name].items()) for name in ("vmap", "dmap")}
+        if shuffle:
+            for items in tables.values():
+                rng.shuffle(items)
+        with open(path, "w") as fh:
+            json.dump({**data, **{name: dict(items) for name, items in tables.items()}}, fh)
+        m = load_morphism(path, cover, load_graph(th3))
+        results.append((m.vm, m.dm, main(["verify", out, th3, k4]), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][2] == (2 if edited else 0)
 
 
 def _records(g: Graph) -> dict:

@@ -36,12 +36,27 @@ def _red(g, red_edges):
                  {d: "red" for d in g.darts if d.split(".")[0] in red_edges})
 
 
+def _relabelled(g, vertices, darts, vertex_colour=None, dart_colour=None):
+    """g with its i-th vertex renamed ``vertices[i]`` and its i-th dart
+    ``darts[i]``, and the colours given by new id."""
+    v, d = dict(zip(g.vertices, vertices)), dict(zip(g.darts, darts))
+    return Graph(vertices, darts, {d[x]: v[y] for x, y in g.origin.items()},
+                 {d[x]: d[y] for x, y in g.reverse.items()}, vertex_colour, dart_colour)
+
+
 GRAPHS = {
     "c3": lambda: families.cycle(3),
     "c3red": lambda: _red(families.cycle(3), {"e00"}),
     "c4": lambda: families.cycle(4),
     "c6": lambda: families.cycle(6),
     "c6red": lambda: _red(families.cycle(6), {"e00", "e03"}),
+    # ids that are proper prefixes of one another, some holding "|", "#" or
+    # ")": pair ids in (i, j) order are out of sorted order
+    "c3prefix": lambda: _relabelled(families.cycle(3), ["a", "ab", "abc"],
+                                    ["d", "d#", "d)", "d0", "d|", "d|0"]),
+    "c6prefix": lambda: _relabelled(families.cycle(6), ["v1", "v1#0", "v1)", "v10", "v2", "v2#"],
+                                    ["e", "e#", "e#0", "e)", "e)0", "e0", "e00", "e1",
+                                     "e1#", "e1)", "e10", "e2"]),
     "c6v": lambda: families.with_vertex_colour(families.cycle(6),
                                                {"v00": "red", "v03": "red"}),
     "cubic30": lambda: random_cubic_graph(random.Random(1), 30),
@@ -86,6 +101,9 @@ CASES = {
     "regular-all-k4-k33": ("regular", "k4", "k33", ["--component", "all"]),
     # even degree: the pullback over the rose has two components of 12
     "regular-c4-c6": ("regular", "c4", "c6", []),
+    "regular-c3prefix-c6prefix": ("regular", "c3prefix", "c6prefix", []),
+    "regular-all-c3prefix-c6prefix": ("regular", "c3prefix", "c6prefix",
+                                      ["--component", "all"]),
     "regular-cubic40-cubic30": ("regular", "cubic40", "cubic30", []),
     # degree 4: Euler circuits and matchings split the 2-factors of both
     "regular-k5-k44": ("regular", "k5", "k44", []),
@@ -334,6 +352,14 @@ GOLDEN = {
         "mu2.json":
             "d081c514a6150bfef5cb6e536d931e5fc2f0bfe6eddd677bffedcb1ec66e7c40",
     },
+    "regular-all-c3prefix-c6prefix": {
+        "cover.json":
+            "a92b5bda76d9b1f1c9179fb34b8708b6a234e274bed00da3107824f227dc4b60",
+        "mu1.json":
+            "7536bd9975b3106837bfbfa193d206ee61c6670ebbc442e6f10b1205b573a1f0",
+        "mu2.json":
+            "d4f25b3759511fec31fc9d9ace5865909bd2c077fb6b8ef9e05587798f6d7d49",
+    },
     "regular-all-k4-k33": {
         "cover.json":
             "c87b86f7b9586d20afc57bdc2ffd8a0cac9c19401ef479dd6567ef239db725aa",
@@ -349,6 +375,14 @@ GOLDEN = {
             "a5d499cb6d06f75502d72e5cc4f04ee8dd364566f9b7d4976a7e8a2f753fb363",
         "mu2.json":
             "2697e1f6c4b6a208f0dde26df6bfc6c5ae65647e8d7bbf53fdc3b53629bb3b5a",
+    },
+    "regular-c3prefix-c6prefix": {
+        "cover.json":
+            "56f5f4b04ea9ee2d2287615c8562d2611598aedde0bf86fab0c2511cdc4b0272",
+        "mu1.json":
+            "5bbcc02183651cf1cd155eed044851e7514e32be5b222a5227d3be1be6227cd9",
+        "mu2.json":
+            "a5b551b8d16580d5e855b8f3f997ac599f50f5a8c6fbaba9c7cf69db8aca51a5",
     },
     "regular-c3red-c6red": {
         "cover.json":

@@ -1,15 +1,22 @@
+import random
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commoncover import families
 from commoncover.cover_builder import Labels
 from commoncover.graphs import (Graph, GraphError, GraphMorphism,
                                 VerificationError, compose_morphisms,
                                 fiber_product, finish_cover, identity_morphism,
-                                is_covering, validate_graph)
+                                is_covering, pullback, validate_graph)
 from commoncover.oracle import find_covering
+from commoncover.regular import factorize_regular
 
-from conftest import (fiber_pairs, is_valid_morphism, reference_is_covering,
-                      reference_validate_graph, reference_violations)
+from conftest import (fiber_pairs, is_valid_morphism, random_cubic_graph, reference_is_covering,
+                      reference_pullback, reference_validate_graph, reference_violations)
+from test_golden_artifacts import _relabelled
 
 
 def test_validate_well_formed_fixtures():
@@ -219,6 +226,61 @@ def test_fiber_product_requires_coverings():
                                "e01.a": "e00.a", "e01.b": "e00.b"})
     with pytest.raises(GraphError, match="requires coverings"):
         fiber_product(not_cover, _cycle_cover_of_rose(3))
+
+
+# connected regular graphs of ``families``, by degree
+_REGULAR = {2: [*(partial(families.cycle, n) for n in range(1, 7)),
+                partial(families.rose, 1), partial(families.theta, 2)],
+            3: [partial(families.complete, 4), partial(families.theta, 3),
+                partial(families.complete_bipartite, 3, 3)],
+            4: [partial(families.complete, 5), partial(families.complete_bipartite, 4, 4),
+                partial(families.rose, 2), partial(families.theta, 4)]}
+
+
+def _prefix_ids(rng, n: int) -> list:
+    """n distinct ids, each an earlier one or the empty string followed by
+    one character of an alphabet that holds the pair ids' own punctuation:
+    many are proper prefixes of others, and some pairs of them render one
+    pair id."""
+    ids = []
+    while len(ids) < n:
+        new = rng.choice(ids + [""]) + rng.choice("a|()#")
+        if new not in ids:
+            ids.append(new)
+    return ids
+
+
+def _relabelled_at_random(rng, g):
+    """g with ids from ``_prefix_ids`` and random colours on about half of
+    its vertices and darts."""
+    ids = _prefix_ids(rng, len(g.vertices)), _prefix_ids(rng, len(g.darts))
+    return _relabelled(g, *ids, *({x: rng.choice("rg") for x in kind if rng.random() < 0.5}
+                                  for kind in ids))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_pullback_equals_the_reference_on_relabelled_regular_pairs(seed):
+    rng = random.Random(seed)
+    k = rng.choice(sorted(_REGULAR))
+
+    def one():
+        if k == 3 and rng.random() < 0.5:
+            return random_cubic_graph(rng, rng.choice((4, 6, 8)))
+        return rng.choice(_REGULAR[k])()
+
+    m1, m2 = (factorize_regular(_relabelled_at_random(rng, one())).covering for _ in range(2))
+    try:
+        want = reference_pullback(m1, m2)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            pullback(m1, m2)
+        assert str(got.value) == str(exc)
+        return
+    fp = pullback(m1, m2)
+    assert fp.graph.canonical() == want.graph.canonical()
+    for got, expected in ((fp.proj1, want.proj1), (fp.proj2, want.proj2)):
+        assert (got.vm, got.dm) == (expected.vm, expected.dm)
 
 
 def test_restrict_rejects_broken_components():

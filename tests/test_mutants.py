@@ -263,6 +263,15 @@ def test_an_identity_that_moves_an_atom_fails_the_action_check():
         _rechecked(sys).require_axioms()
 
 
+
+def test_an_identity_whose_object_lost_every_arrow_fails_the_action_check():
+    sys = build_star_system(families.complete(4), families.theta(3))
+    # the identity of 1:v00 stays in ``identities`` but in no arrow list
+    _rechecked(sys, _without(sys.groupoid, lambda a: a.src == 0))
+    assert sys._check_action() == "identity action fails over '1:v00'"
+    with pytest.raises(AxiomError, match="closure axioms unmet"):
+        sys.require_axioms()
+
 def test_a_restriction_outside_the_groupoid_fails_the_certificate():
     sys = build_ball_system_retrying(families.cycle(3), families.cycle(4), 1)
     built = build_cover(sys)
