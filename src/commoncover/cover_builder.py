@@ -687,10 +687,9 @@ def build_cover(sys: LocalSystem, component: str = "least",
 
     vertex_ids, dart_ids = (numbered_ids(("v%06d",), range(len(vm1))),
                             numbered_ids(("d%06d",), range(len(org))))
-    # the cover takes the first graph's colours when it has any
-    g, vm, dm = (g1, vm1, dm1) if g1.vcol or g1.dcol else (g2, vm2, dm2)
+    # the cover takes g1's colours: a common cover exists only where g2's agree
     graph = Graph.from_tables(vertex_ids, dart_ids, org, rev,
-                              colours_at(g.vcol, vm), colours_at(g.dcol, dm))
+                              colours_at(g1.vcol, vm1), colours_at(g1.dcol, dm1))
     based_vertex = None
     if based_at is not None:
         if based_at.key not in first:

@@ -59,13 +59,13 @@ def _differ(a: list, b: list) -> list:
     return [] if a == b else _where(map(ne, a, b))
 
 
-def _clashes(s_col: Optional[list], t_col: Optional[list], images: list) -> set:
-    """The indices whose colour and whose image's colour are both set and
-    differ; none unless both graphs carry colours."""
-    if s_col is None or t_col is None:
+def clashes(s_col: Optional[list], t_col: Optional[list], images: list) -> set:
+    """The indices whose colour differs from their image's.  A missing
+    colour is a colour, and a missing column reads as all None."""
+    if s_col is None and t_col is None:
         return set()
-    tc = list(map(t_col.__getitem__, images))
-    return {i for i in _differ(s_col, tc) if s_col[i] is not None and tc[i] is not None}
+    none = [None] * len(images)
+    return set(_differ(s_col or none, colours_at(t_col, images) or none))
 
 
 def colours_at(column: Optional[list], indices) -> Optional[list]:
@@ -368,7 +368,7 @@ class GraphMorphism:
     def violations(self) -> list:
         """Every failure to be a graph morphism, in the order: vertex images,
         then per dart its image, origin, reversal and colour, then vertex
-        colours.  Colours are compared only where both graphs carry them."""
+        colours.  A missing colour is a colour, as ``clashes`` reads it."""
         src, tgt, vm, dm = self.source, self.target, self.vm, self.dm
         missing_v, missing = _equal_to(vm, -1), _equal_to(dm, -1)
         bad = ["vertex %r has no valid image" % (src.vertices[i],) for i in missing_v]
@@ -376,7 +376,7 @@ class GraphMorphism:
         # dm[i] = -1 reads the last entry of a target table: such a dart is
         # reported as having no image and checked no further
         if len(missing) < len(dm):
-            clash = _clashes(src.dcol, tgt.dcol, dm)
+            clash = clashes(src.dcol, tgt.dcol, dm)
             failing = [*missing, *clash,
                        *_differ(list(map(vm.__getitem__, src.org)),
                                 list(map(tgt.org.__getitem__, dm))),
@@ -394,7 +394,7 @@ class GraphMorphism:
             if i in clash:
                 bad.append("dart colour not preserved at %r" % (d,))
         if len(missing_v) < len(vm):
-            clash = _clashes(src.vcol, tgt.vcol, vm)
+            clash = clashes(src.vcol, tgt.vcol, vm)
             bad += ["vertex colour not preserved at %r" % (src.vertices[i],)
                     for i in sorted(clash.difference(missing_v))]
         return bad
@@ -532,6 +532,17 @@ def numbered_ids(formats: tuple, numbers: range) -> list:
     return [f % k for k in numbers for f in formats]
 
 
+def restrict_maps(mu1: GraphMorphism, mu2: GraphMorphism, vertices) -> tuple:
+    """(mu1, mu2, kv, kd): both maps cut to a union of components, and the kept indices."""
+    sub = mu1.source.restrict(vertices)
+    vindex, dindex = mu1.source.index()
+    kv = list(map(vindex.__getitem__, sub.vertices))
+    kd = list(map(dindex.__getitem__, sub.darts))
+    mu1, mu2 = [GraphMorphism.from_tables(sub, mu.target, list(map(mu.vm.__getitem__, kv)),
+                                          list(map(mu.dm.__getitem__, kd))) for mu in (mu1, mu2)]
+    return mu1, mu2, kv, kd
+
+
 def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
                  component: str = "least", seed: Optional[str] = None,
                  n_multiple: Optional[int] = None,
@@ -559,14 +570,7 @@ def finish_cover(mu1: GraphMorphism, mu2: GraphMorphism,
         else:
             chosen = next(c for c in comps if seed in c)
         if len(comps) > 1:
-            sub = mu1.source.restrict(chosen)
-            vindex, dindex = mu1.source.index()
-            kv = list(map(vindex.__getitem__, sub.vertices))
-            kd = list(map(dindex.__getitem__, sub.darts))
-            mu1, mu2 = [GraphMorphism.from_tables(sub, mu.target,
-                                                  list(map(mu.vm.__getitem__, kv)),
-                                                  list(map(mu.dm.__getitem__, kd)))
-                        for mu in (mu1, mu2)]
+            mu1, mu2, kv, kd = restrict_maps(mu1, mu2, chosen)
             _verify_cover(mu1, mu2, "component ")
             if vertex_label is not None:            # ``cover_builder.Labels``
                 vertex_label, dart_label = vertex_label.take(kv), dart_label.take(kd)

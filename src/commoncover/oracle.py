@@ -60,10 +60,7 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
         (h.dcol, h.darts), (target.dcol, target.darts))]
 
     def compatible(v, w):
-        if len(h_stars[v]) != len(t_stars[w]):
-            return False
-        cv, cw = h_vc[v], t_vc[w]
-        return cv is None or cw is None or cv == cw
+        return len(h_stars[v]) == len(t_stars[w]) and h_vc[v] == t_vc[w]
 
     def images(pending, vmap, dmap):
         # lazily, so each image is tested against the maps as they stand;
@@ -77,10 +74,7 @@ def find_covering(h: Graph, target: Graph, budget: int = 200000) -> Optional[Gra
         for e in t_stars[vmap[v]]:
             if e in used:
                 continue
-            tc = t_dc[e]
-            trc = t_dc[t_rev[e]]
-            if (hc is not None and tc is not None and hc != tc
-                    or hrc is not None and trc is not None and hrc != trc):
+            if hc != t_dc[e] or hrc != t_dc[t_rev[e]]:
                 continue
             tw = t_org[t_rev[e]]
             if w in vmap:

@@ -22,9 +22,9 @@ from operator import eq
 from typing import Optional
 
 from . import families
-from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError,
+from .graphs import (Cover, Graph, GraphError, GraphMorphism, VerificationError, clashes,
                      colours_at, compose_morphisms, finish_cover, is_covering, pullback,
-                     sort_graph)
+                     restrict_maps, sort_graph)
 
 
 def regularity(g: Graph) -> int:
@@ -201,12 +201,13 @@ class Factorization:
 
 
 def factorize_regular(g: Graph) -> Factorization:
-    """A covering onto the rose with k/2 petals (k even: the 2-factors, each
-    oriented along its cycles) or onto the theta graph with k edges (k odd:
-    the matchings of the bipartite double, each coloured edge by colour)."""
+    """A covering of a colour-free copy of g onto the rose with k/2 petals
+    (k even: the 2-factors, each oriented along its cycles) or onto the
+    theta graph with k edges (k odd: the matchings of the bipartite double)."""
     if not g.is_connected():
         raise GraphError("connected graph required")
     k = regularity(g)
+    g = Graph.from_tables(g.vertices, g.darts, g.org, g.rev)
     if k % 2 == 0:
         factors = _two_factors(g, k)
         # each cycle forward from its least vertex, along its least dart
@@ -230,14 +231,8 @@ def factorize_regular(g: Graph) -> Factorization:
 
 def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cover:
     """A common cover of two connected graphs of one degree, the pullback
-    of their factorizations.  The factorizations ignore colours and the
-    cover takes g1's, so two inputs that both carry vertex colours, or
-    both dart colours, are refused when more than one colour occurs
-    between them."""
-    for kind, c1, c2 in (("vertex", g1.vcol, g2.vcol), ("dart", g1.dcol, g2.dcol)):
-        if c1 and c2 and len({*c1, *c2} - {None}) > 1:
-            raise GraphError("the regular path ignores colours: both inputs carry %s "
-                             "colours, more than one between them; use build" % kind)
+    of their factorizations.  The factorizations ignore colours: the
+    pullback takes g1's, and keeps the components on which g2's agree."""
     k1, k2 = regularity(g1), regularity(g2)
     if k1 != k2:
         raise GraphError("degree mismatch: %d vs %d" % (k1, k2))
@@ -253,4 +248,17 @@ def regular_common_cover(g1: Graph, g2: Graph, component: str = "least") -> Cove
         mu1 = compose_morphisms(f1.double_proj, fp.proj1)
         mu2 = compose_morphisms(f2.double_proj, fp.proj2)
         bound = 2 * len(g1.vertices) * len(g2.vertices)
-    return finish_cover(mu1, mu2, component, bound=bound)
+    g = Graph.from_tables(fp.graph.vertices, fp.graph.darts, fp.graph.org, fp.graph.rev,
+                          colours_at(g1.vcol, mu1.vm), colours_at(g1.dcol, mu1.dm))
+    mu1, mu2 = [GraphMorphism.from_tables(g, h, mu.vm, mu.dm) for h, mu in ((g1, mu1), (g2, mu2))]
+    bad = {*clashes(g.vcol, g2.vcol, mu2.vm),
+           *map(g.org.__getitem__, clashes(g.dcol, g2.dcol, mu2.dm))}
+    if not bad:
+        return finish_cover(mu1, mu2, component, bound=bound)
+    comps, vindex = g.components(), g.index()[0]
+    kept = [v for c in comps if bad.isdisjoint(map(vindex.__getitem__, c)) for v in c]
+    if not kept:
+        raise GraphError("no pullback component keeps both inputs' colours; use build")
+    cover = finish_cover(*restrict_maps(mu1, mu2, kept)[:2], component, bound=bound)
+    cover.component_sizes = tuple(map(len, comps))  # the whole pullback, which the bound bounds
+    return cover

@@ -657,7 +657,9 @@ def reference_validate_graph(g: Graph) -> ValidationReport:
 def reference_violations(m: GraphMorphism) -> list:
     """``GraphMorphism.violations`` as it was before its tables were bound
     to locals and its colour checks skipped for uncoloured graphs; the
-    reference for the list of violations and its order."""
+    reference for the list of violations and its order.  A missing colour
+    is a colour: an element and its image agree only if both have none or
+    both have the same one."""
     bad = []
     target_vertices = set(m.target.vertices)
     target_darts = set(m.target.darts)
@@ -673,14 +675,12 @@ def reference_violations(m: GraphMorphism) -> list:
             bad.append("origin not preserved at dart %r" % (d,))
         if m.dmap.get(m.source.reverse[d]) != m.target.reverse[e]:
             bad.append("reversal not preserved at dart %r" % (d,))
-        sc = m.source.dart_colour.get(d)
-        tc = m.target.dart_colour.get(e)
-        if sc is not None and tc is not None and sc != tc:
+        if m.source.dart_colour.get(d) != m.target.dart_colour.get(e):
             bad.append("dart colour not preserved at %r" % (d,))
     for v in m.source.vertices:
-        sc = m.source.vertex_colour.get(v)
-        tc = m.target.vertex_colour.get(m.vmap.get(v))
-        if sc is not None and tc is not None and sc != tc:
+        w = m.vmap.get(v)
+        if w in target_vertices and (m.source.vertex_colour.get(v)
+                                     != m.target.vertex_colour.get(w)):
             bad.append("vertex colour not preserved at %r" % (v,))
     return bad
 
@@ -715,8 +715,8 @@ def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
     serves as the reference for the visit order, the budget accounting and
     the first morphism found.  An image dart must be unused in the star of
     the pending dart's origin, and its reverse unused in the star of the
-    head; the colours of both darts and both reverses must agree where
-    both are set."""
+    head; the colours of both darts and both reverses must agree, a missing
+    colour being a colour."""
     if not h.vertices:
         return None
     counter = [budget]
@@ -725,9 +725,7 @@ def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
     def compatible(v, w):
         if h.degree(v) != target.degree(w):
             return False
-        cv = h.vertex_colour.get(v)
-        cw = target.vertex_colour.get(w)
-        return cv is None or cw is None or cv == cw
+        return h.vertex_colour.get(v) == target.vertex_colour.get(w)
 
     def extend(vmap, dmap):
         counter[0] -= 1
@@ -747,13 +745,10 @@ def recursive_find_covering(h: Graph, target: Graph, budget: int = 200000):
         for e in target.star(vmap[v]):
             if e in used:
                 continue
-            hc = h.dart_colour.get(pending)
-            tc = target.dart_colour.get(e)
-            if hc is not None and tc is not None and hc != tc:
+            if h.dart_colour.get(pending) != target.dart_colour.get(e):
                 continue
-            hc = h.dart_colour.get(h.reverse[pending])
-            tc = target.dart_colour.get(target.reverse[e])
-            if hc is not None and tc is not None and hc != tc:
+            if (h.dart_colour.get(h.reverse[pending])
+                    != target.dart_colour.get(target.reverse[e])):
                 continue
             w = h.head(pending)
             tw = target.head(e)

@@ -148,8 +148,9 @@ def test_regular_command(tmp_path):
 
 
 def test_regular_refuses_two_coloured_inputs(tmp_path, capsys):
-    # the factorizations ignore colours and the cover takes the first
-    # input's, so two coloured inputs ended in a verification failure
+    # the factorizations ignore colours and the pullback takes the first
+    # input's: a pair is refused when no pullback component keeps the
+    # second input's colours too, and a missing colour is a colour
     k4, k33 = families.complete(4), families.complete_bipartite(3, 3)
     k4_mixed = _write_graph(tmp_path, "k4rb.json", families.with_vertex_colour(
         k4, {"v00": "red", "v01": "red", "v02": "blue", "v03": "blue"}))
@@ -157,17 +158,40 @@ def test_regular_refuses_two_coloured_inputs(tmp_path, capsys):
         k4, {v: "red" for v in k4.vertices}))
     k33_mixed = _write_graph(tmp_path, "k33rb.json", families.with_vertex_colour(
         k33, {v: "red" if v < "v03" else "blue" for v in k33.vertices}))
-    out = str(tmp_path / "out")
-    for first, second in ((k4_mixed, k4_mixed), (k4_red, k33_mixed)):
-        assert main(["regular", first, second, "-o", out]) == 2
-        assert ("input error: the regular path ignores colours: both inputs carry "
-                "vertex colours" in capsys.readouterr().err)
-    assert main(["build", k4_mixed, k4_mixed, "--backend", "star", "-o", out]) == 0
-    assert main(["check", k4_red, k33_mixed]) == 1
-    # one coloured side: the cover is built and verifies
     k33_plain = _write_graph(tmp_path, "k33.json", k33)
-    assert main(["regular", k4_mixed, k33_plain, "-o", out]) == 0
-    assert main(["verify", out, k4_mixed, k33_plain]) == 0
+    out = str(tmp_path / "out")
+    for first, second in ((k4_red, k33_mixed), (k4_mixed, k33_plain)):
+        assert main(["check", first, second]) == 1
+        assert main(["regular", first, second, "-o", out]) == 2
+        assert ("input error: no pullback component keeps both inputs' colours; use build"
+                in capsys.readouterr().err)
+    # one colouring on both sides: the diagonal components keep it
+    assert main(["regular", k4_mixed, k4_mixed, "-o", out]) == 0
+    assert main(["verify", out, k4_mixed, k4_mixed]) == 0
+
+
+@pytest.mark.parametrize("first, second", [("c3", "c6red"), ("c6", "c6v")])
+def test_every_command_reads_a_missing_colour_as_a_colour(tmp_path, capsys, first, second):
+    g1, g2 = [_write_graph(tmp_path, name + ".json", GRAPHS[name]())
+              for name in (first, second)]
+    out = str(tmp_path / "out")
+    assert main(["check", g1, g2]) == 1
+    assert main(["build", g1, g2, "-o", out]) == 1
+    assert main(["oracle", g1, g2, "--max", "2"]) == 1
+    assert "none up to degree 2" in capsys.readouterr().out
+    for component in ("least", "all"):
+        assert main(["regular", g1, g2, "--component", component, "-o", out]) == 2
+        assert "; use build" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_verify_refuses_a_cover_that_loses_a_colour(tmp_path, capsys):
+    c6, c6v = [_write_graph(tmp_path, name + ".json", GRAPHS[name]()) for name in ("c6", "c6v")]
+    out = str(tmp_path / "out")
+    assert main(["regular", c6, c6, "-o", out]) == 0
+    assert main(["verify", out, c6, c6v]) == 2
+    assert ("not a graph morphism: vertex colour not preserved at '(v00|v00)'"
+            in capsys.readouterr().err)
 
 
 def test_bounds_command(capsys):

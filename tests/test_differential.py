@@ -25,7 +25,13 @@ seeds with ``derandomize=True``, so every run checks the same pairs.
 * no command exits 3 on a pair that ``common_cover_exists`` rejects;
 * on pairs where ``oracle.brute_common_cover`` finds the least connected
   common cover within its budget, the least component that star dr, star
-  aligned, ball R=1 and glue R=1 write has at least that many vertices.
+  aligned, ball R=1 and glue R=1 write has at least that many vertices;
+* on partly coloured pairs, where a missing colour is a colour: random
+  pairs (mostly without a common cover), a graph against itself and
+  against its connected bipartite double, ``common_cover_exists`` agrees
+  with star dr and with the oracle within its budget, every cover built
+  covers both inputs with each element coloured as both its images, and
+  ``regular`` builds only where ``common_cover_exists`` says a cover exists.
 """
 
 import contextlib
@@ -42,10 +48,12 @@ from hypothesis import strategies as st
 
 from commoncover import cli
 from commoncover.bounds import bound_report
-from commoncover.graphs import is_covering
+from commoncover.cover_builder import build_cover
+from commoncover.graphs import Graph, GraphError, is_covering
 from commoncover.oracle import brute_common_cover, find_covering, permutation_cover
 from commoncover.refinement import common_cover_exists
-from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL,
+from commoncover.regular import bipartite_double, regular_common_cover
+from commoncover.star_system import (STRATEGY_ALIGNED, STRATEGY_DR_FULL, build_star_system,
                                      build_star_system_retrying)
 
 from conftest import (check_label_tables, corrupt_act, corrupt_compose, n_edges,
@@ -267,3 +275,67 @@ def test_least_components_are_no_smaller_than_the_oracle_cover(seed):
             with open(os.path.join(out, "cover.json"), encoding="utf-8") as fh:
                 size = len(json.load(fh)["graph"]["vertices"])
             assert size >= len(least.cover.vertices), flags
+
+
+def _coloured_at_random(rng, g):
+    """g with each vertex and each dart red or blue with probability 0.3,
+    else uncoloured."""
+    def colours(ids):
+        return {x: rng.choice(("red", "blue")) for x in ids if rng.random() < 0.3}
+    return Graph(g.vertices, g.darts, g.origin, g.reverse, colours(g.vertices), colours(g.darts))
+
+
+def coloured_pair(seed, kind):
+    """Two partly coloured graphs: cubic of 4-8 vertices or random of at
+    most 6.  "random" colours two random graphs; "same" pairs one with
+    itself and "double" with its bipartite double where that is connected,
+    so that a common cover exists."""
+    rng = random.Random(seed)
+
+    def one():
+        if rng.random() < 0.5:
+            return random_cubic_graph(rng, rng.choice((4, 6, 8)))
+        return random_base_graph(rng, max_vertices=6)
+
+    g = _coloured_at_random(rng, one())
+    if kind == "random":
+        return g, _coloured_at_random(rng, one())
+    double = bipartite_double(g)[0]
+    if kind == "double" and double.is_connected():
+        return (g, double) if rng.random() < 0.5 else (double, g)
+    return g, g
+
+
+def _built(build):
+    """The cover ``build()`` returns, or None where it refuses."""
+    try:
+        return build()
+    except GraphError:
+        return None
+
+
+def _keeps_colours(mu) -> bool:
+    """Each element of the source has the colour of its image, None included."""
+    vs, vt = mu.source.vertex_colour, mu.target.vertex_colour
+    ds, dt = mu.source.dart_colour, mu.target.dart_colour
+    return (all(vs.get(v) == vt.get(w) for v, w in mu.vmap.items())
+            and all(ds.get(d) == dt.get(e) for d, e in mu.dmap.items()))
+
+
+@_settings(200)
+@given(SEEDS, st.sampled_from(["random", "same", "double"]))
+def test_every_command_reads_one_colour_reading(seed, kind):
+    g1, g2 = coloured_pair(seed, kind)
+    exists = common_cover_exists(g1, g2)[0]
+    star = _built(lambda: build_cover(build_star_system(g1, g2, STRATEGY_DR_FULL)))
+    assert (star is not None) == exists
+    least = brute_common_cover(g1, g2, 2, budget=20000)
+    if not least.budget_exceeded:
+        assert least.found <= exists
+        # a same or double pair has a common cover of degree at most 2
+        assert least.found or kind == "random"
+    regular = _built(lambda: regular_common_cover(g1, g2))
+    assert regular is None or exists
+    for cover in (star, regular):
+        for mu in (cover.mu1, cover.mu2) if cover else ():
+            assert is_covering(mu).ok and _keeps_colours(mu)

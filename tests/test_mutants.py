@@ -12,6 +12,19 @@ earlier check refuses it.  Where no corruption can break a fact, the row
 pins the identity that makes it hold.  The rows after them reach the
 implied checks that are kept, each through the corruption it guards
 against.
+
+Older mutant helpers in ``conftest`` serve rows kept beside the checks
+they break, each named here with the test that uses it:
+
+* ``corrupt_act`` (the atom a cross arrow produces) --
+  ``test_cover_builder::test_wrong_image_dart_fails_axioms``;
+* ``corrupt_compose`` (a composite replaced by another arrow) --
+  ``test_cover_builder::test_wrong_composite_fails_the_action_check``;
+* ``corrupt_identity_row`` (an identity-row atom moved) --
+  ``test_cover_builder::test_an_identity_row_atom_moved_fails_the_action_check``
+  and this table's ``test_an_atom_matched_to_too_many_vertices_fails_the_axioms``;
+* ``mislabel_base_vertex`` (a cover vertex's provenance label) --
+  ``test_cover_builder::test_a_mislabelled_cover_vertex_fails_the_certificate``.
 """
 
 import pytest
@@ -215,6 +228,27 @@ def test_an_odd_degree_never_splits_into_2_factors(monkeypatch):
         assert factorize_regular(g).kind == "odd"
 
 
+# -- implied: a cover may take the first input's colours ----------------------
+
+
+@pytest.mark.parametrize("coloured", [
+    lambda g: families.with_vertex_colour(g, {"v00": "red", "v03": "red"}),
+    lambda g: Graph(g.vertices, g.darts, g.origin, g.reverse, None,
+                    {d: "red" for d in g.darts if d.startswith(("e00", "e03"))}),
+], ids=["vertex", "dart"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_a_pair_coloured_on_one_side_is_refused_before_assembly(coloured, first):
+    # build_cover gives the cover g1's colours: where the joint refinement
+    # lets a pair through, g2's agree with them, a missing colour included
+    plain = families.cycle(6)
+    g1, g2 = (coloured(plain), plain) if first else (plain, coloured(plain))
+    assert not joint_refinement(g1, g2).ok
+    for build in (build_star_system, lambda g1, g2: build_star_system(g1, g2, STRATEGY_ALIGNED),
+                  lambda g1, g2: build_ball_system(g1, g2, 1)):
+        with pytest.raises(GraphError, match="no common universal cover"):
+            build(g1, g2)
+
+
 # -- implied: an alignment's joint blocks are checked once --------------------
 
 
@@ -349,6 +383,27 @@ def test_an_assembled_graph_whose_reversal_is_no_involution_fails_the_exit():
     mu = GraphMorphism.from_tables(graph, g, list(range(3)), list(range(6)))
     with pytest.raises(VerificationError, match="assembled graph invalid"):
         finish_cover(mu, mu)
+
+
+@pytest.mark.parametrize("kind, column", [("vertex", 0), ("dart", 1)])
+def test_a_cover_element_recoloured_after_assembly_fails_the_exit(monkeypatch, kind, column):
+    g = families.with_vertex_colour(families.cycle(3), {"v00": "red"})
+    g = Graph(g.vertices, g.darts, g.origin, g.reverse, g.vertex_colour, {"e00.a": "blue"})
+    real = cover_builder.finish_cover
+
+    def recoloured(mu1, mu2, *args, **kwargs):
+        # the first element of the kind turns green, mapped where it was
+        c = mu1.source
+        columns = [list(c.vcol), list(c.dcol)]
+        columns[column][0] = "green"
+        c = Graph.from_tables(c.vertices, c.darts, c.org, c.rev, *columns)
+        return real(*[GraphMorphism.from_tables(c, mu.target, mu.vm, mu.dm)
+                      for mu in (mu1, mu2)], *args, **kwargs)
+
+    monkeypatch.setattr(cover_builder, "finish_cover", recoloured)
+    with pytest.raises(VerificationError, match="mu1: not a graph morphism: %s colour not "
+                       "preserved at '%s000000'" % (kind, kind[0])):
+        build_cover(build_star_system(g, g))
 
 
 def test_an_object_cover_with_an_edge_map_between_other_objects_is_invalid(monkeypatch):

@@ -53,16 +53,24 @@ def test_budget_exceeded_reported():
     assert result.budget_exceeded and not result.found
 
 
+def _cycle12(colour):
+    """C12 with vertex i coloured ``colour(i)``."""
+    return families.with_vertex_colour(
+        families.cycle(12), {("v%02d" % i): colour(i) for i in range(12)})
+
+
 def test_find_covering_respects_colours():
-    # colours constrain the search only where both sides carry them
+    # a missing colour is a colour: an uncoloured vertex maps only onto an
+    # uncoloured one
     full3 = families.with_vertex_colour(
         families.cycle(3), {"v00": "red", "v01": "blue", "v02": "blue"})
     plain12 = families.cycle(12)
     assert find_covering(plain12, families.cycle(3)) is not None
-    assert find_covering(plain12, full3) is not None
-    bad12 = families.with_vertex_colour(
-        families.cycle(12),
-        {("v%02d" % i): ("red" if i < 2 else "blue") for i in range(12)})
+    assert find_covering(plain12, full3) is None
+    assert find_covering(full3, families.cycle(3)) is None
+    good12 = _cycle12(lambda i: "red" if i % 3 == 0 else "blue")
+    assert find_covering(good12, full3) is not None
+    bad12 = _cycle12(lambda i: "red" if i < 2 else "blue")
     assert find_covering(bad12, full3) is None
 
 
@@ -93,11 +101,10 @@ def _search_pairs():
     random base graphs, and random unrelated pairs."""
     full3 = families.with_vertex_colour(
         families.cycle(3), {"v00": "red", "v01": "blue", "v02": "blue"})
-    bad12 = families.with_vertex_colour(
-        families.cycle(12),
-        {("v%02d" % i): ("red" if i < 2 else "blue") for i in range(12)})
+    good12 = _cycle12(lambda i: "red" if i % 3 == 0 else "blue")
+    bad12 = _cycle12(lambda i: "red" if i < 2 else "blue")
     pairs = [(families.cycle(12), families.cycle(3), True),
-             (families.cycle(12), full3, True), (bad12, full3, False),
+             (families.cycle(12), full3, False), (good12, full3, True), (bad12, full3, False),
              (families.cycle(3), families.complete(4), False),
              (lollipop(), families.rose(1), False)]
     rng = random.Random(11)
